@@ -9,7 +9,6 @@ mass reweighting.
 """
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 

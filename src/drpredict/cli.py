@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .bounds import BoundsMethod, neyman_bounds, sharp_bounds_empirical
+from .bounds import BoundsMethod, VarianceBounds, neyman_bounds, sharp_bounds_empirical
 from .calibration import SplitRule, split_benchmark
+from .covariance import sigma_neyman, sigma_sharp
 from .exceptions import (
     ConvergenceError,
     DegenerateSample,
@@ -53,7 +54,7 @@ from .simulation import (
     run_coverage_study,
     write_reports_csv,
 )
-from .solver import RobustConfig, solve_minimax
+from .solver import RobustConfig, solve_minimax_many, sweep_delta
 
 _INPUT_ERRORS = (
     ParseError,
@@ -213,11 +214,11 @@ def cmd_estimate(args) -> int:
     selected = sharp if method is BoundsMethod.SHARP else neyman
 
     if config.q == 1.0:
-        tau_p = solve_minimax(moments.ate, selected.v_p, config)
-        tau_o = solve_minimax(moments.ate, selected.v_o, config)
+        pair = solve_minimax_many(moments.ate, [selected.v_p, selected.v_o], config)
+        tau_p, tau_o = pair.tolist()
         sd_tau = sd_p = sd_o = None
     else:
-        _, _, sigma = _estimate_pieces(sample, config, method)
+        sigma = sigma_sharp(sample) if method is BoundsMethod.SHARP else sigma_neyman(moments)
         est = _estimates_from_pieces(moments.ate, selected, sigma, sample.n, config)
         tau_p, tau_o = est.tau_p, est.tau_o
         sd_tau, sd_p, sd_o = sigma.sigma_tau, est.sd_p, est.sd_o
@@ -276,17 +277,23 @@ def cmd_sweep(args) -> int:
         q = RobustConfig.from_p(0.0, args.p_order).q
 
     population = args.data is None
+    known = None
+    if args.true_v is not None:
+        if not args.true_v >= 0.0:  # also rejects NaN
+            raise DomainError(f"--true-v must be nonnegative, got {args.true_v}")
+        # a known effect variance is a bracket of zero width: its tau_p is tau_dr
+        known = VarianceBounds(v_o=args.true_v, v_p=args.true_v, method=args.bounds)
     if population:
-        if args.true_v is None or args.tau_star is None:
+        if known is None or args.tau_star is None:
             raise ValidationError(
                 "population mode (no --data) requires both --true-v and --tau-star"
             )
+        if not math.isfinite(args.tau_star):
+            raise DomainError(f"--tau-star must be finite, got {args.tau_star}")
         tau_star = args.tau_star
         header = ["delta", "tau_p", "tau_o", "tau_dr"]
-        rows = []
-        for d in deltas:
-            t = solve_minimax(tau_star, args.true_v, RobustConfig(delta=d, q=q))
-            rows.append([d, t, t, t])
+        rows = [[pt.delta, pt.tau_p, pt.tau_p, pt.tau_p]
+                for pt in sweep_delta(tau_star, known, q, deltas)]
         digest = None
     else:
         if args.tau_star is not None:
@@ -301,19 +308,11 @@ def cmd_sweep(args) -> int:
         else:
             bounds = neyman_bounds(moments.sigma1_sq, moments.sigma0_sq)
         header = ["delta", "tau_p", "tau_o"]
-        if args.true_v is not None:
+        rows = [list(pt) for pt in sweep_delta(tau_star, bounds, q, deltas)]
+        if known is not None:
             header.append("tau_dr")
-        rows = []
-        for d in deltas:
-            cfg = RobustConfig(delta=d, q=q)
-            row = [
-                d,
-                solve_minimax(tau_star, bounds.v_p, cfg),
-                solve_minimax(tau_star, bounds.v_o, cfg),
-            ]
-            if args.true_v is not None:
-                row.append(solve_minimax(tau_star, args.true_v, cfg))
-            rows.append(row)
+            for row, pt in zip(rows, sweep_delta(tau_star, known, q, deltas)):
+                row.append(pt.tau_p)
         digest = _sha256_file(args.data)
 
     manifest = RunManifest(

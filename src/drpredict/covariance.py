@@ -443,10 +443,8 @@ def conditional_sd_grid(
     a_sq = v_b + gap * gap
     a = np.sqrt(a_sq)
     d1 = gap / (2.0 * a_sq * a)
-    z = np.abs(tau_b_grid)
-    q, delta = config.q, config.delta
-    b_dd = 2.0 * (q - 1.0) * z ** (q - 2.0) * (2.0 + z**q) ** (1.0 / q - 2.0)
-    m = v_b / (a_sq * a) + delta * b_dd
+    _, _, b_dd = penalty_derivs(tau_b_grid, config.q)
+    m = v_b / (a_sq * a) + config.delta * b_dd
     return np.abs(d1) * math.sqrt(max(sigma_bb, 0.0)) / m
 
 

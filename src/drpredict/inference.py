@@ -30,7 +30,7 @@ from .covariance import (
 from .exceptions import DomainError, OrderError, UnsupportedConfig, ValidationError
 from .moments import estimate_moments
 from .sample import ExperimentalSample
-from .solver import RobustConfig, solve_minimax, solve_minimax_many
+from .solver import RobustConfig, newton_root, solve_minimax_many
 
 __all__ = [
     "IMMethod",
@@ -95,21 +95,22 @@ def _z(p: float) -> float:
 def _im_critical(scaled_width, alpha: float):
     """Solve ndtr(c + w) - ndtr(-c) = 1 - alpha for each scaled width w.
 
-    The root is bisected on [z_{1-alpha}, z_{1-alpha/2}], where the left end
-    is the infinite-width limit and the right end the zero-width limit.
+    The left side increases in c with slope phi(c + w) + phi(c); the root
+    lies on [z_{1-alpha}, z_{1-alpha/2}], where the left end is the
+    infinite-width limit and the right end the zero-width limit. The left
+    side is concave there (for alpha < 1/2), so Newton steps from the left
+    end approach the root from below and stay inside the bracket, also when
+    the root sits on the left end itself.
     """
     w = np.asarray(scaled_width, dtype=float)
     lo = np.full(w.shape, _z(1.0 - alpha))
-    hi = np.full(w.shape, _z(1.0 - alpha / 2.0))
-    target = 1.0 - alpha
-    for _ in range(80):
-        if np.all(hi - lo <= _C_TOL):
-            break
-        mid = 0.5 * (lo + hi)
-        too_high = ndtr(mid + w) - ndtr(-mid) >= target
-        hi = np.where(too_high, mid, hi)
-        lo = np.where(too_high, lo, mid)
-    return 0.5 * (lo + hi)
+
+    def residual(c):
+        value = ndtr(c + w) - ndtr(-c) - (1.0 - alpha)
+        slope = np.exp(-0.5 * (c + w) ** 2) + np.exp(-0.5 * c * c)
+        return value, slope / math.sqrt(2.0 * math.pi)
+
+    return newton_root(residual, lo, lo, _z(1.0 - alpha / 2.0), _C_TOL)
 
 
 def im_interval(
@@ -194,8 +195,7 @@ def _estimate_pieces(sample, config, method):
 
 
 def _estimates_from_pieces(tau_star, bounds, sigma, n, config) -> RobustEstimates:
-    tau_p = solve_minimax(tau_star, bounds.v_p, config)
-    tau_o = solve_minimax(tau_star, bounds.v_o, config)
+    tau_p, tau_o = solve_minimax_many(tau_star, [bounds.v_p, bounds.v_o], config).tolist()
     if config.delta == 0.0:
         sd_p = sd_o = sigma.sigma_tau
     else:
@@ -268,8 +268,7 @@ def _two_step_from_pieces(
         )
 
     ts = np.linspace(first[0], first[1], grid_points)
-    tau_p = solve_minimax_many(ts, bounds.v_p, config)
-    tau_o = solve_minimax_many(ts, bounds.v_o, config)
+    tau_p, tau_o = solve_minimax_many(ts, [[bounds.v_p], [bounds.v_o]], config)
     sd_p = conditional_sd_grid(ts, tau_p, bounds.v_p, sigma.entries[0, 0], config)
     sd_o = conditional_sd_grid(ts, tau_o, bounds.v_o, sigma.entries[1, 1], config)
 

@@ -26,7 +26,7 @@ from .inference import (
     _two_step_from_pieces,
 )
 from .sample import ExperimentalSample
-from .solver import RobustConfig, solve_minimax
+from .solver import RobustConfig, solve_minimax_many
 
 __all__ = [
     "GaussianDGP",
@@ -87,14 +87,15 @@ def population_truth(dgp: GaussianDGP, config: RobustConfig) -> PopulationTruth:
     v_joint = dgp.sigma1**2 + dgp.sigma0**2 - 2.0 * dgp.rho * dgp.sigma1 * dgp.sigma0
     v_o = (dgp.sigma1 - dgp.sigma0) ** 2
     v_p = (dgp.sigma1 + dgp.sigma0) ** 2
+    tau_dr, tau_p, tau_o = solve_minimax_many(tau_star, [v_joint, v_p, v_o], config).tolist()
     return PopulationTruth(
         tau_star=tau_star,
         v_joint=v_joint,
         v_o=v_o,
         v_p=v_p,
-        tau_dr=solve_minimax(tau_star, v_joint, config),
-        tau_p=solve_minimax(tau_star, v_p, config),
-        tau_o=solve_minimax(tau_star, v_o, config),
+        tau_dr=tau_dr,
+        tau_p=tau_p,
+        tau_o=tau_o,
     )
 
 

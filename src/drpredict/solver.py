@@ -38,7 +38,7 @@ __all__ = [
 
 _BRACKET_TOL = 1e-12
 _MAX_ITER = 200
-_INVGOLD = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -103,18 +103,52 @@ class SweepPoint(NamedTuple):
     tau_o: float
 
 
+# ------------------------------------------------------------- root finder
+
+
+def newton_root(fun, x, lo, hi, tol):
+    """Elementwise root of an increasing function by bracketed Newton steps.
+
+    ``fun(x)`` returns ``(f(x), f'(x))`` for an array ``x``, and
+    ``f(lo) <= 0 <= f(hi)`` must hold elementwise. Iteration starts at ``x``
+    in [lo, hi]. A Newton step is taken when it lands inside the current
+    bracket (ends included, so a root on an end is reached at Newton speed)
+    and is at most half the step before the last one; otherwise the bracket
+    is bisected, so no entry converges much slower than bisection. An entry
+    stops once its step is within ``tol`` (or within a few ulps, where
+    ``tol`` is below double precision) and keeps that value.
+
+    Raises
+    ------
+    ConvergenceError
+        If some entry has not converged after _MAX_ITER steps.
+    """
+    x, lo, hi = np.broadcast_arrays(*(np.asarray(y, dtype=float) for y in (x, lo, hi)))
+    last = before_last = hi - lo
+    done = np.zeros(x.shape, dtype=bool)
+    # a NaN or infinite f or f' (say, on a bracket end) fails every test below
+    # and leads to a bisection, so floating-point warnings carry no news here
+    with np.errstate(all="ignore"):
+        for _ in range(_MAX_ITER):
+            f, df = fun(x)
+            lo = np.where(f <= 0.0, x, lo)
+            hi = np.where(f >= 0.0, x, hi)  # f = 0 closes the bracket on x
+            near = tol + 4.0 * _EPS * np.abs(x)
+            newton = x - f / df
+            step = np.abs(newton - x)
+            inside = (lo <= newton) & (newton <= hi)
+            small = step <= near  # converged, even if rounding put newton on a bracket end
+            x_new = np.where(inside & (small | (2.0 * step <= np.abs(before_last))), newton,
+                             np.where(small, x, 0.5 * (lo + hi)))
+            before_last, last = last, x_new - x
+            x = np.where(done, x, x_new)
+            done |= small | (np.abs(last) <= near)
+            if done.all():
+                return x
+    raise ConvergenceError(f"bracketed Newton did not converge in {_MAX_ITER} steps")
+
+
 # --------------------------------------------------------------- objective
-
-
-def _penalty_value(tau: float, q: float) -> float:
-    z = abs(tau)
-    if q == 1.0:
-        return 2.0 + z
-    if z == 0.0:
-        return 2.0 ** (1.0 / q)
-    if q * math.log(z) > 500.0:  # |tau|^q overflows; limit is |tau| itself
-        return z
-    return (2.0 + z**q) ** (1.0 / q)
 
 
 def dual_objective(tau: float, tau_star: float, v: float, config: RobustConfig) -> float:
@@ -127,7 +161,8 @@ def dual_objective(tau: float, tau_star: float, v: float, config: RobustConfig) 
     """
     if v < 0.0:
         raise DomainError(f"variance must be nonnegative, got {v}")
-    return math.sqrt(v + (tau_star - tau) ** 2) + config.delta * _penalty_value(tau, config.q)
+    value, _, _ = penalty_derivs(tau, config.q)
+    return math.sqrt(v + (tau_star - tau) ** 2) + config.delta * float(value)
 
 
 def proximity_derivs(tau: float, tau_star: float, v: float) -> tuple[float, float, float]:
@@ -150,79 +185,35 @@ def proximity_derivs(tau: float, tau_star: float, v: float) -> tuple[float, floa
     return a, d1, d2
 
 
-def penalty_derivs(tau: float, q: float) -> tuple[float, float, float]:
-    """Value and first two tau-derivatives of (2 + |tau|^q)^(1/q).
+def penalty_derivs(tau, q: float):
+    """Value and first two tau-derivatives of (2 + |tau|^q)^(1/q), elementwise.
+
+    Written around m = max(|tau|, 1), u = |tau|/m <= 1 and w = 2 m^(-q), so
+    that no power above 1 is formed and large q cannot overflow:
+    value = m (u^q + w)^(1/q), slope = u^(q-1) (u^q + w)^(1/q-1) and
+    curvature = (q-1) u^(q-2) (u^q + w)^(1/q-2) w/m.
 
     At tau = 0 the first derivative is 0 for q > 1 (and the subgradient
     midpoint 0 is reported for q = 1); the second derivative is finite only
-    for q >= 2 there (it is +inf for 1 < q < 2 and 0 for q = 1 away from 0).
+    for q >= 2 there (it is +inf for 1 < q < 2 and NaN on the q = 1 kink;
+    for q = 1 it is 0 away from 0).
     """
-    z = abs(tau)
-    s = math.copysign(1.0, tau) if tau != 0.0 else 0.0
-    if q == 1.0:
-        return 2.0 + z, s, 0.0
-    if z == 0.0:
-        val = 2.0 ** (1.0 / q)
-        if q == 2.0:
-            d2 = 2.0 ** (-0.5)
-        elif q > 2.0:
-            d2 = 0.0
-        else:
-            d2 = math.inf
-        return val, 0.0, d2
-    zq = z**q
-    base = 2.0 + zq
-    val = base ** (1.0 / q)
-    d1 = s * z ** (q - 1.0) * base ** (1.0 / q - 1.0)
-    d2 = 2.0 * (q - 1.0) * z ** (q - 2.0) * base ** (1.0 / q - 2.0)
-    return val, d1, d2
+    tau = np.asarray(tau, dtype=float)
+    m = np.maximum(np.abs(tau), 1.0)
+    u = np.abs(tau) / m
+    w = 2.0 * m**-q
+    base = u**q + w
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # u^(q-2) at u = 0
+        value = m * base ** (1.0 / q)
+        slope = u ** (q - 1.0) * base ** (1.0 / q - 1.0)
+        curvature = (q - 1.0) * u ** (q - 2.0) * base ** (1.0 / q - 2.0) * w / m
+    return value, np.sign(tau) * slope, curvature
 
 
-def _foc(tau: float, a: float, v: float, delta: float, q: float) -> float:
-    """First-order condition on (0, a) for a = |tau_star| > 0, tau > 0.
-
-    With v = 0 and tau < a the first term is exactly -1, so the same
-    expression is the homogeneous-case optimality condition.
-    """
-    prox = (tau - a) / math.sqrt(v + (a - tau) ** 2)
-    return prox + delta * tau ** (q - 1.0) * (2.0 + tau**q) ** (1.0 / q - 1.0)
-
-
-def _bisect_foc(a: float, v: float, delta: float, q: float) -> float:
-    """Bisection for the unique FOC root in (0, a); sign change guaranteed."""
-    lo, hi = 0.0, a
-    for _ in range(_MAX_ITER):
-        if hi - lo <= _BRACKET_TOL:
-            return 0.5 * (lo + hi)
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # double-precision floor reached
-            return mid
-        if _foc(mid, a, v, delta, q) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise ConvergenceError(
-        f"FOC bisection failed to localize the minimizer (a={a}, v={v}, delta={delta}, q={q})"
-    )
-
-
-def _golden_section(fun, lo: float, hi: float) -> float:
-    """Golden-section minimization of a unimodal function on [lo, hi]."""
-    x1 = hi - _INVGOLD * (hi - lo)
-    x2 = lo + _INVGOLD * (hi - lo)
-    f1, f2 = fun(x1), fun(x2)
-    for _ in range(_MAX_ITER):
-        if hi - lo <= _BRACKET_TOL:
-            break
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INVGOLD * (hi - lo)
-            f1 = fun(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVGOLD * (hi - lo)
-            f2 = fun(x2)
-    return 0.5 * (lo + hi)
+def _threshold(a, q):
+    """(2/a^q + 1)^(1 - 1/q) for an array a >= 0; +inf at a = 0."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return (2.0 / a**q + 1.0) ** (1.0 - 1.0 / q)
 
 
 def homogeneous_threshold(tau_star: float, q: float) -> float:
@@ -241,7 +232,48 @@ def homogeneous_threshold(tau_star: float, q: float) -> float:
         raise DomainError("threshold undefined for tau_star = 0")
     if q <= 1.0:
         raise DomainError(f"threshold requires q > 1, got {q}")
-    return (2.0 / abs(tau_star) ** q + 1.0) ** (1.0 - 1.0 / q)
+    # same array arithmetic as the solver, so the threshold itself is unshrunk
+    return float(_threshold(np.array([abs(tau_star)]), q)[0])
+
+
+# -------------------------------------------------------------------- solver
+
+
+def _minimax(tau_star, v, delta, q: float) -> np.ndarray:
+    """Minimizer of M for arrays tau_star, v >= 0 and delta >= 0 (broadcast).
+
+    q = 1 has the closed form max(0, |tau*| - delta sqrt(v/(1-delta^2))),
+    and 0 for delta >= 1. For q > 1 the solution is tau* itself when
+    delta = 0, or when v = 0 and delta is at or below the no-shrinkage
+    threshold; otherwise it is the root of the first-order condition
+    M'(t) = 0 on (0, |tau*|), where M' is increasing. With v = 0 the
+    proximity slope is exactly -1 there, so one condition covers both.
+    """
+    tau_star, v, delta = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (tau_star, v, delta))
+    )
+    a = np.abs(tau_star)
+    if q == 1.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            shrunk = np.maximum(a - delta * np.sqrt(v / (1.0 - delta * delta)), 0.0)
+        mag = np.where(delta < 1.0, shrunk, 0.0)
+    else:
+        mag = a.copy()
+        keep = (delta == 0.0) | ((v == 0.0) & (delta <= _threshold(a, q)))
+        solve = ~keep & (a > 0.0)
+        if solve.any():
+            a_s, d_s = a[solve], delta[solve]
+            sd_s = np.sqrt(v[solve])
+
+            def foc(t):
+                gap = t - a_s
+                r = np.hypot(sd_s, gap)  # > 0 on (0, a), even where gap^2 underflows
+                _, slope, curvature = penalty_derivs(t, q)
+                return gap / r + d_s * slope, (sd_s / r) ** 2 / r + d_s * curvature
+
+            mag[solve] = newton_root(foc, 0.5 * a_s, 0.0, a_s, _BRACKET_TOL)
+    # adding 0.0 turns the -0.0 of a zeroed negative effect into +0.0
+    return np.copysign(mag, tau_star) + 0.0
 
 
 def solve_minimax(tau_star: float, v: float, config: RobustConfig) -> float:
@@ -264,49 +296,22 @@ def solve_minimax(tau_star: float, v: float, config: RobustConfig) -> float:
     """
     if v < 0.0:
         raise DomainError(f"variance must be nonnegative, got {v}")
-    if config.delta == 0.0:
-        return tau_star
-    if tau_star == 0.0:
-        return 0.0
-    sign = math.copysign(1.0, tau_star)
-    a = abs(tau_star)
-    delta, q = config.delta, config.q
+    return float(_minimax(tau_star, v, config.delta, config.q)[0])
 
-    if q == 1.0:
-        # |tau| kink at 0: minimize the objective directly; the optimum may
-        # sit exactly on the kink.
-        def m(t: float) -> float:
-            return math.sqrt(v + (a - t) ** 2) + delta * (2.0 + t)
 
-        t_hat = _golden_section(m, 0.0, a)
-        # Value comparisons resolve a smooth interior minimum only to about
-        # sqrt(machine eps); polish with the slope, which is monotone
-        # increasing on (0, a], to pin the root down to full precision.
-        def m_slope(t: float) -> float:
-            return (t - a) / math.sqrt(v + (a - t) ** 2) + delta
+def solve_minimax_many(tau_stars, v, config: RobustConfig) -> np.ndarray:
+    """Vectorized :func:`solve_minimax` over arrays of source effects and
+    variances, broadcast against each other (any q >= 1).
 
-        w = 1e-3 * max(1.0, a)
-        lo, hi = max(t_hat - w, 0.0), min(t_hat + w, a)
-        if m_slope(lo) < 0.0 < m_slope(hi):
-            for _ in range(_MAX_ITER):
-                mid = 0.5 * (lo + hi)
-                if not lo < mid < hi:
-                    break
-                if m_slope(mid) < 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            t_hat = 0.5 * (lo + hi)
-        if abs(t_hat) < 1e-10 and m(0.0) <= m(t_hat):
-            return 0.0
-        return sign * t_hat
-
-    if v == 0.0:
-        if delta <= homogeneous_threshold(a, q):
-            return tau_star
-        return sign * _bisect_foc(a, 0.0, delta, q)
-
-    return sign * _bisect_foc(a, v, delta, q)
+    Raises
+    ------
+    DomainError
+        If any variance is negative.
+    """
+    if np.any(np.asarray(v) < 0.0):
+        raise DomainError(f"variance must be nonnegative, got {v}")
+    shape = np.broadcast_shapes(np.shape(tau_stars), np.shape(v))
+    return _minimax(tau_stars, v, config.delta, config.q).reshape(shape)
 
 
 def sweep_delta(tau_star: float, bounds: VarianceBounds, q: float, deltas) -> list[SweepPoint]:
@@ -317,20 +322,13 @@ def sweep_delta(tau_star: float, bounds: VarianceBounds, q: float, deltas) -> li
     ValidationError
         If ``deltas`` is empty or contains a negative radius.
     """
-    deltas = list(deltas)
-    if not deltas:
+    deltas = np.asarray(list(deltas), dtype=float)
+    if deltas.size == 0:
         raise ValidationError("deltas must be nonempty")
-    out = []
-    for d in deltas:
-        cfg = RobustConfig(delta=float(d), q=q)  # validates d >= 0
-        out.append(
-            SweepPoint(
-                delta=float(d),
-                tau_p=solve_minimax(tau_star, bounds.v_p, cfg),
-                tau_o=solve_minimax(tau_star, bounds.v_o, cfg),
-            )
-        )
-    return out
+    for d in (deltas.min(), deltas.max()):  # a NaN reaches both
+        RobustConfig(delta=float(d), q=q)
+    tau_p, tau_o = _minimax(tau_star, [[bounds.v_p], [bounds.v_o]], deltas, q)
+    return [SweepPoint(*row) for row in zip(deltas.tolist(), tau_p.tolist(), tau_o.tolist())]
 
 
 def predict_bounds(tau_star: float, bounds: VarianceBounds, config: RobustConfig) -> BoundEstimates:
@@ -339,66 +337,5 @@ def predict_bounds(tau_star: float, bounds: VarianceBounds, config: RobustConfig
     Because the minimizer shrinks as v grows, the pessimistic prediction
     (at v_p) is the smaller of the two in absolute value.
     """
-    return BoundEstimates(
-        tau_star=tau_star,
-        tau_p=solve_minimax(tau_star, bounds.v_p, config),
-        tau_o=solve_minimax(tau_star, bounds.v_o, config),
-        config=config,
-        bounds=bounds,
-    )
-
-
-# ------------------------------------------------- vectorized grid solver
-
-
-def _penalty_slope_fn(q: float):
-    """Vectorized t -> t^(q-1) (2+t^q)^(1/q-1) with fast paths for the
-    common exponents; t is a positive array."""
-    if q == 2.0:
-        return lambda t: t / np.sqrt(2.0 + t * t)
-    if q == 3.0:
-        return lambda t: t * t * np.cbrt(2.0 + t**3) / (2.0 + t**3)
-    if q == 1.5:
-        return lambda t: np.sqrt(t) / np.cbrt(2.0 + t * np.sqrt(t))
-    return lambda t: t ** (q - 1.0) * (2.0 + t**q) ** (1.0 / q - 1.0)
-
-
-def solve_minimax_many(tau_stars: np.ndarray, v: float, config: RobustConfig) -> np.ndarray:
-    """Vectorized :func:`solve_minimax` over an array of source effects.
-
-    Requires q > 1 (the grid search of the two-step interval never runs at
-    q = 1). Shares one scalar variance across all entries, which is the
-    shape the inference grid needs.
-    """
-    if config.q <= 1.0:
-        raise DomainError("vectorized solver requires q > 1")
-    if v < 0.0:
-        raise DomainError(f"variance must be nonnegative, got {v}")
-    tau_stars = np.asarray(tau_stars, dtype=float)
-    delta, q = config.delta, config.q
-    if delta == 0.0:
-        return tau_stars.copy()
-    sign = np.sign(tau_stars)
-    a = np.abs(tau_stars)
-    pos = a > 0.0
-
-    lo = np.zeros_like(a)
-    hi = a.copy()
-    slope = _penalty_slope_fn(q)
-    # 80 halvings take the bracket width below 1e-12 of any relevant scale
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            g = (mid - a) / np.sqrt(v + (a - mid) ** 2) + delta * slope(mid)
-        neg = g < 0.0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
-    out = 0.5 * (lo + hi)
-
-    if v == 0.0:
-        # below the no-shrinkage threshold the solution is exactly a
-        with np.errstate(divide="ignore"):
-            thresh = np.where(pos, (2.0 / a**q + 1.0) ** (1.0 - 1.0 / q), np.inf)
-        out = np.where(delta <= thresh, a, out)
-    out = np.where(pos, out, 0.0)
-    return sign * out
+    tau_p, tau_o = solve_minimax_many(tau_star, [bounds.v_p, bounds.v_o], config).tolist()
+    return BoundEstimates(tau_star=tau_star, tau_p=tau_p, tau_o=tau_o, config=config, bounds=bounds)

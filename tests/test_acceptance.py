@@ -67,7 +67,7 @@ def test_criterion_02_delayed_shrinkage_thresholds():
           f"{bar:.6f}, shrinkage at {bar + 1e-6:.6f} -> {past:.8f}")
 
 
-def _grid_minimizer(tau_star, v, delta, q, points=10_000_000, chunk=2_000_000):
+def _grid_minimizer(tau_star, v, delta, q, points=10_000_000, chunk=65_536):
     """Brute-force argmin of the dual objective on [0, |tau_star|]."""
     a = abs(tau_star)
     if a == 0.0:

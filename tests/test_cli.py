@@ -5,6 +5,7 @@ import math
 import jsonschema
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from drpredict.cli import RunManifest, _parse_delta_grid, main
 from drpredict.exceptions import ValidationError
@@ -136,6 +137,42 @@ def test_sweep_population_mode_reproduces_known_value(capsys):
     assert len(rows) == 1
     assert float(rows[0]["tau_dr"]) == pytest.approx(1.686, abs=2e-3)
     assert rows[0]["tau_p"] == rows[0]["tau_dr"]
+
+
+def test_sweep_population_q1_homogeneous_keeps_tau_star(capsys):
+    code = main(["sweep", "--deltas", "0.5", "--true-v", "0", "--tau-star", "2", "--q", "1"])
+    assert code == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [(r["tau_p"], r["tau_o"], r["tau_dr"]) for r in rows] == [("2", "2", "2")]
+
+
+def test_sweep_population_large_q_matches_bounded_minimiser(capsys):
+    code = main(["sweep", "--deltas", "0.5", "--true-v", "1", "--tau-star", "5", "--q", "1000"])
+    assert code == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+
+    def objective(t):
+        # (2 + t^q)^(1/q) through logaddexp, so t^q is never formed
+        penalty = math.exp(np.logaddexp(math.log(2.0), 1000.0 * math.log(t)) / 1000.0)
+        return math.sqrt(1.0 + (5.0 - t) ** 2) + 0.5 * penalty
+
+    want = minimize_scalar(objective, bounds=(1e-9, 5.0), method="bounded",
+                           options={"xatol": 1e-12}).x
+    assert float(rows[0]["tau_dr"]) == pytest.approx(want, rel=1e-7)
+
+
+@pytest.mark.parametrize("bad", ["-1", "nan"])
+def test_sweep_rejects_negative_or_nan_true_v(bad, capsys):
+    code = main(["sweep", "--deltas", "0.5", "--true-v", bad, "--tau-star", "2"])
+    assert code == 2
+    assert "--true-v" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_sweep_rejects_nonfinite_tau_star(bad, capsys):
+    code = main(["sweep", "--deltas", "0.5", "--true-v", "1", "--tau-star", bad])
+    assert code == 2
+    assert "--tau-star" in capsys.readouterr().err
 
 
 def test_sweep_population_mode_needs_both_flags(capsys):

@@ -156,6 +156,35 @@ def test_q1_closed_form_oracle():
         assert got == pytest.approx(want, abs=5e-9), (a, v, d)
 
 
+def test_q1_homogeneous_keeps_tau_star():
+    # v = 0 with q = 1 and delta < 1: the closed form leaves tau* unshrunk
+    assert solve_minimax(2.0, 0.0, RobustConfig(0.5, 1.0)) == 2.0
+    assert solve_minimax(-2.0, 0.0, RobustConfig(0.5, 1.0)) == -2.0
+
+
+def _q1_closed_form(tau_star, v, delta):
+    if delta >= 1.0:
+        return 0.0
+    shrunk = max(0.0, abs(tau_star) - delta * math.sqrt(v / (1.0 - delta * delta)))
+    return math.copysign(shrunk, tau_star)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tau_star=st.floats(-10, 10),
+    v=st.one_of(st.just(0.0), st.floats(0, 10)),
+    delta=st.floats(0, 3),
+    q=st.sampled_from([1.0, 1.5, 2.0, 3.0, 10.0]),
+)
+def test_solution_properties_with_exact_zero_variance(tau_star, v, delta, q):
+    got = solve_minimax(tau_star, v, RobustConfig(delta, q))
+    assert math.isfinite(got)
+    assert got == 0.0 or math.copysign(1.0, got) == math.copysign(1.0, tau_star)
+    assert abs(got) <= abs(tau_star)
+    if q == 1.0:
+        assert got == pytest.approx(_q1_closed_form(tau_star, v, delta), abs=1e-12)
+
+
 def test_q1_hard_threshold_snaps_to_zero():
     # strong radius with q=1 kills the effect exactly
     assert solve_minimax(1.0, 4.0, RobustConfig(1.5, 1.0)) == 0.0
@@ -370,6 +399,63 @@ def test_vectorized_homogeneous_exact():
     np.testing.assert_array_equal(out, [2.0, -2.0, 0.0])
 
 
-def test_vectorized_rejects_q1():
+def test_vectorized_q1_closed_form():
+    rng = np.random.default_rng(31)
+    ts = rng.uniform(-5, 5, size=200)
+    vs = np.where(rng.random(200) < 0.25, 0.0, rng.uniform(0.0, 10.0, size=200))
+    for d in (0.0, 0.3, 0.9, 1.0, 2.0):
+        got = solve_minimax_many(ts, vs, RobustConfig(d, 1.0))
+        want = [_q1_closed_form(t, v, d) for t, v in zip(ts, vs)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    zeroed = solve_minimax_many(np.array([-1.0, 1.0]), 4.0, RobustConfig(1.5, 1.0))
+    assert [math.copysign(1.0, x) for x in zeroed] == [1.0, 1.0]  # +0.0, never -0.0
+
+
+def test_vectorized_rejects_negative_variance():
     with pytest.raises(DomainError):
-        solve_minimax_many(np.array([1.0]), 1.0, RobustConfig(0.5, 1.0))
+        solve_minimax_many(np.array([1.0, 2.0]), [1.0, -0.5], RobustConfig(0.5, 2.0))
+
+
+# ------------------------------------------------- reference kernel (oracle)
+
+
+def _reference_foc(tau, a, v, delta, q):
+    """First-order condition on (0, a) for a = |tau_star| > 0, tau > 0."""
+    prox = (tau - a) / math.sqrt(v + (a - tau) ** 2)
+    return prox + delta * tau ** (q - 1.0) * (2.0 + tau**q) ** (1.0 / q - 1.0)
+
+
+def _reference_solve(tau_star, v, delta, q):
+    """Scalar solver for q > 1 by FOC bisection: the kernel the bracketed
+    Newton core replaced, kept as its oracle."""
+    if delta == 0.0:
+        return tau_star
+    if tau_star == 0.0:
+        return 0.0
+    a = abs(tau_star)
+    if v == 0.0 and delta <= (2.0 / a**q + 1.0) ** (1.0 - 1.0 / q):
+        return tau_star
+    lo, hi = 0.0, a
+    for _ in range(200):
+        if hi - lo <= 1e-12:
+            break
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # double-precision floor reached
+            break
+        if _reference_foc(mid, a, v, delta, q) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return math.copysign(0.5 * (lo + hi), tau_star)
+
+
+def test_core_matches_reference_bisection():
+    rng = np.random.default_rng(2025)
+    for q in (1.5, 2.0, 3.0, 7.3, 10.0):
+        for _ in range(500):
+            ts = float(rng.uniform(-5, 5))
+            v = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 10.0))
+            d = float(rng.uniform(0.0, 3.0))
+            got = solve_minimax(ts, v, RobustConfig(d, q))
+            want = _reference_solve(ts, v, d, q)
+            assert abs(got - want) <= 1e-10, (ts, v, d, q, got, want)
