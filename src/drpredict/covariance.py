@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 DENSITY_FLOOR = 1e-6
+KDE_BINS_PER_BANDWIDTH = 32  # binned-KDE grid spacing is h / 32
+KDE_REACH_BANDWIDTHS = 8  # each binned-KDE window reaches 8 h past its points
 U_TRIM_MAX = 0.01
 U_TRIM_MIN = 2.5e-4
 
@@ -196,7 +198,10 @@ def _silverman_bandwidth(y: np.ndarray) -> float:
 
 
 def _kde_at(data: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
-    """Gaussian-kernel density of ``data`` evaluated at points ``x``."""
+    """Gaussian-kernel density of ``data`` evaluated at points ``x``.
+
+    The exact O(len(data) * len(x)) sum; the reference for _kde_binned.
+    """
     out = np.empty(x.shape[0])
     norm = 1.0 / (data.shape[0] * h * math.sqrt(2.0 * math.pi))
     # chunk the evaluation grid to cap the kernel matrix at ~4M entries
@@ -207,31 +212,100 @@ def _kde_at(data: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _quantile_influence_integrals(
-    arm_sorted: np.ndarray,
-    y_all: np.ndarray,
-    mask: np.ndarray,
-    frac: float,
+def _kde_binned(data: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
+    """Gaussian-kernel density of sorted ``data`` at ascending points ``x``,
+    by linear binning and FFT convolution (Silverman 1982, AS 176).
+
+    Bins are h / KDE_BINS_PER_BANDWIDTH wide. With c = KDE_REACH_BANDWIDTHS,
+    ``x`` splits wherever consecutive points are more than 2c h apart, and
+    each run gets a window of bins reaching c h past its ends. So the grid
+    length is set by ``x``, never by the range of ``data``: at most
+    2 c KDE_BINS_PER_BANDWIDTH + 3 bins per point. A datum outside every
+    window lies more than c h from every point and would add under
+    exp(-c^2/2) of one kernel peak; it is left out of the sum but counted in
+    the normalisation.
+    """
+    r = KDE_BINS_PER_BANDWIDTH * KDE_REACH_BANDWIDTHS  # kernel half-width in bins
+    dx = h / KDE_BINS_PER_BANDWIDTH
+    cut = np.flatnonzero(np.diff(x) > 2 * r * dx) + 1
+    first = x[np.r_[0, cut]]
+    last = x[np.r_[cut - 1, x.shape[0] - 1]]
+    lo = first - r * dx
+    # r bins of reach on either side, plus one spare so that no datum's
+    # upper neighbour bin falls in the next window
+    size = np.ceil((last - first) / dx).astype(np.intp) + 2 * r + 2
+    offset = np.cumsum(size) - size
+    grid = np.zeros(int(size.sum()))
+    for lo_w, hi_w, size_w, off_w in zip(lo, last + r * dx, size, offset):
+        i0, i1 = np.searchsorted(data, lo_w, "left"), np.searchsorted(data, hi_w, "right")
+        pos = (data[i0:i1] - lo_w) / dx
+        j = pos.astype(np.intp)
+        pos -= j  # each datum's share for the bin above it
+        upper = np.bincount(j, weights=pos, minlength=size_w)
+        window = grid[off_w : off_w + size_w]
+        window += np.bincount(j, minlength=size_w) - upper
+        window[1:] += upper[:-1]
+    # a period of at least len(grid) + r keeps the circular convolution
+    # from wrapping any bin onto an evaluated one
+    period = 1 << int(grid.shape[0] + r).bit_length()
+    kernel = np.zeros(period)
+    kernel[: r + 1] = np.exp(-0.5 * (np.arange(r + 1) / KDE_BINS_PER_BANDWIDTH) ** 2)
+    kernel[period - r :] = kernel[r:0:-1]
+    smooth = np.fft.irfft(np.fft.rfft(grid, period) * np.fft.rfft(kernel), period)
+    window_of = np.searchsorted(cut, np.arange(x.shape[0]), side="right")
+    at = offset[window_of] + (x - lo[window_of]) / dx
+    norm = 1.0 / (data.shape[0] * h * math.sqrt(2.0 * math.pi))
+    return np.interp(at, np.arange(grid.shape[0]), smooth[: grid.shape[0]]) * norm
+
+
+def _arm_density(arm_sorted: np.ndarray, q: np.ndarray, name: str) -> np.ndarray | None:
+    """Binned KDE of one sorted arm at its u-grid quantiles ``q``.
+
+    Returns None for a zero-spread arm, which has no quantile noise.
+    """
+    if arm_sorted[0] == arm_sorted[-1]:
+        return None
+    f = _kde_binned(arm_sorted, q, _silverman_bandwidth(arm_sorted))
+    if np.any(f < DENSITY_FLOOR):
+        raise DensityError(f"{name}-arm density below floor on the u-grid")
+    return f
+
+
+def _arm_influence(
+    out: np.ndarray,
+    y: np.ndarray,
+    share: float,
+    sign: float,
+    mean: float,
+    other_mean: float,
     u: np.ndarray,
     du: float,
-    q_vals: np.ndarray,
-    f_vals: np.ndarray,
-    weights: np.ndarray,
-) -> np.ndarray:
-    """Per-observation value of integral Qdot(u) * weights(u) du for one arm.
+    q: np.ndarray,
+    f: np.ndarray | None,
+    q_other: np.ndarray,
+) -> None:
+    """Write the (V_p, V_o, tau*) influence values of one arm's sorted
+    outcomes ``y`` into the rows of ``out``.
 
-    Qdot_i(u) = -[1{Y_i <= Q(u)} - u] / (frac * f(Q(u))) for observations in
-    the arm and 0 otherwise. The indicator is a step in u, so the integral
-    collapses to a suffix sum over the grid plus one searchsorted per
-    observation.
+    ``share`` is the arm's fraction of the sample and ``sign`` is +1 for the
+    treated arm, -1 for the control arm. The quantile-process piece is the
+    integral of Qdot_i(u) * Q_other(u) du, with Q_other reversed for the
+    antitone coupling (V_p), where Qdot_i(u) = -[1{y_i <= Q(u)} - u] /
+    (share * f(Q(u))). The indicator is a step in u, so the integral is a
+    suffix sum over the grid plus one searchsorted per observation.
     """
-    a = du * weights / f_vals
-    suffix = np.concatenate((np.cumsum(a[::-1])[::-1], [0.0]))
-    const = float(np.dot(u, a))
-    k = np.searchsorted(q_vals, y_all[mask], side="left")
-    out = np.zeros(y_all.shape[0])
-    out[mask] = -(suffix[k] - const) / frac
-    return out
+    arm_dot = (y - mean) / share
+    out[2] = sign * arm_dot
+    sig_dot = ((y - mean) ** 2 - float(y.var())) / share
+    gamma_dot = other_mean * arm_dot
+    k = None if f is None else np.searchsorted(q, y, side="left")
+    for row, weights in ((0, q_other[::-1]), (1, q_other)):
+        theta_dot = 0.0
+        if f is not None:
+            a = du * weights / f
+            suffix = np.concatenate((np.cumsum(a[::-1])[::-1], [0.0]))
+            theta_dot = -(suffix[k] - float(np.dot(u, a))) / share
+        out[row] = sig_dot - 2.0 * (theta_dot - gamma_dot)
 
 
 def sigma_sharp(sample: ExperimentalSample, grid_size: int = 400) -> SigmaMatrix:
@@ -239,9 +313,9 @@ def sigma_sharp(sample: ExperimentalSample, grid_size: int = 400) -> SigmaMatrix
 
     Builds per-observation influence values for (V_hat_p, V_hat_o, tau_hat)
     — combining arm-mean, arm-variance, and quantile-process contributions,
-    the latter through kernel density estimates evaluated at the empirical
-    quantiles on a trimmed uniform u-grid — and returns their empirical
-    covariance.
+    the latter through binned kernel density estimates (_kde_binned)
+    evaluated at the empirical quantiles on a trimmed uniform u-grid — and
+    returns their empirical covariance.
 
     Parameters
     ----------
@@ -269,13 +343,12 @@ def sigma_sharp(sample: ExperimentalSample, grid_size: int = 400) -> SigmaMatrix
     if grid_size < 200:
         raise DomainError(f"grid_size must be >= 200, got {grid_size}")
 
-    y = sample.outcomes
-    t_mask = sample.treatments == 1
-    y1 = np.sort(y[t_mask])
-    y0 = np.sort(y[~t_mask])
+    y1 = sample.treated  # fresh copies, so sorting in place is safe
+    y1.sort()
+    y0 = sample.control
+    y0.sort()
     e = sample.n1 / sample.n
     tau1, tau0 = float(y1.mean()), float(y0.mean())
-    s1_sq, s0_sq = float(y1.var()), float(y0.var())
 
     trim = _u_trim(min(sample.n1, sample.n0))
     du = (1.0 - 2.0 * trim) / grid_size
@@ -283,43 +356,16 @@ def sigma_sharp(sample: ExperimentalSample, grid_size: int = 400) -> SigmaMatrix
 
     q1 = quantile_at(y1, u)
     q0 = quantile_at(y0, u)
+    f1 = _arm_density(y1, q1, "treated")
+    f0 = _arm_density(y0, q0, "control")
 
-    # arm-mean and arm-variance influence pieces (exactly zero off-arm)
-    tau1_dot = np.where(t_mask, (y - tau1) / e, 0.0)
-    tau0_dot = np.where(~t_mask, (y - tau0) / (1.0 - e), 0.0)
-    tau_dot = tau1_dot - tau0_dot
-    sig1_dot = np.where(t_mask, ((y - tau1) ** 2 - s1_sq) / e, 0.0)
-    sig0_dot = np.where(~t_mask, ((y - tau0) ** 2 - s0_sq) / (1.0 - e), 0.0)
-
-    # quantile-process contributions to the coupling integrals; a zero-spread
-    # arm contributes no sampling noise, so its piece is identically zero
-    zeros = np.zeros(sample.n)
-    int_q1_co = int_q1_anti = zeros
-    if y1[0] < y1[-1]:
-        h1 = _silverman_bandwidth(y1)
-        f1 = _kde_at(y1, q1, h1)
-        if np.any(f1 < DENSITY_FLOOR):
-            raise DensityError("treated-arm density below floor on the u-grid")
-        int_q1_co = _quantile_influence_integrals(y1, y, t_mask, e, u, du, q1, f1, weights=q0)
-        int_q1_anti = _quantile_influence_integrals(y1, y, t_mask, e, u, du, q1, f1, weights=q0[::-1])
-    int_q0_co = int_q0_anti = zeros
-    if y0[0] < y0[-1]:
-        h0 = _silverman_bandwidth(y0)
-        f0 = _kde_at(y0, q0, h0)
-        if np.any(f0 < DENSITY_FLOOR):
-            raise DensityError("control-arm density below floor on the u-grid")
-        int_q0_co = _quantile_influence_integrals(y0, y, ~t_mask, 1.0 - e, u, du, q0, f0, weights=q1)
-        int_q0_anti = _quantile_influence_integrals(y0, y, ~t_mask, 1.0 - e, u, du, q0, f0, weights=q1[::-1])
-
-    theta_o_dot = int_q1_co + int_q0_co
-    theta_p_dot = int_q1_anti + int_q0_anti
-    gamma_dot = tau0 * tau1_dot + tau1 * tau0_dot
-    vp_dot = sig1_dot + sig0_dot - 2.0 * (theta_p_dot - gamma_dot)
-    vo_dot = sig1_dot + sig0_dot - 2.0 * (theta_o_dot - gamma_dot)
-
-    psi = np.column_stack((vp_dot, vo_dot, tau_dot))
-    psi -= psi.mean(axis=0)
-    entries = psi.T @ psi / sample.n
+    # the covariance is a sum over observations, so each arm fills its own
+    # block of columns; influence pieces are exactly zero off-arm
+    psi = np.empty((3, sample.n))
+    _arm_influence(psi[:, : sample.n1], y1, e, 1.0, tau1, tau0, u, du, q1, f1, q0)
+    _arm_influence(psi[:, sample.n1 :], y0, 1.0 - e, -1.0, tau0, tau1, u, du, q0, f0, q1)
+    psi -= psi.mean(axis=1, keepdims=True)
+    entries = psi @ psi.T / sample.n
     return SigmaMatrix(entries=entries, method=SigmaMethod.SHARP_PLUGIN)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,6 +129,11 @@ def load_sample(path, outcome_column: str, treatment_column: str) -> Experimenta
     Rows with missing or malformed values are a hard error (no silent
     dropping): the estimators assume complete randomized data.
 
+    The two columns are parsed by numpy's C reader. Whenever it fails or
+    finds a non-finite outcome or a treatment outside {0, 1}, the file is
+    read again by the row-by-row parser, which decides the result and
+    names the offending row and column.
+
     Parameters
     ----------
     path : str or Path
@@ -150,6 +156,39 @@ def load_sample(path, outcome_column: str, treatment_column: str) -> Experimenta
         On structurally valid but semantically bad data (treatment not in
         {0,1}, non-finite outcome, an empty arm).
     """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        header_lines = reader.line_num
+    if header is None or outcome_column not in header or treatment_column not in header:
+        return _load_rows(path, outcome_column, treatment_column)
+    # csv.DictReader keeps the last of duplicated names
+    columns = [len(header) - 1 - header[::-1].index(col) for col in (outcome_column, treatment_column)]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. "input contained no data"
+            data = np.loadtxt(
+                path,
+                dtype=[("y", np.float64), ("t", np.int8)],
+                delimiter=",",
+                comments=None,
+                quotechar='"',
+                skiprows=header_lines,
+                usecols=columns,
+                ndmin=1,
+                encoding="utf-8",
+            )
+    except (ValueError, Warning):
+        return _load_rows(path, outcome_column, treatment_column)
+    y, t = np.ascontiguousarray(data["y"]), data["t"]
+    if not (np.isfinite(y).all() and ((t == 0) | (t == 1)).all()):
+        return _load_rows(path, outcome_column, treatment_column)
+    return ExperimentalSample(y, t)
+
+
+def _load_rows(path, outcome_column: str, treatment_column: str) -> ExperimentalSample:
+    """Row-by-row :func:`load_sample`: the reference parser, and the one
+    that reports the first bad row."""
     outcomes = []
     treatments = []
     with open(path, newline="", encoding="utf-8") as fh:

@@ -276,6 +276,16 @@ def _minimax(tau_star, v, delta, q: float) -> np.ndarray:
     return np.copysign(mag, tau_star) + 0.0
 
 
+def _check_inputs(tau_star, v) -> None:
+    """Raise DomainError unless every tau_star is finite and every v is
+    finite and nonnegative."""
+    if not np.all(np.isfinite(tau_star)):
+        raise DomainError(f"source effect must be finite, got {tau_star}")
+    v = np.asarray(v, dtype=float)
+    if not (np.all(v >= 0.0) and np.all(np.isfinite(v))):
+        raise DomainError(f"variance must be finite and nonnegative, got {v}")
+
+
 def solve_minimax(tau_star: float, v: float, config: RobustConfig) -> float:
     """Global minimizer of the robust objective (the shrunken prediction).
 
@@ -289,13 +299,12 @@ def solve_minimax(tau_star: float, v: float, config: RobustConfig) -> float:
     Raises
     ------
     DomainError
-        If v < 0.
+        If tau_star is not finite, or v is negative or not finite.
     ConvergenceError
         If the bracketed search fails to converge (indicates a bug, not a
         data condition).
     """
-    if v < 0.0:
-        raise DomainError(f"variance must be nonnegative, got {v}")
+    _check_inputs(tau_star, v)
     return float(_minimax(tau_star, v, config.delta, config.q)[0])
 
 
@@ -306,10 +315,10 @@ def solve_minimax_many(tau_stars, v, config: RobustConfig) -> np.ndarray:
     Raises
     ------
     DomainError
-        If any variance is negative.
+        If any source effect is not finite, or any variance is negative or
+        not finite.
     """
-    if np.any(np.asarray(v) < 0.0):
-        raise DomainError(f"variance must be nonnegative, got {v}")
+    _check_inputs(tau_stars, v)
     shape = np.broadcast_shapes(np.shape(tau_stars), np.shape(v))
     return _minimax(tau_stars, v, config.delta, config.q).reshape(shape)
 

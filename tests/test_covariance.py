@@ -26,7 +26,9 @@ from drpredict.covariance import (
     sigma_sharp,
     zero_tau_limit_sd,
 )
+from drpredict import covariance as cov_module
 from drpredict.moments import ArmMoments, estimate_moments
+from drpredict.sample import quantile_at
 from drpredict.solver import RobustConfig, solve_minimax
 
 
@@ -216,6 +218,92 @@ def test_sharp_sigma_density_floor():
     s = _sample(y, y + 1.0)
     with pytest.raises(DensityError):
         sigma_sharp(s, grid_size=200)
+
+
+# --------------------------------------------- binned KDE against exact KDE
+
+_FAMILIES = {
+    "normal": lambda rng, n: rng.normal(2.0, 2.0, n),
+    "lognormal": lambda rng, n: rng.lognormal(0.0, 1.0, n),
+    "t3": lambda rng, n: rng.standard_t(3, n),
+}
+
+# gates set before the fact: the worst errors seen were 2.4e-4 on the
+# densities (t3 and lognormal at n = 1000) and 6.5e-5 on Sigma
+KDE_RTOL = 1e-3
+SIGMA_RTOL = 2e-4
+
+
+def _u_grid_quantiles(y_sorted, grid_size=400):
+    """The points at which sigma_sharp evaluates an arm's density."""
+    trim = cov_module._u_trim(y_sorted.shape[0])
+    du = (1.0 - 2.0 * trim) / grid_size
+    return quantile_at(y_sorted, trim + (np.arange(grid_size) + 0.5) * du)
+
+
+@pytest.mark.parametrize("n", [1_000, 100_000])
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_binned_kde_matches_exact_kde(family, n):
+    y = np.sort(_FAMILIES[family](np.random.default_rng(n), n))
+    x = _u_grid_quantiles(y)
+    h = cov_module._silverman_bandwidth(y)
+    exact = cov_module._kde_at(y, x, h)
+    np.testing.assert_allclose(cov_module._kde_binned(y, x, h), exact, rtol=KDE_RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_sharp_sigma_binned_matches_exact_kde(family, monkeypatch):
+    rng = np.random.default_rng(21)
+    draw = _FAMILIES[family]
+    smp = _sample(draw(rng, 6_000), 0.5 * draw(rng, 14_000) + 0.2)
+    binned = sigma_sharp(smp).entries
+    monkeypatch.setattr(cov_module, "_kde_binned", cov_module._kde_at)
+    exact = sigma_sharp(smp).entries
+    scale = np.sqrt(np.outer(np.diag(exact), np.diag(exact)))
+    assert np.all(np.abs(binned - exact) <= SIGMA_RTOL * scale)
+
+
+def test_sharp_sigma_never_calls_exact_kde(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the exact KDE is a test oracle only")
+
+    monkeypatch.setattr(cov_module, "_kde_at", forbidden)
+    out = sigma_sharp(_case1_marginals(np.random.default_rng(5), 2_000))
+    assert np.all(np.isfinite(out.entries))
+
+
+def _far_cluster(rng, n):
+    """Standard normal, with 1% of the arm at 1e4: one u-grid point sits
+    about 3.6e6 bins from the rest."""
+    return np.where(np.arange(n) % 100 == 0, 1e4, rng.normal(size=n))
+
+
+@pytest.mark.parametrize("draw", [lambda rng, n: rng.standard_cauchy(n), _far_cluster], ids=["cauchy", "far_cluster"])
+def test_binned_kde_grid_follows_quantiles(draw, monkeypatch):
+    # a grid over the whole range of the treated arm would need millions of
+    # bins; the binned KDE's windows cover only the u-grid quantiles
+    rng = np.random.default_rng(8)
+    y1 = draw(rng, 100_000)
+    smp = _sample(y1, rng.normal(size=100_000))
+    periods = []
+    rfft = np.fft.rfft
+
+    def spy(a, n=None, *args, **kwargs):
+        periods.append(n)
+        return rfft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", spy)
+    out = sigma_sharp(smp)
+    monkeypatch.undo()
+    assert np.all(np.isfinite(out.entries))
+    reach = cov_module.KDE_BINS_PER_BANDWIDTH * cov_module.KDE_REACH_BANDWIDTHS
+    bound = 400 * (2 * reach + 3)  # the docstring's bins per u-grid point
+    assert 0 < max(p for p in periods if p is not None) <= 2 * (bound + reach)
+    y1.sort()
+    h = cov_module._silverman_bandwidth(y1)
+    assert (y1[-1] - y1[0]) / (h / cov_module.KDE_BINS_PER_BANDWIDTH) > 10 * bound
+    x = _u_grid_quantiles(y1)
+    np.testing.assert_allclose(cov_module._kde_binned(y1, x, h), cov_module._kde_at(y1, x, h), rtol=KDE_RTOL, atol=0.0)
 
 
 # ------------------------------------------------------------------ loadings

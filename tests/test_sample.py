@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from drpredict import (
@@ -15,6 +15,8 @@ from drpredict import (
     empirical_quantile,
     load_sample,
 )
+from drpredict import sample as sample_module
+from drpredict.sample import _load_rows
 
 
 # ---------------------------------------------------------------- container
@@ -245,3 +247,88 @@ def test_cdf_quantile_exact_inverse_on_grid():
         u = k / 23
         q = empirical_quantile(d, u)
         assert empirical_cdf(d, q) >= u - 1e-12
+
+
+# ------------------------------------------- CSV fast path against row parser
+
+_Y_ODD = [" 2.5 ", '"3.5"', ".5", "5.", "3e2", "nan", "inf", "-inf", "1_000.5", "1e400", "", "oops", "0x10"]
+_T_ODD = ["1.0", "+1", " 1 ", "01", "1_0", "-1", "2", "300", '"1"', ""]
+_OTHER_CELLS = ["a", "7", "", '"a,1,0,b"', '"x""y"', '"p\nq"']
+_HEADER_NAMES = ["y", "t", "id", "z", '"i,d"', '"i\nd"']
+_ODD_LINES = ["", " ", "\t", "#note", "#1,0", "# 1.5,1"]
+
+
+@st.composite
+def _csv_texts(draw):
+    """CSV text around columns y and t. Each cell and line is odd with a
+    small probability, so that numpy's reader accepts many files whole and
+    many others differ from one it accepts in one place: extra, reordered
+    and duplicated names, blank, whitespace and #-lines, quoted cells,
+    ragged rows, unusual numerals and a UTF-8 BOM."""
+    names = draw(st.lists(st.sampled_from(_HEADER_NAMES), min_size=1, max_size=5))
+    if draw(st.integers(0, 3)):
+        names += ["y", "t"]  # the usual case: both columns present
+    names = draw(st.permutations(names))
+    odd = draw(st.sampled_from([0.0, 0.02, 0.05, 0.15]))
+
+    def is_odd():
+        return draw(st.floats(0.0, 1.0)) < odd
+
+    def cell(name):
+        if name == "y":
+            return draw(st.sampled_from(_Y_ODD)) if is_odd() else repr(draw(st.floats(-1e6, 1e6)))
+        if name == "t":
+            return draw(st.sampled_from(_T_ODD)) if is_odd() else draw(st.sampled_from(["0", "1"]))
+        return draw(st.sampled_from(_OTHER_CELLS))
+
+    lines = []
+    for _ in range(draw(st.integers(1, 12))):
+        cells = [cell(name) for name in names]
+        if is_odd():
+            lines.append(draw(st.sampled_from(_ODD_LINES)))
+        elif is_odd():  # ragged
+            lines.append(",".join(cells[: draw(st.integers(0, len(cells)))] + ["9"] * draw(st.integers(0, 2))))
+        else:
+            lines.append(",".join(cells))
+    bom = "\ufeff" if draw(st.integers(0, 9)) == 0 else ""
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return bom + end.join([",".join(names)] + lines) + draw(st.sampled_from([end, ""]))
+
+
+def _outcome(load, path):
+    try:
+        s = load(path, "y", "t")
+    except (ParseError, ValidationError) as exc:
+        return type(exc), getattr(exc, "row", None), getattr(exc, "column", None), str(exc)
+    return s.outcomes.tolist(), s.treatments.tolist()
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_csv_texts())
+@example(text='id,y,t\n"a,1,0,b",1.5,1\nc,2.5,0\n')  # a delimiter inside quotes
+@example(text="y,t,y\n1,0,2\n3,1,4\n")  # the last of duplicated names counts
+@example(text="y,t\n1.5,2\n2.5,0\n")  # a treatment outside {0, 1}
+@example(text="y,t\n1.5,1.0\n2.5,0\n")  # int() rejects 1.0
+@example(text="y,t\n1.5,1\n-inf,0\n")  # a non-finite outcome
+@example(text="y,t\n1_000.5,1\n2.5,0\n")  # float() accepts 1_000.5
+@example(text="\ufeffy,t\n1.5,1\n2.5,0\n")  # the BOM stays in the first name
+@example(text="y,t\n1.5,1\n \n2.5,0\n")  # a whitespace line is a row
+def test_load_sample_agrees_with_row_parser(tmp_path, text):
+    """numpy's reader plus its fallback give what the row parser gives:
+    equal arrays, or the same exception with the same row and column."""
+    p = tmp_path / "data.csv"
+    p.write_bytes(text.encode("utf-8"))
+    assert _outcome(load_sample, p) == _outcome(_load_rows, p)
+
+
+def test_load_sample_fast_path_skips_row_parser(tmp_path, monkeypatch):
+    """A clean file never reaches the row parser; a bad one does."""
+    calls = []
+    monkeypatch.setattr(sample_module, "_load_rows", lambda *a: calls.append(a))
+    p = _write(tmp_path, "id,t,y\r\nu,1,1.5\r\n\r\nv,0,-2e-3\r\n")
+    s = load_sample(p, "y", "t")
+    np.testing.assert_array_equal(s.outcomes, [1.5, -2e-3])
+    np.testing.assert_array_equal(s.treatments, [1, 0])
+    assert calls == []
+    load_sample(_write(tmp_path, "y,t\n1.5,1.0\n", "bad.csv"), "y", "t")
+    assert len(calls) == 1

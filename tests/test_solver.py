@@ -273,6 +273,24 @@ def test_solver_rejects_negative_variance():
         solve_minimax(1.0, -0.5, RobustConfig(1.0, 2.0))
 
 
+@pytest.mark.parametrize(
+    "tau_star,v",
+    [
+        (math.nan, 1.0),  # returned nan
+        (1.0, math.nan),  # returned 0.5: a NaN variance passed a `v < 0` check
+        (math.inf, 1.0),  # raised ConvergenceError
+        (-math.inf, 1.0),
+        (1.0, math.inf),
+    ],
+)
+def test_solver_rejects_nonfinite_inputs(tau_star, v):
+    cfg = RobustConfig(0.5, 2.0)
+    with pytest.raises(DomainError):
+        solve_minimax(tau_star, v, cfg)
+    with pytest.raises(DomainError):
+        solve_minimax_many(np.array([1.0, tau_star]), np.array([v, 1.0]), cfg)
+
+
 # --------------------------------------------------------------- derivatives
 
 
