@@ -17,7 +17,6 @@ from .bounds import (
 from .calibration import (
     RadiusBenchmark,
     SplitRule,
-    shift_decomposition,
     split_benchmark,
     wasserstein2_1d,
 )
@@ -52,6 +51,7 @@ from .inference import (
     IMMethod,
     IntervalEstimate,
     RobustEstimates,
+    check_two_step_args,
     estimate_robust,
     im_interval,
     plain_im_interval,
@@ -60,7 +60,6 @@ from .inference import (
 from .moments import (
     ArmMoments,
     estimate_ate_diff_means,
-    estimate_ate_ipw,
     estimate_moments,
 )
 from .sample import (
@@ -79,16 +78,13 @@ from .simulation import (
     population_truth,
     run_coverage_study,
     write_reports_csv,
-    write_reports_json,
 )
 from .solver import (
-    BoundEstimates,
     RobustConfig,
     SweepPoint,
     dual_objective,
     homogeneous_threshold,
     penalty_derivs,
-    predict_bounds,
     proximity_derivs,
     solve_minimax,
     solve_minimax_many,
@@ -122,7 +118,6 @@ __all__ = [
     "ArmMoments",
     "estimate_moments",
     "estimate_ate_diff_means",
-    "estimate_ate_ipw",
     # variance bounds
     "BoundsMethod",
     "VarianceBounds",
@@ -132,7 +127,6 @@ __all__ = [
     "merged_u_grid",
     # minimax solver
     "RobustConfig",
-    "BoundEstimates",
     "SweepPoint",
     "dual_objective",
     "proximity_derivs",
@@ -140,7 +134,6 @@ __all__ = [
     "homogeneous_threshold",
     "solve_minimax",
     "solve_minimax_many",
-    "predict_bounds",
     "sweep_delta",
     # asymptotic covariance
     "SigmaMethod",
@@ -160,6 +153,7 @@ __all__ = [
     "RobustEstimates",
     "im_interval",
     "estimate_robust",
+    "check_two_step_args",
     "plain_im_interval",
     "two_step_interval",
     # simulation
@@ -171,11 +165,9 @@ __all__ = [
     "population_truth",
     "run_coverage_study",
     "write_reports_csv",
-    "write_reports_json",
     # calibration
     "SplitRule",
     "RadiusBenchmark",
     "wasserstein2_1d",
-    "shift_decomposition",
     "split_benchmark",
 ]

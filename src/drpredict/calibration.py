@@ -2,10 +2,9 @@
 
 A radius is only meaningful relative to how far apart real populations sit,
 so this module measures distances between empirical outcome distributions:
-exact one-dimensional 2-Wasserstein distances, subsample-split heterogeneity
-benchmarks (how far apart are two halves of the data you already have?), and
-the worst-case decomposition of a given radius into outcome movement versus
-mass reweighting.
+exact one-dimensional 2-Wasserstein distances and subsample-split
+heterogeneity benchmarks (how far apart are two halves of the data you
+already have?).
 """
 
 import enum
@@ -15,18 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import merged_u_grid
-from .exceptions import (
-    DomainError,
-    InsufficientData,
-    UnsupportedConfig,
-    ValidationError,
-)
+from .exceptions import InsufficientData, ValidationError
 from .sample import EmpiricalDistribution, ExperimentalSample, quantile_at
 
 __all__ = [
     "RadiusBenchmark",
     "SplitRule",
-    "shift_decomposition",
     "split_benchmark",
     "wasserstein2_1d",
 ]
@@ -43,21 +36,6 @@ def wasserstein2_1d(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float
     mids, widths = merged_u_grid(a.m, b.m)
     diff = quantile_at(a.sorted_values, mids) - quantile_at(b.sorted_values, mids)
     return math.sqrt(float(np.dot(widths, diff * diff)))
-
-
-def shift_decomposition(tau: float, delta: float, q: float = 2.0) -> float:
-    """Portion of the squared radius spent moving outcomes, worst case.
-
-    Under the least-favorable distribution the squared transport budget
-    delta^2 splits between moving the potential outcomes and reweighting
-    mass; the outcome share is (2 / (2 + tau^2)) * delta^2. Known only for
-    the quadratic cost (q = 2).
-    """
-    if q != 2.0:
-        raise UnsupportedConfig(f"shift decomposition is derived for q=2 only, got q={q}")
-    if delta < 0.0:
-        raise DomainError(f"delta must be nonnegative, got {delta}")
-    return (2.0 / (2.0 + tau * tau)) * delta * delta
 
 
 # ------------------------------------------------------------------- splits

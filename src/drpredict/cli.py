@@ -25,7 +25,6 @@ import numpy as np
 from . import __version__
 from .bounds import BoundsMethod, VarianceBounds, neyman_bounds, sharp_bounds_empirical
 from .calibration import SplitRule, split_benchmark
-from .covariance import sigma_neyman, sigma_sharp
 from .exceptions import (
     ConvergenceError,
     DegenerateSample,
@@ -40,11 +39,10 @@ from .exceptions import (
     ZeroTauError,
 )
 from .inference import (
-    _check_two_step_args,
-    _estimate_pieces,
-    _estimates_from_pieces,
-    _plain_im_from_estimates,
-    _two_step_from_pieces,
+    check_two_step_args,
+    estimate_robust,
+    plain_im_interval,
+    two_step_interval,
 )
 from .moments import estimate_moments
 from .sample import load_sample
@@ -54,7 +52,7 @@ from .simulation import (
     run_coverage_study,
     write_reports_csv,
 )
-from .solver import RobustConfig, solve_minimax_many, sweep_delta
+from .solver import RobustConfig, sweep_delta
 
 _INPUT_ERRORS = (
     ParseError,
@@ -64,7 +62,8 @@ _INPUT_ERRORS = (
     UnsupportedRegime,
     InsufficientData,
     DegenerateSample,
-    FileNotFoundError,
+    OSError,
+    UnicodeDecodeError,
 )
 _NUMERICAL_ERRORS = (ConvergenceError, DensityError, ZeroTauError, OrderError)
 
@@ -207,21 +206,15 @@ def cmd_estimate(args) -> int:
             "without standard errors"
         )
     sample = load_sample(args.data, args.outcome, args.treatment)
-    moments = estimate_moments(sample)
-    sharp = sharp_bounds_empirical(sample)
-    neyman = neyman_bounds(moments.sigma1_sq, moments.sigma0_sq)
     method = BoundsMethod(args.bounds)
-    selected = sharp if method is BoundsMethod.SHARP else neyman
-
-    if config.q == 1.0:
-        pair = solve_minimax_many(moments.ate, [selected.v_p, selected.v_o], config)
-        tau_p, tau_o = pair.tolist()
-        sd_tau = sd_p = sd_o = None
+    est = estimate_robust(sample, config, method)
+    # the report shows both brackets; compute only the one not selected
+    if method is BoundsMethod.SHARP:
+        sharp = est.bounds
+        neyman = neyman_bounds(est.moments.sigma1_sq, est.moments.sigma0_sq)
     else:
-        sigma = sigma_sharp(sample) if method is BoundsMethod.SHARP else sigma_neyman(moments)
-        est = _estimates_from_pieces(moments.ate, selected, sigma, sample.n, config)
-        tau_p, tau_o = est.tau_p, est.tau_o
-        sd_tau, sd_p, sd_o = sigma.sigma_tau, est.sd_p, est.sd_o
+        sharp, neyman = sharp_bounds_empirical(sample), est.bounds
+    sd_tau = None if est.sigma is None else est.sigma.sigma_tau
 
     manifest = RunManifest(
         command="estimate",
@@ -239,16 +232,16 @@ def cmd_estimate(args) -> int:
         "n": sample.n,
         "n1": sample.n1,
         "n0": sample.n0,
-        "tau_star": moments.ate,
+        "tau_star": est.tau_star,
         "bounds": {
             "sharp": {"v_o": sharp.v_o, "v_p": sharp.v_p},
             "neyman": {"v_o": neyman.v_o, "v_p": neyman.v_p},
         },
-        "tau_p": tau_p,
-        "tau_o": tau_o,
+        "tau_p": est.tau_p,
+        "tau_o": est.tau_o,
         "sd_tau": sd_tau,
-        "sd_p": sd_p,
-        "sd_o": sd_o,
+        "sd_p": est.sd_p,
+        "sd_o": est.sd_o,
     }
     if args.out:
         _write_text(args.out, _dump_json(report))
@@ -256,14 +249,14 @@ def cmd_estimate(args) -> int:
         print(_dump_json(report))
     else:
         print(f"n = {sample.n} (treated {sample.n1}, control {sample.n0})")
-        print(f"tau_star = {_fmt(moments.ate)}   sd = {_fmt(sd_tau)}")
+        print(f"tau_star = {_fmt(est.tau_star)}   sd = {_fmt(sd_tau)}")
         print("variance bounds:")
         print(f"  sharp  : v_o = {_fmt(sharp.v_o)}, v_p = {_fmt(sharp.v_p)}")
         print(f"  neyman : v_o = {_fmt(neyman.v_o)}, v_p = {_fmt(neyman.v_p)}")
         print(f"predictions ({method.value} bounds, delta = {_fmt(config.delta)}, "
               f"q = {_fmt(config.q)}):")
-        print(f"  tau_p = {_fmt(tau_p)}   sd = {_fmt(sd_p)}")
-        print(f"  tau_o = {_fmt(tau_o)}   sd = {_fmt(sd_o)}")
+        print(f"  tau_p = {_fmt(est.tau_p)}   sd = {_fmt(est.sd_p)}")
+        print(f"  tau_o = {_fmt(est.tau_o)}   sd = {_fmt(est.sd_o)}")
     return EXIT_OK
 
 
@@ -349,16 +342,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_infer(args) -> int:
     config = _config_from_args(args)
-    _check_two_step_args(config, args.alpha, args.beta, args.grid_points)
+    check_two_step_args(config, args.alpha, args.beta, args.grid_points)
     sample = load_sample(args.data, args.outcome, args.treatment)
     method = BoundsMethod(args.bounds)
-    tau_hat, bounds, sigma = _estimate_pieces(sample, config, method)
-    est = _estimates_from_pieces(tau_hat, bounds, sigma, sample.n, config)
-    im = _plain_im_from_estimates(est, args.alpha)
-    union = _two_step_from_pieces(
-        tau_hat, bounds, sigma, sample.n, config,
-        args.alpha, args.beta, args.grid_points,
-    )
+    est = estimate_robust(sample, config, method)
+    im = plain_im_interval(est, args.alpha)
+    union = two_step_interval(est, args.alpha, args.beta, args.grid_points)
     ok = bool(union.rejected_first_step)
 
     manifest = RunManifest(
@@ -382,7 +371,7 @@ def cmd_infer(args) -> int:
         "tau_star": est.tau_star,
         "tau_p": est.tau_p,
         "tau_o": est.tau_o,
-        "sd_tau": sigma.sigma_tau,
+        "sd_tau": est.sigma.sigma_tau,
         "sd_p": est.sd_p,
         "sd_o": est.sd_o,
         "first_step": {
@@ -643,7 +632,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--grid-points", type=int, default=101, dest="grid_points")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--threads", type=int, default=1,
-                     help="worker processes for replications (default: 1)")
+                     help="worker processes for replications, at most the CPU "
+                     "count (default: 1)")
     sim.add_argument("--out", default="drpredict_sim", metavar="PREFIX",
                      help="output prefix (default: drpredict_sim)")
     sim.set_defaults(func=cmd_simulate)

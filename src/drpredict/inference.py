@@ -7,7 +7,9 @@ width of the identified set (``c_n`` interpolates between the one-sided and
 two-sided normal quantiles). ``two_step_interval`` is the Bonferroni-corrected
 union construction: a first-step test that the unrestricted effect differs
 from zero, followed by a union of conditional intervals over a grid of
-plausible effect values.
+plausible effect values. ``estimate_robust`` turns a sample into the
+``RobustEstimates`` record that ``plain_im_interval`` and
+``two_step_interval`` both take.
 """
 
 import enum
@@ -28,7 +30,7 @@ from .covariance import (
     sigma_sharp,
 )
 from .exceptions import DomainError, OrderError, UnsupportedConfig, ValidationError
-from .moments import estimate_moments
+from .moments import ArmMoments, estimate_moments
 from .sample import ExperimentalSample
 from .solver import RobustConfig, newton_root, solve_minimax_many
 
@@ -36,6 +38,7 @@ __all__ = [
     "IMMethod",
     "IntervalEstimate",
     "RobustEstimates",
+    "check_two_step_args",
     "estimate_robust",
     "im_interval",
     "plain_im_interval",
@@ -169,48 +172,27 @@ def im_interval(
 
 @dataclass(frozen=True)
 class RobustEstimates:
-    """Point estimates and standard deviations for one sample."""
+    """Everything both intervals need from one sample.
 
-    tau_star: float
+    The arm moments, the variance bracket, the prediction pair and, for
+    q > 1, the asymptotic covariance and the SDs of the pair. For q = 1 the
+    prediction can sit exactly at zero, where the limit law is not normal,
+    so ``sigma``, ``sd_p`` and ``sd_o`` are None.
+    """
+
+    moments: ArmMoments
     bounds: VarianceBounds
+    config: RobustConfig
     tau_p: float
     tau_o: float
-    sigma: SigmaMatrix
-    sd_p: float
-    sd_o: float
+    sigma: SigmaMatrix | None
+    sd_p: float | None
+    sd_o: float | None
     n: int
 
-
-def _estimate_pieces(sample, config, method):
-    """Shared per-sample computation: (tau_hat, bounds, sigma)."""
-    method = BoundsMethod(method)
-    moments = estimate_moments(sample)
-    if method is BoundsMethod.SHARP:
-        bounds = sharp_bounds_empirical(sample)
-        sigma = sigma_sharp(sample)
-    else:
-        bounds = neyman_bounds(moments.sigma1_sq, moments.sigma0_sq)
-        sigma = sigma_neyman(moments)
-    return moments.ate, bounds, sigma
-
-
-def _estimates_from_pieces(tau_star, bounds, sigma, n, config) -> RobustEstimates:
-    tau_p, tau_o = solve_minimax_many(tau_star, [bounds.v_p, bounds.v_o], config).tolist()
-    if config.delta == 0.0:
-        sd_p = sd_o = sigma.sigma_tau
-    else:
-        ld = loadings(tau_star, bounds, tau_p, tau_o, config)
-        sd_p, sd_o = prediction_sds(ld, sigma)
-    return RobustEstimates(
-        tau_star=tau_star,
-        bounds=bounds,
-        tau_p=tau_p,
-        tau_o=tau_o,
-        sigma=sigma,
-        sd_p=sd_p,
-        sd_o=sd_o,
-        n=n,
-    )
+    @property
+    def tau_star(self) -> float:
+        return self.moments.ate
 
 
 def estimate_robust(
@@ -218,12 +200,48 @@ def estimate_robust(
     config: RobustConfig,
     method=BoundsMethod.SHARP,
 ) -> RobustEstimates:
-    """Point estimates, variance bounds, and asymptotic SDs for one sample."""
-    tau_star, bounds, sigma = _estimate_pieces(sample, config, method)
-    return _estimates_from_pieces(tau_star, bounds, sigma, sample.n, config)
+    """Point estimates, variance bounds, and asymptotic SDs for one sample.
+
+    For q = 1 the SDs are None and the covariance is not estimated.
+    """
+    sharp = BoundsMethod(method) is BoundsMethod.SHARP
+    moments = estimate_moments(sample)
+    tau_star = moments.ate
+    if sharp:
+        bounds = sharp_bounds_empirical(sample)
+    else:
+        bounds = neyman_bounds(moments.sigma1_sq, moments.sigma0_sq)
+    sigma = sd_p = sd_o = None
+    if config.q > 1.0:
+        sigma = sigma_sharp(sample) if sharp else sigma_neyman(moments)
+    tau_p, tau_o = solve_minimax_many(tau_star, [bounds.v_p, bounds.v_o], config).tolist()
+    if sigma is not None and config.delta == 0.0:
+        sd_p = sd_o = sigma.sigma_tau
+    elif sigma is not None:
+        sd_p, sd_o = prediction_sds(loadings(tau_star, bounds, tau_p, tau_o, config), sigma)
+    return RobustEstimates(
+        moments=moments,
+        bounds=bounds,
+        config=config,
+        tau_p=tau_p,
+        tau_o=tau_o,
+        sigma=sigma,
+        sd_p=sd_p,
+        sd_o=sd_o,
+        n=sample.n,
+    )
 
 
-def _plain_im_from_estimates(est: RobustEstimates, alpha: float) -> IntervalEstimate:
+def plain_im_interval(est: RobustEstimates, alpha: float = 0.05) -> IntervalEstimate:
+    """IM interval for the robust prediction range of one sample.
+
+    Endpoints are ordered numerically (the two predictions swap roles when
+    the unrestricted effect is negative) before the IM step.
+    """
+    if est.sigma is None:
+        raise UnsupportedConfig(
+            "the IM interval requires q > 1 (estimates for q = 1 carry no SDs)"
+        )
     if est.tau_p <= est.tau_o:
         lo, hi, sd_lo, sd_hi = est.tau_p, est.tau_o, est.sd_p, est.sd_o
     else:
@@ -231,31 +249,44 @@ def _plain_im_from_estimates(est: RobustEstimates, alpha: float) -> IntervalEsti
     return im_interval(lo, hi, sd_lo, sd_hi, est.n, alpha)
 
 
-def plain_im_interval(
-    sample: ExperimentalSample,
-    config: RobustConfig,
-    method=BoundsMethod.SHARP,
-    alpha: float = 0.05,
-) -> IntervalEstimate:
-    """IM interval for the robust prediction range of one sample.
-
-    Endpoints are ordered numerically (the two predictions swap roles when
-    the unrestricted effect is negative) before the IM step.
-    """
-    est = estimate_robust(sample, config, method)
-    return _plain_im_from_estimates(est, alpha)
-
-
 # -------------------------------------------------------------- two-step CI
 
 
-def _two_step_from_pieces(
-    tau_hat, bounds, sigma, n, config, alpha, beta, grid_points
+def check_two_step_args(config, alpha, beta, grid_points):
+    """Raise unless ``two_step_interval`` accepts these settings."""
+    if config.q <= 1.0:
+        raise UnsupportedConfig(
+            "two-step inference requires q > 1 (the q = 1 prediction can sit "
+            "exactly at zero, where the limit law is non-normal)"
+        )
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must be in (0, 1), got {alpha}")
+    if not 0.0 <= beta < alpha:
+        raise DomainError(f"beta must be in [0, alpha), got beta={beta}, alpha={alpha}")
+    if grid_points < 25:
+        raise DomainError(f"grid_points must be >= 25, got {grid_points}")
+
+
+def two_step_interval(
+    est: RobustEstimates,
+    alpha: float = 0.05,
+    beta: float = 0.045,
+    grid_points: int = 101,
 ) -> IntervalEstimate:
-    root_n = math.sqrt(n)
+    """Bonferroni union interval: test-for-zero first, then a grid union.
+
+    Step 1 forms the 1-beta interval for the unrestricted effect; if it
+    contains zero the procedure stops (``rejected_first_step`` False, NaN
+    endpoints). Step 2 re-solves the robust predictions at each grid value
+    t of the first-step interval, builds the conditional IM interval at
+    level 1-(alpha-beta) around each, and returns the union.
+    """
+    config, bounds, sigma = est.config, est.bounds, est.sigma
+    check_two_step_args(config, alpha, beta, grid_points)
+    root_n = math.sqrt(est.n)
     se_tau = sigma.sigma_tau / root_n
     half = _z(1.0 - beta / 2.0) * se_tau
-    first = (tau_hat - half, tau_hat + half)
+    first = (est.tau_star - half, est.tau_star + half)
     if first[0] <= 0.0 <= first[1]:
         return IntervalEstimate(
             lower=math.nan,
@@ -296,39 +327,3 @@ def _two_step_from_pieces(
         rejected_first_step=True,
     )
 
-
-def two_step_interval(
-    sample: ExperimentalSample,
-    config: RobustConfig,
-    method=BoundsMethod.SHARP,
-    alpha: float = 0.05,
-    beta: float = 0.045,
-    grid_points: int = 101,
-) -> IntervalEstimate:
-    """Bonferroni union interval: test-for-zero first, then a grid union.
-
-    Step 1 forms the 1-beta interval for the unrestricted effect; if it
-    contains zero the procedure stops (``rejected_first_step`` False, NaN
-    endpoints). Step 2 re-solves the robust predictions at each grid value
-    t of the first-step interval, builds the conditional IM interval at
-    level 1-(alpha-beta) around each, and returns the union.
-    """
-    _check_two_step_args(config, alpha, beta, grid_points)
-    tau_hat, bounds, sigma = _estimate_pieces(sample, config, method)
-    return _two_step_from_pieces(
-        tau_hat, bounds, sigma, sample.n, config, alpha, beta, grid_points
-    )
-
-
-def _check_two_step_args(config, alpha, beta, grid_points):
-    if config.q <= 1.0:
-        raise UnsupportedConfig(
-            "two-step inference requires q > 1 (the q = 1 prediction can sit "
-            "exactly at zero, where the limit law is non-normal)"
-        )
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-    if not 0.0 <= beta < alpha:
-        raise DomainError(f"beta must be in [0, alpha), got beta={beta}, alpha={alpha}")
-    if grid_points < 25:
-        raise DomainError(f"grid_points must be >= 25, got {grid_points}")

@@ -6,10 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, InsufficientData
+from .exceptions import InsufficientData
 from .sample import ExperimentalSample
 
-__all__ = ["ArmMoments", "estimate_ate_diff_means", "estimate_ate_ipw", "estimate_moments"]
+__all__ = ["ArmMoments", "estimate_ate_diff_means", "estimate_moments"]
 
 
 @dataclass(frozen=True)
@@ -39,24 +39,6 @@ class ArmMoments:
 def estimate_ate_diff_means(sample: ExperimentalSample) -> float:
     """Difference-in-means estimate of the average treatment effect."""
     return float(sample.treated.mean() - sample.control.mean())
-
-
-def estimate_ate_ipw(sample: ExperimentalSample, e: float) -> float:
-    """Inverse-propensity-weighted ATE with a known assignment probability.
-
-    Computes (1/n) * sum(T*Y/e) - (1/n) * sum((1-T)*Y/(1-e)).  Unbiased when
-    ``e`` is the true assignment probability; with the empirical share
-    e = n1/n it coincides with the difference in means.
-
-    Raises
-    ------
-    DomainError
-        If ``e`` is not strictly inside (0, 1).
-    """
-    if not 0.0 < e < 1.0:
-        raise DomainError(f"assignment probability must lie in (0, 1), got {e}")
-    n = sample.n
-    return float(sample.treated.sum() / (e * n) - sample.control.sum() / ((1.0 - e) * n))
 
 
 def _central_moments(y: np.ndarray) -> tuple[float, float, float, float]:

@@ -10,8 +10,8 @@ quantity that is only partially identified in real data.
 
 import concurrent.futures
 import csv
-import json
 import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -19,11 +19,10 @@ import numpy as np
 from .bounds import BoundsMethod
 from .exceptions import DegenerateSample, DomainError, ValidationError
 from .inference import (
-    _estimate_pieces,
-    _estimates_from_pieces,
-    _check_two_step_args,
-    _plain_im_from_estimates,
-    _two_step_from_pieces,
+    check_two_step_args,
+    estimate_robust,
+    plain_im_interval,
+    two_step_interval,
 )
 from .sample import ExperimentalSample
 from .solver import RobustConfig, solve_minimax_many
@@ -37,7 +36,6 @@ __all__ = [
     "population_truth",
     "run_coverage_study",
     "write_reports_csv",
-    "write_reports_json",
 ]
 
 
@@ -201,13 +199,9 @@ class SimulationReport:
 
 def _replicate(dgp, config, child_seed, alpha, beta, bound_method, grid_points):
     """One replication: (im_lo, im_hi, bonf_lo, bonf_hi, length_ratio, rejected)."""
-    sample = draw_sample(dgp, child_seed)
-    tau_hat, bounds, sigma = _estimate_pieces(sample, config, bound_method)
-    est = _estimates_from_pieces(tau_hat, bounds, sigma, sample.n, config)
-    im = _plain_im_from_estimates(est, alpha)
-    union = _two_step_from_pieces(
-        tau_hat, bounds, sigma, sample.n, config, alpha, beta, grid_points
-    )
+    est = estimate_robust(draw_sample(dgp, child_seed), config, bound_method)
+    im = plain_im_interval(est, alpha)
+    union = two_step_interval(est, alpha, beta, grid_points)
     if not union.rejected_first_step:
         return (im.lower, im.upper, math.nan, math.nan, math.nan, False)
     return (im.lower, im.upper, union.lower, union.upper, union.length / im.length, True)
@@ -249,20 +243,21 @@ def run_coverage_study(
     is averaged over every replication; two-step results are averaged over
     the replications whose first step rejected a zero effect.
 
-    ``workers`` > 1 runs replications in a process pool. Seeds are assigned
-    by replication index and aggregation happens in index order, so the
-    report is identical for any worker count.
+    ``workers`` > 1 runs replications in a process pool of at most
+    ``os.cpu_count()`` processes. Seeds are assigned by replication index
+    and aggregation happens in index order, so the report is identical for
+    any worker count.
     """
     if replications < 100:
         raise DomainError(f"replications must be >= 100, got {replications}")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
-    _check_two_step_args(config, alpha, beta, grid_points)
+    check_two_step_args(config, alpha, beta, grid_points)
     bound_method = BoundsMethod(bound_method)
     truth = population_truth(dgp, config)
     target = truth.tau_dr
 
-    workers = min(workers, replications)
+    workers = min(workers, replications, os.cpu_count() or 1)
     if workers == 1:
         records = _replicate_block(
             dgp, config, seed, replications, 0, replications,
@@ -351,7 +346,3 @@ def write_reports_csv(reports, path) -> None:
                 ]
             )
 
-
-def write_reports_json(reports, path) -> None:
-    with open(path, "w") as fh:
-        json.dump([r.to_json_dict() for r in reports], fh, indent=2)

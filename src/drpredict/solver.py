@@ -25,13 +25,11 @@ from .exceptions import ConvergenceError, DomainError, ValidationError
 
 __all__ = [
     "RobustConfig",
-    "BoundEstimates",
     "SweepPoint",
     "dual_objective",
     "solve_minimax",
     "homogeneous_threshold",
     "sweep_delta",
-    "predict_bounds",
     "proximity_derivs",
     "penalty_derivs",
 ]
@@ -68,33 +66,6 @@ class RobustConfig:
             raise ValidationError(f"norm order p must exceed 1, got {p}")
         q = 1.0 if math.isinf(p) else p / (p - 1.0)
         return cls(delta=delta, q=q)
-
-
-@dataclass(frozen=True)
-class BoundEstimates:
-    """Point predictions at both ends of the variance bracket.
-
-    ``tau_p`` solves the minimax problem at v_p (pessimistic, shrinks most),
-    ``tau_o`` at v_o. Both share the sign of ``tau_star`` and satisfy
-    |tau_p| <= |tau_o| <= |tau_star|.
-    """
-
-    tau_star: float
-    tau_p: float
-    tau_o: float
-    config: RobustConfig
-    bounds: VarianceBounds
-
-    def __post_init__(self):
-        tol = 1e-9 * max(1.0, abs(self.tau_star))
-        for name, val in (("tau_p", self.tau_p), ("tau_o", self.tau_o)):
-            if val != 0.0 and math.copysign(1.0, val) != math.copysign(1.0, self.tau_star):
-                raise ValidationError(f"{name}={val} has different sign than tau_star={self.tau_star}")
-        if not (abs(self.tau_p) <= abs(self.tau_o) + tol <= abs(self.tau_star) + 2 * tol):
-            raise ValidationError(
-                f"ordering |tau_p| <= |tau_o| <= |tau_star| violated: "
-                f"({self.tau_p}, {self.tau_o}, {self.tau_star})"
-            )
 
 
 class SweepPoint(NamedTuple):
@@ -339,12 +310,3 @@ def sweep_delta(tau_star: float, bounds: VarianceBounds, q: float, deltas) -> li
     tau_p, tau_o = _minimax(tau_star, [[bounds.v_p], [bounds.v_o]], deltas, q)
     return [SweepPoint(*row) for row in zip(deltas.tolist(), tau_p.tolist(), tau_o.tolist())]
 
-
-def predict_bounds(tau_star: float, bounds: VarianceBounds, config: RobustConfig) -> BoundEstimates:
-    """Solve at both ends of the variance bracket.
-
-    Because the minimizer shrinks as v grows, the pessimistic prediction
-    (at v_p) is the smaller of the two in absolute value.
-    """
-    tau_p, tau_o = solve_minimax_many(tau_star, [bounds.v_p, bounds.v_o], config).tolist()
-    return BoundEstimates(tau_star=tau_star, tau_p=tau_p, tau_o=tau_o, config=config, bounds=bounds)

@@ -1,0 +1,45 @@
+"""The package surface: every exported name resolves, and no module reaches
+into the private names of another."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import drpredict
+
+SRC = Path(drpredict.__file__).parent
+MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and (node.module or "").split(".")[0] != "drpredict":
+            continue
+        for alias in node.names:
+            if _is_private(alias.name):
+                yield f"{path.name}:{node.lineno} imports {alias.name}"
+
+
+def test_no_module_imports_a_private_name_from_another():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in _private_imports(path)]
+    assert found == []
+
+
+def test_every_exported_name_resolves():
+    assert len(set(drpredict.__all__)) == len(drpredict.__all__)
+    assert [name for name in drpredict.__all__ if not hasattr(drpredict, name)] == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_exports_resolve(module):
+    mod = importlib.import_module(f"drpredict.{module}")
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []

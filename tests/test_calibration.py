@@ -5,16 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drpredict import (
-    DomainError,
-    InsufficientData,
-    UnsupportedConfig,
-    ValidationError,
-)
+from drpredict import InsufficientData, ValidationError
 from drpredict.calibration import (
     RadiusBenchmark,
     SplitRule,
-    shift_decomposition,
     split_benchmark,
     wasserstein2_1d,
 )
@@ -91,26 +85,6 @@ def test_w2_scale_equivariance(s, seed):
     base = wasserstein2_1d(_dist(a), _dist(b))
     scaled = wasserstein2_1d(_dist(s * a), _dist(s * b))
     assert scaled == pytest.approx(abs(s) * base, rel=1e-12, abs=1e-12)
-
-
-# --------------------------------------------------------- shift share (q=2)
-
-
-def test_shift_decomposition_values():
-    assert shift_decomposition(0.0, 1.5) == pytest.approx(2.25)
-    assert shift_decomposition(math.sqrt(2.0), 1.0) == pytest.approx(0.5)
-    assert shift_decomposition(1e9, 1.0) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_shift_decomposition_properties():
-    taus = np.linspace(0.0, 10.0, 50)
-    shares = [shift_decomposition(t, 2.0) for t in taus]
-    assert all(a >= b for a, b in zip(shares, shares[1:]))
-    assert shift_decomposition(1.3, 3.0) == pytest.approx(9 * shift_decomposition(1.3, 1.0))
-    with pytest.raises(UnsupportedConfig):
-        shift_decomposition(1.0, 1.0, q=3.0)
-    with pytest.raises(DomainError):
-        shift_decomposition(1.0, -0.1)
 
 
 # ------------------------------------------------------------------- splits

@@ -105,6 +105,20 @@ def test_estimate_bad_row_names_row_and_column(tmp_path, capsys):
     assert "row 3" in err and "'y'" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--data", "{latin1}", "--delta", "0.5"],
+    ["benchmark", "--data", "{latin1}"],
+    ["estimate", "--data", "{directory}", "--delta", "0.5"],
+], ids=["estimate-non-utf8", "benchmark-non-utf8", "estimate-directory"])
+def test_unreadable_data_exits_2(argv, tmp_path, capsys):
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"y,t\n1.0,1\n\xff2.0,0\n")
+    paths = {"latin1": str(latin1), "directory": str(tmp_path)}
+    code = main([arg.format(**paths) for arg in argv])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_estimate_q1_needs_optin(case1_csv, capsys):
     code = main(["estimate", "--data", case1_csv, "--delta", "0.5", "--q", "1"])
     assert code == 2

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from drpredict import DomainError, OrderError, UnsupportedConfig, ValidationError
+from drpredict import inference
+from drpredict.cli import main
 from drpredict.inference import (
     IMMethod,
     IntervalEstimate,
@@ -16,7 +19,7 @@ from drpredict.inference import (
     plain_im_interval,
     two_step_interval,
 )
-from drpredict.sample import ExperimentalSample
+from drpredict.sample import ExperimentalSample, load_sample
 from drpredict.solver import RobustConfig
 
 Z_TWO_SIDED = 1.959964
@@ -156,7 +159,7 @@ def test_delta_zero_is_classic_ate_inference():
     est = estimate_robust(s, RobustConfig(0.0, 2.0), "sharp")
     assert est.tau_p == est.tau_star == est.tau_o
     assert est.sd_p == est.sd_o == est.sigma.sigma_tau
-    iv = plain_im_interval(s, RobustConfig(0.0, 2.0), "sharp", alpha=0.05)
+    iv = plain_im_interval(estimate_robust(s, RobustConfig(0.0, 2.0), "sharp"), alpha=0.05)
     half = Z_TWO_SIDED * est.sigma.sigma_tau / math.sqrt(3000)
     assert iv.lower == pytest.approx(est.tau_star - half, abs=1e-6)
     assert iv.upper == pytest.approx(est.tau_star + half, abs=1e-6)
@@ -169,8 +172,50 @@ def test_negative_effect_orders_endpoints():
     est = estimate_robust(s, CFG, "neyman")
     # negative tau*: shrinkage moves the estimates up, so tau_p >= tau_o
     assert est.tau_p >= est.tau_o
-    iv = plain_im_interval(s, CFG, "neyman")
+    iv = plain_im_interval(estimate_robust(s, CFG, "neyman"))
     assert iv.lower < iv.upper < 0.0
+
+
+def test_q1_estimates_carry_no_sds(monkeypatch):
+    def no_sigma(*args, **kwargs):
+        raise AssertionError("sigma_sharp ran for q = 1")
+
+    monkeypatch.setattr(inference, "sigma_sharp", no_sigma)
+    rng = np.random.default_rng(9)
+    est = estimate_robust(_case1(rng, 1000), RobustConfig(0.5, 1.0), "sharp")
+    assert est.sigma is None and est.sd_p is None and est.sd_o is None
+    assert abs(est.tau_p) <= abs(est.tau_o) <= abs(est.tau_star)
+    with pytest.raises(UnsupportedConfig):
+        plain_im_interval(est)
+    with pytest.raises(UnsupportedConfig):
+        two_step_interval(est)
+
+
+def test_infer_json_equals_the_library_pipeline(tmp_path, capsys):
+    rng = np.random.default_rng(12)
+    s = _case1(rng, 800)
+    path = tmp_path / "trial.csv"
+    np.savetxt(path, np.column_stack([s.outcomes, s.treatments]), fmt=["%.17g", "%d"],
+               delimiter=",", header="y,t", comments="")
+    assert main(["infer", "--data", str(path), "--delta", "0.1", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+
+    est = estimate_robust(load_sample(path, "y", "t"), CFG, "sharp")
+    im = plain_im_interval(est)
+    union = two_step_interval(est)
+    assert (doc["tau_p"], doc["sd_p"]) == (est.tau_p, est.sd_p)
+    assert doc["im"] == {
+        "lower": im.lower, "upper": im.upper, "alpha": im.alpha, "c": im.c_values[0],
+    }
+    assert doc["im_bonferroni"] == {
+        "lower": union.lower,
+        "upper": union.upper,
+        "alpha": union.alpha,
+        "beta": 0.045,
+        "c_min": union.c_values[0],
+        "c_max": union.c_values[1],
+        "grid_points": union.grid_points,
+    }
 
 
 # ---------------------------------------------------------- two-step interval
@@ -180,21 +225,21 @@ def test_two_step_preconditions():
     rng = np.random.default_rng(2)
     s = _case1(rng, 600)
     with pytest.raises(UnsupportedConfig):
-        two_step_interval(s, RobustConfig(0.5, 1.0))
+        two_step_interval(estimate_robust(s, RobustConfig(0.5, 1.0)))
     with pytest.raises(DomainError):
-        two_step_interval(s, CFG, alpha=0.05, beta=0.05)
+        two_step_interval(estimate_robust(s, CFG), alpha=0.05, beta=0.05)
     with pytest.raises(DomainError):
-        two_step_interval(s, CFG, alpha=0.05, beta=-0.01)
+        two_step_interval(estimate_robust(s, CFG), alpha=0.05, beta=-0.01)
     with pytest.raises(DomainError):
-        two_step_interval(s, CFG, grid_points=24)
+        two_step_interval(estimate_robust(s, CFG), grid_points=24)
     with pytest.raises(DomainError):
-        two_step_interval(s, CFG, alpha=1.0)
+        two_step_interval(estimate_robust(s, CFG), alpha=1.0)
 
 
 def test_two_step_stops_when_zero_not_rejected():
     rng = np.random.default_rng(3)
     s = _sample(rng.normal(0.0, 1.0, 500), rng.normal(0.0, 1.0, 500))
-    est = two_step_interval(s, CFG, "neyman")
+    est = two_step_interval(estimate_robust(s, CFG, "neyman"))
     assert est.rejected_first_step is False
     assert math.isnan(est.lower) and math.isnan(est.upper)
     assert est.first_step[0] < 0.0 < est.first_step[1]
@@ -204,7 +249,9 @@ def test_two_step_stops_when_zero_not_rejected():
 def test_two_step_diagnostics_and_critical_range():
     rng = np.random.default_rng(4)
     s = _case1(rng, 2000)
-    est = two_step_interval(s, CFG, "sharp", alpha=0.05, beta=0.045, grid_points=51)
+    est = two_step_interval(
+        estimate_robust(s, CFG, "sharp"), alpha=0.05, beta=0.045, grid_points=51
+    )
     assert est.rejected_first_step is True
     assert est.method is IMMethod.IM_BONFERRONI
     assert est.grid_points == 51
@@ -220,8 +267,8 @@ def test_two_step_contains_plain_im():
     for n in (500, 2000):
         for method in ("sharp", "neyman"):
             s = _case1(rng, n)
-            union = two_step_interval(s, CFG, method)
-            im = plain_im_interval(s, CFG, method)
+            union = two_step_interval(estimate_robust(s, CFG, method))
+            im = plain_im_interval(estimate_robust(s, CFG, method))
             assert union.lower <= im.lower + 1e-12
             assert union.upper >= im.upper - 1e-12
 
@@ -229,16 +276,16 @@ def test_two_step_contains_plain_im():
 def test_two_step_monotone_in_alpha():
     rng = np.random.default_rng(6)
     s = _case1(rng, 2000)
-    wide = two_step_interval(s, CFG, "sharp", alpha=0.01, beta=0.005)
-    narrow = two_step_interval(s, CFG, "sharp", alpha=0.10, beta=0.045)
+    wide = two_step_interval(estimate_robust(s, CFG, "sharp"), alpha=0.01, beta=0.005)
+    narrow = two_step_interval(estimate_robust(s, CFG, "sharp"), alpha=0.10, beta=0.045)
     assert wide.lower <= narrow.lower and wide.upper >= narrow.upper
 
 
 def test_two_step_methods_agree_closely():
     rng = np.random.default_rng(7)
     s = _case1(rng, 4000)
-    a = two_step_interval(s, CFG, "sharp")
-    b = two_step_interval(s, CFG, "neyman")
+    a = two_step_interval(estimate_robust(s, CFG, "sharp"))
+    b = two_step_interval(estimate_robust(s, CFG, "neyman"))
     assert a.lower == pytest.approx(b.lower, abs=0.06)
     assert a.upper == pytest.approx(b.upper, abs=0.06)
 
@@ -252,8 +299,8 @@ def test_case1_reproduces_reference_averages():
     lo_ts, hi_ts, lo_im, hi_im, ratios = [], [], [], [], []
     for _ in range(reps):
         s = _case1(rng, n)
-        union = two_step_interval(s, CFG, "sharp")
-        im = plain_im_interval(s, CFG, "sharp")
+        union = two_step_interval(estimate_robust(s, CFG, "sharp"))
+        im = plain_im_interval(estimate_robust(s, CFG, "sharp"))
         lo_im.append(im.lower)
         hi_im.append(im.upper)
         if union.rejected_first_step:

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drpredict import DomainError, ExperimentalSample, InsufficientData
-from drpredict.moments import estimate_ate_diff_means, estimate_ate_ipw, estimate_moments
+from drpredict import ExperimentalSample, InsufficientData
+from drpredict.moments import estimate_ate_diff_means, estimate_moments
 
 
 def _sample(y1, y0):
@@ -16,27 +16,6 @@ def _sample(y1, y0):
 def test_diff_means_hand_computed():
     s = _sample([2.0, 4.0], [1.0, 3.0])
     assert estimate_ate_diff_means(s) == pytest.approx(1.0)
-
-
-def test_ipw_matches_diff_means_at_empirical_share():
-    rng = np.random.default_rng(0)
-    s = _sample(rng.normal(1.0, 2.0, 37), rng.normal(0.0, 1.0, 63))
-    assert estimate_ate_ipw(s, 0.37) == pytest.approx(estimate_ate_diff_means(s), abs=1e-12)
-
-
-def test_ipw_known_probability():
-    s = _sample([2.0, 4.0], [1.0, 3.0])
-    # (2+4)/0.5/4 - (1+3)/0.5/4 = 3 - 2 = 1
-    assert estimate_ate_ipw(s, 0.5) == pytest.approx(1.0)
-    # skewed weighting moves the estimate
-    assert estimate_ate_ipw(s, 0.25) == pytest.approx(6.0 / 1.0 - 4.0 / 3.0)
-
-
-@pytest.mark.parametrize("e", [0.0, 1.0, -0.1, 1.5])
-def test_ipw_rejects_degenerate_probability(e):
-    s = _sample([1.0, 2.0], [3.0, 4.0])
-    with pytest.raises(DomainError):
-        estimate_ate_ipw(s, e)
 
 
 def test_moments_hand_computed():

@@ -1,6 +1,8 @@
+import concurrent.futures
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from drpredict.simulation import (
     population_truth,
     run_coverage_study,
     write_reports_csv,
-    write_reports_json,
 )
 from drpredict.solver import RobustConfig
 
@@ -159,6 +160,19 @@ def test_coverage_study_deterministic():
     assert a.case == "case1" and a.n == 300 and a.replications == 100
 
 
+@pytest.mark.parametrize("cpus", [1, None])
+def test_coverage_study_workers_capped_at_cpu_count(cpus, monkeypatch):
+    dgp, cfg = case_preset(1, n=200)
+    serial = run_coverage_study(dgp, cfg, replications=100, seed=5)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert run_coverage_study(dgp, cfg, replications=100, seed=5, workers=64) == serial
+
+
 def test_coverage_study_case1_sanity():
     dgp, cfg = case_preset(1, n=1000)
     rep = run_coverage_study(dgp, cfg, replications=300, seed=3, case="case1")
@@ -208,11 +222,8 @@ def test_report_serialization(tmp_path):
     assert float(rows[1][1]) == pytest.approx(rep.truth.tau_dr, rel=1e-4)
     assert float(rows[1][2]) == pytest.approx(rep.coverage_im, abs=1e-4)
 
-    json_path = tmp_path / "reports.json"
-    write_reports_json([rep], json_path)
-    with open(json_path) as fh:
-        payload = json.load(fh)
-    assert payload[0]["case"] == "case3"
-    assert payload[0]["bound_method"] == "sharp"
-    assert payload[0]["truth"]["tau_dr"] == pytest.approx(rep.truth.tau_dr)
-    assert payload[0]["replications"] == 100
+    payload = json.loads(json.dumps(rep.to_json_dict()))
+    assert payload["case"] == "case3"
+    assert payload["bound_method"] == "sharp"
+    assert payload["truth"]["tau_dr"] == pytest.approx(rep.truth.tau_dr)
+    assert payload["replications"] == 100

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from drpredict import ConvergenceError, DomainError, ValidationError
 from drpredict.bounds import VarianceBounds
 from drpredict.solver import (
-    BoundEstimates,
     RobustConfig,
     dual_objective,
     homogeneous_threshold,
     penalty_derivs,
-    predict_bounds,
     proximity_derivs,
     solve_minimax,
     solve_minimax_many,
@@ -380,20 +378,12 @@ def test_sweep_validation():
 
 def test_predict_bounds_ordering():
     b = VarianceBounds(v_o=1.0, v_p=4.0, method="sharp")
-    est = predict_bounds(2.0, b, RobustConfig(0.5, 2.0))
-    assert 0.0 < est.tau_p < est.tau_o < 2.0
-    est_neg = predict_bounds(-2.0, b, RobustConfig(0.5, 2.0))
-    assert est_neg.tau_p == pytest.approx(-est.tau_p)
-    assert -2.0 < est_neg.tau_o < est_neg.tau_p < 0.0
-
-
-def test_bound_estimates_validation():
-    b = VarianceBounds(v_o=1.0, v_p=4.0, method="sharp")
     cfg = RobustConfig(0.5, 2.0)
-    with pytest.raises(ValidationError, match="sign"):
-        BoundEstimates(tau_star=2.0, tau_p=-0.5, tau_o=1.0, config=cfg, bounds=b)
-    with pytest.raises(ValidationError, match="ordering"):
-        BoundEstimates(tau_star=2.0, tau_p=1.5, tau_o=1.0, config=cfg, bounds=b)
+    tau_p, tau_o = solve_minimax_many(2.0, [b.v_p, b.v_o], cfg).tolist()
+    assert 0.0 < tau_p < tau_o < 2.0
+    neg_p, neg_o = solve_minimax_many(-2.0, [b.v_p, b.v_o], cfg).tolist()
+    assert neg_p == pytest.approx(-tau_p)
+    assert -2.0 < neg_o < neg_p < 0.0
 
 
 # ---------------------------------------------------------- vectorized solver
