@@ -95,6 +95,32 @@ def merged_u_grid(n1: int, n0: int) -> tuple[np.ndarray, np.ndarray]:
     return mids, widths
 
 
+_BLOCK_CELLS = 1 << 16
+
+
+def merged_u_blocks(n1: int, n0: int):
+    """Yield the (mids, widths) of ``merged_u_grid(n1, n0)`` block by block.
+
+    Each block covers about 2^16 cells of the larger arm, so memory stays
+    flat in n. The other arm's ticks inside a block are found by integer
+    arithmetic, and each block starts where the last one ended, so the
+    blocks tile (0, 1] with the cells of the merged grid, and a single
+    block reproduces it bit for bit.
+    """
+    na, nb = max(n1, n0), min(n1, n0)
+    left = 0.0
+    for i0 in range(0, na, _BLOCK_CELLS):
+        i1 = min(i0 + _BLOCK_CELLS, na)
+        ticks = np.union1d(
+            np.arange(i0 + 1, i1 + 1, dtype=float) / na,
+            np.arange(i0 * nb // na + 1, i1 * nb // na + 1, dtype=float) / nb,
+        )
+        lefts = np.concatenate(([left], ticks[:-1]))
+        widths = ticks - lefts
+        yield lefts + 0.5 * widths, widths
+        left = ticks[-1]
+
+
 def _frechet_covariances(y1_sorted: np.ndarray, y0_sorted: np.ndarray) -> tuple[float, float]:
     """(max, min) covariance of the two empirical marginals over all couplings.
 
@@ -102,15 +128,16 @@ def _frechet_covariances(y1_sorted: np.ndarray, y0_sorted: np.ndarray) -> tuple[
     both integrals are exact because the integrand is piecewise constant on
     the merged grid.
     """
-    mids, widths = merged_u_grid(y1_sorted.shape[0], y0_sorted.shape[0])
-    q1 = quantile_at(y1_sorted, mids)
-    q0 = quantile_at(y0_sorted, mids)
-    q0_rev = quantile_at(y0_sorted, 1.0 - mids)
-    m1 = float(np.dot(widths, q1))
-    m0 = float(np.dot(widths, q0))
-    cov_u = float(np.dot(widths, q1 * q0)) - m1 * m0
-    cov_l = float(np.dot(widths, q1 * q0_rev)) - m1 * m0
-    return cov_u, cov_l
+    m1 = m0 = s_u = s_l = 0.0
+    for mids, widths in merged_u_blocks(y1_sorted.shape[0], y0_sorted.shape[0]):
+        q1 = quantile_at(y1_sorted, mids)
+        q0 = quantile_at(y0_sorted, mids)
+        q0_rev = quantile_at(y0_sorted, 1.0 - mids)
+        m1 += float(np.dot(widths, q1))
+        m0 += float(np.dot(widths, q0))
+        s_u += float(np.dot(widths, q1 * q0))
+        s_l += float(np.dot(widths, q1 * q0_rev))
+    return s_u - m1 * m0, s_l - m1 * m0
 
 
 def sharp_bounds_empirical(sample: ExperimentalSample) -> VarianceBounds:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import merged_u_grid
+from .bounds import merged_u_blocks
 from .exceptions import InsufficientData, ValidationError
 from .sample import EmpiricalDistribution, ExperimentalSample, quantile_at
 
@@ -33,9 +33,11 @@ def wasserstein2_1d(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float
     sqrt(integral of (Q_a(u) - Q_b(u))^2 du) is evaluated without
     discretization error.
     """
-    mids, widths = merged_u_grid(a.m, b.m)
-    diff = quantile_at(a.sorted_values, mids) - quantile_at(b.sorted_values, mids)
-    return math.sqrt(float(np.dot(widths, diff * diff)))
+    total = 0.0
+    for mids, widths in merged_u_blocks(a.m, b.m):
+        diff = quantile_at(a.sorted_values, mids) - quantile_at(b.sorted_values, mids)
+        total += float(np.dot(widths, diff * diff))
+    return math.sqrt(total)
 
 
 # ------------------------------------------------------------------- splits

@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -458,7 +459,7 @@ def cmd_simulate(args) -> int:
             dgp, cfg, args.replications,
             alpha=args.alpha, beta=args.beta, bound_method=args.bounds,
             seed=args.seed, case=name, grid_points=args.grid_points,
-            workers=args.threads,
+            workers=args.workers,
         )
         for name, dgp, cfg in runs
     ]
@@ -631,7 +632,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--beta", type=float, default=0.045)
     sim.add_argument("--grid-points", type=int, default=101, dest="grid_points")
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--threads", type=int, default=1,
+    sim.add_argument("--workers", "--threads", type=int, default=1, dest="workers",
                      help="worker processes for replications, at most the CPU "
                      "count (default: 1)")
     sim.add_argument("--out", default="drpredict_sim", metavar="PREFIX",
@@ -657,16 +658,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    # one line, free of source paths, so stderr does not depend on the install
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except _INPUT_ERRORS as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except _NUMERICAL_ERRORS as exc:
+            print(f"numerical error: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

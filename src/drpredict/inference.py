@@ -16,9 +16,9 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .bounds import BoundsMethod, VarianceBounds, neyman_bounds, sharp_bounds_empirical
 from .covariance import (
@@ -91,12 +91,32 @@ class IntervalEstimate:
         return bool(self.lower <= value <= self.upper)
 
 
+_STANDARD_NORMAL = NormalDist()
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
 def _z(p: float) -> float:
-    return float(ndtri(p))
+    """Standard normal quantile (Wichura's AS241, full double precision).
+
+    ``inf`` at p = 1, which a first step at level beta = 0 asks for.
+    """
+    return math.inf if p >= 1.0 else _STANDARD_NORMAL.inv_cdf(p)
+
+
+def _norm_cdf(x) -> np.ndarray:
+    """Standard normal CDF, elementwise: 0.5 * erfc(-x / sqrt(2)).
+
+    The argument is x times sqrt(1/2), rounded as Cephes' ndtr rounds it:
+    erfc magnifies a relative error in its argument about x^2 times, so in
+    the far left tail a division by sqrt(2) would differ from ndtr by up to
+    4e-13 relative.
+    """
+    x = np.asarray(x, dtype=float)
+    return 0.5 * np.asarray(_erfc(x * -math.sqrt(0.5)), dtype=float)
 
 
 def _im_critical(scaled_width, alpha: float):
-    """Solve ndtr(c + w) - ndtr(-c) = 1 - alpha for each scaled width w.
+    """Solve Phi(c + w) - Phi(-c) = 1 - alpha for each scaled width w.
 
     The left side increases in c with slope phi(c + w) + phi(c); the root
     lies on [z_{1-alpha}, z_{1-alpha/2}], where the left end is the
@@ -109,7 +129,7 @@ def _im_critical(scaled_width, alpha: float):
     lo = np.full(w.shape, _z(1.0 - alpha))
 
     def residual(c):
-        value = ndtr(c + w) - ndtr(-c) - (1.0 - alpha)
+        value = _norm_cdf(c + w) - _norm_cdf(-c) - (1.0 - alpha)
         slope = np.exp(-0.5 * (c + w) ** 2) + np.exp(-0.5 * c * c)
         return value, slope / math.sqrt(2.0 * math.pi)
 
@@ -127,8 +147,8 @@ def im_interval(
     """Uniform-coverage interval for a value only known to lie in a range.
 
     Returns ``[lo_hat - c_n sd_lo / sqrt(n), hi_hat + c_n sd_hi / sqrt(n)]``
-    with ``c_n`` solving ``ndtr(c_n + sqrt(n) (hi - lo) / max(sd)) -
-    ndtr(-c_n) = 1 - alpha``.
+    with ``c_n`` solving ``Phi(c_n + sqrt(n) (hi - lo) / max(sd)) -
+    Phi(-c_n) = 1 - alpha``, Phi the standard normal CDF.
 
     Endpoints inverted by less than 1e-10 (estimation noise) are swapped
     with a warning; larger inversions raise OrderError.

@@ -3,6 +3,9 @@ into the private names of another."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,18 @@ def test_every_exported_name_resolves():
 def test_module_exports_resolve(module):
     mod = importlib.import_module(f"drpredict.{module}")
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.special alone used to cost every CLI process about 0.3 s, also
+    # through the numpy.testing and numpy.f2py modules it pulls in
+    probe = (
+        "import drpredict.cli, sys; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy' or m.startswith(('numpy.testing', 'numpy.f2py'))))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"

@@ -10,10 +10,13 @@ from drpredict import DomainError, ExperimentalSample, InsufficientData, Validat
 from drpredict.bounds import (
     BoundsMethod,
     VarianceBounds,
+    merged_u_blocks,
+    merged_u_grid,
     neyman_bounds,
     sharp_bounds_empirical,
     sharp_bounds_population,
 )
+from drpredict.sample import quantile_at
 
 
 def _sample(y1, y0):
@@ -110,6 +113,33 @@ def test_sharp_unequal_sizes_match_fine_grid_quadrature():
     v_p = y1.var() + y0.var() - 2 * cov_l
     assert b.v_o == pytest.approx(v_o, abs=1e-9)
     assert b.v_p == pytest.approx(v_p, abs=1e-9)
+
+
+# arm sizes spanning several 2^16-cell blocks: n1 << n0, n1 = n0, coprime
+BLOCKED_SIZES = [(50, 200_003), (140_000, 140_000), (131_071, 65_537)]
+
+
+@pytest.mark.parametrize("n1, n0", BLOCKED_SIZES + [(7, 11)])
+def test_blocks_tile_the_merged_grid(n1, n0):
+    mids, widths = merged_u_grid(n1, n0)
+    blocks = list(merged_u_blocks(n1, n0))
+    assert np.array_equal(np.concatenate([m for m, _ in blocks]), mids)
+    assert np.array_equal(np.concatenate([w for _, w in blocks]), widths)
+
+
+@pytest.mark.parametrize("n1, n0", BLOCKED_SIZES)
+def test_sharp_blocked_match_merged_grid(n1, n0):
+    rng = np.random.default_rng(n1 + n0)
+    y1, y0 = np.sort(rng.normal(1.0, 2.0, n1)), np.sort(rng.lognormal(0.0, 1.0, n0))
+    mids, widths = merged_u_grid(n1, n0)
+    q1, q0 = quantile_at(y1, mids), quantile_at(y0, mids)
+    q0_rev = quantile_at(y0, 1.0 - mids)
+    m1, m0 = np.dot(widths, q1), np.dot(widths, q0)
+    cov_u = np.dot(widths, q1 * q0) - m1 * m0
+    cov_l = np.dot(widths, q1 * q0_rev) - m1 * m0
+    b = sharp_bounds_empirical(_sample(y1, y0))
+    assert b.v_o == pytest.approx(y1.var() + y0.var() - 2.0 * cov_u, rel=1e-12)
+    assert b.v_p == pytest.approx(y1.var() + y0.var() - 2.0 * cov_l, rel=1e-12)
 
 
 def test_sharp_insufficient_data():

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drpredict import InsufficientData, ValidationError
+from drpredict.bounds import merged_u_grid
 from drpredict.calibration import (
     RadiusBenchmark,
     SplitRule,
     split_benchmark,
     wasserstein2_1d,
 )
-from drpredict.sample import EmpiricalDistribution, ExperimentalSample
+from drpredict.sample import EmpiricalDistribution, ExperimentalSample, quantile_at
 
 
 def _dist(values):
@@ -31,6 +32,8 @@ def _sample(y1, y0):
 def test_w2_identity():
     a = _dist([3.0, 1.0, 2.0])
     assert wasserstein2_1d(a, a) == 0.0
+    big = _dist(np.random.default_rng(0).normal(size=200_003))  # several blocks
+    assert wasserstein2_1d(big, big) == 0.0
 
 
 def test_w2_translation():
@@ -58,6 +61,16 @@ def test_w2_unequal_sizes_against_fine_grid():
     qb = np.sort(b)[np.ceil(grid * 11).astype(int) - 1]
     brute = math.sqrt(np.mean((qa - qb) ** 2))
     assert wasserstein2_1d(_dist(a), _dist(b)) == pytest.approx(brute, abs=1e-9)
+
+
+@pytest.mark.parametrize("ma, mb", [(50, 200_003), (140_000, 140_000), (131_071, 65_537)])
+def test_w2_blocked_matches_merged_grid(ma, mb):
+    rng = np.random.default_rng(ma + mb)
+    a, b = _dist(rng.normal(size=ma)), _dist(rng.exponential(size=mb))
+    mids, widths = merged_u_grid(ma, mb)
+    diff = quantile_at(a.sorted_values, mids) - quantile_at(b.sorted_values, mids)
+    oracle = math.sqrt(np.dot(widths, diff * diff))
+    assert wasserstein2_1d(a, b) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_w2_symmetry_exact():

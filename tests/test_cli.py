@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import math
@@ -75,6 +76,18 @@ def test_estimate_json_validates_and_collapses_at_zero_radius(case1_csv, capsys)
     assert doc["sd_p"] == doc["sd_tau"]
     assert doc["manifest"]["command"] == "estimate"
     assert doc["manifest"]["config"]["q"] == 2.0
+
+
+def test_warning_prints_one_line_without_source_location(tmp_path, capsys):
+    base = np.random.default_rng(8).normal(size=40)
+    path = _write_csv(tmp_path / "equal.csv", np.r_[base + 1.0, base],
+                      np.r_[np.ones(40), np.zeros(40)])
+    code = main(["estimate", "--data", path, "--delta", "0.5", "--bounds", "neyman"])
+    assert code == 0
+    err = capsys.readouterr().err
+    assert err == ("warning: arm variances nearly equal; "
+                   "the lower Neyman bound is weakly identified\n")
+    assert ".py:" not in err
 
 
 def test_estimate_p_maps_to_q(case1_csv, capsys):
@@ -315,6 +328,20 @@ def test_simulate_threads_do_not_change_output(tmp_path, capsys):
     assert serial == pooled
     assert json.loads((tmp_path / "serial.json").read_text())["reports"] == \
         json.loads((tmp_path / "pooled.json").read_text())["reports"]
+
+
+def test_simulate_workers_and_threads_spell_one_flag(tmp_path, capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    base = ["simulate", "--case", "1", "--n", "300", "--replications", "100",
+            "--seed", "9"]
+    assert main(base + ["--workers", "1", "--out", str(tmp_path / "w")]) == 0
+    assert main(base + ["--threads", "1", "--out", str(tmp_path / "t")]) == 0
+    capsys.readouterr()
+    for suffix in (".json", ".csv", ".manifest.json"):
+        assert (tmp_path / f"w{suffix}").read_bytes() == (tmp_path / f"t{suffix}").read_bytes()
 
 
 def test_simulate_too_few_replications_exits_2(tmp_path, capsys):

@@ -119,6 +119,26 @@ def test_critical_value_stays_in_bracket(w, alpha):
     assert ndtri(1 - alpha) - 1e-9 <= c <= ndtri(1 - alpha / 2) + 1e-9
 
 
+def test_norm_cdf_matches_ndtr():
+    x = np.linspace(-38.0, 38.0, 76_001)
+    got, ref = inference._norm_cdf(x), ndtr(x)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-15)
+    tail = ref > 1e-300
+    np.testing.assert_allclose(got[tail], ref[tail], rtol=1e-13, atol=0.0)
+    for v in (-37.0, -1.25, 0.0, 0.3, 8.0):
+        scalar, expected = inference._norm_cdf(v), ndtr(v)
+        assert np.ndim(scalar) == 0 and scalar.dtype == np.float64
+        assert abs(scalar - expected) <= min(1e-15, 1e-13 * expected)
+
+
+def test_z_matches_ndtri():
+    p = np.linspace(1e-6, 1.0 - 1e-6, 20_001)
+    got = np.array([inference._z(v) for v in p])
+    np.testing.assert_allclose(got, ndtri(p), rtol=1e-14, atol=0.0)
+    assert inference._z(1.0) == math.inf
+
+
 def test_im_monotone_in_alpha():
     prev = None
     for alpha in (0.01, 0.05, 0.10, 0.20):
@@ -244,6 +264,14 @@ def test_two_step_stops_when_zero_not_rejected():
     assert math.isnan(est.lower) and math.isnan(est.upper)
     assert est.first_step[0] < 0.0 < est.first_step[1]
     assert not est.contains(0.0)
+
+
+def test_two_step_with_zero_beta_stops_at_first_step():
+    # beta = 0 asks for the quantile at level 1, an infinite first step
+    s = _case1(np.random.default_rng(17), 400)
+    est = two_step_interval(estimate_robust(s, CFG), alpha=0.05, beta=0.0)
+    assert est.rejected_first_step is False
+    assert est.first_step == (-math.inf, math.inf)
 
 
 def test_two_step_diagnostics_and_critical_range():
