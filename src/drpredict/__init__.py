@@ -27,6 +27,7 @@ from .covariance import (
     SigmaMethod,
     conditional_sd_grid,
     loadings,
+    prediction_sd_grid,
     prediction_sds,
     sigma_bootstrap,
     sigma_neyman,
@@ -53,15 +54,14 @@ from .inference import (
     RobustEstimates,
     check_two_step_args,
     estimate_robust,
+    estimate_robust_many,
     im_interval,
     plain_im_interval,
+    plain_im_intervals,
     two_step_interval,
+    two_step_intervals,
 )
-from .moments import (
-    ArmMoments,
-    estimate_ate_diff_means,
-    estimate_moments,
-)
+from .moments import ArmMoments, estimate_moments
 from .sample import (
     EmpiricalDistribution,
     ExperimentalSample,
@@ -117,7 +117,6 @@ __all__ = [
     # moments
     "ArmMoments",
     "estimate_moments",
-    "estimate_ate_diff_means",
     # variance bounds
     "BoundsMethod",
     "VarianceBounds",
@@ -145,6 +144,7 @@ __all__ = [
     "sigma_bootstrap",
     "loadings",
     "prediction_sds",
+    "prediction_sd_grid",
     "conditional_sd_grid",
     "zero_tau_limit_sd",
     # inference
@@ -153,9 +153,12 @@ __all__ = [
     "RobustEstimates",
     "im_interval",
     "estimate_robust",
+    "estimate_robust_many",
     "check_two_step_args",
     "plain_im_interval",
+    "plain_im_intervals",
     "two_step_interval",
+    "two_step_intervals",
     # simulation
     "GaussianDGP",
     "PopulationTruth",

@@ -35,6 +35,8 @@ __all__ = [
     "sigma_bootstrap",
     "loadings",
     "prediction_sds",
+    "prediction_sd_grid",
+    "conditional_sd_grid",
     "zero_tau_limit_sd",
 ]
 
@@ -189,12 +191,29 @@ def sigma_neyman(moments: ArmMoments) -> SigmaMatrix:
 # -------------------------------------------------------------- sharp route
 
 
-def _silverman_bandwidth(y: np.ndarray) -> float:
-    sd = float(y.std())
-    q25, q75 = np.percentile(y, [25.0, 75.0])
-    iqr = float(q75 - q25)
+def _sorted_percentile(y_sorted: np.ndarray, fraction: float) -> float:
+    """``np.percentile(y, 100 * fraction)`` of a sorted array, bit for bit.
+
+    numpy's default (linear) method: the virtual index (n - 1) * fraction,
+    and its ``_lerp``, which interpolates from the upper neighbour when the
+    weight is at least 1/2.
+    """
+    n = y_sorted.shape[0]
+    virtual = (n - 1) * fraction
+    i = math.floor(virtual)
+    if i >= n - 1:
+        return float(y_sorted[-1])
+    t = virtual - i
+    a, b = float(y_sorted[i]), float(y_sorted[i + 1])
+    diff = b - a
+    return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
+
+
+def _silverman_bandwidth(y_sorted: np.ndarray) -> float:
+    sd = float(y_sorted.std())
+    iqr = _sorted_percentile(y_sorted, 0.75) - _sorted_percentile(y_sorted, 0.25)
     spread = min(sd, iqr / 1.34) if iqr > 0.0 else sd
-    return 0.9 * spread * y.shape[0] ** (-0.2)
+    return 0.9 * spread * y_sorted.shape[0] ** (-0.2)
 
 
 def _kde_at(data: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
@@ -411,6 +430,57 @@ def sigma_bootstrap(
 # ----------------------------------------------------------------- loadings
 
 
+def _check_expansion(tau_star, tau_b, v_b) -> None:
+    """Raise unless every prediction tau_b has a smooth expansion.
+
+    Entries are checked in C order, each for the zero-effect limit first and
+    then for the kink, so an (R, 2) batch raises what R calls of
+    ``loadings`` would raise first.
+    """
+    tau_b = np.asarray(tau_b, dtype=float)
+    gap = tau_star - tau_b
+    zero = np.abs(tau_b) < 1e-10
+    kink = v_b + gap * gap == 0.0
+    bad = np.flatnonzero(zero | kink)
+    if bad.size == 0:
+        return
+    if zero.flat[bad[0]]:
+        slot = np.unravel_index(bad[0], tau_b.shape)[-1] if tau_b.ndim else 0
+        raise ZeroTauError(
+            f"prediction at slot {slot} is numerically zero; use the zero-effect limit"
+        )
+    raise DomainError("no smooth expansion at v_b = 0 with tau_b = tau_star")
+
+
+def _loading_terms(tau_star, tau_b, v_b, config: RobustConfig, conditional: bool = False):
+    """Delta-method pieces of tau_b, the minimizer of M at (tau_star, v_b),
+    elementwise over broadcast arrays.
+
+    With gap = tau_star - tau_b and A^2 = v_b + gap^2, returns the loading
+    on the own bound, (tau*-tau_b)/A^2 * dA/dV = gap/(2A^3); the loading on
+    tau*, gap/A^2 * dA/dtau* - 1/A (0.0 when ``conditional``); and the
+    objective curvature v_b/A^3 + delta B''(tau_b).
+    """
+    gap = np.subtract(tau_star, tau_b)
+    a_sq = v_b + gap * gap
+    a = np.sqrt(a_sq)
+    d_v = gap / (2.0 * a_sq * a)
+    d_tau = 0.0 if conditional else gap * gap / (a_sq * a) - 1.0 / a
+    _, _, b_dd = penalty_derivs(tau_b, config.q)
+    return d_v, d_tau, v_b / (a_sq * a) + config.delta * b_dd
+
+
+def _sd_from_terms(d_v, d_tau, curvature, s_bb, s_bt, s_tt):
+    """sqrt(d' S d) / curvature for the loading d = (d_v, d_tau) on (V_b, tau*).
+
+    The quadratic form is written out as fixed-order elementwise sums, in
+    the order of (d S) d, so that an entry's value does not depend on the
+    shape of the batch it is computed in.
+    """
+    form = (d_v * s_bb + d_tau * s_bt) * d_v + (d_v * s_bt + d_tau * s_tt) * d_tau
+    return np.sqrt(np.maximum(form, 0.0)) / curvature
+
+
 def loadings(
     tau_star: float,
     bounds: VarianceBounds,
@@ -433,25 +503,14 @@ def loadings(
         If a bound variance is zero and the prediction sits on the kink
         (tau_b = tau*), where the smooth expansion does not exist.
     """
-    d = {}
-    m = {}
-    for slot, (tau_b, v_b) in enumerate(((tau_p, bounds.v_p), (tau_o, bounds.v_o))):
-        if abs(tau_b) < 1e-10:
-            raise ZeroTauError(
-                f"prediction at slot {slot} is numerically zero; use the zero-effect limit"
-            )
-        gap = tau_star - tau_b
-        a_sq = v_b + gap * gap
-        if a_sq == 0.0:
-            raise DomainError("no smooth expansion at v_b = 0 with tau_b = tau_star")
-        a = math.sqrt(a_sq)
-        vec = np.zeros(3)
-        vec[slot] = gap / (2.0 * a_sq * a)  # (tau*-tau_b)/A^2 * dA/dV = gap/(2A^3)
-        vec[2] = gap * gap / (a_sq * a) - 1.0 / a  # gap/A^2 * dA/dtau* - 1/A
-        _, _, b_dd = penalty_derivs(tau_b, config.q)
-        d[slot] = vec
-        m[slot] = v_b / (a_sq * a) + config.delta * b_dd
-    return Loadings(d_p=d[0], d_o=d[1], m_pp=m[0], m_oo=m[1])
+    tau_b = np.array([tau_p, tau_o], dtype=float)
+    v_b = np.array([bounds.v_p, bounds.v_o])
+    _check_expansion(tau_star, tau_b, v_b)
+    d_v, d_tau, m = _loading_terms(tau_star, tau_b, v_b, config)
+    d = np.zeros((2, 3))
+    d[[0, 1], [0, 1]] = d_v
+    d[:, 2] = d_tau
+    return Loadings(d_p=d[0], d_o=d[1], m_pp=float(m[0]), m_oo=float(m[1]))
 
 
 def prediction_sds(ld: Loadings, sigma: SigmaMatrix, conditional: bool = False) -> tuple[float, float]:
@@ -461,37 +520,44 @@ def prediction_sds(ld: Loadings, sigma: SigmaMatrix, conditional: bool = False) 
     giving the variance that treats the source effect as fixed — the
     quantity the two-step interval needs on its first-step grid.
     """
+    s = sigma.entries
     out = []
-    for vec, curv in ((ld.d_p, ld.m_pp), (ld.d_o, ld.m_oo)):
-        v = vec.copy()
-        if conditional:
-            v[2] = 0.0
-        out.append(math.sqrt(max(v @ sigma.entries @ v, 0.0)) / curv)
+    for slot, (vec, curv) in enumerate(((ld.d_p, ld.m_pp), (ld.d_o, ld.m_oo))):
+        d_tau = 0.0 if conditional else vec[2]
+        out.append(float(_sd_from_terms(vec[slot], d_tau, curv, s[slot, slot], s[slot, 2], s[2, 2])))
     return out[0], out[1]
 
 
-def conditional_sd_grid(
-    t_grid: np.ndarray,
-    tau_b_grid: np.ndarray,
-    v_b: float,
-    sigma_bb: float,
-    config: RobustConfig,
-) -> np.ndarray:
+def prediction_sd_grid(t_grid, tau_b_grid, v_b, sigma_b, config: RobustConfig, conditional: bool = False):
+    """Delta-method SD of sqrt(n)(tau_hat_b - tau_b), elementwise.
+
+    ``t_grid`` (the source effect), ``tau_b_grid`` (the prediction at it),
+    ``v_b`` (its variance bound) and the three entries of ``sigma_b`` =
+    (S_bb, S_bt, S_tt), the Sigma entries of that bound and of tau*, are
+    broadcast against each other. The same function as ``loadings`` with
+    ``prediction_sds``; with ``conditional=True`` the tau* slot is zeroed
+    and S_bt, S_tt are not used.
+
+    Raises
+    ------
+    ZeroTauError, DomainError
+        Where ``loadings`` raises them; not checked when ``conditional``.
+    """
+    if not conditional:
+        _check_expansion(t_grid, tau_b_grid, v_b)
+    d_v, d_tau, m = _loading_terms(t_grid, tau_b_grid, v_b, config, conditional)
+    return _sd_from_terms(d_v, d_tau, m, *sigma_b)
+
+
+def conditional_sd_grid(t_grid, tau_b_grid, v_b, sigma_bb, config: RobustConfig) -> np.ndarray:
     """Vectorized conditional prediction SD along a grid of source effects.
 
     Equivalent to prediction_sds(..., conditional=True) one slot at a time:
     with the tau* slot zeroed only the own-bound loading survives, so the
-    variance is (gap/(2A^3))^2 * sigma_bb / M''^2.
+    variance is (gap/(2A^3))^2 * sigma_bb / M''^2. ``v_b`` and ``sigma_bb``
+    broadcast against the grids.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    tau_b_grid = np.asarray(tau_b_grid, dtype=float)
-    gap = t_grid - tau_b_grid
-    a_sq = v_b + gap * gap
-    a = np.sqrt(a_sq)
-    d1 = gap / (2.0 * a_sq * a)
-    _, _, b_dd = penalty_derivs(tau_b_grid, config.q)
-    m = v_b / (a_sq * a) + config.delta * b_dd
-    return np.abs(d1) * math.sqrt(max(sigma_bb, 0.0)) / m
+    return prediction_sd_grid(t_grid, tau_b_grid, v_b, (sigma_bb, 0.0, 0.0), config, conditional=True)
 
 
 def zero_tau_limit_sd(sigma_tau: float, v_b: float, config: RobustConfig) -> float:

@@ -10,6 +10,13 @@ from zero, followed by a union of conditional intervals over a grid of
 plausible effect values. ``estimate_robust`` turns a sample into the
 ``RobustEstimates`` record that ``plain_im_interval`` and
 ``two_step_interval`` both take.
+
+Each of these three is a batch of one of ``estimate_robust_many``,
+``plain_im_intervals`` and ``two_step_intervals``. Those do the per-sample
+work (moments, bracket, Sigma) one sample at a time and everything after it
+in one array call per stage: the prediction pairs, their SDs, the IM
+critical values and the two-step grids of the whole batch. An entry's
+numbers do not depend on the batch it is computed in.
 """
 
 import enum
@@ -24,8 +31,7 @@ from .bounds import BoundsMethod, VarianceBounds, neyman_bounds, sharp_bounds_em
 from .covariance import (
     SigmaMatrix,
     conditional_sd_grid,
-    loadings,
-    prediction_sds,
+    prediction_sd_grid,
     sigma_neyman,
     sigma_sharp,
 )
@@ -40,9 +46,12 @@ __all__ = [
     "RobustEstimates",
     "check_two_step_args",
     "estimate_robust",
+    "estimate_robust_many",
     "im_interval",
     "plain_im_interval",
+    "plain_im_intervals",
     "two_step_interval",
+    "two_step_intervals",
 ]
 
 _C_TOL = 1e-10
@@ -136,6 +145,21 @@ def _im_critical(scaled_width, alpha: float):
     return newton_root(residual, lo, lo, _z(1.0 - alpha / 2.0), _C_TOL)
 
 
+def _im_endpoints(lo, hi, sd_lo, sd_hi, n, alpha: float):
+    """IM endpoints and critical values for arrays with lo <= hi, elementwise.
+
+    Where both SDs are zero the range itself is returned, with the
+    zero-width (lo == hi) or infinite-width limit of c_n.
+    """
+    lo, hi, sd_lo, sd_hi, root_n = np.broadcast_arrays(lo, hi, sd_lo, sd_hi, np.sqrt(n))
+    sd_max = np.maximum(sd_lo, sd_hi)
+    c = np.where(hi == lo, _z(1.0 - alpha / 2.0), _z(1.0 - alpha))
+    spread = sd_max != 0.0
+    if spread.any():
+        c[spread] = _im_critical(root_n[spread] * (hi[spread] - lo[spread]) / sd_max[spread], alpha)
+    return lo - c * sd_lo / root_n, hi + c * sd_hi / root_n, c
+
+
 def im_interval(
     lo_hat: float,
     hi_hat: float,
@@ -171,19 +195,11 @@ def im_interval(
         )
         lo_hat, hi_hat = hi_hat, lo_hat
         sd_lo, sd_hi = sd_hi, sd_lo
-
-    sd_max = max(sd_lo, sd_hi)
-    root_n = math.sqrt(n)
-    if sd_max == 0.0:
-        c = _z(1.0 - alpha / 2.0) if hi_hat == lo_hat else _z(1.0 - alpha)
-        return IntervalEstimate(lo_hat, hi_hat, alpha, IMMethod.IM, c_values=(c,))
-    c = float(_im_critical(root_n * (hi_hat - lo_hat) / sd_max, alpha))
+    lower, upper, c = _im_endpoints(
+        np.array([lo_hat], dtype=float), hi_hat, sd_lo, sd_hi, n, alpha
+    )
     return IntervalEstimate(
-        lower=lo_hat - c * sd_lo / root_n,
-        upper=hi_hat + c * sd_hi / root_n,
-        alpha=alpha,
-        method=IMMethod.IM,
-        c_values=(c,),
+        float(lower[0]), float(upper[0]), alpha, IMMethod.IM, c_values=(float(c[0]),)
     )
 
 
@@ -224,31 +240,85 @@ def estimate_robust(
 
     For q = 1 the SDs are None and the covariance is not estimated.
     """
+    return estimate_robust_many([sample], config, method)[0]
+
+
+def estimate_robust_many(samples, config: RobustConfig, method=BoundsMethod.SHARP) -> list:
+    """``estimate_robust`` for each sample of an iterable, in order.
+
+    The moments, the bracket and Sigma are computed as each sample arrives,
+    so an iterable that draws its samples lazily holds one at a time. The
+    prediction pairs of all samples are then one solver call and their SDs
+    one array computation.
+
+    Raises
+    ------
+    ZeroTauError, DomainError
+        As ``loadings`` does, for the first prediction (in sample order,
+        tau_p before tau_o) that has no smooth expansion.
+    """
     sharp = BoundsMethod(method) is BoundsMethod.SHARP
-    moments = estimate_moments(sample)
-    tau_star = moments.ate
-    if sharp:
-        bounds = sharp_bounds_empirical(sample)
+    pieces = []
+    for sample in samples:
+        moments = estimate_moments(sample)
+        if sharp:
+            bounds = sharp_bounds_empirical(sample)
+        else:
+            bounds = neyman_bounds(moments.sigma1_sq, moments.sigma0_sq)
+        sigma = None
+        if config.q > 1.0:
+            sigma = sigma_sharp(sample) if sharp else sigma_neyman(moments)
+        pieces.append((moments, bounds, sigma, sample.n))
+    if not pieces:
+        return []
+
+    tau_star = np.array([[moments.ate] for moments, *_ in pieces])
+    v = np.array([[bounds.v_p, bounds.v_o] for _, bounds, *_ in pieces])
+    tau = solve_minimax_many(tau_star, v, config)
+    if config.q == 1.0:
+        sds = [(None, None)] * len(pieces)
+    elif config.delta == 0.0:
+        sds = [(sigma.sigma_tau,) * 2 for _, _, sigma, _ in pieces]
     else:
-        bounds = neyman_bounds(moments.sigma1_sq, moments.sigma0_sq)
-    sigma = sd_p = sd_o = None
-    if config.q > 1.0:
-        sigma = sigma_sharp(sample) if sharp else sigma_neyman(moments)
-    tau_p, tau_o = solve_minimax_many(tau_star, [bounds.v_p, bounds.v_o], config).tolist()
-    if sigma is not None and config.delta == 0.0:
-        sd_p = sd_o = sigma.sigma_tau
-    elif sigma is not None:
-        sd_p, sd_o = prediction_sds(loadings(tau_star, bounds, tau_p, tau_o, config), sigma)
-    return RobustEstimates(
-        moments=moments,
-        bounds=bounds,
-        config=config,
-        tau_p=tau_p,
-        tau_o=tau_o,
-        sigma=sigma,
-        sd_p=sd_p,
-        sd_o=sd_o,
-        n=sample.n,
+        s = np.array([sigma.entries for _, _, sigma, _ in pieces])
+        own = [0, 1]
+        sigma_b = (s[:, own, own], s[:, own, 2], s[:, 2:, 2])
+        sds = prediction_sd_grid(tau_star, tau, v, sigma_b, config).tolist()
+    return [
+        RobustEstimates(
+            moments=moments,
+            bounds=bounds,
+            config=config,
+            tau_p=tau_p,
+            tau_o=tau_o,
+            sigma=sigma,
+            sd_p=sd_p,
+            sd_o=sd_o,
+            n=n,
+        )
+        for (moments, bounds, sigma, n), (tau_p, tau_o), (sd_p, sd_o)
+        in zip(pieces, tau.tolist(), sds)
+    ]
+
+
+def _shared_config(ests) -> RobustConfig:
+    """The config of a nonempty batch of estimates, which must share one
+    config and one bounds method."""
+    config, method = ests[0].config, ests[0].bounds.method
+    if any(e.config != config or e.bounds.method is not method for e in ests):
+        raise DomainError("a batch of estimates must share one config and one bounds method")
+    return config
+
+
+def _ordered(tau_p, tau_o, sd_p, sd_o):
+    """(lo, hi, sd_lo, sd_hi), each prediction pair ordered numerically (the
+    two predictions swap roles when the unrestricted effect is negative)."""
+    p_is_lower = tau_p <= tau_o
+    return (
+        np.where(p_is_lower, tau_p, tau_o),
+        np.where(p_is_lower, tau_o, tau_p),
+        np.where(p_is_lower, sd_p, sd_o),
+        np.where(p_is_lower, sd_o, sd_p),
     )
 
 
@@ -258,15 +328,37 @@ def plain_im_interval(est: RobustEstimates, alpha: float = 0.05) -> IntervalEsti
     Endpoints are ordered numerically (the two predictions swap roles when
     the unrestricted effect is negative) before the IM step.
     """
-    if est.sigma is None:
+    return plain_im_intervals([est], alpha)[0]
+
+
+def plain_im_intervals(ests, alpha: float = 0.05) -> list:
+    """``plain_im_interval`` for each estimate of a batch, with one
+    critical-value solve for the whole batch.
+
+    Raises
+    ------
+    DomainError
+        If the estimates do not share one config and bounds method, or
+        alpha is outside (0, 1).
+    UnsupportedConfig
+        For q = 1, whose estimates carry no SDs.
+    """
+    ests = list(ests)
+    if not ests:
+        return []
+    if _shared_config(ests).q == 1.0:
         raise UnsupportedConfig(
             "the IM interval requires q > 1 (estimates for q = 1 carry no SDs)"
         )
-    if est.tau_p <= est.tau_o:
-        lo, hi, sd_lo, sd_hi = est.tau_p, est.tau_o, est.sd_p, est.sd_o
-    else:
-        lo, hi, sd_lo, sd_hi = est.tau_o, est.tau_p, est.sd_o, est.sd_p
-    return im_interval(lo, hi, sd_lo, sd_hi, est.n, alpha)
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must be in (0, 1), got {alpha}")
+    pairs = np.array([[e.tau_p, e.tau_o, e.sd_p, e.sd_o] for e in ests]).T
+    n = np.array([e.n for e in ests])
+    lower, upper, c = _im_endpoints(*_ordered(*pairs), n, alpha)
+    return [
+        IntervalEstimate(lo, hi, alpha, IMMethod.IM, c_values=(c_i,))
+        for lo, hi, c_i in zip(lower.tolist(), upper.tolist(), c.tolist())
+    ]
 
 
 # -------------------------------------------------------------- two-step CI
@@ -301,49 +393,66 @@ def two_step_interval(
     t of the first-step interval, builds the conditional IM interval at
     level 1-(alpha-beta) around each, and returns the union.
     """
-    config, bounds, sigma = est.config, est.bounds, est.sigma
+    return two_step_intervals([est], alpha, beta, grid_points)[0]
+
+
+def two_step_intervals(ests, alpha: float = 0.05, beta: float = 0.045, grid_points: int = 101) -> list:
+    """``two_step_interval`` for each estimate of a batch.
+
+    The second steps of all estimates whose first step rejects zero are one
+    (R, 2, grid_points) solver call, one SD computation and one
+    critical-value solve.
+
+    Raises
+    ------
+    DomainError
+        If the estimates do not share one config and bounds method, or as
+        ``check_two_step_args``.
+    """
+    ests = list(ests)
+    if not ests:
+        return []
+    config = _shared_config(ests)
     check_two_step_args(config, alpha, beta, grid_points)
-    root_n = math.sqrt(est.n)
-    se_tau = sigma.sigma_tau / root_n
-    half = _z(1.0 - beta / 2.0) * se_tau
-    first = (est.tau_star - half, est.tau_star + half)
-    if first[0] <= 0.0 <= first[1]:
-        return IntervalEstimate(
-            lower=math.nan,
-            upper=math.nan,
+    tau_star = np.array([e.tau_star for e in ests])
+    root_n = np.sqrt([e.n for e in ests])
+    half = _z(1.0 - beta / 2.0) * (np.array([e.sigma.sigma_tau for e in ests]) / root_n)
+    first_lo, first_hi = tau_star - half, tau_star + half
+    rows = np.flatnonzero(~((first_lo <= 0.0) & (0.0 <= first_hi)))
+
+    union = {}
+    if rows.size:
+        # np.linspace row by row: the same arithmetic, whatever the other rows
+        lo_t, hi_t = first_lo[rows, None], first_hi[rows, None]
+        ts = lo_t + np.arange(grid_points) * ((hi_t - lo_t) / (grid_points - 1))
+        ts[:, -1] = hi_t[:, 0]
+        ts = ts[:, None, :]
+        v = np.array([[[ests[i].bounds.v_p], [ests[i].bounds.v_o]] for i in rows])
+        s_bb = np.array([[[ests[i].sigma.entries[0, 0]], [ests[i].sigma.entries[1, 1]]] for i in rows])
+        tau = solve_minimax_many(ts, v, config)
+        sd = conditional_sd_grid(ts, tau, v, s_bb, config)
+        lo, hi, sd_lo, sd_hi = _ordered(tau[:, 0], tau[:, 1], sd[:, 0], sd[:, 1])
+        rn = root_n[rows, None]
+        sd_max = np.maximum(sd_lo, sd_hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scaled = np.where(sd_max > 0.0, rn * (hi - lo) / sd_max, np.inf)
+        c = _im_critical(scaled, alpha - beta)
+        lowers = (lo - c * sd_lo / rn).min(axis=1).tolist()
+        uppers = (hi + c * sd_hi / rn).max(axis=1).tolist()
+        c_values = zip(c.min(axis=1).tolist(), c.max(axis=1).tolist())
+        union = dict(zip(rows.tolist(), zip(lowers, uppers, c_values)))
+
+    out = []
+    for i, first in enumerate(zip(first_lo.tolist(), first_hi.tolist())):
+        lower, upper, c_values = union.get(i, (math.nan, math.nan, ()))
+        out.append(IntervalEstimate(
+            lower=lower,
+            upper=upper,
             alpha=alpha,
             method=IMMethod.IM_BONFERRONI,
+            c_values=c_values,
             first_step=first,
             grid_points=grid_points,
-            rejected_first_step=False,
-        )
-
-    ts = np.linspace(first[0], first[1], grid_points)
-    tau_p, tau_o = solve_minimax_many(ts, [[bounds.v_p], [bounds.v_o]], config)
-    sd_p = conditional_sd_grid(ts, tau_p, bounds.v_p, sigma.entries[0, 0], config)
-    sd_o = conditional_sd_grid(ts, tau_o, bounds.v_o, sigma.entries[1, 1], config)
-
-    p_is_lower = tau_p <= tau_o
-    lo = np.where(p_is_lower, tau_p, tau_o)
-    hi = np.where(p_is_lower, tau_o, tau_p)
-    sd_lo = np.where(p_is_lower, sd_p, sd_o)
-    sd_hi = np.where(p_is_lower, sd_o, sd_p)
-
-    alpha2 = alpha - beta
-    sd_max = np.maximum(sd_lo, sd_hi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.where(sd_max > 0.0, root_n * (hi - lo) / sd_max, np.inf)
-    c = _im_critical(scaled, alpha2)
-    lowers = lo - c * sd_lo / root_n
-    uppers = hi + c * sd_hi / root_n
-    return IntervalEstimate(
-        lower=float(lowers.min()),
-        upper=float(uppers.max()),
-        alpha=alpha,
-        method=IMMethod.IM_BONFERRONI,
-        c_values=(float(c.min()), float(c.max())),
-        first_step=first,
-        grid_points=grid_points,
-        rejected_first_step=True,
-    )
-
+            rejected_first_step=i in union,
+        ))
+    return out

@@ -1,4 +1,4 @@
-"""Arm-level moment estimation and simple ATE estimators."""
+"""Arm-level moment estimation; the ATE estimate is ``ArmMoments.ate``."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import numpy as np
 from .exceptions import InsufficientData
 from .sample import ExperimentalSample
 
-__all__ = ["ArmMoments", "estimate_ate_diff_means", "estimate_moments"]
+__all__ = ["ArmMoments", "estimate_moments"]
 
 
 @dataclass(frozen=True)
@@ -34,11 +34,6 @@ class ArmMoments:
     def ate(self) -> float:
         """Difference in means tau1 - tau0."""
         return self.tau1 - self.tau0
-
-
-def estimate_ate_diff_means(sample: ExperimentalSample) -> float:
-    """Difference-in-means estimate of the average treatment effect."""
-    return float(sample.treated.mean() - sample.control.mean())
 
 
 def _central_moments(y: np.ndarray) -> tuple[float, float, float, float]:

@@ -253,6 +253,8 @@ def empirical_quantile(dist: EmpiricalDistribution, u: float) -> float:
     if not 0.0 < u <= 1.0:
         raise DomainError(f"quantile level must lie in (0, 1], got {u}")
     k = math.ceil(u * dist.m)
+    if k > 1 and (k - 1) / dist.m >= u:
+        k -= 1  # u * m rounded up past an integer, as u = 14/25 does
     k = min(max(k, 1), dist.m)
     return float(dist.sorted_values[k - 1])
 

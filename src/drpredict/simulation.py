@@ -17,12 +17,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bounds import BoundsMethod
-from .exceptions import DegenerateSample, DomainError, ValidationError
+from .exceptions import DegenerateSample, DomainError, DrPredictError, ValidationError
 from .inference import (
     check_two_step_args,
-    estimate_robust,
-    plain_im_interval,
-    two_step_interval,
+    estimate_robust_many,
+    plain_im_intervals,
+    two_step_intervals,
 )
 from .sample import ExperimentalSample
 from .solver import RobustConfig, solve_minimax_many
@@ -197,14 +197,36 @@ class SimulationReport:
         return out
 
 
-def _replicate(dgp, config, child_seed, alpha, beta, bound_method, grid_points):
-    """One replication: (im_lo, im_hi, bonf_lo, bonf_hi, length_ratio, rejected)."""
-    est = estimate_robust(draw_sample(dgp, child_seed), config, bound_method)
-    im = plain_im_interval(est, alpha)
-    union = two_step_interval(est, alpha, beta, grid_points)
-    if not union.rejected_first_step:
-        return (im.lower, im.upper, math.nan, math.nan, math.nan, False)
-    return (im.lower, im.upper, union.lower, union.upper, union.length / im.length, True)
+# Replications per batch. Larger batches save no measurable time (the
+# per-sample stage dominates), but the solver's temporaries grow with them:
+# batches of 100 lifted a 400-replication simulate's peak RSS by 10%.
+_BATCH = 16
+
+
+def _replicate_batch(dgp, config, children, alpha, beta, bound_method, grid_points):
+    """Replications of the given child seeds, as records (im_lo, im_hi,
+    bonf_lo, bonf_hi, length_ratio, rejected).
+
+    Samples are drawn one at a time as the estimates consume them. If the
+    batch raises, its replications are rerun one by one, so that the
+    exception is the first failing replication's, as in a serial run.
+    """
+    try:
+        samples = (draw_sample(dgp, child) for child in children)
+        ests = estimate_robust_many(samples, config, bound_method)
+        ims = plain_im_intervals(ests, alpha)
+        unions = two_step_intervals(ests, alpha, beta, grid_points)
+    except DrPredictError:
+        if len(children) > 1:
+            for child in children:
+                _replicate_batch(dgp, config, [child], alpha, beta, bound_method, grid_points)
+        raise
+    return [
+        (im.lower, im.upper, union.lower, union.upper, union.length / im.length, True)
+        if union.rejected_first_step
+        else (im.lower, im.upper, math.nan, math.nan, math.nan, False)
+        for im, union in zip(ims, unions)
+    ]
 
 
 def _replicate_block(
@@ -214,13 +236,16 @@ def _replicate_block(
 
     Module-level (picklable) so worker processes can run blocks; rebuilding
     the full spawn in each worker keeps per-replication streams identical to
-    a serial run.
+    a serial run. The range is walked in batches of _BATCH replications, and
+    a replication's numbers do not depend on its batch.
     """
     children = np.random.SeedSequence(seed).spawn(replications)[start:stop]
-    return [
-        _replicate(dgp, config, child, alpha, beta, bound_method, grid_points)
-        for child in children
-    ]
+    records = []
+    for lo in range(0, len(children), _BATCH):
+        records += _replicate_batch(
+            dgp, config, children[lo : lo + _BATCH], alpha, beta, bound_method, grid_points
+        )
+    return records
 
 
 def run_coverage_study(

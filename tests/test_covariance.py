@@ -20,6 +20,7 @@ from drpredict.covariance import (
     SigmaMethod,
     conditional_sd_grid,
     loadings,
+    prediction_sd_grid,
     prediction_sds,
     sigma_bootstrap,
     sigma_neyman,
@@ -380,6 +381,46 @@ def test_conditional_sd_grid_matches_loadings():
         assert grid_sd[i] == pytest.approx(sd_p, rel=1e-12)
 
 
+def test_prediction_sd_grid_matches_loadings():
+    # one batch of (tau_p, tau_o) pairs in one call, entry for entry equal
+    # to the scalar loadings and prediction_sds of each pair
+    cfg = RobustConfig(0.4, 3.0)
+    sigma = sigma_neyman(
+        ArmMoments(
+            tau1=2.0, tau0=0.2, sigma1_sq=4.0, sigma0_sq=1.0,
+            mu3_1=0.5, mu3_0=-0.2, mu4_1=48.0, mu4_0=3.0, e_hat=0.3,
+        )
+    )
+    s = sigma.entries
+    b = VarianceBounds(v_o=1.0, v_p=9.0, method="neyman")
+    tau_star = np.array([[-2.5], [0.8], [1.8], [4.0]])
+    v = np.array([[b.v_p, b.v_o]])
+    tau = np.array([[solve_minimax(t, vb, cfg) for vb in v[0]] for t in tau_star[:, 0]])
+    own = [0, 1]
+    for conditional in (False, True):
+        grid = prediction_sd_grid(
+            tau_star, tau, v, (s[own, own], s[own, 2], s[2, 2]), cfg, conditional
+        )
+        for i, t in enumerate(tau_star[:, 0]):
+            ld = loadings(t, b, tau[i, 0], tau[i, 1], cfg)
+            assert tuple(grid[i]) == prediction_sds(ld, sigma, conditional)
+
+
+def test_prediction_sd_grid_raises_as_loadings():
+    cfg = RobustConfig(0.5, 2.0)
+    sigma_b = (1.0, 0.0, 1.0)
+    with pytest.raises(ZeroTauError, match="slot 1"):
+        prediction_sd_grid(np.array([[1.0], [0.5]]), np.array([[0.9, 0.8], [0.4, 0.0]]),
+                           np.array([[4.0, 1.0]]), sigma_b, cfg)
+    # the kink (v_b = 0, tau_b = tau*) of an earlier pair comes first
+    with pytest.raises(DomainError):
+        prediction_sd_grid(np.array([[1.0], [0.5]]), np.array([[0.9, 1.0], [0.4, 0.0]]),
+                           np.array([[4.0, 0.0]]), sigma_b, cfg)
+    # the conditional SD on a first-step grid does not check
+    sd = conditional_sd_grid(np.array([0.5, 1.0]), np.array([0.0, 0.9]), 4.0, 1.0, cfg)
+    assert np.all(np.isfinite(sd))
+
+
 def test_loadings_validation():
     with pytest.raises(ValidationError):
         Loadings(d_p=np.zeros(3), d_o=np.zeros(3), m_pp=0.0, m_oo=1.0)
@@ -420,3 +461,30 @@ def test_bootstrap_requires_draws():
     rng = np.random.default_rng(3)
     with pytest.raises(DomainError):
         sigma_bootstrap(_case1_marginals(rng, 200), draws=1)
+
+
+# ---------------------------------------------------------------- bandwidth
+
+
+@pytest.mark.parametrize(
+    "y",
+    [
+        np.arange(30.0),  # n = 30: (n - 1) / 4 = 7.25 and 21.75
+        np.repeat([0.0, 1.0, 2.5], [7, 9, 14]),  # ties on both quartiles
+        np.concatenate(([-5.0], np.full(40, 2.0), [9.0])),  # zero IQR
+        np.full(31, 3.0),  # one value
+        np.array([1.0, 2.0]),
+        np.random.default_rng(4).standard_t(3, 299),
+        np.random.default_rng(5).lognormal(0.0, 2.0, 700),
+    ],
+    ids=["n30", "ties", "zero-iqr", "constant", "n2", "t3-299", "lognormal-700"],
+)
+def test_sorted_percentile_is_numpy_percentile(y):
+    y = np.sort(y)
+    for fraction in (0.25, 0.75):
+        assert cov_module._sorted_percentile(y, fraction) == np.percentile(y, 100 * fraction)
+    q25, q75 = np.percentile(y, [25.0, 75.0])
+    iqr = float(q75 - q25)
+    sd = float(y.std())
+    spread = min(sd, iqr / 1.34) if iqr > 0.0 else sd
+    assert cov_module._silverman_bandwidth(y) == 0.9 * spread * y.shape[0] ** (-0.2)

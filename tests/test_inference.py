@@ -8,16 +8,19 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
-from drpredict import DomainError, OrderError, UnsupportedConfig, ValidationError
+from drpredict import DomainError, OrderError, UnsupportedConfig, ValidationError, ZeroTauError
 from drpredict import inference
 from drpredict.cli import main
 from drpredict.inference import (
     IMMethod,
     IntervalEstimate,
     estimate_robust,
+    estimate_robust_many,
     im_interval,
     plain_im_interval,
+    plain_im_intervals,
     two_step_interval,
+    two_step_intervals,
 )
 from drpredict.sample import ExperimentalSample, load_sample
 from drpredict.solver import RobustConfig
@@ -209,6 +212,56 @@ def test_q1_estimates_carry_no_sds(monkeypatch):
         plain_im_interval(est)
     with pytest.raises(UnsupportedConfig):
         two_step_interval(est)
+
+
+def _fields(est):
+    return (est.tau_p, est.tau_o, est.sd_p, est.sd_o, est.bounds, est.moments, est.n)
+
+
+@pytest.mark.parametrize("method", ["sharp", "neyman"])
+@pytest.mark.parametrize("config", [CFG, RobustConfig(0.0, 2.0), RobustConfig(0.7, 1.5)])
+def test_batch_equals_batches_of_one(method, config):
+    rng = np.random.default_rng(21)
+    # a near-null sample, whose first step keeps zero, among rejecting ones
+    y1, y0 = rng.normal(0, 1, 300), rng.normal(0, 1, 300)
+    samples = [_case1(rng, 600), _sample(y1 - y1.mean() + y0.mean() + 0.01, y0),
+               _case1(rng, 900), _sample(rng.normal(-2, 2, 400), rng.normal(0, 1, 500))]
+    ests = estimate_robust_many(iter(samples), config, method)
+    singles = [estimate_robust(s, config, method) for s in samples]
+    assert [_fields(e) for e in ests] == [_fields(e) for e in singles]
+    assert plain_im_intervals(ests) == [plain_im_interval(e) for e in singles]
+    unions = two_step_intervals(ests, grid_points=51)
+    assert unions == [two_step_interval(e, grid_points=51) for e in singles]
+    assert [u.rejected_first_step for u in unions] == [True, False, True, True]
+
+
+def test_empty_batches():
+    assert estimate_robust_many(iter(()), CFG) == []
+    assert plain_im_intervals([]) == []
+    assert two_step_intervals([]) == []
+
+
+def test_mixed_batch_raises():
+    rng = np.random.default_rng(22)
+    s = _case1(rng, 600)
+    est = estimate_robust(s, CFG, "sharp")
+    for other in (estimate_robust(s, RobustConfig(0.2, 2.0), "sharp"),
+                  estimate_robust(s, CFG, "neyman")):
+        for batch in ([est, other], [other, est]):
+            with pytest.raises(DomainError, match="share one config"):
+                plain_im_intervals(batch)
+            with pytest.raises(DomainError, match="share one config"):
+                two_step_intervals(batch)
+
+
+def test_batch_with_zero_effect_raises_zero_tau():
+    rng = np.random.default_rng(23)
+    y0 = rng.normal(0.0, 1.0, 60)
+    zero = _sample(y0, y0)  # identical arms: tau_hat is exactly 0
+    with pytest.raises(ZeroTauError):
+        estimate_robust(zero, CFG)
+    with pytest.raises(ZeroTauError):
+        estimate_robust_many([_case1(rng, 600), zero, _case1(rng, 600)], CFG)
 
 
 def test_infer_json_equals_the_library_pipeline(tmp_path, capsys):

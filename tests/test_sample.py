@@ -190,6 +190,7 @@ finite_floats = st.floats(
     values=st.lists(finite_floats, min_size=1, max_size=50),
     u=st.floats(min_value=1e-9, max_value=1.0),
 )
+@example(values=[0.0] * 14 + [1.0] * 11, u=1.0)  # F(0) = 0.56, and 0.56 * 25 > 14
 def test_galois_pair(values, u):
     """Quantile and CDF form a Galois connection: Q(u) <= y  iff  u <= F(y)."""
     d = EmpiricalDistribution.from_values(values)

@@ -8,19 +8,31 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from drpredict import DegenerateSample, DomainError, ValidationError
-from drpredict.bounds import sharp_bounds_population
+from drpredict import (
+    DegenerateSample,
+    DomainError,
+    ExperimentalSample,
+    InsufficientData,
+    ValidationError,
+    ZeroTauError,
+)
+from drpredict import simulation
+from drpredict.bounds import sharp_bounds_empirical, sharp_bounds_population
+from drpredict.covariance import loadings, prediction_sds, sigma_sharp
+from drpredict.inference import _im_critical, _z, im_interval
+from drpredict.moments import estimate_moments
 from drpredict.simulation import (
     GaussianDGP,
     SimulationReport,
     _draw_potentials,
+    _replicate_block,
     case_preset,
     draw_sample,
     population_truth,
     run_coverage_study,
     write_reports_csv,
 )
-from drpredict.solver import RobustConfig
+from drpredict.solver import RobustConfig, penalty_derivs, solve_minimax_many
 
 
 # ------------------------------------------------------------------ designs
@@ -194,6 +206,114 @@ def test_coverage_study_delta_zero_reduces_to_ate():
     rep = run_coverage_study(dgp, cfg, replications=400, seed=5)
     assert rep.coverage_im == pytest.approx(0.95, abs=0.035)
     assert rep.coverage_bonf == pytest.approx(0.955, abs=0.035)
+
+
+def _blocks(dgp, cfg, edges, seed=7, replications=100):
+    return [
+        rec
+        for lo, hi in zip(edges[:-1], edges[1:])
+        for rec in _replicate_block(dgp, cfg, seed, replications, lo, hi, 0.05, 0.045, "sharp", 101)
+    ]
+
+
+@pytest.mark.parametrize("batch", [simulation._BATCH, 100])
+@pytest.mark.parametrize("case", [1, 3])
+def test_replications_do_not_depend_on_their_batch(case, batch, monkeypatch):
+    monkeypatch.setattr(simulation, "_BATCH", batch)
+    dgp, cfg = case_preset(case, n=400)
+    whole = _blocks(dgp, cfg, [0, 100])
+    assert len(whole) == 100
+    assert _blocks(dgp, cfg, [0, 37, 100]) == whole
+    assert _blocks(dgp, cfg, list(range(101))) == whole
+
+
+def _old_replication(dgp, cfg, child, alpha=0.05, beta=0.045, grid_points=101):
+    """One replication as composed before the study was batched: the scalar
+    loadings, prediction_sds and im_interval, and a (2, grid) two-step whose
+    conditional SD is |gap / (2 A^3)| sqrt(S_bb) / M''."""
+    sample = draw_sample(dgp, child)
+    tau_star = estimate_moments(sample).ate
+    bounds = sharp_bounds_empirical(sample)
+    sigma = sigma_sharp(sample)
+    tau_p, tau_o = solve_minimax_many(tau_star, [bounds.v_p, bounds.v_o], cfg).tolist()
+    sd_p, sd_o = prediction_sds(loadings(tau_star, bounds, tau_p, tau_o, cfg), sigma)
+    if tau_p <= tau_o:
+        im = im_interval(tau_p, tau_o, sd_p, sd_o, sample.n, alpha)
+    else:
+        im = im_interval(tau_o, tau_p, sd_o, sd_p, sample.n, alpha)
+
+    root_n = math.sqrt(sample.n)
+    half = _z(1.0 - beta / 2.0) * (sigma.sigma_tau / root_n)
+    first = (tau_star - half, tau_star + half)
+    if first[0] <= 0.0 <= first[1]:
+        return (im.lower, im.upper, math.nan, math.nan, math.nan, False)
+    ts = np.linspace(first[0], first[1], grid_points)
+    v = np.array([[bounds.v_p], [bounds.v_o]])
+    tau = solve_minimax_many(ts, v, cfg)
+    gap = ts - tau
+    a_sq = v + gap * gap
+    a = np.sqrt(a_sq)
+    curvature = v / (a_sq * a) + cfg.delta * penalty_derivs(tau, cfg.q)[2]
+    s_bb = np.array([[sigma.entries[0, 0]], [sigma.entries[1, 1]]])
+    sd = np.abs(gap / (2.0 * a_sq * a)) * np.sqrt(s_bb) / curvature
+    order = np.argsort(tau, axis=0, kind="stable")  # tau_p first on ties
+    lo, hi = np.take_along_axis(tau, order, 0)
+    sd_lo, sd_hi = np.take_along_axis(sd, order, 0)
+    sd_max = np.maximum(sd_lo, sd_hi)
+    scaled = np.where(sd_max > 0.0, root_n * (hi - lo) / np.where(sd_max > 0.0, sd_max, 1.0), np.inf)
+    c = _im_critical(scaled, alpha - beta)
+    lower = float((lo - c * sd_lo / root_n).min())
+    upper = float((hi + c * sd_hi / root_n).max())
+    return (im.lower, im.upper, lower, upper, (upper - lower) / im.length, True)
+
+
+@pytest.mark.parametrize("case", [1, 3, 5, 6])
+def test_batched_study_matches_per_replication_composition(case):
+    dgp, cfg = case_preset(case, n=1000)
+    rep = run_coverage_study(dgp, cfg, replications=100, seed=1)
+    target = rep.truth.tau_dr
+    records = [_old_replication(dgp, cfg, child)
+               for child in np.random.SeedSequence(1).spawn(100)]
+    rejected = [r for r in records if r[5]]
+    assert rep.rejected_count == len(rejected)
+    assert rep.coverage_im == sum(r[0] <= target <= r[1] for r in records) / 100
+    assert rep.coverage_bonf == sum(r[2] <= target <= r[3] for r in rejected) / len(rejected)
+    for got, column, rows in (
+        (rep.im_lower_mean, 0, records), (rep.im_upper_mean, 1, records),
+        (rep.bonf_lower_mean, 2, rejected), (rep.bonf_upper_mean, 3, rejected),
+        (rep.length_ratio_mean, 4, rejected),
+    ):
+        assert got == pytest.approx(sum(r[column] for r in rows) / len(rows), rel=1e-13, abs=0)
+
+
+def test_coverage_study_two_workers_equal_serial():
+    dgp, cfg = case_preset(1, n=200)
+    serial = run_coverage_study(dgp, cfg, replications=100, seed=5)
+    assert run_coverage_study(dgp, cfg, replications=100, seed=5, workers=2) == serial
+
+
+def test_study_raises_the_first_failing_replications_error(monkeypatch):
+    # in one batch, replication 3 has a zero effect (ZeroTauError, found after
+    # the batch's per-sample stage) and replication 9 a 5-row arm
+    # (InsufficientData, found in it); a serial run meets replication 3 first
+    real_draw = simulation.draw_sample
+
+    def draw(dgp, child):
+        sample = real_draw(dgp, child)
+        if child.spawn_key == (3,):
+            y0 = sample.control
+            return ExperimentalSample(np.concatenate((y0, y0)), np.repeat([1, 0], y0.shape[0]))
+        if child.spawn_key == (9,):
+            return ExperimentalSample(sample.outcomes[:60], np.repeat([1, 0], [5, 55]))
+        return sample
+
+    monkeypatch.setattr(simulation, "draw_sample", draw)
+    monkeypatch.setattr(simulation, "_BATCH", 16)
+    dgp, cfg = case_preset(1, n=200)
+    with pytest.raises(ZeroTauError):
+        run_coverage_study(dgp, cfg, replications=100, seed=3)
+    with pytest.raises(InsufficientData):
+        _replicate_block(dgp, cfg, 3, 100, 4, 100, 0.05, 0.045, "sharp", 101)
 
 
 def test_report_validation():

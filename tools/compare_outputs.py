@@ -1,0 +1,244 @@
+"""Compare the CLI outputs of two checkouts on one fixed set of invocations.
+
+    python tools/compare_outputs.py ROOT_A ROOT_B [--rtol 1e-13] [--work DIR]
+
+Writes seeded input files, then runs every invocation in INVOCATIONS as
+``python -m drpredict.cli ARGS`` once with ROOT_A/src and once with
+ROOT_B/src on PYTHONPATH, each checkout in its own fresh directory holding
+the same inputs. For every invocation it compares the exit code, stdout,
+stderr and each file the invocation wrote. Outputs that differ and parse as
+JSON on both sides are compared number by number; everything else must be
+byte-identical. The report lists each invocation that differs, the largest
+relative change of any JSON number and where it was found.
+
+Exit status: 0 when exit codes and all non-JSON outputs are identical and
+no JSON number moved by more than --rtol relative; 1 otherwise. The package
+is only ever run in child processes, never imported here.
+"""
+
+import argparse
+import json
+import math
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SEED = 20250601
+
+# (name, argv). Paths are relative to the working directory of a checkout.
+INVOCATIONS = [
+    ("estimate-sharp", ["estimate", "--data", "pos.csv", "--delta", "0.5"]),
+    ("estimate-neyman", ["estimate", "--data", "pos.csv", "--delta", "0.5", "--bounds", "neyman"]),
+    ("estimate-q3", ["estimate", "--data", "pos.csv", "--delta", "0.5", "--q", "3"]),
+    ("estimate-q1-sharp", ["estimate", "--data", "pos.csv", "--delta", "0.5", "--q", "1", "--allow-q1"]),
+    ("estimate-q1-neyman", ["estimate", "--data", "pos.csv", "--delta", "0.5", "--q", "1",
+                            "--allow-q1", "--bounds", "neyman"]),
+    ("estimate-delta0", ["estimate", "--data", "pos.csv", "--delta", "0"]),
+    ("estimate-q1-refused", ["estimate", "--data", "pos.csv", "--delta", "0.5", "--q", "1"]),
+    ("estimate-p3-json", ["estimate", "--data", "pos.csv", "--delta", "0.5", "--p", "3", "--json"]),
+    ("estimate-json-out", ["estimate", "--data", "pos.csv", "--delta", "0.5", "--json",
+                           "--out", "estimate.json"]),
+    ("estimate-q1-json", ["estimate", "--data", "pos.csv", "--delta", "0.5", "--q", "1",
+                          "--allow-q1", "--json"]),
+    ("estimate-neg-neyman", ["estimate", "--data", "neg.csv", "--delta", "0.5", "--bounds", "neyman"]),
+    ("estimate-zero", ["estimate", "--data", "zero.csv", "--delta", "0.5"]),
+    ("estimate-missing", ["estimate", "--data", "missing.csv", "--delta", "0.5"]),
+    ("estimate-not-utf8", ["estimate", "--data", "notutf8.csv", "--delta", "0.5"]),
+    ("estimate-directory", ["estimate", "--data", "datadir", "--delta", "0.5"]),
+    ("estimate-zero40-sharp", ["estimate", "--data", "zero40.csv", "--delta", "0.5"]),
+    ("estimate-zero40-q1", ["estimate", "--data", "zero40.csv", "--delta", "0.5", "--q", "1",
+                            "--allow-q1"]),
+    ("estimate-zero40-neyman", ["estimate", "--data", "zero40.csv", "--delta", "0.5",
+                                "--bounds", "neyman"]),
+    ("estimate-eqvar-sharp", ["estimate", "--data", "eqvar.csv", "--delta", "0.5"]),
+    ("estimate-eqvar-neyman", ["estimate", "--data", "eqvar.csv", "--delta", "0.5",
+                               "--bounds", "neyman"]),
+    ("estimate-big-json", ["estimate", "--data", "big.csv", "--delta", "0.5", "--json"]),
+    ("infer-json-out", ["infer", "--data", "pos.csv", "--delta", "0.5", "--json", "--out", "infer.json"]),
+    ("infer-text", ["infer", "--data", "pos.csv", "--delta", "0.5"]),
+    ("infer-neyman-grid51", ["infer", "--data", "pos.csv", "--delta", "0.5", "--bounds", "neyman",
+                             "--grid-points", "51"]),
+    ("infer-q1", ["infer", "--data", "pos.csv", "--delta", "0.5", "--q", "1"]),
+    ("infer-beta-too-big", ["infer", "--data", "pos.csv", "--delta", "0.5", "--beta", "0.06"]),
+    ("infer-beta0-json", ["infer", "--data", "pos.csv", "--delta", "0.5", "--beta", "0", "--json"]),
+    ("infer-delta0", ["infer", "--data", "pos.csv", "--delta", "0"]),
+    ("infer-null", ["infer", "--data", "null.csv", "--delta", "0.5"]),
+    ("infer-neg-q1.5", ["infer", "--data", "neg.csv", "--delta", "0.5", "--q", "1.5"]),
+    ("infer-zero", ["infer", "--data", "zero.csv", "--delta", "0.5"]),
+    ("infer-zero40", ["infer", "--data", "zero40.csv", "--delta", "0.5"]),
+    ("infer-zero40-delta0", ["infer", "--data", "zero40.csv", "--delta", "0"]),
+    ("infer-eqvar-neyman", ["infer", "--data", "eqvar.csv", "--delta", "0.5", "--bounds", "neyman"]),
+    ("infer-eqvar-delta2", ["infer", "--data", "eqvar.csv", "--delta", "2"]),
+    ("infer-big-json", ["infer", "--data", "big.csv", "--delta", "0.5", "--json"]),
+    ("sweep-data-true-v", ["sweep", "--data", "pos.csv", "--deltas", "0:1:0.05", "--true-v", "2"]),
+    ("sweep-data-dense", ["sweep", "--data", "pos.csv", "--deltas", "0:3:0.0002",
+                          "--out", "sweep_data.csv"]),
+    ("sweep-population-q1", ["sweep", "--deltas", "0:2:0.1", "--true-v", "1.5", "--tau-star", "2",
+                             "--q", "1", "--out", "sweep_q1.csv"]),
+    ("sweep-population-dense", ["sweep", "--deltas", "0:3:0.0002", "--true-v", "1.5",
+                                "--tau-star", "2"]),
+    ("benchmark-json", ["benchmark", "--data", "pos.csv", "--permutations", "20", "--json"]),
+    ("benchmark-mask", ["benchmark", "--data", "pos.csv", "--split", "provided_mask",
+                        "--mask-col", "m"]),
+    ("benchmark-not-utf8", ["benchmark", "--data", "notutf8.csv"]),
+    ("benchmark-big-halves", ["benchmark", "--data", "big.csv", "--split", "halves",
+                              "--permutations", "3", "--json"]),
+    ("simulate-cases-1-5", ["simulate", "--case", "1", "--case", "5", "--out", "sim15"]),
+    ("simulate-custom-neyman", ["simulate", "--mu1", "1", "--mu0", "0", "--sigma1", "2",
+                                "--sigma0", "1", "--delta", "0.2", "--bounds", "neyman",
+                                "--replications", "300", "--out", "simcustom"]),
+    ("simulate-case3-workers2", ["simulate", "--case", "3", "--workers", "2", "--out", "sim3"]),
+    ("simulate-four-cases", ["simulate", "--case", "1", "--case", "3", "--case", "5", "--case", "6",
+                             "--n", "1000", "--replications", "100", "--threads", "1",
+                             "--out", "simbench"]),
+]
+
+
+def _write_csv(path, y, t, extra=None):
+    cols = [y, t] + ([extra] if extra is not None else [])
+    header = "y,t" + (",m" if extra is not None else "")
+    fmt = ["%.17g", "%d"] + (["%d"] if extra is not None else [])
+    np.savetxt(path, np.column_stack(cols), fmt=fmt, delimiter=",", header=header, comments="")
+
+
+def write_inputs(work: Path) -> None:
+    """The seeded inputs every invocation reads."""
+    rng = np.random.default_rng(SEED)
+    t = (rng.random(3000) < 0.3).astype(int)
+    y = np.where(t == 1, rng.normal(2.0, 2.0, 3000), rng.normal(0.2, 1.0, 3000))
+    m = (rng.random(3000) < 0.5).astype(int)
+    _write_csv(work / "pos.csv", y, t, m)
+    _write_csv(work / "neg.csv", -y, t)
+    t_null = (rng.random(800) < 0.5).astype(int)
+    _write_csv(work / "null.csv", rng.normal(0.0, 1.0, 800), t_null)
+    _write_csv(work / "zero.csv", rng.normal(0.0, 1.0, 6), np.repeat([1, 0], 3))
+    y40 = rng.normal(0.0, 1.0, 40)
+    _write_csv(work / "zero40.csv", np.concatenate((y40, y40)), np.repeat([1, 0], 40))
+    _write_csv(work / "eqvar.csv", np.concatenate((y40 + 1.0, y40)), np.repeat([1, 0], 40))
+    t_big = (rng.random(300_000) < 0.3).astype(int)
+    y_big = np.where(t_big == 1, rng.normal(2.0, 2.0, 300_000), rng.lognormal(0.2, 1.0, 300_000))
+    _write_csv(work / "big.csv", y_big, t_big)
+    (work / "notutf8.csv").write_bytes(b"y,t\n1.0,1\n\xff,0\n")
+    (work / "datadir").mkdir()
+
+
+def _snapshot(work: Path) -> dict:
+    return {p.name: (p.stat().st_mtime_ns, p.stat().st_size) for p in work.iterdir() if p.is_file()}
+
+
+def run_side(root: Path, work: Path) -> dict:
+    """Run every invocation with root/src on PYTHONPATH; outputs by name."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(root / "src")
+    env["PYTHONHASHSEED"] = "0"
+    out = {}
+    for name, argv in INVOCATIONS:
+        before = _snapshot(work)
+        proc = subprocess.run([sys.executable, "-m", "drpredict.cli", *argv], cwd=work, env=env,
+                              capture_output=True, timeout=900)
+        after = _snapshot(work)
+        written = {f: (work / f).read_bytes() for f in sorted(after) if before.get(f) != after[f]}
+        out[name] = {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr,
+                     **{f"file {f}": data for f, data in written.items()}}
+    return out
+
+
+def _max_rel(a, b, where=""):
+    """(largest relative change, its path) between two JSON values of the
+    same shape, or None when the shapes or any non-number differ."""
+    if isinstance(a, bool) or isinstance(b, bool) or a is None or b is None or isinstance(a, str):
+        return (0.0, where) if a == b and type(a) is type(b) else None
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        if a == b:
+            return 0.0, where
+        return abs(a - b) / max(abs(a), abs(b)), where
+    if isinstance(a, dict) and isinstance(b, dict):
+        if list(a) != list(b):
+            return None
+        pairs = [(a[k], b[k], f"{where}.{k}") for k in a]
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return None
+        pairs = [(x, y, f"{where}[{i}]") for i, (x, y) in enumerate(zip(a, b))]
+    else:
+        return None
+    worst = (0.0, where)
+    for x, y, path in pairs:
+        got = _max_rel(x, y, path)
+        if got is None:
+            return None
+        worst = max(worst, got, key=lambda w: w[0])
+    return worst
+
+
+def compare(side_a: dict, side_b: dict, rtol: float) -> bool:
+    ok = True
+    worst = (0.0, "")
+    identical = 0
+    for name, _ in INVOCATIONS:
+        a, b = side_a[name], side_b[name]
+        notes = []
+        for key in sorted(set(a) | set(b)):
+            if a.get(key) == b.get(key):
+                continue
+            if key == "exit":
+                notes.append(f"exit code {a['exit']} -> {b['exit']}")
+                ok = False
+                continue
+            if key not in a or key not in b:
+                notes.append(f"{key} written on one side only")
+                ok = False
+                continue
+            try:
+                rel = _max_rel(json.loads(a[key]), json.loads(b[key]))
+            except ValueError:
+                rel = None
+            if rel is None:
+                notes.append(f"{key}: bytes differ")
+                ok = False
+            else:
+                notes.append(f"{key}: JSON numbers, max rel {rel[0]:.2g} at {rel[1] or '.'}")
+                ok &= rel[0] <= rtol
+                worst = max(worst, (rel[0], f"{name} {key} {rel[1]}"), key=lambda w: w[0])
+        if notes:
+            print(f"DIFF {name}: " + "; ".join(notes))
+        else:
+            identical += 1
+    print(f"{identical} of {len(INVOCATIONS)} invocations identical in exit code, stdout, "
+          f"stderr and written files")
+    print(f"largest relative change of a JSON number: {worst[0]:.3g}"
+          + (f" ({worst[1]})" if worst[0] else ""))
+    print("PASS" if ok else f"FAIL (rtol {rtol:g})")
+    return ok
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("root_a", type=Path)
+    parser.add_argument("root_b", type=Path)
+    parser.add_argument("--rtol", type=float, default=1e-13,
+                        help="largest relative change allowed in a JSON number (default: 1e-13)")
+    parser.add_argument("--work", type=Path, help="keep the run directories here "
+                        "(default: a temporary directory, removed afterwards)")
+    args = parser.parse_args(argv)
+    base = args.work or Path(tempfile.mkdtemp(prefix="compare_outputs_"))
+    try:
+        sides = []
+        for label, root in (("a", args.root_a), ("b", args.root_b)):
+            work = base / label
+            work.mkdir(parents=True)
+            write_inputs(work)
+            sides.append(run_side(root.resolve(), work))
+        return 0 if compare(*sides, args.rtol) else 1
+    finally:
+        if args.work is None:
+            shutil.rmtree(base, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
