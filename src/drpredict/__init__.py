@@ -9,7 +9,6 @@ calibration utilities.
 from .bounds import (
     BoundsMethod,
     VarianceBounds,
-    merged_u_grid,
     neyman_bounds,
     sharp_bounds_empirical,
     sharp_bounds_population,
@@ -21,33 +20,16 @@ from .calibration import (
     wasserstein2_1d,
 )
 from .covariance import (
-    Loadings,
     NearEqualVariancesWarning,
     SigmaMatrix,
     SigmaMethod,
-    conditional_sd_grid,
-    loadings,
     prediction_sd_grid,
-    prediction_sds,
     sigma_bootstrap,
     sigma_neyman,
     sigma_sharp,
     zero_tau_limit_sd,
 )
-from .exceptions import (
-    ConvergenceError,
-    DegenerateSample,
-    DensityError,
-    DomainError,
-    DrPredictError,
-    InsufficientData,
-    OrderError,
-    ParseError,
-    UnsupportedConfig,
-    UnsupportedRegime,
-    ValidationError,
-    ZeroTauError,
-)
+from .exceptions import DrPredictError, NumericalError, ParseError, ValidationError
 from .inference import (
     IMMethod,
     IntervalEstimate,
@@ -99,15 +81,7 @@ __all__ = [
     "DrPredictError",
     "ParseError",
     "ValidationError",
-    "DomainError",
-    "InsufficientData",
-    "ConvergenceError",
-    "ZeroTauError",
-    "UnsupportedRegime",
-    "UnsupportedConfig",
-    "OrderError",
-    "DensityError",
-    "DegenerateSample",
+    "NumericalError",
     # data model
     "ExperimentalSample",
     "EmpiricalDistribution",
@@ -123,7 +97,6 @@ __all__ = [
     "neyman_bounds",
     "sharp_bounds_empirical",
     "sharp_bounds_population",
-    "merged_u_grid",
     # minimax solver
     "RobustConfig",
     "SweepPoint",
@@ -137,15 +110,11 @@ __all__ = [
     # asymptotic covariance
     "SigmaMethod",
     "SigmaMatrix",
-    "Loadings",
     "NearEqualVariancesWarning",
     "sigma_neyman",
     "sigma_sharp",
     "sigma_bootstrap",
-    "loadings",
-    "prediction_sds",
     "prediction_sd_grid",
-    "conditional_sd_grid",
     "zero_tau_limit_sd",
     # inference
     "IMMethod",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, InsufficientData, ValidationError
+from .exceptions import ValidationError
 from .sample import ExperimentalSample, quantile_at
 
 __all__ = [
@@ -65,41 +65,27 @@ def neyman_bounds(sigma1_sq: float, sigma0_sq: float) -> VarianceBounds:
 
     Raises
     ------
-    DomainError
+    ValidationError
         If either variance is negative.
     """
     if sigma1_sq < 0 or sigma0_sq < 0:
-        raise DomainError(
+        raise ValidationError(
             f"variances must be nonnegative, got ({sigma1_sq}, {sigma0_sq})"
         )
     s1, s0 = math.sqrt(sigma1_sq), math.sqrt(sigma0_sq)
     return VarianceBounds(v_o=(s1 - s0) ** 2, v_p=(s1 + s0) ** 2, method=BoundsMethod.NEYMAN)
 
 
-def merged_u_grid(n1: int, n0: int) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoints and widths of the partition of (0,1] on which both arms'
-    empirical quantile functions are simultaneously constant.
-
-    Breakpoints are {k/n1} union {k/n0}; integrating any product of the two
-    step quantile functions against this partition is exact. The partition
-    is symmetric under u -> 1-u, so reversals (antitonic integrands) reuse
-    the same grid.
-    """
-    ticks = np.union1d(
-        np.arange(1, n1 + 1, dtype=float) / n1,
-        np.arange(1, n0 + 1, dtype=float) / n0,
-    )
-    lefts = np.concatenate(([0.0], ticks[:-1]))
-    widths = ticks - lefts
-    mids = lefts + 0.5 * widths
-    return mids, widths
-
-
 _BLOCK_CELLS = 1 << 16
 
 
 def merged_u_blocks(n1: int, n0: int):
-    """Yield the (mids, widths) of ``merged_u_grid(n1, n0)`` block by block.
+    """Yield the (mids, widths) of the merged u-grid block by block.
+
+    The merged grid partitions (0, 1] at the breakpoints {k/n1} union
+    {k/n0}, so both arms' empirical quantile functions are constant on each
+    cell and integrating any product of them against it is exact. It is
+    symmetric under u -> 1-u, so reversals (antitonic integrands) reuse it.
 
     Each block covers about 2^16 cells of the larger arm, so memory stays
     flat in n. The other arm's ticks inside a block are found by integer
@@ -150,11 +136,11 @@ def sharp_bounds_empirical(sample: ExperimentalSample) -> VarianceBounds:
 
     Raises
     ------
-    InsufficientData
+    ValidationError
         If either arm has fewer than two observations.
     """
     if sample.n1 < 2 or sample.n0 < 2:
-        raise InsufficientData(
+        raise ValidationError(
             f"need >= 2 observations per arm, got n1={sample.n1}, n0={sample.n0}"
         )
     y1 = np.sort(sample.treated)
@@ -183,11 +169,11 @@ def sharp_bounds_population(q1, q0, grid_size: int = 10_000) -> VarianceBounds:
 
     Raises
     ------
-    DomainError
+    ValidationError
         If ``grid_size`` < 100.
     """
     if grid_size < 100:
-        raise DomainError(f"grid_size must be >= 100, got {grid_size}")
+        raise ValidationError(f"grid_size must be >= 100, got {grid_size}")
     u = (np.arange(grid_size) + 0.5) / grid_size
     v1 = np.asarray(q1(u), dtype=float)
     v0 = np.asarray(q0(u), dtype=float)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import merged_u_blocks
-from .exceptions import InsufficientData, ValidationError
+from .exceptions import ValidationError
 from .sample import EmpiricalDistribution, ExperimentalSample, quantile_at
 
 __all__ = [
@@ -86,14 +86,14 @@ class RadiusBenchmark:
 
 
 def _cell_distance(outcomes, treatments, in_cell):
-    """Per-arm W2 between the two cells; InsufficientData below 2 per arm."""
+    """Per-arm W2 between the two cells; ValidationError below 2 per arm."""
     dists = []
     for arm in (1, 0):
         arm_mask = treatments == arm
         first = outcomes[arm_mask & in_cell]
         second = outcomes[arm_mask & ~in_cell]
         if first.size < 2 or second.size < 2:
-            raise InsufficientData(
+            raise ValidationError(
                 f"split leaves arm {arm} with cell sizes "
                 f"{first.size} and {second.size}; need >= 2 each"
             )

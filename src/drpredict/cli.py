@@ -26,19 +26,7 @@ import numpy as np
 from . import __version__
 from .bounds import BoundsMethod, VarianceBounds, neyman_bounds, sharp_bounds_empirical
 from .calibration import SplitRule, split_benchmark
-from .exceptions import (
-    ConvergenceError,
-    DegenerateSample,
-    DensityError,
-    DomainError,
-    InsufficientData,
-    OrderError,
-    ParseError,
-    UnsupportedConfig,
-    UnsupportedRegime,
-    ValidationError,
-    ZeroTauError,
-)
+from .exceptions import NumericalError, ParseError, ValidationError
 from .inference import (
     check_two_step_args,
     estimate_robust,
@@ -54,19 +42,6 @@ from .simulation import (
     write_reports_csv,
 )
 from .solver import RobustConfig, sweep_delta
-
-_INPUT_ERRORS = (
-    ParseError,
-    ValidationError,
-    DomainError,
-    UnsupportedConfig,
-    UnsupportedRegime,
-    InsufficientData,
-    DegenerateSample,
-    OSError,
-    UnicodeDecodeError,
-)
-_NUMERICAL_ERRORS = (ConvergenceError, DensityError, ZeroTauError, OrderError)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -274,7 +249,7 @@ def cmd_sweep(args) -> int:
     known = None
     if args.true_v is not None:
         if not args.true_v >= 0.0:  # also rejects NaN
-            raise DomainError(f"--true-v must be nonnegative, got {args.true_v}")
+            raise ValidationError(f"--true-v must be nonnegative, got {args.true_v}")
         # a known effect variance is a bracket of zero width: its tau_p is tau_dr
         known = VarianceBounds(v_o=args.true_v, v_p=args.true_v, method=args.bounds)
     if population:
@@ -283,7 +258,7 @@ def cmd_sweep(args) -> int:
                 "population mode (no --data) requires both --true-v and --tau-star"
             )
         if not math.isfinite(args.tau_star):
-            raise DomainError(f"--tau-star must be finite, got {args.tau_star}")
+            raise ValidationError(f"--tau-star must be finite, got {args.tau_star}")
         tau_star = args.tau_star
         header = ["delta", "tau_p", "tau_o", "tau_dr"]
         rows = [[pt.delta, pt.tau_p, pt.tau_p, pt.tau_p]
@@ -669,10 +644,10 @@ def main(argv=None) -> int:
         warnings.showwarning = _show_warning
         try:
             return args.func(args)
-        except _INPUT_ERRORS as exc:
+        except (ValidationError, OSError, UnicodeDecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
-        except _NUMERICAL_ERRORS as exc:
+        except NumericalError as exc:
             print(f"numerical error: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import VarianceBounds
-from .exceptions import DensityError, DomainError, InsufficientData, UnsupportedRegime, ValidationError, ZeroTauError
+from .bounds import BoundsMethod, neyman_bounds, sharp_bounds_empirical
+from .exceptions import NumericalError, ValidationError
 from .moments import ArmMoments
 from .sample import ExperimentalSample, quantile_at
 from .solver import RobustConfig, penalty_derivs
@@ -28,15 +28,11 @@ from .solver import RobustConfig, penalty_derivs
 __all__ = [
     "SigmaMethod",
     "SigmaMatrix",
-    "Loadings",
     "NearEqualVariancesWarning",
     "sigma_neyman",
     "sigma_sharp",
     "sigma_bootstrap",
-    "loadings",
-    "prediction_sds",
     "prediction_sd_grid",
-    "conditional_sd_grid",
     "zero_tau_limit_sd",
 ]
 
@@ -108,33 +104,6 @@ class SigmaMatrix:
         return math.sqrt(max(self.entries[2, 2], 0.0))
 
 
-@dataclass(frozen=True)
-class Loadings:
-    """Delta-method loadings for the two robust predictions.
-
-    ``d_p``/``d_o`` are the gradients of the first-order condition value
-    with respect to (V_p, V_o, tau*); ``m_pp``/``m_oo`` are the objective
-    curvatures at the respective optima. The asymptotic variance of
-    sqrt(n)(tau_hat_b - tau_b) is (d_b/m_bb)' Sigma (d_b/m_bb).
-    """
-
-    d_p: np.ndarray
-    d_o: np.ndarray
-    m_pp: float
-    m_oo: float
-
-    def __post_init__(self):
-        for name, val in (("m_pp", self.m_pp), ("m_oo", self.m_oo)):
-            if not (math.isfinite(val) and val > 0.0):
-                raise ValidationError(f"curvature {name} must be positive, got {val}")
-        for name, vec in (("d_p", self.d_p), ("d_o", self.d_o)):
-            v = np.asarray(vec, dtype=float)
-            if v.shape != (3,) or not np.all(np.isfinite(v)):
-                raise ValidationError(f"{name} must be a finite 3-vector")
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
-
-
 # ------------------------------------------------------------- Neyman route
 
 
@@ -149,7 +118,7 @@ def sigma_neyman(moments: ArmMoments) -> SigmaMatrix:
 
     Raises
     ------
-    DomainError
+    ValidationError
         If either arm variance is zero.
 
     Warns
@@ -160,7 +129,7 @@ def sigma_neyman(moments: ArmMoments) -> SigmaMatrix:
     """
     s1_sq, s0_sq = moments.sigma1_sq, moments.sigma0_sq
     if s1_sq <= 0.0 or s0_sq <= 0.0:
-        raise DomainError("both arm variances must be positive for the Neyman covariance")
+        raise ValidationError("both arm variances must be positive for the Neyman covariance")
     if abs(s1_sq / s0_sq - 1.0) < 1e-3:
         warnings.warn(
             "arm variances nearly equal; the lower Neyman bound is weakly identified",
@@ -214,21 +183,6 @@ def _silverman_bandwidth(y_sorted: np.ndarray) -> float:
     iqr = _sorted_percentile(y_sorted, 0.75) - _sorted_percentile(y_sorted, 0.25)
     spread = min(sd, iqr / 1.34) if iqr > 0.0 else sd
     return 0.9 * spread * y_sorted.shape[0] ** (-0.2)
-
-
-def _kde_at(data: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
-    """Gaussian-kernel density of ``data`` evaluated at points ``x``.
-
-    The exact O(len(data) * len(x)) sum; the reference for _kde_binned.
-    """
-    out = np.empty(x.shape[0])
-    norm = 1.0 / (data.shape[0] * h * math.sqrt(2.0 * math.pi))
-    # chunk the evaluation grid to cap the kernel matrix at ~4M entries
-    step = max(1, 4_000_000 // max(data.shape[0], 1))
-    for start in range(0, x.shape[0], step):
-        z = (x[start : start + step, None] - data[None, :]) / h
-        out[start : start + step] = np.exp(-0.5 * z * z).sum(axis=1) * norm
-    return out
 
 
 def _kde_binned(data: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
@@ -286,7 +240,7 @@ def _arm_density(arm_sorted: np.ndarray, q: np.ndarray, name: str) -> np.ndarray
         return None
     f = _kde_binned(arm_sorted, q, _silverman_bandwidth(arm_sorted))
     if np.any(f < DENSITY_FLOOR):
-        raise DensityError(f"{name}-arm density below floor on the u-grid")
+        raise NumericalError(f"{name}-arm density below floor on the u-grid")
     return f
 
 
@@ -347,20 +301,18 @@ def sigma_sharp(sample: ExperimentalSample, grid_size: int = 400) -> SigmaMatrix
 
     Raises
     ------
-    InsufficientData
-        If either arm has fewer than 30 observations.
-    DomainError
-        If grid_size < 200.
-    DensityError
+    ValidationError
+        If either arm has fewer than 30 observations, or grid_size < 200.
+    NumericalError
         If an estimated arm density falls below 1e-6 anywhere the integrals
         need it (extremely heavy tails or degenerate spread).
     """
     if sample.n1 < 30 or sample.n0 < 30:
-        raise InsufficientData(
+        raise ValidationError(
             f"influence-function covariance needs >= 30 per arm, got n1={sample.n1}, n0={sample.n0}"
         )
     if grid_size < 200:
-        raise DomainError(f"grid_size must be >= 200, got {grid_size}")
+        raise ValidationError(f"grid_size must be >= 200, got {grid_size}")
 
     y1 = sample.treated  # fresh copies, so sorting in place is safe
     y1.sort()
@@ -393,20 +345,18 @@ def sigma_sharp(sample: ExperimentalSample, grid_size: int = 400) -> SigmaMatrix
 
 def sigma_bootstrap(
     sample: ExperimentalSample,
-    method: str = "sharp",
+    method=BoundsMethod.SHARP,
     draws: int = 500,
     seed=None,
 ) -> SigmaMatrix:
     """Nonparametric bootstrap covariance (resampling within arms).
 
     A robustness check against the analytic routes; not used by the
-    default inference path.
+    default inference path. ``method`` is a ``BoundsMethod`` or its value.
     """
-    from .bounds import neyman_bounds, sharp_bounds_empirical
-
     if draws < 2:
-        raise DomainError(f"need at least 2 bootstrap draws, got {draws}")
-    use_sharp = str(method) == "sharp"
+        raise ValidationError(f"need at least 2 bootstrap draws, got {draws}")
+    use_sharp = BoundsMethod(method) is BoundsMethod.SHARP
     rng = np.random.default_rng(seed)
     y1 = sample.treated
     y0 = sample.control
@@ -427,15 +377,18 @@ def sigma_bootstrap(
     return SigmaMatrix(entries=entries, method=SigmaMethod.BOOTSTRAP)
 
 
-# ----------------------------------------------------------------- loadings
+# ------------------------------------------------------ delta-method SDs
 
 
 def _check_expansion(tau_star, tau_b, v_b) -> None:
-    """Raise unless every prediction tau_b has a smooth expansion.
+    """Raise NumericalError unless every prediction tau_b has a smooth
+    expansion: none where tau_b is numerically zero (|tau_b| < 1e-10, the
+    zero-effect limit law applies) or where v_b = 0 and tau_b = tau_star
+    (the kink).
 
     Entries are checked in C order, each for the zero-effect limit first and
-    then for the kink, so an (R, 2) batch raises what R calls of
-    ``loadings`` would raise first.
+    then for the kink, so an (R, 2) batch raises what its first failing
+    entry raises on its own.
     """
     tau_b = np.asarray(tau_b, dtype=float)
     gap = tau_star - tau_b
@@ -446,10 +399,10 @@ def _check_expansion(tau_star, tau_b, v_b) -> None:
         return
     if zero.flat[bad[0]]:
         slot = np.unravel_index(bad[0], tau_b.shape)[-1] if tau_b.ndim else 0
-        raise ZeroTauError(
+        raise NumericalError(
             f"prediction at slot {slot} is numerically zero; use the zero-effect limit"
         )
-    raise DomainError("no smooth expansion at v_b = 0 with tau_b = tau_star")
+    raise NumericalError("no smooth expansion at v_b = 0 with tau_b = tau_star")
 
 
 def _loading_terms(tau_star, tau_b, v_b, config: RobustConfig, conditional: bool = False):
@@ -481,83 +434,28 @@ def _sd_from_terms(d_v, d_tau, curvature, s_bb, s_bt, s_tt):
     return np.sqrt(np.maximum(form, 0.0)) / curvature
 
 
-def loadings(
-    tau_star: float,
-    bounds: VarianceBounds,
-    tau_p: float,
-    tau_o: float,
-    config: RobustConfig,
-) -> Loadings:
-    """Gradients and curvatures for the sandwich variance of (tau_p, tau_o).
-
-    Slot order matches SigmaMatrix: (V_p, V_o, tau*). The slot for the
-    other bound is structurally zero because each prediction depends on one
-    variance bound only.
-
-    Raises
-    ------
-    ZeroTauError
-        If either prediction is numerically zero (|tau_b| < 1e-10); the
-        zero-effect limit law applies there instead.
-    DomainError
-        If a bound variance is zero and the prediction sits on the kink
-        (tau_b = tau*), where the smooth expansion does not exist.
-    """
-    tau_b = np.array([tau_p, tau_o], dtype=float)
-    v_b = np.array([bounds.v_p, bounds.v_o])
-    _check_expansion(tau_star, tau_b, v_b)
-    d_v, d_tau, m = _loading_terms(tau_star, tau_b, v_b, config)
-    d = np.zeros((2, 3))
-    d[[0, 1], [0, 1]] = d_v
-    d[:, 2] = d_tau
-    return Loadings(d_p=d[0], d_o=d[1], m_pp=float(m[0]), m_oo=float(m[1]))
-
-
-def prediction_sds(ld: Loadings, sigma: SigmaMatrix, conditional: bool = False) -> tuple[float, float]:
-    """Asymptotic SDs of sqrt(n)(tau_hat_b - tau_b) for b in {p, o}.
-
-    With ``conditional=True`` the tau* slot of each loading is zeroed,
-    giving the variance that treats the source effect as fixed — the
-    quantity the two-step interval needs on its first-step grid.
-    """
-    s = sigma.entries
-    out = []
-    for slot, (vec, curv) in enumerate(((ld.d_p, ld.m_pp), (ld.d_o, ld.m_oo))):
-        d_tau = 0.0 if conditional else vec[2]
-        out.append(float(_sd_from_terms(vec[slot], d_tau, curv, s[slot, slot], s[slot, 2], s[2, 2])))
-    return out[0], out[1]
-
-
 def prediction_sd_grid(t_grid, tau_b_grid, v_b, sigma_b, config: RobustConfig, conditional: bool = False):
     """Delta-method SD of sqrt(n)(tau_hat_b - tau_b), elementwise.
 
     ``t_grid`` (the source effect), ``tau_b_grid`` (the prediction at it),
     ``v_b`` (its variance bound) and the three entries of ``sigma_b`` =
     (S_bb, S_bt, S_tt), the Sigma entries of that bound and of tau*, are
-    broadcast against each other. The same function as ``loadings`` with
-    ``prediction_sds``; with ``conditional=True`` the tau* slot is zeroed
-    and S_bt, S_tt are not used.
+    broadcast against each other. This is the package's one delta-method
+    SD: the loading on (V_b, tau*) and the curvature come from
+    ``_loading_terms``. With ``conditional=True`` the tau* slot is zeroed,
+    giving the SD that treats the source effect as fixed (the two-step
+    interval's grid), and S_bt, S_tt are not used.
 
     Raises
     ------
-    ZeroTauError, DomainError
-        Where ``loadings`` raises them; not checked when ``conditional``.
+    NumericalError
+        As ``_check_expansion``, where a prediction has no smooth
+        expansion; not checked when ``conditional``.
     """
     if not conditional:
         _check_expansion(t_grid, tau_b_grid, v_b)
     d_v, d_tau, m = _loading_terms(t_grid, tau_b_grid, v_b, config, conditional)
     return _sd_from_terms(d_v, d_tau, m, *sigma_b)
-
-
-def conditional_sd_grid(t_grid, tau_b_grid, v_b, sigma_bb, config: RobustConfig) -> np.ndarray:
-    """Vectorized conditional prediction SD along a grid of source effects.
-
-    Equivalent to prediction_sds(..., conditional=True) one slot at a time:
-    with the tau* slot zeroed only the own-bound loading survives, so the
-    variance is (gap/(2A^3))^2 * sigma_bb / M''^2. ``v_b`` and ``sigma_bb``
-    broadcast against the grids.
-    """
-    return prediction_sd_grid(t_grid, tau_b_grid, v_b, (sigma_bb, 0.0, 0.0), config, conditional=True)
 
 
 def zero_tau_limit_sd(sigma_tau: float, v_b: float, config: RobustConfig) -> float:
@@ -569,17 +467,16 @@ def zero_tau_limit_sd(sigma_tau: float, v_b: float, config: RobustConfig) -> flo
 
     Raises
     ------
-    UnsupportedRegime
-        For q < 2, where the limit law is non-normal.
-    DomainError
-        On nonpositive sigma_tau or negative v_b.
+    ValidationError
+        For q < 2, where the limit law is non-normal, and on nonpositive
+        sigma_tau or negative v_b.
     """
     if config.q < 2.0:
-        raise UnsupportedRegime("zero-effect limit is non-normal for q < 2")
+        raise ValidationError("zero-effect limit is non-normal for q < 2")
     if sigma_tau <= 0.0:
-        raise DomainError(f"sigma_tau must be positive, got {sigma_tau}")
+        raise ValidationError(f"sigma_tau must be positive, got {sigma_tau}")
     if v_b < 0.0:
-        raise DomainError(f"variance bound must be nonnegative, got {v_b}")
+        raise ValidationError(f"variance bound must be nonnegative, got {v_b}")
     if config.q == 2.0:
         return sigma_tau / (1.0 + config.delta * math.sqrt(v_b / 2.0))
     return sigma_tau

@@ -1,11 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every package error is a ``ValidationError`` (the input is at fault; the
+CLI exits 2) or a ``NumericalError`` (the input is valid but the
+computation cannot go on; the CLI exits 3).
+"""
 
 
 class DrPredictError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ParseError(DrPredictError):
+class ValidationError(DrPredictError):
+    """An input or argument is invalid: a bad treatment code, a non-finite
+    outcome, too few observations, a value outside an operation's domain,
+    or a configuration the operation does not support."""
+
+
+class ParseError(ValidationError):
     """A data file could not be parsed.
 
     Carries the 1-based row number (header = row 1) and the offending
@@ -24,48 +35,7 @@ class ParseError(DrPredictError):
         super().__init__(f"{message}{suffix}")
 
 
-class ValidationError(DrPredictError):
-    """Input data violates a structural requirement (bad treatment code,
-    non-finite outcome, empty arm, ...)."""
-
-
-class DomainError(DrPredictError):
-    """An argument lies outside the mathematical domain of an operation."""
-
-
-class InsufficientData(DrPredictError):
-    """Too few observations for the requested computation."""
-
-
-class ConvergenceError(DrPredictError):
-    """An iterative solver exceeded its iteration cap.
-
-    This signals a bug in the bracketing logic, not a data condition.
-    """
-
-
-class ZeroTauError(DrPredictError):
-    """A bound estimate is numerically zero, outside the smooth regime of
-    the asymptotic loadings; callers must switch to the zero-limit path."""
-
-
-class UnsupportedRegime(DrPredictError):
-    """The requested quantity has a non-normal limit law that this package
-    does not implement."""
-
-
-class UnsupportedConfig(DrPredictError):
-    """The configuration is valid in general but not for this operation."""
-
-
-class OrderError(DrPredictError):
-    """Interval endpoints are materially inverted."""
-
-
-class DensityError(DrPredictError):
-    """A kernel density estimate fell below the working floor where its
-    reciprocal is needed."""
-
-
-class DegenerateSample(DrPredictError):
-    """A simulated draw produced an unusable sample (e.g. an empty arm)."""
+class NumericalError(DrPredictError):
+    """A valid input the computation cannot carry through: a solver past its
+    iteration cap, a density below its floor, inverted interval endpoints,
+    or a prediction with no smooth delta-method expansion."""

@@ -30,12 +30,11 @@ import numpy as np
 from .bounds import BoundsMethod, VarianceBounds, neyman_bounds, sharp_bounds_empirical
 from .covariance import (
     SigmaMatrix,
-    conditional_sd_grid,
     prediction_sd_grid,
     sigma_neyman,
     sigma_sharp,
 )
-from .exceptions import DomainError, OrderError, UnsupportedConfig, ValidationError
+from .exceptions import NumericalError, ValidationError
 from .moments import ArmMoments, estimate_moments
 from .sample import ExperimentalSample
 from .solver import RobustConfig, newton_root, solve_minimax_many
@@ -175,17 +174,17 @@ def im_interval(
     Phi(-c_n) = 1 - alpha``, Phi the standard normal CDF.
 
     Endpoints inverted by less than 1e-10 (estimation noise) are swapped
-    with a warning; larger inversions raise OrderError.
+    with a warning; larger inversions raise NumericalError.
     """
     if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be in (0, 1), got {alpha}")
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+        raise ValidationError(f"n must be >= 1, got {n}")
     if sd_lo < 0.0 or sd_hi < 0.0:
-        raise DomainError("standard deviations must be nonnegative")
+        raise ValidationError("standard deviations must be nonnegative")
     if lo_hat > hi_hat:
         if lo_hat - hi_hat >= 1e-10:
-            raise OrderError(
+            raise NumericalError(
                 f"lower estimate {lo_hat} exceeds upper estimate {hi_hat}"
             )
         warnings.warn(
@@ -253,9 +252,9 @@ def estimate_robust_many(samples, config: RobustConfig, method=BoundsMethod.SHAR
 
     Raises
     ------
-    ZeroTauError, DomainError
-        As ``loadings`` does, for the first prediction (in sample order,
-        tau_p before tau_o) that has no smooth expansion.
+    NumericalError
+        As ``covariance.prediction_sd_grid`` does, for the first prediction
+        (in sample order, tau_p before tau_o) that has no smooth expansion.
     """
     sharp = BoundsMethod(method) is BoundsMethod.SHARP
     pieces = []
@@ -306,7 +305,7 @@ def _shared_config(ests) -> RobustConfig:
     config and one bounds method."""
     config, method = ests[0].config, ests[0].bounds.method
     if any(e.config != config or e.bounds.method is not method for e in ests):
-        raise DomainError("a batch of estimates must share one config and one bounds method")
+        raise ValidationError("a batch of estimates must share one config and one bounds method")
     return config
 
 
@@ -337,21 +336,19 @@ def plain_im_intervals(ests, alpha: float = 0.05) -> list:
 
     Raises
     ------
-    DomainError
-        If the estimates do not share one config and bounds method, or
-        alpha is outside (0, 1).
-    UnsupportedConfig
-        For q = 1, whose estimates carry no SDs.
+    ValidationError
+        If the estimates do not share one config and bounds method, if
+        alpha is outside (0, 1), or for q = 1, whose estimates carry no SDs.
     """
     ests = list(ests)
     if not ests:
         return []
     if _shared_config(ests).q == 1.0:
-        raise UnsupportedConfig(
+        raise ValidationError(
             "the IM interval requires q > 1 (estimates for q = 1 carry no SDs)"
         )
     if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be in (0, 1), got {alpha}")
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     pairs = np.array([[e.tau_p, e.tau_o, e.sd_p, e.sd_o] for e in ests]).T
     n = np.array([e.n for e in ests])
     lower, upper, c = _im_endpoints(*_ordered(*pairs), n, alpha)
@@ -367,16 +364,16 @@ def plain_im_intervals(ests, alpha: float = 0.05) -> list:
 def check_two_step_args(config, alpha, beta, grid_points):
     """Raise unless ``two_step_interval`` accepts these settings."""
     if config.q <= 1.0:
-        raise UnsupportedConfig(
+        raise ValidationError(
             "two-step inference requires q > 1 (the q = 1 prediction can sit "
             "exactly at zero, where the limit law is non-normal)"
         )
     if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be in (0, 1), got {alpha}")
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     if not 0.0 <= beta < alpha:
-        raise DomainError(f"beta must be in [0, alpha), got beta={beta}, alpha={alpha}")
+        raise ValidationError(f"beta must be in [0, alpha), got beta={beta}, alpha={alpha}")
     if grid_points < 25:
-        raise DomainError(f"grid_points must be >= 25, got {grid_points}")
+        raise ValidationError(f"grid_points must be >= 25, got {grid_points}")
 
 
 def two_step_interval(
@@ -405,7 +402,7 @@ def two_step_intervals(ests, alpha: float = 0.05, beta: float = 0.045, grid_poin
 
     Raises
     ------
-    DomainError
+    ValidationError
         If the estimates do not share one config and bounds method, or as
         ``check_two_step_args``.
     """
@@ -430,7 +427,7 @@ def two_step_intervals(ests, alpha: float = 0.05, beta: float = 0.045, grid_poin
         v = np.array([[[ests[i].bounds.v_p], [ests[i].bounds.v_o]] for i in rows])
         s_bb = np.array([[[ests[i].sigma.entries[0, 0]], [ests[i].sigma.entries[1, 1]]] for i in rows])
         tau = solve_minimax_many(ts, v, config)
-        sd = conditional_sd_grid(ts, tau, v, s_bb, config)
+        sd = prediction_sd_grid(ts, tau, v, (s_bb, 0.0, 0.0), config, conditional=True)
         lo, hi, sd_lo, sd_hi = _ordered(tau[:, 0], tau[:, 1], sd[:, 0], sd[:, 1])
         rn = root_n[rows, None]
         sd_max = np.maximum(sd_lo, sd_hi)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InsufficientData
+from .exceptions import ValidationError
 from .sample import ExperimentalSample
 
 __all__ = ["ArmMoments", "estimate_moments"]
@@ -48,13 +48,13 @@ def estimate_moments(sample: ExperimentalSample) -> ArmMoments:
 
     Raises
     ------
-    InsufficientData
+    ValidationError
         If either arm has fewer than two observations (no second moment).
     """
     if sample.n1 < 2:
-        raise InsufficientData(f"treated arm has {sample.n1} observation(s), need >= 2")
+        raise ValidationError(f"treated arm has {sample.n1} observation(s), need >= 2")
     if sample.n0 < 2:
-        raise InsufficientData(f"control arm has {sample.n0} observation(s), need >= 2")
+        raise ValidationError(f"control arm has {sample.n0} observation(s), need >= 2")
     tau1, s1, m3_1, m4_1 = _central_moments(sample.treated)
     tau0, s0, m3_0, m4_0 = _central_moments(sample.control)
     return ArmMoments(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DomainError, ParseError, ValidationError
+from .exceptions import ParseError, ValidationError
 
 __all__ = [
     "ExperimentalSample",
@@ -247,11 +247,11 @@ def empirical_quantile(dist: EmpiricalDistribution, u: float) -> float:
 
     Raises
     ------
-    DomainError
+    ValidationError
         If u is outside (0, 1].
     """
     if not 0.0 < u <= 1.0:
-        raise DomainError(f"quantile level must lie in (0, 1], got {u}")
+        raise ValidationError(f"quantile level must lie in (0, 1], got {u}")
     k = math.ceil(u * dist.m)
     if k > 1 and (k - 1) / dist.m >= u:
         k -= 1  # u * m rounded up past an integer, as u = 14/25 does

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bounds import BoundsMethod
-from .exceptions import DegenerateSample, DomainError, DrPredictError, ValidationError
+from .exceptions import DrPredictError, ValidationError
 from .inference import (
     check_two_step_args,
     estimate_robust_many,
@@ -111,7 +111,7 @@ def draw_sample(dgp: GaussianDGP, seed) -> ExperimentalSample:
     """One revealed-outcome sample; deterministic given the seed.
 
     An all-treated or all-control draw is retried once with fresh
-    randomness; a second failure raises DegenerateSample.
+    randomness; a second failure raises ValidationError.
     """
     rng = np.random.default_rng(seed)
     for attempt in (0, 1):
@@ -119,7 +119,7 @@ def draw_sample(dgp: GaussianDGP, seed) -> ExperimentalSample:
         if 0 < int(t.sum()) < dgp.n:
             y = np.where(t == 1, y1, y0)
             return ExperimentalSample(y, t)
-    raise DegenerateSample(
+    raise ValidationError(
         f"both draws produced an empty arm (n={dgp.n}, e={dgp.e})"
     )
 
@@ -144,7 +144,7 @@ def case_preset(case: int, n: int = 1000):
     cost-norm order p maps to the dual order q = p/(p-1).
     """
     if case not in _CASE_PARAMS:
-        raise DomainError(f"case must be one of 1..6, got {case}")
+        raise ValidationError(f"case must be one of 1..6, got {case}")
     params = _CASE_PARAMS[case]
     m1_scale, m0_scale = params.get("mu_scale", (1.0, 0.2))
     dgp = GaussianDGP(
@@ -274,9 +274,9 @@ def run_coverage_study(
     any worker count.
     """
     if replications < 100:
-        raise DomainError(f"replications must be >= 100, got {replications}")
+        raise ValidationError(f"replications must be >= 100, got {replications}")
     if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     check_two_step_args(config, alpha, beta, grid_points)
     bound_method = BoundsMethod(bound_method)
     truth = population_truth(dgp, config)

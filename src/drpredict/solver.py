@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import VarianceBounds
-from .exceptions import ConvergenceError, DomainError, ValidationError
+from .exceptions import NumericalError, ValidationError
 
 __all__ = [
     "RobustConfig",
@@ -91,7 +91,7 @@ def newton_root(fun, x, lo, hi, tol):
 
     Raises
     ------
-    ConvergenceError
+    NumericalError
         If some entry has not converged after _MAX_ITER steps.
     """
     x, lo, hi = np.broadcast_arrays(*(np.asarray(y, dtype=float) for y in (x, lo, hi)))
@@ -116,7 +116,7 @@ def newton_root(fun, x, lo, hi, tol):
             done |= small | (np.abs(last) <= near)
             if done.all():
                 return x
-    raise ConvergenceError(f"bracketed Newton did not converge in {_MAX_ITER} steps")
+    raise NumericalError(f"bracketed Newton did not converge in {_MAX_ITER} steps")
 
 
 # --------------------------------------------------------------- objective
@@ -127,11 +127,11 @@ def dual_objective(tau: float, tau_star: float, v: float, config: RobustConfig) 
 
     Raises
     ------
-    DomainError
+    ValidationError
         If v < 0.
     """
     if v < 0.0:
-        raise DomainError(f"variance must be nonnegative, got {v}")
+        raise ValidationError(f"variance must be nonnegative, got {v}")
     value, _, _ = penalty_derivs(tau, config.q)
     return math.sqrt(v + (tau_star - tau) ** 2) + config.delta * float(value)
 
@@ -141,15 +141,15 @@ def proximity_derivs(tau: float, tau_star: float, v: float) -> tuple[float, floa
 
     Raises
     ------
-    DomainError
+    ValidationError
         If v < 0, or at the kink (v = 0, tau = tau_star) where the
         derivatives do not exist.
     """
     if v < 0.0:
-        raise DomainError(f"variance must be nonnegative, got {v}")
+        raise ValidationError(f"variance must be nonnegative, got {v}")
     g = v + (tau_star - tau) ** 2
     if g == 0.0:
-        raise DomainError("derivatives undefined at the kink v=0, tau=tau_star")
+        raise ValidationError("derivatives undefined at the kink v=0, tau=tau_star")
     a = math.sqrt(g)
     d1 = (tau - tau_star) / a
     d2 = v / (g * a)
@@ -196,13 +196,13 @@ def homogeneous_threshold(tau_star: float, q: float) -> float:
 
     Raises
     ------
-    DomainError
+    ValidationError
         If tau_star = 0 or q <= 1.
     """
     if tau_star == 0.0:
-        raise DomainError("threshold undefined for tau_star = 0")
+        raise ValidationError("threshold undefined for tau_star = 0")
     if q <= 1.0:
-        raise DomainError(f"threshold requires q > 1, got {q}")
+        raise ValidationError(f"threshold requires q > 1, got {q}")
     # same array arithmetic as the solver, so the threshold itself is unshrunk
     return float(_threshold(np.array([abs(tau_star)]), q)[0])
 
@@ -248,13 +248,13 @@ def _minimax(tau_star, v, delta, q: float) -> np.ndarray:
 
 
 def _check_inputs(tau_star, v) -> None:
-    """Raise DomainError unless every tau_star is finite and every v is
+    """Raise ValidationError unless every tau_star is finite and every v is
     finite and nonnegative."""
     if not np.all(np.isfinite(tau_star)):
-        raise DomainError(f"source effect must be finite, got {tau_star}")
+        raise ValidationError(f"source effect must be finite, got {tau_star}")
     v = np.asarray(v, dtype=float)
     if not (np.all(v >= 0.0) and np.all(np.isfinite(v))):
-        raise DomainError(f"variance must be finite and nonnegative, got {v}")
+        raise ValidationError(f"variance must be finite and nonnegative, got {v}")
 
 
 def solve_minimax(tau_star: float, v: float, config: RobustConfig) -> float:
@@ -269,9 +269,9 @@ def solve_minimax(tau_star: float, v: float, config: RobustConfig) -> float:
 
     Raises
     ------
-    DomainError
+    ValidationError
         If tau_star is not finite, or v is negative or not finite.
-    ConvergenceError
+    NumericalError
         If the bracketed search fails to converge (indicates a bug, not a
         data condition).
     """
@@ -285,7 +285,7 @@ def solve_minimax_many(tau_stars, v, config: RobustConfig) -> np.ndarray:
 
     Raises
     ------
-    DomainError
+    ValidationError
         If any source effect is not finite, or any variance is negative or
         not finite.
     """

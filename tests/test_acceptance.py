@@ -24,7 +24,7 @@ from drpredict import (
     neyman_bounds,
     penalty_derivs,
     population_truth,
-    prediction_sds,
+    prediction_sd_grid,
     proximity_derivs,
     run_coverage_study,
     sharp_bounds_empirical,
@@ -33,7 +33,6 @@ from drpredict import (
     wasserstein2_1d,
     zero_tau_limit_sd,
 )
-from drpredict.covariance import loadings
 from drpredict.moments import ArmMoments
 
 # Reference values for the six built-in designs
@@ -208,9 +207,8 @@ def test_criterion_06_sandwich_sd_matches_monte_carlo():
     sigma = sigma_neyman(pop_moments)
     bounds = neyman_bounds(dgp.sigma1**2, dgp.sigma0**2)
     tau_p = solve_minimax(truth.tau_star, bounds.v_p, config)
-    tau_o = solve_minimax(truth.tau_star, bounds.v_o, config)
-    ld = loadings(truth.tau_star, bounds, tau_p, tau_o, config)
-    sd_p, _ = prediction_sds(ld, sigma)
+    s = sigma.entries
+    sd_p = float(prediction_sd_grid(truth.tau_star, tau_p, bounds.v_p, (s[0, 0], s[0, 2], s[2, 2]), config))
 
     start = time.time()
     reps = 2000

@@ -71,3 +71,36 @@ def test_batch_pipeline_is_exported():
     assert batch <= set(drpredict.__all__)
     assert batch <= set(inference.__all__)
     assert "estimate_ate_diff_means" not in drpredict.__all__  # ArmMoments.ate
+
+
+def test_one_error_class_per_exit_code():
+    from drpredict import exceptions
+
+    exported = {name for name in drpredict.__all__
+                if isinstance(getattr(drpredict, name), type)
+                and issubclass(getattr(drpredict, name), Exception)
+                and not issubclass(getattr(drpredict, name), Warning)}
+    assert exported == {"DrPredictError", "ValidationError", "ParseError", "NumericalError"}
+    defined = {name for name, obj in vars(exceptions).items()
+               if isinstance(obj, type) and issubclass(obj, drpredict.DrPredictError)}
+    assert defined == exported
+    # every error maps to exit 2 (ValidationError) or exit 3 (NumericalError)
+    assert issubclass(drpredict.ParseError, drpredict.ValidationError)
+    assert not issubclass(drpredict.NumericalError, drpredict.ValidationError)
+    for module in MODULES:
+        for obj in vars(importlib.import_module(f"drpredict.{module}")).values():
+            if isinstance(obj, type) and issubclass(obj, drpredict.DrPredictError) \
+                    and obj is not drpredict.DrPredictError:
+                assert issubclass(obj, (drpredict.ValidationError, drpredict.NumericalError)), obj
+
+
+def test_one_delta_method_sd_function():
+    from drpredict import covariance
+
+    gone = {"Loadings", "loadings", "prediction_sds", "conditional_sd_grid", "merged_u_grid",
+            "DomainError", "InsufficientData", "ConvergenceError", "ZeroTauError",
+            "UnsupportedRegime", "UnsupportedConfig", "OrderError", "DensityError",
+            "DegenerateSample"}
+    assert gone & set(drpredict.__all__) == set()
+    assert [name for name in gone if hasattr(covariance, name)] == []
+    assert "prediction_sd_grid" in covariance.__all__

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drpredict import InsufficientData, ValidationError
-from drpredict.bounds import merged_u_grid
+from drpredict import ValidationError
 from drpredict.calibration import (
     RadiusBenchmark,
     SplitRule,
@@ -14,6 +13,7 @@ from drpredict.calibration import (
     wasserstein2_1d,
 )
 from drpredict.sample import EmpiricalDistribution, ExperimentalSample, quantile_at
+from oracles import merged_u_grid
 
 
 def _dist(values):
@@ -156,7 +156,7 @@ def test_split_preconditions():
         split_benchmark(s, "provided_mask", mask=np.ones(3, dtype=bool))
     lopsided = np.zeros(20, dtype=bool)
     lopsided[0] = True  # one treated unit in cell one
-    with pytest.raises(InsufficientData):
+    with pytest.raises(ValidationError):
         split_benchmark(s, "provided_mask", mask=lopsided, permutations=0)
 
 

@@ -294,6 +294,27 @@ def test_infer_q1_is_usage_error(case1_csv, capsys):
     assert "q > 1" in capsys.readouterr().err
 
 
+def _shifted_arms_file(path, shift):
+    """80 rows: the treated arm is the control arm plus ``shift``."""
+    y0 = np.random.default_rng(5).normal(size=40)
+    return _write_csv(path, np.concatenate((y0 + shift, y0)), np.repeat([1, 0], 40))
+
+
+@pytest.mark.parametrize("command", ["estimate", "infer"])
+def test_homogeneous_effect_kink_is_numerical_error(command, tmp_path, capsys):
+    # the sharp lower bound is exactly 0 and tau_o = tau*: the kink, where
+    # the delta-method expansion does not exist
+    path = _shifted_arms_file(tmp_path / "shift.csv", 1.0)
+    assert main([command, "--data", path, "--delta", "0.5"]) == 3
+    assert capsys.readouterr().err.startswith("numerical error: no smooth expansion")
+
+
+def test_identical_arms_is_numerical_error(tmp_path, capsys):
+    path = _shifted_arms_file(tmp_path / "same.csv", 0.0)
+    assert main(["estimate", "--data", path, "--delta", "0.5"]) == 3
+    assert capsys.readouterr().err.startswith("numerical error: prediction at slot 0 is numerically zero")
+
+
 # ----------------------------------------------------------------- simulate
 
 

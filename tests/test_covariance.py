@@ -3,25 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from drpredict import (
-    DensityError,
-    DomainError,
-    ExperimentalSample,
-    InsufficientData,
-    UnsupportedRegime,
-    ValidationError,
-    ZeroTauError,
-)
-from drpredict.bounds import VarianceBounds, sharp_bounds_empirical
+from drpredict import ExperimentalSample, NumericalError, ValidationError
+from drpredict.bounds import BoundsMethod, VarianceBounds, sharp_bounds_empirical
 from drpredict.covariance import (
-    Loadings,
     NearEqualVariancesWarning,
     SigmaMatrix,
     SigmaMethod,
-    conditional_sd_grid,
-    loadings,
     prediction_sd_grid,
-    prediction_sds,
     sigma_bootstrap,
     sigma_neyman,
     sigma_sharp,
@@ -31,6 +19,7 @@ from drpredict import covariance as cov_module
 from drpredict.moments import ArmMoments, estimate_moments
 from drpredict.sample import quantile_at
 from drpredict.solver import RobustConfig, solve_minimax
+from oracles import kde_at
 
 
 def _sample(y1, y0):
@@ -161,7 +150,7 @@ def test_neyman_sigma_rejects_zero_variance():
         tau1=0.0, tau0=0.0, sigma1_sq=0.0, sigma0_sq=1.0,
         mu3_1=0.0, mu3_0=0.0, mu4_1=0.0, mu4_0=3.0, e_hat=0.5,
     )
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         sigma_neyman(m)
 
 
@@ -206,10 +195,10 @@ def test_sharp_sigma_diagonals_match_monte_carlo():
 def test_sharp_sigma_preconditions():
     rng = np.random.default_rng(0)
     small = _sample(rng.normal(size=29), rng.normal(size=50))
-    with pytest.raises(InsufficientData):
+    with pytest.raises(ValidationError):
         sigma_sharp(small)
     ok = _sample(rng.normal(size=40), rng.normal(size=40))
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         sigma_sharp(ok, grid_size=199)
 
 
@@ -217,7 +206,7 @@ def test_sharp_sigma_density_floor():
     # ultra-diffuse data: bandwidth ~1e6 pushes the density below the floor
     y = np.linspace(0.0, 1e7, 100)
     s = _sample(y, y + 1.0)
-    with pytest.raises(DensityError):
+    with pytest.raises(NumericalError):
         sigma_sharp(s, grid_size=200)
 
 
@@ -248,7 +237,7 @@ def test_binned_kde_matches_exact_kde(family, n):
     y = np.sort(_FAMILIES[family](np.random.default_rng(n), n))
     x = _u_grid_quantiles(y)
     h = cov_module._silverman_bandwidth(y)
-    exact = cov_module._kde_at(y, x, h)
+    exact = kde_at(y, x, h)
     np.testing.assert_allclose(cov_module._kde_binned(y, x, h), exact, rtol=KDE_RTOL, atol=0.0)
 
 
@@ -258,19 +247,10 @@ def test_sharp_sigma_binned_matches_exact_kde(family, monkeypatch):
     draw = _FAMILIES[family]
     smp = _sample(draw(rng, 6_000), 0.5 * draw(rng, 14_000) + 0.2)
     binned = sigma_sharp(smp).entries
-    monkeypatch.setattr(cov_module, "_kde_binned", cov_module._kde_at)
+    monkeypatch.setattr(cov_module, "_kde_binned", kde_at)
     exact = sigma_sharp(smp).entries
     scale = np.sqrt(np.outer(np.diag(exact), np.diag(exact)))
     assert np.all(np.abs(binned - exact) <= SIGMA_RTOL * scale)
-
-
-def test_sharp_sigma_never_calls_exact_kde(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("the exact KDE is a test oracle only")
-
-    monkeypatch.setattr(cov_module, "_kde_at", forbidden)
-    out = sigma_sharp(_case1_marginals(np.random.default_rng(5), 2_000))
-    assert np.all(np.isfinite(out.entries))
 
 
 def _far_cluster(rng, n):
@@ -304,10 +284,10 @@ def test_binned_kde_grid_follows_quantiles(draw, monkeypatch):
     h = cov_module._silverman_bandwidth(y1)
     assert (y1[-1] - y1[0]) / (h / cov_module.KDE_BINS_PER_BANDWIDTH) > 10 * bound
     x = _u_grid_quantiles(y1)
-    np.testing.assert_allclose(cov_module._kde_binned(y1, x, h), cov_module._kde_at(y1, x, h), rtol=KDE_RTOL, atol=0.0)
+    np.testing.assert_allclose(cov_module._kde_binned(y1, x, h), kde_at(y1, x, h), rtol=KDE_RTOL, atol=0.0)
 
 
-# ------------------------------------------------------------------ loadings
+# -------------------------------------------------------- delta-method SDs
 
 
 def _case1_setup(delta=0.1, q=2.0):
@@ -318,28 +298,30 @@ def _case1_setup(delta=0.1, q=2.0):
     return cfg, b, tau_p, tau_o
 
 
+def _sigma_b(sigma):
+    """(S_bb, S_bt, S_tt) of both bounds, in the order (V_p, V_o)."""
+    s = sigma.entries
+    own = [0, 1]
+    return s[own, own], s[own, 2], s[2, 2]
+
+
 def test_loadings_delta_zero_recovers_ate_variance():
     cfg = RobustConfig(0.0, 2.0)
-    b = VarianceBounds(v_o=1.0, v_p=9.0, method="neyman")
-    ld = loadings(1.8, b, 1.8, 1.8, cfg)
-    np.testing.assert_allclose(ld.d_p, [0.0, 0.0, -1.0 / 3.0])
-    np.testing.assert_allclose(ld.d_o, [0.0, 0.0, -1.0])
-    assert ld.m_pp == pytest.approx(1.0 / 3.0)
-    assert ld.m_oo == pytest.approx(1.0)
+    v = np.array([9.0, 1.0])
+    d_v, d_tau, m = cov_module._loading_terms(1.8, np.array([1.8, 1.8]), v, cfg)
+    np.testing.assert_allclose(d_v, [0.0, 0.0])
+    np.testing.assert_allclose(d_tau, [-1.0 / 3.0, -1.0])
+    np.testing.assert_allclose(m, [1.0 / 3.0, 1.0])
     sigma = SigmaMatrix(np.diag([5.0, 5.0, CASE1_S22]), method="neyman_analytic")
-    sd_p, sd_o = prediction_sds(ld, sigma)
-    assert sd_p == pytest.approx(math.sqrt(CASE1_S22))
-    assert sd_o == pytest.approx(math.sqrt(CASE1_S22))
+    sd = prediction_sd_grid(1.8, np.array([1.8, 1.8]), v, _sigma_b(sigma), cfg)
+    np.testing.assert_allclose(sd, math.sqrt(CASE1_S22))
 
 
 def test_loadings_structure_and_signs():
     cfg, b, tau_p, tau_o = _case1_setup()
-    ld = loadings(1.8, b, tau_p, tau_o, cfg)
-    # each prediction loads only on its own bound
-    assert ld.d_p[1] == 0.0
-    assert ld.d_o[0] == 0.0
-    assert ld.d_p[0] > 0.0  # more variance -> more shrinkage -> positive gap
-    assert ld.m_pp > 0.0 and ld.m_oo > 0.0
+    d_v, _, m = cov_module._loading_terms(1.8, np.array([tau_p, tau_o]), np.array([b.v_p, b.v_o]), cfg)
+    assert d_v[0] > 0.0  # more variance -> more shrinkage -> positive gap
+    assert np.all(m > 0.0)
 
 
 def test_loadings_zero_tau_error():
@@ -348,42 +330,43 @@ def test_loadings_zero_tau_error():
     # q=1 with a big radius thresholds the prediction to exactly zero
     tau_p = solve_minimax(0.5, b.v_p, cfg)
     assert tau_p == 0.0
-    with pytest.raises(ZeroTauError):
-        loadings(0.5, b, tau_p, solve_minimax(0.5, b.v_o, cfg), cfg)
+    tau = np.array([tau_p, solve_minimax(0.5, b.v_o, cfg)])
+    with pytest.raises(NumericalError, match="slot 0"):
+        prediction_sd_grid(0.5, tau, np.array([b.v_p, b.v_o]), (1.0, 0.0, 1.0), cfg)
 
 
 def test_conditional_variance_never_larger():
+    sigma = sigma_neyman(
+        ArmMoments(
+            tau1=2.0, tau0=0.2, sigma1_sq=4.0, sigma0_sq=1.0,
+            mu3_1=0.0, mu3_0=0.0, mu4_1=48.0, mu4_0=3.0, e_hat=0.3,
+        )
+    )
     for delta in (0.05, 0.1, 0.5, 1.0):
         cfg, b, tau_p, tau_o = _case1_setup(delta)
-        ld = loadings(1.8, b, tau_p, tau_o, cfg)
-        sigma = sigma_neyman(
-            ArmMoments(
-                tau1=2.0, tau0=0.2, sigma1_sq=4.0, sigma0_sq=1.0,
-                mu3_1=0.0, mu3_0=0.0, mu4_1=48.0, mu4_0=3.0, e_hat=0.3,
-            )
-        )
-        un_p, un_o = prediction_sds(ld, sigma)
-        c_p, c_o = prediction_sds(ld, sigma, conditional=True)
-        assert c_p <= un_p + 1e-12
-        assert c_o <= un_o + 1e-12
+        tau, v = np.array([tau_p, tau_o]), np.array([b.v_p, b.v_o])
+        un = prediction_sd_grid(1.8, tau, v, _sigma_b(sigma), cfg)
+        cond = prediction_sd_grid(1.8, tau, v, _sigma_b(sigma), cfg, conditional=True)
+        assert np.all(cond <= un + 1e-12)
 
 
 def test_conditional_sd_grid_matches_loadings():
+    # the conditional SD along a grid of source effects, with S_bt and S_tt
+    # left out, equals one call per grid point with the full Sigma entries
     cfg, b, _, _ = _case1_setup(0.4)
     sigma = SigmaMatrix(np.diag([CASE1_S00, CASE1_S11, CASE1_S22]), method="neyman_analytic")
+    s = sigma.entries
     ts = np.array([0.8, 1.2, 1.8, 2.5])
     tau_ps = np.array([solve_minimax(t, b.v_p, cfg) for t in ts])
-    grid_sd = conditional_sd_grid(ts, tau_ps, b.v_p, sigma.entries[0, 0], cfg)
+    grid_sd = prediction_sd_grid(ts, tau_ps, b.v_p, (s[0, 0], 0.0, 0.0), cfg, conditional=True)
     for i, t in enumerate(ts):
-        tau_o_t = solve_minimax(t, b.v_o, cfg)
-        ld = loadings(t, b, tau_ps[i], tau_o_t, cfg)
-        sd_p, _ = prediction_sds(ld, sigma, conditional=True)
-        assert grid_sd[i] == pytest.approx(sd_p, rel=1e-12)
+        sd_p = prediction_sd_grid(t, tau_ps[i], b.v_p, (s[0, 0], s[0, 2], s[2, 2]), cfg, conditional=True)
+        assert grid_sd[i] == pytest.approx(float(sd_p), rel=1e-12)
 
 
 def test_prediction_sd_grid_matches_loadings():
-    # one batch of (tau_p, tau_o) pairs in one call, entry for entry equal
-    # to the scalar loadings and prediction_sds of each pair
+    # a batch of (tau_p, tau_o) pairs in one call equals, entry for entry,
+    # one call per pair
     cfg = RobustConfig(0.4, 3.0)
     sigma = sigma_neyman(
         ArmMoments(
@@ -391,41 +374,31 @@ def test_prediction_sd_grid_matches_loadings():
             mu3_1=0.5, mu3_0=-0.2, mu4_1=48.0, mu4_0=3.0, e_hat=0.3,
         )
     )
-    s = sigma.entries
     b = VarianceBounds(v_o=1.0, v_p=9.0, method="neyman")
     tau_star = np.array([[-2.5], [0.8], [1.8], [4.0]])
     v = np.array([[b.v_p, b.v_o]])
     tau = np.array([[solve_minimax(t, vb, cfg) for vb in v[0]] for t in tau_star[:, 0]])
-    own = [0, 1]
     for conditional in (False, True):
-        grid = prediction_sd_grid(
-            tau_star, tau, v, (s[own, own], s[own, 2], s[2, 2]), cfg, conditional
-        )
+        grid = prediction_sd_grid(tau_star, tau, v, _sigma_b(sigma), cfg, conditional)
         for i, t in enumerate(tau_star[:, 0]):
-            ld = loadings(t, b, tau[i, 0], tau[i, 1], cfg)
-            assert tuple(grid[i]) == prediction_sds(ld, sigma, conditional)
+            pair = prediction_sd_grid(t, tau[i], v[0], _sigma_b(sigma), cfg, conditional)
+            assert grid[i].tolist() == pair.tolist()
 
 
 def test_prediction_sd_grid_raises_as_loadings():
     cfg = RobustConfig(0.5, 2.0)
     sigma_b = (1.0, 0.0, 1.0)
-    with pytest.raises(ZeroTauError, match="slot 1"):
+    with pytest.raises(NumericalError, match="slot 1"):
         prediction_sd_grid(np.array([[1.0], [0.5]]), np.array([[0.9, 0.8], [0.4, 0.0]]),
                            np.array([[4.0, 1.0]]), sigma_b, cfg)
     # the kink (v_b = 0, tau_b = tau*) of an earlier pair comes first
-    with pytest.raises(DomainError):
+    with pytest.raises(NumericalError, match="no smooth expansion"):
         prediction_sd_grid(np.array([[1.0], [0.5]]), np.array([[0.9, 1.0], [0.4, 0.0]]),
                            np.array([[4.0, 0.0]]), sigma_b, cfg)
     # the conditional SD on a first-step grid does not check
-    sd = conditional_sd_grid(np.array([0.5, 1.0]), np.array([0.0, 0.9]), 4.0, 1.0, cfg)
+    sd = prediction_sd_grid(np.array([0.5, 1.0]), np.array([0.0, 0.9]), 4.0, (1.0, 0.0, 0.0), cfg,
+                            conditional=True)
     assert np.all(np.isfinite(sd))
-
-
-def test_loadings_validation():
-    with pytest.raises(ValidationError):
-        Loadings(d_p=np.zeros(3), d_o=np.zeros(3), m_pp=0.0, m_oo=1.0)
-    with pytest.raises(ValidationError):
-        Loadings(d_p=np.zeros(2), d_o=np.zeros(3), m_pp=1.0, m_oo=1.0)
 
 
 # ----------------------------------------------------------- zero-effect law
@@ -435,11 +408,11 @@ def test_zero_tau_limit_sd():
     assert zero_tau_limit_sd(2.0, 5.0, RobustConfig(1.0, 3.0)) == 2.0
     assert zero_tau_limit_sd(2.0, 5.0, RobustConfig(0.0, 2.0)) == 2.0
     assert zero_tau_limit_sd(2.0, 2.0, RobustConfig(1.0, 2.0)) == pytest.approx(1.0)
-    with pytest.raises(UnsupportedRegime):
+    with pytest.raises(ValidationError):
         zero_tau_limit_sd(2.0, 5.0, RobustConfig(1.0, 1.5))
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         zero_tau_limit_sd(0.0, 5.0, RobustConfig(1.0, 2.0))
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         zero_tau_limit_sd(1.0, -1.0, RobustConfig(1.0, 2.0))
 
 
@@ -459,8 +432,19 @@ def test_bootstrap_sigma_consistent_with_plugin():
 
 def test_bootstrap_requires_draws():
     rng = np.random.default_rng(3)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         sigma_bootstrap(_case1_marginals(rng, 200), draws=1)
+
+
+def test_bootstrap_takes_the_bounds_method_enum():
+    smp = _case1_marginals(np.random.default_rng(4), 200)
+    sharp = sigma_bootstrap(smp, method="sharp", draws=20, seed=9).entries
+    assert np.array_equal(sigma_bootstrap(smp, method=BoundsMethod.SHARP, draws=20, seed=9).entries, sharp)
+    neyman = sigma_bootstrap(smp, method=BoundsMethod.NEYMAN, draws=20, seed=9).entries
+    assert np.array_equal(sigma_bootstrap(smp, method="neyman", draws=20, seed=9).entries, neyman)
+    assert not np.array_equal(sharp, neyman)
+    with pytest.raises(ValueError):
+        sigma_bootstrap(smp, method="Sharp", draws=20, seed=9)
 
 
 # ---------------------------------------------------------------- bandwidth

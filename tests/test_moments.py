@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drpredict import ExperimentalSample, InsufficientData
+from drpredict import ExperimentalSample, ValidationError
 from drpredict.moments import estimate_moments
 
 
@@ -46,10 +46,10 @@ def test_moments_biased_normalization():
 
 def test_moments_insufficient_arm():
     s = _sample([1.0], [2.0, 3.0])
-    with pytest.raises(InsufficientData, match="treated"):
+    with pytest.raises(ValidationError, match="treated"):
         estimate_moments(s)
     s = _sample([1.0, 2.0], [3.0])
-    with pytest.raises(InsufficientData, match="control"):
+    with pytest.raises(ValidationError, match="control"):
         estimate_moments(s)
 
 

@@ -6,7 +6,6 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from drpredict import (
-    DomainError,
     EmpiricalDistribution,
     ExperimentalSample,
     ParseError,
@@ -164,7 +163,7 @@ def test_quantile_order_statistics():
 @pytest.mark.parametrize("u", [0.0, -0.2, 1.0000001, 2.0])
 def test_quantile_domain(u):
     d = EmpiricalDistribution.from_values([1.0, 2.0])
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         empirical_quantile(d, u)
 
 

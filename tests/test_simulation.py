@@ -8,17 +8,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from drpredict import (
-    DegenerateSample,
-    DomainError,
-    ExperimentalSample,
-    InsufficientData,
-    ValidationError,
-    ZeroTauError,
-)
+from drpredict import ExperimentalSample, NumericalError, ValidationError
 from drpredict import simulation
 from drpredict.bounds import sharp_bounds_empirical, sharp_bounds_population
-from drpredict.covariance import loadings, prediction_sds, sigma_sharp
+from drpredict.covariance import prediction_sd_grid, sigma_sharp
 from drpredict.inference import _im_critical, _z, im_interval
 from drpredict.moments import estimate_moments
 from drpredict.simulation import (
@@ -55,7 +48,7 @@ def test_dgp_validation():
 
 
 def test_case_presets():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         case_preset(7)
     dgp1, cfg1 = case_preset(1)
     assert (dgp1.mu1, dgp1.mu0, dgp1.rho, dgp1.e, dgp1.n) == (2.0, 0.2, 0.7, 0.3, 1000)
@@ -131,7 +124,7 @@ def test_treated_share_concentrates():
 
 def test_degenerate_sample_raises_after_retry():
     dgp = GaussianDGP(mu1=0.0, mu0=0.0, sigma1=1.0, sigma0=1.0, rho=0.0, e=0.001, n=5)
-    with pytest.raises(DegenerateSample):
+    with pytest.raises(ValidationError):
         draw_sample(dgp, 0)
 
 
@@ -157,9 +150,9 @@ def test_degenerate_sample_retry_succeeds():
 
 def test_coverage_study_validation():
     dgp, cfg = case_preset(1, n=200)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         run_coverage_study(dgp, cfg, replications=99)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         run_coverage_study(dgp, cfg, replications=100, beta=0.06)
 
 
@@ -228,15 +221,19 @@ def test_replications_do_not_depend_on_their_batch(case, batch, monkeypatch):
 
 
 def _old_replication(dgp, cfg, child, alpha=0.05, beta=0.045, grid_points=101):
-    """One replication as composed before the study was batched: the scalar
-    loadings, prediction_sds and im_interval, and a (2, grid) two-step whose
-    conditional SD is |gap / (2 A^3)| sqrt(S_bb) / M''."""
+    """One replication as composed before the study was batched: one scalar
+    prediction_sd_grid call per prediction, the scalar im_interval, and a
+    (2, grid) two-step whose conditional SD is |gap / (2 A^3)| sqrt(S_bb) / M''."""
     sample = draw_sample(dgp, child)
     tau_star = estimate_moments(sample).ate
     bounds = sharp_bounds_empirical(sample)
     sigma = sigma_sharp(sample)
     tau_p, tau_o = solve_minimax_many(tau_star, [bounds.v_p, bounds.v_o], cfg).tolist()
-    sd_p, sd_o = prediction_sds(loadings(tau_star, bounds, tau_p, tau_o, cfg), sigma)
+    s = sigma.entries
+    sd_p, sd_o = (
+        float(prediction_sd_grid(tau_star, tau_b, v_b, (s[b, b], s[b, 2], s[2, 2]), cfg))
+        for b, (tau_b, v_b) in enumerate(((tau_p, bounds.v_p), (tau_o, bounds.v_o)))
+    )
     if tau_p <= tau_o:
         im = im_interval(tau_p, tau_o, sd_p, sd_o, sample.n, alpha)
     else:
@@ -293,9 +290,9 @@ def test_coverage_study_two_workers_equal_serial():
 
 
 def test_study_raises_the_first_failing_replications_error(monkeypatch):
-    # in one batch, replication 3 has a zero effect (ZeroTauError, found after
+    # in one batch, replication 3 has a zero effect (NumericalError, found after
     # the batch's per-sample stage) and replication 9 a 5-row arm
-    # (InsufficientData, found in it); a serial run meets replication 3 first
+    # (ValidationError, found in it); a serial run meets replication 3 first
     real_draw = simulation.draw_sample
 
     def draw(dgp, child):
@@ -310,9 +307,9 @@ def test_study_raises_the_first_failing_replications_error(monkeypatch):
     monkeypatch.setattr(simulation, "draw_sample", draw)
     monkeypatch.setattr(simulation, "_BATCH", 16)
     dgp, cfg = case_preset(1, n=200)
-    with pytest.raises(ZeroTauError):
+    with pytest.raises(NumericalError):
         run_coverage_study(dgp, cfg, replications=100, seed=3)
-    with pytest.raises(InsufficientData):
+    with pytest.raises(ValidationError):
         _replicate_block(dgp, cfg, 3, 100, 4, 100, 0.05, 0.045, "sharp", 101)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drpredict import ConvergenceError, DomainError, ValidationError
+from drpredict import ValidationError
 from drpredict.bounds import VarianceBounds
 from drpredict.solver import (
     RobustConfig,
@@ -57,7 +57,7 @@ def test_objective_hand_values():
 
 
 def test_objective_rejects_negative_variance():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         dual_objective(0.0, 1.0, -1e-9, RobustConfig(1.0, 2.0))
 
 
@@ -96,11 +96,11 @@ def test_threshold_decreasing_in_effect_size():
 
 
 def test_threshold_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         homogeneous_threshold(0.0, 2.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         homogeneous_threshold(1.0, 1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         homogeneous_threshold(1.0, 0.5)
 
 
@@ -267,7 +267,7 @@ def test_solution_beats_grid():
 
 
 def test_solver_rejects_negative_variance():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         solve_minimax(1.0, -0.5, RobustConfig(1.0, 2.0))
 
 
@@ -276,16 +276,16 @@ def test_solver_rejects_negative_variance():
     [
         (math.nan, 1.0),  # returned nan
         (1.0, math.nan),  # returned 0.5: a NaN variance passed a `v < 0` check
-        (math.inf, 1.0),  # raised ConvergenceError
+        (math.inf, 1.0),  # raised NumericalError
         (-math.inf, 1.0),
         (1.0, math.inf),
     ],
 )
 def test_solver_rejects_nonfinite_inputs(tau_star, v):
     cfg = RobustConfig(0.5, 2.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         solve_minimax(tau_star, v, cfg)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         solve_minimax_many(np.array([1.0, tau_star]), np.array([v, 1.0]), cfg)
 
 
@@ -336,7 +336,7 @@ def test_penalty_derivs_at_zero():
 
 
 def test_proximity_derivs_kink_rejected():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         proximity_derivs(1.0, 1.0, 0.0)
 
 
@@ -420,7 +420,7 @@ def test_vectorized_q1_closed_form():
 
 
 def test_vectorized_rejects_negative_variance():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         solve_minimax_many(np.array([1.0, 2.0]), [1.0, -0.5], RobustConfig(0.5, 2.0))
 
 
