@@ -31,6 +31,11 @@ class BoundsMethod(str, enum.Enum):
     SHARP = "sharp"
     NEYMAN = "neyman"
 
+    @classmethod
+    def _missing_(cls, value):
+        allowed = ", ".join(repr(m.value) for m in cls)
+        raise ValidationError(f"unknown bounds method {value!r}; expected one of {allowed}")
+
 
 @dataclass(frozen=True)
 class VarianceBounds:
@@ -143,11 +148,8 @@ def sharp_bounds_empirical(sample: ExperimentalSample) -> VarianceBounds:
         raise ValidationError(
             f"need >= 2 observations per arm, got n1={sample.n1}, n0={sample.n0}"
         )
-    y1 = np.sort(sample.treated)
-    y0 = np.sort(sample.control)
-    var1 = float(y1.var())
-    var0 = float(y0.var())
-    cov_u, cov_l = _frechet_covariances(y1, y0)
+    var1, var0 = sample.arm_variances
+    cov_u, cov_l = _frechet_covariances(*sample.sorted_arms)
     v_o = var1 + var0 - 2.0 * cov_u
     v_p = var1 + var0 - 2.0 * cov_l
     return VarianceBounds(v_o=max(v_o, 0.0), v_p=max(v_p, 0.0), method=BoundsMethod.SHARP)

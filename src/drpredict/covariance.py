@@ -5,9 +5,18 @@ robust predictions.
 The joint limit of sqrt(n) * (V_hat_p - V_p, V_hat_o - V_o, tau_hat - tau*)
 is mean-zero normal with covariance Sigma. Two estimation routes are
 provided: a closed form from arm moments (valid for the Neyman bounds) and
-a per-observation influence-function plug-in (valid for the sharp bounds),
-plus a bootstrap as a robustness check. All matrices use the row/column
-order (V_p, V_o, tau*).
+an influence-function plug-in (valid for the sharp bounds), plus a
+bootstrap as a robustness check. All matrices use the row/column order
+(V_p, V_o, tau*).
+
+The plug-in is the empirical covariance of per-observation influence
+values, but it never forms them. An observation's influence is a quadratic
+in its outcome plus a constant of the u-grid segment the outcome falls in,
+so Sigma follows from a few sums over each sorted arm: per segment, the
+count and the sums of d and d^2, and over the whole arm, the sums of d to
+d^4 (d the outcome less its arm mean). The memory it needs beyond the
+sample is two arm-length rows, and its time is one pass over each arm.
+``tests/oracles.py`` keeps the (3, n) influence array as the reference.
 """
 
 from __future__ import annotations
@@ -178,8 +187,10 @@ def _sorted_percentile(y_sorted: np.ndarray, fraction: float) -> float:
     return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
 
 
-def _silverman_bandwidth(y_sorted: np.ndarray) -> float:
-    sd = float(y_sorted.std())
+def _silverman_bandwidth(y_sorted: np.ndarray, var: float) -> float:
+    """Silverman's rule-of-thumb bandwidth of a sorted arm whose biased
+    (1/n) variance is ``var``."""
+    sd = math.sqrt(var)
     iqr = _sorted_percentile(y_sorted, 0.75) - _sorted_percentile(y_sorted, 0.25)
     spread = min(sd, iqr / 1.34) if iqr > 0.0 else sd
     return 0.9 * spread * y_sorted.shape[0] ** (-0.2)
@@ -231,22 +242,23 @@ def _kde_binned(data: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
     return np.interp(at, np.arange(grid.shape[0]), smooth[: grid.shape[0]]) * norm
 
 
-def _arm_density(arm_sorted: np.ndarray, q: np.ndarray, name: str) -> np.ndarray | None:
-    """Binned KDE of one sorted arm at its u-grid quantiles ``q``.
+def _arm_density(arm_sorted: np.ndarray, var: float, q: np.ndarray, name: str) -> np.ndarray | None:
+    """Binned KDE of one sorted arm, of variance ``var``, at its u-grid
+    quantiles ``q``.
 
     Returns None for a zero-spread arm, which has no quantile noise.
     """
     if arm_sorted[0] == arm_sorted[-1]:
         return None
-    f = _kde_binned(arm_sorted, q, _silverman_bandwidth(arm_sorted))
+    f = _kde_binned(arm_sorted, q, _silverman_bandwidth(arm_sorted, var))
     if np.any(f < DENSITY_FLOOR):
         raise NumericalError(f"{name}-arm density below floor on the u-grid")
     return f
 
 
-def _arm_influence(
-    out: np.ndarray,
+def _arm_gram(
     y: np.ndarray,
+    var: float,
     share: float,
     sign: float,
     mean: float,
@@ -256,39 +268,66 @@ def _arm_influence(
     q: np.ndarray,
     f: np.ndarray | None,
     q_other: np.ndarray,
-) -> None:
-    """Write the (V_p, V_o, tau*) influence values of one arm's sorted
-    outcomes ``y`` into the rows of ``out``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum of psi psi' and sum of psi over one arm's sorted outcomes ``y``,
+    where psi is an observation's (V_p, V_o, tau*) influence value.
 
     ``share`` is the arm's fraction of the sample and ``sign`` is +1 for the
-    treated arm, -1 for the control arm. The quantile-process piece is the
-    integral of Qdot_i(u) * Q_other(u) du, with Q_other reversed for the
-    antitone coupling (V_p), where Qdot_i(u) = -[1{y_i <= Q(u)} - u] /
-    (share * f(Q(u))). The indicator is a step in u, so the integral is a
-    suffix sum over the grid plus one searchsorted per observation.
+    treated arm, -1 for the control arm. With d = y - mean and m' the other
+    arm's mean, psi = B (d, d^2) + g[k] with
+
+        B = [[2 m', 1], [2 m', 1], [sign, 0]] / share,
+
+    and g[k] a constant of the segment k = #{u-grid quantiles < y}, one of
+    len(q) + 1. Its V_p and V_o entries are (2 S[k] - 2 (u . a) - var) /
+    share: the quantile-process piece, the integral of Qdot(u) W(u) du with
+    Qdot(u) = -[1{y <= Q(u)} - u] / (share f(Q(u))), is a step in u, so on
+    the grid it is the suffix sum S[k] of a = du W / f. W is the other arm's
+    quantile function, reversed for V_p (the antitone coupling).
+
+    So both sums follow from the count, sum d and sum d^2 of each segment
+    (``np.add.reduceat`` on the sorted arm) and the whole-arm sums of d to
+    d^4, without an influence row per observation.
     """
-    arm_dot = (y - mean) / share
-    out[2] = sign * arm_dot
-    sig_dot = ((y - mean) ** 2 - float(y.var())) / share
-    gamma_dot = other_mean * arm_dot
-    k = None if f is None else np.searchsorted(q, y, side="left")
-    for row, weights in ((0, q_other[::-1]), (1, q_other)):
-        theta_dot = 0.0
-        if f is not None:
-            a = du * weights / f
-            suffix = np.concatenate((np.cumsum(a[::-1])[::-1], [0.0]))
-            theta_dot = -(suffix[k] - float(np.dot(u, a))) / share
-        out[row] = sig_dot - 2.0 * (theta_dot - gamma_dot)
+    if f is None:  # a zero-spread arm: d = 0 and var = 0, so every psi is 0
+        return np.zeros((3, 3)), np.zeros(3)
+    n = y.shape[0]
+    powers = np.zeros((2, n + 1))  # d and d^2, then a zero column that ends the last segments
+    np.subtract(y, mean, out=powers[0, :n])
+    np.multiply(powers[0], powers[0], out=powers[1])
+    edges = np.concatenate(([0], np.searchsorted(y, q, side="right"), [n]))
+    counts = edges[1:] - edges[:-1]
+    segments = np.add.reduceat(powers, edges[:-1], axis=1)
+    w = 1.0 / share
+    b = np.array([[2.0 * other_mean * w, w], [2.0 * other_mean * w, w], [sign * w, 0.0]])
+    scale = (2.0 * du * w) / f
+    a = np.empty((2, q.shape[0]))
+    np.multiply(scale, q_other[::-1], out=a[0])
+    np.multiply(scale, q_other, out=a[1])
+    g = np.zeros((3, counts.shape[0]))
+    np.cumsum(a[:, ::-1], axis=1, out=g[:2, -2::-1])
+    g[:2] -= (a @ u + var * w)[:, None]
+    # an empty segment's reduceat entry is the next element, not 0
+    g[:2] *= counts > 0
+    cross = b @ (segments @ g.T)
+    gram = b @ (powers @ powers.T) @ b.T + cross + cross.T + (g * counts) @ g.T
+    return gram, b @ np.add.reduce(powers, axis=1) + g @ counts
 
 
 def sigma_sharp(sample: ExperimentalSample, grid_size: int = 400) -> SigmaMatrix:
     """Influence-function plug-in covariance for the sharp bounds.
 
-    Builds per-observation influence values for (V_hat_p, V_hat_o, tau_hat)
-    — combining arm-mean, arm-variance, and quantile-process contributions,
-    the latter through binned kernel density estimates (_kde_binned)
-    evaluated at the empirical quantiles on a trimmed uniform u-grid — and
-    returns their empirical covariance.
+    Sigma is the empirical covariance of the per-observation influence
+    values of (V_hat_p, V_hat_o, tau_hat), which combine arm-mean,
+    arm-variance and quantile-process contributions; the latter go through
+    binned kernel density estimates (_kde_binned) at the empirical
+    quantiles of a trimmed uniform u-grid. The u-grid quantiles cut each
+    sorted arm (``sample.sorted_arms``) into grid_size + 1 segments, and an
+    observation's influence is a quadratic in its outcome plus a constant of
+    its segment. So each arm's sums of psi psi' and psi come from a few
+    whole-arm and per-segment sums (_arm_gram), and Sigma is their total
+    over n less the outer product of the mean: no per-observation influence
+    array is formed.
 
     Parameters
     ----------
@@ -314,12 +353,10 @@ def sigma_sharp(sample: ExperimentalSample, grid_size: int = 400) -> SigmaMatrix
     if grid_size < 200:
         raise ValidationError(f"grid_size must be >= 200, got {grid_size}")
 
-    y1 = sample.treated  # fresh copies, so sorting in place is safe
-    y1.sort()
-    y0 = sample.control
-    y0.sort()
+    y1, y0 = sample.sorted_arms
+    var1, var0 = sample.arm_variances
     e = sample.n1 / sample.n
-    tau1, tau0 = float(y1.mean()), float(y0.mean())
+    tau1, tau0 = float(y1.sum()) / sample.n1, float(y0.sum()) / sample.n0  # y.mean(), bit for bit
 
     trim = _u_trim(min(sample.n1, sample.n0))
     du = (1.0 - 2.0 * trim) / grid_size
@@ -327,16 +364,13 @@ def sigma_sharp(sample: ExperimentalSample, grid_size: int = 400) -> SigmaMatrix
 
     q1 = quantile_at(y1, u)
     q0 = quantile_at(y0, u)
-    f1 = _arm_density(y1, q1, "treated")
-    f0 = _arm_density(y0, q0, "control")
+    f1 = _arm_density(y1, var1, q1, "treated")
+    f0 = _arm_density(y0, var0, q0, "control")
 
-    # the covariance is a sum over observations, so each arm fills its own
-    # block of columns; influence pieces are exactly zero off-arm
-    psi = np.empty((3, sample.n))
-    _arm_influence(psi[:, : sample.n1], y1, e, 1.0, tau1, tau0, u, du, q1, f1, q0)
-    _arm_influence(psi[:, sample.n1 :], y0, 1.0 - e, -1.0, tau0, tau1, u, du, q0, f0, q1)
-    psi -= psi.mean(axis=1, keepdims=True)
-    entries = psi @ psi.T / sample.n
+    gram1, sum1 = _arm_gram(y1, var1, e, 1.0, tau1, tau0, u, du, q1, f1, q0)
+    gram0, sum0 = _arm_gram(y0, var0, 1.0 - e, -1.0, tau0, tau1, u, du, q0, f0, q1)
+    mean = (sum1 + sum0) / sample.n
+    entries = (gram1 + gram0) / sample.n - np.outer(mean, mean)
     return SigmaMatrix(entries=entries, method=SigmaMethod.SHARP_PLUGIN)
 
 
@@ -380,11 +414,12 @@ def sigma_bootstrap(
 # ------------------------------------------------------ delta-method SDs
 
 
-def _check_expansion(tau_star, tau_b, v_b) -> None:
+def _check_expansion(tau_star, tau_b, v_b, conditional: bool = False) -> None:
     """Raise NumericalError unless every prediction tau_b has a smooth
-    expansion: none where tau_b is numerically zero (|tau_b| < 1e-10, the
-    zero-effect limit law applies) or where v_b = 0 and tau_b = tau_star
-    (the kink).
+    expansion: none where v_b = 0 and tau_b = tau_star (the kink) and,
+    unless ``conditional``, none where tau_b is numerically zero
+    (|tau_b| < 1e-10, the zero-effect limit law applies; a conditional SD
+    leaves out the noise of tau_star that this limit is about).
 
     Entries are checked in C order, each for the zero-effect limit first and
     then for the kink, so an (R, 2) batch raises what its first failing
@@ -392,7 +427,7 @@ def _check_expansion(tau_star, tau_b, v_b) -> None:
     """
     tau_b = np.asarray(tau_b, dtype=float)
     gap = tau_star - tau_b
-    zero = np.abs(tau_b) < 1e-10
+    zero = np.zeros(tau_b.shape, dtype=bool) if conditional else np.abs(tau_b) < 1e-10
     kink = v_b + gap * gap == 0.0
     bad = np.flatnonzero(zero | kink)
     if bad.size == 0:
@@ -450,10 +485,9 @@ def prediction_sd_grid(t_grid, tau_b_grid, v_b, sigma_b, config: RobustConfig, c
     ------
     NumericalError
         As ``_check_expansion``, where a prediction has no smooth
-        expansion; not checked when ``conditional``.
+        expansion; when ``conditional``, only at the kink.
     """
-    if not conditional:
-        _check_expansion(t_grid, tau_b_grid, v_b)
+    _check_expansion(t_grid, tau_b_grid, v_b, conditional)
     d_v, d_tau, m = _loading_terms(t_grid, tau_b_grid, v_b, config, conditional)
     return _sd_from_terms(d_v, d_tau, m, *sigma_b)
 

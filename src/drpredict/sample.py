@@ -12,6 +12,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -93,6 +94,25 @@ class ExperimentalSample:
     def control(self) -> np.ndarray:
         """Outcomes of the control arm."""
         return self.outcomes[self.treatments == 0]
+
+    @cached_property
+    def sorted_arms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(treated, control) outcomes, each sorted ascending and read-only.
+
+        Computed on first access and kept, so the sharp bounds and their
+        covariance share one sort of each arm.
+        """
+        arms = (self.treated, self.control)  # fresh copies, safe to sort in place
+        for arm in arms:
+            arm.sort()
+            arm.setflags(write=False)
+        return arms
+
+    @cached_property
+    def arm_variances(self) -> tuple[float, float]:
+        """(treated, control) biased (1/n) variances, from ``sorted_arms``."""
+        y1, y0 = self.sorted_arms
+        return float(y1.var()), float(y0.var())
 
 
 @dataclass(frozen=True)
@@ -268,5 +288,6 @@ def quantile_at(values_sorted: np.ndarray, u) -> np.ndarray:
     m = values_sorted.shape[0]
     u = np.asarray(u, dtype=float)
     idx = np.ceil(u * m).astype(np.int64)
-    np.clip(idx, 1, m, out=idx)
+    np.maximum(idx, 1, out=idx)
+    np.minimum(idx, m, out=idx)
     return values_sorted[idx - 1]

@@ -8,6 +8,9 @@ import math
 
 import numpy as np
 
+from drpredict.covariance import _arm_density, _u_trim
+from drpredict.sample import quantile_at
+
 
 def kde_at(data: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
     """Gaussian-kernel density of ``data`` evaluated at points ``x``.
@@ -40,3 +43,60 @@ def merged_u_grid(n1: int, n0: int) -> tuple[np.ndarray, np.ndarray]:
     widths = ticks - lefts
     mids = lefts + 0.5 * widths
     return mids, widths
+
+
+def _arm_influence(
+    out: np.ndarray,
+    y: np.ndarray,
+    share: float,
+    sign: float,
+    mean: float,
+    other_mean: float,
+    u: np.ndarray,
+    du: float,
+    q: np.ndarray,
+    f: np.ndarray | None,
+    q_other: np.ndarray,
+) -> None:
+    """Write the (V_p, V_o, tau*) influence values of one arm's sorted
+    outcomes ``y`` into the rows of ``out``.
+
+    ``share`` is the arm's fraction of the sample and ``sign`` is +1 for the
+    treated arm, -1 for the control arm. The quantile-process piece is the
+    integral of Qdot_i(u) * Q_other(u) du, with Q_other reversed for the
+    antitone coupling (V_p), where Qdot_i(u) = -[1{y_i <= Q(u)} - u] /
+    (share * f(Q(u))). The indicator is a step in u, so the integral is a
+    suffix sum over the grid plus one searchsorted per observation.
+    """
+    arm_dot = (y - mean) / share
+    out[2] = sign * arm_dot
+    sig_dot = ((y - mean) ** 2 - float(y.var())) / share
+    gamma_dot = other_mean * arm_dot
+    k = None if f is None else np.searchsorted(q, y, side="left")
+    for row, weights in ((0, q_other[::-1]), (1, q_other)):
+        theta_dot = 0.0
+        if f is not None:
+            a = du * weights / f
+            suffix = np.concatenate((np.cumsum(a[::-1])[::-1], [0.0]))
+            theta_dot = -(suffix[k] - float(np.dot(u, a))) / share
+        out[row] = sig_dot - 2.0 * (theta_dot - gamma_dot)
+
+
+def sigma_sharp_influence(sample, grid_size: int = 400) -> np.ndarray:
+    """The entries of ``covariance.sigma_sharp`` as the Gram matrix of a
+    (3, n) array of per-observation influence values, on the same u-grid
+    and densities; the reference for its segment-sum assembly."""
+    y1, y0 = np.sort(sample.treated), np.sort(sample.control)
+    e = sample.n1 / sample.n
+    tau1, tau0 = float(y1.mean()), float(y0.mean())
+    trim = _u_trim(min(sample.n1, sample.n0))
+    du = (1.0 - 2.0 * trim) / grid_size
+    u = trim + (np.arange(grid_size) + 0.5) * du
+    q1, q0 = quantile_at(y1, u), quantile_at(y0, u)
+    f1 = _arm_density(y1, float(y1.var()), q1, "treated")
+    f0 = _arm_density(y0, float(y0.var()), q0, "control")
+    psi = np.empty((3, sample.n))
+    _arm_influence(psi[:, : sample.n1], y1, e, 1.0, tau1, tau0, u, du, q1, f1, q0)
+    _arm_influence(psi[:, sample.n1 :], y0, 1.0 - e, -1.0, tau0, tau1, u, du, q0, f0, q1)
+    psi -= psi.mean(axis=1, keepdims=True)
+    return psi @ psi.T / sample.n

@@ -309,6 +309,14 @@ def test_homogeneous_effect_kink_is_numerical_error(command, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numerical error: no smooth expansion")
 
 
+def test_two_step_grid_kink_is_numerical_error(tmp_path, capsys):
+    # at delta = 2 the estimate itself is smooth, but the two-step grid
+    # reaches t <= sqrt(2/3), where tau_o = t with v_o = 0
+    path = _shifted_arms_file(tmp_path / "shift.csv", 1.0)
+    assert main(["infer", "--data", path, "--delta", "2"]) == 3
+    assert capsys.readouterr().err == "numerical error: no smooth expansion at v_b = 0 with tau_b = tau_star\n"
+
+
 def test_identical_arms_is_numerical_error(tmp_path, capsys):
     path = _shifted_arms_file(tmp_path / "same.csv", 0.0)
     assert main(["estimate", "--data", path, "--delta", "0.5"]) == 3

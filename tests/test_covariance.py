@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from drpredict import covariance as cov_module
 from drpredict.moments import ArmMoments, estimate_moments
 from drpredict.sample import quantile_at
 from drpredict.solver import RobustConfig, solve_minimax
-from oracles import kde_at
+from oracles import kde_at, sigma_sharp_influence
 
 
 def _sample(y1, y0):
@@ -236,7 +237,7 @@ def _u_grid_quantiles(y_sorted, grid_size=400):
 def test_binned_kde_matches_exact_kde(family, n):
     y = np.sort(_FAMILIES[family](np.random.default_rng(n), n))
     x = _u_grid_quantiles(y)
-    h = cov_module._silverman_bandwidth(y)
+    h = cov_module._silverman_bandwidth(y, float(y.var()))
     exact = kde_at(y, x, h)
     np.testing.assert_allclose(cov_module._kde_binned(y, x, h), exact, rtol=KDE_RTOL, atol=0.0)
 
@@ -251,6 +252,41 @@ def test_sharp_sigma_binned_matches_exact_kde(family, monkeypatch):
     exact = sigma_sharp(smp).entries
     scale = np.sqrt(np.outer(np.diag(exact), np.diag(exact)))
     assert np.all(np.abs(binned - exact) <= SIGMA_RTOL * scale)
+
+
+# the segment-sum assembly against the (3, n) influence array: the same
+# sums grouped another way. Gate set before the fact; the worst error seen
+# was 1.6e-14 of the scale (rounded arms at n = 1000)
+_SIGMA_FAMILIES = {
+    **_FAMILIES,
+    "rounded": lambda rng, n: np.round(rng.normal(2.0, 2.0, n), 1),
+    "zero_spread": lambda rng, n: np.full(n, 0.5),
+}
+
+
+@pytest.mark.parametrize("n", [1_000, 100_000])
+@pytest.mark.parametrize("family", sorted(_SIGMA_FAMILIES))
+def test_sharp_sigma_matches_influence_oracle(family, n):
+    rng = np.random.default_rng(n + 3)
+    n1 = int(0.3 * n)
+    y1 = _FAMILIES["normal"](rng, n1) if family == "zero_spread" else _SIGMA_FAMILIES[family](rng, n1)
+    smp = _sample(y1, 0.5 * _SIGMA_FAMILIES[family](rng, n - n1) + 0.2)
+    oracle = sigma_sharp_influence(smp)
+    scale = np.sqrt(np.outer(np.diag(oracle), np.diag(oracle)))
+    assert np.all(np.abs(sigma_sharp(smp).entries - oracle) <= 1e-12 * scale)
+
+
+def test_sharp_sigma_allocates_no_per_observation_influence_array():
+    n = 1_000_000
+    smp = _case1_marginals(np.random.default_rng(13), n)
+    smp.sorted_arms, smp.arm_variances  # the sample's own cached sort and variances
+    tracemalloc.start()
+    try:
+        sigma_sharp(smp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * n  # the bytes of a (3, n) float64 array
 
 
 def _far_cluster(rng, n):
@@ -281,7 +317,7 @@ def test_binned_kde_grid_follows_quantiles(draw, monkeypatch):
     bound = 400 * (2 * reach + 3)  # the docstring's bins per u-grid point
     assert 0 < max(p for p in periods if p is not None) <= 2 * (bound + reach)
     y1.sort()
-    h = cov_module._silverman_bandwidth(y1)
+    h = cov_module._silverman_bandwidth(y1, float(y1.var()))
     assert (y1[-1] - y1[0]) / (h / cov_module.KDE_BINS_PER_BANDWIDTH) > 10 * bound
     x = _u_grid_quantiles(y1)
     np.testing.assert_allclose(cov_module._kde_binned(y1, x, h), kde_at(y1, x, h), rtol=KDE_RTOL, atol=0.0)
@@ -443,7 +479,7 @@ def test_bootstrap_takes_the_bounds_method_enum():
     neyman = sigma_bootstrap(smp, method=BoundsMethod.NEYMAN, draws=20, seed=9).entries
     assert np.array_equal(sigma_bootstrap(smp, method="neyman", draws=20, seed=9).entries, neyman)
     assert not np.array_equal(sharp, neyman)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         sigma_bootstrap(smp, method="Sharp", draws=20, seed=9)
 
 
@@ -471,4 +507,4 @@ def test_sorted_percentile_is_numpy_percentile(y):
     iqr = float(q75 - q25)
     sd = float(y.std())
     spread = min(sd, iqr / 1.34) if iqr > 0.0 else sd
-    assert cov_module._silverman_bandwidth(y) == 0.9 * spread * y.shape[0] ** (-0.2)
+    assert cov_module._silverman_bandwidth(y, float(y.var())) == 0.9 * spread * y.shape[0] ** (-0.2)

@@ -22,6 +22,7 @@ from drpredict.inference import (
     two_step_interval,
     two_step_intervals,
 )
+from drpredict.covariance import sigma_bootstrap
 from drpredict.sample import ExperimentalSample, load_sample
 from drpredict.solver import RobustConfig
 
@@ -38,6 +39,19 @@ def _sample(y1, y0):
 def _case1(rng, n):
     n1 = rng.binomial(n, 0.3)
     return _sample(rng.normal(2.0, 2.0, n1), rng.normal(0.2, 1.0, n - n1))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda smp: estimate_robust_many([smp], RobustConfig(0.5, 2.0), method="bogus"),
+        lambda smp: sigma_bootstrap(smp, method="bogus", draws=20, seed=1),
+    ],
+    ids=["estimate_robust_many", "sigma_bootstrap"],
+)
+def test_unknown_bounds_method_is_validation_error(entry):
+    with pytest.raises(ValidationError, match="'bogus'; expected one of 'sharp', 'neyman'"):
+        entry(_case1(np.random.default_rng(2), 200))
 
 
 CFG = RobustConfig(0.1, 2.0)

@@ -39,6 +39,19 @@ def test_sample_accepts_lists_and_is_immutable():
         s.treatments[0] = 0
 
 
+def test_sorted_arms_are_cached_and_read_only():
+    s = ExperimentalSample(np.array([3.0, 1.0, 2.0, 0.5, -1.0]), np.array([1, 1, 0, 1, 0]))
+    assert s.sorted_arms is s.sorted_arms
+    y1, y0 = s.sorted_arms
+    np.testing.assert_array_equal(y1, [0.5, 1.0, 3.0])
+    np.testing.assert_array_equal(y0, [-1.0, 2.0])
+    for arm in (y1, y0):
+        with pytest.raises(ValueError):
+            arm[0] = 9.0
+    assert s.arm_variances is s.arm_variances
+    assert s.arm_variances == (float(np.var(s.treated)), float(np.var(s.control)))
+
+
 @pytest.mark.parametrize(
     "y,t,msg",
     [

@@ -75,6 +75,10 @@ INVOCATIONS = [
     ("infer-eqvar-neyman", ["infer", "--data", "eqvar.csv", "--delta", "0.5", "--bounds", "neyman"]),
     ("infer-eqvar-delta2", ["infer", "--data", "eqvar.csv", "--delta", "2"]),
     ("infer-big-json", ["infer", "--data", "big.csv", "--delta", "0.5", "--json"]),
+    ("estimate-ties-json", ["estimate", "--data", "ties.csv", "--delta", "0.5", "--json"]),
+    ("infer-ties-json", ["infer", "--data", "ties.csv", "--delta", "0.5", "--json"]),
+    ("estimate-flat-json", ["estimate", "--data", "flat.csv", "--delta", "0.5", "--json"]),
+    ("infer-flat-json", ["infer", "--data", "flat.csv", "--delta", "0.5", "--json"]),
     ("sweep-data-true-v", ["sweep", "--data", "pos.csv", "--deltas", "0:1:0.05", "--true-v", "2"]),
     ("sweep-data-dense", ["sweep", "--data", "pos.csv", "--deltas", "0:3:0.0002",
                           "--out", "sweep_data.csv"]),
@@ -123,6 +127,13 @@ def write_inputs(work: Path) -> None:
     t_big = (rng.random(300_000) < 0.3).astype(int)
     y_big = np.where(t_big == 1, rng.normal(2.0, 2.0, 300_000), rng.lognormal(0.2, 1.0, 300_000))
     _write_csv(work / "big.csv", y_big, t_big)
+    # outcomes rounded to 0.1, so both arms are full of ties
+    t_ties = (rng.random(3000) < 0.3).astype(int)
+    y_ties = np.where(t_ties == 1, rng.normal(2.0, 2.0, 3000), rng.normal(0.2, 1.0, 3000))
+    _write_csv(work / "ties.csv", np.round(y_ties, 1), t_ties)
+    # a zero-spread control arm
+    y_flat = np.concatenate((rng.normal(2.0, 2.0, 600), np.full(1400, 0.5)))
+    _write_csv(work / "flat.csv", y_flat, np.repeat([1, 0], [600, 1400]))
     (work / "notutf8.csv").write_bytes(b"y,t\n1.0,1\n\xff,0\n")
     (work / "datadir").mkdir()
 
