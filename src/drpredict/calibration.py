@@ -75,15 +75,6 @@ class RadiusBenchmark:
                 "joint bound must combine the per-arm distances in quadrature"
             )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "w2_y1": self.w2_y1,
-            "w2_y0": self.w2_y0,
-            "joint_lower_bound": self.joint_lower_bound,
-            "split_description": self.split_description,
-            "null_p95": self.null_p95,
-        }
-
 
 def _cell_distance(outcomes, treatments, in_cell):
     """Per-arm W2 between the two cells; ValidationError below 2 per arm."""

@@ -4,8 +4,9 @@ Five subcommands: ``estimate`` (point estimates and SDs from a CSV),
 ``sweep`` (predictions along a radius grid), ``infer`` (IM and two-step
 confidence intervals), ``simulate`` (the coverage study), and ``benchmark``
 (data-driven radius calibration). Human-readable reports go to stdout;
-``--json`` switches stdout to a JSON document. Every JSON document embeds
-the run manifest; CSV outputs get a ``<name>.manifest.json`` sidecar.
+``--json`` switches stdout to a JSON document, and ``--out`` writes the same
+document, byte for byte, to a file. Every JSON document embeds the run
+manifest; CSV outputs get a ``<name>.manifest.json`` sidecar.
 Reruns with an equal manifest and input digest produce identical outputs.
 
 Exit codes: 0 success, 2 input error, 3 numerical error, 4 the two-step
@@ -19,7 +20,8 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict
+from itertools import chain
 
 import numpy as np
 
@@ -52,34 +54,18 @@ EXIT_NO_SECOND_STEP = 4
 # ----------------------------------------------------------------- manifest
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """What produced an output file: command, resolved flags, version, input.
-
-    Two runs with equal manifests (and hence equal input digests) produce
-    identical output bytes.
-    """
-
-    command: str
-    config: dict = field(default_factory=dict)
-    version: str = __version__
-    input_sha256: str = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": dict(self.config),
-            "version": self.version,
-            "input_sha256": self.input_sha256,
-        }
-
-
-def _sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+def _manifest(command: str, config: dict, data=None) -> dict:
+    """What produced an output: command, resolved flags, version, and the
+    SHA-256 of the input file ``data``, if any. Two runs with equal
+    manifests produce identical output bytes."""
+    sha = None
+    if data is not None:
+        sha = hashlib.sha256()
+        with open(data, "rb") as fh:
+            for chunk in iter(lambda: fh.read(65536), b""):
+                sha.update(chunk)
+    return {"command": command, "config": config, "version": __version__,
+            "input_sha256": None if sha is None else sha.hexdigest()}
 
 
 def _jsonify(obj):
@@ -97,11 +83,16 @@ def _dump_json(report: dict) -> str:
     return json.dumps(_jsonify(report), indent=2, allow_nan=False)
 
 
-def _write_text(path, text: str) -> None:
+def _write_json(path, report: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
+        print(_dump_json(report), file=fh)
+
+
+def _emit(args, report: dict, text_lines) -> None:
+    """Write the JSON report to ``--out``, then print it (``--json``) or the text."""
+    if args.out:
+        _write_json(args.out, report)
+    print(_dump_json(report) if args.json else "\n".join(text_lines))
 
 
 def _fmt(x) -> str:
@@ -130,18 +121,29 @@ def _add_order_flags(sub):
                        help="dual order q >= 1 directly (default: 2)")
 
 
+def _add_report_flags(sub):
+    sub.add_argument("--json", action="store_true", help="JSON report on stdout")
+    sub.add_argument("--out", metavar="FILE", help="also write the JSON report here")
+
+
 def _add_bounds_flag(sub):
     sub.add_argument("--bounds", choices=[m.value for m in BoundsMethod],
                      default=BoundsMethod.SHARP.value,
                      help="variance-bound method (default: sharp)")
 
 
-def _config_from_args(args) -> RobustConfig:
-    delta = args.delta
+def _q_from_args(args) -> float:
+    """The dual order q: from ``--p`` as p/(p-1), else ``--q`` (default 2)."""
     if args.p_order is not None:
-        return RobustConfig.from_p(delta, args.p_order)
-    q = 2.0 if args.q_order is None else args.q_order
-    return RobustConfig(delta=delta, q=q)
+        return RobustConfig.from_p(0.0, args.p_order).q
+    return 2.0 if args.q_order is None else args.q_order
+
+
+def _config_from_args(args) -> RobustConfig:
+    return RobustConfig(delta=args.delta, q=_q_from_args(args))
+
+
+_MAX_RADII = 10**6  # 66 times the densest grid in use (15,001 radii)
 
 
 def _parse_delta_grid(text: str) -> list:
@@ -157,12 +159,16 @@ def _parse_delta_grid(text: str) -> list:
                     f"--deltas range must be start:stop:step, got {text!r}"
                 )
             start, stop, step = (float(p) for p in parts)
+            if not all(map(math.isfinite, (start, stop, step))):
+                raise ValidationError(f"--deltas range must be finite, got {text!r}")
             if step <= 0.0:
                 raise ValidationError(f"--deltas step must be positive, got {step}")
-            count = int(math.floor((stop - start) / step + 1e-9)) + 1
-            if count < 1:
+            steps = (stop - start) / step + 1e-9  # the grid has floor(steps) + 1 radii
+            if steps < 0.0:
                 raise ValidationError(f"--deltas range {text!r} is empty")
-            return [start + i * step for i in range(count)]
+            if steps >= _MAX_RADII:
+                raise ValidationError(f"--deltas range {text!r} has over {_MAX_RADII} radii")
+            return [start + i * step for i in range(int(steps) + 1)]
         values = [float(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise ValidationError(f"--deltas contains a non-numeric entry: {text!r}") from None
@@ -192,19 +198,14 @@ def cmd_estimate(args) -> int:
         sharp, neyman = sharp_bounds_empirical(sample), est.bounds
     sd_tau = None if est.sigma is None else est.sigma.sigma_tau
 
-    manifest = RunManifest(
-        command="estimate",
-        config={
+    report = {
+        "manifest": _manifest("estimate", {
             "delta": config.delta,
             "q": config.q,
             "bounds": method.value,
             "outcome_column": args.outcome,
             "treatment_column": args.treatment,
-        },
-        input_sha256=_sha256_file(args.data),
-    )
-    report = {
-        "manifest": manifest.to_json_dict(),
+        }, args.data),
         "n": sample.n,
         "n1": sample.n1,
         "n0": sample.n0,
@@ -219,20 +220,17 @@ def cmd_estimate(args) -> int:
         "sd_p": est.sd_p,
         "sd_o": est.sd_o,
     }
-    if args.out:
-        _write_text(args.out, _dump_json(report))
-    if args.json:
-        print(_dump_json(report))
-    else:
-        print(f"n = {sample.n} (treated {sample.n1}, control {sample.n0})")
-        print(f"tau_star = {_fmt(est.tau_star)}   sd = {_fmt(sd_tau)}")
-        print("variance bounds:")
-        print(f"  sharp  : v_o = {_fmt(sharp.v_o)}, v_p = {_fmt(sharp.v_p)}")
-        print(f"  neyman : v_o = {_fmt(neyman.v_o)}, v_p = {_fmt(neyman.v_p)}")
-        print(f"predictions ({method.value} bounds, delta = {_fmt(config.delta)}, "
-              f"q = {_fmt(config.q)}):")
-        print(f"  tau_p = {_fmt(est.tau_p)}   sd = {_fmt(est.sd_p)}")
-        print(f"  tau_o = {_fmt(est.tau_o)}   sd = {_fmt(est.sd_o)}")
+    _emit(args, report, [
+        f"n = {sample.n} (treated {sample.n1}, control {sample.n0})",
+        f"tau_star = {_fmt(est.tau_star)}   sd = {_fmt(sd_tau)}",
+        "variance bounds:",
+        f"  sharp  : v_o = {_fmt(sharp.v_o)}, v_p = {_fmt(sharp.v_p)}",
+        f"  neyman : v_o = {_fmt(neyman.v_o)}, v_p = {_fmt(neyman.v_p)}",
+        f"predictions ({method.value} bounds, delta = {_fmt(config.delta)}, "
+        f"q = {_fmt(config.q)}):",
+        f"  tau_p = {_fmt(est.tau_p)}   sd = {_fmt(est.sd_p)}",
+        f"  tau_o = {_fmt(est.tau_o)}   sd = {_fmt(est.sd_o)}",
+    ])
     return EXIT_OK
 
 
@@ -241,9 +239,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_sweep(args) -> int:
     deltas = _parse_delta_grid(args.deltas)
-    q = 2.0 if args.q_order is None else args.q_order
-    if args.p_order is not None:
-        q = RobustConfig.from_p(0.0, args.p_order).q
+    q = _q_from_args(args)
 
     population = args.data is None
     known = None
@@ -263,7 +259,6 @@ def cmd_sweep(args) -> int:
         header = ["delta", "tau_p", "tau_o", "tau_dr"]
         rows = [[pt.delta, pt.tau_p, pt.tau_p, pt.tau_p]
                 for pt in sweep_delta(tau_star, known, q, deltas)]
-        digest = None
     else:
         if args.tau_star is not None:
             raise ValidationError(
@@ -282,34 +277,24 @@ def cmd_sweep(args) -> int:
             header.append("tau_dr")
             for row, pt in zip(rows, sweep_delta(tau_star, known, q, deltas)):
                 row.append(pt.tau_p)
-        digest = _sha256_file(args.data)
 
-    manifest = RunManifest(
-        command="sweep",
-        config={
-            "deltas": deltas,
-            "q": q,
-            "bounds": None if population else args.bounds,
-            "tau_star": args.tau_star,
-            "true_v": args.true_v,
-            "outcome_column": None if population else args.outcome,
-            "treatment_column": None if population else args.treatment,
-        },
-        input_sha256=digest,
-    )
-
-    def _emit(stream):
-        writer = csv.writer(stream)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{x:.10g}" for x in row])
-
+    manifest = _manifest("sweep", {
+        "deltas": deltas,
+        "q": q,
+        "bounds": None if population else args.bounds,
+        "tau_star": args.tau_star,
+        "true_v": args.true_v,
+        "outcome_column": None if population else args.outcome,
+        "treatment_column": None if population else args.treatment,
+    }, args.data)
+    # formatted row by row as the writer consumes it, not held whole
+    table = chain([header], ([f"{x:.10g}" for x in row] for row in rows))
     if args.out:
         with open(args.out, "w", newline="") as fh:
-            _emit(fh)
-        _write_text(args.out + ".manifest.json", _dump_json(manifest.to_json_dict()))
+            csv.writer(fh).writerows(table)
+        _write_json(args.out + ".manifest.json", manifest)
     else:
-        _emit(sys.stdout)
+        csv.writer(sys.stdout).writerows(table)
     return EXIT_OK
 
 
@@ -326,9 +311,8 @@ def cmd_infer(args) -> int:
     union = two_step_interval(est, args.alpha, args.beta, args.grid_points)
     ok = bool(union.rejected_first_step)
 
-    manifest = RunManifest(
-        command="infer",
-        config={
+    report = {
+        "manifest": _manifest("infer", {
             "delta": config.delta,
             "q": config.q,
             "alpha": args.alpha,
@@ -337,11 +321,7 @@ def cmd_infer(args) -> int:
             "grid_points": args.grid_points,
             "outcome_column": args.outcome,
             "treatment_column": args.treatment,
-        },
-        input_sha256=_sha256_file(args.data),
-    )
-    report = {
-        "manifest": manifest.to_json_dict(),
+        }, args.data),
         "status": "ok" if ok else "no-second-step",
         "n": sample.n,
         "tau_star": est.tau_star,
@@ -371,23 +351,18 @@ def cmd_infer(args) -> int:
             "grid_points": union.grid_points,
         } if ok else None,
     }
-    if args.out:
-        _write_text(args.out, _dump_json(report))
-    if args.json:
-        print(_dump_json(report))
-    else:
-        print(f"tau_star = {_fmt(est.tau_star)}, tau_p = {_fmt(est.tau_p)}, "
-              f"tau_o = {_fmt(est.tau_o)}")
-        print(f"first step ({_fmt(100 * (1 - args.beta))}%): "
-              f"[{_fmt(union.first_step[0])}, {_fmt(union.first_step[1])}]")
-        print(f"IM {100 * (1 - args.alpha):g}%: [{_fmt(im.lower)}, {_fmt(im.upper)}]"
-              f"   c = {_fmt(im.c_values[0])}")
-        if ok:
-            print(f"IM-Bonferroni {100 * (1 - args.alpha):g}%: "
-                  f"[{_fmt(union.lower)}, {_fmt(union.upper)}]"
-                  f"   c in [{_fmt(union.c_values[0])}, {_fmt(union.c_values[1])}]")
-        else:
-            print("status: no-second-step (first-step interval contains zero)")
+    _emit(args, report, [
+        f"tau_star = {_fmt(est.tau_star)}, tau_p = {_fmt(est.tau_p)}, "
+        f"tau_o = {_fmt(est.tau_o)}",
+        f"first step ({_fmt(100 * (1 - args.beta))}%): "
+        f"[{_fmt(union.first_step[0])}, {_fmt(union.first_step[1])}]",
+        f"IM {100 * (1 - args.alpha):g}%: [{_fmt(im.lower)}, {_fmt(im.upper)}]"
+        f"   c = {_fmt(im.c_values[0])}",
+        (f"IM-Bonferroni {100 * (1 - args.alpha):g}%: "
+         f"[{_fmt(union.lower)}, {_fmt(union.upper)}]"
+         f"   c in [{_fmt(union.c_values[0])}, {_fmt(union.c_values[1])}]" if ok
+         else "status: no-second-step (first-step interval contains zero)"),
+    ])
     return EXIT_OK if ok else EXIT_NO_SECOND_STEP
 
 
@@ -439,26 +414,20 @@ def cmd_simulate(args) -> int:
         for name, dgp, cfg in runs
     ]
 
-    manifest = RunManifest(
-        command="simulate",
-        config={
-            **dgp_config,
-            "n": args.n,
-            "replications": args.replications,
-            "alpha": args.alpha,
-            "beta": args.beta,
-            "bounds": args.bounds,
-            "grid_points": args.grid_points,
-            "seed": args.seed,
-        },
-    )
-    document = {
-        "manifest": manifest.to_json_dict(),
-        "reports": [r.to_json_dict() for r in reports],
-    }
-    _write_text(args.out + ".json", _dump_json(document))
+    manifest = _manifest("simulate", {
+        **dgp_config,
+        "n": args.n,
+        "replications": args.replications,
+        "alpha": args.alpha,
+        "beta": args.beta,
+        "bounds": args.bounds,
+        "grid_points": args.grid_points,
+        "seed": args.seed,
+    })
+    _write_json(args.out + ".json",
+                {"manifest": manifest, "reports": [asdict(r) for r in reports]})
     write_reports_csv(reports, args.out + ".csv")
-    _write_text(args.out + ".manifest.json", _dump_json(manifest.to_json_dict()))
+    _write_json(args.out + ".manifest.json", manifest)
 
     print("case      tau_dr   cov_im   cov_bonf   ratio   rejected")
     for r in reports:
@@ -509,30 +478,23 @@ def cmd_benchmark(args) -> int:
         sample, split, mask=mask, permutations=args.permutations, seed=args.seed
     )
 
-    manifest = RunManifest(
-        command="benchmark",
-        config={
-            "split": split.value,
-            "mask_column": args.mask_col,
-            "permutations": args.permutations,
-            "seed": args.seed,
-            "outcome_column": args.outcome,
-            "treatment_column": args.treatment,
-        },
-        input_sha256=_sha256_file(args.data),
-    )
-    report = {"manifest": manifest.to_json_dict(), **bench.to_json_dict()}
-    if args.out:
-        _write_text(args.out, _dump_json(report))
-    if args.json:
-        print(_dump_json(report))
-    else:
-        print(f"split: {bench.split_description}")
-        print(f"W2(treated cells) = {_fmt(bench.w2_y1)}")
-        print(f"W2(control cells) = {_fmt(bench.w2_y0)}")
-        print(f"joint lower bound = {_fmt(bench.joint_lower_bound)}")
-        if bench.null_p95 is not None:
-            print(f"permutation null 95th percentile = {_fmt(bench.null_p95)}")
+    manifest = _manifest("benchmark", {
+        "split": split.value,
+        "mask_column": args.mask_col,
+        "permutations": args.permutations,
+        "seed": args.seed,
+        "outcome_column": args.outcome,
+        "treatment_column": args.treatment,
+    }, args.data)
+    lines = [
+        f"split: {bench.split_description}",
+        f"W2(treated cells) = {_fmt(bench.w2_y1)}",
+        f"W2(control cells) = {_fmt(bench.w2_y0)}",
+        f"joint lower bound = {_fmt(bench.joint_lower_bound)}",
+    ]
+    if bench.null_p95 is not None:
+        lines.append(f"permutation null 95th percentile = {_fmt(bench.null_p95)}")
+    _emit(args, {"manifest": manifest, **asdict(bench)}, lines)
     return EXIT_OK
 
 
@@ -553,8 +515,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_bounds_flag(est)
     est.add_argument("--allow-q1", action="store_true",
                      help="allow q = 1 (point estimates only, no SDs)")
-    est.add_argument("--json", action="store_true", help="JSON report on stdout")
-    est.add_argument("--out", metavar="FILE", help="also write the JSON report here")
+    _add_report_flags(est)
     est.set_defaults(func=cmd_estimate)
 
     swp = sub.add_parser("sweep", help="tau_p/tau_o along a radius grid (CSV)")
@@ -582,8 +543,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="first-step share of the level (default: 0.045)")
     inf.add_argument("--grid-points", type=int, default=101, dest="grid_points",
                      help="second-step grid size, >= 25 (default: 101)")
-    inf.add_argument("--json", action="store_true", help="JSON report on stdout")
-    inf.add_argument("--out", metavar="FILE", help="also write the JSON report here")
+    _add_report_flags(inf)
     inf.set_defaults(func=cmd_infer)
 
     sim = sub.add_parser("simulate", help="Monte Carlo coverage study")
@@ -626,8 +586,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="label permutations for the null scale; 0 disables "
                      "(default: 200)")
     ben.add_argument("--seed", type=int, default=0)
-    ben.add_argument("--json", action="store_true", help="JSON report on stdout")
-    ben.add_argument("--out", metavar="FILE", help="also write the JSON report here")
+    _add_report_flags(ben)
     ben.set_defaults(func=cmd_benchmark)
 
     return parser

@@ -272,22 +272,19 @@ def empirical_quantile(dist: EmpiricalDistribution, u: float) -> float:
     """
     if not 0.0 < u <= 1.0:
         raise ValidationError(f"quantile level must lie in (0, 1], got {u}")
-    k = math.ceil(u * dist.m)
-    if k > 1 and (k - 1) / dist.m >= u:
-        k -= 1  # u * m rounded up past an integer, as u = 14/25 does
-    k = min(max(k, 1), dist.m)
-    return float(dist.sorted_values[k - 1])
+    return float(quantile_at(dist.sorted_values, u))
 
 
 def quantile_at(values_sorted: np.ndarray, u) -> np.ndarray:
     """Vectorized left-continuous quantile over a pre-sorted value array.
 
     Used internally by the bound integrals and the influence-function
-    assembly; accepts an array of levels in (0, 1].
+    assembly; accepts a level or an array of levels in (0, 1]. Level u
+    maps to ``values_sorted[k - 1]`` with k the least integer such that
+    k/m >= u, as in :func:`empirical_quantile`.
     """
     m = values_sorted.shape[0]
     u = np.asarray(u, dtype=float)
-    idx = np.ceil(u * m).astype(np.int64)
-    np.maximum(idx, 1, out=idx)
-    np.minimum(idx, m, out=idx)
-    return values_sorted[idx - 1]
+    k = np.ceil(u * m).astype(np.int64)
+    k -= (k - 1) / m >= u  # u * m rounded up past an integer, as u = 14/25 does
+    return values_sorted[np.clip(k, 1, m) - 1]

@@ -12,7 +12,7 @@ import concurrent.futures
 import csv
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -190,11 +190,6 @@ class SimulationReport:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{name} must be in [0, 1], got {value}")
-
-    def to_json_dict(self) -> dict:
-        out = asdict(self)
-        out["bound_method"] = self.bound_method.value
-        return out
 
 
 # Replications per batch. Larger batches save no measurable time (the

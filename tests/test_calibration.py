@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -162,11 +164,12 @@ def test_split_preconditions():
 
 def test_benchmark_json_round_trip():
     b = RadiusBenchmark(3.0, 4.0, 5.0, "test", null_p95=4.5)
-    d = b.to_json_dict()
-    assert d == {
-        "w2_y1": 3.0,
-        "w2_y0": 4.0,
-        "joint_lower_bound": 5.0,
-        "split_description": "test",
-        "null_p95": 4.5,
-    }
+    d = asdict(b)
+    assert list(d.items()) == [
+        ("w2_y1", 3.0),
+        ("w2_y0", 4.0),
+        ("joint_lower_bound", 5.0),
+        ("split_description", "test"),
+        ("null_p95", 4.5),
+    ]
+    assert RadiusBenchmark(**json.loads(json.dumps(d))) == b

@@ -1,14 +1,16 @@
 import concurrent.futures
 import csv
+import hashlib
 import json
 import math
+import tracemalloc
 
 import jsonschema
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from drpredict.cli import RunManifest, _parse_delta_grid, main
+from drpredict.cli import _manifest, _parse_delta_grid, main
 from drpredict.exceptions import ValidationError
 from drpredict.simulation import case_preset, draw_sample
 
@@ -56,12 +58,29 @@ def test_delta_grid_forms():
     # inclusive endpoint despite float step
     assert _parse_delta_grid("0:2:0.1")[-1] == pytest.approx(2.0)
     assert len(_parse_delta_grid("0:2:0.1")) == 21
+    assert len(_parse_delta_grid("0:3:0.0002")) == 15001  # the densest grid in use
 
 
-@pytest.mark.parametrize("bad", ["", "  ", "1:2", "0:1:-0.5", "a,b", "1:x:3", ","])
+@pytest.mark.parametrize("bad", ["", "  ", "1:2", "0:1:-0.5", "a,b", "1:x:3", ",",
+                                 "0:inf:1", "-inf:1:1", "0:1:nan", "0:2e6:1", "0:1:4e-7",
+                                 "-1e308:1e308:1e-300"])
 def test_delta_grid_rejects(bad):
-    with pytest.raises(ValidationError):
-        _parse_delta_grid(bad)
+    # rejected before the grid is built: a non-finite or over-long range
+    # would otherwise raise OverflowError or exhaust memory
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError):
+            _parse_delta_grid(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_sweep_non_finite_range_exits_2(capsys):
+    code = main(["sweep", "--deltas", "0:inf:1", "--true-v", "1", "--tau-star", "1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --deltas range must be finite")
 
 
 # ----------------------------------------------------------------- estimate
@@ -146,12 +165,18 @@ def test_estimate_q1_needs_optin(case1_csv, capsys):
     assert abs(doc["tau_p"]) <= abs(doc["tau_o"]) <= abs(doc["tau_star"])
 
 
-def test_estimate_out_file_equals_stdout_json(case1_csv, tmp_path, capsys):
+@pytest.mark.parametrize("command", [
+    ["estimate", "--delta", "0.1"],
+    ["infer", "--delta", "0.1"],
+    ["benchmark", "--permutations", "10"],
+], ids=["estimate", "infer", "benchmark"])
+def test_out_file_equals_stdout_json(command, case1_csv, tmp_path, capsys):
     out = tmp_path / "report.json"
-    code = main(["estimate", "--data", case1_csv, "--delta", "0.1",
-                 "--json", "--out", str(out)])
+    code = main([*command, "--data", case1_csv, "--json", "--out", str(out)])
     assert code == 0
-    assert json.loads(out.read_text()) == json.loads(capsys.readouterr().out)
+    stdout = capsys.readouterr().out
+    assert out.read_bytes() == stdout.encode("utf-8")
+    assert json.loads(stdout)["manifest"]["command"] == command[0]
 
 
 # -------------------------------------------------------------------- sweep
@@ -473,11 +498,16 @@ def test_benchmark_determinism(case1_csv, capsys):
 # ----------------------------------------------------------------- manifest
 
 
-def test_manifest_round_trip_and_equality():
-    m1 = RunManifest("estimate", {"delta": 0.1, "q": 2.0}, input_sha256="0" * 64)
-    m2 = RunManifest("estimate", {"delta": 0.1, "q": 2.0}, input_sha256="0" * 64)
+def test_manifest_round_trip_and_equality(tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_bytes(b"y,t\n1.0,1\n2.0,0\n")
+    m1 = _manifest("estimate", {"delta": 0.1, "q": 2.0}, str(data))
+    m2 = _manifest("estimate", {"delta": 0.1, "q": 2.0}, str(data))
     assert m1 == m2
-    doc = m1.to_json_dict()
-    assert doc["command"] == "estimate"
-    jsonschema.validate(doc, _schema("manifest.schema.json"))
-    assert m1 != RunManifest("estimate", {"delta": 0.2, "q": 2.0}, input_sha256="0" * 64)
+    assert list(m1) == ["command", "config", "version", "input_sha256"]
+    assert m1["command"] == "estimate"
+    assert m1["input_sha256"] == hashlib.sha256(data.read_bytes()).hexdigest()
+    assert json.loads(json.dumps(m1)) == m1
+    jsonschema.validate(m1, _schema("manifest.schema.json"))
+    assert m1 != _manifest("estimate", {"delta": 0.2, "q": 2.0}, str(data))
+    assert _manifest("simulate", {"seed": 0})["input_sha256"] is None

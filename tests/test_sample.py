@@ -15,7 +15,7 @@ from drpredict import (
     load_sample,
 )
 from drpredict import sample as sample_module
-from drpredict.sample import _load_rows
+from drpredict.sample import _load_rows, quantile_at
 
 
 # ---------------------------------------------------------------- container
@@ -171,6 +171,18 @@ def test_quantile_order_statistics():
     assert empirical_quantile(d, 0.75) == 30.0
     assert empirical_quantile(d, 1.0) == 40.0
     assert empirical_quantile(d, 1e-12) == 10.0
+
+
+def test_quantile_at_and_empirical_quantile_agree_on_every_breakpoint():
+    # u * m can round up past the integer k at u = k/m (7/25 does); both
+    # functions must still return the k-th order statistic
+    for m in range(2, 301):
+        values = np.arange(m, dtype=float)
+        d = EmpiricalDistribution(values)
+        u = np.arange(1, m + 1) / m
+        np.testing.assert_array_equal(quantile_at(values, u), values)
+        assert [empirical_quantile(d, x) for x in u] == values.tolist()
+    assert quantile_at(np.arange(25.0), 7 / 25) == 6.0  # a scalar level
 
 
 @pytest.mark.parametrize("u", [0.0, -0.2, 1.0000001, 2.0])

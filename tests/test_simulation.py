@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -339,7 +340,7 @@ def test_report_serialization(tmp_path):
     assert float(rows[1][1]) == pytest.approx(rep.truth.tau_dr, rel=1e-4)
     assert float(rows[1][2]) == pytest.approx(rep.coverage_im, abs=1e-4)
 
-    payload = json.loads(json.dumps(rep.to_json_dict()))
+    payload = json.loads(json.dumps(asdict(rep)))
     assert payload["case"] == "case3"
     assert payload["bound_method"] == "sharp"
     assert payload["truth"]["tau_dr"] == pytest.approx(rep.truth.tau_dr)

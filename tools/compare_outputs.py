@@ -92,6 +92,10 @@ INVOCATIONS = [
     ("benchmark-not-utf8", ["benchmark", "--data", "notutf8.csv"]),
     ("benchmark-big-halves", ["benchmark", "--data", "big.csv", "--split", "halves",
                               "--permutations", "3", "--json"]),
+    ("estimate-text-out", ["estimate", "--data", "pos.csv", "--delta", "0.5", "--out", "e.json"]),
+    ("infer-null-json", ["infer", "--data", "null.csv", "--delta", "0.5", "--json"]),
+    ("benchmark-no-permutations", ["benchmark", "--data", "pos.csv", "--permutations", "0"]),
+    ("sweep-data-p3", ["sweep", "--data", "pos.csv", "--deltas", "0:1:0.1", "--p", "3"]),
     ("simulate-cases-1-5", ["simulate", "--case", "1", "--case", "5", "--out", "sim15"]),
     ("simulate-custom-neyman", ["simulate", "--mu1", "1", "--mu0", "0", "--sigma1", "2",
                                 "--sigma0", "1", "--delta", "0.2", "--bounds", "neyman",
@@ -100,6 +104,8 @@ INVOCATIONS = [
     ("simulate-four-cases", ["simulate", "--case", "1", "--case", "3", "--case", "5", "--case", "6",
                              "--n", "1000", "--replications", "100", "--threads", "1",
                              "--out", "simbench"]),
+    ("simulate-custom-p3", ["simulate", "--mu1", "1", "--mu0", "0", "--sigma1", "2", "--sigma0", "1",
+                            "--delta", "0.2", "--p", "3", "--replications", "100", "--out", "simp3"]),
 ]
 
 
