@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
-from .sample import ExperimentalSample, quantile_at
+from .sample import ExperimentalSample
 
 __all__ = [
     "BoundsMethod",
@@ -84,32 +84,39 @@ def neyman_bounds(sigma1_sq: float, sigma0_sq: float) -> VarianceBounds:
 _BLOCK_CELLS = 1 << 16
 
 
-def merged_u_blocks(n1: int, n0: int):
-    """Yield the (mids, widths) of the merged u-grid block by block.
+def merged_grid_blocks(n1: int, n0: int):
+    """The cells of the merged u-grid, as (idx1, idx0, widths) blocks.
 
-    The merged grid partitions (0, 1] at the breakpoints {k/n1} union
-    {k/n0}, so both arms' empirical quantile functions are constant on each
-    cell and integrating any product of them against it is exact. It is
-    symmetric under u -> 1-u, so reversals (antitonic integrands) reuse it.
-
-    Each block covers about 2^16 cells of the larger arm, so memory stays
-    flat in n. The other arm's ticks inside a block are found by integer
-    arithmetic, and each block starts where the last one ended, so the
-    blocks tile (0, 1] with the cells of the merged grid, and a single
-    block reproduces it bit for bit.
+    The grid cuts (0, 1] at {i/n1} union {j/n0}, so on each cell both arms'
+    empirical quantile functions are constant, at the 0-based order
+    statistics ``idx1`` and ``idx0``, and integrals of their products are
+    exact sums over ``widths``. Under u -> 1-u the grid maps onto itself, so
+    an arm's antitone partner on a cell is ``m - 1 - idx``. Cells come in u
+    order, 2^16 cells of the larger arm (size na) per block. Inside its cell
+    ia the smaller arm's index runs from ``ia*nb // na`` to
+    ``((ia + 1)*nb - 1) // na``; a cell ends at the nearer next tick, the
+    float the sorted union of the ticks holds, so widths and block sums are
+    that grid's bit for bit. Swapping the arguments swaps the indices only.
     """
     na, nb = max(n1, n0), min(n1, n0)
-    left = 0.0
-    for i0 in range(0, na, _BLOCK_CELLS):
-        i1 = min(i0 + _BLOCK_CELLS, na)
-        ticks = np.union1d(
-            np.arange(i0 + 1, i1 + 1, dtype=float) / na,
-            np.arange(i0 * nb // na + 1, i1 * nb // na + 1, dtype=float) / nb,
-        )
-        lefts = np.concatenate(([left], ticks[:-1]))
-        widths = ticks - lefts
-        yield lefts + 0.5 * widths, widths
-        left = ticks[-1]
+    return (_merged_block(i0, na, nb, n1 < n0) for i0 in range(0, na, _BLOCK_CELLS))
+
+
+def _merged_block(i0: int, na: int, nb: int, swap: bool):
+    """The merged cells inside the larger arm's ticks (i0/na, i1/na]."""
+    i1 = min(i0 + _BLOCK_CELLS, na)
+    scaled = np.arange(i0, i1 + 1) * nb
+    b_last = (scaled[1:] - 1) // na
+    counts = b_last - scaled[:-1] // na + 1
+    ia = np.repeat(np.arange(i0, i1), counts)
+    ib = np.repeat(b_last + 1 - np.cumsum(counts), counts)
+    ib += np.arange(ib.shape[0])
+    ticks = (ia + 1.0) / na
+    widths = (ib + 1.0) / nb
+    np.minimum(ticks, widths, out=ticks)  # in place, to spare a large temporary
+    np.subtract(ticks[1:], ticks[:-1], out=widths[1:])
+    widths[0] = ticks[0] - i0 / na
+    return (ib, ia, widths) if swap else (ia, ib, widths)
 
 
 def _frechet_covariances(y1_sorted: np.ndarray, y0_sorted: np.ndarray) -> tuple[float, float]:
@@ -120,10 +127,10 @@ def _frechet_covariances(y1_sorted: np.ndarray, y0_sorted: np.ndarray) -> tuple[
     the merged grid.
     """
     m1 = m0 = s_u = s_l = 0.0
-    for mids, widths in merged_u_blocks(y1_sorted.shape[0], y0_sorted.shape[0]):
-        q1 = quantile_at(y1_sorted, mids)
-        q0 = quantile_at(y0_sorted, mids)
-        q0_rev = quantile_at(y0_sorted, 1.0 - mids)
+    for idx1, idx0, widths in merged_grid_blocks(y1_sorted.shape[0], y0_sorted.shape[0]):
+        q1 = y1_sorted[idx1]
+        q0 = y0_sorted[idx0]
+        q0_rev = y0_sorted[::-1][idx0]
         m1 += float(np.dot(widths, q1))
         m0 += float(np.dot(widths, q0))
         s_u += float(np.dot(widths, q1 * q0))

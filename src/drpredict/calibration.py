@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import merged_u_blocks
+from .bounds import merged_grid_blocks
 from .exceptions import ValidationError
-from .sample import EmpiricalDistribution, ExperimentalSample, quantile_at
+from .sample import EmpiricalDistribution, ExperimentalSample
 
 __all__ = [
     "RadiusBenchmark",
@@ -28,15 +28,16 @@ __all__ = [
 def wasserstein2_1d(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float:
     """Exact 2-Wasserstein distance between two empirical distributions.
 
-    Both quantile functions are constant on the merged partition
-    {k/m_a} union {k/m_b}, so the coupling integral
-    sqrt(integral of (Q_a(u) - Q_b(u))^2 du) is evaluated without
-    discretization error.
+    Both quantile functions are constant on the cells of the merged
+    partition {k/m_a} union {k/m_b} (``bounds.merged_grid_blocks``), so the
+    coupling integral sqrt(integral of (Q_a(u) - Q_b(u))^2 du) is evaluated
+    without discretization error, and W2(a, b) == W2(b, a) exactly.
     """
     total = 0.0
-    for mids, widths in merged_u_blocks(a.m, b.m):
-        diff = quantile_at(a.sorted_values, mids) - quantile_at(b.sorted_values, mids)
+    for ia, ib, widths in merged_grid_blocks(a.m, b.m):
+        diff = a.sorted_values[ia] - b.sorted_values[ib]
         total += float(np.dot(widths, diff * diff))
+        del ia, ib, widths, diff  # two blocks alive at once would double the peak
     return math.sqrt(total)
 
 
@@ -76,25 +77,17 @@ class RadiusBenchmark:
             )
 
 
-def _cell_distance(outcomes, treatments, in_cell):
-    """Per-arm W2 between the two cells; ValidationError below 2 per arm."""
-    dists = []
-    for arm in (1, 0):
-        arm_mask = treatments == arm
-        first = outcomes[arm_mask & in_cell]
-        second = outcomes[arm_mask & ~in_cell]
-        if first.size < 2 or second.size < 2:
-            raise ValidationError(
-                f"split leaves arm {arm} with cell sizes "
-                f"{first.size} and {second.size}; need >= 2 each"
-            )
-        dists.append(
-            wasserstein2_1d(
-                EmpiricalDistribution.from_values(first),
-                EmpiricalDistribution.from_values(second),
-            )
+def _arm_distance(arm, values, in_cell):
+    """W2 between one arm's two cells; ValidationError below 2 per cell."""
+    first, second = values[in_cell], values[~in_cell]
+    if first.size < 2 or second.size < 2:
+        raise ValidationError(
+            f"split leaves arm {arm} with cell sizes "
+            f"{first.size} and {second.size}; need >= 2 each"
         )
-    return dists[0], dists[1]
+    first.sort()
+    second.sort()
+    return wasserstein2_1d(EmpiricalDistribution(first), EmpiricalDistribution(second))
 
 
 def split_benchmark(
@@ -110,9 +103,17 @@ def split_benchmark(
     is Y <= median), ``halves`` takes the first half of the rows versus the
     rest, ``provided_mask`` uses a caller-supplied boolean cell-one mask.
     The permutation null relabels cells within each arm (cell sizes
-    preserved), so ``null_p95`` reflects pure sampling noise.
+    preserved), so ``null_p95`` reflects pure sampling noise. Each
+    permutation shuffles an arm's cell labels by ``rng.permutation(m)``;
+    Fisher-Yates draws do not depend on what they shuffle, so a given seed
+    draws the same null as shuffling the arm's row indices does. A negative
+    permutation count or seed raises ValidationError.
     """
     split = SplitRule(split)
+    if permutations < 0:
+        raise ValidationError(f"permutations must be >= 0, got {permutations}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     y = sample.outcomes
     t = sample.treatments
     if split is SplitRule.PROVIDED_MASK:
@@ -133,20 +134,18 @@ def split_benchmark(
         in_cell[:half] = True
         description = "first half of rows"
 
-    w2_y1, w2_y0 = _cell_distance(y, t, in_cell)
+    arms = [(arm, y[t == arm], in_cell[t == arm]) for arm in (1, 0)]
+    w2_y1, w2_y0 = (_arm_distance(*a) for a in arms)
 
     null_p95 = None
     if permutations > 0:
         rng = np.random.default_rng(seed)
-        treated_idx = np.flatnonzero(t == 1)
-        control_idx = np.flatnonzero(t == 0)
         stats = np.empty(permutations)
-        shuffled = in_cell.copy()
         for k in range(permutations):
-            shuffled[treated_idx] = in_cell[rng.permutation(treated_idx)]
-            shuffled[control_idx] = in_cell[rng.permutation(control_idx)]
-            d1, d0 = _cell_distance(y, t, shuffled)
-            stats[k] = math.hypot(d1, d0)
+            stats[k] = math.hypot(*(
+                _arm_distance(arm, values, labels[rng.permutation(labels.size)])
+                for arm, values, labels in arms
+            ))
         null_p95 = float(np.quantile(stats, 0.95))
 
     return RadiusBenchmark(

@@ -272,6 +272,8 @@ def run_coverage_study(
         raise ValidationError(f"replications must be >= 100, got {replications}")
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     check_two_step_args(config, alpha, beta, grid_points)
     bound_method = BoundsMethod(bound_method)
     truth = population_truth(dgp, config)

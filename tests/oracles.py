@@ -32,8 +32,8 @@ def merged_u_grid(n1: int, n0: int) -> tuple[np.ndarray, np.ndarray]:
     """Midpoints and widths of the partition of (0,1] on which both arms'
     empirical quantile functions are simultaneously constant.
 
-    Breakpoints are {k/n1} union {k/n0}, in one array; the reference for
-    ``bounds.merged_u_blocks``.
+    Breakpoints are {k/n1} union {k/n0}, in one sorted array; the reference
+    for ``bounds.merged_grid_blocks``.
     """
     ticks = np.union1d(
         np.arange(1, n1 + 1, dtype=float) / n1,
@@ -43,6 +43,44 @@ def merged_u_grid(n1: int, n0: int) -> tuple[np.ndarray, np.ndarray]:
     widths = ticks - lefts
     mids = lefts + 0.5 * widths
     return mids, widths
+
+
+def w2_merged_grid(a_sorted: np.ndarray, b_sorted: np.ndarray) -> float:
+    """1-D W2 between two sorted samples, from the quantile functions at the
+    midpoints of the whole merged grid."""
+    mids, widths = merged_u_grid(a_sorted.shape[0], b_sorted.shape[0])
+    diff = quantile_at(a_sorted, mids) - quantile_at(b_sorted, mids)
+    return math.sqrt(float(np.dot(widths, diff * diff)))
+
+
+def split_benchmark_resort(outcomes, treatments, in_cell, permutations, seed):
+    """(w2_y1, w2_y0, null_p95) of ``calibration.split_benchmark`` for the
+    cell-one mask ``in_cell``: each permutation shuffles each arm's row
+    indices, re-masks the whole sample and sorts every cell afresh; the
+    reference for its label-shuffling null."""
+
+    def cell_distances(cells):
+        dists = []
+        for arm in (1, 0):
+            in_arm = treatments == arm
+            dists.append(w2_merged_grid(np.sort(outcomes[in_arm & cells]),
+                                        np.sort(outcomes[in_arm & ~cells])))
+        return dists
+
+    w2_y1, w2_y0 = cell_distances(in_cell)
+    null_p95 = None
+    if permutations > 0:
+        rng = np.random.default_rng(seed)
+        treated_idx = np.flatnonzero(treatments == 1)
+        control_idx = np.flatnonzero(treatments == 0)
+        shuffled = in_cell.copy()
+        stats = []
+        for _ in range(permutations):
+            shuffled[treated_idx] = in_cell[rng.permutation(treated_idx)]
+            shuffled[control_idx] = in_cell[rng.permutation(control_idx)]
+            stats.append(math.hypot(*cell_distances(shuffled)))
+        null_p95 = float(np.quantile(stats, 0.95))
+    return w2_y1, w2_y0, null_p95
 
 
 def _arm_influence(

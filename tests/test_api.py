@@ -98,9 +98,10 @@ def test_one_delta_method_sd_function():
     from drpredict import covariance
 
     gone = {"Loadings", "loadings", "prediction_sds", "conditional_sd_grid", "merged_u_grid",
-            "DomainError", "InsufficientData", "ConvergenceError", "ZeroTauError",
-            "UnsupportedRegime", "UnsupportedConfig", "OrderError", "DensityError",
-            "DegenerateSample"}
+            "merged_u_blocks", "DomainError", "InsufficientData", "ConvergenceError",
+            "ZeroTauError", "UnsupportedRegime", "UnsupportedConfig", "OrderError",
+            "DensityError", "DegenerateSample"}
     assert gone & set(drpredict.__all__) == set()
-    assert [name for name in gone if hasattr(covariance, name)] == []
+    modules = [importlib.import_module(f"drpredict.{m}") for m in MODULES]
+    assert [(mod.__name__, name) for mod in modules for name in gone if hasattr(mod, name)] == []
     assert "prediction_sd_grid" in covariance.__all__

@@ -10,7 +10,7 @@ from drpredict import ExperimentalSample, ValidationError
 from drpredict.bounds import (
     BoundsMethod,
     VarianceBounds,
-    merged_u_blocks,
+    merged_grid_blocks,
     neyman_bounds,
     sharp_bounds_empirical,
     sharp_bounds_population,
@@ -119,12 +119,19 @@ def test_sharp_unequal_sizes_match_fine_grid_quadrature():
 BLOCKED_SIZES = [(50, 200_003), (140_000, 140_000), (131_071, 65_537)]
 
 
-@pytest.mark.parametrize("n1, n0", BLOCKED_SIZES + [(7, 11)])
+@pytest.mark.parametrize("n1, n0", BLOCKED_SIZES + [(7, 11), (9, 9), (2, 200_003), (1, 1)])
 def test_blocks_tile_the_merged_grid(n1, n0):
+    # the enumeration walks the sorted-union grid cell by cell, in u order:
+    # its widths are the oracle's and its indices are quantile_at's at the
+    # oracle's midpoints, exactly; swapping the sizes swaps the indices only
     mids, widths = merged_u_grid(n1, n0)
-    blocks = list(merged_u_blocks(n1, n0))
-    assert np.array_equal(np.concatenate([m for m, _ in blocks]), mids)
-    assert np.array_equal(np.concatenate([w for _, w in blocks]), widths)
+    idx1, idx0 = quantile_at(np.arange(n1), mids), quantile_at(np.arange(n0), mids)
+    for sizes, expected in (((n1, n0), (idx1, idx0)), ((n0, n1), (idx0, idx1))):
+        blocks = list(merged_grid_blocks(*sizes))
+        assert all(b[0].shape[0] <= 2 * (1 << 16) for b in blocks)
+        for k, want in enumerate(expected):
+            assert np.array_equal(np.concatenate([b[k] for b in blocks]), want)
+        assert np.array_equal(np.concatenate([b[2] for b in blocks]), widths)
 
 
 @pytest.mark.parametrize("n1, n0", BLOCKED_SIZES)

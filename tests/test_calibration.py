@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -15,7 +16,7 @@ from drpredict.calibration import (
     wasserstein2_1d,
 )
 from drpredict.sample import EmpiricalDistribution, ExperimentalSample, quantile_at
-from oracles import merged_u_grid
+from oracles import merged_u_grid, split_benchmark_resort
 
 
 def _dist(values):
@@ -160,6 +161,61 @@ def test_split_preconditions():
     lopsided[0] = True  # one treated unit in cell one
     with pytest.raises(ValidationError):
         split_benchmark(s, "provided_mask", mask=lopsided, permutations=0)
+
+
+def _split_case(name, seed):
+    """(sample, provided mask) for one null-oracle case."""
+    if name == "cells-of-2":
+        # each arm has exactly 2 rows in each cell under every split rule
+        rng = np.random.default_rng(seed)
+        t = np.tile([1, 0], 4)
+        y = np.arange(8.0) + 0.1 * rng.random(8)
+        mask = np.tile([True, True, False, False], 2)
+        return ExperimentalSample(y, t), mask
+    n1, n0 = {"several-blocks": (150_000, 290_000), "unequal": (53, 71)}[name]
+    rng = np.random.default_rng(seed)
+    t = rng.permutation(np.repeat([1, 0], [n1, n0]))
+    y = np.where(t == 1, rng.normal(1.0, 2.0, t.size), rng.lognormal(0.0, 1.0, t.size))
+    return ExperimentalSample(y, t), rng.random(t.size) < 0.4
+
+
+@pytest.mark.parametrize("split", list(SplitRule))
+@pytest.mark.parametrize("name, seed, permutations", [
+    ("cells-of-2", 0, 40), ("cells-of-2", 1, 40), ("cells-of-2", 2, 7),
+    ("unequal", 3, 200), ("unequal", 4, 5),
+    ("several-blocks", 5, 3),  # cells span several 2^16-cell blocks
+])
+def test_split_null_matches_resorting_oracle(name, seed, permutations, split):
+    s, mask = _split_case(name, seed)
+    y = s.outcomes
+    in_cell = {
+        SplitRule.MEDIAN_OUTCOME: y <= np.median(y),
+        SplitRule.HALVES: np.arange(s.n) < (s.n + 1) // 2,
+        SplitRule.PROVIDED_MASK: mask,
+    }[split]
+    b = split_benchmark(s, split, mask=mask, permutations=permutations, seed=seed)
+    w2_y1, w2_y0, null_p95 = split_benchmark_resort(y, s.treatments, in_cell, permutations, seed)
+    assert b.w2_y1 == pytest.approx(w2_y1, rel=1e-12, abs=0.0)
+    assert b.w2_y0 == pytest.approx(w2_y0, rel=1e-12, abs=0.0)
+    assert b.null_p95 == pytest.approx(null_p95, rel=1e-12, abs=0.0)
+    if name != "several-blocks":  # one block: the same sums, bit for bit
+        assert (b.w2_y1, b.w2_y0, b.null_p95) == (w2_y1, w2_y0, null_p95)
+
+
+def test_split_null_allocates_no_whole_sample_copies():
+    # per permutation: one arm's labels and its two cells, but no row-index
+    # arrays or re-masked copies of the outcomes
+    rng = np.random.default_rng(14)
+    n = 1_000_000
+    t = (rng.random(n) < 0.3).astype(np.int8)
+    s = ExperimentalSample(np.where(t == 1, rng.normal(2.0, 2.0, n), rng.normal(0.2, 1.0, n)), t)
+    tracemalloc.start()
+    try:
+        split_benchmark(s, SplitRule.MEDIAN_OUTCOME, permutations=2, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 27 * n
 
 
 def test_benchmark_json_round_trip():

@@ -486,6 +486,19 @@ def test_benchmark_mask_flag_required_with_provided_mask(case1_csv, capsys):
     assert "--mask-col" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["benchmark", "--seed", "-1", "--permutations", "5"],
+    ["benchmark", "--permutations", "-3"],
+    ["simulate", "--case", "1", "--replications", "100", "--seed", "-1"],
+], ids=["benchmark-seed", "benchmark-permutations", "simulate-seed"])
+def test_negative_seed_or_permutations_exits_2(args, case1_csv, tmp_path, capsys):
+    extra = ["--data", case1_csv] if args[0] == "benchmark" else ["--out", str(tmp_path / "sim")]
+    assert main(args + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be >= 0, got -" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["case1.csv"]
+
+
 def test_benchmark_determinism(case1_csv, capsys):
     args = ["benchmark", "--data", case1_csv, "--permutations", "80",
             "--seed", "5", "--json"]

@@ -96,6 +96,12 @@ INVOCATIONS = [
     ("infer-null-json", ["infer", "--data", "null.csv", "--delta", "0.5", "--json"]),
     ("benchmark-no-permutations", ["benchmark", "--data", "pos.csv", "--permutations", "0"]),
     ("sweep-data-p3", ["sweep", "--data", "pos.csv", "--deltas", "0:1:0.1", "--p", "3"]),
+    ("benchmark-ties-json", ["benchmark", "--data", "ties.csv", "--json"]),
+    ("benchmark-flat-json", ["benchmark", "--data", "flat.csv", "--json"]),
+    ("benchmark-big-halves-200", ["benchmark", "--data", "big.csv", "--split", "halves",
+                                  "--permutations", "200", "--seed", "7", "--json"]),
+    ("benchmark-negative-seed", ["benchmark", "--data", "pos.csv", "--seed", "-1",
+                                 "--permutations", "5"]),
     ("simulate-cases-1-5", ["simulate", "--case", "1", "--case", "5", "--out", "sim15"]),
     ("simulate-custom-neyman", ["simulate", "--mu1", "1", "--mu0", "0", "--sigma1", "2",
                                 "--sigma0", "1", "--delta", "0.2", "--bounds", "neyman",
