@@ -27,6 +27,7 @@ from .covariance import (
     sigma_bootstrap,
     sigma_neyman,
     sigma_sharp,
+    sigma_sharp_many,
     zero_tau_limit_sd,
 )
 from .exceptions import DrPredictError, NumericalError, ParseError, ValidationError
@@ -113,6 +114,7 @@ __all__ = [
     "NearEqualVariancesWarning",
     "sigma_neyman",
     "sigma_sharp",
+    "sigma_sharp_many",
     "sigma_bootstrap",
     "prediction_sd_grid",
     "zero_tau_limit_sd",

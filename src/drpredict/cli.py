@@ -143,7 +143,19 @@ def _config_from_args(args) -> RobustConfig:
     return RobustConfig(delta=args.delta, q=_q_from_args(args))
 
 
+# Caps on the counts the CLI accepts, each a stated multiple of the largest
+# value that a test, the benchmark or the paper's design uses. A count past
+# its cap is an input error (exit 2), raised before anything is allocated.
 _MAX_RADII = 10**6  # 66 times the densest grid in use (15,001 radii)
+_MAX_GRID_POINTS = 100 * 101  # 100 times the two-step grid in use (101, the default)
+_MAX_N = 10 * 10**6  # 10 times the largest sample drawn (10^6 rows)
+_MAX_REPLICATIONS = 100 * 1000  # 100 times the largest study (1,000, the default)
+_MAX_PERMUTATIONS = 100 * 200  # 100 times the largest null (200, the default)
+
+
+def _check_count(flag: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise ValidationError(f"{flag} must be at most {cap}, got {value}")
 
 
 def _parse_delta_grid(text: str) -> list:
@@ -302,6 +314,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    _check_count("--grid-points", args.grid_points, _MAX_GRID_POINTS)
     config = _config_from_args(args)
     check_two_step_args(config, args.alpha, args.beta, args.grid_points)
     sample = load_sample(args.data, args.outcome, args.treatment)
@@ -373,6 +386,9 @@ _DGP_FLAGS = ("mu1", "mu0", "sigma1", "sigma0", "delta")
 
 
 def cmd_simulate(args) -> int:
+    _check_count("--n", args.n, _MAX_N)
+    _check_count("--replications", args.replications, _MAX_REPLICATIONS)
+    _check_count("--grid-points", args.grid_points, _MAX_GRID_POINTS)
     custom_given = any(getattr(args, name) is not None for name in _DGP_FLAGS) \
         or args.p_order is not None or args.q_order is not None
     if args.case and custom_given:
@@ -467,6 +483,7 @@ def _load_mask_column(path, column: str, n_expected: int):
 
 
 def cmd_benchmark(args) -> int:
+    _check_count("--permutations", args.permutations, _MAX_PERMUTATIONS)
     sample = load_sample(args.data, args.outcome, args.treatment)
     split = SplitRule(args.split)
     mask = None
@@ -542,7 +559,7 @@ def _build_parser() -> argparse.ArgumentParser:
     inf.add_argument("--beta", type=float, default=0.045,
                      help="first-step share of the level (default: 0.045)")
     inf.add_argument("--grid-points", type=int, default=101, dest="grid_points",
-                     help="second-step grid size, >= 25 (default: 101)")
+                     help=f"second-step grid size, 25 to {_MAX_GRID_POINTS} (default: 101)")
     _add_report_flags(inf)
     inf.set_defaults(func=cmd_infer)
 
@@ -560,12 +577,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--delta", type=float, default=None, help="custom design: radius")
     _add_order_flags(sim)
     _add_bounds_flag(sim)
-    sim.add_argument("--n", type=int, default=1000, help="sample size per replication")
+    sim.add_argument("--n", type=int, default=1000,
+                     help=f"sample size per replication, at most {_MAX_N} (default: 1000)")
     sim.add_argument("--replications", type=int, default=1000,
-                     help=">= 100 (default: 1000)")
+                     help=f"100 to {_MAX_REPLICATIONS} (default: 1000)")
     sim.add_argument("--alpha", type=float, default=0.05)
     sim.add_argument("--beta", type=float, default=0.045)
-    sim.add_argument("--grid-points", type=int, default=101, dest="grid_points")
+    sim.add_argument("--grid-points", type=int, default=101, dest="grid_points",
+                     help=f"second-step grid size, 25 to {_MAX_GRID_POINTS} (default: 101)")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--workers", "--threads", type=int, default=1, dest="workers",
                      help="worker processes for replications, at most the CPU "
@@ -583,8 +602,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--mask-col", dest="mask_col", metavar="COL",
                      help="0/1 column defining the split (with --split provided_mask)")
     ben.add_argument("--permutations", type=int, default=200,
-                     help="label permutations for the null scale; 0 disables "
-                     "(default: 200)")
+                     help=f"label permutations for the null scale, at most "
+                     f"{_MAX_PERMUTATIONS}; 0 disables (default: 200)")
     ben.add_argument("--seed", type=int, default=0)
     _add_report_flags(ben)
     ben.set_defaults(func=cmd_benchmark)

@@ -17,19 +17,30 @@ count and the sums of d and d^2, and over the whole arm, the sums of d to
 d^4 (d the outcome less its arm mean). The memory it needs beyond the
 sample is two arm-length rows, and its time is one pass over each arm.
 ``tests/oracles.py`` keeps the (3, n) influence array as the reference.
+
+``sigma_sharp_many`` runs in two stages. As each sample arrives, it is
+reduced to O(grid_size) summaries and then dropped: its u-grid quantiles,
+each arm's linearly binned KDE grid (Silverman 1982, AS 176) and those
+sums. The batch stage convolves every grid of one FFT period in one
+``rfft``/``irfft`` pair, against a kernel spectrum cached per period (in
+bin units the kernel is the same for every sample), then assembles and
+checks all the 3x3 matrices as arrays. ``sigma_sharp`` is its batch of one,
+and an entry of a batch is bit for bit that of its sample alone.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import BoundsMethod, neyman_bounds, sharp_bounds_empirical
-from .exceptions import NumericalError, ValidationError
+from .exceptions import DrPredictError, NumericalError, ValidationError
 from .moments import ArmMoments
 from .sample import ExperimentalSample, quantile_at
 from .solver import RobustConfig, penalty_derivs
@@ -40,6 +51,7 @@ __all__ = [
     "NearEqualVariancesWarning",
     "sigma_neyman",
     "sigma_sharp",
+    "sigma_sharp_many",
     "sigma_bootstrap",
     "prediction_sd_grid",
     "zero_tau_limit_sd",
@@ -91,18 +103,7 @@ class SigmaMatrix:
         s = np.asarray(self.entries, dtype=float)
         if s.shape != (3, 3):
             raise ValidationError(f"expected a 3x3 matrix, got shape {s.shape}")
-        if not np.all(np.isfinite(s)):
-            raise ValidationError("covariance matrix has non-finite entries")
-        scale = max(1.0, float(np.abs(s).max()))
-        if np.abs(s - s.T).max() > 1e-12 * scale:
-            raise ValidationError("covariance matrix is not symmetric")
-        s = 0.5 * (s + s.T)
-        if np.any(np.diag(s) < -1e-12 * scale):
-            raise ValidationError("negative variance on the diagonal")
-        eigval, eigvec = np.linalg.eigh(s)
-        if eigval[0] < -1e-8 * max(s.trace(), 0.0):
-            s = (eigvec * np.maximum(eigval, 0.0)) @ eigvec.T
-            s = 0.5 * (s + s.T)
+        s = _checked(s[None])[0]
         s.setflags(write=False)
         object.__setattr__(self, "entries", s)
         object.__setattr__(self, "method", SigmaMethod(self.method))
@@ -111,6 +112,47 @@ class SigmaMatrix:
     def sigma_tau(self) -> float:
         """Asymptotic standard deviation of sqrt(n)(tau_hat - tau*)."""
         return math.sqrt(max(self.entries[2, 2], 0.0))
+
+
+def _checked(s: np.ndarray) -> np.ndarray:
+    """SigmaMatrix's checks and repair, over an (R, 3, 3) stack at once.
+
+    Raises what the first invalid matrix raises on its own: non-finite
+    entries, then asymmetry, then a negative diagonal entry.
+    """
+    s_t = s.transpose(0, 2, 1)
+    with np.errstate(invalid="ignore"):  # a non-finite matrix fails below
+        finite = np.isfinite(s).all(axis=(1, 2))
+        scale = np.maximum(1.0, np.abs(s).max(axis=(1, 2)))
+        skewed = np.abs(s - s_t).max(axis=(1, 2)) > 1e-12 * scale
+        s = 0.5 * (s + s_t)
+        negative = (np.diagonal(s, axis1=1, axis2=2) < (-1e-12 * scale)[:, None]).any(axis=1)
+    for k in np.flatnonzero(~finite | skewed | negative)[:1]:
+        if not finite[k]:
+            raise ValidationError("covariance matrix has non-finite entries")
+        if skewed[k]:
+            raise ValidationError("covariance matrix is not symmetric")
+        raise ValidationError("negative variance on the diagonal")
+    eigval, eigvec = np.linalg.eigh(s)
+    floor = -1e-8 * np.maximum(np.trace(s, axis1=1, axis2=2), 0.0)
+    for k in np.flatnonzero(eigval[:, 0] < floor):
+        repaired = (eigvec[k] * np.maximum(eigval[k], 0.0)) @ eigvec[k].T
+        s[k] = 0.5 * (repaired + repaired.T)
+    return s
+
+
+def _sigma_matrices(entries: np.ndarray, method: SigmaMethod) -> list:
+    """A SigmaMatrix for each matrix of an (R, 3, 3) stack, checked as one
+    array by ``_checked`` instead of one ``__post_init__`` call each."""
+    entries = _checked(entries)
+    entries.setflags(write=False)
+    out = []
+    for s in entries:
+        sigma = object.__new__(SigmaMatrix)
+        object.__setattr__(sigma, "entries", s)
+        object.__setattr__(sigma, "method", method)
+        out.append(sigma)
+    return out
 
 
 # ------------------------------------------------------------- Neyman route
@@ -196,24 +238,15 @@ def _silverman_bandwidth(y_sorted: np.ndarray, var: float) -> float:
     return 0.9 * spread * y_sorted.shape[0] ** (-0.2)
 
 
-def _kde_binned(data: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
-    """Gaussian-kernel density of sorted ``data`` at ascending points ``x``,
-    by linear binning and FFT convolution (Silverman 1982, AS 176).
-
-    Bins are h / KDE_BINS_PER_BANDWIDTH wide. With c = KDE_REACH_BANDWIDTHS,
-    ``x`` splits wherever consecutive points are more than 2c h apart, and
-    each run gets a window of bins reaching c h past its ends. So the grid
-    length is set by ``x``, never by the range of ``data``: at most
-    2 c KDE_BINS_PER_BANDWIDTH + 3 bins per point. A datum outside every
-    window lies more than c h from every point and would add under
-    exp(-c^2/2) of one kernel peak; it is left out of the sum but counted in
-    the normalisation.
-    """
+def _bin_kde(data: np.ndarray, x: np.ndarray, h: float):
+    """The linear-binning half of ``_kde_binned``: the bin weights of every
+    window in one array, the points ``x`` in bins along it, and the factor
+    that turns a smoothed bin into a density."""
     r = KDE_BINS_PER_BANDWIDTH * KDE_REACH_BANDWIDTHS  # kernel half-width in bins
     dx = h / KDE_BINS_PER_BANDWIDTH
     cut = np.flatnonzero(np.diff(x) > 2 * r * dx) + 1
-    first = x[np.r_[0, cut]]
-    last = x[np.r_[cut - 1, x.shape[0] - 1]]
+    first = x[np.concatenate(([0], cut))]
+    last = x[np.concatenate((cut - 1, [x.shape[0] - 1]))]
     lo = first - r * dx
     # r bins of reach on either side, plus one spare so that no datum's
     # upper neighbour bin falls in the next window
@@ -229,89 +262,266 @@ def _kde_binned(data: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
         window = grid[off_w : off_w + size_w]
         window += np.bincount(j, minlength=size_w) - upper
         window[1:] += upper[:-1]
-    # a period of at least len(grid) + r keeps the circular convolution
-    # from wrapping any bin onto an evaluated one
-    period = 1 << int(grid.shape[0] + r).bit_length()
+    window_of = np.searchsorted(cut, np.arange(x.shape[0]), side="right")
+    at = offset[window_of] + (x - lo[window_of]) / dx
+    return grid, at, 1.0 / (data.shape[0] * h * math.sqrt(2.0 * math.pi))
+
+
+# Periods are powers of two: at the default grid_size of 400 there are at
+# most nine of them, the largest 2^18 bins, whose spectrum takes 2 MB.
+@functools.lru_cache(maxsize=16)
+def _kernel_spectrum(period: int) -> np.ndarray:
+    """``rfft`` of the Gaussian kernel in bins, wrapped onto a circle of
+    ``period`` bins. In bin units the kernel depends on nothing but
+    KDE_BINS_PER_BANDWIDTH and KDE_REACH_BANDWIDTHS, so one spectrum serves
+    every arm, bandwidth and batch with this period."""
+    r = KDE_BINS_PER_BANDWIDTH * KDE_REACH_BANDWIDTHS
     kernel = np.zeros(period)
     kernel[: r + 1] = np.exp(-0.5 * (np.arange(r + 1) / KDE_BINS_PER_BANDWIDTH) ** 2)
     kernel[period - r :] = kernel[r:0:-1]
-    smooth = np.fft.irfft(np.fft.rfft(grid, period) * np.fft.rfft(kernel), period)
-    window_of = np.searchsorted(cut, np.arange(x.shape[0]), side="right")
-    at = offset[window_of] + (x - lo[window_of]) / dx
-    norm = 1.0 / (data.shape[0] * h * math.sqrt(2.0 * math.pi))
-    return np.interp(at, np.arange(grid.shape[0]), smooth[: grid.shape[0]]) * norm
+    spectrum = np.fft.rfft(kernel)
+    spectrum.setflags(write=False)
+    return spectrum
 
 
-def _arm_density(arm_sorted: np.ndarray, var: float, q: np.ndarray, name: str) -> np.ndarray | None:
-    """Binned KDE of one sorted arm, of variance ``var``, at its u-grid
-    quantiles ``q``.
+def _smooth_kde(binned: list) -> list:
+    """The convolution half of ``_kde_binned``, for a list of ``_bin_kde``
+    results: the density of each at its points.
 
-    Returns None for a zero-spread arm, which has no quantile noise.
+    Every grid is convolved with the kernel by FFT. Grids of one period are
+    stacked into one ``rfft``/``irfft`` pair, whose rows are bit for bit the
+    transforms of the grids one at a time, so a density does not depend on
+    the list it is smoothed in.
     """
-    if arm_sorted[0] == arm_sorted[-1]:
-        return None
-    f = _kde_binned(arm_sorted, q, _silverman_bandwidth(arm_sorted, var))
-    if np.any(f < DENSITY_FLOOR):
-        raise NumericalError(f"{name}-arm density below floor on the u-grid")
-    return f
+    r = KDE_BINS_PER_BANDWIDTH * KDE_REACH_BANDWIDTHS
+    by_period = {}
+    for i, (grid, _, _) in enumerate(binned):
+        # a period of at least len(grid) + r keeps the circular convolution
+        # from wrapping any bin onto an evaluated one
+        by_period.setdefault(1 << (grid.shape[0] + r).bit_length(), []).append(i)
+    out = [None] * len(binned)
+    for period, members in by_period.items():
+        stack = np.zeros((len(members), period))
+        for row, i in zip(stack, members):
+            row[: binned[i][0].shape[0]] = binned[i][0]
+        spectra = np.fft.rfft(stack, period)
+        spectra *= _kernel_spectrum(period)
+        np.fft.irfft(spectra, period, out=stack)  # the smoothed grids replace the grids
+        del spectra
+        bins = np.arange(period)
+        for row, i in zip(stack, members):
+            grid, at, norm = binned[i]
+            out[i] = np.interp(at, bins[: grid.shape[0]], row[: grid.shape[0]]) * norm
+    return out
 
 
-def _arm_gram(
-    y: np.ndarray,
-    var: float,
-    share: float,
-    sign: float,
-    mean: float,
-    other_mean: float,
-    u: np.ndarray,
-    du: float,
-    q: np.ndarray,
-    f: np.ndarray | None,
-    q_other: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sum of psi psi' and sum of psi over one arm's sorted outcomes ``y``,
-    where psi is an observation's (V_p, V_o, tau*) influence value.
+def _kde_binned(data: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
+    """Gaussian-kernel density of sorted ``data`` at ascending points ``x``,
+    by linear binning and FFT convolution (Silverman 1982, AS 176).
 
-    ``share`` is the arm's fraction of the sample and ``sign`` is +1 for the
-    treated arm, -1 for the control arm. With d = y - mean and m' the other
-    arm's mean, psi = B (d, d^2) + g[k] with
+    Bins are h / KDE_BINS_PER_BANDWIDTH wide. With c = KDE_REACH_BANDWIDTHS,
+    ``x`` splits wherever consecutive points are more than 2c h apart, and
+    each run gets a window of bins reaching c h past its ends. So the grid
+    length is set by ``x``, never by the range of ``data``: at most
+    2 c KDE_BINS_PER_BANDWIDTH + 3 bins per point. A datum outside every
+    window lies more than c h from every point and would add under
+    exp(-c^2/2) of one kernel peak; it is left out of the sum but counted in
+    the normalisation.
 
-        B = [[2 m', 1], [2 m', 1], [sign, 0]] / share,
-
-    and g[k] a constant of the segment k = #{u-grid quantiles < y}, one of
-    len(q) + 1. Its V_p and V_o entries are (2 S[k] - 2 (u . a) - var) /
-    share: the quantile-process piece, the integral of Qdot(u) W(u) du with
-    Qdot(u) = -[1{y <= Q(u)} - u] / (share f(Q(u))), is a step in u, so on
-    the grid it is the suffix sum S[k] of a = du W / f. W is the other arm's
-    quantile function, reversed for V_p (the antitone coupling).
-
-    So both sums follow from the count, sum d and sum d^2 of each segment
-    (``np.add.reduceat`` on the sorted arm) and the whole-arm sums of d to
-    d^4, without an influence row per observation.
+    ``sigma_sharp_many`` runs the two halves apart: ``_bin_kde`` as each
+    sample arrives, and ``_smooth_kde`` once per batch.
     """
-    if f is None:  # a zero-spread arm: d = 0 and var = 0, so every psi is 0
-        return np.zeros((3, 3)), np.zeros(3)
+    return _smooth_kde([_bin_kde(data, x, h)])[0]
+
+
+class _Arm(NamedTuple):
+    """One sorted arm, reduced to the O(grid_size) numbers Sigma needs.
+
+    ``kde`` and the sums are None for a zero-spread arm, whose influence
+    values are all zero.
+    """
+
+    kde: tuple | None  # _bin_kde of the arm at its quantiles
+    q: np.ndarray  # the u-grid quantiles
+    var: float
+    w: float  # 1 / the arm's share of the sample
+    b: np.ndarray | None  # (3, 2): psi's loadings on (d, d^2)
+    counts: np.ndarray | None  # (grid_size + 1,) outcomes per segment
+    segments: np.ndarray | None  # (2, grid_size + 1): sums of d and d^2 per segment
+    second: np.ndarray | None  # (2, 2): whole-arm sums of d^2, d^3 and d^4
+    first: np.ndarray | None  # (2,): whole-arm sums of d and d^2
+
+
+class _Summary(NamedTuple):
+    """One sample, reduced to what ``sigma_sharp_many`` keeps of it."""
+
+    n: int
+    u: np.ndarray
+    du: float
+    treated: _Arm
+    control: _Arm
+
+
+def _summarize_arm(y, var, q, share, sign, mean, other_mean) -> _Arm:
+    """``_Arm`` of the sorted outcomes ``y``; ``sign`` is +1 for the treated
+    arm and -1 for the control arm, ``mean`` and ``other_mean`` are the two
+    arm means. The per-observation work of Sigma is all here: one pass that
+    bins the arm for its KDE and one that sums d = y - mean and d^2 over
+    each segment between consecutive quantiles (``np.add.reduceat``)."""
+    w = 1.0 / share
+    if y[0] == y[-1]:
+        return _Arm(None, q, var, w, None, None, None, None, None)
+    kde = _bin_kde(y, q, _silverman_bandwidth(y, var))  # before powers, to keep the peak down
     n = y.shape[0]
     powers = np.zeros((2, n + 1))  # d and d^2, then a zero column that ends the last segments
     np.subtract(y, mean, out=powers[0, :n])
     np.multiply(powers[0], powers[0], out=powers[1])
     edges = np.concatenate(([0], np.searchsorted(y, q, side="right"), [n]))
-    counts = edges[1:] - edges[:-1]
-    segments = np.add.reduceat(powers, edges[:-1], axis=1)
-    w = 1.0 / share
-    b = np.array([[2.0 * other_mean * w, w], [2.0 * other_mean * w, w], [sign * w, 0.0]])
-    scale = (2.0 * du * w) / f
-    a = np.empty((2, q.shape[0]))
-    np.multiply(scale, q_other[::-1], out=a[0])
-    np.multiply(scale, q_other, out=a[1])
-    g = np.zeros((3, counts.shape[0]))
-    np.cumsum(a[:, ::-1], axis=1, out=g[:2, -2::-1])
-    g[:2] -= (a @ u + var * w)[:, None]
+    return _Arm(
+        kde=kde,
+        q=q,
+        var=var,
+        w=w,
+        b=np.array([[2.0 * other_mean * w, w], [2.0 * other_mean * w, w], [sign * w, 0.0]]),
+        counts=edges[1:] - edges[:-1],
+        segments=np.add.reduceat(powers, edges[:-1], axis=1),
+        second=powers @ powers.T,
+        first=np.add.reduce(powers, axis=1),
+    )
+
+
+def _summarize(sample: ExperimentalSample, grid_size: int) -> _Summary:
+    """The per-sample stage of ``sigma_sharp_many``."""
+    if sample.n1 < 30 or sample.n0 < 30:
+        raise ValidationError(
+            f"influence-function covariance needs >= 30 per arm, got n1={sample.n1}, n0={sample.n0}"
+        )
+    if grid_size < 200:
+        raise ValidationError(f"grid_size must be >= 200, got {grid_size}")
+
+    y1, y0 = sample.sorted_arms
+    var1, var0 = sample.arm_variances
+    e = sample.n1 / sample.n
+    tau1, tau0 = float(y1.sum()) / sample.n1, float(y0.sum()) / sample.n0  # y.mean(), bit for bit
+
+    trim = _u_trim(min(sample.n1, sample.n0))
+    du = (1.0 - 2.0 * trim) / grid_size
+    u = trim + (np.arange(grid_size) + 0.5) * du  # symmetric: 1-u is a flip
+    q1, q0 = quantile_at(y1, u), quantile_at(y0, u)
+    return _Summary(
+        sample.n, u, du,
+        _summarize_arm(y1, var1, q1, e, 1.0, tau1, tau0),
+        _summarize_arm(y0, var0, q0, 1.0 - e, -1.0, tau0, tau1),
+    )
+
+
+def _arm_grams(arms: list, f: np.ndarray, u: np.ndarray, du: np.ndarray, q_other: np.ndarray):
+    """Sums of psi psi' and of psi over each of a batch of arms, where psi
+    is an observation's (V_p, V_o, tau*) influence value: (A, 3, 3) and
+    (A, 3) from A ``_Arm`` records, their densities ``f`` (A, G), their
+    samples' u-grids ``u`` (A, G) and steps ``du`` (A,), and the other
+    arms' quantiles ``q_other`` (A, G).
+
+    With d = y - mean, m' the other arm's mean and s the arm's share,
+    psi = B (d, d^2) + g[k] with
+
+        B = [[2 m', 1], [2 m', 1], [sign, 0]] / s,
+
+    and g[k] a constant of the segment k = #{u-grid quantiles < y}, one of
+    G + 1. Its V_p and V_o entries are (2 S[k] - 2 (u . a) - var) / s: the
+    quantile-process piece, the integral of Qdot(u) W(u) du with
+    Qdot(u) = -[1{y <= Q(u)} - u] / (s f(Q(u))), is a step in u, so on the
+    grid it is the suffix sum S[k] of a = du W / f. W is the other arm's
+    quantile function, reversed for V_p (the antitone coupling). So both
+    sums follow from the segment and whole-arm sums of the ``_Arm``.
+
+    Each arm's numbers are those of the same products on its own 2-D
+    arrays, so they do not depend on the batch.
+    """
+    w = np.array([arm.w for arm in arms])
+    var = np.array([arm.var for arm in arms])
+    b = np.array([arm.b for arm in arms])
+    counts = np.array([arm.counts for arm in arms])
+    segments = np.array([arm.segments for arm in arms])
+    scale = (2.0 * du * w)[:, None] / f
+    a = np.empty((len(arms), 2, f.shape[1]))
+    np.multiply(scale, q_other[:, ::-1], out=a[:, 0])
+    np.multiply(scale, q_other, out=a[:, 1])
+    g = np.zeros((len(arms), 3, counts.shape[1]))
+    np.cumsum(a[:, :, ::-1], axis=2, out=g[:, :2, -2::-1])
+    g[:, :2] -= a @ u[:, :, None] + (var * w)[:, None, None]
     # an empty segment's reduceat entry is the next element, not 0
-    g[:2] *= counts > 0
-    cross = b @ (segments @ g.T)
-    gram = b @ (powers @ powers.T) @ b.T + cross + cross.T + (g * counts) @ g.T
-    return gram, b @ np.add.reduce(powers, axis=1) + g @ counts
+    g[:, :2] *= (counts > 0)[:, None, :]
+    g_t = g.transpose(0, 2, 1)
+    cross = b @ (segments @ g_t)
+    gram = (
+        b @ np.array([arm.second for arm in arms]) @ b.transpose(0, 2, 1)
+        + cross + cross.transpose(0, 2, 1)
+        + (g * counts[:, None, :]) @ g_t
+    )
+    first = np.array([arm.first for arm in arms])
+    return gram, (b @ first[:, :, None])[..., 0] + (g @ counts[:, :, None])[..., 0]
+
+
+def _sigmas(summaries: list) -> list:
+    """The batch stage of ``sigma_sharp_many``: every density in one
+    ``_smooth_kde`` call, then the Gram sums of all arms and the SigmaMatrix
+    checks as array operations. Raises what a loop of ``sigma_sharp`` would
+    raise first: an arm's density below DENSITY_FLOOR (treated before
+    control) or an invalid Sigma, in sample order."""
+    arms = [arm for s in summaries for arm in (s.treated, s.control)]
+    spread = [i for i, arm in enumerate(arms) if arm.kde is not None]
+    f = np.array(_smooth_kde([arms[i].kde for i in spread]))
+    low = [spread[j] for j in np.flatnonzero((f < DENSITY_FLOOR).any(axis=-1))]
+    stop = low[0] // 2 if low else len(summaries)  # the samples before the first failing one
+
+    grams = np.zeros((2 * stop, 3, 3))
+    sums = np.zeros((2 * stop, 3))
+    rows = [i for i in spread if i < 2 * stop]
+    if rows:
+        grams[rows], sums[rows] = _arm_grams(
+            [arms[i] for i in rows],
+            f[: len(rows)],  # rows is a prefix of spread
+            np.array([summaries[i // 2].u for i in rows]),
+            np.array([summaries[i // 2].du for i in rows]),
+            np.array([arms[i ^ 1].q for i in rows]),
+        )
+    n = np.array([s.n for s in summaries[:stop]], dtype=float)
+    mean = (sums[0::2] + sums[1::2]) / n[:, None]
+    entries = (grams[0::2] + grams[1::2]) / n[:, None, None] - mean[:, :, None] * mean[:, None, :]
+    sigmas = _sigma_matrices(entries, SigmaMethod.SHARP_PLUGIN)
+    if low:
+        arm = "treated" if low[0] % 2 == 0 else "control"
+        raise NumericalError(f"{arm}-arm density below floor on the u-grid")
+    return sigmas
+
+
+def sigma_sharp_many(samples, grid_size: int = 400) -> list:
+    """``sigma_sharp`` for each sample of an iterable, in order.
+
+    Each sample is reduced as it arrives to its u-grid quantiles, its arms'
+    binned KDE grids and their segment and whole-arm sums, all
+    O(grid_size), and is not kept: an iterable that draws its samples
+    lazily holds one at a time. Then the batch stage smooths every grid of
+    one FFT period in one ``rfft``/``irfft`` pair against a cached kernel
+    spectrum, and builds and checks all 3x3 matrices as arrays. An entry is
+    bit for bit the ``sigma_sharp`` of its sample alone.
+
+    Raises
+    ------
+    ValidationError, NumericalError
+        What ``sigma_sharp`` raises on the first sample that fails, also
+        when the iterable itself raises at a later sample.
+    """
+    summaries = []
+    try:
+        for sample in samples:
+            summaries.append(_summarize(sample, grid_size))
+            del sample  # so that the next draw does not join it
+    except DrPredictError:
+        _sigmas(summaries)  # an earlier sample's failure comes first
+        raise
+    return _sigmas(summaries)
 
 
 def sigma_sharp(sample: ExperimentalSample, grid_size: int = 400) -> SigmaMatrix:
@@ -325,9 +535,9 @@ def sigma_sharp(sample: ExperimentalSample, grid_size: int = 400) -> SigmaMatrix
     sorted arm (``sample.sorted_arms``) into grid_size + 1 segments, and an
     observation's influence is a quadratic in its outcome plus a constant of
     its segment. So each arm's sums of psi psi' and psi come from a few
-    whole-arm and per-segment sums (_arm_gram), and Sigma is their total
+    whole-arm and per-segment sums (_arm_grams), and Sigma is their total
     over n less the outer product of the mean: no per-observation influence
-    array is formed.
+    array is formed. This is the batch of one of ``sigma_sharp_many``.
 
     Parameters
     ----------
@@ -346,32 +556,7 @@ def sigma_sharp(sample: ExperimentalSample, grid_size: int = 400) -> SigmaMatrix
         If an estimated arm density falls below 1e-6 anywhere the integrals
         need it (extremely heavy tails or degenerate spread).
     """
-    if sample.n1 < 30 or sample.n0 < 30:
-        raise ValidationError(
-            f"influence-function covariance needs >= 30 per arm, got n1={sample.n1}, n0={sample.n0}"
-        )
-    if grid_size < 200:
-        raise ValidationError(f"grid_size must be >= 200, got {grid_size}")
-
-    y1, y0 = sample.sorted_arms
-    var1, var0 = sample.arm_variances
-    e = sample.n1 / sample.n
-    tau1, tau0 = float(y1.sum()) / sample.n1, float(y0.sum()) / sample.n0  # y.mean(), bit for bit
-
-    trim = _u_trim(min(sample.n1, sample.n0))
-    du = (1.0 - 2.0 * trim) / grid_size
-    u = trim + (np.arange(grid_size) + 0.5) * du  # symmetric: 1-u is a flip
-
-    q1 = quantile_at(y1, u)
-    q0 = quantile_at(y0, u)
-    f1 = _arm_density(y1, var1, q1, "treated")
-    f0 = _arm_density(y0, var0, q0, "control")
-
-    gram1, sum1 = _arm_gram(y1, var1, e, 1.0, tau1, tau0, u, du, q1, f1, q0)
-    gram0, sum0 = _arm_gram(y0, var0, 1.0 - e, -1.0, tau0, tau1, u, du, q0, f0, q1)
-    mean = (sum1 + sum0) / sample.n
-    entries = (gram1 + gram0) / sample.n - np.outer(mean, mean)
-    return SigmaMatrix(entries=entries, method=SigmaMethod.SHARP_PLUGIN)
+    return sigma_sharp_many([sample], grid_size)[0]
 
 
 # ----------------------------------------------------------------- bootstrap

@@ -32,7 +32,7 @@ from .covariance import (
     SigmaMatrix,
     prediction_sd_grid,
     sigma_neyman,
-    sigma_sharp,
+    sigma_sharp_many,
 )
 from .exceptions import NumericalError, ValidationError
 from .moments import ArmMoments, estimate_moments
@@ -245,10 +245,12 @@ def estimate_robust(
 def estimate_robust_many(samples, config: RobustConfig, method=BoundsMethod.SHARP) -> list:
     """``estimate_robust`` for each sample of an iterable, in order.
 
-    The moments, the bracket and Sigma are computed as each sample arrives,
-    so an iterable that draws its samples lazily holds one at a time. The
-    prediction pairs of all samples are then one solver call and their SDs
-    one array computation.
+    The moments and the bracket are computed as each sample arrives, and
+    the sharp Sigma stage reduces it to O(grid) summaries
+    (``covariance.sigma_sharp_many``), so an iterable that draws its samples
+    lazily holds one at a time. The Sigmas of all samples are then one
+    batch stage, their prediction pairs one solver call and their SDs one
+    array computation.
 
     Raises
     ------
@@ -258,28 +260,39 @@ def estimate_robust_many(samples, config: RobustConfig, method=BoundsMethod.SHAR
     """
     sharp = BoundsMethod(method) is BoundsMethod.SHARP
     pieces = []
-    for sample in samples:
-        moments = estimate_moments(sample)
-        if sharp:
-            bounds = sharp_bounds_empirical(sample)
-        else:
-            bounds = neyman_bounds(moments.sigma1_sq, moments.sigma0_sq)
-        sigma = None
-        if config.q > 1.0:
-            sigma = sigma_sharp(sample) if sharp else sigma_neyman(moments)
-        pieces.append((moments, bounds, sigma, sample.n))
+    sigmas = []
+
+    def arrivals():
+        for sample in samples:
+            moments = estimate_moments(sample)
+            if sharp:
+                bounds = sharp_bounds_empirical(sample)
+            else:
+                bounds = neyman_bounds(moments.sigma1_sq, moments.sigma0_sq)
+                if config.q > 1.0:
+                    sigmas.append(sigma_neyman(moments))
+            pieces.append((moments, bounds, sample.n))
+            yield sample
+            del sample  # so that the next draw does not join it
+
+    if sharp and config.q > 1.0:
+        sigmas = sigma_sharp_many(arrivals())
+    else:
+        for _ in arrivals():
+            pass
     if not pieces:
         return []
 
-    tau_star = np.array([[moments.ate] for moments, *_ in pieces])
-    v = np.array([[bounds.v_p, bounds.v_o] for _, bounds, *_ in pieces])
+    tau_star = np.array([[moments.ate] for moments, _, _ in pieces])
+    v = np.array([[bounds.v_p, bounds.v_o] for _, bounds, _ in pieces])
     tau = solve_minimax_many(tau_star, v, config)
     if config.q == 1.0:
+        sigmas = [None] * len(pieces)
         sds = [(None, None)] * len(pieces)
     elif config.delta == 0.0:
-        sds = [(sigma.sigma_tau,) * 2 for _, _, sigma, _ in pieces]
+        sds = [(sigma.sigma_tau,) * 2 for sigma in sigmas]
     else:
-        s = np.array([sigma.entries for _, _, sigma, _ in pieces])
+        s = np.array([sigma.entries for sigma in sigmas])
         own = [0, 1]
         sigma_b = (s[:, own, own], s[:, own, 2], s[:, 2:, 2])
         sds = prediction_sd_grid(tau_star, tau, v, sigma_b, config).tolist()
@@ -295,8 +308,8 @@ def estimate_robust_many(samples, config: RobustConfig, method=BoundsMethod.SHAR
             sd_o=sd_o,
             n=n,
         )
-        for (moments, bounds, sigma, n), (tau_p, tau_o), (sd_p, sd_o)
-        in zip(pieces, tau.tolist(), sds)
+        for (moments, bounds, n), sigma, (tau_p, tau_o), (sd_p, sd_o)
+        in zip(pieces, sigmas, tau.tolist(), sds)
     ]
 
 

@@ -65,8 +65,9 @@ class ExperimentalSample:
         if not np.all(np.isfinite(y)):
             bad = int(np.flatnonzero(~np.isfinite(y))[0])
             raise ValidationError(f"non-finite outcome at index {bad}")
-        if not np.isin(t, (0, 1)).all():
-            bad = int(np.flatnonzero(~np.isin(t, (0, 1)))[0])
+        coded = (t == 0) | (t == 1)
+        if not coded.all():
+            bad = int(np.flatnonzero(~coded)[0])
             raise ValidationError(
                 f"treatment must be 0 or 1, got {t[bad]!r} at index {bad}"
             )

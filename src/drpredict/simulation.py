@@ -192,9 +192,13 @@ class SimulationReport:
                 raise ValidationError(f"{name} must be in [0, 1], got {value}")
 
 
-# Replications per batch. Larger batches save no measurable time (the
-# per-sample stage dominates), but the solver's temporaries grow with them:
-# batches of 100 lifted a 400-replication simulate's peak RSS by 10%.
+# Replications per batch. A replication holds its Sigma summaries and its
+# share of the batch stage's arrays until its batch ends, so the peak RSS
+# grows with the batch: the four-design study at n = 1000 peaked at 41.7 MB
+# with batches of 16, 44.3 MB with 32 and 49.3 MB with 64 (40.3 MB before
+# the Sigma stage was batched). On one CPU of a 2-vCPU VM, 32 and 64 beat
+# 16 in 6 to 9 and 6 to 10 of ten alternating rounds (three sets; 398, 473
+# and 500 replications/s in the last), but each raises the peak.
 _BATCH = 16
 
 

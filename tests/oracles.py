@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from drpredict.covariance import _arm_density, _u_trim
+from drpredict.covariance import _kde_binned, _silverman_bandwidth, _u_trim
 from drpredict.sample import quantile_at
 
 
@@ -120,6 +120,14 @@ def _arm_influence(
         out[row] = sig_dot - 2.0 * (theta_dot - gamma_dot)
 
 
+def _arm_density(y_sorted: np.ndarray, q: np.ndarray) -> np.ndarray | None:
+    """The binned KDE of a sorted arm at its u-grid quantiles, None for a
+    zero-spread arm, as ``covariance.sigma_sharp`` uses it."""
+    if y_sorted[0] == y_sorted[-1]:
+        return None
+    return _kde_binned(y_sorted, q, _silverman_bandwidth(y_sorted, float(y_sorted.var())))
+
+
 def sigma_sharp_influence(sample, grid_size: int = 400) -> np.ndarray:
     """The entries of ``covariance.sigma_sharp`` as the Gram matrix of a
     (3, n) array of per-observation influence values, on the same u-grid
@@ -131,8 +139,7 @@ def sigma_sharp_influence(sample, grid_size: int = 400) -> np.ndarray:
     du = (1.0 - 2.0 * trim) / grid_size
     u = trim + (np.arange(grid_size) + 0.5) * du
     q1, q0 = quantile_at(y1, u), quantile_at(y0, u)
-    f1 = _arm_density(y1, float(y1.var()), q1, "treated")
-    f0 = _arm_density(y0, float(y0.var()), q0, "control")
+    f1, f0 = _arm_density(y1, q1), _arm_density(y0, q0)
     psi = np.empty((3, sample.n))
     _arm_influence(psi[:, : sample.n1], y1, e, 1.0, tau1, tau0, u, du, q1, f1, q0)
     _arm_influence(psi[:, sample.n1 :], y0, 1.0 - e, -1.0, tau0, tau1, u, du, q0, f0, q1)

@@ -202,6 +202,24 @@ def test_split_null_matches_resorting_oracle(name, seed, permutations, split):
         assert (b.w2_y1, b.w2_y0, b.null_p95) == (w2_y1, w2_y0, null_p95)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_split_null_is_the_public_w2_bit_for_bit(seed):
+    # the split's distances skip EmpiricalDistribution's checks, and give
+    # the numbers of wasserstein2_1d on the same cells
+    s, mask = _split_case("unequal", seed)
+    b = split_benchmark(s, SplitRule.PROVIDED_MASK, mask=mask, permutations=30, seed=seed)
+    arms = [(s.outcomes[s.treatments == arm], mask[s.treatments == arm]) for arm in (1, 0)]
+
+    def w2(values, cells):
+        return wasserstein2_1d(_dist(values[cells]), _dist(values[~cells]))
+
+    assert (b.w2_y1, b.w2_y0) == tuple(w2(*arm) for arm in arms)
+    rng = np.random.default_rng(seed)
+    stats = [math.hypot(*(w2(values, cells[rng.permutation(cells.size)]) for values, cells in arms))
+             for _ in range(30)]
+    assert b.null_p95 == float(np.quantile(stats, 0.95))
+
+
 def test_split_null_allocates_no_whole_sample_copies():
     # per permutation: one arm's labels and its two cells, but no row-index
     # arrays or re-masked copies of the outcomes

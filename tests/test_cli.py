@@ -499,6 +499,36 @@ def test_negative_seed_or_permutations_exits_2(args, case1_csv, tmp_path, capsys
     assert sorted(p.name for p in tmp_path.iterdir()) == ["case1.csv"]
 
 
+HUGE = "1000000000000"
+
+
+@pytest.mark.parametrize("args", [
+    ["infer", "--delta", "0.5", "--grid-points", HUGE],
+    ["simulate", "--case", "1", "--n", HUGE],
+    ["simulate", "--mu1", "1", "--mu0", "0", "--sigma1", "2", "--sigma0", "1", "--delta", "0.2",
+     "--n", "1" + "0" * 21],
+    ["simulate", "--case", "1", "--n", "100", "--replications", HUGE],
+    ["simulate", "--case", "1", "--grid-points", HUGE],
+    ["benchmark", "--permutations", HUGE],
+], ids=["infer-grid-points", "simulate-n", "simulate-custom-n", "simulate-replications",
+        "simulate-grid-points", "benchmark-permutations"])
+def test_huge_count_exits_2_before_allocating(args, case1_csv, tmp_path, capsys):
+    # each count has a cap; past it the run is an input error, not a
+    # MemoryError traceback or a run that never ends
+    extra = ["--out", str(tmp_path / "sim")] if args[0] == "simulate" else ["--data", case1_csv]
+    tracemalloc.start()
+    try:
+        code = main(args + extra)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1 << 20
+    err = capsys.readouterr().err
+    assert err.startswith("error: --") and "must be at most" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["case1.csv"]
+
+
 def test_benchmark_determinism(case1_csv, capsys):
     args = ["benchmark", "--data", case1_csv, "--permutations", "80",
             "--seed", "5", "--json"]

@@ -14,6 +14,7 @@ from drpredict.covariance import (
     sigma_bootstrap,
     sigma_neyman,
     sigma_sharp,
+    sigma_sharp_many,
     zero_tau_limit_sd,
 )
 from drpredict import covariance as cov_module
@@ -248,8 +249,12 @@ def test_sharp_sigma_binned_matches_exact_kde(family, monkeypatch):
     draw = _FAMILIES[family]
     smp = _sample(draw(rng, 6_000), 0.5 * draw(rng, 14_000) + 0.2)
     binned = sigma_sharp(smp).entries
-    monkeypatch.setattr(cov_module, "_kde_binned", kde_at)
+    # the batched path bins each arm as it arrives and smooths the batch
+    # later: have the first half return the exact density, the second pass it on
+    monkeypatch.setattr(cov_module, "_bin_kde", kde_at)
+    monkeypatch.setattr(cov_module, "_smooth_kde", list)
     exact = sigma_sharp(smp).entries
+    assert not np.array_equal(binned, exact)
     scale = np.sqrt(np.outer(np.diag(exact), np.diag(exact)))
     assert np.all(np.abs(binned - exact) <= SIGMA_RTOL * scale)
 
@@ -321,6 +326,117 @@ def test_binned_kde_grid_follows_quantiles(draw, monkeypatch):
     assert (y1[-1] - y1[0]) / (h / cov_module.KDE_BINS_PER_BANDWIDTH) > 10 * bound
     x = _u_grid_quantiles(y1)
     np.testing.assert_allclose(cov_module._kde_binned(y1, x, h), kde_at(y1, x, h), rtol=KDE_RTOL, atol=0.0)
+
+
+# ----------------------------------------------------------- batched Sigma
+
+
+def _mixed_batch():
+    """Samples whose arms smooth at several FFT periods (n = 60, 1,000 and
+    10^4), with a Student-t(2) arm whose u-grid quantiles split into several
+    KDE windows and a zero-spread arm."""
+    rng = np.random.default_rng(31)
+    return [
+        _case1_marginals(rng, 1_000),
+        _sample(rng.normal(2.0, 2.0, 30), rng.normal(0.2, 1.0, 30)),
+        _sample(np.random.default_rng(1).standard_t(2, 3_000), rng.normal(size=7_000)),
+        _sample(rng.lognormal(0.0, 1.0, 5_000), rng.lognormal(0.0, 1.5, 5_000)),
+        _sample(rng.normal(2.0, 2.0, 300), np.full(700, 0.5)),
+        _sample(rng.lognormal(0.0, 1.0, 40), rng.normal(size=60)),
+    ]
+
+
+def test_sigma_sharp_many_is_sigma_sharp_bit_for_bit(monkeypatch):
+    batch = _mixed_batch()
+    t2 = batch[2].sorted_arms[0]
+    h = cov_module._silverman_bandwidth(t2, float(t2.var()))
+    gap = 2 * cov_module.KDE_REACH_BANDWIDTHS * h  # the widest run of one window
+    assert np.count_nonzero(np.diff(_u_grid_quantiles(t2, 400)) > gap) >= 3
+    periods = []
+    spectrum = cov_module._kernel_spectrum
+
+    def spy(period):
+        periods.append(period)
+        return spectrum(period)
+
+    monkeypatch.setattr(cov_module, "_kernel_spectrum", spy)
+    many = sigma_sharp_many(iter(batch))
+    assert len(set(periods)) >= 3
+    monkeypatch.undo()
+    singles = [sigma_sharp(s) for s in batch]
+    assert len(many) == len(batch)
+    for got, want in zip(many, singles):
+        assert got.method is SigmaMethod.SHARP_PLUGIN
+        assert np.array_equal(got.entries, want.entries)
+        assert not got.entries.flags.writeable
+    assert sigma_sharp_many([]) == []
+
+
+def test_kernel_spectrum_cache_matches_a_fresh_spectrum(monkeypatch):
+    periods = set()
+    spectrum = cov_module._kernel_spectrum
+
+    def spy(period):
+        periods.add(period)
+        return spectrum(period)
+
+    monkeypatch.setattr(cov_module, "_kernel_spectrum", spy)
+    sigma_sharp_many(_mixed_batch())
+    monkeypatch.undo()
+    assert len(periods) >= 3
+    r = cov_module.KDE_BINS_PER_BANDWIDTH * cov_module.KDE_REACH_BANDWIDTHS
+    for period in sorted(periods):
+        kernel = np.zeros(period)
+        taps = np.exp(-0.5 * (np.arange(-r, r + 1) / cov_module.KDE_BINS_PER_BANDWIDTH) ** 2)
+        kernel[np.arange(-r, r + 1) % period] = taps
+        cached = spectrum(period)
+        assert cached is spectrum(period)
+        assert not cached.flags.writeable
+        assert np.array_equal(cached, np.fft.rfft(kernel)), period
+
+
+def _diffuse(rng, n):
+    """An arm spread so wide that its density falls below the floor."""
+    return np.linspace(0.0, 1e7, n)
+
+
+_FAILING = {
+    "small-arm": lambda rng: _sample(rng.normal(size=29), rng.normal(size=50)),
+    "treated-density": lambda rng: _sample(_diffuse(rng, 100), rng.normal(size=100)),
+    "control-density": lambda rng: _sample(rng.normal(size=100), _diffuse(rng, 100)),
+    "both-densities": lambda rng: _sample(_diffuse(rng, 100), _diffuse(rng, 100) + 1.0),
+}
+
+
+@pytest.mark.parametrize("k", [0, 2, 4])
+@pytest.mark.parametrize("kind", sorted(_FAILING))
+def test_sigma_sharp_many_raises_what_the_failing_sample_raises(kind, k):
+    rng = np.random.default_rng(32)
+    batch = [_case1_marginals(rng, 1_000) for _ in range(5)]
+    batch[k] = _FAILING[kind](rng)
+    with pytest.raises((ValidationError, NumericalError)) as alone:
+        sigma_sharp(batch[k])
+    with pytest.raises(alone.type) as batched:
+        sigma_sharp_many(iter(batch))
+    assert str(batched.value) == str(alone.value)
+
+
+def test_sigma_sharp_many_raises_the_first_failure_in_sample_order():
+    # the density of sample 1 fails in the batch stage, after sample 3 has
+    # failed its own checks on arrival: sample 1's error still comes first
+    rng = np.random.default_rng(33)
+    batch = [_case1_marginals(rng, 1_000), _FAILING["control-density"](rng),
+             _case1_marginals(rng, 1_000), _FAILING["small-arm"](rng)]
+    with pytest.raises(NumericalError, match="control-arm density below floor"):
+        sigma_sharp_many(iter(batch))
+
+    def draws():
+        yield batch[0]
+        yield batch[1]
+        raise ValidationError("the iterable failed")
+
+    with pytest.raises(NumericalError, match="control-arm density below floor"):
+        sigma_sharp_many(draws())
 
 
 # -------------------------------------------------------- delta-method SDs

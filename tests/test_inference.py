@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,9 +216,9 @@ def test_negative_effect_orders_endpoints():
 
 def test_q1_estimates_carry_no_sds(monkeypatch):
     def no_sigma(*args, **kwargs):
-        raise AssertionError("sigma_sharp ran for q = 1")
+        raise AssertionError("sigma_sharp_many ran for q = 1")
 
-    monkeypatch.setattr(inference, "sigma_sharp", no_sigma)
+    monkeypatch.setattr(inference, "sigma_sharp_many", no_sigma)
     rng = np.random.default_rng(9)
     est = estimate_robust(_case1(rng, 1000), RobustConfig(0.5, 1.0), "sharp")
     assert est.sigma is None and est.sd_p is None and est.sd_o is None
@@ -247,6 +248,24 @@ def test_batch_equals_batches_of_one(method, config):
     unions = two_step_intervals(ests, grid_points=51)
     assert unions == [two_step_interval(e, grid_points=51) for e in singles]
     assert [u.rejected_first_step for u in unions] == [True, False, True, True]
+
+
+def test_lazy_batch_holds_one_sample_at_a_time():
+    # each sample is reduced to O(grid) summaries as it arrives, so a batch
+    # drawn lazily never holds more than one sample
+    def draws(count):
+        for seed in range(count):
+            yield _case1(np.random.default_rng(seed), 100_000)
+
+    peaks = []
+    for count in (1, 16):
+        tracemalloc.start()
+        try:
+            assert len(estimate_robust_many(draws(count), CFG)) == count
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0]
 
 
 def test_empty_batches():

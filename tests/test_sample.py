@@ -69,6 +69,20 @@ def test_sample_validation_errors(y, t, msg):
         ExperimentalSample(np.asarray(y, dtype=float), np.asarray(t))
 
 
+@pytest.mark.parametrize(
+    "t,message",
+    [
+        ([0, 1, 0.5, 1], "treatment must be 0 or 1, got np.float64(0.5) at index 2"),
+        ([0, 1, 2, 0, 2], "treatment must be 0 or 1, got np.int64(2) at index 2"),
+        ([0, -1, 1, 2], "treatment must be 0 or 1, got np.int64(-1) at index 1"),
+    ],
+)
+def test_bad_treatment_code_names_first_index_and_value(t, message):
+    with pytest.raises(ValidationError) as err:
+        ExperimentalSample(np.arange(float(len(t))), np.asarray(t))
+    assert str(err.value) == message
+
+
 def test_sample_2d_rejected():
     with pytest.raises(ValidationError, match="1-dimensional"):
         ExperimentalSample(np.ones((2, 2)), np.array([1, 0]))

@@ -112,6 +112,9 @@ INVOCATIONS = [
                              "--out", "simbench"]),
     ("simulate-custom-p3", ["simulate", "--mu1", "1", "--mu0", "0", "--sigma1", "2", "--sigma0", "1",
                             "--delta", "0.2", "--p", "3", "--replications", "100", "--out", "simp3"]),
+    # the tiny-scale design (SDs 0.02 and 0.01) and the large one (SDs 20 and 10)
+    ("simulate-cases-3-4", ["simulate", "--case", "3", "--case", "4", "--replications", "200",
+                            "--out", "sim34"]),
 ]
 
 
