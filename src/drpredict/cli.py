@@ -15,13 +15,11 @@ procedure stopped at its first step (``status: no-second-step``).
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import sys
 import warnings
 from dataclasses import asdict
-from itertools import chain
 
 import numpy as np
 
@@ -60,6 +58,8 @@ def _manifest(command: str, config: dict, data=None) -> dict:
     manifests produce identical output bytes."""
     sha = None
     if data is not None:
+        import hashlib  # loaded only to hash a file: it loads OpenSSL
+
         sha = hashlib.sha256()
         with open(data, "rb") as fh:
             for chunk in iter(lambda: fh.read(65536), b""):
@@ -249,6 +249,23 @@ def cmd_estimate(args) -> int:
 # -------------------------------------------------------------------- sweep
 
 
+_SWEEP_BLOCK = 4096  # sweep rows formatted and written at a time
+
+
+def _write_columns(fh, header, columns) -> None:
+    """Write float ``columns`` under ``header`` as the CSV that csv.writer
+    writes: comma-separated fields, "\r\n" line ends, values as ``.10g``
+    (no field needs quoting). Block by block, each distinct column object
+    is formatted once, however many times ``columns`` lists it."""
+    fh.write(",".join(header) + "\r\n")
+    distinct = {id(col): col for col in columns}
+    for start in range(0, len(columns[0]), _SWEEP_BLOCK):
+        text = {key: [f"{x:.10g}" for x in col[start:start + _SWEEP_BLOCK]]
+                for key, col in distinct.items()}
+        rows = zip(*(text[id(col)] for col in columns))
+        fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+
+
 def cmd_sweep(args) -> int:
     deltas = _parse_delta_grid(args.deltas)
     q = _q_from_args(args)
@@ -256,8 +273,8 @@ def cmd_sweep(args) -> int:
     population = args.data is None
     known = None
     if args.true_v is not None:
-        if not args.true_v >= 0.0:  # also rejects NaN
-            raise ValidationError(f"--true-v must be nonnegative, got {args.true_v}")
+        if not (math.isfinite(args.true_v) and args.true_v >= 0.0):
+            raise ValidationError(f"--true-v must be finite and nonnegative, got {args.true_v}")
         # a known effect variance is a bracket of zero width: its tau_p is tau_dr
         known = VarianceBounds(v_o=args.true_v, v_p=args.true_v, method=args.bounds)
     if population:
@@ -267,10 +284,9 @@ def cmd_sweep(args) -> int:
             )
         if not math.isfinite(args.tau_star):
             raise ValidationError(f"--tau-star must be finite, got {args.tau_star}")
-        tau_star = args.tau_star
         header = ["delta", "tau_p", "tau_o", "tau_dr"]
-        rows = [[pt.delta, pt.tau_p, pt.tau_p, pt.tau_p]
-                for pt in sweep_delta(tau_star, known, q, deltas)]
+        delta, tau_dr, _ = zip(*sweep_delta(args.tau_star, known, q, deltas))
+        columns = [delta, tau_dr, tau_dr, tau_dr]
     else:
         if args.tau_star is not None:
             raise ValidationError(
@@ -284,13 +300,18 @@ def cmd_sweep(args) -> int:
         else:
             bounds = neyman_bounds(moments.sigma1_sq, moments.sigma0_sq)
         header = ["delta", "tau_p", "tau_o"]
-        rows = [list(pt) for pt in sweep_delta(tau_star, bounds, q, deltas)]
+        columns = list(zip(*sweep_delta(tau_star, bounds, q, deltas)))
         if known is not None:
             header.append("tau_dr")
-            for row, pt in zip(rows, sweep_delta(tau_star, known, q, deltas)):
-                row.append(pt.tau_p)
+            _, tau_dr, _ = zip(*sweep_delta(tau_star, known, q, deltas))
+            columns.append(tau_dr)
 
-    manifest = _manifest("sweep", {
+    if not args.out:
+        _write_columns(sys.stdout, header, columns)
+        return EXIT_OK
+    with open(args.out, "w", newline="") as fh:
+        _write_columns(fh, header, columns)
+    _write_json(args.out + ".manifest.json", _manifest("sweep", {
         "deltas": deltas,
         "q": q,
         "bounds": None if population else args.bounds,
@@ -298,15 +319,7 @@ def cmd_sweep(args) -> int:
         "true_v": args.true_v,
         "outcome_column": None if population else args.outcome,
         "treatment_column": None if population else args.treatment,
-    }, args.data)
-    # formatted row by row as the writer consumes it, not held whole
-    table = chain([header], ([f"{x:.10g}" for x in row] for row in rows))
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            csv.writer(fh).writerows(table)
-        _write_json(args.out + ".manifest.json", manifest)
-    else:
-        csv.writer(sys.stdout).writerows(table)
+    }, args.data))
     return EXIT_OK
 
 

@@ -23,7 +23,6 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -99,7 +98,6 @@ class IntervalEstimate:
         return bool(self.lower <= value <= self.upper)
 
 
-_STANDARD_NORMAL = NormalDist()
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
@@ -108,7 +106,13 @@ def _z(p: float) -> float:
 
     ``inf`` at p = 1, which a first step at level beta = 0 asks for.
     """
-    return math.inf if p >= 1.0 else _STANDARD_NORMAL.inv_cdf(p)
+    if p >= 1.0:
+        return math.inf
+    # imported on first use: statistics loads fractions and decimal, which
+    # the commands that never ask for a normal quantile do not need
+    from statistics import NormalDist
+
+    return NormalDist().inv_cdf(p)
 
 
 def _norm_cdf(x) -> np.ndarray:

@@ -8,7 +8,8 @@ target) can be computed from the true joint variance of the effect — the
 quantity that is only partially identified in real data.
 """
 
-import concurrent.futures
+from __future__ import annotations
+
 import csv
 import math
 import os
@@ -291,6 +292,8 @@ def run_coverage_study(
         )
     else:
         edges = np.linspace(0, replications, workers + 1).astype(int)
+        import concurrent.futures  # only a study with workers > 1 pays for loading it
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(

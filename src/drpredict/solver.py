@@ -87,7 +87,9 @@ def newton_root(fun, x, lo, hi, tol):
     and is at most half the step before the last one; otherwise the bracket
     is bisected, so no entry converges much slower than bisection. An entry
     stops once its step is within ``tol`` (or within a few ulps, where
-    ``tol`` is below double precision) and keeps that value.
+    ``tol`` is below double precision) and keeps that value. The bisection
+    midpoint is formed as ``0.5 * lo + 0.5 * hi``, which cannot overflow on a
+    bracket near the largest double.
 
     Raises
     ------
@@ -110,7 +112,7 @@ def newton_root(fun, x, lo, hi, tol):
             inside = (lo <= newton) & (newton <= hi)
             small = step <= near  # converged, even if rounding put newton on a bracket end
             x_new = np.where(inside & (small | (2.0 * step <= np.abs(before_last))), newton,
-                             np.where(small, x, 0.5 * (lo + hi)))
+                             np.where(small, x, 0.5 * lo + 0.5 * hi))
             before_last, last = last, x_new - x
             x = np.where(done, x, x_new)
             done |= small | (np.abs(last) <= near)
@@ -297,16 +299,21 @@ def solve_minimax_many(tau_stars, v, config: RobustConfig) -> np.ndarray:
 def sweep_delta(tau_star: float, bounds: VarianceBounds, q: float, deltas) -> list[SweepPoint]:
     """Prediction pair (tau_p, tau_o) along a grid of radii, for plotting.
 
+    A bracket of zero width (v_o = v_p, a known variance) is solved once,
+    and its tau_p and tau_o are equal.
+
     Raises
     ------
     ValidationError
-        If ``deltas`` is empty or contains a negative radius.
+        If ``tau_star`` is not finite, a bound is not finite, or ``deltas``
+        is empty or contains a negative or non-finite radius.
     """
+    variances = [bounds.v_p] if bounds.v_p == bounds.v_o else [bounds.v_p, bounds.v_o]
+    _check_inputs(tau_star, variances)
     deltas = np.asarray(list(deltas), dtype=float)
     if deltas.size == 0:
         raise ValidationError("deltas must be nonempty")
     for d in (deltas.min(), deltas.max()):  # a NaN reaches both
         RobustConfig(delta=float(d), q=q)
-    tau_p, tau_o = _minimax(tau_star, [[bounds.v_p], [bounds.v_o]], deltas, q)
-    return [SweepPoint(*row) for row in zip(deltas.tolist(), tau_p.tolist(), tau_o.tolist())]
-
+    tau = _minimax(tau_star, np.reshape(variances, (-1, 1)), deltas, q).tolist()
+    return list(map(SweepPoint, deltas.tolist(), tau[0], tau[-1]))

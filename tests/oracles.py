@@ -4,12 +4,16 @@ Each is the plain, unblocked form of a computation the package does a
 faster way, kept here because only the tests call it.
 """
 
+import csv
+import io
 import math
+from itertools import chain
 
 import numpy as np
 
 from drpredict.covariance import _kde_binned, _silverman_bandwidth, _u_trim
 from drpredict.sample import quantile_at
+from drpredict.solver import sweep_delta
 
 
 def kde_at(data: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
@@ -145,3 +149,28 @@ def sigma_sharp_influence(sample, grid_size: int = 400) -> np.ndarray:
     _arm_influence(psi[:, sample.n1 :], y0, 1.0 - e, -1.0, tau0, tau1, u, du, q0, f0, q1)
     psi -= psi.mean(axis=1, keepdims=True)
     return psi @ psi.T / sample.n
+
+
+def sweep_csv_rowwise(tau_star, bounds, known, q, deltas) -> str:
+    """The CSV text of ``drpredict sweep``: rows assembled one by one, each
+    value formatted with ``.10g`` and written by ``csv.writer``; the
+    reference for ``cli._write_columns``.
+
+    ``bounds`` None is population mode, where the known bracket ``known``
+    fills tau_p, tau_o and tau_dr; otherwise ``known``, if given, adds a
+    tau_dr column to the (tau_p, tau_o) pair of ``bounds``.
+    """
+    if bounds is None:
+        header = ["delta", "tau_p", "tau_o", "tau_dr"]
+        rows = [[pt.delta, pt.tau_p, pt.tau_p, pt.tau_p]
+                for pt in sweep_delta(tau_star, known, q, deltas)]
+    else:
+        header = ["delta", "tau_p", "tau_o"]
+        rows = [list(pt) for pt in sweep_delta(tau_star, bounds, q, deltas)]
+        if known is not None:
+            header.append("tau_dr")
+            for row, pt in zip(rows, sweep_delta(tau_star, known, q, deltas)):
+                row.append(pt.tau_p)
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows(chain([header], ([f"{x:.10g}" for x in row] for row in rows)))
+    return out.getvalue()

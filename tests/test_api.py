@@ -48,19 +48,42 @@ def test_module_exports_resolve(module):
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy.special alone used to cost every CLI process about 0.3 s, also
-    # through the numpy.testing and numpy.f2py modules it pulls in
-    probe = (
-        "import drpredict.cli, sys; "
-        "print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] == 'scipy' or m.startswith(('numpy.testing', 'numpy.f2py'))))"
-    )
+def _cli_import_probe(expression):
+    """The value of ``expression``, a Python literal, evaluated in a fresh
+    interpreter after ``import drpredict.cli``."""
+    probe = f"import drpredict.cli, sys; print(repr(({expression})))"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
-    assert out.strip() == "[]"
+    return ast.literal_eval(out.strip())
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.special alone used to cost every CLI process about 0.3 s, also
+    # through the numpy.testing and numpy.f2py modules it pulls in
+    loaded = _cli_import_probe(
+        "sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy' or m.startswith(('numpy.testing', 'numpy.f2py')))"
+    )
+    assert loaded == []
+
+
+# Loaded where first used, not at start-up: together they cost each CLI
+# process about 20 ms and 7 MB (statistics pulls in fractions and decimal,
+# hashlib loads OpenSSL).
+LAZY_MODULES = ["concurrent.futures", "hashlib", "numpy.random", "statistics"]
+
+
+def test_cli_import_loads_only_what_start_up_needs():
+    lazy, own = _cli_import_probe(
+        f"sorted(m for m in {LAZY_MODULES!r} if m in sys.modules), "
+        "sorted(m for m in sys.modules if m.startswith('drpredict.'))"
+    )
+    assert lazy == []
+    # every module is still loaded up front, so a tracer that wraps the
+    # package's functions after the import finds each one
+    assert own == [f"drpredict.{m}" for m in MODULES]
 
 
 def test_batch_pipeline_is_exported():

@@ -10,9 +10,13 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from drpredict.cli import _manifest, _parse_delta_grid, main
+from drpredict.bounds import VarianceBounds, neyman_bounds, sharp_bounds_empirical
+from drpredict.cli import _build_parser, _manifest, _parse_delta_grid, _q_from_args, main
 from drpredict.exceptions import ValidationError
+from drpredict.moments import estimate_moments
+from drpredict.sample import load_sample
 from drpredict.simulation import case_preset, draw_sample
+from oracles import sweep_csv_rowwise
 
 SCHEMA_DIR = None  # set in _schema
 
@@ -213,7 +217,7 @@ def test_sweep_population_large_q_matches_bounded_minimiser(capsys):
     assert float(rows[0]["tau_dr"]) == pytest.approx(want, rel=1e-7)
 
 
-@pytest.mark.parametrize("bad", ["-1", "nan"])
+@pytest.mark.parametrize("bad", ["-1", "nan", "inf"])  # inf used to exit 0 and print 9.09e-13
 def test_sweep_rejects_negative_or_nan_true_v(bad, capsys):
     code = main(["sweep", "--deltas", "0.5", "--true-v", bad, "--tau-star", "2"])
     assert code == 2
@@ -273,6 +277,52 @@ def test_sweep_out_writes_csv_with_manifest_sidecar(case1_csv, tmp_path):
     jsonschema.validate(manifest, _schema("manifest.schema.json"))
     assert manifest["config"]["deltas"] == [0.1, 0.2]
     assert manifest["input_sha256"] is not None
+
+
+# flags after "sweep"; DATA stands for the case-1 file
+SWEEP_WRITER_CASES = {
+    "population-dense": ["--deltas", "0:3:0.0002", "--true-v", "1.5", "--tau-star", "2"],
+    "population-v0-q3": ["--deltas", "0:4:0.01", "--true-v", "0", "--tau-star", "-1.5",
+                         "--q", "3"],
+    "population-q1": ["--deltas", "0:2:0.1", "--true-v", "1.5", "--tau-star", "2", "--q", "1"],
+    "population-one-radius": ["--deltas", "0.7", "--true-v", "2.5", "--tau-star", "1"],
+    "data-sharp": ["--data", "DATA", "--deltas", "0:2:0.001"],
+    "data-neyman-true-v": ["--data", "DATA", "--deltas", "0:1:0.05", "--bounds", "neyman",
+                           "--true-v", "2"],
+    "data-q1-true-v": ["--data", "DATA", "--deltas", "0:2:0.1", "--q", "1", "--true-v", "0.5"],
+}
+
+
+def _sweep_rowwise(argv):
+    """The CSV that the row-by-row csv.writer path writes for ``argv``."""
+    args = _build_parser().parse_args(argv)
+    deltas, q = _parse_delta_grid(args.deltas), _q_from_args(args)
+    known = None if args.true_v is None else VarianceBounds(args.true_v, args.true_v, args.bounds)
+    if args.data is None:
+        return sweep_csv_rowwise(args.tau_star, None, known, q, deltas)
+    sample = load_sample(args.data, args.outcome, args.treatment)
+    moments = estimate_moments(sample)
+    bounds = sharp_bounds_empirical(sample) if args.bounds == "sharp" \
+        else neyman_bounds(moments.sigma1_sq, moments.sigma0_sq)
+    return sweep_csv_rowwise(moments.ate, bounds, known, q, deltas)
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("flags", SWEEP_WRITER_CASES.values(), ids=SWEEP_WRITER_CASES.keys())
+def test_sweep_writer_matches_rowwise_csv_writer(flags, to_file, case1_csv, tmp_path, capsys):
+    argv = ["sweep", *(case1_csv if f == "DATA" else f for f in flags)]
+    want = _sweep_rowwise(argv).encode("ascii")
+    assert want.count(b"\r\n") == len(_parse_delta_grid(argv[argv.index("--deltas") + 1])) + 1
+    # compared as bytes, so that a failure reports the first differing byte
+    # instead of a line diff of up to 15,002 lines
+    if to_file:
+        out = tmp_path / "sweep.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == want
+        assert capsys.readouterr().out == ""
+    else:
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode("ascii") == want
 
 
 def test_sweep_rejects_tau_star_with_data(case1_csv, capsys):

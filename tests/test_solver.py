@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drpredict import ValidationError
+from drpredict import solver as solver_module
 from drpredict.bounds import VarianceBounds
 from drpredict.solver import (
     RobustConfig,
     dual_objective,
     homogeneous_threshold,
+    newton_root,
     penalty_derivs,
     proximity_derivs,
     solve_minimax,
@@ -287,6 +289,30 @@ def test_solver_rejects_nonfinite_inputs(tau_star, v):
         solve_minimax(tau_star, v, cfg)
     with pytest.raises(ValidationError):
         solve_minimax_many(np.array([1.0, tau_star]), np.array([v, 1.0]), cfg)
+    with pytest.raises(ValidationError):  # sweep_delta returned NaN or 9.09e-13 rows
+        sweep_delta(tau_star, VarianceBounds(v_o=v, v_p=v, method="sharp"), cfg.q, [cfg.delta])
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_solver_near_the_largest_double(sign):
+    # the bisection midpoint 0.5 * (lo + hi) overflowed to inf on the
+    # bracket [0, 1e308] once Newton steps were refused, and the solver
+    # raised "did not converge in 200 steps"; the minimiser is tau* less
+    # about 1/sqrt(3), which rounds to tau* itself
+    tau_star = sign * 1e308
+    assert solve_minimax(tau_star, 1.0, RobustConfig(0.5, 2.0)) == pytest.approx(tau_star, rel=1e-15)
+    bounds = VarianceBounds(v_o=1.0, v_p=1.0, method="sharp")
+    [(_, tau_p, tau_o)] = sweep_delta(tau_star, bounds, 2.0, [0.5])
+    assert tau_p == tau_o == pytest.approx(tau_star, rel=1e-15)
+
+
+def test_newton_root_bisects_a_bracket_near_the_largest_double():
+    # a vanishing slope refuses every Newton step, so only bisection moves
+    def fun(x):
+        return x - 1.5e308, np.full(x.shape, 1e-300)
+
+    root = newton_root(fun, 1.2e308, 1e308, 1.7e308, 1e-12)
+    assert float(root) == pytest.approx(1.5e308, rel=1e-14)
 
 
 # --------------------------------------------------------------- derivatives
@@ -371,6 +397,24 @@ def test_sweep_validation():
         sweep_delta(1.0, b, 2.0, [])
     with pytest.raises(ValidationError):
         sweep_delta(1.0, b, 2.0, [0.1, -0.2])
+
+
+@pytest.mark.parametrize("v_o,v_p,rows", [(1.5, 1.5, 1), (0.0, 0.0, 1), (0.5, 3.0, 2)])
+def test_sweep_solves_each_distinct_variance_once(v_o, v_p, rows, monkeypatch):
+    points = []
+
+    def counting(fun, x, lo, hi, tol):
+        points.append(np.size(x))
+        return newton_root(fun, x, lo, hi, tol)
+
+    monkeypatch.setattr(solver_module, "newton_root", counting)
+    deltas = np.linspace(1.5, 4.0, 6)  # past the v = 0 threshold 1.22, so every radius is solved
+    got = sweep_delta(2.0, VarianceBounds(v_o=v_o, v_p=v_p, method="sharp"), 2.0, deltas)
+    assert sum(points) == rows * deltas.size
+    monkeypatch.undo()
+    for pt, d in zip(got, deltas):
+        assert pt.tau_p == solve_minimax(2.0, v_p, RobustConfig(d, 2.0))
+        assert pt.tau_o == solve_minimax(2.0, v_o, RobustConfig(d, 2.0))
 
 
 # ------------------------------------------------------------ bound estimates

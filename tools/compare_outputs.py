@@ -115,6 +115,11 @@ INVOCATIONS = [
     # the tiny-scale design (SDs 0.02 and 0.01) and the large one (SDs 20 and 10)
     ("simulate-cases-3-4", ["simulate", "--case", "3", "--case", "4", "--replications", "200",
                             "--out", "sim34"]),
+    # the sweep table's two writer paths: stdout, and --out with its manifest
+    ("sweep-population-v0-q3", ["sweep", "--deltas", "0:4:0.0005", "--true-v", "0",
+                                "--tau-star", "-1.5", "--q", "3"]),
+    ("sweep-data-true-v-out", ["sweep", "--data", "neg.csv", "--deltas", "0:2:0.0005",
+                               "--bounds", "neyman", "--true-v", "2", "--out", "sweep_true_v.csv"]),
 ]
 
 
