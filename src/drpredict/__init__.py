@@ -64,7 +64,7 @@ from .simulation import (
 )
 from .solver import (
     RobustConfig,
-    SweepPoint,
+    SweepTable,
     dual_objective,
     homogeneous_threshold,
     penalty_derivs,
@@ -100,7 +100,7 @@ __all__ = [
     "sharp_bounds_population",
     # minimax solver
     "RobustConfig",
-    "SweepPoint",
+    "SweepTable",
     "dual_objective",
     "proximity_derivs",
     "penalty_derivs",

@@ -15,11 +15,12 @@ procedure stopped at its first step (``status: no-second-step``).
 
 import argparse
 import csv
-import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -68,19 +69,43 @@ def _manifest(command: str, config: dict, data=None) -> dict:
             "input_sha256": None if sha is None else sha.hexdigest()}
 
 
-def _jsonify(obj):
-    """Replace non-finite floats with null so output is strict JSON."""
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
+def _dump_json(obj, indent: str = "\n") -> str:
+    """The text of ``json.dumps(obj, indent=2, allow_nan=False)``, with each
+    non-finite float written as null and a numpy array written as its list.
+
+    A list of floats, such as a sweep's radii, is written in one join of
+    ``float.__repr__``, which is how json writes each float.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return float.__repr__(obj) if math.isfinite(obj) else "null"
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    inner = indent + "  "
     if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
-
-
-def _dump_json(report: dict) -> str:
-    return json.dumps(_jsonify(report), indent=2, allow_nan=False)
+        if not obj:
+            return "[]"
+        # a sum of floats is finite only if every term is
+        if set(map(type, obj)) == {float} and math.isfinite(sum(obj)):
+            items = map(float.__repr__, obj)
+        else:
+            items = (_dump_json(x, inner) for x in obj)
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (f"{encode_basestring_ascii(k)}: {_dump_json(v, inner)}" for k, v in obj.items())
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(path, report: dict) -> None:
@@ -158,7 +183,7 @@ def _check_count(flag: str, value: int, cap: int) -> None:
         raise ValidationError(f"{flag} must be at most {cap}, got {value}")
 
 
-def _parse_delta_grid(text: str) -> list:
+def _parse_delta_grid(text: str) -> np.ndarray:
     """Radius grids: ``start:stop:step`` (inclusive), a comma list, or one value."""
     text = text.strip()
     if not text:
@@ -180,13 +205,14 @@ def _parse_delta_grid(text: str) -> list:
                 raise ValidationError(f"--deltas range {text!r} is empty")
             if steps >= _MAX_RADII:
                 raise ValidationError(f"--deltas range {text!r} has over {_MAX_RADII} radii")
-            return [start + i * step for i in range(int(steps) + 1)]
+            # the radius i is start + i * step, each product and sum rounded once
+            return start + np.arange(int(steps) + 1) * step
         values = [float(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise ValidationError(f"--deltas contains a non-numeric entry: {text!r}") from None
     if not values:
         raise ValidationError("--deltas must be nonempty")
-    return values
+    return np.array(values)
 
 
 # ----------------------------------------------------------------- estimate
@@ -253,14 +279,18 @@ _SWEEP_BLOCK = 4096  # sweep rows formatted and written at a time
 
 
 def _write_columns(fh, header, columns) -> None:
-    """Write float ``columns`` under ``header`` as the CSV that csv.writer
-    writes: comma-separated fields, "\r\n" line ends, values as ``.10g``
-    (no field needs quoting). Block by block, each distinct column object
-    is formatted once, however many times ``columns`` lists it."""
+    """Write float array ``columns`` under ``header`` as the CSV that
+    csv.writer writes: comma-separated fields, "\r\n" line ends, values as
+    ``.10g`` (no field needs quoting). Block by block, each distinct column
+    object is formatted once, in one %-format call, however many times
+    ``columns`` lists it."""
     fh.write(",".join(header) + "\r\n")
     distinct = {id(col): col for col in columns}
-    for start in range(0, len(columns[0]), _SWEEP_BLOCK):
-        text = {key: [f"{x:.10g}" for x in col[start:start + _SWEEP_BLOCK]]
+    size = len(columns[0])
+    for start in range(0, size, _SWEEP_BLOCK):
+        stop = min(start + _SWEEP_BLOCK, size)
+        fmt = "\n".join(["%.10g"] * (stop - start))
+        text = {key: (fmt % tuple(col[start:stop].tolist())).split("\n")
                 for key, col in distinct.items()}
         rows = zip(*(text[id(col)] for col in columns))
         fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
@@ -285,8 +315,8 @@ def cmd_sweep(args) -> int:
         if not math.isfinite(args.tau_star):
             raise ValidationError(f"--tau-star must be finite, got {args.tau_star}")
         header = ["delta", "tau_p", "tau_o", "tau_dr"]
-        delta, tau_dr, _ = zip(*sweep_delta(args.tau_star, known, q, deltas))
-        columns = [delta, tau_dr, tau_dr, tau_dr]
+        table = sweep_delta(args.tau_star, known, q, deltas)
+        columns = [table.delta, table.tau_p, table.tau_p, table.tau_p]
     else:
         if args.tau_star is not None:
             raise ValidationError(
@@ -300,11 +330,10 @@ def cmd_sweep(args) -> int:
         else:
             bounds = neyman_bounds(moments.sigma1_sq, moments.sigma0_sq)
         header = ["delta", "tau_p", "tau_o"]
-        columns = list(zip(*sweep_delta(tau_star, bounds, q, deltas)))
+        columns = list(sweep_delta(tau_star, bounds, q, deltas))
         if known is not None:
             header.append("tau_dr")
-            _, tau_dr, _ = zip(*sweep_delta(tau_star, known, q, deltas))
-            columns.append(tau_dr)
+            columns.append(sweep_delta(tau_star, known, q, deltas).tau_p)
 
     if not args.out:
         _write_columns(sys.stdout, header, columns)
@@ -634,7 +663,14 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
-            return args.func(args)
+            code = args.func(args)
+            sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+            return code
+        except BrokenPipeError:
+            # the reader of stdout has gone (say, `| head`): end quietly, and
+            # send what is still buffered to devnull, so the flush at exit cannot fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_OK
         except (ValidationError, OSError, UnicodeDecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT

@@ -137,15 +137,14 @@ def _im_critical(scaled_width, alpha: float):
     end approach the root from below and stay inside the bracket, also when
     the root sits on the left end itself.
     """
-    w = np.asarray(scaled_width, dtype=float)
-    lo = np.full(w.shape, _z(1.0 - alpha))
+    lo = _z(1.0 - alpha)
 
-    def residual(c):
+    def residual(c, w):
         value = _norm_cdf(c + w) - _norm_cdf(-c) - (1.0 - alpha)
         slope = np.exp(-0.5 * (c + w) ** 2) + np.exp(-0.5 * c * c)
         return value, slope / math.sqrt(2.0 * math.pi)
 
-    return newton_root(residual, lo, lo, _z(1.0 - alpha / 2.0), _C_TOL)
+    return newton_root(residual, lo, lo, _z(1.0 - alpha / 2.0), _C_TOL, scaled_width)
 
 
 def _im_endpoints(lo, hi, sd_lo, sd_hi, n, alpha: float):

@@ -25,7 +25,7 @@ from .exceptions import NumericalError, ValidationError
 
 __all__ = [
     "RobustConfig",
-    "SweepPoint",
+    "SweepTable",
     "dual_objective",
     "solve_minimax",
     "homogeneous_threshold",
@@ -68,42 +68,52 @@ class RobustConfig:
         return cls(delta=delta, q=q)
 
 
-class SweepPoint(NamedTuple):
-    delta: float
-    tau_p: float
-    tau_o: float
+class SweepTable(NamedTuple):
+    """Prediction pairs along a radius grid, one 1-D array per column."""
+
+    delta: np.ndarray
+    tau_p: np.ndarray
+    tau_o: np.ndarray
 
 
 # ------------------------------------------------------------- root finder
 
 
-def newton_root(fun, x, lo, hi, tol):
+def newton_root(fun, x, lo, hi, tol, *args):
     """Elementwise root of an increasing function by bracketed Newton steps.
 
-    ``fun(x)`` returns ``(f(x), f'(x))`` for an array ``x``, and
-    ``f(lo) <= 0 <= f(hi)`` must hold elementwise. Iteration starts at ``x``
-    in [lo, hi]. A Newton step is taken when it lands inside the current
-    bracket (ends included, so a root on an end is reached at Newton speed)
-    and is at most half the step before the last one; otherwise the bracket
-    is bisected, so no entry converges much slower than bisection. An entry
-    stops once its step is within ``tol`` (or within a few ulps, where
-    ``tol`` is below double precision) and keeps that value. The bisection
-    midpoint is formed as ``0.5 * lo + 0.5 * hi``, which cannot overflow on a
-    bracket near the largest double.
+    ``fun(x, *args)`` returns ``(f(x), f'(x))`` for an array ``x``, and
+    ``f(lo) <= 0 <= f(hi)`` must hold elementwise. ``fun`` must act entry by
+    entry: each step evaluates it only on the entries that have not
+    converged, with every array in ``args`` (broadcast against ``x``) sliced
+    to those entries. Iteration starts at ``x`` in [lo, hi]. A Newton step
+    is taken when it lands inside the current bracket (ends included, so a
+    root on an end is reached at Newton speed) and is at most half the step
+    before the last one; otherwise the bracket is bisected, so no entry
+    converges much slower than bisection. An entry stops once its step is
+    within ``tol`` (or within a few ulps, where ``tol`` is below double
+    precision) and keeps that value. The bisection midpoint is formed as
+    ``0.5 * lo + 0.5 * hi``, which cannot overflow on a bracket near the
+    largest double.
 
     Raises
     ------
     NumericalError
         If some entry has not converged after _MAX_ITER steps.
     """
-    x, lo, hi = np.broadcast_arrays(*(np.asarray(y, dtype=float) for y in (x, lo, hi)))
+    x, lo, hi, *args = np.broadcast_arrays(*(np.asarray(y, dtype=float) for y in (x, lo, hi, *args)))
+    shape = x.shape
+    root = np.empty(x.size)
+    x, lo, hi, *args = (np.ravel(y) for y in (x, lo, hi, *args))
     last = before_last = hi - lo
-    done = np.zeros(x.shape, dtype=bool)
+    todo = np.arange(x.size)  # the entries of root still iterated, in x's order
     # a NaN or infinite f or f' (say, on a bracket end) fails every test below
     # and leads to a bisection, so floating-point warnings carry no news here
     with np.errstate(all="ignore"):
         for _ in range(_MAX_ITER):
-            f, df = fun(x)
+            if not todo.size:
+                break
+            f, df = fun(x, *args)
             lo = np.where(f <= 0.0, x, lo)
             hi = np.where(f >= 0.0, x, hi)  # f = 0 closes the bracket on x
             near = tol + 4.0 * _EPS * np.abs(x)
@@ -113,12 +123,16 @@ def newton_root(fun, x, lo, hi, tol):
             small = step <= near  # converged, even if rounding put newton on a bracket end
             x_new = np.where(inside & (small | (2.0 * step <= np.abs(before_last))), newton,
                              np.where(small, x, 0.5 * lo + 0.5 * hi))
-            before_last, last = last, x_new - x
-            x = np.where(done, x, x_new)
-            done |= small | (np.abs(last) <= near)
-            if done.all():
-                return x
-    raise NumericalError(f"bracketed Newton did not converge in {_MAX_ITER} steps")
+            before_last, last, x = last, x_new - x, x_new
+            done = small | (np.abs(last) <= near)
+            if done.any():
+                root[todo[done]] = x[done]
+                going = ~done
+                todo, x, lo, hi, last, before_last, *args = (
+                    y[going] for y in (todo, x, lo, hi, last, before_last, *args))
+    if todo.size:
+        raise NumericalError(f"bracketed Newton did not converge in {_MAX_ITER} steps")
+    return root.reshape(shape)
 
 
 # --------------------------------------------------------------- objective
@@ -238,13 +252,13 @@ def _minimax(tau_star, v, delta, q: float) -> np.ndarray:
             a_s, d_s = a[solve], delta[solve]
             sd_s = np.sqrt(v[solve])
 
-            def foc(t):
-                gap = t - a_s
-                r = np.hypot(sd_s, gap)  # > 0 on (0, a), even where gap^2 underflows
+            def foc(t, a, d, sd):
+                gap = t - a
+                r = np.hypot(sd, gap)  # > 0 on (0, a), even where gap^2 underflows
                 _, slope, curvature = penalty_derivs(t, q)
-                return gap / r + d_s * slope, (sd_s / r) ** 2 / r + d_s * curvature
+                return gap / r + d * slope, (sd / r) ** 2 / r + d * curvature
 
-            mag[solve] = newton_root(foc, 0.5 * a_s, 0.0, a_s, _BRACKET_TOL)
+            mag[solve] = newton_root(foc, 0.5 * a_s, 0.0, a_s, _BRACKET_TOL, a_s, d_s, sd_s)
     # adding 0.0 turns the -0.0 of a zeroed negative effect into +0.0
     return np.copysign(mag, tau_star) + 0.0
 
@@ -296,24 +310,25 @@ def solve_minimax_many(tau_stars, v, config: RobustConfig) -> np.ndarray:
     return _minimax(tau_stars, v, config.delta, config.q).reshape(shape)
 
 
-def sweep_delta(tau_star: float, bounds: VarianceBounds, q: float, deltas) -> list[SweepPoint]:
+def sweep_delta(tau_star: float, bounds: VarianceBounds, q: float, deltas) -> SweepTable:
     """Prediction pair (tau_p, tau_o) along a grid of radii, for plotting.
 
-    A bracket of zero width (v_o = v_p, a known variance) is solved once,
-    and its tau_p and tau_o are equal.
+    Returns the radii and both predictions as columns. A bracket of zero
+    width (v_o = v_p, a known variance) is solved once, and its tau_p and
+    tau_o are the same array.
 
     Raises
     ------
     ValidationError
         If ``tau_star`` is not finite, a bound is not finite, or ``deltas``
-        is empty or contains a negative or non-finite radius.
+        is not a nonempty 1-D sequence of finite, nonnegative radii.
     """
     variances = [bounds.v_p] if bounds.v_p == bounds.v_o else [bounds.v_p, bounds.v_o]
     _check_inputs(tau_star, variances)
-    deltas = np.asarray(list(deltas), dtype=float)
-    if deltas.size == 0:
-        raise ValidationError("deltas must be nonempty")
+    deltas = np.array(deltas, dtype=float)
+    if deltas.ndim != 1 or deltas.size == 0:
+        raise ValidationError(f"deltas must be a nonempty 1-D sequence, got shape {deltas.shape}")
     for d in (deltas.min(), deltas.max()):  # a NaN reaches both
         RobustConfig(delta=float(d), q=q)
-    tau = _minimax(tau_star, np.reshape(variances, (-1, 1)), deltas, q).tolist()
-    return list(map(SweepPoint, deltas.tolist(), tau[0], tau[-1]))
+    rows = list(_minimax(tau_star, np.reshape(variances, (-1, 1)), deltas, q))
+    return SweepTable(deltas, rows[0], rows[-1])

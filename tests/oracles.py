@@ -6,12 +6,14 @@ faster way, kept here because only the tests call it.
 
 import csv
 import io
+import json
 import math
 from itertools import chain
 
 import numpy as np
 
 from drpredict.covariance import _kde_binned, _silverman_bandwidth, _u_trim
+from drpredict.exceptions import NumericalError
 from drpredict.sample import quantile_at
 from drpredict.solver import sweep_delta
 
@@ -152,9 +154,9 @@ def sigma_sharp_influence(sample, grid_size: int = 400) -> np.ndarray:
 
 
 def sweep_csv_rowwise(tau_star, bounds, known, q, deltas) -> str:
-    """The CSV text of ``drpredict sweep``: rows assembled one by one, each
-    value formatted with ``.10g`` and written by ``csv.writer``; the
-    reference for ``cli._write_columns``.
+    """The CSV text of ``drpredict sweep``: rows assembled one by one from
+    the ``sweep_delta`` columns, each value formatted with ``.10g`` and
+    written by ``csv.writer``; the reference for ``cli._write_columns``.
 
     ``bounds`` None is population mode, where the known bracket ``known``
     fills tau_p, tau_o and tau_dr; otherwise ``known``, if given, adds a
@@ -162,15 +164,64 @@ def sweep_csv_rowwise(tau_star, bounds, known, q, deltas) -> str:
     """
     if bounds is None:
         header = ["delta", "tau_p", "tau_o", "tau_dr"]
-        rows = [[pt.delta, pt.tau_p, pt.tau_p, pt.tau_p]
-                for pt in sweep_delta(tau_star, known, q, deltas)]
+        table = sweep_delta(tau_star, known, q, deltas)
+        rows = [[d, t, t, t] for d, t in zip(table.delta.tolist(), table.tau_p.tolist())]
     else:
         header = ["delta", "tau_p", "tau_o"]
-        rows = [list(pt) for pt in sweep_delta(tau_star, bounds, q, deltas)]
+        rows = [list(row) for row in zip(*(col.tolist() for col in sweep_delta(tau_star, bounds, q, deltas)))]
         if known is not None:
             header.append("tau_dr")
-            for row, pt in zip(rows, sweep_delta(tau_star, known, q, deltas)):
-                row.append(pt.tau_p)
+            for row, t in zip(rows, sweep_delta(tau_star, known, q, deltas).tau_p.tolist()):
+                row.append(t)
     out = io.StringIO(newline="")
     csv.writer(out).writerows(chain([header], ([f"{x:.10g}" for x in row] for row in rows)))
     return out.getvalue()
+
+
+def jsonify(obj):
+    """Replace non-finite floats with null and numpy arrays with lists, so
+    that ``json.dumps`` writes strict JSON."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, np.ndarray):
+        return jsonify(obj.tolist())
+    if isinstance(obj, dict):
+        return {k: jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonify(v) for v in obj]
+    return obj
+
+
+def dump_json(obj) -> str:
+    """The JSON text of a report as the standard library's indented encoder
+    writes it; the reference for ``cli._dump_json``."""
+    return json.dumps(jsonify(obj), indent=2, allow_nan=False)
+
+
+def newton_root_full(fun, x, lo, hi, tol, *args):
+    """``solver.newton_root`` as it was before it dropped converged entries:
+    every step evaluates ``fun`` on every entry, and a converged entry only
+    stops moving. The reference for the active-set iteration, whose every
+    entry must follow the same iterates."""
+    x, lo, hi, *args = np.broadcast_arrays(*(np.asarray(y, dtype=float) for y in (x, lo, hi, *args)))
+    last = before_last = hi - lo
+    done = np.zeros(x.shape, dtype=bool)
+    eps = np.finfo(float).eps
+    with np.errstate(all="ignore"):
+        for _ in range(200):
+            f, df = fun(x, *args)
+            lo = np.where(f <= 0.0, x, lo)
+            hi = np.where(f >= 0.0, x, hi)
+            near = tol + 4.0 * eps * np.abs(x)
+            newton = x - f / df
+            step = np.abs(newton - x)
+            inside = (lo <= newton) & (newton <= hi)
+            small = step <= near
+            x_new = np.where(inside & (small | (2.0 * step <= np.abs(before_last))), newton,
+                             np.where(small, x, 0.5 * lo + 0.5 * hi))
+            before_last, last = last, x_new - x
+            x = np.where(done, x, x_new)
+            done |= small | (np.abs(last) <= near)
+            if done.all():
+                return x
+    raise NumericalError("bracketed Newton did not converge in 200 steps")

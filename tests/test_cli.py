@@ -3,20 +3,25 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from drpredict import cli
 from drpredict.bounds import VarianceBounds, neyman_bounds, sharp_bounds_empirical
-from drpredict.cli import _build_parser, _manifest, _parse_delta_grid, _q_from_args, main
+from drpredict.cli import _build_parser, _dump_json, _manifest, _parse_delta_grid, _q_from_args, main
 from drpredict.exceptions import ValidationError
 from drpredict.moments import estimate_moments
 from drpredict.sample import load_sample
 from drpredict.simulation import case_preset, draw_sample
-from oracles import sweep_csv_rowwise
+from oracles import dump_json, sweep_csv_rowwise
 
 SCHEMA_DIR = None  # set in _schema
 
@@ -57,12 +62,14 @@ def case1_csv(tmp_path):
 
 def test_delta_grid_forms():
     assert _parse_delta_grid("0:2:0.5") == pytest.approx([0.0, 0.5, 1.0, 1.5, 2.0])
-    assert _parse_delta_grid("0.25") == [0.25]
+    assert _parse_delta_grid("0.25").tolist() == [0.25]
     assert _parse_delta_grid("0.1, 0.3,1") == pytest.approx([0.1, 0.3, 1.0])
     # inclusive endpoint despite float step
     assert _parse_delta_grid("0:2:0.1")[-1] == pytest.approx(2.0)
     assert len(_parse_delta_grid("0:2:0.1")) == 21
     assert len(_parse_delta_grid("0:3:0.0002")) == 15001  # the densest grid in use
+    # the array grid holds the very floats of start + i * step in Python
+    assert _parse_delta_grid("0.1:3:0.0002").tolist() == [0.1 + i * 0.0002 for i in range(14501)]
 
 
 @pytest.mark.parametrize("bad", ["", "  ", "1:2", "0:1:-0.5", "a,b", "1:x:3", ",",
@@ -323,6 +330,78 @@ def test_sweep_writer_matches_rowwise_csv_writer(flags, to_file, case1_csv, tmp_
     else:
         assert main(argv) == 0
         assert capsys.readouterr().out.encode("ascii") == want
+
+
+def test_sweep_into_a_closed_pipe_ends_quietly():
+    # `sweep ... | head -1` used to print "error: [Errno 32] Broken pipe" and exit 2
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                                      env.get("PYTHONPATH")]))
+    argv = ["sweep", "--deltas", "0:3:0.0002", "--true-v", "1", "--tau-star", "2"]
+    proc = subprocess.Popen([sys.executable, "-m", "drpredict.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    # the table is about 0.7 MB, far more than a pipe holds, so the program
+    # is still writing when the pipe closes
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (first, proc.wait(timeout=120), err) == (b"delta,tau_p,tau_o,tau_dr\r\n", 0, b"")
+
+
+# ----------------------------------------------------------- the JSON writer
+
+
+def _reports_written(monkeypatch, argv):
+    """The objects that ``main(argv)`` hands to the JSON file writer."""
+    written = []
+    real = cli._write_json
+
+    def spy(path, report):
+        written.append(report)
+        real(path, report)
+
+    monkeypatch.setattr(cli, "_write_json", spy)
+    assert main(argv) == 0
+    monkeypatch.undo()
+    return written
+
+
+@pytest.mark.parametrize("grid", ["0.7", "0.5,-0", "0:3:0.0002", "0.3,0.1,0.3,-0,2"])
+def test_dump_json_matches_the_standard_encoder_on_sweep_manifests(grid, tmp_path, monkeypatch):
+    out = tmp_path / "sweep.csv"
+    [manifest] = _reports_written(monkeypatch, ["sweep", "--deltas", grid, "--true-v", "1",
+                                                "--tau-star", "2", "--out", str(out)])
+    want = dump_json(manifest)
+    assert _dump_json(manifest) == want
+    assert (tmp_path / "sweep.csv.manifest.json").read_text() == want + "\n"
+
+
+def test_dump_json_matches_the_standard_encoder_on_reports(case1_csv, tmp_path, monkeypatch, capsys):
+    reports = []
+    for argv in (["estimate", "--data", case1_csv, "--delta", "0.5"],
+                 ["infer", "--data", case1_csv, "--delta", "0.5", "--json"]):
+        reports += _reports_written(monkeypatch, argv + ["--out", str(tmp_path / "r.json")])
+    reports += _reports_written(monkeypatch, ["simulate", "--case", "1", "--n", "200",
+                                              "--replications", "100",
+                                              "--out", str(tmp_path / "sim")])
+    assert len(reports) == 4  # simulate writes its report and its manifest
+    for report in reports:
+        assert _dump_json(report) == dump_json(report)
+
+
+def test_dump_json_matches_the_standard_encoder_on_edge_values():
+    value = {
+        "bools": [True, False], "ints": [0, -7, 2**70], "none": None,
+        "tiny": 5e-324, "huge": 1e308, "nan": math.nan, "infs": [math.inf, -math.inf],
+        "floats": [1.0, math.nan, -0.0], "overflowing sum": [1e308, 1e308],
+        "empty": [], "empty dict": {}, "nested": [[], [[1.5, -0.0], ()], {"k": (1, 2.5)}],
+        "array": np.array([[0.25, np.inf], [-0.0, 5e-324]]), "text": 'caf\u00e9 "q"\n',
+    }
+    for obj in (value, [], {}, 1.5, math.nan, [value, [value]]):
+        assert _dump_json(obj) == dump_json(obj)
+    with pytest.raises(TypeError):
+        _dump_json({"numpy int": np.int64(3)})  # json.dumps rejects it too
 
 
 def test_sweep_rejects_tau_star_with_data(case1_csv, capsys):

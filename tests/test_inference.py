@@ -26,6 +26,7 @@ from drpredict.inference import (
 from drpredict.covariance import sigma_bootstrap
 from drpredict.sample import ExperimentalSample, load_sample
 from drpredict.solver import RobustConfig
+from oracles import newton_root_full
 
 Z_TWO_SIDED = 1.959964
 Z_ONE_SIDED = 1.644854
@@ -135,6 +136,17 @@ def test_critical_value_stays_in_bracket(w, alpha):
     est = im_interval(0.0, w * sd / 100.0, sd, sd, n=n, alpha=alpha)
     c = est.c_values[0]
     assert ndtri(1 - alpha) - 1e-9 <= c <= ndtri(1 - alpha / 2) + 1e-9
+
+
+def test_active_set_critical_values_match_full_array_oracle(monkeypatch):
+    # widths from 0 (the two-sided limit) through inf (the one-sided one):
+    # dropping converged entries must not change any entry's iterates
+    w = np.concatenate(([0.0, np.inf], np.geomspace(1e-8, 60.0, 16 * 101 - 2)))
+    w = np.random.default_rng(4).permutation(w).reshape(16, 101)
+    got = inference._im_critical(w, 0.05)
+    monkeypatch.setattr(inference, "newton_root", newton_root_full)
+    assert got.shape == w.shape
+    assert np.array_equal(got, inference._im_critical(w, 0.05))
 
 
 def test_norm_cdf_matches_ndtr():

@@ -19,6 +19,7 @@ from drpredict.solver import (
     solve_minimax_many,
     sweep_delta,
 )
+from oracles import newton_root_full
 
 
 # -------------------------------------------------------------------- config
@@ -302,7 +303,7 @@ def test_solver_near_the_largest_double(sign):
     tau_star = sign * 1e308
     assert solve_minimax(tau_star, 1.0, RobustConfig(0.5, 2.0)) == pytest.approx(tau_star, rel=1e-15)
     bounds = VarianceBounds(v_o=1.0, v_p=1.0, method="sharp")
-    [(_, tau_p, tau_o)] = sweep_delta(tau_star, bounds, 2.0, [0.5])
+    _, [tau_p], [tau_o] = sweep_delta(tau_star, bounds, 2.0, [0.5])
     assert tau_p == tau_o == pytest.approx(tau_star, rel=1e-15)
 
 
@@ -313,6 +314,55 @@ def test_newton_root_bisects_a_bracket_near_the_largest_double():
 
     root = newton_root(fun, 1.2e308, 1e308, 1.7e308, 1e-12)
     assert float(root) == pytest.approx(1.5e308, rel=1e-14)
+
+
+def _sweep_with(newton, monkeypatch, *sweep_args):
+    """``sweep_delta(*sweep_args)`` with ``newton`` as the solver's root finder."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "newton_root", newton)
+        return sweep_delta(*sweep_args)
+
+
+DENSE_DELTAS = 0.0 + np.arange(15_001) * 0.0002  # the grid of `sweep --deltas 0:3:0.0002`
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("v_o,v_p", [(0.4, 2.5), (0.0, 0.0)])
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0, 10.0])
+def test_active_set_newton_matches_full_array_oracle(q, v_o, v_p, sign, monkeypatch):
+    # dropping converged entries must not change any entry's iterates
+    tau_star = sign * 1.7
+    bounds = VarianceBounds(v_o=v_o, v_p=v_p, method="sharp")
+    want = _sweep_with(newton_root_full, monkeypatch, tau_star, bounds, q, DENSE_DELTAS)
+    got = sweep_delta(tau_star, bounds, q, DENSE_DELTAS)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert np.count_nonzero(got.tau_o != tau_star) > 5_000  # most radii were solved
+
+
+@pytest.mark.parametrize("tau_star", [1e308, -1e308, 1.7e308])
+def test_active_set_newton_matches_oracle_near_the_largest_double(tau_star, monkeypatch):
+    bounds = VarianceBounds(v_o=0.25, v_p=1.0, method="sharp")
+    deltas = [0.1, 0.5, 0.9]
+    want = _sweep_with(newton_root_full, monkeypatch, tau_star, bounds, 2.0, deltas)
+    got = sweep_delta(tau_star, bounds, 2.0, deltas)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_newton_root_slices_its_arguments_to_the_unconverged_entries():
+    # f(x) = x - a on [0, 1] with a sliced alongside x: entries that converge
+    # early leave the later steps, and each finds its own root
+    a = np.linspace(0.0, 1.0, 7).reshape(7, 1) ** np.array([1.0, 3.0])
+    sizes = []
+
+    def fun(x, a):
+        sizes.append(x.size)
+        return x - a, np.where(a > 0.5, 1.0, 1e-300)  # a tiny slope forces bisection
+
+    root = newton_root(fun, 0.5, 0.0, 1.0, 1e-12, a)
+    assert root.shape == a.shape
+    assert root == pytest.approx(a, abs=1e-11)
+    assert sizes[0] == a.size and sizes[-1] < a.size
+    assert newton_root(fun, np.empty(0), 0.0, 1.0, 1e-12, np.empty(0)).shape == (0,)
 
 
 # --------------------------------------------------------------- derivatives
@@ -371,24 +421,22 @@ def test_proximity_derivs_kink_rejected():
 
 def test_sweep_delta_zero_row():
     b = VarianceBounds(v_o=1.0, v_p=4.0, method="sharp")
-    rows = sweep_delta(2.0, b, 2.0, [0.0])
-    assert rows == [(0.0, 2.0, 2.0)]
+    table = sweep_delta(2.0, b, 2.0, [0.0])
+    assert [col.tolist() for col in table] == [[0.0], [2.0], [2.0]]
 
 
 def test_sweep_flat_below_threshold_when_homogeneous():
     b = VarianceBounds(v_o=0.0, v_p=0.0, method="sharp")
     thr = homogeneous_threshold(2.0, 2.0)
-    rows = sweep_delta(2.0, b, 2.0, np.linspace(0, thr, 7))
-    assert all(r.tau_p == 2.0 and r.tau_o == 2.0 for r in rows)
+    table = sweep_delta(2.0, b, 2.0, np.linspace(0, thr, 7))
+    assert np.all(table.tau_p == 2.0) and np.all(table.tau_o == 2.0)
 
 
 def test_sweep_monotone_in_delta():
     b = VarianceBounds(v_o=0.5, v_p=3.0, method="sharp")
-    rows = sweep_delta(1.7, b, 2.0, np.linspace(0, 3, 31))
-    tau_ps = [r.tau_p for r in rows]
-    tau_os = [r.tau_o for r in rows]
-    assert all(x >= y - 1e-10 for x, y in zip(tau_ps, tau_ps[1:]))
-    assert all(x >= y - 1e-10 for x, y in zip(tau_os, tau_os[1:]))
+    table = sweep_delta(1.7, b, 2.0, np.linspace(0, 3, 31))
+    assert np.all(np.diff(table.tau_p) <= 1e-10)
+    assert np.all(np.diff(table.tau_o) <= 1e-10)
 
 
 def test_sweep_validation():
@@ -397,24 +445,27 @@ def test_sweep_validation():
         sweep_delta(1.0, b, 2.0, [])
     with pytest.raises(ValidationError):
         sweep_delta(1.0, b, 2.0, [0.1, -0.2])
+    with pytest.raises(ValidationError):
+        sweep_delta(1.0, b, 2.0, [[0.1, 0.2]])
 
 
 @pytest.mark.parametrize("v_o,v_p,rows", [(1.5, 1.5, 1), (0.0, 0.0, 1), (0.5, 3.0, 2)])
 def test_sweep_solves_each_distinct_variance_once(v_o, v_p, rows, monkeypatch):
     points = []
 
-    def counting(fun, x, lo, hi, tol):
+    def counting(fun, x, lo, hi, tol, *args):
         points.append(np.size(x))
-        return newton_root(fun, x, lo, hi, tol)
+        return newton_root(fun, x, lo, hi, tol, *args)
 
     monkeypatch.setattr(solver_module, "newton_root", counting)
     deltas = np.linspace(1.5, 4.0, 6)  # past the v = 0 threshold 1.22, so every radius is solved
     got = sweep_delta(2.0, VarianceBounds(v_o=v_o, v_p=v_p, method="sharp"), 2.0, deltas)
     assert sum(points) == rows * deltas.size
     monkeypatch.undo()
-    for pt, d in zip(got, deltas):
-        assert pt.tau_p == solve_minimax(2.0, v_p, RobustConfig(d, 2.0))
-        assert pt.tau_o == solve_minimax(2.0, v_o, RobustConfig(d, 2.0))
+    assert (got.tau_p is got.tau_o) == (v_o == v_p)
+    for d, tau_p, tau_o in zip(*(col.tolist() for col in got)):
+        assert tau_p == solve_minimax(2.0, v_p, RobustConfig(d, 2.0))
+        assert tau_o == solve_minimax(2.0, v_o, RobustConfig(d, 2.0))
 
 
 # ------------------------------------------------------------ bound estimates

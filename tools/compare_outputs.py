@@ -120,6 +120,16 @@ INVOCATIONS = [
                                 "--tau-star", "-1.5", "--q", "3"]),
     ("sweep-data-true-v-out", ["sweep", "--data", "neg.csv", "--deltas", "0:2:0.0005",
                                "--bounds", "neyman", "--true-v", "2", "--out", "sweep_true_v.csv"]),
+    # radius lists as given: unsorted, repeated and a negative zero, in the
+    # CSV and in the manifest
+    ("sweep-list-out", ["sweep", "--deltas", "0.5,0.1,0.5,-0,2,0.1", "--true-v", "1",
+                        "--tau-star", "2", "--out", "sweep_list.csv"]),
+    ("sweep-one-radius-out", ["sweep", "--deltas", "0.7", "--true-v", "1", "--tau-star", "-2",
+                              "--out", "sweep_one.csv"]),
+    # q = 1.5 takes the most Newton steps
+    ("sweep-population-q1.5-out", ["sweep", "--deltas", "0:3:0.0002", "--true-v", "0.5",
+                                   "--tau-star", "2.5", "--q", "1.5", "--out", "sweep_q15.csv"]),
+    ("sweep-data-q10", ["sweep", "--data", "pos.csv", "--deltas", "0:3:0.001", "--q", "10"]),
 ]
 
 
