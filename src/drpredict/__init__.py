@@ -12,6 +12,7 @@ from .bounds import (
     neyman_bounds,
     sharp_bounds_empirical,
     sharp_bounds_population,
+    variance_bounds,
 )
 from .calibration import (
     RadiusBenchmark,
@@ -98,6 +99,7 @@ __all__ = [
     "neyman_bounds",
     "sharp_bounds_empirical",
     "sharp_bounds_population",
+    "variance_bounds",
     # minimax solver
     "RobustConfig",
     "SweepTable",

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
+from .moments import ArmMoments
 from .sample import ExperimentalSample
 
 __all__ = [
@@ -24,6 +25,7 @@ __all__ = [
     "neyman_bounds",
     "sharp_bounds_empirical",
     "sharp_bounds_population",
+    "variance_bounds",
 ]
 
 
@@ -160,6 +162,15 @@ def sharp_bounds_empirical(sample: ExperimentalSample) -> VarianceBounds:
     v_o = var1 + var0 - 2.0 * cov_u
     v_p = var1 + var0 - 2.0 * cov_l
     return VarianceBounds(v_o=max(v_o, 0.0), v_p=max(v_p, 0.0), method=BoundsMethod.SHARP)
+
+
+def variance_bounds(sample: ExperimentalSample, moments: ArmMoments,
+                    method=BoundsMethod.SHARP) -> VarianceBounds:
+    """The bracket of ``method`` (a ``BoundsMethod`` or its value): the sharp
+    bounds of ``sample``, or the Neyman bounds of its ``estimate_moments``."""
+    if BoundsMethod(method) is BoundsMethod.SHARP:
+        return sharp_bounds_empirical(sample)
+    return neyman_bounds(moments.sigma1_sq, moments.sigma0_sq)
 
 
 def sharp_bounds_population(q1, q0, grid_size: int = 10_000) -> VarianceBounds:

@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .bounds import BoundsMethod, VarianceBounds, neyman_bounds, sharp_bounds_empirical
+from .bounds import BoundsMethod, VarianceBounds, variance_bounds
 from .calibration import SplitRule, split_benchmark
 from .exceptions import NumericalError, ParseError, ValidationError
 from .inference import (
@@ -229,11 +229,8 @@ def cmd_estimate(args) -> int:
     method = BoundsMethod(args.bounds)
     est = estimate_robust(sample, config, method)
     # the report shows both brackets; compute only the one not selected
-    if method is BoundsMethod.SHARP:
-        sharp = est.bounds
-        neyman = neyman_bounds(est.moments.sigma1_sq, est.moments.sigma0_sq)
-    else:
-        sharp, neyman = sharp_bounds_empirical(sample), est.bounds
+    sharp, neyman = (est.bounds if m is method else variance_bounds(sample, est.moments, m)
+                     for m in (BoundsMethod.SHARP, BoundsMethod.NEYMAN))
     sd_tau = None if est.sigma is None else est.sigma.sigma_tau
 
     report = {
@@ -325,10 +322,7 @@ def cmd_sweep(args) -> int:
         sample = load_sample(args.data, args.outcome, args.treatment)
         moments = estimate_moments(sample)
         tau_star = moments.ate
-        if BoundsMethod(args.bounds) is BoundsMethod.SHARP:
-            bounds = sharp_bounds_empirical(sample)
-        else:
-            bounds = neyman_bounds(moments.sigma1_sq, moments.sigma0_sq)
+        bounds = variance_bounds(sample, moments, args.bounds)
         header = ["delta", "tau_p", "tau_o"]
         columns = list(sweep_delta(tau_star, bounds, q, deltas))
         if known is not None:

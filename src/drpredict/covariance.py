@@ -19,7 +19,7 @@ sample is two arm-length rows, and its time is one pass over each arm.
 ``tests/oracles.py`` keeps the (3, n) influence array as the reference.
 
 ``sigma_sharp_many`` runs in two stages. As each sample arrives, it is
-reduced to O(grid_size) summaries and then dropped: its u-grid quantiles,
+reduced to O(U_GRID_SIZE) summaries and then dropped: its u-grid quantiles,
 each arm's linearly binned KDE grid (Silverman 1982, AS 176) and those
 sums. The batch stage convolves every grid of one FFT period in one
 ``rfft``/``irfft`` pair, against a kernel spectrum cached per period (in
@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import BoundsMethod, neyman_bounds, sharp_bounds_empirical
-from .exceptions import DrPredictError, NumericalError, ValidationError
+from .exceptions import NumericalError, ValidationError
 from .moments import ArmMoments
 from .sample import ExperimentalSample, quantile_at
 from .solver import RobustConfig, penalty_derivs
@@ -60,6 +60,7 @@ __all__ = [
 DENSITY_FLOOR = 1e-6
 KDE_BINS_PER_BANDWIDTH = 32  # binned-KDE grid spacing is h / 32
 KDE_REACH_BANDWIDTHS = 8  # each binned-KDE window reaches 8 h past its points
+U_GRID_SIZE = 400  # u-grid points on the trimmed band of the sharp Sigma
 U_TRIM_MAX = 0.01
 U_TRIM_MIN = 2.5e-4
 
@@ -267,8 +268,8 @@ def _bin_kde(data: np.ndarray, x: np.ndarray, h: float):
     return grid, at, 1.0 / (data.shape[0] * h * math.sqrt(2.0 * math.pi))
 
 
-# Periods are powers of two: at the default grid_size of 400 there are at
-# most nine of them, the largest 2^18 bins, whose spectrum takes 2 MB.
+# Periods are powers of two: on a u-grid of U_GRID_SIZE = 400 points there
+# are at most nine of them, the largest 2^18 bins, whose spectrum takes 2 MB.
 @functools.lru_cache(maxsize=16)
 def _kernel_spectrum(period: int) -> np.ndarray:
     """``rfft`` of the Gaussian kernel in bins, wrapped onto a circle of
@@ -335,7 +336,7 @@ def _kde_binned(data: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
 
 
 class _Arm(NamedTuple):
-    """One sorted arm, reduced to the O(grid_size) numbers Sigma needs.
+    """One sorted arm, reduced to the O(U_GRID_SIZE) numbers Sigma needs.
 
     ``kde`` and the sums are None for a zero-spread arm, whose influence
     values are all zero.
@@ -346,8 +347,8 @@ class _Arm(NamedTuple):
     var: float
     w: float  # 1 / the arm's share of the sample
     b: np.ndarray | None  # (3, 2): psi's loadings on (d, d^2)
-    counts: np.ndarray | None  # (grid_size + 1,) outcomes per segment
-    segments: np.ndarray | None  # (2, grid_size + 1): sums of d and d^2 per segment
+    counts: np.ndarray | None  # (U_GRID_SIZE + 1,) outcomes per segment
+    segments: np.ndarray | None  # (2, U_GRID_SIZE + 1): sums of d and d^2 per segment
     second: np.ndarray | None  # (2, 2): whole-arm sums of d^2, d^3 and d^4
     first: np.ndarray | None  # (2,): whole-arm sums of d and d^2
 
@@ -371,7 +372,11 @@ def _summarize_arm(y, var, q, share, sign, mean, other_mean) -> _Arm:
     w = 1.0 / share
     if y[0] == y[-1]:
         return _Arm(None, q, var, w, None, None, None, None, None)
-    kde = _bin_kde(y, q, _silverman_bandwidth(y, var))  # before powers, to keep the peak down
+    h = _silverman_bandwidth(y, var)
+    if not 0.0 < h < math.inf:  # a variance that underflows to 0, a spread that overflows
+        raise NumericalError(
+            f"KDE bandwidth {h}: the outcome scale (arm SD {math.sqrt(var):.3g}) is beyond double precision")
+    kde = _bin_kde(y, q, h)  # before powers, to keep the peak down
     n = y.shape[0]
     powers = np.zeros((2, n + 1))  # d and d^2, then a zero column that ends the last segments
     np.subtract(y, mean, out=powers[0, :n])
@@ -390,14 +395,12 @@ def _summarize_arm(y, var, q, share, sign, mean, other_mean) -> _Arm:
     )
 
 
-def _summarize(sample: ExperimentalSample, grid_size: int) -> _Summary:
+def _summarize(sample: ExperimentalSample) -> _Summary:
     """The per-sample stage of ``sigma_sharp_many``."""
     if sample.n1 < 30 or sample.n0 < 30:
         raise ValidationError(
             f"influence-function covariance needs >= 30 per arm, got n1={sample.n1}, n0={sample.n0}"
         )
-    if grid_size < 200:
-        raise ValidationError(f"grid_size must be >= 200, got {grid_size}")
 
     y1, y0 = sample.sorted_arms
     var1, var0 = sample.arm_variances
@@ -405,8 +408,8 @@ def _summarize(sample: ExperimentalSample, grid_size: int) -> _Summary:
     tau1, tau0 = float(y1.sum()) / sample.n1, float(y0.sum()) / sample.n0  # y.mean(), bit for bit
 
     trim = _u_trim(min(sample.n1, sample.n0))
-    du = (1.0 - 2.0 * trim) / grid_size
-    u = trim + (np.arange(grid_size) + 0.5) * du  # symmetric: 1-u is a flip
+    du = (1.0 - 2.0 * trim) / U_GRID_SIZE
+    u = trim + (np.arange(U_GRID_SIZE) + 0.5) * du  # symmetric: 1-u is a flip
     q1, q0 = quantile_at(y1, u), quantile_at(y0, u)
     return _Summary(
         sample.n, u, du,
@@ -466,42 +469,38 @@ def _arm_grams(arms: list, f: np.ndarray, u: np.ndarray, du: np.ndarray, q_other
 def _sigmas(summaries: list) -> list:
     """The batch stage of ``sigma_sharp_many``: every density in one
     ``_smooth_kde`` call, then the Gram sums of all arms and the SigmaMatrix
-    checks as array operations. Raises what a loop of ``sigma_sharp`` would
-    raise first: an arm's density below DENSITY_FLOOR (treated before
-    control) or an invalid Sigma, in sample order."""
+    checks as array operations. Raises on the first arm, in sample order and
+    treated before control, whose density falls below DENSITY_FLOOR."""
     arms = [arm for s in summaries for arm in (s.treated, s.control)]
     spread = [i for i, arm in enumerate(arms) if arm.kde is not None]
     f = np.array(_smooth_kde([arms[i].kde for i in spread]))
-    low = [spread[j] for j in np.flatnonzero((f < DENSITY_FLOOR).any(axis=-1))]
-    stop = low[0] // 2 if low else len(summaries)  # the samples before the first failing one
+    low = np.flatnonzero((f < DENSITY_FLOOR).any(axis=-1))
+    if low.size:
+        arm = "treated" if spread[low[0]] % 2 == 0 else "control"
+        raise NumericalError(f"{arm}-arm density below floor on the u-grid")
 
-    grams = np.zeros((2 * stop, 3, 3))
-    sums = np.zeros((2 * stop, 3))
-    rows = [i for i in spread if i < 2 * stop]
-    if rows:
-        grams[rows], sums[rows] = _arm_grams(
-            [arms[i] for i in rows],
-            f[: len(rows)],  # rows is a prefix of spread
-            np.array([summaries[i // 2].u for i in rows]),
-            np.array([summaries[i // 2].du for i in rows]),
-            np.array([arms[i ^ 1].q for i in rows]),
+    grams = np.zeros((len(arms), 3, 3))
+    sums = np.zeros((len(arms), 3))
+    if spread:
+        grams[spread], sums[spread] = _arm_grams(
+            [arms[i] for i in spread],
+            f,
+            np.array([summaries[i // 2].u for i in spread]),
+            np.array([summaries[i // 2].du for i in spread]),
+            np.array([arms[i ^ 1].q for i in spread]),
         )
-    n = np.array([s.n for s in summaries[:stop]], dtype=float)
+    n = np.array([s.n for s in summaries], dtype=float)
     mean = (sums[0::2] + sums[1::2]) / n[:, None]
     entries = (grams[0::2] + grams[1::2]) / n[:, None, None] - mean[:, :, None] * mean[:, None, :]
-    sigmas = _sigma_matrices(entries, SigmaMethod.SHARP_PLUGIN)
-    if low:
-        arm = "treated" if low[0] % 2 == 0 else "control"
-        raise NumericalError(f"{arm}-arm density below floor on the u-grid")
-    return sigmas
+    return _sigma_matrices(entries, SigmaMethod.SHARP_PLUGIN)
 
 
-def sigma_sharp_many(samples, grid_size: int = 400) -> list:
+def sigma_sharp_many(samples) -> list:
     """``sigma_sharp`` for each sample of an iterable, in order.
 
     Each sample is reduced as it arrives to its u-grid quantiles, its arms'
     binned KDE grids and their segment and whole-arm sums, all
-    O(grid_size), and is not kept: an iterable that draws its samples
+    O(U_GRID_SIZE), and is not kept: an iterable that draws its samples
     lazily holds one at a time. Then the batch stage smooths every grid of
     one FFT period in one ``rfft``/``irfft`` pair against a cached kernel
     spectrum, and builds and checks all 3x3 matrices as arrays. An entry is
@@ -510,53 +509,44 @@ def sigma_sharp_many(samples, grid_size: int = 400) -> list:
     Raises
     ------
     ValidationError, NumericalError
-        What ``sigma_sharp`` raises on the first sample that fails, also
-        when the iterable itself raises at a later sample.
+        The first error met, which need not be the first failing sample's:
+        run batches of one to attribute an error to a sample.
     """
     summaries = []
-    try:
-        for sample in samples:
-            summaries.append(_summarize(sample, grid_size))
-            del sample  # so that the next draw does not join it
-    except DrPredictError:
-        _sigmas(summaries)  # an earlier sample's failure comes first
-        raise
+    for sample in samples:
+        summaries.append(_summarize(sample))
+        del sample  # so that the next draw does not join it
     return _sigmas(summaries)
 
 
-def sigma_sharp(sample: ExperimentalSample, grid_size: int = 400) -> SigmaMatrix:
+def sigma_sharp(sample: ExperimentalSample) -> SigmaMatrix:
     """Influence-function plug-in covariance for the sharp bounds.
 
     Sigma is the empirical covariance of the per-observation influence
     values of (V_hat_p, V_hat_o, tau_hat), which combine arm-mean,
     arm-variance and quantile-process contributions; the latter go through
     binned kernel density estimates (_kde_binned) at the empirical
-    quantiles of a trimmed uniform u-grid. The u-grid quantiles cut each
-    sorted arm (``sample.sorted_arms``) into grid_size + 1 segments, and an
+    quantiles of a trimmed uniform u-grid of U_GRID_SIZE points on the band
+    [trim, 1 - trim], where trim shrinks from 1% toward 0.025% as the
+    smaller arm grows (see _u_trim). The u-grid quantiles cut each sorted
+    arm (``sample.sorted_arms``) into U_GRID_SIZE + 1 segments, and an
     observation's influence is a quadratic in its outcome plus a constant of
     its segment. So each arm's sums of psi psi' and psi come from a few
     whole-arm and per-segment sums (_arm_grams), and Sigma is their total
     over n less the outer product of the mean: no per-observation influence
     array is formed. This is the batch of one of ``sigma_sharp_many``.
 
-    Parameters
-    ----------
-    sample : ExperimentalSample
-        At least 30 observations per arm.
-    grid_size : int
-        Number of u-grid points (>= 200) on the trimmed band
-        [trim, 1 - trim], where trim shrinks from 1% toward 0.025% as the
-        smaller arm grows (see _u_trim).
-
     Raises
     ------
     ValidationError
-        If either arm has fewer than 30 observations, or grid_size < 200.
+        If either arm has fewer than 30 observations.
     NumericalError
-        If an estimated arm density falls below 1e-6 anywhere the integrals
-        need it (extremely heavy tails or degenerate spread).
+        If an arm's KDE bandwidth is not positive and finite (an outcome
+        scale beyond double precision), or an estimated arm density falls
+        below 1e-6 anywhere the integrals need it (extremely heavy tails or
+        degenerate spread).
     """
-    return sigma_sharp_many([sample], grid_size)[0]
+    return sigma_sharp_many([sample])[0]
 
 
 # ----------------------------------------------------------------- bootstrap

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundsMethod, VarianceBounds, neyman_bounds, sharp_bounds_empirical
+from .bounds import BoundsMethod, VarianceBounds, variance_bounds
 from .covariance import (
     SigmaMatrix,
     prediction_sd_grid,
@@ -148,11 +148,18 @@ def _im_critical(scaled_width, alpha: float):
 
 
 def _im_endpoints(lo, hi, sd_lo, sd_hi, n, alpha: float):
-    """IM endpoints and critical values for arrays with lo <= hi, elementwise.
+    """IM endpoints and critical values for arrays with lo <= hi, elementwise:
+    the one IM step of ``im_interval``, ``plain_im_intervals`` and the
+    second step of ``two_step_intervals``.
 
     Where both SDs are zero the range itself is returned, with the
-    zero-width (lo == hi) or infinite-width limit of c_n.
+    zero-width (lo == hi) or infinite-width limit of c_n. ValidationError
+    unless alpha is in (0, 1) with a finite z(1 - alpha/2).
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+    if math.isinf(_z(1.0 - alpha / 2.0)):
+        raise ValidationError(f"level {alpha!r} is too small: z(1 - level/2) is infinite in double precision")
     lo, hi, sd_lo, sd_hi, root_n = np.broadcast_arrays(lo, hi, sd_lo, sd_hi, np.sqrt(n))
     sd_max = np.maximum(sd_lo, sd_hi)
     c = np.where(hi == lo, _z(1.0 - alpha / 2.0), _z(1.0 - alpha))
@@ -179,8 +186,6 @@ def im_interval(
     Endpoints inverted by less than 1e-10 (estimation noise) are swapped
     with a warning; larger inversions raise NumericalError.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     if sd_lo < 0.0 or sd_hi < 0.0:
@@ -268,13 +273,9 @@ def estimate_robust_many(samples, config: RobustConfig, method=BoundsMethod.SHAR
     def arrivals():
         for sample in samples:
             moments = estimate_moments(sample)
-            if sharp:
-                bounds = sharp_bounds_empirical(sample)
-            else:
-                bounds = neyman_bounds(moments.sigma1_sq, moments.sigma0_sq)
-                if config.q > 1.0:
-                    sigmas.append(sigma_neyman(moments))
-            pieces.append((moments, bounds, sample.n))
+            pieces.append((moments, variance_bounds(sample, moments, method), sample.n))
+            if not sharp and config.q > 1.0:
+                sigmas.append(sigma_neyman(moments))
             yield sample
             del sample  # so that the next draw does not join it
 
@@ -353,8 +354,9 @@ def plain_im_intervals(ests, alpha: float = 0.05) -> list:
     Raises
     ------
     ValidationError
-        If the estimates do not share one config and bounds method, if
-        alpha is outside (0, 1), or for q = 1, whose estimates carry no SDs.
+        If the estimates do not share one config and bounds method, for
+        q = 1, whose estimates carry no SDs, or as ``_im_endpoints`` on
+        alpha.
     """
     ests = list(ests)
     if not ests:
@@ -363,8 +365,6 @@ def plain_im_intervals(ests, alpha: float = 0.05) -> list:
         raise ValidationError(
             "the IM interval requires q > 1 (estimates for q = 1 carry no SDs)"
         )
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     pairs = np.array([[e.tau_p, e.tau_o, e.sd_p, e.sd_o] for e in ests]).T
     n = np.array([e.n for e in ests])
     lower, upper, c = _im_endpoints(*_ordered(*pairs), n, alpha)
@@ -413,14 +413,15 @@ def two_step_intervals(ests, alpha: float = 0.05, beta: float = 0.045, grid_poin
     """``two_step_interval`` for each estimate of a batch.
 
     The second steps of all estimates whose first step rejects zero are one
-    (R, 2, grid_points) solver call, one SD computation and one
-    critical-value solve.
+    (R, 2, grid_points) solver call, one SD computation and one IM step
+    (``_im_endpoints`` at level alpha - beta).
 
     Raises
     ------
     ValidationError
-        If the estimates do not share one config and bounds method, or as
-        ``check_two_step_args``.
+        If the estimates do not share one config and bounds method, as
+        ``check_two_step_args``, or, once a first step rejects zero, as
+        ``_im_endpoints`` on alpha - beta.
     """
     ests = list(ests)
     if not ests:
@@ -428,8 +429,8 @@ def two_step_intervals(ests, alpha: float = 0.05, beta: float = 0.045, grid_poin
     config = _shared_config(ests)
     check_two_step_args(config, alpha, beta, grid_points)
     tau_star = np.array([e.tau_star for e in ests])
-    root_n = np.sqrt([e.n for e in ests])
-    half = _z(1.0 - beta / 2.0) * (np.array([e.sigma.sigma_tau for e in ests]) / root_n)
+    n = np.array([e.n for e in ests])
+    half = _z(1.0 - beta / 2.0) * (np.array([e.sigma.sigma_tau for e in ests]) / np.sqrt(n))
     first_lo, first_hi = tau_star - half, tau_star + half
     rows = np.flatnonzero(~((first_lo <= 0.0) & (0.0 <= first_hi)))
 
@@ -444,28 +445,16 @@ def two_step_intervals(ests, alpha: float = 0.05, beta: float = 0.045, grid_poin
         s_bb = np.array([[[ests[i].sigma.entries[0, 0]], [ests[i].sigma.entries[1, 1]]] for i in rows])
         tau = solve_minimax_many(ts, v, config)
         sd = prediction_sd_grid(ts, tau, v, (s_bb, 0.0, 0.0), config, conditional=True)
-        lo, hi, sd_lo, sd_hi = _ordered(tau[:, 0], tau[:, 1], sd[:, 0], sd[:, 1])
-        rn = root_n[rows, None]
-        sd_max = np.maximum(sd_lo, sd_hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scaled = np.where(sd_max > 0.0, rn * (hi - lo) / sd_max, np.inf)
-        c = _im_critical(scaled, alpha - beta)
-        lowers = (lo - c * sd_lo / rn).min(axis=1).tolist()
-        uppers = (hi + c * sd_hi / rn).max(axis=1).tolist()
+        ordered = _ordered(tau[:, 0], tau[:, 1], sd[:, 0], sd[:, 1])
+        lower, upper, c = _im_endpoints(*ordered, n[rows, None], alpha - beta)
+        lowers = lower.min(axis=1).tolist()
+        uppers = upper.max(axis=1).tolist()
         c_values = zip(c.min(axis=1).tolist(), c.max(axis=1).tolist())
         union = dict(zip(rows.tolist(), zip(lowers, uppers, c_values)))
 
-    out = []
-    for i, first in enumerate(zip(first_lo.tolist(), first_hi.tolist())):
-        lower, upper, c_values = union.get(i, (math.nan, math.nan, ()))
-        out.append(IntervalEstimate(
-            lower=lower,
-            upper=upper,
-            alpha=alpha,
-            method=IMMethod.IM_BONFERRONI,
-            c_values=c_values,
-            first_step=first,
-            grid_points=grid_points,
-            rejected_first_step=i in union,
-        ))
-    return out
+    return [
+        IntervalEstimate(lo, hi, alpha, IMMethod.IM_BONFERRONI, c_range, first_step=first,
+                         grid_points=grid_points, rejected_first_step=i in union)
+        for i, first in enumerate(zip(first_lo.tolist(), first_hi.tolist()))
+        for lo, hi, c_range in [union.get(i, (math.nan, math.nan, ()))]
+    ]

@@ -83,9 +83,11 @@ def population_truth(dgp: GaussianDGP, config: RobustConfig) -> PopulationTruth:
     (sigma1 -+ sigma0)^2 moment bounds, so one pair serves both methods.
     """
     tau_star = dgp.mu1 - dgp.mu0
-    v_joint = dgp.sigma1**2 + dgp.sigma0**2 - 2.0 * dgp.rho * dgp.sigma1 * dgp.sigma0
-    v_o = (dgp.sigma1 - dgp.sigma0) ** 2
-    v_p = (dgp.sigma1 + dgp.sigma0) ** 2
+    s1, s0 = dgp.sigma1, dgp.sigma0
+    # products, not **, which raises OverflowError: the solver rejects an inf
+    v_joint = s1 * s1 + s0 * s0 - 2.0 * dgp.rho * s1 * s0
+    v_o = (s1 - s0) * (s1 - s0)
+    v_p = (s1 + s0) * (s1 + s0)
     tau_dr, tau_p, tau_o = solve_minimax_many(tau_star, [v_joint, v_p, v_o], config).tolist()
     return PopulationTruth(
         tau_star=tau_star,

@@ -35,7 +35,9 @@ __all__ = [
 ]
 
 _BRACKET_TOL = 1e-12
-_MAX_ITER = 200
+# enough to bisect any finite bracket down to _BRACKET_TOL:
+# log2(1.8e308 / 1e-12) is about 1,064 halvings
+_MAX_ITER = 1100
 _EPS = np.finfo(float).eps
 
 

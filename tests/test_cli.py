@@ -477,6 +477,39 @@ def test_identical_arms_is_numerical_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numerical error: prediction at slot 0 is numerically zero")
 
 
+_CUSTOM_DGP = ["--mu1", "1", "--mu0", "0", "--delta", "0.1", "--n", "300", "--replications", "100"]
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    # bisecting [0, 1e60] down to the root near sqrt(2/3) takes over 200 steps
+    (["sweep", "--deltas", "2", "--true-v", "1", "--tau-star", "1e60"], 0, ""),
+    # outcomes of scale 1e-200: the arm variance underflows to 0
+    (["estimate", "--data", "{tiny}", "--delta", "0.5"], 3, "numerical error: KDE bandwidth 0.0"),
+    (["simulate", *_CUSTOM_DGP, "--sigma1", "1e-300", "--sigma0", "1e-300", "--out", "{out}"],
+     3, "numerical error: KDE bandwidth 0.0"),
+    (["simulate", *_CUSTOM_DGP, "--sigma1", "1e300", "--sigma0", "1e300", "--out", "{out}"],
+     2, "error: variance must be finite"),
+    # z(1 - level/2) is infinite for these alpha - beta and alpha
+    (["infer", "--data", "{case1}", "--delta", "0.5", "--alpha", "0.05",
+      "--beta", "0.04999999999999999"], 2, "error: level 1.3877787807814457e-17 is too small"),
+    (["infer", "--data", "{case1}", "--delta", "0.5", "--alpha", "1e-17", "--beta", "0"],
+     2, "error: level 1e-17 is too small"),
+    (["simulate", *_CUSTOM_DGP, "--sigma1", "2", "--sigma0", "1", "--alpha", "1e-300",
+      "--beta", "0", "--out", "{out}"], 2, "error: level 1e-300 is too small"),
+], ids=["sweep-tau-star-1e60", "estimate-tiny-scale", "simulate-tiny-sd", "simulate-huge-sd",
+        "infer-alpha-minus-beta", "infer-alpha", "simulate-alpha"])
+def test_extreme_inputs_end_in_a_documented_exit_code(argv, code, err, case1_csv, tmp_path, capsys):
+    rng = np.random.default_rng(6)
+    tiny = _write_csv(tmp_path / "tiny.csv", 1e-200 * rng.normal(size=400), np.repeat([1, 0], 200))
+    paths = {"tiny": tiny, "case1": case1_csv, "out": str(tmp_path / "run")}
+    assert main([a.format(**paths) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(err)
+    assert "warning" not in captured.err
+    if argv[0] == "sweep":
+        assert captured.out.splitlines()[1] == "2,0.8164965809,0.8164965809,0.8164965809"
+
+
 # ----------------------------------------------------------------- simulate
 
 

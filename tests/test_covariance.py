@@ -161,13 +161,13 @@ def test_neyman_sigma_rejects_zero_variance():
 
 def test_sharp_sigma_constant_arms_is_zero():
     s = _sample(np.ones(40), np.ones(40))
-    out = sigma_sharp(s, grid_size=200)
+    out = sigma_sharp(s)
     np.testing.assert_allclose(out.entries, 0.0, atol=1e-12)
 
 
 def test_sharp_sigma_smoke_gaussian():
     rng = np.random.default_rng(7)
-    out = sigma_sharp(_case1_marginals(rng, 10_000), grid_size=400)
+    out = sigma_sharp(_case1_marginals(rng, 10_000))
     assert np.all(np.isfinite(out.entries))
     assert out.method is SigmaMethod.SHARP_PLUGIN
     # tau* slot is exact algebra (no KDE), so it should be close already
@@ -188,7 +188,7 @@ def test_sharp_sigma_diagonals_match_monte_carlo():
     mc = n * np.var(stats, axis=0)
 
     big = _case1_marginals(np.random.default_rng(12), 100_000)
-    plug = sigma_sharp(big, grid_size=400).entries
+    plug = sigma_sharp(big).entries
     assert plug[0, 0] == pytest.approx(mc[0], rel=0.10)
     assert plug[1, 1] == pytest.approx(mc[1], rel=0.10)
     assert plug[2, 2] == pytest.approx(mc[2], rel=0.10)
@@ -199,9 +199,6 @@ def test_sharp_sigma_preconditions():
     small = _sample(rng.normal(size=29), rng.normal(size=50))
     with pytest.raises(ValidationError):
         sigma_sharp(small)
-    ok = _sample(rng.normal(size=40), rng.normal(size=40))
-    with pytest.raises(ValidationError):
-        sigma_sharp(ok, grid_size=199)
 
 
 def test_sharp_sigma_density_floor():
@@ -209,7 +206,16 @@ def test_sharp_sigma_density_floor():
     y = np.linspace(0.0, 1e7, 100)
     s = _sample(y, y + 1.0)
     with pytest.raises(NumericalError):
-        sigma_sharp(s, grid_size=200)
+        sigma_sharp(s)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-300])
+def test_sharp_sigma_outcome_scale_beyond_double_precision(scale):
+    # the arm variance underflows to 0, so Silverman's bandwidth is 0
+    rng = np.random.default_rng(8)
+    s = _sample(scale * rng.normal(size=200), scale * rng.normal(size=200))
+    with pytest.raises(NumericalError, match="bandwidth .* outcome scale"):
+        sigma_sharp(s)
 
 
 # --------------------------------------------- binned KDE against exact KDE
@@ -421,24 +427,6 @@ def test_sigma_sharp_many_raises_what_the_failing_sample_raises(kind, k):
     assert str(batched.value) == str(alone.value)
 
 
-def test_sigma_sharp_many_raises_the_first_failure_in_sample_order():
-    # the density of sample 1 fails in the batch stage, after sample 3 has
-    # failed its own checks on arrival: sample 1's error still comes first
-    rng = np.random.default_rng(33)
-    batch = [_case1_marginals(rng, 1_000), _FAILING["control-density"](rng),
-             _case1_marginals(rng, 1_000), _FAILING["small-arm"](rng)]
-    with pytest.raises(NumericalError, match="control-arm density below floor"):
-        sigma_sharp_many(iter(batch))
-
-    def draws():
-        yield batch[0]
-        yield batch[1]
-        raise ValidationError("the iterable failed")
-
-    with pytest.raises(NumericalError, match="control-arm density below floor"):
-        sigma_sharp_many(draws())
-
-
 # -------------------------------------------------------- delta-method SDs
 
 
@@ -578,7 +566,7 @@ def test_bootstrap_sigma_consistent_with_plugin():
     assert boot.method is SigmaMethod.BOOTSTRAP
     # agree with the analytic tau* variance within bootstrap noise
     assert boot.entries[2, 2] == pytest.approx(CASE1_S22, rel=0.25)
-    plug = sigma_sharp(smp, grid_size=300)
+    plug = sigma_sharp(smp)
     assert boot.entries[0, 0] == pytest.approx(plug.entries[0, 0], rel=0.3)
 
 

@@ -399,6 +399,34 @@ def test_two_step_contains_plain_im():
             assert union.upper >= im.upper - 1e-12
 
 
+def test_two_step_at_delta_zero_reports_the_zero_width_critical_value():
+    # at delta = 0 every grid point has tau_p = tau_o = t and zero conditional
+    # SDs, so the union is the first-step interval, and each grid point's c
+    # is the zero-width limit z(1 - (alpha - beta)/2), as in the plain IM step
+    s = _case1(np.random.default_rng(9), 2000)
+    alpha, beta = 0.05, 0.045
+    est = two_step_interval(estimate_robust(s, RobustConfig(0.0, 2.0)), alpha, beta)
+    assert est.rejected_first_step is True
+    assert (est.lower, est.upper) == est.first_step
+    z = float(ndtri(1.0 - (alpha - beta) / 2.0))
+    assert est.c_values[0] == est.c_values[1] == pytest.approx(z, rel=1e-14)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1e-17, 0.0), (1e-300, 0.0), (0.05, 0.04999999999999999)])
+def test_levels_with_an_infinite_normal_quantile_are_rejected(alpha, beta):
+    # z(1 - level/2) is infinite for alpha and for alpha - beta here; beta = 0
+    # alone stays legal (test_two_step_with_zero_beta_stops_at_first_step)
+    est = estimate_robust(_case1(np.random.default_rng(10), 2000), CFG)
+    with pytest.raises(ValidationError, match="infinite"):
+        if beta == 0.0:
+            plain_im_interval(est, alpha)
+        else:
+            two_step_interval(est, alpha, beta)
+    if beta == 0.0:
+        with pytest.raises(ValidationError, match="infinite"):
+            im_interval(0.0, 1.0, 1.0, 1.0, n=100, alpha=alpha)
+
+
 def test_two_step_monotone_in_alpha():
     rng = np.random.default_rng(6)
     s = _case1(rng, 2000)

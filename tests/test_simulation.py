@@ -86,6 +86,15 @@ def test_population_truth_case1_parameters():
     assert truth.v_p == pytest.approx(9.0)
 
 
+@pytest.mark.parametrize("sigma1, sigma0", [(1e300, 1e300), (1e300, 1.0), (1e200, 1e200)])
+def test_population_truth_with_an_overflowing_variance_is_validation_error(sigma1, sigma0):
+    # sigma**2 raised OverflowError here; the squares are now inf, which the
+    # solver's finite-variance check rejects
+    dgp = GaussianDGP(mu1=1.0, mu0=0.0, sigma1=sigma1, sigma0=sigma0, rho=0.7, e=0.3, n=100)
+    with pytest.raises(ValidationError, match="variance must be finite"):
+        population_truth(dgp, RobustConfig(0.1, 2.0))
+
+
 def test_population_bounds_agree_with_quadrature():
     # closed form (sigma1 -+ sigma0)^2 against numerical coupling integrals
     dgp, _ = case_preset(1)

@@ -307,6 +307,19 @@ def test_solver_near_the_largest_double(sign):
     assert tau_p == tau_o == pytest.approx(tau_star, rel=1e-15)
 
 
+@pytest.mark.parametrize("tau_star", [1e60, 1e200, -1e300, 1e308])
+def test_solver_bisects_down_from_a_huge_effect(tau_star):
+    # the root sits near 0 and every Newton step from |tau*|/2 leaves the
+    # bracket, so bisection of [0, |tau*|] alone must reach it: over 1,000
+    # halvings at 1e308. The first-order condition is then
+    # -1 + delta tau / sqrt(2 + tau^2) = 0, so tau = sqrt(2/3) at delta = 2.
+    want = math.copysign(math.sqrt(2.0 / 3.0), tau_star)
+    assert solve_minimax(tau_star, 1.0, RobustConfig(2.0, 2.0)) == pytest.approx(want, rel=1e-12)
+    bounds = VarianceBounds(v_o=1.0, v_p=1.0, method="sharp")
+    _, [tau_p], [tau_o] = sweep_delta(tau_star, bounds, 2.0, [2.0])
+    assert tau_p == tau_o == pytest.approx(want, rel=1e-12)
+
+
 def test_newton_root_bisects_a_bracket_near_the_largest_double():
     # a vanishing slope refuses every Newton step, so only bisection moves
     def fun(x):

@@ -130,6 +130,18 @@ INVOCATIONS = [
     ("sweep-population-q1.5-out", ["sweep", "--deltas", "0:3:0.0002", "--true-v", "0.5",
                                    "--tau-star", "2.5", "--q", "1.5", "--out", "sweep_q15.csv"]),
     ("sweep-data-q10", ["sweep", "--data", "pos.csv", "--deltas", "0:3:0.001", "--q", "10"]),
+    # inputs at the edges of double precision, each ending in exit 0, 2 or 3:
+    # a root near 0 that takes over 200 bisections of [0, 1e60] to reach
+    ("sweep-tau-star-1e60", ["sweep", "--deltas", "2", "--true-v", "1", "--tau-star", "1e60"]),
+    # outcomes of scale 1e-200, whose arm variances underflow to 0
+    ("estimate-tiny-scale", ["estimate", "--data", "tiny.csv", "--delta", "0.5"]),
+    # population variances that overflow
+    ("simulate-huge-sd", ["simulate", "--mu1", "1", "--mu0", "0", "--sigma1", "1e300",
+                          "--sigma0", "1e300", "--delta", "0.1", "--replications", "100",
+                          "--out", "simhuge"]),
+    # alpha - beta so small that z(1 - (alpha - beta)/2) is infinite
+    ("infer-level-infinite-z", ["infer", "--data", "pos.csv", "--delta", "0.5", "--alpha", "0.05",
+                                "--beta", "0.04999999999999999"]),
 ]
 
 
@@ -164,6 +176,7 @@ def write_inputs(work: Path) -> None:
     # a zero-spread control arm
     y_flat = np.concatenate((rng.normal(2.0, 2.0, 600), np.full(1400, 0.5)))
     _write_csv(work / "flat.csv", y_flat, np.repeat([1, 0], [600, 1400]))
+    _write_csv(work / "tiny.csv", 1e-200 * rng.normal(0.0, 1.0, 400), np.repeat([1, 0], 200))
     (work / "notutf8.csv").write_bytes(b"y,t\n1.0,1\n\xff,0\n")
     (work / "datadir").mkdir()
 
