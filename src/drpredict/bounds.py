@@ -16,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
-from .moments import ArmMoments
+from .moments import ArmMoments, scale_error
 from .sample import ExperimentalSample
 
 __all__ = [
     "BoundsMethod",
     "VarianceBounds",
     "neyman_bounds",
+    "mean_square_gaps",
     "sharp_bounds_empirical",
     "sharp_bounds_population",
     "variance_bounds",
@@ -37,6 +38,9 @@ class BoundsMethod(str, enum.Enum):
     def _missing_(cls, value):
         allowed = ", ".join(repr(m.value) for m in cls)
         raise ValidationError(f"unknown bounds method {value!r}; expected one of {allowed}")
+
+
+_ROUNDING = 1e-10  # relative size below which a bound violation, or a v_o, is rounding
 
 
 @dataclass(frozen=True)
@@ -55,7 +59,7 @@ class VarianceBounds:
     def __post_init__(self):
         v_o, v_p = float(self.v_o), float(self.v_p)
         scale = max(1.0, abs(v_o), abs(v_p))
-        tol = 1e-10 * scale
+        tol = _ROUNDING * scale
         if v_o < -tol:
             raise ValidationError(f"v_o must be nonnegative, got {v_o}")
         if v_o > v_p + tol:
@@ -121,47 +125,52 @@ def _merged_block(i0: int, na: int, nb: int, swap: bool):
     return (ib, ia, widths) if swap else (ia, ib, widths)
 
 
-def _frechet_covariances(y1_sorted: np.ndarray, y0_sorted: np.ndarray) -> tuple[float, float]:
-    """(max, min) covariance of the two empirical marginals over all couplings.
-
-    Cov_U pairs the quantile functions comonotonically, Cov_L antitonically;
-    both integrals are exact because the integrand is piecewise constant on
-    the merged grid.
-    """
-    m1 = m0 = s_u = s_l = 0.0
-    for idx1, idx0, widths in merged_grid_blocks(y1_sorted.shape[0], y0_sorted.shape[0]):
-        q1 = y1_sorted[idx1]
-        q0 = y0_sorted[idx0]
-        q0_rev = y0_sorted[::-1][idx0]
-        m1 += float(np.dot(widths, q1))
-        m0 += float(np.dot(widths, q0))
-        s_u += float(np.dot(widths, q1 * q0))
-        s_l += float(np.dot(widths, q1 * q0_rev))
-    return s_u - m1 * m0, s_l - m1 * m0
+def mean_square_gaps(a: np.ndarray, others) -> list:
+    """The integral of (Q_a(u) - Q_b(u))^2 du for each ``b`` of ``others``,
+    sorted arrays all of one length, with ``a`` sorted too: both empirical
+    quantile functions are constant on the cells of ``merged_grid_blocks``,
+    so each integral is an exact sum over the cells, all taken in one pass.
+    A reversed ``b`` gives the antitone coupling."""
+    totals = [0.0] * len(others)
+    with np.errstate(over="ignore", invalid="ignore"):  # callers check for an infinite total
+        for ia, ib, widths in merged_grid_blocks(a.shape[0], others[0].shape[0]):
+            qa = a[ia]
+            for k, b in enumerate(others):
+                diff = qa - b[ib]
+                totals[k] += float(np.dot(widths, diff * diff))
+            del ia, ib, widths, qa, diff  # two blocks alive at once would double the peak
+    return totals
 
 
 def sharp_bounds_empirical(sample: ExperimentalSample) -> VarianceBounds:
     """Coupling-based (Frechet-Hoeffding) bounds from an experimental sample.
 
-    v_o = Var(Y1) + Var(Y0) - 2*Cov_U and v_p = Var(Y1) + Var(Y0) - 2*Cov_L,
-    where Cov_U / Cov_L are the maximal (comonotone) and minimal (antitonic)
-    covariances compatible with the two empirical marginals. A slightly
-    negative v_o from floating-point cancellation is clamped to zero.
+    v_o and v_p are Var(Y1 - Y0) under the comonotone and the antitone
+    coupling of the two empirical marginals: the mean square quantile gap
+    of the treated arm, shifted by the difference in means, against the
+    control arm and against it reversed (``mean_square_gaps``). Neither
+    depends on where the arms sit. A v_o below _ROUNDING * v_p (one arm a
+    shift of the other, up to rounding) is 0.
 
     Raises
     ------
     ValidationError
         If either arm has fewer than two observations.
+    NumericalError
+        If a squared gap overflows (``moments.scale_error``).
     """
     if sample.n1 < 2 or sample.n0 < 2:
         raise ValidationError(
             f"need >= 2 observations per arm, got n1={sample.n1}, n0={sample.n0}"
         )
-    var1, var0 = sample.arm_variances
-    cov_u, cov_l = _frechet_covariances(*sample.sorted_arms)
-    v_o = var1 + var0 - 2.0 * cov_u
-    v_p = var1 + var0 - 2.0 * cov_l
-    return VarianceBounds(v_o=max(v_o, 0.0), v_p=max(v_p, 0.0), method=BoundsMethod.SHARP)
+    y1, y0 = sample.sorted_arms
+    v_o, v_p = mean_square_gaps(y1 - (y1.mean() - y0.mean()), (y0, y0[::-1]))
+    if not math.isfinite(v_p):  # a square past 1.8e308: name the arm of wider range
+        arm, y = max(("treated", y1), ("control", y0), key=lambda a: float(a[1][-1]) - float(a[1][0]))
+        raise scale_error(arm, y, "the squared quantile gaps")
+    if v_o <= _ROUNDING * v_p:
+        v_o = 0.0
+    return VarianceBounds(v_o=v_o, v_p=v_p, method=BoundsMethod.SHARP)
 
 
 def variance_bounds(sample: ExperimentalSample, moments: ArmMoments,
@@ -176,7 +185,7 @@ def variance_bounds(sample: ExperimentalSample, moments: ArmMoments,
 def sharp_bounds_population(q1, q0, grid_size: int = 10_000) -> VarianceBounds:
     """Coupling-based bounds from known quantile functions.
 
-    Means, variances, and the extremal covariances are all evaluated with
+    The variances of Q1(U) - Q0(U) and Q1(U) - Q0(1 - U) are evaluated with
     the midpoint rule on a uniform grid over (0,1), so quantile callables
     only ever see interior points. Used to compute population targets.
 
@@ -197,12 +206,6 @@ def sharp_bounds_population(q1, q0, grid_size: int = 10_000) -> VarianceBounds:
     u = (np.arange(grid_size) + 0.5) / grid_size
     v1 = np.asarray(q1(u), dtype=float)
     v0 = np.asarray(q0(u), dtype=float)
-    m1, m0 = v1.mean(), v0.mean()
-    var1 = float(v1.var())
-    var0 = float(v0.var())
-    cov_u = float((v1 * v0).mean()) - m1 * m0
     # The grid is symmetric under u -> 1-u, so the antitonic pairing is a flip.
-    cov_l = float((v1 * v0[::-1]).mean()) - m1 * m0
-    v_o = var1 + var0 - 2.0 * cov_u
-    v_p = var1 + var0 - 2.0 * cov_l
-    return VarianceBounds(v_o=max(v_o, 0.0), v_p=max(v_p, 0.0), method=BoundsMethod.SHARP)
+    return VarianceBounds(v_o=float((v1 - v0).var()), v_p=float((v1 - v0[::-1]).var()),
+                          method=BoundsMethod.SHARP)

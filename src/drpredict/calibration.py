@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import merged_grid_blocks
+from .bounds import mean_square_gaps
 from .exceptions import ValidationError
+from .moments import scale_error
 from .sample import EmpiricalDistribution, ExperimentalSample
 
 __all__ = [
@@ -29,9 +30,10 @@ def wasserstein2_1d(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float
     """Exact 2-Wasserstein distance between two empirical distributions.
 
     Both quantile functions are constant on the cells of the merged
-    partition {k/m_a} union {k/m_b} (``bounds.merged_grid_blocks``), so the
-    coupling integral sqrt(integral of (Q_a(u) - Q_b(u))^2 du) is evaluated
-    without discretization error, and W2(a, b) == W2(b, a) exactly.
+    partition {k/m_a} union {k/m_b}, so the coupling integral
+    sqrt(integral of (Q_a(u) - Q_b(u))^2 du) is ``bounds.mean_square_gaps``
+    without discretization error, and W2(a, b) == W2(b, a) exactly. It is
+    inf when a squared gap overflows.
     """
     return _w2_sorted(a.sorted_values, b.sorted_values)
 
@@ -39,12 +41,7 @@ def wasserstein2_1d(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float
 def _w2_sorted(a: np.ndarray, b: np.ndarray) -> float:
     """``wasserstein2_1d`` of two sorted, finite, nonempty float arrays,
     which it does not check again."""
-    total = 0.0
-    for ia, ib, widths in merged_grid_blocks(a.shape[0], b.shape[0]):
-        diff = a[ia] - b[ib]
-        total += float(np.dot(widths, diff * diff))
-        del ia, ib, widths, diff  # two blocks alive at once would double the peak
-    return math.sqrt(total)
+    return math.sqrt(mean_square_gaps(a, (b,))[0])
 
 
 # ------------------------------------------------------------------- splits
@@ -84,7 +81,8 @@ class RadiusBenchmark:
 
 
 def _arm_distance(arm, values, in_cell):
-    """W2 between one arm's two cells; ValidationError below 2 per cell."""
+    """W2 between one arm's two cells; ValidationError below 2 per cell,
+    NumericalError when a squared gap overflows."""
     first, second = values[in_cell], values[~in_cell]
     if first.size < 2 or second.size < 2:
         raise ValidationError(
@@ -93,7 +91,10 @@ def _arm_distance(arm, values, in_cell):
         )
     first.sort()
     second.sort()
-    return _w2_sorted(first, second)  # a sample's outcomes are finite floats
+    w2 = _w2_sorted(first, second)  # a sample's outcomes are finite floats
+    if not math.isfinite(w2):
+        raise scale_error(("control", "treated")[arm], values, "the squared quantile gaps")
+    return w2
 
 
 def split_benchmark(
@@ -113,7 +114,8 @@ def split_benchmark(
     permutation shuffles an arm's cell labels by ``rng.permutation(m)``;
     Fisher-Yates draws do not depend on what they shuffle, so a given seed
     draws the same null as shuffling the arm's row indices does. A negative
-    permutation count or seed raises ValidationError.
+    permutation count or seed raises ValidationError, and outcomes whose
+    squared gaps overflow raise NumericalError.
     """
     split = SplitRule(split)
     if permutations < 0:

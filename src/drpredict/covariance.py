@@ -343,7 +343,7 @@ class _Arm(NamedTuple):
     """
 
     kde: tuple | None  # _bin_kde of the arm at its quantiles
-    q: np.ndarray  # the u-grid quantiles
+    q: np.ndarray  # the u-grid quantiles less the arm's mean
     var: float
     w: float  # 1 / the arm's share of the sample
     b: np.ndarray | None  # (3, 2): psi's loadings on (d, d^2)
@@ -363,15 +363,15 @@ class _Summary(NamedTuple):
     control: _Arm
 
 
-def _summarize_arm(y, var, q, share, sign, mean, other_mean) -> _Arm:
-    """``_Arm`` of the sorted outcomes ``y``; ``sign`` is +1 for the treated
-    arm and -1 for the control arm, ``mean`` and ``other_mean`` are the two
-    arm means. The per-observation work of Sigma is all here: one pass that
-    bins the arm for its KDE and one that sums d = y - mean and d^2 over
-    each segment between consecutive quantiles (``np.add.reduceat``)."""
+def _summarize_arm(y, var, q, share, sign, mean) -> _Arm:
+    """``_Arm`` of the sorted outcomes ``y`` with u-grid quantiles ``q``;
+    ``sign`` is +1 for the treated arm and -1 for the control arm. The
+    per-observation work of Sigma is all here: one pass that bins the arm
+    for its KDE and one that sums d = y - mean and d^2 over each segment
+    between consecutive quantiles (``np.add.reduceat``)."""
     w = 1.0 / share
     if y[0] == y[-1]:
-        return _Arm(None, q, var, w, None, None, None, None, None)
+        return _Arm(None, q - mean, var, w, None, None, None, None, None)
     h = _silverman_bandwidth(y, var)
     if not 0.0 < h < math.inf:  # a variance that underflows to 0, a spread that overflows
         raise NumericalError(
@@ -384,10 +384,10 @@ def _summarize_arm(y, var, q, share, sign, mean, other_mean) -> _Arm:
     edges = np.concatenate(([0], np.searchsorted(y, q, side="right"), [n]))
     return _Arm(
         kde=kde,
-        q=q,
+        q=q - mean,
         var=var,
         w=w,
-        b=np.array([[2.0 * other_mean * w, w], [2.0 * other_mean * w, w], [sign * w, 0.0]]),
+        b=np.array([[0.0, w], [0.0, w], [sign * w, 0.0]]),
         counts=edges[1:] - edges[:-1],
         segments=np.add.reduceat(powers, edges[:-1], axis=1),
         second=powers @ powers.T,
@@ -413,8 +413,8 @@ def _summarize(sample: ExperimentalSample) -> _Summary:
     q1, q0 = quantile_at(y1, u), quantile_at(y0, u)
     return _Summary(
         sample.n, u, du,
-        _summarize_arm(y1, var1, q1, e, 1.0, tau1, tau0),
-        _summarize_arm(y0, var0, q0, 1.0 - e, -1.0, tau0, tau1),
+        _summarize_arm(y1, var1, q1, e, 1.0, tau1),
+        _summarize_arm(y0, var0, q0, 1.0 - e, -1.0, tau0),
     )
 
 
@@ -423,20 +423,21 @@ def _arm_grams(arms: list, f: np.ndarray, u: np.ndarray, du: np.ndarray, q_other
     is an observation's (V_p, V_o, tau*) influence value: (A, 3, 3) and
     (A, 3) from A ``_Arm`` records, their densities ``f`` (A, G), their
     samples' u-grids ``u`` (A, G) and steps ``du`` (A,), and the other
-    arms' quantiles ``q_other`` (A, G).
+    arms' centred quantiles ``q_other`` (A, G).
 
-    With d = y - mean, m' the other arm's mean and s the arm's share,
-    psi = B (d, d^2) + g[k] with
+    With d = y - mean and s the arm's share, psi = B (d, d^2) + g[k] with
 
-        B = [[2 m', 1], [2 m', 1], [sign, 0]] / s,
+        B = [[0, 1], [0, 1], [sign, 0]] / s,
 
     and g[k] a constant of the segment k = #{u-grid quantiles < y}, one of
     G + 1. Its V_p and V_o entries are (2 S[k] - 2 (u . a) - var) / s: the
     quantile-process piece, the integral of Qdot(u) W(u) du with
     Qdot(u) = -[1{y <= Q(u)} - u] / (s f(Q(u))), is a step in u, so on the
     grid it is the suffix sum S[k] of a = du W / f. W is the other arm's
-    quantile function, reversed for V_p (the antitone coupling). So both
-    sums follow from the segment and whole-arm sums of the ``_Arm``.
+    quantile function less that arm's mean, reversed for V_p (the antitone
+    coupling). With both arms centred, psi does not move when either arm is
+    shifted. Both sums follow from the segment and whole-arm sums of the
+    ``_Arm``.
 
     Each arm's numbers are those of the same products on its own 2-D
     arrays, so they do not depend on the batch.

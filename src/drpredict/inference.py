@@ -34,7 +34,7 @@ from .covariance import (
     sigma_sharp_many,
 )
 from .exceptions import NumericalError, ValidationError
-from .moments import ArmMoments, estimate_moments
+from .moments import ArmMoments, check_fourth_moments, estimate_moments
 from .sample import ExperimentalSample
 from .solver import RobustConfig, newton_root, solve_minimax_many
 
@@ -264,7 +264,9 @@ def estimate_robust_many(samples, config: RobustConfig, method=BoundsMethod.SHAR
     ------
     NumericalError
         As ``covariance.prediction_sd_grid`` does, for the first prediction
-        (in sample order, tau_p before tau_o) that has no smooth expansion.
+        (in sample order, tau_p before tau_o) that has no smooth expansion;
+        and, when q > 1, for an arm whose fourth moments overflow
+        (``moments.check_fourth_moments``).
     """
     sharp = BoundsMethod(method) is BoundsMethod.SHARP
     pieces = []
@@ -273,6 +275,8 @@ def estimate_robust_many(samples, config: RobustConfig, method=BoundsMethod.SHAR
     def arrivals():
         for sample in samples:
             moments = estimate_moments(sample)
+            if config.q > 1.0:
+                check_fourth_moments(sample, moments)
             pieces.append((moments, variance_bounds(sample, moments, method), sample.n))
             if not sharp and config.q > 1.0:
                 sigmas.append(sigma_neyman(moments))

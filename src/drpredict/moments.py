@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ValidationError
+from .exceptions import NumericalError, ValidationError
 from .sample import ExperimentalSample
 
-__all__ = ["ArmMoments", "estimate_moments"]
+__all__ = ["ArmMoments", "check_fourth_moments", "estimate_moments", "scale_error"]
 
 
 @dataclass(frozen=True)
@@ -37,10 +38,11 @@ class ArmMoments:
 
 
 def _central_moments(y: np.ndarray) -> tuple[float, float, float, float]:
-    mean = y.mean()
-    d = y - mean
-    d2 = d * d
-    return float(mean), float(d2.mean()), float((d2 * d).mean()), float((d2 * d2).mean())
+    with np.errstate(over="ignore", invalid="ignore"):  # see check_fourth_moments
+        mean = y.mean()
+        d = y - mean
+        d2 = d * d
+        return float(mean), float(d2.mean()), float((d2 * d).mean()), float((d2 * d2).mean())
 
 
 def estimate_moments(sample: ExperimentalSample) -> ArmMoments:
@@ -68,3 +70,24 @@ def estimate_moments(sample: ExperimentalSample) -> ArmMoments:
         mu4_0=m4_0,
         e_hat=sample.n1 / sample.n,
     )
+
+
+def scale_error(arm: str, y: np.ndarray, what: str) -> NumericalError:
+    """The error for an arm of outcomes ``y`` whose ``what`` overflow. It
+    names the arm's largest magnitude and its SD, taken on y / max|y| so
+    that it does not overflow itself."""
+    peak = float(np.abs(y).max())
+    return NumericalError(
+        f"{what} of the {arm} arm overflow: the outcome scale (arm SD "
+        f"{peak * float(np.std(y / peak)):.3g}, largest |y| {peak:.3g}) is beyond double precision"
+    )
+
+
+def check_fourth_moments(sample: ExperimentalSample, moments: ArmMoments) -> None:
+    """Raise ``scale_error`` unless both arms' fourth moments, about their
+    means and about 0, are finite: every covariance of the bounds needs the
+    former, and the delta-method SDs powers of tau* up to the third."""
+    for arm, y, mean, mu4 in (("treated", sample.treated, moments.tau1, moments.mu4_1),
+                              ("control", sample.control, moments.tau0, moments.mu4_0)):
+        if not math.isfinite(mu4 + (mean * mean) * (mean * mean)):
+            raise scale_error(arm, y, "the fourth moments")

@@ -101,7 +101,8 @@ class ExperimentalSample:
         """(treated, control) outcomes, each sorted ascending and read-only.
 
         Computed on first access and kept, so the sharp bounds and their
-        covariance share one sort of each arm.
+        covariance share one sort of each arm. A shift keeps an arm sorted,
+        so the sharp bounds centre the treated arm on this sort.
         """
         arms = (self.treated, self.control)  # fresh copies, safe to sort in place
         for arm in arms:

@@ -95,7 +95,6 @@ def _arm_influence(
     share: float,
     sign: float,
     mean: float,
-    other_mean: float,
     u: np.ndarray,
     du: float,
     q: np.ndarray,
@@ -107,15 +106,15 @@ def _arm_influence(
 
     ``share`` is the arm's fraction of the sample and ``sign`` is +1 for the
     treated arm, -1 for the control arm. The quantile-process piece is the
-    integral of Qdot_i(u) * Q_other(u) du, with Q_other reversed for the
-    antitone coupling (V_p), where Qdot_i(u) = -[1{y_i <= Q(u)} - u] /
-    (share * f(Q(u))). The indicator is a step in u, so the integral is a
-    suffix sum over the grid plus one searchsorted per observation.
+    integral of Qdot_i(u) * Q_other(u) du, with ``q_other`` the other arm's
+    quantiles less that arm's mean, reversed for the antitone coupling (V_p), where
+    Qdot_i(u) = -[1{y_i <= Q(u)} - u] / (share * f(Q(u))). The indicator is
+    a step in u, so the integral is a suffix sum over the grid plus one
+    searchsorted per observation.
     """
     arm_dot = (y - mean) / share
     out[2] = sign * arm_dot
     sig_dot = ((y - mean) ** 2 - float(y.var())) / share
-    gamma_dot = other_mean * arm_dot
     k = None if f is None else np.searchsorted(q, y, side="left")
     for row, weights in ((0, q_other[::-1]), (1, q_other)):
         theta_dot = 0.0
@@ -123,7 +122,7 @@ def _arm_influence(
             a = du * weights / f
             suffix = np.concatenate((np.cumsum(a[::-1])[::-1], [0.0]))
             theta_dot = -(suffix[k] - float(np.dot(u, a))) / share
-        out[row] = sig_dot - 2.0 * (theta_dot - gamma_dot)
+        out[row] = sig_dot - 2.0 * theta_dot
 
 
 def _arm_density(y_sorted: np.ndarray, q: np.ndarray) -> np.ndarray | None:
@@ -147,8 +146,8 @@ def sigma_sharp_influence(sample, grid_size: int = 400) -> np.ndarray:
     q1, q0 = quantile_at(y1, u), quantile_at(y0, u)
     f1, f0 = _arm_density(y1, q1), _arm_density(y0, q0)
     psi = np.empty((3, sample.n))
-    _arm_influence(psi[:, : sample.n1], y1, e, 1.0, tau1, tau0, u, du, q1, f1, q0)
-    _arm_influence(psi[:, sample.n1 :], y0, 1.0 - e, -1.0, tau0, tau1, u, du, q0, f0, q1)
+    _arm_influence(psi[:, : sample.n1], y1, e, 1.0, tau1, u, du, q1, f1, q0 - tau0)
+    _arm_influence(psi[:, sample.n1 :], y0, 1.0 - e, -1.0, tau0, u, du, q0, f0, q1 - tau1)
     psi -= psi.mean(axis=1, keepdims=True)
     return psi @ psi.T / sample.n
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -245,15 +245,38 @@ def test_sharp_bounds_always_ordered(y1, y0):
     c=st.floats(min_value=0.1, max_value=10.0),
     shift=finite,
 )
+# arms close together far from 0, where raw cross moments less a product
+# of means lose their digits
+@example(y1=[99.0, 99.5, 99.9], y0=[98.0, 99.25], c=10.0, shift=100.0)
 def test_sharp_bounds_affine_equivariance(y1, y0, c, shift):
-    """Scaling both arms by c scales both bounds by c^2; shifts do nothing."""
+    """Scaling both arms by c scales both bounds by c^2; shifts do nothing.
+
+    Both bounds are mean square gaps, so an error of at most r in each gap
+    moves them by at most r (2 sqrt(v) + r), where r covers the rounding of
+    the transformed inputs, of the mean difference and of the gaps.
+    """
     base = sharp_bounds_empirical(_sample(y1, y0))
     scaled = sharp_bounds_empirical(
         _sample([c * v + shift for v in y1], [c * v + shift for v in y0])
     )
-    tol = 1e-7 * max(1.0, c * c * max(abs(v) for v in y1 + y0) ** 2)
+    r = 16.0 * np.finfo(float).eps * (c * max(abs(v) for v in y1 + y0) + abs(shift))
+    tol = r * (2.0 * c * math.sqrt(base.v_p) + r)
     assert scaled.v_o == pytest.approx(c * c * base.v_o, abs=tol)
     assert scaled.v_p == pytest.approx(c * c * base.v_p, abs=tol)
+
+
+@pytest.mark.parametrize("shift1, shift0", [(1e8, 1e8), (1e6, 0.0), (0.0, -1e6), (-1e8, 1e8)])
+def test_sharp_bounds_invariant_to_shifts_of_either_arm(shift1, shift0):
+    # a shift moves every outcome by up to half an ulp of the shift, and the
+    # mean difference by as much again: the bounds move by no more
+    rng = np.random.default_rng(10)
+    y1, y0 = rng.normal(2.0, 2.0, 3000), rng.normal(0.2, 1.0, 7000)
+    base = sharp_bounds_empirical(_sample(y1, y0))
+    shifted = sharp_bounds_empirical(_sample(y1 + shift1, y0 + shift0))
+    r = 4.0 * np.finfo(float).eps * (abs(shift1) + abs(shift0) + 10.0)
+    tol = r * (2.0 * math.sqrt(base.v_p) + r)
+    assert shifted.v_o == pytest.approx(base.v_o, abs=tol)
+    assert shifted.v_p == pytest.approx(base.v_p, abs=tol)
 
 
 @settings(max_examples=60, deadline=None)

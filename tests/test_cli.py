@@ -496,12 +496,26 @@ _CUSTOM_DGP = ["--mu1", "1", "--mu0", "0", "--delta", "0.1", "--n", "300", "--re
      2, "error: level 1e-17 is too small"),
     (["simulate", *_CUSTOM_DGP, "--sigma1", "2", "--sigma0", "1", "--alpha", "1e-300",
       "--beta", "0", "--out", "{out}"], 2, "error: level 1e-300 is too small"),
+    # outcomes of scale 1e200: fourth moments and squared gaps overflow
+    (["estimate", "--data", "{huge}", "--delta", "0.5"], 3,
+     "numerical error: the fourth moments of the treated arm overflow: the outcome scale (arm SD 9.78e+199,"),
+    (["estimate", "--data", "{huge}", "--delta", "0.5", "--bounds", "neyman"], 3,
+     "numerical error: the fourth moments of the treated arm overflow: the outcome scale (arm SD 9.78e+199,"),
+    (["benchmark", "--data", "{huge}"], 3,
+     "numerical error: the squared quantile gaps of the treated arm overflow: the outcome scale (arm SD 9.78e+199,"),
+    # a treated arm at 1e300, whose unit SD is lost in rounding
+    (["simulate", "--mu1", "1e300", "--mu0", "0", "--sigma1", "1", "--sigma0", "1", "--delta", "0.1",
+      "--replications", "100", "--out", "{out}"], 3,
+     "numerical error: the fourth moments of the treated arm overflow: the outcome scale (arm SD 0, "
+     "largest |y| 1e+300) is beyond double precision"),
 ], ids=["sweep-tau-star-1e60", "estimate-tiny-scale", "simulate-tiny-sd", "simulate-huge-sd",
-        "infer-alpha-minus-beta", "infer-alpha", "simulate-alpha"])
+        "infer-alpha-minus-beta", "infer-alpha", "simulate-alpha", "estimate-huge-scale",
+        "estimate-huge-scale-neyman", "benchmark-huge-scale", "simulate-huge-mean"])
 def test_extreme_inputs_end_in_a_documented_exit_code(argv, code, err, case1_csv, tmp_path, capsys):
     rng = np.random.default_rng(6)
     tiny = _write_csv(tmp_path / "tiny.csv", 1e-200 * rng.normal(size=400), np.repeat([1, 0], 200))
-    paths = {"tiny": tiny, "case1": case1_csv, "out": str(tmp_path / "run")}
+    huge = _write_csv(tmp_path / "huge.csv", 1e200 * rng.normal(size=400), np.repeat([1, 0], 200))
+    paths = {"tiny": tiny, "huge": huge, "case1": case1_csv, "out": str(tmp_path / "run")}
     assert main([a.format(**paths) for a in argv]) == code
     captured = capsys.readouterr()
     assert captured.err.startswith(err)

@@ -218,6 +218,19 @@ def test_sharp_sigma_outcome_scale_beyond_double_precision(scale):
         sigma_sharp(s)
 
 
+@pytest.mark.parametrize("shift1, shift0", [
+    (1e3, 0.0), (-1e3, 0.0), (0.0, 1e3), (0.0, -1e3), (1e3, 1e3), (-1e3, -1e3), (1e3, -1e3),
+])
+def test_sharp_sigma_invariant_to_shifts_of_either_arm(shift1, shift0):
+    # V_p, V_o and tau* do not move when an arm is shifted, so neither may
+    # their covariance: each arm enters centred on its own mean
+    smp = _case1_marginals(np.random.default_rng(17), 4000)
+    base = sigma_sharp(smp).entries
+    shifted = sigma_sharp(_sample(smp.treated + shift1, smp.control + shift0)).entries
+    scale = np.sqrt(np.outer(np.diag(base), np.diag(base)))
+    assert np.all(np.abs(shifted - base) <= 1e-10 * scale)
+
+
 # --------------------------------------------- binned KDE against exact KDE
 
 _FAMILIES = {

@@ -142,6 +142,12 @@ INVOCATIONS = [
     # alpha - beta so small that z(1 - (alpha - beta)/2) is infinite
     ("infer-level-infinite-z", ["infer", "--data", "pos.csv", "--delta", "0.5", "--alpha", "0.05",
                                 "--beta", "0.04999999999999999"]),
+    # pos.csv with its treated arm, and with both arms, shifted by 10^6
+    ("estimate-shift-treated", ["estimate", "--data", "pos_treated_1e6.csv", "--delta", "0.5",
+                                "--json"]),
+    ("infer-shift-treated", ["infer", "--data", "pos_treated_1e6.csv", "--delta", "0.5", "--json"]),
+    ("estimate-shift-both", ["estimate", "--data", "pos_both_1e6.csv", "--delta", "0.5", "--json"]),
+    ("infer-shift-both", ["infer", "--data", "pos_both_1e6.csv", "--delta", "0.5", "--json"]),
 ]
 
 
@@ -159,6 +165,8 @@ def write_inputs(work: Path) -> None:
     y = np.where(t == 1, rng.normal(2.0, 2.0, 3000), rng.normal(0.2, 1.0, 3000))
     m = (rng.random(3000) < 0.5).astype(int)
     _write_csv(work / "pos.csv", y, t, m)
+    _write_csv(work / "pos_treated_1e6.csv", y + 1e6 * t, t)
+    _write_csv(work / "pos_both_1e6.csv", y + 1e6, t)
     _write_csv(work / "neg.csv", -y, t)
     t_null = (rng.random(800) < 0.5).astype(int)
     _write_csv(work / "null.csv", rng.normal(0.0, 1.0, 800), t_null)
