@@ -240,9 +240,24 @@ def _silverman_bandwidth(y_sorted: np.ndarray, var: float) -> float:
 
 
 def _bin_kde(data: np.ndarray, x: np.ndarray, h: float):
-    """The linear-binning half of ``_kde_binned``: the bin weights of every
-    window in one array, the points ``x`` in bins along it, and the factor
-    that turns a smoothed bin into a density."""
+    """The linear-binning half of the Gaussian-kernel density of sorted
+    ``data`` at ascending points ``x``, by linear binning and FFT convolution
+    (Silverman 1982, AS 176); ``_smooth_kde`` is the other half. Returns the
+    bin weights of every window in one array, the points ``x`` in bins along
+    it, and the factor that turns a smoothed bin into a density.
+
+    Bins are h / KDE_BINS_PER_BANDWIDTH wide. With c = KDE_REACH_BANDWIDTHS,
+    ``x`` splits wherever consecutive points are more than 2c h apart, and
+    each run gets a window of bins reaching c h past its ends. So the grid
+    length is set by ``x``, never by the range of ``data``: at most
+    2 c KDE_BINS_PER_BANDWIDTH + 3 bins per point. A datum outside every
+    window lies more than c h from every point and would add under
+    exp(-c^2/2) of one kernel peak; it is left out of the sum but counted in
+    the normalisation.
+
+    ``sigma_sharp_many`` runs the two halves apart: ``_bin_kde`` as each
+    sample arrives, and ``_smooth_kde`` once per batch.
+    """
     r = KDE_BINS_PER_BANDWIDTH * KDE_REACH_BANDWIDTHS  # kernel half-width in bins
     dx = h / KDE_BINS_PER_BANDWIDTH
     cut = np.flatnonzero(np.diff(x) > 2 * r * dx) + 1
@@ -286,7 +301,7 @@ def _kernel_spectrum(period: int) -> np.ndarray:
 
 
 def _smooth_kde(binned: list) -> list:
-    """The convolution half of ``_kde_binned``, for a list of ``_bin_kde``
+    """The convolution half of the binned KDE, for a list of ``_bin_kde``
     results: the density of each at its points.
 
     Every grid is convolved with the kernel by FFT. Grids of one period are
@@ -314,25 +329,6 @@ def _smooth_kde(binned: list) -> list:
             grid, at, norm = binned[i]
             out[i] = np.interp(at, bins[: grid.shape[0]], row[: grid.shape[0]]) * norm
     return out
-
-
-def _kde_binned(data: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
-    """Gaussian-kernel density of sorted ``data`` at ascending points ``x``,
-    by linear binning and FFT convolution (Silverman 1982, AS 176).
-
-    Bins are h / KDE_BINS_PER_BANDWIDTH wide. With c = KDE_REACH_BANDWIDTHS,
-    ``x`` splits wherever consecutive points are more than 2c h apart, and
-    each run gets a window of bins reaching c h past its ends. So the grid
-    length is set by ``x``, never by the range of ``data``: at most
-    2 c KDE_BINS_PER_BANDWIDTH + 3 bins per point. A datum outside every
-    window lies more than c h from every point and would add under
-    exp(-c^2/2) of one kernel peak; it is left out of the sum but counted in
-    the normalisation.
-
-    ``sigma_sharp_many`` runs the two halves apart: ``_bin_kde`` as each
-    sample arrives, and ``_smooth_kde`` once per batch.
-    """
-    return _smooth_kde([_bin_kde(data, x, h)])[0]
 
 
 class _Arm(NamedTuple):
@@ -526,7 +522,7 @@ def sigma_sharp(sample: ExperimentalSample) -> SigmaMatrix:
     Sigma is the empirical covariance of the per-observation influence
     values of (V_hat_p, V_hat_o, tau_hat), which combine arm-mean,
     arm-variance and quantile-process contributions; the latter go through
-    binned kernel density estimates (_kde_binned) at the empirical
+    binned kernel density estimates (_bin_kde, _smooth_kde) at the empirical
     quantiles of a trimmed uniform u-grid of U_GRID_SIZE points on the band
     [trim, 1 - trim], where trim shrinks from 1% toward 0.025% as the
     smaller arm grows (see _u_trim). The u-grid quantiles cut each sorted

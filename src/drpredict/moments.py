@@ -87,7 +87,7 @@ def check_fourth_moments(sample: ExperimentalSample, moments: ArmMoments) -> Non
     """Raise ``scale_error`` unless both arms' fourth moments, about their
     means and about 0, are finite: every covariance of the bounds needs the
     former, and the delta-method SDs powers of tau* up to the third."""
-    for arm, y, mean, mu4 in (("treated", sample.treated, moments.tau1, moments.mu4_1),
-                              ("control", sample.control, moments.tau0, moments.mu4_0)):
+    for arm, mean, mu4 in (("treated", moments.tau1, moments.mu4_1),
+                           ("control", moments.tau0, moments.mu4_0)):
         if not math.isfinite(mu4 + (mean * mean) * (mean * mean)):
-            raise scale_error(arm, y, "the fourth moments")
+            raise scale_error(arm, getattr(sample, arm), "the fourth moments")

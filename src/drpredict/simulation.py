@@ -11,6 +11,7 @@ quantity that is only partially identified in real data.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -231,25 +232,6 @@ def _replicate_batch(dgp, config, children, alpha, beta, bound_method, grid_poin
     ]
 
 
-def _replicate_block(
-    dgp, config, seed, replications, start, stop, alpha, beta, bound_method, grid_points
-):
-    """Replications [start, stop) of a study, reconstructing seeds by index.
-
-    Module-level (picklable) so worker processes can run blocks; rebuilding
-    the full spawn in each worker keeps per-replication streams identical to
-    a serial run. The range is walked in batches of _BATCH replications, and
-    a replication's numbers do not depend on its batch.
-    """
-    children = np.random.SeedSequence(seed).spawn(replications)[start:stop]
-    records = []
-    for lo in range(0, len(children), _BATCH):
-        records += _replicate_batch(
-            dgp, config, children[lo : lo + _BATCH], alpha, beta, bound_method, grid_points
-        )
-    return records
-
-
 def run_coverage_study(
     dgp: GaussianDGP,
     config: RobustConfig,
@@ -270,10 +252,12 @@ def run_coverage_study(
     is averaged over every replication; two-step results are averaged over
     the replications whose first step rejected a zero effect.
 
-    ``workers`` > 1 runs replications in a process pool of at most
-    ``os.cpu_count()`` processes. Seeds are assigned by replication index
-    and aggregation happens in index order, so the report is identical for
-    any worker count.
+    The replications' child seeds are spawned once, in index order, and cut
+    into batches of ``_BATCH``; ``_replicate_batch`` is mapped over the
+    batches. ``workers`` > 1 maps them over a process pool of at most
+    ``os.cpu_count()`` processes and at most one per batch. A replication's
+    record depends only on its seed, and the records are aggregated in index
+    order, so the report is identical for any worker count.
     """
     if replications < 100:
         raise ValidationError(f"replications must be >= 100, got {replications}")
@@ -286,42 +270,29 @@ def run_coverage_study(
     truth = population_truth(dgp, config)
     target = truth.tau_dr
 
-    workers = min(workers, replications, os.cpu_count() or 1)
+    children = np.random.SeedSequence(seed).spawn(replications)
+    batches = [children[lo : lo + _BATCH] for lo in range(0, replications, _BATCH)]
+    replicate = functools.partial(
+        _replicate_batch, dgp, config, alpha=alpha, beta=beta,
+        bound_method=bound_method, grid_points=grid_points,
+    )
+    workers = min(workers, len(batches), os.cpu_count() or 1)
     if workers == 1:
-        records = _replicate_block(
-            dgp, config, seed, replications, 0, replications,
-            alpha, beta, bound_method, grid_points,
-        )
+        per_batch = list(map(replicate, batches))
     else:
-        edges = np.linspace(0, replications, workers + 1).astype(int)
         import concurrent.futures  # only a study with workers > 1 pays for loading it
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _replicate_block,
-                    dgp, config, seed, replications, int(lo), int(hi),
-                    alpha, beta, bound_method, grid_points,
-                )
-                for lo, hi in zip(edges[:-1], edges[1:])
-                if hi > lo
-            ]
-            records = [rec for fut in futures for rec in fut.result()]
+            per_batch = list(pool.map(replicate, batches))
 
-    covered_im = covered_bonf = rejected = 0
-    im_lo_sum = im_hi_sum = 0.0
-    bf_lo_sum = bf_hi_sum = ratio_sum = 0.0
-    for im_lo, im_hi, bf_lo, bf_hi, ratio, rej in records:
-        covered_im += im_lo <= target <= im_hi
-        im_lo_sum += im_lo
-        im_hi_sum += im_hi
-        if rej:
-            rejected += 1
-            covered_bonf += bf_lo <= target <= bf_hi
-            bf_lo_sum += bf_lo
-            bf_hi_sum += bf_hi
-            ratio_sum += ratio
-    nan = math.nan
+    # (R, 6): im_lo, im_hi, bonf_lo, bonf_hi, length_ratio, rejected as 0 or 1
+    records = np.array([rec for batch in per_batch for rec in batch])
+    rejected = records[records[:, 5] == 1.0]
+    covered_im = np.count_nonzero((records[:, 0] <= target) & (target <= records[:, 1]))
+    covered_bonf = np.count_nonzero((rejected[:, 2] <= target) & (target <= rejected[:, 3]))
+    im_lo, im_hi = records[:, :2].mean(axis=0).tolist()
+    n_rej = rejected.shape[0]
+    bf_lo, bf_hi, ratio = rejected[:, 2:5].mean(axis=0).tolist() if n_rej else [math.nan] * 3
     return SimulationReport(
         case=case,
         n=dgp.n,
@@ -331,14 +302,14 @@ def run_coverage_study(
         alpha=alpha,
         beta=beta,
         truth=truth,
-        coverage_im=covered_im / replications,
-        coverage_bonf=covered_bonf / rejected if rejected else 0.0,
-        im_lower_mean=im_lo_sum / replications,
-        im_upper_mean=im_hi_sum / replications,
-        bonf_lower_mean=bf_lo_sum / rejected if rejected else nan,
-        bonf_upper_mean=bf_hi_sum / rejected if rejected else nan,
-        length_ratio_mean=ratio_sum / rejected if rejected else nan,
-        rejected_count=rejected,
+        coverage_im=int(covered_im) / replications,
+        coverage_bonf=int(covered_bonf) / n_rej if n_rej else 0.0,
+        im_lower_mean=im_lo,
+        im_upper_mean=im_hi,
+        bonf_lower_mean=bf_lo,
+        bonf_upper_mean=bf_hi,
+        length_ratio_mean=ratio,
+        rejected_count=n_rej,
     )
 
 

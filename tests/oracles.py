@@ -12,7 +12,7 @@ from itertools import chain
 
 import numpy as np
 
-from drpredict.covariance import _kde_binned, _silverman_bandwidth, _u_trim
+from drpredict.covariance import _bin_kde, _silverman_bandwidth, _smooth_kde, _u_trim
 from drpredict.exceptions import NumericalError
 from drpredict.sample import quantile_at
 from drpredict.solver import sweep_delta
@@ -21,8 +21,7 @@ from drpredict.solver import sweep_delta
 def kde_at(data: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
     """Gaussian-kernel density of ``data`` evaluated at points ``x``.
 
-    The exact O(len(data) * len(x)) sum; the reference for
-    ``covariance._kde_binned``.
+    The exact O(len(data) * len(x)) sum; the reference for ``kde_binned``.
     """
     out = np.empty(x.shape[0])
     norm = 1.0 / (data.shape[0] * h * math.sqrt(2.0 * math.pi))
@@ -32,6 +31,13 @@ def kde_at(data: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
         z = (x[start : start + step, None] - data[None, :]) / h
         out[start : start + step] = np.exp(-0.5 * z * z).sum(axis=1) * norm
     return out
+
+
+def kde_binned(data: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
+    """The binned KDE of sorted ``data`` at ascending points ``x`` as
+    ``covariance.sigma_sharp`` takes it: ``covariance._bin_kde`` and
+    ``covariance._smooth_kde`` on a batch of one."""
+    return _smooth_kde([_bin_kde(data, x, h)])[0]
 
 
 def merged_u_grid(n1: int, n0: int) -> tuple[np.ndarray, np.ndarray]:
@@ -130,7 +136,7 @@ def _arm_density(y_sorted: np.ndarray, q: np.ndarray) -> np.ndarray | None:
     zero-spread arm, as ``covariance.sigma_sharp`` uses it."""
     if y_sorted[0] == y_sorted[-1]:
         return None
-    return _kde_binned(y_sorted, q, _silverman_bandwidth(y_sorted, float(y_sorted.var())))
+    return kde_binned(y_sorted, q, _silverman_bandwidth(y_sorted, float(y_sorted.var())))
 
 
 def sigma_sharp_influence(sample, grid_size: int = 400) -> np.ndarray:

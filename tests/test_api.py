@@ -123,7 +123,7 @@ def test_one_delta_method_sd_function():
     gone = {"Loadings", "loadings", "prediction_sds", "conditional_sd_grid", "merged_u_grid",
             "merged_u_blocks", "DomainError", "InsufficientData", "ConvergenceError",
             "ZeroTauError", "UnsupportedRegime", "UnsupportedConfig", "OrderError",
-            "DensityError", "DegenerateSample"}
+            "DensityError", "DegenerateSample", "_replicate_block", "_kde_binned"}
     assert gone & set(drpredict.__all__) == set()
     modules = [importlib.import_module(f"drpredict.{m}") for m in MODULES]
     assert [(mod.__name__, name) for mod in modules for name in gone if hasattr(mod, name)] == []

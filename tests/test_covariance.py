@@ -21,7 +21,7 @@ from drpredict import covariance as cov_module
 from drpredict.moments import ArmMoments, estimate_moments
 from drpredict.sample import quantile_at
 from drpredict.solver import RobustConfig, solve_minimax
-from oracles import kde_at, sigma_sharp_influence
+from oracles import kde_at, kde_binned, sigma_sharp_influence
 
 
 def _sample(y1, y0):
@@ -259,7 +259,7 @@ def test_binned_kde_matches_exact_kde(family, n):
     x = _u_grid_quantiles(y)
     h = cov_module._silverman_bandwidth(y, float(y.var()))
     exact = kde_at(y, x, h)
-    np.testing.assert_allclose(cov_module._kde_binned(y, x, h), exact, rtol=KDE_RTOL, atol=0.0)
+    np.testing.assert_allclose(kde_binned(y, x, h), exact, rtol=KDE_RTOL, atol=0.0)
 
 
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
@@ -344,7 +344,7 @@ def test_binned_kde_grid_follows_quantiles(draw, monkeypatch):
     h = cov_module._silverman_bandwidth(y1, float(y1.var()))
     assert (y1[-1] - y1[0]) / (h / cov_module.KDE_BINS_PER_BANDWIDTH) > 10 * bound
     x = _u_grid_quantiles(y1)
-    np.testing.assert_allclose(cov_module._kde_binned(y1, x, h), kde_at(y1, x, h), rtol=KDE_RTOL, atol=0.0)
+    np.testing.assert_allclose(kde_binned(y1, x, h), kde_at(y1, x, h), rtol=KDE_RTOL, atol=0.0)
 
 
 # ----------------------------------------------------------- batched Sigma

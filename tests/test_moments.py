@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drpredict import ExperimentalSample, ValidationError
-from drpredict.moments import estimate_moments
+from drpredict import ExperimentalSample, NumericalError, ValidationError
+from drpredict.moments import check_fourth_moments, estimate_moments
 
 
 def _sample(y1, y0):
@@ -87,3 +87,20 @@ def test_moments_translation_equivariance(y1, y0, shift):
     # central moments are shift-invariant
     assert m1.sigma1_sq == pytest.approx(m0.sigma1_sq, rel=1e-5, abs=1e-4 * scale**2)
     assert m1.mu3_0 == pytest.approx(m0.mu3_0, rel=1e-5, abs=1e-3 * scale**3)
+
+
+def test_check_fourth_moments_indexes_an_arm_only_to_raise(monkeypatch):
+    finite = _sample(np.array([1.0, 2.0, 4.0]), np.array([0.0, 3.0]))
+    huge = _sample(np.array([1e200, -1e200, 3e200]), np.array([0.0, 1.0]))
+    cases = [(smp, estimate_moments(smp)) for smp in (finite, huge)]
+    reads = []
+    for arm in ("treated", "control"):
+        real = getattr(ExperimentalSample, arm).fget
+        monkeypatch.setattr(ExperimentalSample, arm,
+                            property(lambda s, arm=arm, real=real: reads.append(arm) or real(s)))
+    check_fourth_moments(*cases[0])
+    assert reads == []
+    with pytest.raises(NumericalError, match="^the fourth moments of the treated arm overflow: "
+                       r"the outcome scale \(arm SD 1\.63e\+200, largest \|y\| 3e\+200\)"):
+        check_fourth_moments(*cases[1])
+    assert reads == ["treated"]

@@ -19,7 +19,7 @@ from drpredict.simulation import (
     GaussianDGP,
     SimulationReport,
     _draw_potentials,
-    _replicate_block,
+    _replicate_batch,
     case_preset,
     draw_sample,
     population_truth,
@@ -212,20 +212,21 @@ def test_coverage_study_delta_zero_reduces_to_ate():
 
 
 def _blocks(dgp, cfg, edges, seed=7, replications=100):
+    children = np.random.SeedSequence(seed).spawn(replications)
     return [
         rec
         for lo, hi in zip(edges[:-1], edges[1:])
-        for rec in _replicate_block(dgp, cfg, seed, replications, lo, hi, 0.05, 0.045, "sharp", 101)
+        for rec in _replicate_batch(dgp, cfg, children[lo:hi], 0.05, 0.045, "sharp", 101)
     ]
 
 
 @pytest.mark.parametrize("batch", [simulation._BATCH, 100])
 @pytest.mark.parametrize("case", [1, 3])
-def test_replications_do_not_depend_on_their_batch(case, batch, monkeypatch):
-    monkeypatch.setattr(simulation, "_BATCH", batch)
+def test_replications_do_not_depend_on_their_batch(case, batch):
     dgp, cfg = case_preset(case, n=400)
     whole = _blocks(dgp, cfg, [0, 100])
     assert len(whole) == 100
+    assert _blocks(dgp, cfg, [*range(0, 100, batch), 100]) == whole
     assert _blocks(dgp, cfg, [0, 37, 100]) == whole
     assert _blocks(dgp, cfg, list(range(101))) == whole
 
@@ -320,7 +321,8 @@ def test_study_raises_the_first_failing_replications_error(monkeypatch):
     with pytest.raises(NumericalError):
         run_coverage_study(dgp, cfg, replications=100, seed=3)
     with pytest.raises(ValidationError):
-        _replicate_block(dgp, cfg, 3, 100, 4, 100, 0.05, 0.045, "sharp", 101)
+        _replicate_batch(dgp, cfg, np.random.SeedSequence(3).spawn(100)[4:20],
+                         0.05, 0.045, "sharp", 101)
 
 
 def test_report_validation():

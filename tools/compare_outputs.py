@@ -107,6 +107,9 @@ INVOCATIONS = [
                                 "--sigma0", "1", "--delta", "0.2", "--bounds", "neyman",
                                 "--replications", "300", "--out", "simcustom"]),
     ("simulate-case3-workers2", ["simulate", "--case", "3", "--workers", "2", "--out", "sim3"]),
+    # nine batches of replications, the last holding two, over two workers
+    ("simulate-case1-130-workers2", ["simulate", "--case", "1", "--replications", "130",
+                                     "--workers", "2", "--out", "simw"]),
     ("simulate-four-cases", ["simulate", "--case", "1", "--case", "3", "--case", "5", "--case", "6",
                              "--n", "1000", "--replications", "100", "--threads", "1",
                              "--out", "simbench"]),
