@@ -11,7 +11,6 @@ from .bounds import (
     VarianceBounds,
     neyman_bounds,
     sharp_bounds_empirical,
-    sharp_bounds_population,
     variance_bounds,
 )
 from .calibration import (
@@ -25,7 +24,6 @@ from .covariance import (
     SigmaMatrix,
     SigmaMethod,
     prediction_sd_grid,
-    sigma_bootstrap,
     sigma_neyman,
     sigma_sharp,
     sigma_sharp_many,
@@ -49,8 +47,6 @@ from .moments import ArmMoments, estimate_moments
 from .sample import (
     EmpiricalDistribution,
     ExperimentalSample,
-    empirical_cdf,
-    empirical_quantile,
     load_sample,
 )
 from .simulation import (
@@ -66,7 +62,6 @@ from .simulation import (
 from .solver import (
     RobustConfig,
     SweepTable,
-    dual_objective,
     homogeneous_threshold,
     penalty_derivs,
     proximity_derivs,
@@ -88,8 +83,6 @@ __all__ = [
     "ExperimentalSample",
     "EmpiricalDistribution",
     "load_sample",
-    "empirical_cdf",
-    "empirical_quantile",
     # moments
     "ArmMoments",
     "estimate_moments",
@@ -98,12 +91,10 @@ __all__ = [
     "VarianceBounds",
     "neyman_bounds",
     "sharp_bounds_empirical",
-    "sharp_bounds_population",
     "variance_bounds",
     # minimax solver
     "RobustConfig",
     "SweepTable",
-    "dual_objective",
     "proximity_derivs",
     "penalty_derivs",
     "homogeneous_threshold",
@@ -117,7 +108,6 @@ __all__ = [
     "sigma_neyman",
     "sigma_sharp",
     "sigma_sharp_many",
-    "sigma_bootstrap",
     "prediction_sd_grid",
     "zero_tau_limit_sd",
     # inference

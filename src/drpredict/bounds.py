@@ -25,7 +25,6 @@ __all__ = [
     "neyman_bounds",
     "mean_square_gaps",
     "sharp_bounds_empirical",
-    "sharp_bounds_population",
     "variance_bounds",
 ]
 
@@ -147,7 +146,8 @@ def sharp_bounds_empirical(sample: ExperimentalSample) -> VarianceBounds:
 
     v_o and v_p are Var(Y1 - Y0) under the comonotone and the antitone
     coupling of the two empirical marginals: the mean square quantile gap
-    of the treated arm, shifted by the difference in means, against the
+    of the treated arm, shifted by the difference in means of
+    ``sample.arm_moments`` (``ArmMoments.ate``), against the
     control arm and against it reversed (``mean_square_gaps``). Neither
     depends on where the arms sit. A v_o below _ROUNDING * v_p (one arm a
     shift of the other, up to rounding) is 0.
@@ -164,7 +164,8 @@ def sharp_bounds_empirical(sample: ExperimentalSample) -> VarianceBounds:
             f"need >= 2 observations per arm, got n1={sample.n1}, n0={sample.n0}"
         )
     y1, y0 = sample.sorted_arms
-    v_o, v_p = mean_square_gaps(y1 - (y1.mean() - y0.mean()), (y0, y0[::-1]))
+    (tau1, *_), (tau0, *_) = sample.arm_moments
+    v_o, v_p = mean_square_gaps(y1 - (tau1 - tau0), (y0, y0[::-1]))
     if not math.isfinite(v_p):  # a square past 1.8e308: name the arm of wider range
         arm, y = max(("treated", y1), ("control", y0), key=lambda a: float(a[1][-1]) - float(a[1][0]))
         raise scale_error(arm, y, "the squared quantile gaps")
@@ -180,32 +181,3 @@ def variance_bounds(sample: ExperimentalSample, moments: ArmMoments,
     if BoundsMethod(method) is BoundsMethod.SHARP:
         return sharp_bounds_empirical(sample)
     return neyman_bounds(moments.sigma1_sq, moments.sigma0_sq)
-
-
-def sharp_bounds_population(q1, q0, grid_size: int = 10_000) -> VarianceBounds:
-    """Coupling-based bounds from known quantile functions.
-
-    The variances of Q1(U) - Q0(U) and Q1(U) - Q0(1 - U) are evaluated with
-    the midpoint rule on a uniform grid over (0,1), so quantile callables
-    only ever see interior points. Used to compute population targets.
-
-    Parameters
-    ----------
-    q1, q0 : callable
-        Vectorized quantile functions defined on (0, 1).
-    grid_size : int
-        Number of quadrature points, at least 100.
-
-    Raises
-    ------
-    ValidationError
-        If ``grid_size`` < 100.
-    """
-    if grid_size < 100:
-        raise ValidationError(f"grid_size must be >= 100, got {grid_size}")
-    u = (np.arange(grid_size) + 0.5) / grid_size
-    v1 = np.asarray(q1(u), dtype=float)
-    v0 = np.asarray(q0(u), dtype=float)
-    # The grid is symmetric under u -> 1-u, so the antitonic pairing is a flip.
-    return VarianceBounds(v_o=float((v1 - v0).var()), v_p=float((v1 - v0[::-1]).var()),
-                          method=BoundsMethod.SHARP)

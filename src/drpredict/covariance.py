@@ -5,17 +5,18 @@ robust predictions.
 The joint limit of sqrt(n) * (V_hat_p - V_p, V_hat_o - V_o, tau_hat - tau*)
 is mean-zero normal with covariance Sigma. Two estimation routes are
 provided: a closed form from arm moments (valid for the Neyman bounds) and
-an influence-function plug-in (valid for the sharp bounds), plus a
-bootstrap as a robustness check. All matrices use the row/column order
-(V_p, V_o, tau*).
+an influence-function plug-in (valid for the sharp bounds). All matrices
+use the row/column order (V_p, V_o, tau*).
 
 The plug-in is the empirical covariance of per-observation influence
 values, but it never forms them. An observation's influence is a quadratic
 in its outcome plus a constant of the u-grid segment the outcome falls in,
 so Sigma follows from a few sums over each sorted arm: per segment, the
-count and the sums of d and d^2, and over the whole arm, the sums of d to
-d^4 (d the outcome less its arm mean). The memory it needs beyond the
-sample is two arm-length rows, and its time is one pass over each arm.
+count and the sums of d and d^2 (d the outcome less its arm mean), and
+over the whole arm, the sums of d to d^4, which are n times the arm's
+central moments (``ExperimentalSample.arm_moments``). The memory it needs
+beyond the sample is two arm-length rows, and its time is one pass over
+each arm.
 ``tests/oracles.py`` keeps the (3, n) influence array as the reference.
 
 ``sigma_sharp_many`` runs in two stages. As each sample arrives, it is
@@ -39,7 +40,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import BoundsMethod, neyman_bounds, sharp_bounds_empirical
 from .exceptions import NumericalError, ValidationError
 from .moments import ArmMoments
 from .sample import ExperimentalSample, quantile_at
@@ -52,7 +52,6 @@ __all__ = [
     "sigma_neyman",
     "sigma_sharp",
     "sigma_sharp_many",
-    "sigma_bootstrap",
     "prediction_sd_grid",
     "zero_tau_limit_sd",
 ]
@@ -85,7 +84,6 @@ class NearEqualVariancesWarning(UserWarning):
 class SigmaMethod(str, enum.Enum):
     NEYMAN_ANALYTIC = "neyman_analytic"
     SHARP_PLUGIN = "sharp_plugin"
-    BOOTSTRAP = "bootstrap"
 
 
 @dataclass(frozen=True)
@@ -345,8 +343,8 @@ class _Arm(NamedTuple):
     b: np.ndarray | None  # (3, 2): psi's loadings on (d, d^2)
     counts: np.ndarray | None  # (U_GRID_SIZE + 1,) outcomes per segment
     segments: np.ndarray | None  # (2, U_GRID_SIZE + 1): sums of d and d^2 per segment
-    second: np.ndarray | None  # (2, 2): whole-arm sums of d^2, d^3 and d^4
-    first: np.ndarray | None  # (2,): whole-arm sums of d and d^2
+    second: np.ndarray | None  # (2, 2): whole-arm sums of d^2, d^3 and d^4, n [[var, mu3], [mu3, mu4]]
+    first: np.ndarray | None  # (2,): whole-arm sums of d and d^2, [0, n var]
 
 
 class _Summary(NamedTuple):
@@ -359,12 +357,15 @@ class _Summary(NamedTuple):
     control: _Arm
 
 
-def _summarize_arm(y, var, q, share, sign, mean) -> _Arm:
-    """``_Arm`` of the sorted outcomes ``y`` with u-grid quantiles ``q``;
-    ``sign`` is +1 for the treated arm and -1 for the control arm. The
-    per-observation work of Sigma is all here: one pass that bins the arm
-    for its KDE and one that sums d = y - mean and d^2 over each segment
-    between consecutive quantiles (``np.add.reduceat``)."""
+def _summarize_arm(y, moments, q, share, sign) -> _Arm:
+    """``_Arm`` of the sorted outcomes ``y``, whose (mean, variance, mu3,
+    mu4) are ``moments``, with u-grid quantiles ``q``; ``sign`` is +1 for
+    the treated arm and -1 for the control arm. The whole-arm sums are n
+    times the moments. The per-observation work of Sigma is all here: one
+    pass that bins the arm for its KDE and one that sums d = y - mean and
+    d^2 over each segment between consecutive quantiles
+    (``np.add.reduceat``)."""
+    mean, var, mu3, mu4 = moments
     w = 1.0 / share
     if y[0] == y[-1]:
         return _Arm(None, q - mean, var, w, None, None, None, None, None)
@@ -386,8 +387,8 @@ def _summarize_arm(y, var, q, share, sign, mean) -> _Arm:
         b=np.array([[0.0, w], [0.0, w], [sign * w, 0.0]]),
         counts=edges[1:] - edges[:-1],
         segments=np.add.reduceat(powers, edges[:-1], axis=1),
-        second=powers @ powers.T,
-        first=np.add.reduce(powers, axis=1),
+        second=n * np.array([[var, mu3], [mu3, mu4]]),
+        first=np.array([0.0, n * var]),
     )
 
 
@@ -399,9 +400,8 @@ def _summarize(sample: ExperimentalSample) -> _Summary:
         )
 
     y1, y0 = sample.sorted_arms
-    var1, var0 = sample.arm_variances
+    moments1, moments0 = sample.arm_moments
     e = sample.n1 / sample.n
-    tau1, tau0 = float(y1.sum()) / sample.n1, float(y0.sum()) / sample.n0  # y.mean(), bit for bit
 
     trim = _u_trim(min(sample.n1, sample.n0))
     du = (1.0 - 2.0 * trim) / U_GRID_SIZE
@@ -409,8 +409,8 @@ def _summarize(sample: ExperimentalSample) -> _Summary:
     q1, q0 = quantile_at(y1, u), quantile_at(y0, u)
     return _Summary(
         sample.n, u, du,
-        _summarize_arm(y1, var1, q1, e, 1.0, tau1),
-        _summarize_arm(y0, var0, q0, 1.0 - e, -1.0, tau0),
+        _summarize_arm(y1, moments1, q1, e, 1.0),
+        _summarize_arm(y0, moments0, q0, 1.0 - e, -1.0),
     )
 
 
@@ -544,43 +544,6 @@ def sigma_sharp(sample: ExperimentalSample) -> SigmaMatrix:
         degenerate spread).
     """
     return sigma_sharp_many([sample])[0]
-
-
-# ----------------------------------------------------------------- bootstrap
-
-
-def sigma_bootstrap(
-    sample: ExperimentalSample,
-    method=BoundsMethod.SHARP,
-    draws: int = 500,
-    seed=None,
-) -> SigmaMatrix:
-    """Nonparametric bootstrap covariance (resampling within arms).
-
-    A robustness check against the analytic routes; not used by the
-    default inference path. ``method`` is a ``BoundsMethod`` or its value.
-    """
-    if draws < 2:
-        raise ValidationError(f"need at least 2 bootstrap draws, got {draws}")
-    use_sharp = BoundsMethod(method) is BoundsMethod.SHARP
-    rng = np.random.default_rng(seed)
-    y1 = sample.treated
-    y0 = sample.control
-    stats = np.empty((draws, 3))
-    for b in range(draws):
-        r1 = y1[rng.integers(0, y1.shape[0], y1.shape[0])]
-        r0 = y0[rng.integers(0, y0.shape[0], y0.shape[0])]
-        if use_sharp:
-            res = ExperimentalSample(
-                np.concatenate((r1, r0)),
-                np.concatenate((np.ones(r1.shape[0], dtype=np.int8), np.zeros(r0.shape[0], dtype=np.int8))),
-            )
-            vb = sharp_bounds_empirical(res)
-        else:
-            vb = neyman_bounds(float(r1.var()), float(r0.var()))
-        stats[b] = (vb.v_p, vb.v_o, float(r1.mean() - r0.mean()))
-    entries = sample.n * np.cov(stats, rowvar=False, ddof=1)
-    return SigmaMatrix(entries=entries, method=SigmaMethod.BOOTSTRAP)
 
 
 # ------------------------------------------------------ delta-method SDs

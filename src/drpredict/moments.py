@@ -37,16 +37,9 @@ class ArmMoments:
         return self.tau1 - self.tau0
 
 
-def _central_moments(y: np.ndarray) -> tuple[float, float, float, float]:
-    with np.errstate(over="ignore", invalid="ignore"):  # see check_fourth_moments
-        mean = y.mean()
-        d = y - mean
-        d2 = d * d
-        return float(mean), float(d2.mean()), float((d2 * d).mean()), float((d2 * d2).mean())
-
-
 def estimate_moments(sample: ExperimentalSample) -> ArmMoments:
-    """First four central moments per arm and the empirical treatment share.
+    """First four central moments per arm (``sample.arm_moments``) and the
+    empirical treatment share.
 
     Raises
     ------
@@ -57,8 +50,7 @@ def estimate_moments(sample: ExperimentalSample) -> ArmMoments:
         raise ValidationError(f"treated arm has {sample.n1} observation(s), need >= 2")
     if sample.n0 < 2:
         raise ValidationError(f"control arm has {sample.n0} observation(s), need >= 2")
-    tau1, s1, m3_1, m4_1 = _central_moments(sample.treated)
-    tau0, s0, m3_0, m4_0 = _central_moments(sample.control)
+    (tau1, s1, m3_1, m4_1), (tau0, s0, m3_0, m4_0) = sample.arm_moments
     return ArmMoments(
         tau1=tau1,
         tau0=tau0,

@@ -1,4 +1,4 @@
-"""Sample container, CSV ingestion, and empirical distribution functions.
+"""Sample container, CSV ingestion, and each arm's moments and quantiles.
 
 Everything downstream consumes :class:`ExperimentalSample` (outcomes plus a
 binary treatment indicator) or :class:`EmpiricalDistribution` (one arm's
@@ -22,8 +22,6 @@ __all__ = [
     "ExperimentalSample",
     "EmpiricalDistribution",
     "load_sample",
-    "empirical_cdf",
-    "empirical_quantile",
 ]
 
 
@@ -111,10 +109,24 @@ class ExperimentalSample:
         return arms
 
     @cached_property
-    def arm_variances(self) -> tuple[float, float]:
-        """(treated, control) biased (1/n) variances, from ``sorted_arms``."""
-        y1, y0 = self.sorted_arms
-        return float(y1.var()), float(y0.var())
+    def arm_moments(self) -> tuple[tuple[float, float, float, float], tuple[float, float, float, float]]:
+        """(treated, control) (mean, variance, mu3, mu4), the biased (1/n)
+        central moments of each arm.
+
+        Computed on first access and kept: ``estimate_moments``, the sharp
+        bounds and their covariance all read these numbers. They are taken
+        on the arms as drawn, not on ``sorted_arms``, so that the Neyman
+        route never sorts.
+        """
+        return _central_moments(self.treated), _central_moments(self.control)
+
+
+def _central_moments(y: np.ndarray) -> tuple[float, float, float, float]:
+    with np.errstate(over="ignore", invalid="ignore"):  # see moments.check_fourth_moments
+        mean = y.mean()
+        d = y - mean
+        d2 = d * d
+        return float(mean), float(d2.mean()), float((d2 * d).mean()), float((d2 * d2).mean())
 
 
 @dataclass(frozen=True)
@@ -256,34 +268,14 @@ def _load_rows(path, outcome_column: str, treatment_column: str) -> Experimental
     return ExperimentalSample(np.array(outcomes), np.array(treatments))
 
 
-def empirical_cdf(dist: EmpiricalDistribution, y: float) -> float:
-    """Fraction of observations ≤ y (right-continuous step function)."""
-    return float(np.searchsorted(dist.sorted_values, y, side="right")) / dist.m
-
-
-def empirical_quantile(dist: EmpiricalDistribution, u: float) -> float:
-    """Left-continuous generalized inverse of the empirical CDF.
-
-    For u in ((k-1)/m, k/m] this is the k-th order statistic, i.e.
-    ``sorted_values[ceil(u*m) - 1]``, which is inf{ y : F(y) ≥ u }.
-
-    Raises
-    ------
-    ValidationError
-        If u is outside (0, 1].
-    """
-    if not 0.0 < u <= 1.0:
-        raise ValidationError(f"quantile level must lie in (0, 1], got {u}")
-    return float(quantile_at(dist.sorted_values, u))
-
-
 def quantile_at(values_sorted: np.ndarray, u) -> np.ndarray:
     """Vectorized left-continuous quantile over a pre-sorted value array.
 
     Used internally by the bound integrals and the influence-function
     assembly; accepts a level or an array of levels in (0, 1]. Level u
     maps to ``values_sorted[k - 1]`` with k the least integer such that
-    k/m >= u, as in :func:`empirical_quantile`.
+    k/m >= u: the k-th order statistic, inf{ y : F(y) >= u } for the
+    empirical CDF F of the m values.
     """
     m = values_sorted.shape[0]
     u = np.asarray(u, dtype=float)

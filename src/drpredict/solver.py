@@ -26,7 +26,6 @@ from .exceptions import NumericalError, ValidationError
 __all__ = [
     "RobustConfig",
     "SweepTable",
-    "dual_objective",
     "solve_minimax",
     "homogeneous_threshold",
     "sweep_delta",
@@ -138,20 +137,6 @@ def newton_root(fun, x, lo, hi, tol, *args):
 
 
 # --------------------------------------------------------------- objective
-
-
-def dual_objective(tau: float, tau_star: float, v: float, config: RobustConfig) -> float:
-    """Worst-case objective M(tau) whose argmin is the robust predictor.
-
-    Raises
-    ------
-    ValidationError
-        If v < 0.
-    """
-    if v < 0.0:
-        raise ValidationError(f"variance must be nonnegative, got {v}")
-    value, _, _ = penalty_derivs(tau, config.q)
-    return math.sqrt(v + (tau_star - tau) ** 2) + config.delta * float(value)
 
 
 def proximity_derivs(tau: float, tau_star: float, v: float) -> tuple[float, float, float]:

@@ -1,7 +1,10 @@
 """Reference implementations that the tests check the package against.
 
-Each is the plain, unblocked form of a computation the package does a
-faster way, kept here because only the tests call it.
+Most are the plain, unblocked form of a computation the package does a
+faster way. The rest are independent routes to a number the package
+estimates: the scalar empirical CDF and quantile, the minimax objective,
+population bounds from quantile functions, and a bootstrap Sigma. Each is
+kept here because only the tests call it.
 """
 
 import csv
@@ -12,10 +15,11 @@ from itertools import chain
 
 import numpy as np
 
+from drpredict.bounds import BoundsMethod, VarianceBounds, neyman_bounds, sharp_bounds_empirical
 from drpredict.covariance import _bin_kde, _silverman_bandwidth, _smooth_kde, _u_trim
-from drpredict.exceptions import NumericalError
-from drpredict.sample import quantile_at
-from drpredict.solver import sweep_delta
+from drpredict.exceptions import NumericalError, ValidationError
+from drpredict.sample import EmpiricalDistribution, ExperimentalSample, quantile_at
+from drpredict.solver import RobustConfig, penalty_derivs, sweep_delta
 
 
 def kde_at(data: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
@@ -230,3 +234,96 @@ def newton_root_full(fun, x, lo, hi, tol, *args):
             if done.all():
                 return x
     raise NumericalError("bracketed Newton did not converge in 200 steps")
+
+
+def empirical_cdf(dist: EmpiricalDistribution, y: float) -> float:
+    """Fraction of observations <= y (right-continuous step function)."""
+    return float(np.searchsorted(dist.sorted_values, y, side="right")) / dist.m
+
+
+def empirical_quantile(dist: EmpiricalDistribution, u: float) -> float:
+    """Left-continuous generalized inverse of the empirical CDF.
+
+    For u in ((k-1)/m, k/m] this is the k-th order statistic, i.e.
+    ``sorted_values[ceil(u*m) - 1]``, which is inf{ y : F(y) >= u }; the
+    scalar, checked form of ``sample.quantile_at``.
+
+    Raises
+    ------
+    ValidationError
+        If u is outside (0, 1].
+    """
+    if not 0.0 < u <= 1.0:
+        raise ValidationError(f"quantile level must lie in (0, 1], got {u}")
+    return float(quantile_at(dist.sorted_values, u))
+
+
+def dual_objective(tau: float, tau_star: float, v: float, config: RobustConfig) -> float:
+    """Worst-case objective M(tau) whose argmin is the robust predictor
+    (``solver.solve_minimax``).
+
+    Raises
+    ------
+    ValidationError
+        If v < 0.
+    """
+    if v < 0.0:
+        raise ValidationError(f"variance must be nonnegative, got {v}")
+    value, _, _ = penalty_derivs(tau, config.q)
+    return math.sqrt(v + (tau_star - tau) ** 2) + config.delta * float(value)
+
+
+def sharp_bounds_population(q1, q0, grid_size: int = 10_000) -> VarianceBounds:
+    """Coupling-based bounds from known quantile functions.
+
+    The variances of Q1(U) - Q0(U) and Q1(U) - Q0(1 - U) are evaluated with
+    the midpoint rule on a uniform grid over (0,1), so quantile callables
+    only ever see interior points. Used to compute population targets.
+
+    Parameters
+    ----------
+    q1, q0 : callable
+        Vectorized quantile functions defined on (0, 1).
+    grid_size : int
+        Number of quadrature points, at least 100.
+
+    Raises
+    ------
+    ValidationError
+        If ``grid_size`` < 100.
+    """
+    if grid_size < 100:
+        raise ValidationError(f"grid_size must be >= 100, got {grid_size}")
+    u = (np.arange(grid_size) + 0.5) / grid_size
+    v1 = np.asarray(q1(u), dtype=float)
+    v0 = np.asarray(q0(u), dtype=float)
+    # The grid is symmetric under u -> 1-u, so the antitonic pairing is a flip.
+    return VarianceBounds(v_o=float((v1 - v0).var()), v_p=float((v1 - v0[::-1]).var()),
+                          method=BoundsMethod.SHARP)
+
+
+def sigma_bootstrap(sample, method=BoundsMethod.SHARP, draws: int = 500, seed=None) -> np.ndarray:
+    """Nonparametric bootstrap covariance (resampling within arms) of
+    (V_p, V_o, tau*), scaled by n: the cross-check for the analytic Sigma
+    routes. ``method`` is a ``BoundsMethod`` or its value.
+    """
+    if draws < 2:
+        raise ValidationError(f"need at least 2 bootstrap draws, got {draws}")
+    use_sharp = BoundsMethod(method) is BoundsMethod.SHARP
+    rng = np.random.default_rng(seed)
+    y1 = sample.treated
+    y0 = sample.control
+    stats = np.empty((draws, 3))
+    for b in range(draws):
+        r1 = y1[rng.integers(0, y1.shape[0], y1.shape[0])]
+        r0 = y0[rng.integers(0, y0.shape[0], y0.shape[0])]
+        if use_sharp:
+            res = ExperimentalSample(
+                np.concatenate((r1, r0)),
+                np.concatenate((np.ones(r1.shape[0], dtype=np.int8), np.zeros(r0.shape[0], dtype=np.int8))),
+            )
+            vb = sharp_bounds_empirical(res)
+        else:
+            vb = neyman_bounds(float(r1.var()), float(r0.var()))
+        stats[b] = (vb.v_p, vb.v_o, float(r1.mean() - r0.mean()))
+    return sample.n * np.cov(stats, rowvar=False, ddof=1)

@@ -123,8 +123,10 @@ def test_one_delta_method_sd_function():
     gone = {"Loadings", "loadings", "prediction_sds", "conditional_sd_grid", "merged_u_grid",
             "merged_u_blocks", "DomainError", "InsufficientData", "ConvergenceError",
             "ZeroTauError", "UnsupportedRegime", "UnsupportedConfig", "OrderError",
-            "DensityError", "DegenerateSample", "_replicate_block", "_kde_binned"}
+            "DensityError", "DegenerateSample", "_replicate_block", "_kde_binned",
+            "sigma_bootstrap", "dual_objective", "empirical_cdf", "empirical_quantile",
+            "sharp_bounds_population", "arm_variances"}
     assert gone & set(drpredict.__all__) == set()
-    modules = [importlib.import_module(f"drpredict.{m}") for m in MODULES]
+    modules = [importlib.import_module(f"drpredict.{m}") for m in MODULES] + [drpredict.ExperimentalSample]
     assert [(mod.__name__, name) for mod in modules for name in gone if hasattr(mod, name)] == []
     assert "prediction_sd_grid" in covariance.__all__

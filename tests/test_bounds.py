@@ -13,10 +13,9 @@ from drpredict.bounds import (
     merged_grid_blocks,
     neyman_bounds,
     sharp_bounds_empirical,
-    sharp_bounds_population,
 )
 from drpredict.sample import quantile_at
-from oracles import merged_u_grid
+from oracles import merged_u_grid, sharp_bounds_population
 
 
 def _sample(y1, y0):

@@ -11,7 +11,6 @@ from drpredict.covariance import (
     SigmaMatrix,
     SigmaMethod,
     prediction_sd_grid,
-    sigma_bootstrap,
     sigma_neyman,
     sigma_sharp,
     sigma_sharp_many,
@@ -21,7 +20,7 @@ from drpredict import covariance as cov_module
 from drpredict.moments import ArmMoments, estimate_moments
 from drpredict.sample import quantile_at
 from drpredict.solver import RobustConfig, solve_minimax
-from oracles import kde_at, kde_binned, sigma_sharp_influence
+from oracles import kde_at, kde_binned, sigma_bootstrap, sigma_sharp_influence
 
 
 def _sample(y1, y0):
@@ -56,19 +55,19 @@ def test_sigma_matrix_validation():
     assert s.method is SigmaMethod.NEYMAN_ANALYTIC
     assert s.sigma_tau == 1.0
     with pytest.raises(ValidationError, match="3x3"):
-        SigmaMatrix(np.eye(2), method="bootstrap")
+        SigmaMatrix(np.eye(2), method="sharp_plugin")
     with pytest.raises(ValidationError, match="symmetric"):
-        SigmaMatrix(np.array([[1.0, 0.5, 0], [0.2, 1, 0], [0, 0, 1]]), method="bootstrap")
+        SigmaMatrix(np.array([[1.0, 0.5, 0], [0.2, 1, 0], [0, 0, 1]]), method="sharp_plugin")
     bad_diag = np.eye(3)
     bad_diag[1, 1] = -0.5
     with pytest.raises(ValidationError, match="negative variance"):
-        SigmaMatrix(bad_diag, method="bootstrap")
+        SigmaMatrix(bad_diag, method="sharp_plugin")
 
 
 def test_sigma_matrix_psd_repair():
     # strongly indefinite matrix gets clipped to its PSD part
     s = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    fixed = SigmaMatrix(s, method="bootstrap")
+    fixed = SigmaMatrix(s, method="sharp_plugin")
     eigs = np.linalg.eigvalsh(fixed.entries)
     assert eigs[0] >= -1e-12
     # the PSD part of [[1,2],[2,1]] is 1.5 on the diagonal, 1.5 off
@@ -303,7 +302,7 @@ def test_sharp_sigma_matches_influence_oracle(family, n):
 def test_sharp_sigma_allocates_no_per_observation_influence_array():
     n = 1_000_000
     smp = _case1_marginals(np.random.default_rng(13), n)
-    smp.sorted_arms, smp.arm_variances  # the sample's own cached sort and variances
+    smp.sorted_arms, smp.arm_moments  # the sample's own cached sort and moments
     tracemalloc.start()
     try:
         sigma_sharp(smp)
@@ -576,11 +575,10 @@ def test_bootstrap_sigma_consistent_with_plugin():
     rng = np.random.default_rng(3)
     smp = _case1_marginals(rng, 4000)
     boot = sigma_bootstrap(smp, method="sharp", draws=300, seed=42)
-    assert boot.method is SigmaMethod.BOOTSTRAP
     # agree with the analytic tau* variance within bootstrap noise
-    assert boot.entries[2, 2] == pytest.approx(CASE1_S22, rel=0.25)
+    assert boot[2, 2] == pytest.approx(CASE1_S22, rel=0.25)
     plug = sigma_sharp(smp)
-    assert boot.entries[0, 0] == pytest.approx(plug.entries[0, 0], rel=0.3)
+    assert boot[0, 0] == pytest.approx(plug.entries[0, 0], rel=0.3)
 
 
 def test_bootstrap_requires_draws():
@@ -591,10 +589,10 @@ def test_bootstrap_requires_draws():
 
 def test_bootstrap_takes_the_bounds_method_enum():
     smp = _case1_marginals(np.random.default_rng(4), 200)
-    sharp = sigma_bootstrap(smp, method="sharp", draws=20, seed=9).entries
-    assert np.array_equal(sigma_bootstrap(smp, method=BoundsMethod.SHARP, draws=20, seed=9).entries, sharp)
-    neyman = sigma_bootstrap(smp, method=BoundsMethod.NEYMAN, draws=20, seed=9).entries
-    assert np.array_equal(sigma_bootstrap(smp, method="neyman", draws=20, seed=9).entries, neyman)
+    sharp = sigma_bootstrap(smp, method="sharp", draws=20, seed=9)
+    assert np.array_equal(sigma_bootstrap(smp, method=BoundsMethod.SHARP, draws=20, seed=9), sharp)
+    neyman = sigma_bootstrap(smp, method=BoundsMethod.NEYMAN, draws=20, seed=9)
+    assert np.array_equal(sigma_bootstrap(smp, method="neyman", draws=20, seed=9), neyman)
     assert not np.array_equal(sharp, neyman)
     with pytest.raises(ValidationError):
         sigma_bootstrap(smp, method="Sharp", draws=20, seed=9)

@@ -23,7 +23,6 @@ from drpredict.inference import (
     two_step_interval,
     two_step_intervals,
 )
-from drpredict.covariance import sigma_bootstrap
 from drpredict.sample import ExperimentalSample, load_sample
 from drpredict.solver import RobustConfig
 from oracles import newton_root_full
@@ -47,9 +46,8 @@ def _case1(rng, n):
     "entry",
     [
         lambda smp: estimate_robust_many([smp], RobustConfig(0.5, 2.0), method="bogus"),
-        lambda smp: sigma_bootstrap(smp, method="bogus", draws=20, seed=1),
     ],
-    ids=["estimate_robust_many", "sigma_bootstrap"],
+    ids=["estimate_robust_many"],
 )
 def test_unknown_bounds_method_is_validation_error(entry):
     with pytest.raises(ValidationError, match="'bogus'; expected one of 'sharp', 'neyman'"):

@@ -4,7 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drpredict import ExperimentalSample, NumericalError, ValidationError
+from drpredict import sample as sample_module
+from drpredict.bounds import mean_square_gaps, sharp_bounds_empirical
+from drpredict.inference import estimate_robust
 from drpredict.moments import check_fourth_moments, estimate_moments
+from drpredict.solver import RobustConfig
 
 
 def _sample(y1, y0):
@@ -104,3 +108,22 @@ def test_check_fourth_moments_indexes_an_arm_only_to_raise(monkeypatch):
                        r"the outcome scale \(arm SD 1\.63e\+200, largest \|y\| 3e\+200\)"):
         check_fourth_moments(*cases[1])
     assert reads == ["treated"]
+
+
+def test_each_arms_moments_are_computed_once_per_sample(monkeypatch):
+    # the sharp bounds centre the treated arm by estimate_moments' own ATE
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n1 = rng.binomial(1000, 0.3)
+        smp = _sample(rng.normal(2.0, 2.0, n1), rng.normal(0.2, 1.0, 1000 - n1))
+        y1, y0 = smp.sorted_arms
+        bounds = sharp_bounds_empirical(smp)
+        v_o, v_p = mean_square_gaps(y1 - estimate_moments(smp).ate, (y0, y0[::-1]))
+        assert (bounds.v_o, bounds.v_p) == (v_o, v_p)
+    calls = []
+    real = sample_module._central_moments
+    monkeypatch.setattr(sample_module, "_central_moments", lambda y: calls.append(y.shape[0]) or real(y))
+    for method in ("sharp", "neyman"):
+        calls.clear()
+        estimate_robust(_sample(smp.treated.copy(), smp.control.copy()), RobustConfig(0.5, 2.0), method)
+        assert calls == [smp.n1, smp.n0]

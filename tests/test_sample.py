@@ -10,12 +10,12 @@ from drpredict import (
     ExperimentalSample,
     ParseError,
     ValidationError,
-    empirical_cdf,
-    empirical_quantile,
+    estimate_moments,
     load_sample,
 )
 from drpredict import sample as sample_module
 from drpredict.sample import _load_rows, quantile_at
+from oracles import empirical_cdf, empirical_quantile
 
 
 # ---------------------------------------------------------------- container
@@ -48,8 +48,9 @@ def test_sorted_arms_are_cached_and_read_only():
     for arm in (y1, y0):
         with pytest.raises(ValueError):
             arm[0] = 9.0
-    assert s.arm_variances is s.arm_variances
-    assert s.arm_variances == (float(np.var(s.treated)), float(np.var(s.control)))
+    assert s.arm_moments is s.arm_moments
+    m = estimate_moments(s)
+    assert s.arm_moments == ((m.tau1, m.sigma1_sq, m.mu3_1, m.mu4_1), (m.tau0, m.sigma0_sq, m.mu3_0, m.mu4_0))
 
 
 @pytest.mark.parametrize(

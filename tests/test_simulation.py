@@ -11,7 +11,7 @@ from scipy import stats
 
 from drpredict import ExperimentalSample, NumericalError, ValidationError
 from drpredict import simulation
-from drpredict.bounds import sharp_bounds_empirical, sharp_bounds_population
+from drpredict.bounds import sharp_bounds_empirical
 from drpredict.covariance import prediction_sd_grid, sigma_sharp
 from drpredict.inference import _im_critical, _z, im_interval
 from drpredict.moments import estimate_moments
@@ -27,6 +27,7 @@ from drpredict.simulation import (
     write_reports_csv,
 )
 from drpredict.solver import RobustConfig, penalty_derivs, solve_minimax_many
+from oracles import sharp_bounds_population
 
 
 # ------------------------------------------------------------------ designs

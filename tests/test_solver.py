@@ -10,7 +10,6 @@ from drpredict import solver as solver_module
 from drpredict.bounds import VarianceBounds
 from drpredict.solver import (
     RobustConfig,
-    dual_objective,
     homogeneous_threshold,
     newton_root,
     penalty_derivs,
@@ -19,7 +18,7 @@ from drpredict.solver import (
     solve_minimax_many,
     sweep_delta,
 )
-from oracles import newton_root_full
+from oracles import dual_objective, newton_root_full
 
 
 # -------------------------------------------------------------------- config

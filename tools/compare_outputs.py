@@ -151,6 +151,11 @@ INVOCATIONS = [
     ("infer-shift-treated", ["infer", "--data", "pos_treated_1e6.csv", "--delta", "0.5", "--json"]),
     ("estimate-shift-both", ["estimate", "--data", "pos_both_1e6.csv", "--delta", "0.5", "--json"]),
     ("infer-shift-both", ["infer", "--data", "pos_both_1e6.csv", "--delta", "0.5", "--json"]),
+    # a control arm of 1,400 copies of 1.7, whose computed variance is a
+    # rounding residue (4.9e-32), not 0
+    ("estimate-const-sharp-json", ["estimate", "--data", "const.csv", "--delta", "0.5", "--json"]),
+    ("estimate-const-neyman-json", ["estimate", "--data", "const.csv", "--delta", "0.5",
+                                    "--bounds", "neyman", "--json"]),
 ]
 
 
@@ -188,6 +193,8 @@ def write_inputs(work: Path) -> None:
     y_flat = np.concatenate((rng.normal(2.0, 2.0, 600), np.full(1400, 0.5)))
     _write_csv(work / "flat.csv", y_flat, np.repeat([1, 0], [600, 1400]))
     _write_csv(work / "tiny.csv", 1e-200 * rng.normal(0.0, 1.0, 400), np.repeat([1, 0], 200))
+    y_const = np.concatenate((rng.normal(2.0, 2.0, 600), np.full(1400, 1.7)))
+    _write_csv(work / "const.csv", y_const, np.repeat([1, 0], [600, 1400]))
     (work / "notutf8.csv").write_bytes(b"y,t\n1.0,1\n\xff,0\n")
     (work / "datadir").mkdir()
 
