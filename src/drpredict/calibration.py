@@ -41,7 +41,7 @@ def wasserstein2_1d(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float
 def _w2_sorted(a: np.ndarray, b: np.ndarray) -> float:
     """``wasserstein2_1d`` of two sorted, finite, nonempty float arrays,
     which it does not check again."""
-    return math.sqrt(mean_square_gaps(a, (b,))[0])
+    return math.sqrt(mean_square_gaps(a, b, (0, a.shape[0], 0, b.shape[0]))[0, 0])
 
 
 # ------------------------------------------------------------------- splits
@@ -81,16 +81,15 @@ class RadiusBenchmark:
 
 
 def _arm_distance(arm, values, in_cell):
-    """W2 between one arm's two cells; ValidationError below 2 per cell,
-    NumericalError when a squared gap overflows."""
+    """W2 between the two cells of one arm's sorted ``values``, which come
+    out sorted; ValidationError below 2 per cell, NumericalError when a
+    squared gap overflows."""
     first, second = values[in_cell], values[~in_cell]
     if first.size < 2 or second.size < 2:
         raise ValidationError(
             f"split leaves arm {arm} with cell sizes "
             f"{first.size} and {second.size}; need >= 2 each"
         )
-    first.sort()
-    second.sort()
     w2 = _w2_sorted(first, second)  # a sample's outcomes are finite floats
     if not math.isfinite(w2):
         raise scale_error(("control", "treated")[arm], values, "the squared quantile gaps")
@@ -111,9 +110,12 @@ def split_benchmark(
     rest, ``provided_mask`` uses a caller-supplied boolean cell-one mask.
     The permutation null relabels cells within each arm (cell sizes
     preserved), so ``null_p95`` reflects pure sampling noise. Each
-    permutation shuffles an arm's cell labels by ``rng.permutation(m)``;
+    permutation shuffles an arm's cell labels by ``rng.permutation``;
     Fisher-Yates draws do not depend on what they shuffle, so a given seed
-    draws the same null as shuffling the arm's row indices does. A negative
+    draws the same null as shuffling the arm's row indices does, without an
+    index array as long as the arm. Each arm
+    is sorted once, and each label vector is read in that order, so both
+    cells come out sorted: the numbers of sorting every cell. A negative
     permutation count or seed raises ValidationError, and outcomes whose
     squared gaps overflow raise NumericalError.
     """
@@ -142,8 +144,15 @@ def split_benchmark(
         in_cell[:half] = True
         description = "first half of rows"
 
-    arms = [(arm, y[t == arm], in_cell[t == arm]) for arm in (1, 0)]
-    w2_y1, w2_y0 = (_arm_distance(*a) for a in arms)
+    arms = []
+    for arm in (1, 0):
+        values = y[t == arm]
+        order = np.argsort(values)
+        if values.size <= np.iinfo(np.int32).max:
+            order = order.astype(np.int32)  # half the bytes of the arm-length index
+        arms.append((arm, values[order], in_cell[t == arm], order))
+        del values, order  # the arm unsorted, before the next arm's copy
+    w2_y1, w2_y0 = (_arm_distance(arm, values, labels[order]) for arm, values, labels, order in arms)
 
     null_p95 = None
     if permutations > 0:
@@ -151,8 +160,8 @@ def split_benchmark(
         stats = np.empty(permutations)
         for k in range(permutations):
             stats[k] = math.hypot(*(
-                _arm_distance(arm, values, labels[rng.permutation(labels.size)])
-                for arm, values, labels in arms
+                _arm_distance(arm, values, rng.permutation(labels)[order])
+                for arm, values, labels, order in arms
             ))
         null_p95 = float(np.quantile(stats, 0.95))
 

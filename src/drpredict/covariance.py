@@ -14,19 +14,21 @@ in its outcome plus a constant of the u-grid segment the outcome falls in,
 so Sigma follows from a few sums over each sorted arm: per segment, the
 count and the sums of d and d^2 (d the outcome less its arm mean), and
 over the whole arm, the sums of d to d^4, which are n times the arm's
-central moments (``ExperimentalSample.arm_moments``). The memory it needs
-beyond the sample is two arm-length rows, and its time is one pass over
-each arm.
+central moments (``sample.ArmBatch.moments``). The memory it needs beyond
+the sample and its sorted arms is two rows per observation (the KDE's bin
+positions and bins), and its time is a few passes over each arm.
 ``tests/oracles.py`` keeps the (3, n) influence array as the reference.
 
-``sigma_sharp_many`` runs in two stages. As each sample arrives, it is
-reduced to O(U_GRID_SIZE) summaries and then dropped: its u-grid quantiles,
-each arm's linearly binned KDE grid (Silverman 1982, AS 176) and those
-sums. The batch stage convolves every grid of one FFT period in one
-``rfft``/``irfft`` pair, against a kernel spectrum cached per period (in
-bin units the kernel is the same for every sample), then assembles and
-checks all the 3x3 matrices as arrays. ``sigma_sharp`` is its batch of one,
-and an entry of a batch is bit for bit that of its sample alone.
+``sigma_sharp_many`` takes consecutive samples up to
+``sample.BATCH_ROWS`` rows as one ragged batch, their sorted arms in one
+array, and ``sigma_sharp_batch`` runs each stage once over the batch: the
+u-grid quantiles, the segment sums (``np.add.reduceat``), the bandwidths,
+the linearly binned KDE (Silverman 1982, AS 176) as one ``bincount`` and
+one ``rfft``/``irfft`` pair per FFT period against a kernel spectrum
+cached per period (in bin units the kernel is the same for every sample),
+and the assembly and checks of all 3x3 matrices. ``sigma_sharp`` is its
+batch of one, and an entry of a batch is bit for bit that of its sample
+alone.
 """
 
 from __future__ import annotations
@@ -36,13 +38,12 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import NumericalError, ValidationError
 from .moments import ArmMoments
-from .sample import ExperimentalSample, quantile_at
+from .sample import ArmBatch, ExperimentalSample, arm_batch, order_statistic, sample_batches, zero_slotted
 from .solver import RobustConfig, penalty_derivs
 
 __all__ = [
@@ -51,6 +52,7 @@ __all__ = [
     "NearEqualVariancesWarning",
     "sigma_neyman",
     "sigma_sharp",
+    "sigma_sharp_batch",
     "sigma_sharp_many",
     "prediction_sd_grid",
     "zero_tau_limit_sd",
@@ -64,8 +66,9 @@ U_TRIM_MAX = 0.01
 U_TRIM_MIN = 2.5e-4
 
 
-def _u_trim(n_min: int) -> float:
-    """Tail trim for the u-grid, tightening as the smaller arm grows.
+def _u_trim(n_min):
+    """Tail trim for the u-grid, tightening as the smaller arm grows
+    (elementwise over an array of arm sizes).
 
     Trimming controls the 1/f-weighted tail blowup, but a fixed trim leaves
     an O(trim) bias in the fourth-moment-sized entries (the clipped quantile
@@ -73,7 +76,7 @@ def _u_trim(n_min: int) -> float:
     tails), so the band widens with sample size: never wider than 1%, never
     narrower than 0.025%.
     """
-    return min(U_TRIM_MAX, max(1.0 / n_min, U_TRIM_MIN))
+    return np.minimum(U_TRIM_MAX, np.maximum(1.0 / n_min, U_TRIM_MIN))
 
 
 class NearEqualVariancesWarning(UserWarning):
@@ -210,75 +213,34 @@ def sigma_neyman(moments: ArmMoments) -> SigmaMatrix:
 # -------------------------------------------------------------- sharp route
 
 
-def _sorted_percentile(y_sorted: np.ndarray, fraction: float) -> float:
-    """``np.percentile(y, 100 * fraction)`` of a sorted array, bit for bit.
+def _sorted_percentiles(values: np.ndarray, starts: np.ndarray, fraction: float) -> np.ndarray:
+    """``np.percentile(arm, 100 * fraction)`` of each sorted arm
+    ``values[starts[k]:starts[k + 1]]``, bit for bit.
 
-    numpy's default (linear) method: the virtual index (n - 1) * fraction,
+    numpy's default (linear) method: the virtual index (m - 1) * fraction,
     and its ``_lerp``, which interpolates from the upper neighbour when the
     weight is at least 1/2.
     """
-    n = y_sorted.shape[0]
-    virtual = (n - 1) * fraction
-    i = math.floor(virtual)
-    if i >= n - 1:
-        return float(y_sorted[-1])
+    lo, m = starts[:-1], np.diff(starts)
+    virtual = (m - 1) * fraction
+    i = np.floor(virtual).astype(np.intp)
     t = virtual - i
-    a, b = float(y_sorted[i]), float(y_sorted[i + 1])
+    a = values[lo + np.minimum(i, m - 1)]
+    b = values[lo + np.minimum(i + 1, m - 1)]
     diff = b - a
-    return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
+    return np.where(i >= m - 1, a, np.where(t >= 0.5, b - diff * (1.0 - t), a + diff * t))
 
 
-def _silverman_bandwidth(y_sorted: np.ndarray, var: float) -> float:
-    """Silverman's rule-of-thumb bandwidth of a sorted arm whose biased
-    (1/n) variance is ``var``."""
-    sd = math.sqrt(var)
-    iqr = _sorted_percentile(y_sorted, 0.75) - _sorted_percentile(y_sorted, 0.25)
-    spread = min(sd, iqr / 1.34) if iqr > 0.0 else sd
-    return 0.9 * spread * y_sorted.shape[0] ** (-0.2)
-
-
-def _bin_kde(data: np.ndarray, x: np.ndarray, h: float):
-    """The linear-binning half of the Gaussian-kernel density of sorted
-    ``data`` at ascending points ``x``, by linear binning and FFT convolution
-    (Silverman 1982, AS 176); ``_smooth_kde`` is the other half. Returns the
-    bin weights of every window in one array, the points ``x`` in bins along
-    it, and the factor that turns a smoothed bin into a density.
-
-    Bins are h / KDE_BINS_PER_BANDWIDTH wide. With c = KDE_REACH_BANDWIDTHS,
-    ``x`` splits wherever consecutive points are more than 2c h apart, and
-    each run gets a window of bins reaching c h past its ends. So the grid
-    length is set by ``x``, never by the range of ``data``: at most
-    2 c KDE_BINS_PER_BANDWIDTH + 3 bins per point. A datum outside every
-    window lies more than c h from every point and would add under
-    exp(-c^2/2) of one kernel peak; it is left out of the sum but counted in
-    the normalisation.
-
-    ``sigma_sharp_many`` runs the two halves apart: ``_bin_kde`` as each
-    sample arrives, and ``_smooth_kde`` once per batch.
-    """
-    r = KDE_BINS_PER_BANDWIDTH * KDE_REACH_BANDWIDTHS  # kernel half-width in bins
-    dx = h / KDE_BINS_PER_BANDWIDTH
-    cut = np.flatnonzero(np.diff(x) > 2 * r * dx) + 1
-    first = x[np.concatenate(([0], cut))]
-    last = x[np.concatenate((cut - 1, [x.shape[0] - 1]))]
-    lo = first - r * dx
-    # r bins of reach on either side, plus one spare so that no datum's
-    # upper neighbour bin falls in the next window
-    size = np.ceil((last - first) / dx).astype(np.intp) + 2 * r + 2
-    offset = np.cumsum(size) - size
-    grid = np.zeros(int(size.sum()))
-    for lo_w, hi_w, size_w, off_w in zip(lo, last + r * dx, size, offset):
-        i0, i1 = np.searchsorted(data, lo_w, "left"), np.searchsorted(data, hi_w, "right")
-        pos = (data[i0:i1] - lo_w) / dx
-        j = pos.astype(np.intp)
-        pos -= j  # each datum's share for the bin above it
-        upper = np.bincount(j, weights=pos, minlength=size_w)
-        window = grid[off_w : off_w + size_w]
-        window += np.bincount(j, minlength=size_w) - upper
-        window[1:] += upper[:-1]
-    window_of = np.searchsorted(cut, np.arange(x.shape[0]), side="right")
-    at = offset[window_of] + (x - lo[window_of]) / dx
-    return grid, at, 1.0 / (data.shape[0] * h * math.sqrt(2.0 * math.pi))
+def _silverman_bandwidths(values: np.ndarray, starts: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """Silverman's rule-of-thumb bandwidth of each sorted arm of a ragged
+    array (as ``_sorted_percentiles``) whose biased (1/m) variance is
+    ``var``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks for a finite h
+        sd = np.sqrt(var)
+        iqr = _sorted_percentiles(values, starts, 0.75) - _sorted_percentiles(values, starts, 0.25)
+        spread = np.where(iqr > 0.0, np.minimum(sd, iqr / 1.34), sd)
+        # Python's pow, not np.power: numpy's vector power may round otherwise
+        return 0.9 * spread * np.array([m ** (-0.2) for m in np.diff(starts).tolist()])
 
 
 # Periods are powers of two: on a u-grid of U_GRID_SIZE = 400 points there
@@ -298,128 +260,107 @@ def _kernel_spectrum(period: int) -> np.ndarray:
     return spectrum
 
 
-def _smooth_kde(binned: list) -> list:
-    """The convolution half of the binned KDE, for a list of ``_bin_kde``
-    results: the density of each at its points.
+def _kde(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Gaussian-kernel densities of the sorted arms ``values[lo[k]:hi[k]]``
+    at the ascending rows ``x[k]`` with bandwidths ``h[k]``, (K, G), by
+    linear binning and FFT convolution (Silverman 1982, AS 176).
 
-    Every grid is convolved with the kernel by FFT. Grids of one period are
-    stacked into one ``rfft``/``irfft`` pair, whose rows are bit for bit the
-    transforms of the grids one at a time, so a density does not depend on
-    the list it is smoothed in.
+    Bins are h / KDE_BINS_PER_BANDWIDTH wide. With c = KDE_REACH_BANDWIDTHS,
+    a row of ``x`` splits wherever consecutive points are more than 2c h
+    apart, and each run gets a window of bins reaching c h past its ends.
+    So an arm's grid length is set by its points, never by its range: at
+    most 2 c KDE_BINS_PER_BANDWIDTH + 3 bins per point. A datum outside
+    every window lies more than c h from every point and would add under
+    exp(-c^2/2) of one kernel peak; it is left out of the sum but counted in
+    the normalisation.
+
+    Every arm's windows lie end to end in one row of bins, the rows end to
+    end in one array, and one ``bincount`` over the data of every window
+    bins them all. The rows of one FFT period (a power of two of at least
+    the row's length + c KDE_BINS_PER_BANDWIDTH bins, so that the circular
+    convolution wraps no bin onto an evaluated one) are convolved with the
+    kernel as one zero-padded (rows, period) stack in one ``rfft``/``irfft``
+    pair, whose rows are bit for bit the transforms of the rows one at a
+    time, and the densities are read off by linear interpolation between
+    bins, at bin positions local to each row: so a density does not depend
+    on the batch it is computed in.
     """
-    r = KDE_BINS_PER_BANDWIDTH * KDE_REACH_BANDWIDTHS
+    r = KDE_BINS_PER_BANDWIDTH * KDE_REACH_BANDWIDTHS  # kernel half-width in bins
+    arms, points = x.shape
+    dx = h / KDE_BINS_PER_BANDWIDTH
+    starts = np.ones((arms, points), dtype=bool)
+    np.greater(np.diff(x, axis=1), (2 * r * dx)[:, None], out=starts[:, 1:])
+    first_at = np.flatnonzero(starts)  # flat index of each window's first point
+    arm = first_at // points  # of every window
+    flat_x = x.reshape(-1)
+    first, last = flat_x[first_at], flat_x[np.append(first_at[1:], arms * points) - 1]
+    window_of = np.repeat(np.arange(first_at.shape[0]), np.diff(first_at, append=arms * points))
+    dx_w = dx[arm]
+    low = first - r * dx_w
+    # r bins of reach on either side, plus one spare so that no datum's
+    # upper neighbour bin falls in the next window
+    size = np.ceil((last - first) / dx_w).astype(np.intp) + 2 * r + 2
+    offset = np.cumsum(size) - size  # of each window in the arms' rows, end to end
+    row_start = offset[np.flatnonzero(np.diff(arm, prepend=-1))]
+    row_length = np.diff(row_start, append=offset[-1] + size[-1])
+
+    # every window's data, in bins from its low end; one bincount bins them all
+    windows = list(zip(lo[arm].tolist(), hi[arm].tolist(), low.tolist(),
+                       (last + r * dx_w).tolist(), dx_w.tolist(), offset.tolist()))
+    bounds = [(lo_a + values[lo_a:hi_a].searchsorted(low_w, "left"),
+               lo_a + values[lo_a:hi_a].searchsorted(high_w, "right"))
+              for lo_a, hi_a, low_w, high_w, _, _ in windows]
+    end = np.cumsum([i1 - i0 for i0, i1 in bounds]).tolist()
+    pos = np.empty(end[-1])
+    for (i0, i1), stop, (_, _, low_w, _, dx_b, _) in zip(bounds, end, windows):
+        at = pos[stop - (i1 - i0) : stop]
+        np.subtract(values[i0:i1], low_w, out=at)
+        at /= dx_b
+    j = pos.astype(np.intp)
+    pos -= j  # each datum's share for the bin above it
+    for (i0, i1), stop, (*_, bin0) in zip(bounds, end, windows):
+        j[stop - (i1 - i0) : stop] += bin0
+    upper = np.bincount(j, weights=pos, minlength=offset[-1] + size[-1])
+    grid = np.bincount(j, minlength=upper.shape[0]) - upper
+    del j, pos
+    grid[1:] += upper[:-1]
+    del upper
+
+    # np.interp on each row at row-local positions, which keep the rounding
+    # of the arm's own grid, as one gather per FFT period
+    at = (offset - row_start[arm])[window_of].reshape(arms, points)
+    at = at + (x - low[window_of].reshape(arms, points)) / dx[:, None]
+    below = at.astype(np.intp)
+    at -= below
     by_period = {}
-    for i, (grid, _, _) in enumerate(binned):
-        # a period of at least len(grid) + r keeps the circular convolution
-        # from wrapping any bin onto an evaluated one
-        by_period.setdefault(1 << (grid.shape[0] + r).bit_length(), []).append(i)
-    out = [None] * len(binned)
+    for k, length in enumerate((row_length + r).tolist()):
+        by_period.setdefault(1 << length.bit_length(), []).append(k)
+    f = np.empty((arms, points))
     for period, members in by_period.items():
         stack = np.zeros((len(members), period))
-        for row, i in zip(stack, members):
-            row[: binned[i][0].shape[0]] = binned[i][0]
+        for row, k in zip(stack, members):
+            row[: row_length[k]] = grid[row_start[k] : row_start[k] + row_length[k]]
         spectra = np.fft.rfft(stack, period)
         spectra *= _kernel_spectrum(period)
         np.fft.irfft(spectra, period, out=stack)  # the smoothed grids replace the grids
         del spectra
-        bins = np.arange(period)
-        for row, i in zip(stack, members):
-            grid, at, norm = binned[i]
-            out[i] = np.interp(at, bins[: grid.shape[0]], row[: grid.shape[0]]) * norm
-    return out
+        cell = below[members] + (period * np.arange(len(members)))[:, None]
+        stack = stack.reshape(-1)
+        f0 = stack[cell]
+        f[members] = (stack[cell + 1] - f0) * at[members] + f0
+    return f * (1.0 / ((hi - lo) * h * math.sqrt(2.0 * math.pi)))[:, None]
 
 
-class _Arm(NamedTuple):
-    """One sorted arm, reduced to the O(U_GRID_SIZE) numbers Sigma needs.
-
-    ``kde`` and the sums are None for a zero-spread arm, whose influence
-    values are all zero.
-    """
-
-    kde: tuple | None  # _bin_kde of the arm at its quantiles
-    q: np.ndarray  # the u-grid quantiles less the arm's mean
-    var: float
-    w: float  # 1 / the arm's share of the sample
-    b: np.ndarray | None  # (3, 2): psi's loadings on (d, d^2)
-    counts: np.ndarray | None  # (U_GRID_SIZE + 1,) outcomes per segment
-    segments: np.ndarray | None  # (2, U_GRID_SIZE + 1): sums of d and d^2 per segment
-    second: np.ndarray | None  # (2, 2): whole-arm sums of d^2, d^3 and d^4, n [[var, mu3], [mu3, mu4]]
-    first: np.ndarray | None  # (2,): whole-arm sums of d and d^2, [0, n var]
-
-
-class _Summary(NamedTuple):
-    """One sample, reduced to what ``sigma_sharp_many`` keeps of it."""
-
-    n: int
-    u: np.ndarray
-    du: float
-    treated: _Arm
-    control: _Arm
-
-
-def _summarize_arm(y, moments, q, share, sign) -> _Arm:
-    """``_Arm`` of the sorted outcomes ``y``, whose (mean, variance, mu3,
-    mu4) are ``moments``, with u-grid quantiles ``q``; ``sign`` is +1 for
-    the treated arm and -1 for the control arm. The whole-arm sums are n
-    times the moments. The per-observation work of Sigma is all here: one
-    pass that bins the arm for its KDE and one that sums d = y - mean and
-    d^2 over each segment between consecutive quantiles
-    (``np.add.reduceat``)."""
-    mean, var, mu3, mu4 = moments
-    w = 1.0 / share
-    if y[0] == y[-1]:
-        return _Arm(None, q - mean, var, w, None, None, None, None, None)
-    h = _silverman_bandwidth(y, var)
-    if not 0.0 < h < math.inf:  # a variance that underflows to 0, a spread that overflows
-        raise NumericalError(
-            f"KDE bandwidth {h}: the outcome scale (arm SD {math.sqrt(var):.3g}) is beyond double precision")
-    kde = _bin_kde(y, q, h)  # before powers, to keep the peak down
-    n = y.shape[0]
-    powers = np.zeros((2, n + 1))  # d and d^2, then a zero column that ends the last segments
-    np.subtract(y, mean, out=powers[0, :n])
-    np.multiply(powers[0], powers[0], out=powers[1])
-    edges = np.concatenate(([0], np.searchsorted(y, q, side="right"), [n]))
-    return _Arm(
-        kde=kde,
-        q=q - mean,
-        var=var,
-        w=w,
-        b=np.array([[0.0, w], [0.0, w], [sign * w, 0.0]]),
-        counts=edges[1:] - edges[:-1],
-        segments=np.add.reduceat(powers, edges[:-1], axis=1),
-        second=n * np.array([[var, mu3], [mu3, mu4]]),
-        first=np.array([0.0, n * var]),
-    )
-
-
-def _summarize(sample: ExperimentalSample) -> _Summary:
-    """The per-sample stage of ``sigma_sharp_many``."""
-    if sample.n1 < 30 or sample.n0 < 30:
-        raise ValidationError(
-            f"influence-function covariance needs >= 30 per arm, got n1={sample.n1}, n0={sample.n0}"
-        )
-
-    y1, y0 = sample.sorted_arms
-    moments1, moments0 = sample.arm_moments
-    e = sample.n1 / sample.n
-
-    trim = _u_trim(min(sample.n1, sample.n0))
-    du = (1.0 - 2.0 * trim) / U_GRID_SIZE
-    u = trim + (np.arange(U_GRID_SIZE) + 0.5) * du  # symmetric: 1-u is a flip
-    q1, q0 = quantile_at(y1, u), quantile_at(y0, u)
-    return _Summary(
-        sample.n, u, du,
-        _summarize_arm(y1, moments1, q1, e, 1.0),
-        _summarize_arm(y0, moments0, q0, 1.0 - e, -1.0),
-    )
-
-
-def _arm_grams(arms: list, f: np.ndarray, u: np.ndarray, du: np.ndarray, q_other: np.ndarray):
-    """Sums of psi psi' and of psi over each of a batch of arms, where psi
+def _arm_grams(f, u, du, q_other, w, var, sign, counts, segments, second, first):
+    """Sums of psi psi' and of psi over each of a batch of A arms, where psi
     is an observation's (V_p, V_o, tau*) influence value: (A, 3, 3) and
-    (A, 3) from A ``_Arm`` records, their densities ``f`` (A, G), their
-    samples' u-grids ``u`` (A, G) and steps ``du`` (A,), and the other
-    arms' centred quantiles ``q_other`` (A, G).
+    (A, 3) from their densities ``f`` (A, G) at the u-grid quantiles, their
+    samples' u-grids ``u`` (A, G) and steps ``du`` (A,), the other arms'
+    centred quantiles ``q_other`` (A, G), 1 / each arm's share ``w``, its
+    variance, its ``sign`` (+1 treated, -1 control), its outcomes per
+    segment ``counts`` (A, G + 1), its sums of d and d^2 per segment
+    ``segments`` (A, 2, G + 1), and its whole-arm sums ``second`` (A, 2, 2)
+    of d^2, d^3 and d^4 and ``first`` (A, 2) of d and d^2.
 
     With d = y - mean and s the arm's share, psi = B (d, d^2) + g[k] with
 
@@ -432,22 +373,19 @@ def _arm_grams(arms: list, f: np.ndarray, u: np.ndarray, du: np.ndarray, q_other
     grid it is the suffix sum S[k] of a = du W / f. W is the other arm's
     quantile function less that arm's mean, reversed for V_p (the antitone
     coupling). With both arms centred, psi does not move when either arm is
-    shifted. Both sums follow from the segment and whole-arm sums of the
-    ``_Arm``.
+    shifted.
 
     Each arm's numbers are those of the same products on its own 2-D
     arrays, so they do not depend on the batch.
     """
-    w = np.array([arm.w for arm in arms])
-    var = np.array([arm.var for arm in arms])
-    b = np.array([arm.b for arm in arms])
-    counts = np.array([arm.counts for arm in arms])
-    segments = np.array([arm.segments for arm in arms])
+    b = np.zeros((w.shape[0], 3, 2))
+    b[:, 0, 1] = b[:, 1, 1] = w
+    b[:, 2, 0] = sign * w
     scale = (2.0 * du * w)[:, None] / f
-    a = np.empty((len(arms), 2, f.shape[1]))
+    a = np.empty((w.shape[0], 2, f.shape[1]))
     np.multiply(scale, q_other[:, ::-1], out=a[:, 0])
     np.multiply(scale, q_other, out=a[:, 1])
-    g = np.zeros((len(arms), 3, counts.shape[1]))
+    g = np.zeros((w.shape[0], 3, counts.shape[1]))
     np.cumsum(a[:, :, ::-1], axis=2, out=g[:, :2, -2::-1])
     g[:, :2] -= a @ u[:, :, None] + (var * w)[:, None, None]
     # an empty segment's reduceat entry is the next element, not 0
@@ -455,53 +393,115 @@ def _arm_grams(arms: list, f: np.ndarray, u: np.ndarray, du: np.ndarray, q_other
     g_t = g.transpose(0, 2, 1)
     cross = b @ (segments @ g_t)
     gram = (
-        b @ np.array([arm.second for arm in arms]) @ b.transpose(0, 2, 1)
+        b @ second @ b.transpose(0, 2, 1)
         + cross + cross.transpose(0, 2, 1)
         + (g * counts[:, None, :]) @ g_t
     )
-    first = np.array([arm.first for arm in arms])
     return gram, (b @ first[:, :, None])[..., 0] + (g @ counts[:, :, None])[..., 0]
 
 
-def _sigmas(summaries: list) -> list:
-    """The batch stage of ``sigma_sharp_many``: every density in one
-    ``_smooth_kde`` call, then the Gram sums of all arms and the SigmaMatrix
-    checks as array operations. Raises on the first arm, in sample order and
-    treated before control, whose density falls below DENSITY_FLOOR."""
-    arms = [arm for s in summaries for arm in (s.treated, s.control)]
-    spread = [i for i, arm in enumerate(arms) if arm.kde is not None]
-    f = np.array(_smooth_kde([arms[i].kde for i in spread]))
+def _run_ends(values: np.ndarray, idx: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """For each index ``idx`` into a sorted arm ending at ``end``, the end
+    of the run of ties it is in: ``lo + searchsorted(arm, values[idx],
+    "right")``. A value whose successor differs ends its run; the rest are
+    found by one bisection over all of them at once."""
+    end = np.broadcast_to(end, idx.shape)
+    run_end = idx + 1
+    inside = run_end < end
+    tied = np.flatnonzero(inside & (values[np.where(inside, run_end, idx)] == values[idx]))
+    if tied.size:
+        target = values[idx.flat[tied]]
+        lo, hi = run_end.flat[tied] + 1, end.flat[tied]
+        while (lo < hi).any():
+            mid = (lo + hi) // 2
+            right = values[np.minimum(mid, values.shape[0] - 1)] <= target
+            lo, hi = np.where((lo < hi) & right, mid + 1, lo), np.where((lo < hi) & ~right, mid, hi)
+        run_end.flat[tied] = lo
+    return run_end
+
+
+def sigma_sharp_batch(arms: ArmBatch) -> list:
+    """``sigma_sharp`` for each sample of an ``ArmBatch``: each stage is one
+    array pass over the batch.
+
+    The u-grid quantiles of every arm are one gather, and their segment
+    edges one ``_run_ends``. The per-segment counts and sums of d and d^2
+    are one ``np.add.reduceat`` each over the ragged array; the whole-arm
+    sums are n times the arm moments. The bandwidths are arrays, the binned
+    KDE and its FFT smoothing one ``_kde`` call, and ``_arm_grams`` and the
+    SigmaMatrix checks run on all arms at once. Raises what the first
+    failing sample raises in each of these stages: too small an arm, then
+    a bandwidth that is not positive and finite, then (in sample order,
+    treated before control) a density below DENSITY_FLOOR.
+    """
+    values, starts, (mean, var, mu3, mu4) = arms
+    lo, end, m = starts[:-1], starts[1:], np.diff(starts)
+    for n1, n0 in zip(m[0::2].tolist(), m[1::2].tolist()):
+        if n1 < 30 or n0 < 30:
+            raise ValidationError(f"influence-function covariance needs >= 30 per arm, got n1={n1}, n0={n0}")
+    n = m[0::2] + m[1::2]
+    e = m[0::2] / n
+    w = 1.0 / np.stack((e, 1.0 - e), axis=1).ravel()
+    sign = np.tile([1.0, -1.0], n.shape[0])
+
+    trim = _u_trim(np.minimum(m[0::2], m[1::2]))
+    du = (1.0 - 2.0 * trim) / U_GRID_SIZE
+    u = trim[:, None] + (np.arange(U_GRID_SIZE) + 0.5) * du[:, None]  # symmetric: 1-u is a flip
+    u, du = np.repeat(u, 2, axis=0), np.repeat(du, 2)
+    idx = lo[:, None] + order_statistic(m[:, None], u)
+    q = values[idx]
+    # outcomes per segment between consecutive quantiles, and where each starts
+    edges = np.concatenate((lo[:, None], _run_ends(values, idx, end[:, None])), axis=1)
+    counts = np.diff(edges, axis=1, append=end[:, None])
+    del idx
+
+    spread = np.flatnonzero(values[lo] != values[end - 1])  # a zero-spread arm's psi is 0
+    h = _silverman_bandwidths(values, starts, var)[spread]
+    for k in np.flatnonzero(~((0.0 < h) & (h < math.inf)))[:1]:  # a variance that underflows to 0, a spread that overflows
+        raise NumericalError(
+            f"KDE bandwidth {float(h[k])}: the outcome scale "
+            f"(arm SD {math.sqrt(var[spread[k]]):.3g}) is beyond double precision")
+    f = _kde(values, lo[spread], end[spread], q[spread], h) if spread.size else q[:0]
     low = np.flatnonzero((f < DENSITY_FLOOR).any(axis=-1))
     if low.size:
         arm = "treated" if spread[low[0]] % 2 == 0 else "control"
         raise NumericalError(f"{arm}-arm density below floor on the u-grid")
 
-    grams = np.zeros((len(arms), 3, 3))
-    sums = np.zeros((len(arms), 3))
-    if spread:
+    # sums of d = y - mean and d^2 over each segment, each arm's last one
+    # ending on the 0 that follows the arm
+    d = zero_slotted(values, starts, mean)
+    cut = (edges + np.arange(1, lo.shape[0] + 1)[:, None]).ravel()
+    segments = np.empty((lo.shape[0], 2, U_GRID_SIZE + 1))
+    segments[:, 0] = np.add.reduceat(d, cut).reshape(lo.shape[0], -1)
+    d *= d
+    segments[:, 1] = np.add.reduceat(d, cut).reshape(lo.shape[0], -1)
+    del d, edges, cut
+
+    q -= mean[:, None]
+    grams = np.zeros((lo.shape[0], 3, 3))
+    sums = np.zeros((lo.shape[0], 3))
+    if spread.size:
+        second = np.empty((spread.size, 2, 2))
+        second[:, 0, 0] = m[spread] * var[spread]
+        second[:, 0, 1] = second[:, 1, 0] = m[spread] * mu3[spread]
+        second[:, 1, 1] = m[spread] * mu4[spread]
         grams[spread], sums[spread] = _arm_grams(
-            [arms[i] for i in spread],
-            f,
-            np.array([summaries[i // 2].u for i in spread]),
-            np.array([summaries[i // 2].du for i in spread]),
-            np.array([arms[i ^ 1].q for i in spread]),
+            f, u[spread], du[spread], q[spread ^ 1], w[spread], var[spread], sign[spread], counts[spread],
+            segments[spread], second, np.stack((np.zeros(spread.size), second[:, 0, 0]), axis=1),
         )
-    n = np.array([s.n for s in summaries], dtype=float)
-    mean = (sums[0::2] + sums[1::2]) / n[:, None]
-    entries = (grams[0::2] + grams[1::2]) / n[:, None, None] - mean[:, :, None] * mean[:, None, :]
+    mean_psi = (sums[0::2] + sums[1::2]) / n[:, None]
+    entries = (grams[0::2] + grams[1::2]) / n[:, None, None] - mean_psi[:, :, None] * mean_psi[:, None, :]
     return _sigma_matrices(entries, SigmaMethod.SHARP_PLUGIN)
 
 
 def sigma_sharp_many(samples) -> list:
     """``sigma_sharp`` for each sample of an iterable, in order.
 
-    Each sample is reduced as it arrives to its u-grid quantiles, its arms'
-    binned KDE grids and their segment and whole-arm sums, all
-    O(U_GRID_SIZE), and is not kept: an iterable that draws its samples
-    lazily holds one at a time. Then the batch stage smooths every grid of
-    one FFT period in one ``rfft``/``irfft`` pair against a cached kernel
-    spectrum, and builds and checks all 3x3 matrices as arrays. An entry is
-    bit for bit the ``sigma_sharp`` of its sample alone.
+    Consecutive samples up to BATCH_ROWS rows in all (``sample_batches``)
+    form one ragged batch (``sample.arm_batch``), and ``sigma_sharp_batch``
+    runs each stage once over it. So this holds at most one batch of
+    <= 2^14 rows, or one larger sample, and the sample drawn after it. An
+    entry is bit for bit the ``sigma_sharp`` of its sample alone.
 
     Raises
     ------
@@ -509,11 +509,11 @@ def sigma_sharp_many(samples) -> list:
         The first error met, which need not be the first failing sample's:
         run batches of one to attribute an error to a sample.
     """
-    summaries = []
-    for sample in samples:
-        summaries.append(_summarize(sample))
-        del sample  # so that the next draw does not join it
-    return _sigmas(summaries)
+    out = []
+    for batch in sample_batches(samples):
+        out += sigma_sharp_batch(arm_batch(batch))
+        del batch  # so that the next draws do not join it
+    return out
 
 
 def sigma_sharp(sample: ExperimentalSample) -> SigmaMatrix:
@@ -522,16 +522,16 @@ def sigma_sharp(sample: ExperimentalSample) -> SigmaMatrix:
     Sigma is the empirical covariance of the per-observation influence
     values of (V_hat_p, V_hat_o, tau_hat), which combine arm-mean,
     arm-variance and quantile-process contributions; the latter go through
-    binned kernel density estimates (_bin_kde, _smooth_kde) at the empirical
-    quantiles of a trimmed uniform u-grid of U_GRID_SIZE points on the band
+    binned kernel density estimates (``_kde``) at the empirical quantiles of
+    a trimmed uniform u-grid of U_GRID_SIZE points on the band
     [trim, 1 - trim], where trim shrinks from 1% toward 0.025% as the
     smaller arm grows (see _u_trim). The u-grid quantiles cut each sorted
-    arm (``sample.sorted_arms``) into U_GRID_SIZE + 1 segments, and an
+    arm (``sample.arms``) into U_GRID_SIZE + 1 segments, and an
     observation's influence is a quadratic in its outcome plus a constant of
     its segment. So each arm's sums of psi psi' and psi come from a few
     whole-arm and per-segment sums (_arm_grams), and Sigma is their total
     over n less the outer product of the mean: no per-observation influence
-    array is formed. This is the batch of one of ``sigma_sharp_many``.
+    array is formed. This is the batch of one of ``sigma_sharp_batch``.
 
     Raises
     ------
@@ -543,7 +543,7 @@ def sigma_sharp(sample: ExperimentalSample) -> SigmaMatrix:
         below 1e-6 anywhere the integrals need it (extremely heavy tails or
         degenerate spread).
     """
-    return sigma_sharp_many([sample])[0]
+    return sigma_sharp_batch(sample.arms)[0]
 
 
 # ------------------------------------------------------ delta-method SDs

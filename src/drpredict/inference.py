@@ -13,10 +13,11 @@ plausible effect values. ``estimate_robust`` turns a sample into the
 
 Each of these three is a batch of one of ``estimate_robust_many``,
 ``plain_im_intervals`` and ``two_step_intervals``. Those do the per-sample
-work (moments, bracket, Sigma) one sample at a time and everything after it
-in one array call per stage: the prediction pairs, their SDs, the IM
-critical values and the two-step grids of the whole batch. An entry's
-numbers do not depend on the batch it is computed in.
+work (moments, bracket, Sigma) as one array pass per stage over ragged
+batches of samples, and everything after it in one array call per stage:
+the prediction pairs, their SDs, the IM critical values and the two-step
+grids of the whole batch. An entry's numbers do not depend on the batch it
+is computed in.
 """
 
 import enum
@@ -26,16 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundsMethod, VarianceBounds, variance_bounds
+from .bounds import BoundsMethod, VarianceBounds, variance_bounds_many
 from .covariance import (
     SigmaMatrix,
     prediction_sd_grid,
     sigma_neyman,
-    sigma_sharp_many,
+    sigma_sharp_batch,
 )
 from .exceptions import NumericalError, ValidationError
-from .moments import ArmMoments, check_fourth_moments, estimate_moments
-from .sample import ExperimentalSample
+from .moments import ArmMoments, check_fourth_moments, estimate_moments_many
+from .sample import ExperimentalSample, arm_batch, sample_batches
 from .solver import RobustConfig, newton_root, solve_minimax_many
 
 __all__ = [
@@ -253,12 +254,14 @@ def estimate_robust(
 def estimate_robust_many(samples, config: RobustConfig, method=BoundsMethod.SHARP) -> list:
     """``estimate_robust`` for each sample of an iterable, in order.
 
-    The moments and the bracket are computed as each sample arrives, and
-    the sharp Sigma stage reduces it to O(grid) summaries
-    (``covariance.sigma_sharp_many``), so an iterable that draws its samples
-    lazily holds one at a time. The Sigmas of all samples are then one
-    batch stage, their prediction pairs one solver call and their SDs one
-    array computation.
+    Consecutive samples up to ``sample.BATCH_ROWS`` rows in all form one
+    ragged batch (``sample.sample_batches``, ``sample.arm_batch``), and
+    each per-sample stage is one pass over it: the moments, the bracket and
+    the Sigma (``sigma_sharp_batch`` or ``sigma_neyman``). So an iterable
+    that draws its samples lazily is held at most one batch of <= 2^14
+    rows, or one larger sample, at a time, and the sample drawn after it.
+    The prediction pairs of all samples are then one solver call and their
+    SDs one array computation.
 
     Raises
     ------
@@ -268,26 +271,14 @@ def estimate_robust_many(samples, config: RobustConfig, method=BoundsMethod.SHAR
         and, when q > 1, for an arm whose fourth moments overflow
         (``moments.check_fourth_moments``).
     """
-    sharp = BoundsMethod(method) is BoundsMethod.SHARP
+    method = BoundsMethod(method)
     pieces = []
     sigmas = []
-
-    def arrivals():
-        for sample in samples:
-            moments = estimate_moments(sample)
-            if config.q > 1.0:
-                check_fourth_moments(sample, moments)
-            pieces.append((moments, variance_bounds(sample, moments, method), sample.n))
-            if not sharp and config.q > 1.0:
-                sigmas.append(sigma_neyman(moments))
-            yield sample
-            del sample  # so that the next draw does not join it
-
-    if sharp and config.q > 1.0:
-        sigmas = sigma_sharp_many(arrivals())
-    else:
-        for _ in arrivals():
-            pass
+    for batch in sample_batches(samples):
+        batch_pieces, batch_sigmas = _per_sample_stages(batch, config, method)
+        pieces += batch_pieces
+        sigmas += batch_sigmas
+        del batch  # so that the next draws do not join it
     if not pieces:
         return []
 
@@ -319,6 +310,22 @@ def estimate_robust_many(samples, config: RobustConfig, method=BoundsMethod.SHAR
         for (moments, bounds, n), sigma, (tau_p, tau_o), (sd_p, sd_o)
         in zip(pieces, sigmas, tau.tolist(), sds)
     ]
+
+
+def _per_sample_stages(samples, config: RobustConfig, method: BoundsMethod):
+    """([(moments, bounds, n)], [Sigma]) of a batch of samples, each stage
+    one pass over their ``ArmBatch``; no Sigmas for q = 1."""
+    arms = arm_batch(samples)
+    moments = estimate_moments_many(arms)
+    if config.q > 1.0:
+        for sample, m in zip(samples, moments):
+            check_fourth_moments(sample, m)
+    bounds = variance_bounds_many(arms, moments, method)
+    sigmas = []
+    if config.q > 1.0:
+        sigmas = (sigma_sharp_batch(arms) if method is BoundsMethod.SHARP
+                  else [sigma_neyman(m) for m in moments])
+    return [(m, b, sample.n) for m, b, sample in zip(moments, bounds, samples)], sigmas
 
 
 def _shared_config(ests) -> RobustConfig:

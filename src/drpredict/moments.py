@@ -8,9 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError, ValidationError
-from .sample import ExperimentalSample
+from .sample import ArmBatch, ExperimentalSample
 
-__all__ = ["ArmMoments", "check_fourth_moments", "estimate_moments", "scale_error"]
+__all__ = ["ArmMoments", "check_fourth_moments", "estimate_moments", "estimate_moments_many", "scale_error"]
 
 
 @dataclass(frozen=True)
@@ -38,30 +38,40 @@ class ArmMoments:
 
 
 def estimate_moments(sample: ExperimentalSample) -> ArmMoments:
-    """First four central moments per arm (``sample.arm_moments``) and the
-    empirical treatment share.
+    """First four central moments per arm and the empirical treatment
+    share: ``estimate_moments_many`` of the sample's batch of one.
 
     Raises
     ------
     ValidationError
         If either arm has fewer than two observations (no second moment).
     """
-    if sample.n1 < 2:
-        raise ValidationError(f"treated arm has {sample.n1} observation(s), need >= 2")
-    if sample.n0 < 2:
-        raise ValidationError(f"control arm has {sample.n0} observation(s), need >= 2")
-    (tau1, s1, m3_1, m4_1), (tau0, s0, m3_0, m4_0) = sample.arm_moments
-    return ArmMoments(
-        tau1=tau1,
-        tau0=tau0,
-        sigma1_sq=s1,
-        sigma0_sq=s0,
-        mu3_1=m3_1,
-        mu3_0=m3_0,
-        mu4_1=m4_1,
-        mu4_0=m4_0,
-        e_hat=sample.n1 / sample.n,
-    )
+    return estimate_moments_many(sample.arms)[0]
+
+
+def estimate_moments_many(arms: ArmBatch) -> list:
+    """``estimate_moments`` for each sample of an ``ArmBatch``; raises what
+    the first sample with an arm of fewer than two observations raises."""
+    out = []
+    sizes = np.diff(arms.starts).tolist()
+    per_sample = arms.moments.T.reshape(-1, 8).tolist()
+    for n1, n0, (tau1, s1, m3_1, m4_1, tau0, s0, m3_0, m4_0) in zip(sizes[0::2], sizes[1::2], per_sample):
+        if n1 < 2:
+            raise ValidationError(f"treated arm has {n1} observation(s), need >= 2")
+        if n0 < 2:
+            raise ValidationError(f"control arm has {n0} observation(s), need >= 2")
+        out.append(ArmMoments(
+            tau1=tau1,
+            tau0=tau0,
+            sigma1_sq=s1,
+            sigma0_sq=s0,
+            mu3_1=m3_1,
+            mu3_0=m3_0,
+            mu4_1=m4_1,
+            mu4_0=m4_0,
+            e_hat=n1 / (n1 + n0),
+        ))
+    return out
 
 
 def scale_error(arm: str, y: np.ndarray, what: str) -> NumericalError:

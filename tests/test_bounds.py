@@ -114,7 +114,7 @@ def test_sharp_unequal_sizes_match_fine_grid_quadrature():
     assert b.v_p == pytest.approx(v_p, abs=1e-9)
 
 
-# arm sizes spanning several 2^16-cell blocks: n1 << n0, n1 = n0, coprime
+# arm sizes spanning several 2^15-cell blocks: n1 << n0, n1 = n0, coprime
 BLOCKED_SIZES = [(50, 200_003), (140_000, 140_000), (131_071, 65_537)]
 
 
@@ -127,7 +127,7 @@ def test_blocks_tile_the_merged_grid(n1, n0):
     idx1, idx0 = quantile_at(np.arange(n1), mids), quantile_at(np.arange(n0), mids)
     for sizes, expected in (((n1, n0), (idx1, idx0)), ((n0, n1), (idx0, idx1))):
         blocks = list(merged_grid_blocks(*sizes))
-        assert all(b[0].shape[0] <= 2 * (1 << 16) for b in blocks)
+        assert all(b[0].shape[0] <= 2 * (1 << 15) for b in blocks)
         for k, want in enumerate(expected):
             assert np.array_equal(np.concatenate([b[k] for b in blocks]), want)
         assert np.array_equal(np.concatenate([b[2] for b in blocks]), widths)

@@ -183,7 +183,7 @@ def _split_case(name, seed):
 @pytest.mark.parametrize("name, seed, permutations", [
     ("cells-of-2", 0, 40), ("cells-of-2", 1, 40), ("cells-of-2", 2, 7),
     ("unequal", 3, 200), ("unequal", 4, 5),
-    ("several-blocks", 5, 3),  # cells span several 2^16-cell blocks
+    ("several-blocks", 5, 3),  # cells span several 2^15-cell blocks
 ])
 def test_split_null_matches_resorting_oracle(name, seed, permutations, split):
     s, mask = _split_case(name, seed)

@@ -508,14 +508,20 @@ _CUSTOM_DGP = ["--mu1", "1", "--mu0", "0", "--delta", "0.1", "--n", "300", "--re
       "--replications", "100", "--out", "{out}"], 3,
      "numerical error: the fourth moments of the treated arm overflow: the outcome scale (arm SD 0, "
      "largest |y| 1e+300) is beyond double precision"),
+    # outcomes near 5e307: each arm's sum overflows before its mean is taken
+    (["estimate", "--data", "{vast}", "--delta", "0.5", "--q", "1", "--allow-q1"], 3,
+     "numerical error: the squared quantile gaps of the control arm overflow"),
 ], ids=["sweep-tau-star-1e60", "estimate-tiny-scale", "simulate-tiny-sd", "simulate-huge-sd",
         "infer-alpha-minus-beta", "infer-alpha", "simulate-alpha", "estimate-huge-scale",
-        "estimate-huge-scale-neyman", "benchmark-huge-scale", "simulate-huge-mean"])
+        "estimate-huge-scale-neyman", "benchmark-huge-scale", "simulate-huge-mean",
+        "estimate-q1-overflowing-sum"])
 def test_extreme_inputs_end_in_a_documented_exit_code(argv, code, err, case1_csv, tmp_path, capsys):
     rng = np.random.default_rng(6)
     tiny = _write_csv(tmp_path / "tiny.csv", 1e-200 * rng.normal(size=400), np.repeat([1, 0], 200))
     huge = _write_csv(tmp_path / "huge.csv", 1e200 * rng.normal(size=400), np.repeat([1, 0], 200))
-    paths = {"tiny": tiny, "huge": huge, "case1": case1_csv, "out": str(tmp_path / "run")}
+    vast = _write_csv(tmp_path / "vast.csv", 1e306 * (50.0 + np.random.default_rng(1).normal(size=1000)),
+                      np.repeat([1, 0], 500))
+    paths = {"tiny": tiny, "huge": huge, "vast": vast, "case1": case1_csv, "out": str(tmp_path / "run")}
     assert main([a.format(**paths) for a in argv]) == code
     captured = capsys.readouterr()
     assert captured.err.startswith(err)

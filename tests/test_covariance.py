@@ -29,6 +29,12 @@ def _sample(y1, y0):
     return ExperimentalSample(y, t)
 
 
+def _bandwidth(y_sorted):
+    """The Silverman bandwidth of one sorted arm, as a ragged batch of one."""
+    return cov_module._silverman_bandwidths(y_sorted, np.array([0, y_sorted.size]),
+                                            np.array([float(y_sorted.var())]))[0]
+
+
 def _case1_marginals(rng, n):
     """Treated N(2, 4), control N(0.2, 1), treated share 0.3 (fixed split)."""
     n1 = int(round(0.3 * n))
@@ -256,7 +262,7 @@ def _u_grid_quantiles(y_sorted, grid_size=400):
 def test_binned_kde_matches_exact_kde(family, n):
     y = np.sort(_FAMILIES[family](np.random.default_rng(n), n))
     x = _u_grid_quantiles(y)
-    h = cov_module._silverman_bandwidth(y, float(y.var()))
+    h = _bandwidth(y)
     exact = kde_at(y, x, h)
     np.testing.assert_allclose(kde_binned(y, x, h), exact, rtol=KDE_RTOL, atol=0.0)
 
@@ -267,10 +273,12 @@ def test_sharp_sigma_binned_matches_exact_kde(family, monkeypatch):
     draw = _FAMILIES[family]
     smp = _sample(draw(rng, 6_000), 0.5 * draw(rng, 14_000) + 0.2)
     binned = sigma_sharp(smp).entries
-    # the batched path bins each arm as it arrives and smooths the batch
-    # later: have the first half return the exact density, the second pass it on
-    monkeypatch.setattr(cov_module, "_bin_kde", kde_at)
-    monkeypatch.setattr(cov_module, "_smooth_kde", list)
+    # the batch stage takes every density from one _kde call: have it
+    # return the exact densities of the same arms, points and bandwidths
+    def exact_kde(values, lo, hi, x, h):
+        return np.array([kde_at(values[a:b], xk, hk) for a, b, xk, hk in zip(lo, hi, x, h)])
+
+    monkeypatch.setattr(cov_module, "_kde", exact_kde)
     exact = sigma_sharp(smp).entries
     assert not np.array_equal(binned, exact)
     scale = np.sqrt(np.outer(np.diag(exact), np.diag(exact)))
@@ -340,7 +348,7 @@ def test_binned_kde_grid_follows_quantiles(draw, monkeypatch):
     bound = 400 * (2 * reach + 3)  # the docstring's bins per u-grid point
     assert 0 < max(p for p in periods if p is not None) <= 2 * (bound + reach)
     y1.sort()
-    h = cov_module._silverman_bandwidth(y1, float(y1.var()))
+    h = _bandwidth(y1)
     assert (y1[-1] - y1[0]) / (h / cov_module.KDE_BINS_PER_BANDWIDTH) > 10 * bound
     x = _u_grid_quantiles(y1)
     np.testing.assert_allclose(kde_binned(y1, x, h), kde_at(y1, x, h), rtol=KDE_RTOL, atol=0.0)
@@ -367,7 +375,7 @@ def _mixed_batch():
 def test_sigma_sharp_many_is_sigma_sharp_bit_for_bit(monkeypatch):
     batch = _mixed_batch()
     t2 = batch[2].sorted_arms[0]
-    h = cov_module._silverman_bandwidth(t2, float(t2.var()))
+    h = _bandwidth(t2)
     gap = 2 * cov_module.KDE_REACH_BANDWIDTHS * h  # the widest run of one window
     assert np.count_nonzero(np.diff(_u_grid_quantiles(t2, 400)) > gap) >= 3
     periods = []
@@ -615,11 +623,18 @@ def test_bootstrap_takes_the_bounds_method_enum():
     ids=["n30", "ties", "zero-iqr", "constant", "n2", "t3-299", "lognormal-700"],
 )
 def test_sorted_percentile_is_numpy_percentile(y):
+    # each arm alone, and between two others in one ragged array
     y = np.sort(y)
+    ragged = np.concatenate((np.arange(5.0), y, [7.0, 8.0]))
+    starts = np.array([0, 5, 5 + y.size, ragged.size])
     for fraction in (0.25, 0.75):
-        assert cov_module._sorted_percentile(y, fraction) == np.percentile(y, 100 * fraction)
+        want = np.percentile(y, 100 * fraction)
+        assert cov_module._sorted_percentiles(y, np.array([0, y.size]), fraction)[0] == want
+        assert cov_module._sorted_percentiles(ragged, starts, fraction)[1] == want
     q25, q75 = np.percentile(y, [25.0, 75.0])
     iqr = float(q75 - q25)
     sd = float(y.std())
     spread = min(sd, iqr / 1.34) if iqr > 0.0 else sd
-    assert cov_module._silverman_bandwidth(y, float(y.var())) == 0.9 * spread * y.shape[0] ** (-0.2)
+    assert _bandwidth(y) == 0.9 * spread * y.shape[0] ** (-0.2)
+    var = np.array([2.0, float(y.var()), 0.25])
+    assert cov_module._silverman_bandwidths(ragged, starts, var)[1] == _bandwidth(y)

@@ -226,9 +226,9 @@ def test_negative_effect_orders_endpoints():
 
 def test_q1_estimates_carry_no_sds(monkeypatch):
     def no_sigma(*args, **kwargs):
-        raise AssertionError("sigma_sharp_many ran for q = 1")
+        raise AssertionError("sigma_sharp_batch ran for q = 1")
 
-    monkeypatch.setattr(inference, "sigma_sharp_many", no_sigma)
+    monkeypatch.setattr(inference, "sigma_sharp_batch", no_sigma)
     rng = np.random.default_rng(9)
     est = estimate_robust(_case1(rng, 1000), RobustConfig(0.5, 1.0), "sharp")
     assert est.sigma is None and est.sd_p is None and est.sd_o is None

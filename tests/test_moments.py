@@ -118,12 +118,15 @@ def test_each_arms_moments_are_computed_once_per_sample(monkeypatch):
         smp = _sample(rng.normal(2.0, 2.0, n1), rng.normal(0.2, 1.0, 1000 - n1))
         y1, y0 = smp.sorted_arms
         bounds = sharp_bounds_empirical(smp)
-        v_o, v_p = mean_square_gaps(y1 - estimate_moments(smp).ate, (y0, y0[::-1]))
+        v_o, v_p = mean_square_gaps(y1 - estimate_moments(smp).ate, y0, (0, y1.size, 0, y0.size),
+                                    antitone=True)[0]
         assert (bounds.v_o, bounds.v_p) == (v_o, v_p)
+    # one moments pass over the sample's batch of one, covering both arms
     calls = []
-    real = sample_module._central_moments
-    monkeypatch.setattr(sample_module, "_central_moments", lambda y: calls.append(y.shape[0]) or real(y))
+    real = sample_module._ragged_moments
+    monkeypatch.setattr(sample_module, "_ragged_moments",
+                        lambda values, starts: calls.append(np.diff(starts).tolist()) or real(values, starts))
     for method in ("sharp", "neyman"):
         calls.clear()
         estimate_robust(_sample(smp.treated.copy(), smp.control.copy()), RobustConfig(0.5, 2.0), method)
-        assert calls == [smp.n1, smp.n0]
+        assert calls == [[smp.n1, smp.n0]]

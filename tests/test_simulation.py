@@ -221,7 +221,7 @@ def _blocks(dgp, cfg, edges, seed=7, replications=100):
     ]
 
 
-@pytest.mark.parametrize("batch", [simulation._BATCH, 100])
+@pytest.mark.parametrize("batch", [16, 100])  # 16: a study batch at n = 1000
 @pytest.mark.parametrize("case", [1, 3])
 def test_replications_do_not_depend_on_their_batch(case, batch):
     dgp, cfg = case_preset(case, n=400)
@@ -317,7 +317,7 @@ def test_study_raises_the_first_failing_replications_error(monkeypatch):
         return sample
 
     monkeypatch.setattr(simulation, "draw_sample", draw)
-    monkeypatch.setattr(simulation, "_BATCH", 16)
+    monkeypatch.setattr(simulation, "BATCH_ROWS", 16 * 200)  # study batches of 16
     dgp, cfg = case_preset(1, n=200)
     with pytest.raises(NumericalError):
         run_coverage_study(dgp, cfg, replications=100, seed=3)

@@ -113,6 +113,10 @@ INVOCATIONS = [
     ("simulate-four-cases", ["simulate", "--case", "1", "--case", "3", "--case", "5", "--case", "6",
                              "--n", "1000", "--replications", "100", "--threads", "1",
                              "--out", "simbench"]),
+    # n = 3000: 5 replications per call, one ragged batch of 15,000 of the
+    # 2^14 rows; 20 calls, the last as full as the rest
+    ("simulate-case2-n3000", ["simulate", "--case", "2", "--n", "3000", "--replications", "100",
+                              "--out", "simr"]),
     ("simulate-custom-p3", ["simulate", "--mu1", "1", "--mu0", "0", "--sigma1", "2", "--sigma0", "1",
                             "--delta", "0.2", "--p", "3", "--replications", "100", "--out", "simp3"]),
     # the tiny-scale design (SDs 0.02 and 0.01) and the large one (SDs 20 and 10)
@@ -156,6 +160,12 @@ INVOCATIONS = [
     ("estimate-const-sharp-json", ["estimate", "--data", "const.csv", "--delta", "0.5", "--json"]),
     ("estimate-const-neyman-json", ["estimate", "--data", "const.csv", "--delta", "0.5",
                                     "--bounds", "neyman", "--json"]),
+    # outcomes near 5e307, whose arm sums overflow: exit 3 (sharp) or 2
+    # (Neyman), with no numpy warning on stderr
+    ("estimate-q1-vast-sharp", ["estimate", "--data", "vast.csv", "--delta", "0.5", "--q", "1",
+                                "--allow-q1"]),
+    ("estimate-q1-vast-neyman", ["estimate", "--data", "vast.csv", "--delta", "0.5", "--q", "1",
+                                 "--allow-q1", "--bounds", "neyman"]),
 ]
 
 
@@ -195,6 +205,7 @@ def write_inputs(work: Path) -> None:
     _write_csv(work / "tiny.csv", 1e-200 * rng.normal(0.0, 1.0, 400), np.repeat([1, 0], 200))
     y_const = np.concatenate((rng.normal(2.0, 2.0, 600), np.full(1400, 1.7)))
     _write_csv(work / "const.csv", y_const, np.repeat([1, 0], [600, 1400]))
+    _write_csv(work / "vast.csv", 1e306 * rng.normal(50.0, 1.0, 1000), np.repeat([1, 0], 500))
     (work / "notutf8.csv").write_bytes(b"y,t\n1.0,1\n\xff,0\n")
     (work / "datadir").mkdir()
 
