@@ -26,7 +26,6 @@ from .covariance import (
     prediction_sd_grid,
     sigma_neyman,
     sigma_sharp,
-    sigma_sharp_many,
     zero_tau_limit_sd,
 )
 from .exceptions import DrPredictError, NumericalError, ParseError, ValidationError
@@ -107,7 +106,6 @@ __all__ = [
     "NearEqualVariancesWarning",
     "sigma_neyman",
     "sigma_sharp",
-    "sigma_sharp_many",
     "prediction_sd_grid",
     "zero_tau_limit_sd",
     # inference

@@ -27,7 +27,6 @@ __all__ = [
     "sharp_bounds_empirical",
     "sharp_bounds_many",
     "variance_bounds",
-    "variance_bounds_many",
 ]
 
 
@@ -218,7 +217,7 @@ def sharp_bounds_empirical(sample: ExperimentalSample) -> VarianceBounds:
     Raises
     ------
     ValidationError
-        If either arm has fewer than two observations.
+        If either arm has fewer than two observations (``sample.arms``).
     NumericalError
         If a squared gap overflows (``moments.scale_error``).
     """
@@ -229,10 +228,6 @@ def sharp_bounds_many(arms: ArmBatch) -> list:
     """``sharp_bounds_empirical`` for each sample of an ``ArmBatch``: one
     ``mean_square_gaps`` pass over the batch. Raises what the first failing
     sample raises."""
-    sizes = np.diff(arms.starts).tolist()
-    for n1, n0 in zip(sizes[0::2], sizes[1::2]):
-        if n1 < 2 or n0 < 2:
-            raise ValidationError(f"need >= 2 observations per arm, got n1={n1}, n0={n0}")
     lo1, lo0, end = arms.starts[0:-1:2], arms.starts[1::2], arms.starts[2::2]
     means = arms.moments[0]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in v_p below
@@ -253,13 +248,11 @@ def sharp_bounds_many(arms: ArmBatch) -> list:
 def variance_bounds(sample: ExperimentalSample, moments: ArmMoments,
                     method=BoundsMethod.SHARP) -> VarianceBounds:
     """The bracket of ``method`` (a ``BoundsMethod`` or its value): the sharp
-    bounds of ``sample``, or the Neyman bounds of its ``estimate_moments``."""
-    return variance_bounds_many(sample.arms, [moments], method)[0]
-
-
-def variance_bounds_many(arms: ArmBatch, moments, method=BoundsMethod.SHARP) -> list:
-    """``variance_bounds`` for each sample of an ``ArmBatch``, with their
-    ``estimate_moments``."""
+    bounds of ``sample``, or the Neyman bounds of its ``estimate_moments``,
+    which raise ``moments.scale_error`` for an arm whose variance overflows."""
     if BoundsMethod(method) is BoundsMethod.SHARP:
-        return sharp_bounds_many(arms)
-    return [neyman_bounds(m.sigma1_sq, m.sigma0_sq) for m in moments]
+        return sharp_bounds_empirical(sample)
+    for arm, var in (("treated", moments.sigma1_sq), ("control", moments.sigma0_sq)):
+        if not math.isfinite(var):
+            raise scale_error(arm, getattr(sample, arm), "the second moments")
+    return neyman_bounds(moments.sigma1_sq, moments.sigma0_sq)

@@ -19,9 +19,8 @@ the sample and its sorted arms is two rows per observation (the KDE's bin
 positions and bins), and its time is a few passes over each arm.
 ``tests/oracles.py`` keeps the (3, n) influence array as the reference.
 
-``sigma_sharp_many`` takes consecutive samples up to
-``sample.BATCH_ROWS`` rows as one ragged batch, their sorted arms in one
-array, and ``sigma_sharp_batch`` runs each stage once over the batch: the
+``sigma_sharp_batch`` takes the samples of one ``sample.ArmBatch``, their
+sorted arms in one array, and runs each stage once over the batch: the
 u-grid quantiles, the segment sums (``np.add.reduceat``), the bandwidths,
 the linearly binned KDE (Silverman 1982, AS 176) as one ``bincount`` and
 one ``rfft``/``irfft`` pair per FFT period against a kernel spectrum
@@ -43,7 +42,7 @@ import numpy as np
 
 from .exceptions import NumericalError, ValidationError
 from .moments import ArmMoments
-from .sample import ArmBatch, ExperimentalSample, arm_batch, order_statistic, sample_batches, zero_slotted
+from .sample import ArmBatch, ExperimentalSample, order_statistic, zero_slotted
 from .solver import RobustConfig, penalty_derivs
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "sigma_neyman",
     "sigma_sharp",
     "sigma_sharp_batch",
-    "sigma_sharp_many",
     "prediction_sd_grid",
     "zero_tau_limit_sd",
 ]
@@ -492,28 +490,6 @@ def sigma_sharp_batch(arms: ArmBatch) -> list:
     mean_psi = (sums[0::2] + sums[1::2]) / n[:, None]
     entries = (grams[0::2] + grams[1::2]) / n[:, None, None] - mean_psi[:, :, None] * mean_psi[:, None, :]
     return _sigma_matrices(entries, SigmaMethod.SHARP_PLUGIN)
-
-
-def sigma_sharp_many(samples) -> list:
-    """``sigma_sharp`` for each sample of an iterable, in order.
-
-    Consecutive samples up to BATCH_ROWS rows in all (``sample_batches``)
-    form one ragged batch (``sample.arm_batch``), and ``sigma_sharp_batch``
-    runs each stage once over it. So this holds at most one batch of
-    <= 2^14 rows, or one larger sample, and the sample drawn after it. An
-    entry is bit for bit the ``sigma_sharp`` of its sample alone.
-
-    Raises
-    ------
-    ValidationError, NumericalError
-        The first error met, which need not be the first failing sample's:
-        run batches of one to attribute an error to a sample.
-    """
-    out = []
-    for batch in sample_batches(samples):
-        out += sigma_sharp_batch(arm_batch(batch))
-        del batch  # so that the next draws do not join it
-    return out
 
 
 def sigma_sharp(sample: ExperimentalSample) -> SigmaMatrix:

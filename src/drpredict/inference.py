@@ -13,11 +13,11 @@ plausible effect values. ``estimate_robust`` turns a sample into the
 
 Each of these three is a batch of one of ``estimate_robust_many``,
 ``plain_im_intervals`` and ``two_step_intervals``. Those do the per-sample
-work (moments, bracket, Sigma) as one array pass per stage over ragged
-batches of samples, and everything after it in one array call per stage:
-the prediction pairs, their SDs, the IM critical values and the two-step
-grids of the whole batch. An entry's numbers do not depend on the batch it
-is computed in.
+work (moments, bracket, Sigma) as one array pass per stage over the ragged
+batch of the samples they are given, and everything after it in one array
+call per stage: the prediction pairs, their SDs, the IM critical values and
+the two-step grids of the whole batch. An entry's numbers do not depend on
+the batch it is computed in.
 """
 
 import enum
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundsMethod, VarianceBounds, variance_bounds_many
+from .bounds import BoundsMethod, VarianceBounds, sharp_bounds_many, variance_bounds
 from .covariance import (
     SigmaMatrix,
     prediction_sd_grid,
@@ -36,7 +36,7 @@ from .covariance import (
 )
 from .exceptions import NumericalError, ValidationError
 from .moments import ArmMoments, check_fourth_moments, estimate_moments_many
-from .sample import ExperimentalSample, arm_batch, sample_batches
+from .sample import ExperimentalSample, arm_batch
 from .solver import RobustConfig, newton_root, solve_minimax_many
 
 __all__ = [
@@ -254,40 +254,48 @@ def estimate_robust(
 def estimate_robust_many(samples, config: RobustConfig, method=BoundsMethod.SHARP) -> list:
     """``estimate_robust`` for each sample of an iterable, in order.
 
-    Consecutive samples up to ``sample.BATCH_ROWS`` rows in all form one
-    ragged batch (``sample.sample_batches``, ``sample.arm_batch``), and
-    each per-sample stage is one pass over it: the moments, the bracket and
-    the Sigma (``sigma_sharp_batch`` or ``sigma_neyman``). So an iterable
-    that draws its samples lazily is held at most one batch of <= 2^14
-    rows, or one larger sample, at a time, and the sample drawn after it.
-    The prediction pairs of all samples are then one solver call and their
-    SDs one array computation.
+    The samples form one ragged batch (``sample.arm_batch``), so each
+    per-sample stage is one pass over all of them: the moments, then by
+    ``method`` the bracket and the Sigma (``sharp_bounds_many`` and
+    ``sigma_sharp_batch``, or ``variance_bounds`` and ``sigma_neyman``).
+    The batch holds every sample it is given; a caller with more samples
+    than it wants in memory at once cuts them into calls, as
+    ``simulation.run_coverage_study`` does. The prediction pairs of all
+    samples are then one solver call and their SDs one array computation.
 
     Raises
     ------
     NumericalError
         As ``covariance.prediction_sd_grid`` does, for the first prediction
         (in sample order, tau_p before tau_o) that has no smooth expansion;
-        and, when q > 1, for an arm whose fourth moments overflow
-        (``moments.check_fourth_moments``).
+        when q > 1, for an arm whose fourth moments overflow
+        (``moments.check_fourth_moments``); and on the Neyman route, for an
+        arm whose variance overflows (``bounds.variance_bounds``).
     """
     method = BoundsMethod(method)
-    pieces = []
-    sigmas = []
-    for batch in sample_batches(samples):
-        batch_pieces, batch_sigmas = _per_sample_stages(batch, config, method)
-        pieces += batch_pieces
-        sigmas += batch_sigmas
-        del batch  # so that the next draws do not join it
-    if not pieces:
+    samples = list(samples)
+    if not samples:
         return []
+    arms = arm_batch(samples)
+    moments = estimate_moments_many(arms)
+    if config.q > 1.0:
+        for sample, m in zip(samples, moments):
+            check_fourth_moments(sample, m)
+    sigmas = [None] * len(samples)
+    if method is BoundsMethod.SHARP:
+        bounds = sharp_bounds_many(arms)
+        if config.q > 1.0:
+            sigmas = sigma_sharp_batch(arms)
+    else:
+        bounds = [variance_bounds(sample, m, method) for sample, m in zip(samples, moments)]
+        if config.q > 1.0:
+            sigmas = [sigma_neyman(m) for m in moments]
 
-    tau_star = np.array([[moments.ate] for moments, _, _ in pieces])
-    v = np.array([[bounds.v_p, bounds.v_o] for _, bounds, _ in pieces])
+    tau_star = np.array([[m.ate] for m in moments])
+    v = np.array([[b.v_p, b.v_o] for b in bounds])
     tau = solve_minimax_many(tau_star, v, config)
     if config.q == 1.0:
-        sigmas = [None] * len(pieces)
-        sds = [(None, None)] * len(pieces)
+        sds = [(None, None)] * len(samples)
     elif config.delta == 0.0:
         sds = [(sigma.sigma_tau,) * 2 for sigma in sigmas]
     else:
@@ -296,36 +304,11 @@ def estimate_robust_many(samples, config: RobustConfig, method=BoundsMethod.SHAR
         sigma_b = (s[:, own, own], s[:, own, 2], s[:, 2:, 2])
         sds = prediction_sd_grid(tau_star, tau, v, sigma_b, config).tolist()
     return [
-        RobustEstimates(
-            moments=moments,
-            bounds=bounds,
-            config=config,
-            tau_p=tau_p,
-            tau_o=tau_o,
-            sigma=sigma,
-            sd_p=sd_p,
-            sd_o=sd_o,
-            n=n,
-        )
-        for (moments, bounds, n), sigma, (tau_p, tau_o), (sd_p, sd_o)
-        in zip(pieces, sigmas, tau.tolist(), sds)
+        RobustEstimates(moments=m, bounds=b, config=config, tau_p=tau_p, tau_o=tau_o,
+                        sigma=sigma, sd_p=sd_p, sd_o=sd_o, n=sample.n)
+        for sample, m, b, sigma, (tau_p, tau_o), (sd_p, sd_o)
+        in zip(samples, moments, bounds, sigmas, tau.tolist(), sds)
     ]
-
-
-def _per_sample_stages(samples, config: RobustConfig, method: BoundsMethod):
-    """([(moments, bounds, n)], [Sigma]) of a batch of samples, each stage
-    one pass over their ``ArmBatch``; no Sigmas for q = 1."""
-    arms = arm_batch(samples)
-    moments = estimate_moments_many(arms)
-    if config.q > 1.0:
-        for sample, m in zip(samples, moments):
-            check_fourth_moments(sample, m)
-    bounds = variance_bounds_many(arms, moments, method)
-    sigmas = []
-    if config.q > 1.0:
-        sigmas = (sigma_sharp_batch(arms) if method is BoundsMethod.SHARP
-                  else [sigma_neyman(m) for m in moments])
-    return [(m, b, sample.n) for m, b, sample in zip(moments, bounds, samples)], sigmas
 
 
 def _shared_config(ests) -> RobustConfig:

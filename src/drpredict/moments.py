@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NumericalError, ValidationError
+from .exceptions import NumericalError
 from .sample import ArmBatch, ExperimentalSample
 
 __all__ = ["ArmMoments", "check_fourth_moments", "estimate_moments", "estimate_moments_many", "scale_error"]
@@ -44,22 +44,17 @@ def estimate_moments(sample: ExperimentalSample) -> ArmMoments:
     Raises
     ------
     ValidationError
-        If either arm has fewer than two observations (no second moment).
+        If either arm has fewer than two observations (``sample.arms``).
     """
     return estimate_moments_many(sample.arms)[0]
 
 
 def estimate_moments_many(arms: ArmBatch) -> list:
-    """``estimate_moments`` for each sample of an ``ArmBatch``; raises what
-    the first sample with an arm of fewer than two observations raises."""
+    """``estimate_moments`` for each sample of an ``ArmBatch``."""
     out = []
     sizes = np.diff(arms.starts).tolist()
     per_sample = arms.moments.T.reshape(-1, 8).tolist()
     for n1, n0, (tau1, s1, m3_1, m4_1, tau0, s0, m3_0, m4_0) in zip(sizes[0::2], sizes[1::2], per_sample):
-        if n1 < 2:
-            raise ValidationError(f"treated arm has {n1} observation(s), need >= 2")
-        if n0 < 2:
-            raise ValidationError(f"control arm has {n0} observation(s), need >= 2")
         out.append(ArmMoments(
             tau1=tau1,
             tau0=tau0,

@@ -6,11 +6,12 @@ sorted outcomes). Both are immutable after construction and safe to share
 across workers.
 
 The per-sample stages (moments, sharp bounds, sharp Sigma) take samples as
-an :class:`ArmBatch`: the sorted arms of consecutive samples in one ragged
-array, cut by ``sample_batches`` at ``BATCH_ROWS`` rows, so that each stage
-is one array pass over the batch instead of one call per sample. A sample's
-numbers never depend on the batch it is in; a sample alone is a batch of
-one, kept as its ``arms``.
+an :class:`ArmBatch`: the sorted arms of a list of samples in one ragged
+array (``arm_batch``), so that each stage is one array pass over the batch
+instead of one call per sample. The caller decides which samples share a
+batch; the coverage study cuts its replications by rows. A sample's numbers
+never depend on the batch it is in; a sample alone is a batch of one, kept
+as its ``arms``.
 """
 
 from __future__ import annotations
@@ -32,12 +33,7 @@ __all__ = [
     "EmpiricalDistribution",
     "arm_batch",
     "load_sample",
-    "sample_batches",
 ]
-
-# Rows per ragged batch: 16 samples at n = 1000. A sample of more rows is a
-# batch of its own.
-BATCH_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -113,21 +109,9 @@ class ExperimentalSample:
     def arms(self) -> "ArmBatch":
         """This sample as a batch of one (``arm_batch``): both arms sorted,
         and their moments. Computed on first access and kept, so the
-        moments, the sharp bounds and their covariance share one sort."""
+        moments, the sharp bounds and their covariance share one sort.
+        ValidationError if an arm has fewer than two observations."""
         return _arm_batch([self])
-
-    @cached_property
-    def sorted_arms(self) -> tuple[np.ndarray, np.ndarray]:
-        """(treated, control) outcomes, each sorted ascending and read-only:
-        views of ``arms``."""
-        return self.arms.values[: self.n1], self.arms.values[self.n1 :]
-
-    @cached_property
-    def arm_moments(self) -> tuple[tuple[float, float, float, float], tuple[float, float, float, float]]:
-        """(treated, control) (mean, variance, mu3, mu4), the biased (1/n)
-        central moments of each arm, from ``arms``."""
-        treated, control = self.arms.moments.T.tolist()
-        return tuple(treated), tuple(control)
 
 
 class ArmBatch(NamedTuple):
@@ -145,29 +129,10 @@ class ArmBatch(NamedTuple):
     moments: np.ndarray
 
 
-def sample_batches(samples):
-    """Consecutive samples of an iterable, in lists of at most
-    ``BATCH_ROWS`` rows in all; a sample of more rows is a list of its own.
-
-    A lazy iterable is drawn as the lists are consumed, so it holds the
-    list being filled and one sample more. A consumer that drops each list
-    before asking for the next holds no more than that.
-    """
-    batch, total = [], 0
-    for sample in samples:
-        if batch and total + sample.n > BATCH_ROWS:
-            yield batch
-            batch, total = [], 0
-        batch.append(sample)
-        total += sample.n
-        del sample  # so that the next draw does not join it
-    if batch:
-        yield batch
-
-
 def arm_batch(samples) -> ArmBatch:
     """The ``ArmBatch`` of a list of samples; a batch of one sample is its
-    cached ``arms``."""
+    cached ``arms``. ValidationError for the first arm, in sample order and
+    treated before control, of fewer than two observations."""
     if len(samples) == 1:
         return samples[0].arms
     return _arm_batch(samples)
@@ -175,6 +140,9 @@ def arm_batch(samples) -> ArmBatch:
 
 def _arm_batch(samples) -> ArmBatch:
     sizes = [m for s in samples for m in (s.n1, s.n0)]
+    for k, m in enumerate(sizes):
+        if m < 2:
+            raise ValidationError(f"{('treated', 'control')[k % 2]} arm has {m} observation(s), need >= 2")
     starts = np.zeros(len(sizes) + 1, dtype=np.intp)
     np.cumsum(sizes, out=starts[1:])
     values = np.empty(int(starts[-1]))

@@ -26,7 +26,7 @@ from .inference import (
     plain_im_intervals,
     two_step_intervals,
 )
-from .sample import BATCH_ROWS, ExperimentalSample
+from .sample import ExperimentalSample
 from .solver import RobustConfig, solve_minimax_many
 
 __all__ = [
@@ -166,6 +166,14 @@ def case_preset(case: int, n: int = 1000):
 
 # ------------------------------------------------------------ coverage study
 
+# Rows per ragged batch of samples: 16 replications at n = 1000, and a
+# sample of more rows is a batch of its own. A replication holds its share
+# of the batch's arrays until its batch ends, so the peak RSS grows with the
+# batch: the four-design study at n = 1000 peaked at 41.2, 43.9, 48.9 and
+# 54.5 MB with 16, 32, 64 and 100 replications per batch, and the larger
+# batches showed no clear gain in wall time.
+BATCH_ROWS = 1 << 14
+
 
 @dataclass(frozen=True)
 class SimulationReport:
@@ -200,12 +208,13 @@ def _replicate_batch(dgp, config, children, alpha, beta, bound_method, grid_poin
     """Replications of the given child seeds, as records (im_lo, im_hi,
     bonf_lo, bonf_hi, length_ratio, rejected).
 
-    Samples are drawn one at a time as the estimates consume them. If the
-    batch raises, its replications are rerun one by one, so that the
-    exception is the first failing replication's, as in a serial run.
+    The batch's samples are drawn and estimated as one ragged batch
+    (``estimate_robust_many``). If the batch raises, its replications are
+    rerun one by one, so that the exception is the first failing
+    replication's, as in a serial run.
     """
     try:
-        samples = (draw_sample(dgp, child) for child in children)
+        samples = [draw_sample(dgp, child) for child in children]
         ests = estimate_robust_many(samples, config, bound_method)
         ims = plain_im_intervals(ests, alpha)
         unions = two_step_intervals(ests, alpha, beta, grid_points)
@@ -244,7 +253,8 @@ def run_coverage_study(
 
     The replications' child seeds are spawned once, in index order, and cut
     into batches of ``BATCH_ROWS // dgp.n`` (at least one), each one ragged
-    batch of samples; ``_replicate_batch`` is mapped over the batches.
+    batch of samples: this is the one place that decides which samples
+    share a batch. ``_replicate_batch`` is mapped over the batches.
     ``workers`` > 1 maps them over a process pool of at most
     ``os.cpu_count()`` processes and at most one per batch. A replication's
     record depends only on its seed, and the records are aggregated in index
@@ -262,12 +272,6 @@ def run_coverage_study(
     target = truth.tau_dr
 
     children = np.random.SeedSequence(seed).spawn(replications)
-    # One ragged batch of samples per study batch (16 replications at
-    # n = 1000). A replication holds its share of the batch's arrays until
-    # its batch ends, so the peak RSS grows with the batch: the four-design
-    # study at n = 1000 peaked at 41.2, 43.9, 48.9 and 54.5 MB with 16, 32,
-    # 64 and 100 replications per batch, and the larger batches showed no
-    # clear gain in wall time.
     size = max(1, BATCH_ROWS // dgp.n)
     batches = [children[lo : lo + size] for lo in range(0, replications, size)]
     replicate = functools.partial(

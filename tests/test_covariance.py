@@ -13,12 +13,12 @@ from drpredict.covariance import (
     prediction_sd_grid,
     sigma_neyman,
     sigma_sharp,
-    sigma_sharp_many,
+    sigma_sharp_batch,
     zero_tau_limit_sd,
 )
 from drpredict import covariance as cov_module
 from drpredict.moments import ArmMoments, estimate_moments
-from drpredict.sample import quantile_at
+from drpredict.sample import arm_batch, quantile_at
 from drpredict.solver import RobustConfig, solve_minimax
 from oracles import kde_at, kde_binned, sigma_bootstrap, sigma_sharp_influence
 
@@ -310,7 +310,7 @@ def test_sharp_sigma_matches_influence_oracle(family, n):
 def test_sharp_sigma_allocates_no_per_observation_influence_array():
     n = 1_000_000
     smp = _case1_marginals(np.random.default_rng(13), n)
-    smp.sorted_arms, smp.arm_moments  # the sample's own cached sort and moments
+    smp.arms  # the sample's own cached sort and moments
     tracemalloc.start()
     try:
         sigma_sharp(smp)
@@ -374,7 +374,7 @@ def _mixed_batch():
 
 def test_sigma_sharp_many_is_sigma_sharp_bit_for_bit(monkeypatch):
     batch = _mixed_batch()
-    t2 = batch[2].sorted_arms[0]
+    t2 = batch[2].arms.values[: batch[2].n1]
     h = _bandwidth(t2)
     gap = 2 * cov_module.KDE_REACH_BANDWIDTHS * h  # the widest run of one window
     assert np.count_nonzero(np.diff(_u_grid_quantiles(t2, 400)) > gap) >= 3
@@ -386,7 +386,7 @@ def test_sigma_sharp_many_is_sigma_sharp_bit_for_bit(monkeypatch):
         return spectrum(period)
 
     monkeypatch.setattr(cov_module, "_kernel_spectrum", spy)
-    many = sigma_sharp_many(iter(batch))
+    many = sigma_sharp_batch(arm_batch(batch))
     assert len(set(periods)) >= 3
     monkeypatch.undo()
     singles = [sigma_sharp(s) for s in batch]
@@ -395,7 +395,6 @@ def test_sigma_sharp_many_is_sigma_sharp_bit_for_bit(monkeypatch):
         assert got.method is SigmaMethod.SHARP_PLUGIN
         assert np.array_equal(got.entries, want.entries)
         assert not got.entries.flags.writeable
-    assert sigma_sharp_many([]) == []
 
 
 def test_kernel_spectrum_cache_matches_a_fresh_spectrum(monkeypatch):
@@ -407,7 +406,7 @@ def test_kernel_spectrum_cache_matches_a_fresh_spectrum(monkeypatch):
         return spectrum(period)
 
     monkeypatch.setattr(cov_module, "_kernel_spectrum", spy)
-    sigma_sharp_many(_mixed_batch())
+    sigma_sharp_batch(arm_batch(_mixed_batch()))
     monkeypatch.undo()
     assert len(periods) >= 3
     r = cov_module.KDE_BINS_PER_BANDWIDTH * cov_module.KDE_REACH_BANDWIDTHS
@@ -443,7 +442,7 @@ def test_sigma_sharp_many_raises_what_the_failing_sample_raises(kind, k):
     with pytest.raises((ValidationError, NumericalError)) as alone:
         sigma_sharp(batch[k])
     with pytest.raises(alone.type) as batched:
-        sigma_sharp_many(iter(batch))
+        sigma_sharp_batch(arm_batch(batch))
     assert str(batched.value) == str(alone.value)
 
 

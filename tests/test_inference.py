@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,24 +257,6 @@ def test_batch_equals_batches_of_one(method, config):
     unions = two_step_intervals(ests, grid_points=51)
     assert unions == [two_step_interval(e, grid_points=51) for e in singles]
     assert [u.rejected_first_step for u in unions] == [True, False, True, True]
-
-
-def test_lazy_batch_holds_one_sample_at_a_time():
-    # each sample is reduced to O(grid) summaries as it arrives, so a batch
-    # drawn lazily never holds more than one sample
-    def draws(count):
-        for seed in range(count):
-            yield _case1(np.random.default_rng(seed), 100_000)
-
-    peaks = []
-    for count in (1, 16):
-        tracemalloc.start()
-        try:
-            assert len(estimate_robust_many(draws(count), CFG)) == count
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] < 2 * peaks[0]
 
 
 def test_empty_batches():

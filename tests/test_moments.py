@@ -8,6 +8,7 @@ from drpredict import sample as sample_module
 from drpredict.bounds import mean_square_gaps, sharp_bounds_empirical
 from drpredict.inference import estimate_robust
 from drpredict.moments import check_fourth_moments, estimate_moments
+from drpredict.sample import arm_batch
 from drpredict.solver import RobustConfig
 
 
@@ -55,6 +56,10 @@ def test_moments_insufficient_arm():
     s = _sample([1.0, 2.0], [3.0])
     with pytest.raises(ValidationError, match="control"):
         estimate_moments(s)
+    # one check for every stage: the first short arm of a batch, in order
+    good = _sample([1.0, 2.0], [3.0, 4.0])
+    with pytest.raises(ValidationError, match=r"^control arm has 1 observation\(s\), need >= 2$"):
+        arm_batch([good, s, _sample([1.0], [2.0, 3.0])])
 
 
 finite = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False)
@@ -116,7 +121,7 @@ def test_each_arms_moments_are_computed_once_per_sample(monkeypatch):
         rng = np.random.default_rng(seed)
         n1 = rng.binomial(1000, 0.3)
         smp = _sample(rng.normal(2.0, 2.0, n1), rng.normal(0.2, 1.0, 1000 - n1))
-        y1, y0 = smp.sorted_arms
+        y1, y0 = smp.arms.values[: smp.n1], smp.arms.values[smp.n1 :]
         bounds = sharp_bounds_empirical(smp)
         v_o, v_p = mean_square_gaps(y1 - estimate_moments(smp).ate, y0, (0, y1.size, 0, y0.size),
                                     antitone=True)[0]

@@ -7,12 +7,13 @@ import pytest
 
 from drpredict import ExperimentalSample
 from drpredict import covariance as cov_module
-from drpredict import inference
+from drpredict import inference, simulation
 from drpredict.bounds import merged_grid_blocks, sharp_bounds_empirical
 from drpredict.calibration import SplitRule, split_benchmark
-from drpredict.covariance import sigma_sharp, sigma_sharp_many
+from drpredict.covariance import sigma_sharp, sigma_sharp_batch
 from drpredict.inference import estimate_robust, estimate_robust_many
-from drpredict.sample import BATCH_ROWS, arm_batch, quantile_at, sample_batches
+from drpredict.sample import arm_batch, quantile_at
+from drpredict.simulation import BATCH_ROWS, case_preset, run_coverage_study
 from drpredict.solver import RobustConfig
 from oracles import (
     central_moments,
@@ -35,9 +36,9 @@ def _sample(y1, y0):
 
 
 def _mixed():
-    """One list of samples that the ragged batch cuts in three: a constant
-    arm, heavy ties, an arm whose u-grid splits into several KDE windows, a
-    30-row arm, and a sample larger than the row budget between small ones."""
+    """One list of samples, 28,630 rows in all: a constant arm, heavy ties,
+    an arm whose u-grid splits into several KDE windows, a 30-row arm, and a
+    sample larger than the study's row budget between small ones."""
     rng = np.random.default_rng(41)
     clusters = np.concatenate((rng.normal(0.0, 1.0, 980), rng.normal(1e3, 1.0, 10), rng.normal(2e3, 1.0, 10)))
     return [
@@ -51,11 +52,17 @@ def _mixed():
     ]
 
 
-def test_mixed_batch_is_cut_as_the_budget_says():
+def test_mixed_batch_is_cut_as_the_budget_says(monkeypatch):
+    # estimate_robust_many has no row budget of its own: it runs what it is
+    # given as one ragged batch, even past BATCH_ROWS; only the coverage
+    # study cuts samples into batches
     samples = _mixed()
-    assert [[s.n for s in b] for b in sample_batches(samples)] == [
-        [1_000, 1_000, 3_000], [20_000], [2_500, 130, 1_000]]
-    windows = np.diff(quantile_at(samples[4].sorted_arms[0], (np.arange(400) + 0.5) / 400))
+    seen = []
+    real = inference.arm_batch
+    monkeypatch.setattr(inference, "arm_batch", lambda batch: seen.append([s.n for s in batch]) or real(batch))
+    estimate_robust_many(samples, CFG)
+    assert seen == [[1_000, 1_000, 3_000, 20_000, 2_500, 130, 1_000]]
+    windows = np.diff(quantile_at(samples[4].arms.values[: samples[4].n1], (np.arange(400) + 0.5) / 400))
     assert np.count_nonzero(windows > 100.0) >= 2  # 16 bandwidths are far less than 100
 
 
@@ -63,14 +70,14 @@ def test_mixed_batch_is_cut_as_the_budget_says():
 def test_records_equal_batches_of_one(method):
     samples = _mixed()
     if method == "neyman":
-        samples = [s for s in samples if min(s.arm_moments[0][1], s.arm_moments[1][1]) > 0]
+        samples = [s for s in samples if s.arms.moments[1].min() > 0]
     ests = estimate_robust_many(iter(samples), CFG, method)
     for est, sample in zip(ests, samples):
         alone = estimate_robust(ExperimentalSample(sample.outcomes, sample.treatments), CFG, method)
         assert (est.tau_p, est.tau_o, est.sd_p, est.sd_o, est.bounds, est.moments, est.n) == (
             alone.tau_p, alone.tau_o, alone.sd_p, alone.sd_o, alone.bounds, alone.moments, alone.n)
         assert np.array_equal(est.sigma.entries, alone.sigma.entries)
-    many = sigma_sharp_many(iter(samples))
+    many = sigma_sharp_batch(arm_batch(samples))
     assert all(np.array_equal(got.entries, sigma_sharp(s).entries) for got, s in zip(many, samples))
 
 
@@ -91,23 +98,25 @@ def test_records_agree_with_the_per_sample_oracles():
 
 
 def test_no_batch_exceeds_the_budget_unless_it_holds_one_sample(monkeypatch):
-    rng = np.random.default_rng(42)
-    sizes = [int(n) for n in rng.choice([160, 900, 5_000, 9_000, 16_384, 20_000], 40)]
-
-    def draws():
-        for n in sizes:
-            yield _sample(rng.normal(2.0, 2.0, n // 4), rng.normal(0.2, 1.0, n - n // 4))
-
+    # the coverage study's batches: every replication once, at most BATCH_ROWS
+    # rows in a batch unless it holds one sample, and a batch closes only when
+    # the next sample does not fit
     seen = []
-    real = inference.arm_batch
-    monkeypatch.setattr(inference, "arm_batch", lambda batch: seen.append([s.n for s in batch]) or real(batch))
-    estimate_robust_many(draws(), CFG)
-    assert [n for batch in seen for n in batch] == sizes  # every sample once, in order
-    for batch, following in zip(seen, seen[1:] + [[None]]):
-        assert sum(batch) <= BATCH_ROWS or len(batch) == 1
-        if following[0] is not None:  # a batch closes only when the next sample does not fit
-            assert sum(batch) + following[0] > BATCH_ROWS
-    assert any(len(batch) > 1 for batch in seen) and any(sum(batch) > BATCH_ROWS for batch in seen)
+    real = simulation.estimate_robust_many
+    monkeypatch.setattr(simulation, "estimate_robust_many",
+                        lambda samples, *args: seen.append([s.n for s in samples]) or real(samples, *args))
+    for n, replications in ((160, 110), (900, 100), (5_000, 100), (20_000, 100)):
+        seen.clear()
+        run_coverage_study(*case_preset(1, n=n), replications=replications)
+        assert [size for batch in seen for size in batch] == [n] * replications, n
+        for batch, following in zip(seen, seen[1:] + [[None]]):
+            assert sum(batch) <= BATCH_ROWS or len(batch) == 1
+            if following[0] is not None:
+                assert sum(batch) + following[0] > BATCH_ROWS
+        if n == 160:
+            assert len(seen) == 2 and len(seen[0]) > 1
+        if n == 20_000:
+            assert all(sum(batch) > BATCH_ROWS for batch in seen)
 
 
 def test_arm_batch_of_one_sample_is_its_cached_arms():

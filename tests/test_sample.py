@@ -41,16 +41,16 @@ def test_sample_accepts_lists_and_is_immutable():
 
 def test_sorted_arms_are_cached_and_read_only():
     s = ExperimentalSample(np.array([3.0, 1.0, 2.0, 0.5, -1.0]), np.array([1, 1, 0, 1, 0]))
-    assert s.sorted_arms is s.sorted_arms
-    y1, y0 = s.sorted_arms
+    assert s.arms is s.arms
+    y1, y0 = s.arms.values[: s.n1], s.arms.values[s.n1 :]
     np.testing.assert_array_equal(y1, [0.5, 1.0, 3.0])
     np.testing.assert_array_equal(y0, [-1.0, 2.0])
     for arm in (y1, y0):
         with pytest.raises(ValueError):
             arm[0] = 9.0
-    assert s.arm_moments is s.arm_moments
     m = estimate_moments(s)
-    assert s.arm_moments == ((m.tau1, m.sigma1_sq, m.mu3_1, m.mu4_1), (m.tau0, m.sigma0_sq, m.mu3_0, m.mu4_0))
+    assert s.arms.moments.T.tolist() == [[m.tau1, m.sigma1_sq, m.mu3_1, m.mu4_1],
+                                         [m.tau0, m.sigma0_sq, m.mu3_0, m.mu4_0]]
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -13,7 +14,7 @@ from drpredict import ExperimentalSample, NumericalError, ValidationError
 from drpredict import simulation
 from drpredict.bounds import sharp_bounds_empirical
 from drpredict.covariance import prediction_sd_grid, sigma_sharp
-from drpredict.inference import _im_critical, _z, im_interval
+from drpredict.inference import _im_critical, _z, estimate_robust, im_interval
 from drpredict.moments import estimate_moments
 from drpredict.simulation import (
     GaussianDGP,
@@ -299,6 +300,44 @@ def test_coverage_study_two_workers_equal_serial():
     dgp, cfg = case_preset(1, n=200)
     serial = run_coverage_study(dgp, cfg, replications=100, seed=5)
     assert run_coverage_study(dgp, cfg, replications=100, seed=5, workers=2) == serial
+
+
+def test_study_cuts_its_seeds_into_batches_of_rows(monkeypatch):
+    # BATCH_ROWS // n replications per estimate_robust_many call, at least
+    # one, and each call is one ragged batch
+    calls = []
+    real = simulation.estimate_robust_many
+    monkeypatch.setattr(simulation, "estimate_robust_many",
+                        lambda samples, *args: calls.append(len(samples)) or real(samples, *args))
+    for n, want in ((1_000, [16] * 6 + [4]), (3_000, [5] * 20), (20_000, [1] * 100)):
+        calls.clear()
+        run_coverage_study(*case_preset(1, n=n), replications=100)
+        assert calls == want, n
+
+
+def test_study_holds_one_batch_at_a_time():
+    # at n = 20,000 each batch is one sample, so however many replications
+    # the study runs, its peak stays near that of one estimate
+    dgp, cfg = case_preset(1, n=20_000)
+    sample = draw_sample(dgp, 0)
+
+    def single():
+        estimate_robust(ExperimentalSample(sample.outcomes, sample.treatments), cfg)
+
+    def study():
+        run_coverage_study(dgp, cfg, replications=100)
+
+    single()  # the first call in a process also fills caches
+    run_coverage_study(*case_preset(1, n=300), replications=100)
+    peaks = []
+    for run in (single, study):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0]
 
 
 def test_study_raises_the_first_failing_replications_error(monkeypatch):

@@ -160,11 +160,15 @@ INVOCATIONS = [
     ("estimate-const-sharp-json", ["estimate", "--data", "const.csv", "--delta", "0.5", "--json"]),
     ("estimate-const-neyman-json", ["estimate", "--data", "const.csv", "--delta", "0.5",
                                     "--bounds", "neyman", "--json"]),
-    # outcomes near 5e307, whose arm sums overflow: exit 3 (sharp) or 2
-    # (Neyman), with no numpy warning on stderr
+    # outcomes near 5e307, whose arm sums overflow: exit 3 on both routes,
+    # with no numpy warning on stderr
     ("estimate-q1-vast-sharp", ["estimate", "--data", "vast.csv", "--delta", "0.5", "--q", "1",
                                 "--allow-q1"]),
     ("estimate-q1-vast-neyman", ["estimate", "--data", "vast.csv", "--delta", "0.5", "--q", "1",
+                                 "--allow-q1", "--bounds", "neyman"]),
+    # outcomes near 1e200 with an SD of 1e197: finite means, overflowing
+    # variances, exit 3
+    ("estimate-q1-wide-neyman", ["estimate", "--data", "wide.csv", "--delta", "0.5", "--q", "1",
                                  "--allow-q1", "--bounds", "neyman"]),
 ]
 
@@ -206,6 +210,8 @@ def write_inputs(work: Path) -> None:
     y_const = np.concatenate((rng.normal(2.0, 2.0, 600), np.full(1400, 1.7)))
     _write_csv(work / "const.csv", y_const, np.repeat([1, 0], [600, 1400]))
     _write_csv(work / "vast.csv", 1e306 * rng.normal(50.0, 1.0, 1000), np.repeat([1, 0], 500))
+    # drawn last, so that the inputs above stay the same
+    _write_csv(work / "wide.csv", 1e200 * (1.0 + 1e-3 * rng.normal(0.0, 1.0, 1000)), np.repeat([1, 0], 500))
     (work / "notutf8.csv").write_bytes(b"y,t\n1.0,1\n\xff,0\n")
     (work / "datadir").mkdir()
 
