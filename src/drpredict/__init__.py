@@ -22,7 +22,6 @@ from .calibration import (
 from .covariance import (
     NearEqualVariancesWarning,
     SigmaMatrix,
-    SigmaMethod,
     prediction_sd_grid,
     sigma_neyman,
     sigma_sharp,
@@ -101,7 +100,6 @@ __all__ = [
     "solve_minimax_many",
     "sweep_delta",
     # asymptotic covariance
-    "SigmaMethod",
     "SigmaMatrix",
     "NearEqualVariancesWarning",
     "sigma_neyman",

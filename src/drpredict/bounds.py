@@ -177,9 +177,10 @@ def mean_square_gaps(a: np.ndarray, b: np.ndarray, pairs, shift=None, antitone: 
     sorted; ``shift`` (None for 0) is subtracted from the first. Both
     empirical quantile functions are constant on the cells of
     ``merged_grid_blocks``, so each integral is an exact sum over the cells:
-    one ``np.dot`` per chunk, added in u order. Returns (P, 1), or with
-    ``antitone`` (P, 2) whose second column pairs ``a`` with ``b``
-    reversed, the antitone coupling.
+    one ``np.add.reduceat`` segment per chunk, added in u order. No BLAS
+    call is made, so the sums do not depend on its thread count. Returns
+    (P, 1), or with ``antitone`` (P, 2) whose second column pairs ``a``
+    with ``b`` reversed, the antitone coupling.
     """
     lo_a, n_a, lo_b, n_b = (np.atleast_1d(x) for x in pairs)
     totals = np.zeros((n_a.shape[0], 2 if antitone else 1))
@@ -193,12 +194,12 @@ def mean_square_gaps(a: np.ndarray, b: np.ndarray, pairs, shift=None, antitone: 
             partners = [ib]
             if antitone:  # lo + (n - 1 - idx), with ib already moved by lo
                 partners.append(_per_cell(2 * lo_b[chunk_pairs] + n_b[chunk_pairs] - 1, cells) - ib)
-            ends = np.cumsum(cells).tolist()
+            first = np.cumsum(cells) - cells
             for k, idx in enumerate(partners):
                 diff = qa - b[idx]
                 diff *= diff
-                for p, lo, hi in zip(chunk_pairs.tolist(), [0, *ends[:-1]], ends):
-                    totals[p, k] += float(np.dot(widths[lo:hi], diff[lo:hi]))
+                diff *= widths
+                np.add.at(totals[:, k], chunk_pairs, np.add.reduceat(diff, first))
             del ia, ib, widths, qa, diff, partners  # two blocks alive at once would double the peak
     return totals
 

@@ -28,11 +28,15 @@ cached per period (in bin units the kernel is the same for every sample),
 and the assembly and checks of all 3x3 matrices. ``sigma_sharp`` is its
 batch of one, and an entry of a batch is bit for bit that of its sample
 alone.
+
+No density needs a floor: a u-grid quantile is a datum of its arm, so the
+KDE there is at least K(1/32) / (m h), with K the Gaussian kernel, m the arm
+size and h its Silverman bandwidth, at most 0.9 sd m^-0.2: f * sd >= 0.443
+m^-0.8. Outcome scales beyond double precision fail the bandwidth check.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 import warnings
@@ -46,7 +50,6 @@ from .sample import ArmBatch, ExperimentalSample, order_statistic, zero_slotted
 from .solver import RobustConfig, penalty_derivs
 
 __all__ = [
-    "SigmaMethod",
     "SigmaMatrix",
     "NearEqualVariancesWarning",
     "sigma_neyman",
@@ -56,7 +59,6 @@ __all__ = [
     "zero_tau_limit_sd",
 ]
 
-DENSITY_FLOOR = 1e-6
 KDE_BINS_PER_BANDWIDTH = 32  # binned-KDE grid spacing is h / 32
 KDE_REACH_BANDWIDTHS = 8  # each binned-KDE window reaches 8 h past its points
 U_GRID_SIZE = 400  # u-grid points on the trimmed band of the sharp Sigma
@@ -82,11 +84,6 @@ class NearEqualVariancesWarning(UserWarning):
     at the edge of its regular regime and its standard error is fragile."""
 
 
-class SigmaMethod(str, enum.Enum):
-    NEYMAN_ANALYTIC = "neyman_analytic"
-    SHARP_PLUGIN = "sharp_plugin"
-
-
 @dataclass(frozen=True)
 class SigmaMatrix:
     """3x3 covariance of the joint limit, order (V_p, V_o, tau*).
@@ -97,7 +94,6 @@ class SigmaMatrix:
     """
 
     entries: np.ndarray
-    method: SigmaMethod
 
     def __post_init__(self):
         s = np.asarray(self.entries, dtype=float)
@@ -106,7 +102,6 @@ class SigmaMatrix:
         s = _checked(s[None])[0]
         s.setflags(write=False)
         object.__setattr__(self, "entries", s)
-        object.__setattr__(self, "method", SigmaMethod(self.method))
 
     @property
     def sigma_tau(self) -> float:
@@ -141,7 +136,7 @@ def _checked(s: np.ndarray) -> np.ndarray:
     return s
 
 
-def _sigma_matrices(entries: np.ndarray, method: SigmaMethod) -> list:
+def _sigma_matrices(entries: np.ndarray) -> list:
     """A SigmaMatrix for each matrix of an (R, 3, 3) stack, checked as one
     array by ``_checked`` instead of one ``__post_init__`` call each."""
     entries = _checked(entries)
@@ -150,7 +145,6 @@ def _sigma_matrices(entries: np.ndarray, method: SigmaMethod) -> list:
     for s in entries:
         sigma = object.__new__(SigmaMatrix)
         object.__setattr__(sigma, "entries", s)
-        object.__setattr__(sigma, "method", method)
         out.append(sigma)
     return out
 
@@ -205,7 +199,7 @@ def sigma_neyman(moments: ArmMoments) -> SigmaMatrix:
     s[0, 2] = s[2, 0] = a_plus * c1 - b_plus * c0
     s[1, 2] = s[2, 1] = a_minus * c1 - b_minus * c0
     s[2, 2] = var_tau
-    return SigmaMatrix(entries=s, method=SigmaMethod.NEYMAN_ANALYTIC)
+    return SigmaMatrix(s)
 
 
 # -------------------------------------------------------------- sharp route
@@ -429,8 +423,7 @@ def sigma_sharp_batch(arms: ArmBatch) -> list:
     KDE and its FFT smoothing one ``_kde`` call, and ``_arm_grams`` and the
     SigmaMatrix checks run on all arms at once. Raises what the first
     failing sample raises in each of these stages: too small an arm, then
-    a bandwidth that is not positive and finite, then (in sample order,
-    treated before control) a density below DENSITY_FLOOR.
+    a bandwidth that is not positive and finite or a variance that overflows.
     """
     values, starts, (mean, var, mu3, mu4) = arms
     lo, end, m = starts[:-1], starts[1:], np.diff(starts)
@@ -455,15 +448,13 @@ def sigma_sharp_batch(arms: ArmBatch) -> list:
 
     spread = np.flatnonzero(values[lo] != values[end - 1])  # a zero-spread arm's psi is 0
     h = _silverman_bandwidths(values, starts, var)[spread]
-    for k in np.flatnonzero(~((0.0 < h) & (h < math.inf)))[:1]:  # a variance that underflows to 0, a spread that overflows
+    # a variance that underflows to 0 or overflows (the IQR in the bandwidth
+    # can stay finite when it does), a spread that overflows
+    for k in np.flatnonzero(~((0.0 < h) & (h < math.inf) & (var[spread] < math.inf)))[:1]:
         raise NumericalError(
             f"KDE bandwidth {float(h[k])}: the outcome scale "
             f"(arm SD {math.sqrt(var[spread[k]]):.3g}) is beyond double precision")
     f = _kde(values, lo[spread], end[spread], q[spread], h) if spread.size else q[:0]
-    low = np.flatnonzero((f < DENSITY_FLOOR).any(axis=-1))
-    if low.size:
-        arm = "treated" if spread[low[0]] % 2 == 0 else "control"
-        raise NumericalError(f"{arm}-arm density below floor on the u-grid")
 
     # sums of d = y - mean and d^2 over each segment, each arm's last one
     # ending on the 0 that follows the arm
@@ -489,7 +480,7 @@ def sigma_sharp_batch(arms: ArmBatch) -> list:
         )
     mean_psi = (sums[0::2] + sums[1::2]) / n[:, None]
     entries = (grams[0::2] + grams[1::2]) / n[:, None, None] - mean_psi[:, :, None] * mean_psi[:, None, :]
-    return _sigma_matrices(entries, SigmaMethod.SHARP_PLUGIN)
+    return _sigma_matrices(entries)
 
 
 def sigma_sharp(sample: ExperimentalSample) -> SigmaMatrix:
@@ -514,10 +505,8 @@ def sigma_sharp(sample: ExperimentalSample) -> SigmaMatrix:
     ValidationError
         If either arm has fewer than 30 observations.
     NumericalError
-        If an arm's KDE bandwidth is not positive and finite (an outcome
-        scale beyond double precision), or an estimated arm density falls
-        below 1e-6 anywhere the integrals need it (extremely heavy tails or
-        degenerate spread).
+        If an arm's KDE bandwidth is not positive and finite or its variance
+        overflows (an outcome scale beyond double precision).
     """
     return sigma_sharp_batch(sample.arms)[0]
 

@@ -37,5 +37,6 @@ class ParseError(ValidationError):
 
 class NumericalError(DrPredictError):
     """A valid input the computation cannot carry through: a solver past its
-    iteration cap, a density below its floor, inverted interval endpoints,
-    or a prediction with no smooth delta-method expansion."""
+    iteration cap, an outcome scale beyond double precision, inverted
+    interval endpoints, or a prediction with no smooth delta-method
+    expansion."""

@@ -18,12 +18,10 @@ import numpy as np
 from drpredict.bounds import BoundsMethod, VarianceBounds, neyman_bounds, sharp_bounds_empirical
 from drpredict.calibration import _w2_sorted
 from drpredict.covariance import (
-    DENSITY_FLOOR,
     KDE_BINS_PER_BANDWIDTH,
     KDE_REACH_BANDWIDTHS,
     U_GRID_SIZE,
     SigmaMatrix,
-    SigmaMethod,
     _kde,
     _kernel_spectrum,
     _u_trim,
@@ -73,10 +71,11 @@ def merged_u_grid(n1: int, n0: int) -> tuple[np.ndarray, np.ndarray]:
 
 def w2_merged_grid(a_sorted: np.ndarray, b_sorted: np.ndarray) -> float:
     """1-D W2 between two sorted samples, from the quantile functions at the
-    midpoints of the whole merged grid."""
+    midpoints of the whole merged grid, its cells summed by
+    ``np.add.reduceat`` as the package sums each chunk."""
     mids, widths = merged_u_grid(a_sorted.shape[0], b_sorted.shape[0])
     diff = quantile_at(a_sorted, mids) - quantile_at(b_sorted, mids)
-    return math.sqrt(float(np.dot(widths, diff * diff)))
+    return math.sqrt(float(np.add.reduceat(widths * (diff * diff), [0])[0]))
 
 
 def split_benchmark_resort(outcomes, treatments, in_cell, permutations, seed):
@@ -242,15 +241,17 @@ def kde_binned_per_arm(data: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
 
 
 def sharp_bounds_per_sample(sample) -> tuple[float, float]:
-    """(v_o, v_p) of ``bounds.sharp_bounds_empirical`` as one ``np.dot``
-    over the whole merged grid of one sample (``merged_u_grid``), the
-    treated arm shifted by the difference of ``central_moments`` means."""
+    """(v_o, v_p) of ``bounds.sharp_bounds_empirical`` as one sum over the
+    whole merged grid of one sample (``merged_u_grid``), the treated arm
+    shifted by the difference of ``central_moments`` means. The cells are
+    summed by ``np.add.reduceat``, as the package sums each chunk."""
     y1, y0 = np.sort(sample.treated), np.sort(sample.control)
     shift = central_moments(sample.treated)[0] - central_moments(sample.control)[0]
     mids, widths = merged_u_grid(y1.shape[0], y0.shape[0])
     qa = quantile_at(y1, mids) - shift
     idx0 = quantile_at(np.arange(y0.shape[0]), mids)
-    v_o, v_p = (float(np.dot(widths, (qa - y0[idx]) ** 2)) for idx in (idx0, y0.shape[0] - 1 - idx0))
+    v_o, v_p = (float(np.add.reduceat((qa - y0[idx]) ** 2 * widths, [0])[0])
+                for idx in (idx0, y0.shape[0] - 1 - idx0))
     return (0.0 if v_o <= 1e-10 * v_p else v_o), v_p
 
 
@@ -278,8 +279,6 @@ def sigma_sharp_per_sample(sample) -> np.ndarray:
         if y[0] == y[-1]:  # a zero-spread arm's influence values are all 0
             continue
         f = kde_binned_per_arm(y, q, silverman_bandwidth(y, var))
-        if (f < DENSITY_FLOOR).any():
-            raise NumericalError(f"{('treated', 'control')[k]}-arm density below floor on the u-grid")
         m = y.shape[0]
         powers = np.zeros((2, m + 1))
         powers[0, :m] = y - mean
@@ -300,7 +299,7 @@ def sigma_sharp_per_sample(sample) -> np.ndarray:
         gram += b @ second @ b.T + cross + cross.T + (g * counts) @ g.T
         total += b @ np.array([0.0, m * var]) + g @ counts
     mean_psi = total / sample.n
-    return SigmaMatrix(gram / sample.n - np.outer(mean_psi, mean_psi), SigmaMethod.SHARP_PLUGIN).entries
+    return SigmaMatrix(gram / sample.n - np.outer(mean_psi, mean_psi)).entries
 
 
 def split_benchmark_two_sorts(sample, in_cell, permutations, seed):

@@ -126,7 +126,8 @@ def test_one_delta_method_sd_function():
             "DensityError", "DegenerateSample", "_replicate_block", "_kde_binned",
             "sigma_bootstrap", "dual_objective", "empirical_cdf", "empirical_quantile",
             "sharp_bounds_population", "arm_variances", "sample_batches", "sigma_sharp_many",
-            "variance_bounds_many", "_per_sample_stages", "sorted_arms", "arm_moments"}
+            "variance_bounds_many", "_per_sample_stages", "sorted_arms", "arm_moments",
+            "SigmaMethod", "DENSITY_FLOOR"}
     assert gone & set(drpredict.__all__) == set()
     modules = [importlib.import_module(f"drpredict.{m}") for m in MODULES] + [drpredict.ExperimentalSample]
     assert [(mod.__name__, name) for mod in modules for name in gone if hasattr(mod, name)] == []

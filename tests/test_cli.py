@@ -349,6 +349,26 @@ def test_sweep_into_a_closed_pipe_ends_quietly():
     assert (first, proc.wait(timeout=120), err) == (b"delta,tau_p,tau_o,tau_dr\r\n", 0, b"")
 
 
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # equal manifests give equal bytes on any core count: at 15,000 rows the
+    # merged-grid sums once went through np.dot, which OpenBLAS splits
+    # across threads
+    path, _ = _case1_file(tmp_path / "case1.csv", n=15_000)
+    commands = [["estimate", "--data", path, "--delta", "0.5", "--json"],
+                ["benchmark", "--data", path, "--permutations", "3", "--json"]]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                                          env.get("PYTHONPATH")]))
+        runs = [subprocess.run([sys.executable, "-m", "drpredict.cli", *argv], env=env,
+                               capture_output=True, timeout=300) for argv in commands]
+        assert [(proc.returncode, proc.stderr) for proc in runs] == [(0, b"")] * 2
+        outputs.append([proc.stdout for proc in runs])
+    assert outputs[0] == outputs[1]
+
+
 # ----------------------------------------------------------- the JSON writer
 
 
@@ -516,11 +536,19 @@ _CUSTOM_DGP = ["--mu1", "1", "--mu0", "0", "--delta", "0.1", "--n", "300", "--re
     # outcomes near 1e200 with an SD of 1e197: the means are finite, the variances overflow
     (["estimate", "--data", "{wide}", "--delta", "0.5", "--q", "1", "--allow-q1", "--bounds", "neyman"], 3,
      "numerical error: the second moments of the treated arm overflow"),
+    # input errors of a range, a mask, a file and a worker count
+    (["sweep", "--deltas", "2:1:0.5", "--true-v", "1", "--tau-star", "1"], 2,
+     "error: --deltas range '2:1:0.5' is empty"),
+    (["benchmark", "--data", "{masked}", "--split", "provided_mask", "--mask-col", "m"], 2,
+     "error: mask entries must be 0 or 1, got '2' (row 4, column 'm')"),
+    (["estimate", "--data", "{empty}", "--delta", "0.5"], 2, "error: empty file: no header row (row 1)"),
+    (["simulate", "--case", "1", "--workers", "0", "--out", "{out}"], 2, "error: workers must be >= 1, got 0"),
 ], ids=["sweep-tau-star-1e60", "estimate-tiny-scale", "simulate-tiny-sd", "simulate-huge-sd",
         "infer-alpha-minus-beta", "infer-alpha", "simulate-alpha", "estimate-huge-scale",
         "estimate-huge-scale-neyman", "benchmark-huge-scale", "simulate-huge-mean",
         "estimate-q1-overflowing-sum", "estimate-q1-overflowing-sum-neyman",
-        "estimate-q1-overflowing-variance-neyman"])
+        "estimate-q1-overflowing-variance-neyman", "sweep-empty-range", "benchmark-mask-entry-2",
+        "estimate-empty-file", "simulate-workers-0"])
 def test_extreme_inputs_end_in_a_documented_exit_code(argv, code, err, case1_csv, tmp_path, capsys):
     rng = np.random.default_rng(6)
     tiny = _write_csv(tmp_path / "tiny.csv", 1e-200 * rng.normal(size=400), np.repeat([1, 0], 200))
@@ -529,13 +557,15 @@ def test_extreme_inputs_end_in_a_documented_exit_code(argv, code, err, case1_csv
                       np.repeat([1, 0], 500))
     wide = _write_csv(tmp_path / "wide.csv", 1e200 * (1.0 + 1e-3 * np.random.default_rng(2).normal(size=1000)),
                       np.repeat([1, 0], 500))
+    masked = _write_csv(tmp_path / "masked.csv", [1.0, 2.0, 3.0, 4.0], [1, 0, 1, 0], {"m": [0, 1, 2, 0]})
+    (tmp_path / "empty.csv").write_bytes(b"")
     paths = {"tiny": tiny, "huge": huge, "vast": vast, "wide": wide, "case1": case1_csv,
-             "out": str(tmp_path / "run")}
+             "masked": masked, "empty": str(tmp_path / "empty.csv"), "out": str(tmp_path / "run")}
     assert main([a.format(**paths) for a in argv]) == code
     captured = capsys.readouterr()
     assert captured.err.startswith(err)
     assert "warning" not in captured.err
-    if argv[0] == "sweep":
+    if argv[0] == "sweep" and code == 0:
         assert captured.out.splitlines()[1] == "2,0.8164965809,0.8164965809,0.8164965809"
 
 

@@ -9,7 +9,6 @@ from drpredict.bounds import BoundsMethod, VarianceBounds, sharp_bounds_empirica
 from drpredict.covariance import (
     NearEqualVariancesWarning,
     SigmaMatrix,
-    SigmaMethod,
     prediction_sd_grid,
     sigma_neyman,
     sigma_sharp,
@@ -57,23 +56,26 @@ CASE1_S22 = 4.0 / 0.3 + 1.0 / 0.7  # 14.761...
 
 
 def test_sigma_matrix_validation():
-    s = SigmaMatrix(np.eye(3), method="neyman_analytic")
-    assert s.method is SigmaMethod.NEYMAN_ANALYTIC
+    s = SigmaMatrix(np.eye(3))
     assert s.sigma_tau == 1.0
     with pytest.raises(ValidationError, match="3x3"):
-        SigmaMatrix(np.eye(2), method="sharp_plugin")
+        SigmaMatrix(np.eye(2))
     with pytest.raises(ValidationError, match="symmetric"):
-        SigmaMatrix(np.array([[1.0, 0.5, 0], [0.2, 1, 0], [0, 0, 1]]), method="sharp_plugin")
+        SigmaMatrix(np.array([[1.0, 0.5, 0], [0.2, 1, 0], [0, 0, 1]]))
     bad_diag = np.eye(3)
     bad_diag[1, 1] = -0.5
     with pytest.raises(ValidationError, match="negative variance"):
-        SigmaMatrix(bad_diag, method="sharp_plugin")
+        SigmaMatrix(bad_diag)
+    not_finite = np.eye(3)
+    not_finite[2, 2] = math.nan
+    with pytest.raises(ValidationError, match="non-finite"):
+        SigmaMatrix(not_finite)
 
 
 def test_sigma_matrix_psd_repair():
     # strongly indefinite matrix gets clipped to its PSD part
     s = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    fixed = SigmaMatrix(s, method="sharp_plugin")
+    fixed = SigmaMatrix(s)
     eigs = np.linalg.eigvalsh(fixed.entries)
     assert eigs[0] >= -1e-12
     # the PSD part of [[1,2],[2,1]] is 1.5 on the diagonal, 1.5 off
@@ -86,7 +88,7 @@ def test_sigma_matrix_keeps_tiny_negative_eigenvalue():
     eps = 1e-10
     s = np.diag([1.0, 1.0, 1.0])
     s[0, 1] = s[1, 0] = 1.0 + eps  # smallest eigenvalue ~ -eps
-    out = SigmaMatrix(s, method="sharp_plugin")
+    out = SigmaMatrix(s)
     assert out.entries[0, 1] == pytest.approx(1.0 + eps)
 
 
@@ -174,7 +176,6 @@ def test_sharp_sigma_smoke_gaussian():
     rng = np.random.default_rng(7)
     out = sigma_sharp(_case1_marginals(rng, 10_000))
     assert np.all(np.isfinite(out.entries))
-    assert out.method is SigmaMethod.SHARP_PLUGIN
     # tau* slot is exact algebra (no KDE), so it should be close already
     assert out.entries[2, 2] == pytest.approx(CASE1_S22, rel=0.10)
 
@@ -206,17 +207,22 @@ def test_sharp_sigma_preconditions():
         sigma_sharp(small)
 
 
-def test_sharp_sigma_density_floor():
-    # ultra-diffuse data: bandwidth ~1e6 pushes the density below the floor
-    y = np.linspace(0.0, 1e7, 100)
-    s = _sample(y, y + 1.0)
-    with pytest.raises(NumericalError):
-        sigma_sharp(s)
+def test_sharp_sigma_is_scale_equivariant():
+    # Sigma of outcomes scaled by c is Sigma scaled by (c^2, c^2, c) on
+    # (V_p, V_o, tau*): whether it exists does not depend on the units
+    smp = _case1_marginals(np.random.default_rng(18), 2000)
+    base = sigma_sharp(smp).entries
+    bound = 1e-10 * np.sqrt(np.outer(np.diag(base), np.diag(base)))
+    for c in (1e-4, 1e4):
+        d = np.array([c * c, c * c, c])
+        scaled = sigma_sharp(_sample(c * smp.treated, c * smp.control)).entries
+        assert np.all(np.abs(scaled / np.outer(d, d) - base) <= bound), c
 
 
-@pytest.mark.parametrize("scale", [1e-200, 1e-300])
+@pytest.mark.parametrize("scale", [1e-200, 1e-300, 1e200])
 def test_sharp_sigma_outcome_scale_beyond_double_precision(scale):
-    # the arm variance underflows to 0, so Silverman's bandwidth is 0
+    # the arm variance underflows to 0, so Silverman's bandwidth is 0, or
+    # it overflows
     rng = np.random.default_rng(8)
     s = _sample(scale * rng.normal(size=200), scale * rng.normal(size=200))
     with pytest.raises(NumericalError, match="bandwidth .* outcome scale"):
@@ -392,7 +398,6 @@ def test_sigma_sharp_many_is_sigma_sharp_bit_for_bit(monkeypatch):
     singles = [sigma_sharp(s) for s in batch]
     assert len(many) == len(batch)
     for got, want in zip(many, singles):
-        assert got.method is SigmaMethod.SHARP_PLUGIN
         assert np.array_equal(got.entries, want.entries)
         assert not got.entries.flags.writeable
 
@@ -421,8 +426,9 @@ def test_kernel_spectrum_cache_matches_a_fresh_spectrum(monkeypatch):
 
 
 def _diffuse(rng, n):
-    """An arm spread so wide that its density falls below the floor."""
-    return np.linspace(0.0, 1e7, n)
+    """An arm so diffuse that its density is beyond double precision: its
+    variance overflows, so the bandwidth check fails."""
+    return 1e200 * rng.normal(size=n)
 
 
 _FAILING = {
@@ -471,7 +477,7 @@ def test_loadings_delta_zero_recovers_ate_variance():
     np.testing.assert_allclose(d_v, [0.0, 0.0])
     np.testing.assert_allclose(d_tau, [-1.0 / 3.0, -1.0])
     np.testing.assert_allclose(m, [1.0 / 3.0, 1.0])
-    sigma = SigmaMatrix(np.diag([5.0, 5.0, CASE1_S22]), method="neyman_analytic")
+    sigma = SigmaMatrix(np.diag([5.0, 5.0, CASE1_S22]))
     sd = prediction_sd_grid(1.8, np.array([1.8, 1.8]), v, _sigma_b(sigma), cfg)
     np.testing.assert_allclose(sd, math.sqrt(CASE1_S22))
 
@@ -513,7 +519,7 @@ def test_conditional_sd_grid_matches_loadings():
     # the conditional SD along a grid of source effects, with S_bt and S_tt
     # left out, equals one call per grid point with the full Sigma entries
     cfg, b, _, _ = _case1_setup(0.4)
-    sigma = SigmaMatrix(np.diag([CASE1_S00, CASE1_S11, CASE1_S22]), method="neyman_analytic")
+    sigma = SigmaMatrix(np.diag([CASE1_S00, CASE1_S11, CASE1_S22]))
     s = sigma.entries
     ts = np.array([0.8, 1.2, 1.8, 2.5])
     tau_ps = np.array([solve_minimax(t, b.v_p, cfg) for t in ts])

@@ -217,6 +217,11 @@ def test_distribution_rejects_nan():
         EmpiricalDistribution(np.array([1.0, np.nan]))
 
 
+def test_distribution_rejects_empty():
+    with pytest.raises(ValidationError, match="nonempty"):
+        EmpiricalDistribution([])
+
+
 # ------------------------------------------------------------ property tests
 
 finite_floats = st.floats(

@@ -426,6 +426,8 @@ def test_penalty_derivs_at_zero():
 def test_proximity_derivs_kink_rejected():
     with pytest.raises(ValidationError):
         proximity_derivs(1.0, 1.0, 0.0)
+    with pytest.raises(ValidationError, match="nonnegative"):
+        proximity_derivs(0.0, 1.0, -1.0)
 
 
 # --------------------------------------------------------------------- sweep

@@ -170,6 +170,9 @@ INVOCATIONS = [
     # variances, exit 3
     ("estimate-q1-wide-neyman", ["estimate", "--data", "wide.csv", "--delta", "0.5", "--q", "1",
                                  "--allow-q1", "--bounds", "neyman"]),
+    # pos.csv in units 10^4 times smaller: the sharp Sigma scales with them
+    ("estimate-pos1e4-json", ["estimate", "--data", "pos1e4.csv", "--delta", "0.5", "--json"]),
+    ("infer-pos1e4-json", ["infer", "--data", "pos1e4.csv", "--delta", "0.5", "--json"]),
 ]
 
 
@@ -189,6 +192,7 @@ def write_inputs(work: Path) -> None:
     _write_csv(work / "pos.csv", y, t, m)
     _write_csv(work / "pos_treated_1e6.csv", y + 1e6 * t, t)
     _write_csv(work / "pos_both_1e6.csv", y + 1e6, t)
+    _write_csv(work / "pos1e4.csv", 1e4 * y, t)
     _write_csv(work / "neg.csv", -y, t)
     t_null = (rng.random(800) < 0.5).astype(int)
     _write_csv(work / "null.csv", rng.normal(0.0, 1.0, 800), t_null)
