@@ -15,29 +15,26 @@ so Sigma follows from a few sums over each sorted arm: per segment, the
 count and the sums of d and d^2 (d the outcome less its arm mean), and
 over the whole arm, the sums of d to d^4, which are n times the arm's
 central moments (``sample.ArmBatch.moments``). The memory it needs beyond
-the sample and its sorted arms is two rows per observation (the KDE's bin
-positions and bins), and its time is a few passes over each arm.
+the sample and its sorted arms is one row per observation (the centred
+outcomes), and its time is a few passes over each arm.
 ``tests/oracles.py`` keeps the (3, n) influence array as the reference.
+
+No density is estimated. The quantile-process term of the influence,
+-integral of [1{y <= Q(u)} - u] W(u) / f(Q(u)) du, is by x = Q(u) the
+L-statistic influence -integral of [1{y <= x} - F(x)] W(F(x)) dx (Serfling
+1980, ch. 8), in which du / f(Q(u)) is dQ(u): on the u-grid, each cell's
+quantile spacing, an arm's own order statistics at the cell edges.
 
 ``sigma_sharp_batch`` takes the samples of one ``sample.ArmBatch``, their
 sorted arms in one array, and runs each stage once over the batch: the
-u-grid quantiles, the segment sums (``np.add.reduceat``), the bandwidths,
-the linearly binned KDE (Silverman 1982, AS 176) as one ``bincount`` and
-one ``rfft``/``irfft`` pair per FFT period against a kernel spectrum
-cached per period (in bin units the kernel is the same for every sample),
-and the assembly and checks of all 3x3 matrices. ``sigma_sharp`` is its
-batch of one, and an entry of a batch is bit for bit that of its sample
-alone.
-
-No density needs a floor: a u-grid quantile is a datum of its arm, so the
-KDE there is at least K(1/32) / (m h), with K the Gaussian kernel, m the arm
-size and h its Silverman bandwidth, at most 0.9 sd m^-0.2: f * sd >= 0.443
-m^-0.8. Outcome scales beyond double precision fail the bandwidth check.
+u-grid quantiles and spacings (one gather each), the segment sums
+(``np.add.reduceat``), and the assembly and checks of all 3x3 matrices.
+``sigma_sharp`` is its batch of one, and an entry of a batch is bit for
+bit that of its sample alone.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -59,8 +56,6 @@ __all__ = [
     "zero_tau_limit_sd",
 ]
 
-KDE_BINS_PER_BANDWIDTH = 32  # binned-KDE grid spacing is h / 32
-KDE_REACH_BANDWIDTHS = 8  # each binned-KDE window reaches 8 h past its points
 U_GRID_SIZE = 400  # u-grid points on the trimmed band of the sharp Sigma
 U_TRIM_MAX = 0.01
 U_TRIM_MIN = 2.5e-4
@@ -159,12 +154,14 @@ def sigma_neyman(moments: ArmMoments) -> SigmaMatrix:
     the delta method gives loadings (1 +- sigma0/sigma1) and
     (1 +- sigma1/sigma0) on the per-arm variance influence functions, which
     are independent across arms. Third/fourth central moments enter through
-    Var and Cov of the variance estimators.
+    Var and Cov of the variance estimators. An arm of zero variance (a
+    constant arm, whose moments are exactly 0) has no noise and contributes
+    nothing.
 
     Raises
     ------
     ValidationError
-        If either arm variance is zero.
+        If both arm variances are zero.
 
     Warns
     -----
@@ -173,9 +170,9 @@ def sigma_neyman(moments: ArmMoments) -> SigmaMatrix:
         then nearly vanishes and its standard error is unreliable.
     """
     s1_sq, s0_sq = moments.sigma1_sq, moments.sigma0_sq
-    if s1_sq <= 0.0 or s0_sq <= 0.0:
-        raise ValidationError("both arm variances must be positive for the Neyman covariance")
-    if abs(s1_sq / s0_sq - 1.0) < 1e-3:
+    if s1_sq <= 0.0 and s0_sq <= 0.0:
+        raise ValidationError("both arm variances are 0: the Neyman covariance needs one positive")
+    if s1_sq > 0.0 and s0_sq > 0.0 and abs(s1_sq / s0_sq - 1.0) < 1e-3:
         warnings.warn(
             "arm variances nearly equal; the lower Neyman bound is weakly identified",
             NearEqualVariancesWarning,
@@ -183,8 +180,8 @@ def sigma_neyman(moments: ArmMoments) -> SigmaMatrix:
         )
     e = moments.e_hat
     s1, s0 = math.sqrt(s1_sq), math.sqrt(s0_sq)
-    a_plus, a_minus = 1.0 + s0 / s1, 1.0 - s0 / s1
-    b_plus, b_minus = 1.0 + s1 / s0, 1.0 - s1 / s0
+    a_plus, a_minus = (1.0 + s0 / s1, 1.0 - s0 / s1) if s1 > 0.0 else (0.0, 0.0)
+    b_plus, b_minus = (1.0 + s1 / s0, 1.0 - s1 / s0) if s0 > 0.0 else (0.0, 0.0)
     # variances/covariances of the per-arm influence pieces
     w1 = (moments.mu4_1 - s1_sq**2) / e
     w0 = (moments.mu4_0 - s0_sq**2) / (1.0 - e)
@@ -205,154 +202,16 @@ def sigma_neyman(moments: ArmMoments) -> SigmaMatrix:
 # -------------------------------------------------------------- sharp route
 
 
-def _sorted_percentiles(values: np.ndarray, starts: np.ndarray, fraction: float) -> np.ndarray:
-    """``np.percentile(arm, 100 * fraction)`` of each sorted arm
-    ``values[starts[k]:starts[k + 1]]``, bit for bit.
-
-    numpy's default (linear) method: the virtual index (m - 1) * fraction,
-    and its ``_lerp``, which interpolates from the upper neighbour when the
-    weight is at least 1/2.
-    """
-    lo, m = starts[:-1], np.diff(starts)
-    virtual = (m - 1) * fraction
-    i = np.floor(virtual).astype(np.intp)
-    t = virtual - i
-    a = values[lo + np.minimum(i, m - 1)]
-    b = values[lo + np.minimum(i + 1, m - 1)]
-    diff = b - a
-    return np.where(i >= m - 1, a, np.where(t >= 0.5, b - diff * (1.0 - t), a + diff * t))
-
-
-def _silverman_bandwidths(values: np.ndarray, starts: np.ndarray, var: np.ndarray) -> np.ndarray:
-    """Silverman's rule-of-thumb bandwidth of each sorted arm of a ragged
-    array (as ``_sorted_percentiles``) whose biased (1/m) variance is
-    ``var``."""
-    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks for a finite h
-        sd = np.sqrt(var)
-        iqr = _sorted_percentiles(values, starts, 0.75) - _sorted_percentiles(values, starts, 0.25)
-        spread = np.where(iqr > 0.0, np.minimum(sd, iqr / 1.34), sd)
-        # Python's pow, not np.power: numpy's vector power may round otherwise
-        return 0.9 * spread * np.array([m ** (-0.2) for m in np.diff(starts).tolist()])
-
-
-# Periods are powers of two: on a u-grid of U_GRID_SIZE = 400 points there
-# are at most nine of them, the largest 2^18 bins, whose spectrum takes 2 MB.
-@functools.lru_cache(maxsize=16)
-def _kernel_spectrum(period: int) -> np.ndarray:
-    """``rfft`` of the Gaussian kernel in bins, wrapped onto a circle of
-    ``period`` bins. In bin units the kernel depends on nothing but
-    KDE_BINS_PER_BANDWIDTH and KDE_REACH_BANDWIDTHS, so one spectrum serves
-    every arm, bandwidth and batch with this period."""
-    r = KDE_BINS_PER_BANDWIDTH * KDE_REACH_BANDWIDTHS
-    kernel = np.zeros(period)
-    kernel[: r + 1] = np.exp(-0.5 * (np.arange(r + 1) / KDE_BINS_PER_BANDWIDTH) ** 2)
-    kernel[period - r :] = kernel[r:0:-1]
-    spectrum = np.fft.rfft(kernel)
-    spectrum.setflags(write=False)
-    return spectrum
-
-
-def _kde(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Gaussian-kernel densities of the sorted arms ``values[lo[k]:hi[k]]``
-    at the ascending rows ``x[k]`` with bandwidths ``h[k]``, (K, G), by
-    linear binning and FFT convolution (Silverman 1982, AS 176).
-
-    Bins are h / KDE_BINS_PER_BANDWIDTH wide. With c = KDE_REACH_BANDWIDTHS,
-    a row of ``x`` splits wherever consecutive points are more than 2c h
-    apart, and each run gets a window of bins reaching c h past its ends.
-    So an arm's grid length is set by its points, never by its range: at
-    most 2 c KDE_BINS_PER_BANDWIDTH + 3 bins per point. A datum outside
-    every window lies more than c h from every point and would add under
-    exp(-c^2/2) of one kernel peak; it is left out of the sum but counted in
-    the normalisation.
-
-    Every arm's windows lie end to end in one row of bins, the rows end to
-    end in one array, and one ``bincount`` over the data of every window
-    bins them all. The rows of one FFT period (a power of two of at least
-    the row's length + c KDE_BINS_PER_BANDWIDTH bins, so that the circular
-    convolution wraps no bin onto an evaluated one) are convolved with the
-    kernel as one zero-padded (rows, period) stack in one ``rfft``/``irfft``
-    pair, whose rows are bit for bit the transforms of the rows one at a
-    time, and the densities are read off by linear interpolation between
-    bins, at bin positions local to each row: so a density does not depend
-    on the batch it is computed in.
-    """
-    r = KDE_BINS_PER_BANDWIDTH * KDE_REACH_BANDWIDTHS  # kernel half-width in bins
-    arms, points = x.shape
-    dx = h / KDE_BINS_PER_BANDWIDTH
-    starts = np.ones((arms, points), dtype=bool)
-    np.greater(np.diff(x, axis=1), (2 * r * dx)[:, None], out=starts[:, 1:])
-    first_at = np.flatnonzero(starts)  # flat index of each window's first point
-    arm = first_at // points  # of every window
-    flat_x = x.reshape(-1)
-    first, last = flat_x[first_at], flat_x[np.append(first_at[1:], arms * points) - 1]
-    window_of = np.repeat(np.arange(first_at.shape[0]), np.diff(first_at, append=arms * points))
-    dx_w = dx[arm]
-    low = first - r * dx_w
-    # r bins of reach on either side, plus one spare so that no datum's
-    # upper neighbour bin falls in the next window
-    size = np.ceil((last - first) / dx_w).astype(np.intp) + 2 * r + 2
-    offset = np.cumsum(size) - size  # of each window in the arms' rows, end to end
-    row_start = offset[np.flatnonzero(np.diff(arm, prepend=-1))]
-    row_length = np.diff(row_start, append=offset[-1] + size[-1])
-
-    # every window's data, in bins from its low end; one bincount bins them all
-    windows = list(zip(lo[arm].tolist(), hi[arm].tolist(), low.tolist(),
-                       (last + r * dx_w).tolist(), dx_w.tolist(), offset.tolist()))
-    bounds = [(lo_a + values[lo_a:hi_a].searchsorted(low_w, "left"),
-               lo_a + values[lo_a:hi_a].searchsorted(high_w, "right"))
-              for lo_a, hi_a, low_w, high_w, _, _ in windows]
-    end = np.cumsum([i1 - i0 for i0, i1 in bounds]).tolist()
-    pos = np.empty(end[-1])
-    for (i0, i1), stop, (_, _, low_w, _, dx_b, _) in zip(bounds, end, windows):
-        at = pos[stop - (i1 - i0) : stop]
-        np.subtract(values[i0:i1], low_w, out=at)
-        at /= dx_b
-    j = pos.astype(np.intp)
-    pos -= j  # each datum's share for the bin above it
-    for (i0, i1), stop, (*_, bin0) in zip(bounds, end, windows):
-        j[stop - (i1 - i0) : stop] += bin0
-    upper = np.bincount(j, weights=pos, minlength=offset[-1] + size[-1])
-    grid = np.bincount(j, minlength=upper.shape[0]) - upper
-    del j, pos
-    grid[1:] += upper[:-1]
-    del upper
-
-    # np.interp on each row at row-local positions, which keep the rounding
-    # of the arm's own grid, as one gather per FFT period
-    at = (offset - row_start[arm])[window_of].reshape(arms, points)
-    at = at + (x - low[window_of].reshape(arms, points)) / dx[:, None]
-    below = at.astype(np.intp)
-    at -= below
-    by_period = {}
-    for k, length in enumerate((row_length + r).tolist()):
-        by_period.setdefault(1 << length.bit_length(), []).append(k)
-    f = np.empty((arms, points))
-    for period, members in by_period.items():
-        stack = np.zeros((len(members), period))
-        for row, k in zip(stack, members):
-            row[: row_length[k]] = grid[row_start[k] : row_start[k] + row_length[k]]
-        spectra = np.fft.rfft(stack, period)
-        spectra *= _kernel_spectrum(period)
-        np.fft.irfft(spectra, period, out=stack)  # the smoothed grids replace the grids
-        del spectra
-        cell = below[members] + (period * np.arange(len(members)))[:, None]
-        stack = stack.reshape(-1)
-        f0 = stack[cell]
-        f[members] = (stack[cell + 1] - f0) * at[members] + f0
-    return f * (1.0 / ((hi - lo) * h * math.sqrt(2.0 * math.pi)))[:, None]
-
-
-def _arm_grams(f, u, du, q_other, w, var, sign, counts, segments, second, first):
+def _arm_grams(spacing, u, q_other, w, var, sign, counts, segments, second, first):
     """Sums of psi psi' and of psi over each of a batch of A arms, where psi
     is an observation's (V_p, V_o, tau*) influence value: (A, 3, 3) and
-    (A, 3) from their densities ``f`` (A, G) at the u-grid quantiles, their
-    samples' u-grids ``u`` (A, G) and steps ``du`` (A,), the other arms'
-    centred quantiles ``q_other`` (A, G), 1 / each arm's share ``w``, its
-    variance, its ``sign`` (+1 treated, -1 control), its outcomes per
-    segment ``counts`` (A, G + 1), its sums of d and d^2 per segment
-    ``segments`` (A, 2, G + 1), and its whole-arm sums ``second`` (A, 2, 2)
-    of d^2, d^3 and d^4 and ``first`` (A, 2) of d and d^2.
+    (A, 3) from their quantile spacings ``spacing`` (A, G) across the u-grid
+    cells, their samples' u-grids ``u`` (A, G), the other arms' centred
+    quantiles ``q_other`` (A, G), 1 / each arm's share ``w``, its variance,
+    its ``sign`` (+1 treated, -1 control), its outcomes per segment
+    ``counts`` (A, G + 1), its sums of d and d^2 per segment ``segments``
+    (A, 2, G + 1), and its whole-arm sums ``second`` (A, 2, 2) of d^2, d^3
+    and d^4 and ``first`` (A, 2) of d and d^2.
 
     With d = y - mean and s the arm's share, psi = B (d, d^2) + g[k] with
 
@@ -360,12 +219,12 @@ def _arm_grams(f, u, du, q_other, w, var, sign, counts, segments, second, first)
 
     and g[k] a constant of the segment k = #{u-grid quantiles < y}, one of
     G + 1. Its V_p and V_o entries are (2 S[k] - 2 (u . a) - var) / s: the
-    quantile-process piece, the integral of Qdot(u) W(u) du with
-    Qdot(u) = -[1{y <= Q(u)} - u] / (s f(Q(u))), is a step in u, so on the
-    grid it is the suffix sum S[k] of a = du W / f. W is the other arm's
-    quantile function less that arm's mean, reversed for V_p (the antitone
-    coupling). With both arms centred, psi does not move when either arm is
-    shifted.
+    quantile-process piece, -integral of [1{y <= Q(u)} - u] W(u) dQ(u) / s,
+    is a step in u, so on the grid it is the suffix sum S[k] of
+    a = spacing W. W is the other arm's quantile function less that arm's
+    mean, reversed for V_p (the antitone coupling). With both arms centred,
+    psi does not move when either arm is shifted; a constant arm, with its
+    spacings, d and variance all exactly 0, has psi exactly 0.
 
     Each arm's numbers are those of the same products on its own 2-D
     arrays, so they do not depend on the batch.
@@ -373,8 +232,8 @@ def _arm_grams(f, u, du, q_other, w, var, sign, counts, segments, second, first)
     b = np.zeros((w.shape[0], 3, 2))
     b[:, 0, 1] = b[:, 1, 1] = w
     b[:, 2, 0] = sign * w
-    scale = (2.0 * du * w)[:, None] / f
-    a = np.empty((w.shape[0], 2, f.shape[1]))
+    scale = (2.0 * w)[:, None] * spacing
+    a = np.empty((w.shape[0], 2, spacing.shape[1]))
     np.multiply(scale, q_other[:, ::-1], out=a[:, 0])
     np.multiply(scale, q_other, out=a[:, 1])
     g = np.zeros((w.shape[0], 3, counts.shape[1]))
@@ -416,20 +275,24 @@ def sigma_sharp_batch(arms: ArmBatch) -> list:
     """``sigma_sharp`` for each sample of an ``ArmBatch``: each stage is one
     array pass over the batch.
 
-    The u-grid quantiles of every arm are one gather, and their segment
-    edges one ``_run_ends``. The per-segment counts and sums of d and d^2
-    are one ``np.add.reduceat`` each over the ragged array; the whole-arm
-    sums are n times the arm moments. The bandwidths are arrays, the binned
-    KDE and its FFT smoothing one ``_kde`` call, and ``_arm_grams`` and the
-    SigmaMatrix checks run on all arms at once. Raises what the first
-    failing sample raises in each of these stages: too small an arm, then
-    a bandwidth that is not positive and finite or a variance that overflows.
+    The u-grid quantiles of every arm are one gather, the order statistics
+    at the u-grid's cell edges another, and the segment edges one
+    ``_run_ends``. The per-segment counts and sums of d and d^2 are one
+    ``np.add.reduceat`` each over the ragged array; the whole-arm sums are n
+    times the arm moments. ``_arm_grams`` and the SigmaMatrix checks run on
+    all arms at once. Raises what the first failing sample raises in each
+    of these stages: too small an arm, then an arm that is not constant but
+    whose variance underflows to 0 or overflows.
     """
     values, starts, (mean, var, mu3, mu4) = arms
     lo, end, m = starts[:-1], starts[1:], np.diff(starts)
     for n1, n0 in zip(m[0::2].tolist(), m[1::2].tolist()):
         if n1 < 30 or n0 < 30:
             raise ValidationError(f"influence-function covariance needs >= 30 per arm, got n1={n1}, n0={n0}")
+    for k in np.flatnonzero((values[lo] != values[end - 1]) & ~((0.0 < var) & (var < math.inf)))[:1]:
+        raise NumericalError(
+            f"{('treated', 'control')[k % 2]} arm variance {float(var[k])}: the outcome scale "
+            f"(arm SD {math.sqrt(var[k]):.3g}) is beyond double precision")
     n = m[0::2] + m[1::2]
     e = m[0::2] / n
     w = 1.0 / np.stack((e, 1.0 - e), axis=1).ravel()
@@ -438,23 +301,15 @@ def sigma_sharp_batch(arms: ArmBatch) -> list:
     trim = _u_trim(np.minimum(m[0::2], m[1::2]))
     du = (1.0 - 2.0 * trim) / U_GRID_SIZE
     u = trim[:, None] + (np.arange(U_GRID_SIZE) + 0.5) * du[:, None]  # symmetric: 1-u is a flip
-    u, du = np.repeat(u, 2, axis=0), np.repeat(du, 2)
+    cells = trim[:, None] + np.arange(U_GRID_SIZE + 1) * du[:, None]  # u-grid cell edges
+    u, cells = np.repeat(u, 2, axis=0), np.repeat(cells, 2, axis=0)
+    spacing = np.diff(values[lo[:, None] + order_statistic(m[:, None], cells)], axis=1)
     idx = lo[:, None] + order_statistic(m[:, None], u)
     q = values[idx]
     # outcomes per segment between consecutive quantiles, and where each starts
     edges = np.concatenate((lo[:, None], _run_ends(values, idx, end[:, None])), axis=1)
     counts = np.diff(edges, axis=1, append=end[:, None])
     del idx
-
-    spread = np.flatnonzero(values[lo] != values[end - 1])  # a zero-spread arm's psi is 0
-    h = _silverman_bandwidths(values, starts, var)[spread]
-    # a variance that underflows to 0 or overflows (the IQR in the bandwidth
-    # can stay finite when it does), a spread that overflows
-    for k in np.flatnonzero(~((0.0 < h) & (h < math.inf) & (var[spread] < math.inf)))[:1]:
-        raise NumericalError(
-            f"KDE bandwidth {float(h[k])}: the outcome scale "
-            f"(arm SD {math.sqrt(var[spread[k]]):.3g}) is beyond double precision")
-    f = _kde(values, lo[spread], end[spread], q[spread], h) if spread.size else q[:0]
 
     # sums of d = y - mean and d^2 over each segment, each arm's last one
     # ending on the 0 that follows the arm
@@ -467,17 +322,14 @@ def sigma_sharp_batch(arms: ArmBatch) -> list:
     del d, edges, cut
 
     q -= mean[:, None]
-    grams = np.zeros((lo.shape[0], 3, 3))
-    sums = np.zeros((lo.shape[0], 3))
-    if spread.size:
-        second = np.empty((spread.size, 2, 2))
-        second[:, 0, 0] = m[spread] * var[spread]
-        second[:, 0, 1] = second[:, 1, 0] = m[spread] * mu3[spread]
-        second[:, 1, 1] = m[spread] * mu4[spread]
-        grams[spread], sums[spread] = _arm_grams(
-            f, u[spread], du[spread], q[spread ^ 1], w[spread], var[spread], sign[spread], counts[spread],
-            segments[spread], second, np.stack((np.zeros(spread.size), second[:, 0, 0]), axis=1),
-        )
+    second = np.empty((lo.shape[0], 2, 2))
+    second[:, 0, 0] = m * var
+    second[:, 0, 1] = second[:, 1, 0] = m * mu3
+    second[:, 1, 1] = m * mu4
+    grams, sums = _arm_grams(
+        spacing, u, q[np.arange(lo.shape[0]) ^ 1], w, var, sign, counts, segments, second,
+        np.stack((np.zeros(lo.shape[0]), second[:, 0, 0]), axis=1),
+    )
     mean_psi = (sums[0::2] + sums[1::2]) / n[:, None]
     entries = (grams[0::2] + grams[1::2]) / n[:, None, None] - mean_psi[:, :, None] * mean_psi[:, None, :]
     return _sigma_matrices(entries)
@@ -488,12 +340,13 @@ def sigma_sharp(sample: ExperimentalSample) -> SigmaMatrix:
 
     Sigma is the empirical covariance of the per-observation influence
     values of (V_hat_p, V_hat_o, tau_hat), which combine arm-mean,
-    arm-variance and quantile-process contributions; the latter go through
-    binned kernel density estimates (``_kde``) at the empirical quantiles of
-    a trimmed uniform u-grid of U_GRID_SIZE points on the band
-    [trim, 1 - trim], where trim shrinks from 1% toward 0.025% as the
-    smaller arm grows (see _u_trim). The u-grid quantiles cut each sorted
-    arm (``sample.arms``) into U_GRID_SIZE + 1 segments, and an
+    arm-variance and quantile-process contributions. The quantile-process
+    term is taken on a trimmed uniform u-grid of U_GRID_SIZE points on the
+    band [trim, 1 - trim], where trim shrinks from 1% toward 0.025% as the
+    smaller arm grows (see _u_trim), and in its L-statistic form: a cell's
+    du / f(Q(u)) is the arm's quantile spacing across the cell, so no
+    density is estimated. The u-grid quantiles cut each sorted arm
+    (``sample.arms``) into U_GRID_SIZE + 1 segments, and an
     observation's influence is a quadratic in its outcome plus a constant of
     its segment. So each arm's sums of psi psi' and psi come from a few
     whole-arm and per-segment sums (_arm_grams), and Sigma is their total
@@ -505,8 +358,8 @@ def sigma_sharp(sample: ExperimentalSample) -> SigmaMatrix:
     ValidationError
         If either arm has fewer than 30 observations.
     NumericalError
-        If an arm's KDE bandwidth is not positive and finite or its variance
-        overflows (an outcome scale beyond double precision).
+        If an arm that is not constant has a variance that underflows to 0
+        or overflows (an outcome scale beyond double precision).
     """
     return sigma_sharp_batch(sample.arms)[0]
 

@@ -37,6 +37,7 @@ class ParseError(ValidationError):
 
 class NumericalError(DrPredictError):
     """A valid input the computation cannot carry through: a solver past its
-    iteration cap, an outcome scale beyond double precision, inverted
-    interval endpoints, or a prediction with no smooth delta-method
-    expansion."""
+    iteration cap, an outcome scale beyond double precision (an arm that is
+    not constant whose variance underflows to 0 or overflows, or moments
+    and squared quantile gaps that overflow), inverted interval endpoints,
+    or a prediction with no smooth delta-method expansion."""

@@ -17,39 +17,10 @@ import numpy as np
 
 from drpredict.bounds import BoundsMethod, VarianceBounds, neyman_bounds, sharp_bounds_empirical
 from drpredict.calibration import _w2_sorted
-from drpredict.covariance import (
-    KDE_BINS_PER_BANDWIDTH,
-    KDE_REACH_BANDWIDTHS,
-    U_GRID_SIZE,
-    SigmaMatrix,
-    _kde,
-    _kernel_spectrum,
-    _u_trim,
-)
+from drpredict.covariance import U_GRID_SIZE, SigmaMatrix, _u_trim
 from drpredict.exceptions import NumericalError, ValidationError
 from drpredict.sample import EmpiricalDistribution, ExperimentalSample, quantile_at
 from drpredict.solver import RobustConfig, penalty_derivs, sweep_delta
-
-
-def kde_at(data: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
-    """Gaussian-kernel density of ``data`` evaluated at points ``x``.
-
-    The exact O(len(data) * len(x)) sum; the reference for ``kde_binned``.
-    """
-    out = np.empty(x.shape[0])
-    norm = 1.0 / (data.shape[0] * h * math.sqrt(2.0 * math.pi))
-    # chunk the evaluation grid to cap the kernel matrix at ~4M entries
-    step = max(1, 4_000_000 // max(data.shape[0], 1))
-    for start in range(0, x.shape[0], step):
-        z = (x[start : start + step, None] - data[None, :]) / h
-        out[start : start + step] = np.exp(-0.5 * z * z).sum(axis=1) * norm
-    return out
-
-
-def kde_binned(data: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
-    """The binned KDE of sorted ``data`` at ascending points ``x`` as
-    ``covariance.sigma_sharp`` takes it: ``covariance._kde`` on one arm."""
-    return _kde(data, np.array([0]), np.array([data.shape[0]]), x[None, :], np.array([h]))[0]
 
 
 def merged_u_grid(n1: int, n0: int) -> tuple[np.ndarray, np.ndarray]:
@@ -115,9 +86,8 @@ def _arm_influence(
     sign: float,
     mean: float,
     u: np.ndarray,
-    du: float,
     q: np.ndarray,
-    f: np.ndarray | None,
+    spacing: np.ndarray,
     q_other: np.ndarray,
 ) -> None:
     """Write the (V_p, V_o, tau*) influence values of one arm's sorted
@@ -127,46 +97,50 @@ def _arm_influence(
     treated arm, -1 for the control arm. The quantile-process piece is the
     integral of Qdot_i(u) * Q_other(u) du, with ``q_other`` the other arm's
     quantiles less that arm's mean, reversed for the antitone coupling (V_p), where
-    Qdot_i(u) = -[1{y_i <= Q(u)} - u] / (share * f(Q(u))). The indicator is
-    a step in u, so the integral is a suffix sum over the grid plus one
+    Qdot_i(u) du = -[1{y_i <= Q(u)} - u] dQ(u) / share, and dQ(u) on a grid
+    cell is the arm's quantile ``spacing`` across it. The indicator is a
+    step in u, so the integral is a suffix sum over the grid plus one
     searchsorted per observation.
     """
     arm_dot = (y - mean) / share
     out[2] = sign * arm_dot
     sig_dot = ((y - mean) ** 2 - float(y.var())) / share
-    k = None if f is None else np.searchsorted(q, y, side="left")
+    k = np.searchsorted(q, y, side="left")
     for row, weights in ((0, q_other[::-1]), (1, q_other)):
-        theta_dot = 0.0
-        if f is not None:
-            a = du * weights / f
-            suffix = np.concatenate((np.cumsum(a[::-1])[::-1], [0.0]))
-            theta_dot = -(suffix[k] - float(np.dot(u, a))) / share
+        a = spacing * weights
+        suffix = np.concatenate((np.cumsum(a[::-1])[::-1], [0.0]))
+        theta_dot = -(suffix[k] - float(np.dot(u, a))) / share
         out[row] = sig_dot - 2.0 * theta_dot
 
 
-def _arm_density(y_sorted: np.ndarray, q: np.ndarray) -> np.ndarray | None:
-    """The binned KDE of a sorted arm at its u-grid quantiles, None for a
-    zero-spread arm, as ``covariance.sigma_sharp`` uses it."""
-    if y_sorted[0] == y_sorted[-1]:
-        return None
-    return kde_binned(y_sorted, q, silverman_bandwidth(y_sorted, float(y_sorted.var())))
+def _arm_spacing(y_sorted: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """The quantile spacings of a sorted arm across the u-grid cells whose
+    edges are ``cells``, as ``covariance.sigma_sharp`` uses them: the
+    differences of its order statistics at the edges, all 0 for a
+    zero-spread arm."""
+    return np.diff(quantile_at(y_sorted, cells))
+
+
+def _u_grid(n_min: int, grid_size: int):
+    """The midpoints and the cell edges of ``covariance.sigma_sharp``'s
+    trimmed u-grid."""
+    trim = float(_u_trim(n_min))
+    du = (1.0 - 2.0 * trim) / grid_size
+    return trim + (np.arange(grid_size) + 0.5) * du, trim + np.arange(grid_size + 1) * du
 
 
 def sigma_sharp_influence(sample, grid_size: int = 400) -> np.ndarray:
     """The entries of ``covariance.sigma_sharp`` as the Gram matrix of a
     (3, n) array of per-observation influence values, on the same u-grid
-    and densities; the reference for its segment-sum assembly."""
+    and quantile spacings; the reference for its segment-sum assembly."""
     y1, y0 = np.sort(sample.treated), np.sort(sample.control)
     e = sample.n1 / sample.n
     tau1, tau0 = float(y1.mean()), float(y0.mean())
-    trim = _u_trim(min(sample.n1, sample.n0))
-    du = (1.0 - 2.0 * trim) / grid_size
-    u = trim + (np.arange(grid_size) + 0.5) * du
+    u, cells = _u_grid(min(sample.n1, sample.n0), grid_size)
     q1, q0 = quantile_at(y1, u), quantile_at(y0, u)
-    f1, f0 = _arm_density(y1, q1), _arm_density(y0, q0)
     psi = np.empty((3, sample.n))
-    _arm_influence(psi[:, : sample.n1], y1, e, 1.0, tau1, u, du, q1, f1, q0 - tau0)
-    _arm_influence(psi[:, sample.n1 :], y0, 1.0 - e, -1.0, tau0, u, du, q0, f0, q1 - tau1)
+    _arm_influence(psi[:, : sample.n1], y1, e, 1.0, tau1, u, q1, _arm_spacing(y1, cells), q0 - tau0)
+    _arm_influence(psi[:, sample.n1 :], y0, 1.0 - e, -1.0, tau0, u, q0, _arm_spacing(y0, cells), q1 - tau1)
     psi -= psi.mean(axis=1, keepdims=True)
     return psi @ psi.T / sample.n
 
@@ -176,68 +150,15 @@ def sigma_sharp_influence(sample, grid_size: int = 400) -> np.ndarray:
 
 def central_moments(y: np.ndarray) -> tuple[float, float, float, float]:
     """(mean, variance, mu3, mu4) of one arm as drawn, the biased (1/n)
-    central moments, each an ``np.mean``; the reference for
-    ``sample.ArmBatch.moments``."""
+    central moments, each an ``np.mean``, and exactly (value, 0, 0, 0) for
+    an arm of one value; the reference for ``sample.ArmBatch.moments``."""
+    if y.min() == y.max():
+        return float(y[0]), 0.0, 0.0, 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         mean = y.mean()
         d = y - mean
         d2 = d * d
         return float(mean), float(d2.mean()), float((d2 * d).mean()), float((d2 * d2).mean())
-
-
-def sorted_percentile(y_sorted: np.ndarray, fraction: float) -> float:
-    """``np.percentile(y, 100 * fraction)`` of one sorted arm, in scalar
-    arithmetic: numpy's linear method and its ``_lerp``."""
-    n = y_sorted.shape[0]
-    virtual = (n - 1) * fraction
-    i = math.floor(virtual)
-    if i >= n - 1:
-        return float(y_sorted[-1])
-    t = virtual - i
-    a, b = float(y_sorted[i]), float(y_sorted[i + 1])
-    diff = b - a
-    return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
-
-
-def silverman_bandwidth(y_sorted: np.ndarray, var: float) -> float:
-    """Silverman's rule-of-thumb bandwidth of one sorted arm whose biased
-    variance is ``var``, in scalar arithmetic."""
-    sd = math.sqrt(var)
-    iqr = sorted_percentile(y_sorted, 0.75) - sorted_percentile(y_sorted, 0.25)
-    spread = min(sd, iqr / 1.34) if iqr > 0.0 else sd
-    return 0.9 * spread * y_sorted.shape[0] ** (-0.2)
-
-
-def kde_binned_per_arm(data: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
-    """The binned KDE of one sorted arm at ascending points ``x``, one
-    window and one ``np.interp`` at a time: linear binning into windows of
-    bins h / KDE_BINS_PER_BANDWIDTH wide that reach KDE_REACH_BANDWIDTHS h
-    past each run of points, then one FFT convolution of the arm's grid;
-    the reference for ``covariance._kde``."""
-    r = KDE_BINS_PER_BANDWIDTH * KDE_REACH_BANDWIDTHS
-    dx = h / KDE_BINS_PER_BANDWIDTH
-    cut = np.flatnonzero(np.diff(x) > 2 * r * dx) + 1
-    first = x[np.concatenate(([0], cut))]
-    last = x[np.concatenate((cut - 1, [x.shape[0] - 1]))]
-    lo = first - r * dx
-    size = np.ceil((last - first) / dx).astype(np.intp) + 2 * r + 2
-    offset = np.cumsum(size) - size
-    grid = np.zeros(int(size.sum()))
-    for lo_w, hi_w, size_w, off_w in zip(lo, last + r * dx, size, offset):
-        i0, i1 = np.searchsorted(data, lo_w, "left"), np.searchsorted(data, hi_w, "right")
-        pos = (data[i0:i1] - lo_w) / dx
-        j = pos.astype(np.intp)
-        pos -= j
-        upper = np.bincount(j, weights=pos, minlength=size_w)
-        window = grid[off_w : off_w + size_w]
-        window += np.bincount(j, minlength=size_w) - upper
-        window[1:] += upper[:-1]
-    window_of = np.searchsorted(cut, np.arange(x.shape[0]), side="right")
-    at = offset[window_of] + (x - lo[window_of]) / dx
-    period = 1 << (grid.shape[0] + r).bit_length()
-    smooth = np.fft.irfft(np.fft.rfft(grid, period) * _kernel_spectrum(period), period)
-    norm = 1.0 / (data.shape[0] * h * math.sqrt(2.0 * math.pi))
-    return np.interp(at, np.arange(grid.shape[0]), smooth[: grid.shape[0]]) * norm
 
 
 def sharp_bounds_per_sample(sample) -> tuple[float, float]:
@@ -260,25 +181,20 @@ def sigma_sharp_per_sample(sample) -> np.ndarray:
     and one arm at a time: each arm's moments (``central_moments``), its
     sort, its u-grid quantiles and their ``np.searchsorted`` segment edges,
     its per-segment ``np.add.reduceat`` sums of d and d^2 over the arm with
-    a 0 appended, its KDE (``kde_binned_per_arm``) and its Gram sums as 2-D
-    products; the reference for the ragged batch stage."""
+    a 0 appended, its quantile spacings (``_arm_spacing``) and its Gram sums
+    as 2-D products; the reference for the ragged batch stage."""
     if sample.n1 < 30 or sample.n0 < 30:
         raise ValidationError(
             f"influence-function covariance needs >= 30 per arm, got n1={sample.n1}, n0={sample.n0}"
         )
     e = sample.n1 / sample.n
-    trim = float(_u_trim(min(sample.n1, sample.n0)))
-    du = (1.0 - 2.0 * trim) / U_GRID_SIZE
-    u = trim + (np.arange(U_GRID_SIZE) + 0.5) * du
+    u, cells = _u_grid(min(sample.n1, sample.n0), U_GRID_SIZE)
     arms = []
     for raw, share, sign in ((sample.treated, e, 1.0), (sample.control, 1.0 - e, -1.0)):
         y = np.sort(raw)
         arms.append((y, central_moments(raw), quantile_at(y, u), 1.0 / share, sign))
     gram, total = np.zeros((3, 3)), np.zeros(3)
     for k, (y, (mean, var, mu3, mu4), q, w, sign) in enumerate(arms):
-        if y[0] == y[-1]:  # a zero-spread arm's influence values are all 0
-            continue
-        f = kde_binned_per_arm(y, q, silverman_bandwidth(y, var))
         m = y.shape[0]
         powers = np.zeros((2, m + 1))
         powers[0, :m] = y - mean
@@ -289,7 +205,7 @@ def sigma_sharp_per_sample(sample) -> np.ndarray:
         other_y, (other_mean, *_), other_q, _, _ = arms[1 - k]
         q_other = other_q - other_mean
         b = np.array([[0.0, w], [0.0, w], [sign * w, 0.0]])
-        a = (2.0 * du * w) / f * np.array([q_other[::-1], q_other])
+        a = (2.0 * w) * _arm_spacing(y, cells) * np.array([q_other[::-1], q_other])
         g = np.zeros((3, U_GRID_SIZE + 1))
         g[:2, -2::-1] = np.cumsum(a[:, ::-1], axis=1)
         g[:2] -= (a @ u)[:, None] + var * w

@@ -66,32 +66,47 @@ def test_criterion_02_delayed_shrinkage_thresholds():
           f"{bar:.6f}, shrinkage at {bar + 1e-6:.6f} -> {past:.8f}")
 
 
-def _grid_minimizer(tau_star, v, delta, q, points=10_000_000, chunk=65_536):
-    """Brute-force argmin of the dual objective on [0, |tau_star|]."""
+def _grid_objective(t, a, v, delta, q):
+    """The dual objective at the points t of the grid over [0, a]."""
+    gap = a - t
+    val = np.sqrt(v + gap * gap)
+    if q == 1.0:
+        pen = 2.0 + t
+    elif q == 1.5:
+        pen = np.cbrt(2.0 + t * np.sqrt(t))
+        pen *= pen
+    elif q == 2.0:
+        pen = np.sqrt(2.0 + t * t)
+    elif q == 3.0:
+        pen = np.cbrt(2.0 + t * t * t)
+    else:
+        pen = (2.0 + t**q) ** (1.0 / q)
+    val += delta * pen
+    return val
+
+
+def _grid_minimizer(tau_star, v, delta, q, points=10_000_000, chunk=65_536, stride=4_096):
+    """Brute-force argmin of the dual objective on the grid of ``points``
+    points over [0, |tau_star|], the first on ties.
+
+    The objective is convex in t, so the grid's argmin lies within one
+    stride of the argmin of every ``stride``-th grid point. A strided pass
+    finds that neighbourhood; then only the chunks of the grid that cover
+    two strides either side of it are evaluated in full, each chunk as the
+    whole grid's chunked pass evaluates it.
+    """
     a = abs(tau_star)
     if a == 0.0:
         return 0.0
     sign = math.copysign(1.0, tau_star)
+    scale = a / (points - 1)
+    coarse = _grid_objective(np.arange(0, points, stride, dtype=np.float64) * scale, a, v, delta, q)
+    near = int(np.argmin(coarse)) * stride
     best_val = math.inf
     best_t = 0.0
-    scale = a / (points - 1)
-    for start in range(0, points, chunk):
-        idx = np.arange(start, min(start + chunk, points), dtype=np.float64)
-        t = idx * scale
-        gap = a - t
-        val = np.sqrt(v + gap * gap)
-        if q == 1.0:
-            pen = 2.0 + t
-        elif q == 1.5:
-            pen = np.cbrt(2.0 + t * np.sqrt(t))
-            pen *= pen
-        elif q == 2.0:
-            pen = np.sqrt(2.0 + t * t)
-        elif q == 3.0:
-            pen = np.cbrt(2.0 + t * t * t)
-        else:
-            pen = (2.0 + t**q) ** (1.0 / q)
-        val += delta * pen
+    for start in range(max(near - 2 * stride, 0) // chunk * chunk, min(near + 2 * stride + 1, points), chunk):
+        t = np.arange(start, min(start + chunk, points), dtype=np.float64) * scale
+        val = _grid_objective(t, a, v, delta, q)
         j = int(np.argmin(val))
         if val[j] < best_val:
             best_val = float(val[j])

@@ -504,9 +504,11 @@ _CUSTOM_DGP = ["--mu1", "1", "--mu0", "0", "--delta", "0.1", "--n", "300", "--re
     # bisecting [0, 1e60] down to the root near sqrt(2/3) takes over 200 steps
     (["sweep", "--deltas", "2", "--true-v", "1", "--tau-star", "1e60"], 0, ""),
     # outcomes of scale 1e-200: the arm variance underflows to 0
-    (["estimate", "--data", "{tiny}", "--delta", "0.5"], 3, "numerical error: KDE bandwidth 0.0"),
-    (["simulate", *_CUSTOM_DGP, "--sigma1", "1e-300", "--sigma0", "1e-300", "--out", "{out}"],
-     3, "numerical error: KDE bandwidth 0.0"),
+    (["estimate", "--data", "{tiny}", "--delta", "0.5"], 3,
+     "numerical error: treated arm variance 0.0: the outcome scale (arm SD 0) is beyond double precision"),
+    # the treated arm, 1 + 1e-300 z, rounds to a constant arm, which is exact
+    (["simulate", *_CUSTOM_DGP, "--sigma1", "1e-300", "--sigma0", "1e-300", "--out", "{out}"], 3,
+     "numerical error: control arm variance 0.0: the outcome scale (arm SD 0) is beyond double precision"),
     (["simulate", *_CUSTOM_DGP, "--sigma1", "1e300", "--sigma0", "1e300", "--out", "{out}"],
      2, "error: variance must be finite"),
     # z(1 - level/2) is infinite for these alpha - beta and alpha

@@ -17,21 +17,15 @@ from drpredict.covariance import (
 )
 from drpredict import covariance as cov_module
 from drpredict.moments import ArmMoments, estimate_moments
-from drpredict.sample import arm_batch, quantile_at
+from drpredict.sample import arm_batch
 from drpredict.solver import RobustConfig, solve_minimax
-from oracles import kde_at, kde_binned, sigma_bootstrap, sigma_sharp_influence
+from oracles import sigma_bootstrap, sigma_sharp_influence
 
 
 def _sample(y1, y0):
     y = np.concatenate([y1, y0])
     t = np.concatenate([np.ones(len(y1), dtype=int), np.zeros(len(y0), dtype=int)])
     return ExperimentalSample(y, t)
-
-
-def _bandwidth(y_sorted):
-    """The Silverman bandwidth of one sorted arm, as a ragged batch of one."""
-    return cov_module._silverman_bandwidths(y_sorted, np.array([0, y_sorted.size]),
-                                            np.array([float(y_sorted.var())]))[0]
 
 
 def _case1_marginals(rng, n):
@@ -156,11 +150,32 @@ def test_neyman_sigma_monte_carlo_validation():
 
 def test_neyman_sigma_rejects_zero_variance():
     m = ArmMoments(
-        tau1=0.0, tau0=0.0, sigma1_sq=0.0, sigma0_sq=1.0,
-        mu3_1=0.0, mu3_0=0.0, mu4_1=0.0, mu4_0=3.0, e_hat=0.5,
+        tau1=0.0, tau0=1.7, sigma1_sq=0.0, sigma0_sq=0.0,
+        mu3_1=0.0, mu3_0=0.0, mu4_1=0.0, mu4_0=0.0, e_hat=0.5,
     )
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="both arm variances are 0"):
         sigma_neyman(m)
+
+
+@pytest.mark.parametrize("constant", ["treated", "control"])
+def test_neyman_sigma_drops_a_zero_variance_arm(constant, recwarn):
+    # a constant arm has no noise: Sigma is the other arm's part alone, with
+    # loadings 1 on both bounds, (sigma +- 0)^2, and no near-equality warning
+    arm = dict(sigma_sq=4.0, mu3=0.5, mu4=48.0)
+    zero = dict(sigma_sq=0.0, mu3=0.0, mu4=0.0)
+    one, other = (zero, arm) if constant == "treated" else (arm, zero)
+    e = 0.3
+    m = ArmMoments(
+        tau1=2.0, tau0=1.7, sigma1_sq=one["sigma_sq"], sigma0_sq=other["sigma_sq"],
+        mu3_1=one["mu3"], mu3_0=other["mu3"], mu4_1=one["mu4"], mu4_0=other["mu4"], e_hat=e,
+    )
+    s = sigma_neyman(m).entries
+    share, sign = (1.0 - e, -1.0) if constant == "treated" else (e, 1.0)
+    w = (48.0 - 16.0) / share
+    np.testing.assert_array_equal(s[:2, :2], np.full((2, 2), w))
+    np.testing.assert_array_equal(s[:2, 2], np.full(2, sign * 0.5 / share))
+    assert s[2, 2] == 4.0 / share
+    assert len(recwarn) == 0
 
 
 # --------------------------------------------------------------- sigma_sharp
@@ -169,14 +184,14 @@ def test_neyman_sigma_rejects_zero_variance():
 def test_sharp_sigma_constant_arms_is_zero():
     s = _sample(np.ones(40), np.ones(40))
     out = sigma_sharp(s)
-    np.testing.assert_allclose(out.entries, 0.0, atol=1e-12)
+    np.testing.assert_array_equal(out.entries, 0.0)  # spacings, d and variances all exactly 0
 
 
 def test_sharp_sigma_smoke_gaussian():
     rng = np.random.default_rng(7)
     out = sigma_sharp(_case1_marginals(rng, 10_000))
     assert np.all(np.isfinite(out.entries))
-    # tau* slot is exact algebra (no KDE), so it should be close already
+    # tau* slot is exact algebra (no quantile spacings), so it should be close already
     assert out.entries[2, 2] == pytest.approx(CASE1_S22, rel=0.10)
 
 
@@ -221,11 +236,10 @@ def test_sharp_sigma_is_scale_equivariant():
 
 @pytest.mark.parametrize("scale", [1e-200, 1e-300, 1e200])
 def test_sharp_sigma_outcome_scale_beyond_double_precision(scale):
-    # the arm variance underflows to 0, so Silverman's bandwidth is 0, or
-    # it overflows
+    # the arm variance underflows to 0 or overflows
     rng = np.random.default_rng(8)
     s = _sample(scale * rng.normal(size=200), scale * rng.normal(size=200))
-    with pytest.raises(NumericalError, match="bandwidth .* outcome scale"):
+    with pytest.raises(NumericalError, match="arm variance .* outcome scale"):
         sigma_sharp(s)
 
 
@@ -242,53 +256,13 @@ def test_sharp_sigma_invariant_to_shifts_of_either_arm(shift1, shift0):
     assert np.all(np.abs(shifted - base) <= 1e-10 * scale)
 
 
-# --------------------------------------------- binned KDE against exact KDE
+# --------------------------------------------- the influence-array oracle
 
 _FAMILIES = {
     "normal": lambda rng, n: rng.normal(2.0, 2.0, n),
     "lognormal": lambda rng, n: rng.lognormal(0.0, 1.0, n),
     "t3": lambda rng, n: rng.standard_t(3, n),
 }
-
-# gates set before the fact: the worst errors seen were 2.4e-4 on the
-# densities (t3 and lognormal at n = 1000) and 6.5e-5 on Sigma
-KDE_RTOL = 1e-3
-SIGMA_RTOL = 2e-4
-
-
-def _u_grid_quantiles(y_sorted, grid_size=400):
-    """The points at which sigma_sharp evaluates an arm's density."""
-    trim = cov_module._u_trim(y_sorted.shape[0])
-    du = (1.0 - 2.0 * trim) / grid_size
-    return quantile_at(y_sorted, trim + (np.arange(grid_size) + 0.5) * du)
-
-
-@pytest.mark.parametrize("n", [1_000, 100_000])
-@pytest.mark.parametrize("family", sorted(_FAMILIES))
-def test_binned_kde_matches_exact_kde(family, n):
-    y = np.sort(_FAMILIES[family](np.random.default_rng(n), n))
-    x = _u_grid_quantiles(y)
-    h = _bandwidth(y)
-    exact = kde_at(y, x, h)
-    np.testing.assert_allclose(kde_binned(y, x, h), exact, rtol=KDE_RTOL, atol=0.0)
-
-
-@pytest.mark.parametrize("family", sorted(_FAMILIES))
-def test_sharp_sigma_binned_matches_exact_kde(family, monkeypatch):
-    rng = np.random.default_rng(21)
-    draw = _FAMILIES[family]
-    smp = _sample(draw(rng, 6_000), 0.5 * draw(rng, 14_000) + 0.2)
-    binned = sigma_sharp(smp).entries
-    # the batch stage takes every density from one _kde call: have it
-    # return the exact densities of the same arms, points and bandwidths
-    def exact_kde(values, lo, hi, x, h):
-        return np.array([kde_at(values[a:b], xk, hk) for a, b, xk, hk in zip(lo, hi, x, h)])
-
-    monkeypatch.setattr(cov_module, "_kde", exact_kde)
-    exact = sigma_sharp(smp).entries
-    assert not np.array_equal(binned, exact)
-    scale = np.sqrt(np.outer(np.diag(exact), np.diag(exact)))
-    assert np.all(np.abs(binned - exact) <= SIGMA_RTOL * scale)
 
 
 # the segment-sum assembly against the (3, n) influence array: the same
@@ -327,46 +301,44 @@ def test_sharp_sigma_allocates_no_per_observation_influence_array():
 
 
 def _far_cluster(rng, n):
-    """Standard normal, with 1% of the arm at 1e4: one u-grid point sits
-    about 3.6e6 bins from the rest."""
+    """Standard normal, with 1% of the arm at 1e4: one u-grid cell spans
+    the jump from the bulk to the cluster."""
     return np.where(np.arange(n) % 100 == 0, 1e4, rng.normal(size=n))
 
 
 @pytest.mark.parametrize("draw", [lambda rng, n: rng.standard_cauchy(n), _far_cluster], ids=["cauchy", "far_cluster"])
-def test_binned_kde_grid_follows_quantiles(draw, monkeypatch):
-    # a grid over the whole range of the treated arm would need millions of
-    # bins; the binned KDE's windows cover only the u-grid quantiles
+def test_sharp_sigma_of_a_wide_arm_matches_influence_oracle(draw):
+    # an arm whose range is far wider than its u-grid quantiles' spread: a
+    # few cells carry most of the spacing, and Sigma stays finite
     rng = np.random.default_rng(8)
-    y1 = draw(rng, 100_000)
-    smp = _sample(y1, rng.normal(size=100_000))
-    periods = []
-    rfft = np.fft.rfft
+    smp = _sample(draw(rng, 100_000), rng.normal(size=100_000))
+    out = sigma_sharp(smp).entries
+    assert np.all(np.isfinite(out))
+    oracle = sigma_sharp_influence(smp)
+    scale = np.sqrt(np.outer(np.diag(oracle), np.diag(oracle)))
+    assert np.all(np.abs(out - oracle) <= 1e-12 * scale)
 
-    def spy(a, n=None, *args, **kwargs):
-        periods.append(n)
-        return rfft(a, n, *args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "rfft", spy)
-    out = sigma_sharp(smp)
-    monkeypatch.undo()
-    assert np.all(np.isfinite(out.entries))
-    reach = cov_module.KDE_BINS_PER_BANDWIDTH * cov_module.KDE_REACH_BANDWIDTHS
-    bound = 400 * (2 * reach + 3)  # the docstring's bins per u-grid point
-    assert 0 < max(p for p in periods if p is not None) <= 2 * (bound + reach)
-    y1.sort()
-    h = _bandwidth(y1)
-    assert (y1[-1] - y1[0]) / (h / cov_module.KDE_BINS_PER_BANDWIDTH) > 10 * bound
-    x = _u_grid_quantiles(y1)
-    np.testing.assert_allclose(kde_binned(y1, x, h), kde_at(y1, x, h), rtol=KDE_RTOL, atol=0.0)
+def test_sharp_sigma_of_heavily_tied_arms_is_finite_and_quiet():
+    # 3,000 rows on 7 and 3 distinct values: most u-grid cells have a
+    # spacing of 0, a few carry a whole gap between values
+    rng = np.random.default_rng(19)
+    smp = _sample(np.round(rng.normal(2.0, 1.0, 900)), np.round(rng.normal(0.2, 0.4, 2100)))
+    assert np.unique(smp.control).size <= 5
+    with np.errstate(all="raise"):
+        out = sigma_sharp(smp).entries
+    assert np.all(np.isfinite(out)) and np.all(np.diag(out) > 0.0)
+    oracle = sigma_sharp_influence(smp)
+    scale = np.sqrt(np.outer(np.diag(oracle), np.diag(oracle)))
+    assert np.all(np.abs(out - oracle) <= 1e-12 * scale)
 
 
 # ----------------------------------------------------------- batched Sigma
 
 
 def _mixed_batch():
-    """Samples whose arms smooth at several FFT periods (n = 60, 1,000 and
-    10^4), with a Student-t(2) arm whose u-grid quantiles split into several
-    KDE windows and a zero-spread arm."""
+    """Samples of several sizes (n = 60, 1,000 and 10^4), with a
+    Student-t(2) arm, heavy lognormal tails and a zero-spread arm."""
     rng = np.random.default_rng(31)
     return [
         _case1_marginals(rng, 1_000),
@@ -378,23 +350,9 @@ def _mixed_batch():
     ]
 
 
-def test_sigma_sharp_many_is_sigma_sharp_bit_for_bit(monkeypatch):
+def test_sigma_sharp_many_is_sigma_sharp_bit_for_bit():
     batch = _mixed_batch()
-    t2 = batch[2].arms.values[: batch[2].n1]
-    h = _bandwidth(t2)
-    gap = 2 * cov_module.KDE_REACH_BANDWIDTHS * h  # the widest run of one window
-    assert np.count_nonzero(np.diff(_u_grid_quantiles(t2, 400)) > gap) >= 3
-    periods = []
-    spectrum = cov_module._kernel_spectrum
-
-    def spy(period):
-        periods.append(period)
-        return spectrum(period)
-
-    monkeypatch.setattr(cov_module, "_kernel_spectrum", spy)
     many = sigma_sharp_batch(arm_batch(batch))
-    assert len(set(periods)) >= 3
-    monkeypatch.undo()
     singles = [sigma_sharp(s) for s in batch]
     assert len(many) == len(batch)
     for got, want in zip(many, singles):
@@ -402,32 +360,9 @@ def test_sigma_sharp_many_is_sigma_sharp_bit_for_bit(monkeypatch):
         assert not got.entries.flags.writeable
 
 
-def test_kernel_spectrum_cache_matches_a_fresh_spectrum(monkeypatch):
-    periods = set()
-    spectrum = cov_module._kernel_spectrum
-
-    def spy(period):
-        periods.add(period)
-        return spectrum(period)
-
-    monkeypatch.setattr(cov_module, "_kernel_spectrum", spy)
-    sigma_sharp_batch(arm_batch(_mixed_batch()))
-    monkeypatch.undo()
-    assert len(periods) >= 3
-    r = cov_module.KDE_BINS_PER_BANDWIDTH * cov_module.KDE_REACH_BANDWIDTHS
-    for period in sorted(periods):
-        kernel = np.zeros(period)
-        taps = np.exp(-0.5 * (np.arange(-r, r + 1) / cov_module.KDE_BINS_PER_BANDWIDTH) ** 2)
-        kernel[np.arange(-r, r + 1) % period] = taps
-        cached = spectrum(period)
-        assert cached is spectrum(period)
-        assert not cached.flags.writeable
-        assert np.array_equal(cached, np.fft.rfft(kernel)), period
-
-
 def _diffuse(rng, n):
-    """An arm so diffuse that its density is beyond double precision: its
-    variance overflows, so the bandwidth check fails."""
+    """An arm so diffuse that its variance overflows, so the scale check
+    fails."""
     return 1e200 * rng.normal(size=n)
 
 
@@ -609,37 +544,3 @@ def test_bootstrap_takes_the_bounds_method_enum():
     assert not np.array_equal(sharp, neyman)
     with pytest.raises(ValidationError):
         sigma_bootstrap(smp, method="Sharp", draws=20, seed=9)
-
-
-# ---------------------------------------------------------------- bandwidth
-
-
-@pytest.mark.parametrize(
-    "y",
-    [
-        np.arange(30.0),  # n = 30: (n - 1) / 4 = 7.25 and 21.75
-        np.repeat([0.0, 1.0, 2.5], [7, 9, 14]),  # ties on both quartiles
-        np.concatenate(([-5.0], np.full(40, 2.0), [9.0])),  # zero IQR
-        np.full(31, 3.0),  # one value
-        np.array([1.0, 2.0]),
-        np.random.default_rng(4).standard_t(3, 299),
-        np.random.default_rng(5).lognormal(0.0, 2.0, 700),
-    ],
-    ids=["n30", "ties", "zero-iqr", "constant", "n2", "t3-299", "lognormal-700"],
-)
-def test_sorted_percentile_is_numpy_percentile(y):
-    # each arm alone, and between two others in one ragged array
-    y = np.sort(y)
-    ragged = np.concatenate((np.arange(5.0), y, [7.0, 8.0]))
-    starts = np.array([0, 5, 5 + y.size, ragged.size])
-    for fraction in (0.25, 0.75):
-        want = np.percentile(y, 100 * fraction)
-        assert cov_module._sorted_percentiles(y, np.array([0, y.size]), fraction)[0] == want
-        assert cov_module._sorted_percentiles(ragged, starts, fraction)[1] == want
-    q25, q75 = np.percentile(y, [25.0, 75.0])
-    iqr = float(q75 - q25)
-    sd = float(y.std())
-    spread = min(sd, iqr / 1.34) if iqr > 0.0 else sd
-    assert _bandwidth(y) == 0.9 * spread * y.shape[0] ** (-0.2)
-    var = np.array([2.0, float(y.var()), 0.25])
-    assert cov_module._silverman_bandwidths(ragged, starts, var)[1] == _bandwidth(y)

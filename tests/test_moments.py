@@ -23,6 +23,23 @@ def test_diff_means_hand_computed():
     assert estimate_moments(s).ate == pytest.approx(1.0)
 
 
+def test_a_constant_arm_has_exact_moments():
+    # np.mean gives 1,000 copies of 1.7 a variance of 1.97e-31, a residue
+    # of the rounded mean; an arm of one value gets exactly (value, 0, 0, 0),
+    # also between other arms of a ragged batch
+    const = np.full(1_000, 1.7)
+    assert float(const.var()) > 0.0
+    rng = np.random.default_rng(5)
+    s = _sample(rng.normal(2.0, 2.0, 300), const)
+    m = estimate_moments(s)
+    assert (m.tau0, m.sigma0_sq, m.mu3_0, m.mu4_0) == (1.7, 0.0, 0.0, 0.0)
+    assert m.sigma1_sq > 0.0
+    batch = arm_batch([s, _sample(np.full(40, -3e5), rng.normal(size=50)), s])
+    assert batch.moments[:, 1].tolist() == [1.7, 0.0, 0.0, 0.0]
+    assert batch.moments[:, 2].tolist() == [-3e5, 0.0, 0.0, 0.0]
+    assert np.array_equal(batch.moments[:, 4:], batch.moments[:, :2])
+
+
 def test_moments_hand_computed():
     # treated: {0, 2} -> mean 1, var 1, mu3 0, mu4 1
     # control: {1, 1, 4} -> mean 2, var 2, mu3 (1+1-8... ) compute directly

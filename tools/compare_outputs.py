@@ -78,6 +78,8 @@ INVOCATIONS = [
     ("estimate-ties-json", ["estimate", "--data", "ties.csv", "--delta", "0.5", "--json"]),
     ("infer-ties-json", ["infer", "--data", "ties.csv", "--delta", "0.5", "--json"]),
     ("estimate-flat-json", ["estimate", "--data", "flat.csv", "--delta", "0.5", "--json"]),
+    ("estimate-flat-neyman-json", ["estimate", "--data", "flat.csv", "--delta", "0.5", "--bounds", "neyman",
+                                   "--json"]),
     ("infer-flat-json", ["infer", "--data", "flat.csv", "--delta", "0.5", "--json"]),
     ("sweep-data-true-v", ["sweep", "--data", "pos.csv", "--deltas", "0:1:0.05", "--true-v", "2"]),
     ("sweep-data-dense", ["sweep", "--data", "pos.csv", "--deltas", "0:3:0.0002",
@@ -155,8 +157,8 @@ INVOCATIONS = [
     ("infer-shift-treated", ["infer", "--data", "pos_treated_1e6.csv", "--delta", "0.5", "--json"]),
     ("estimate-shift-both", ["estimate", "--data", "pos_both_1e6.csv", "--delta", "0.5", "--json"]),
     ("infer-shift-both", ["infer", "--data", "pos_both_1e6.csv", "--delta", "0.5", "--json"]),
-    # a control arm of 1,400 copies of 1.7, whose computed variance is a
-    # rounding residue (4.9e-32), not 0
+    # a control arm of 1,400 copies of 1.7, whose variance is exactly 0
+    # (np.var leaves a rounding residue of 4.9e-32)
     ("estimate-const-sharp-json", ["estimate", "--data", "const.csv", "--delta", "0.5", "--json"]),
     ("estimate-const-neyman-json", ["estimate", "--data", "const.csv", "--delta", "0.5",
                                     "--bounds", "neyman", "--json"]),
