@@ -25,7 +25,6 @@ from .covariance import (
     prediction_sd_grid,
     sigma_neyman,
     sigma_sharp,
-    zero_tau_limit_sd,
 )
 from .exceptions import DrPredictError, NumericalError, ParseError, ValidationError
 from .inference import (
@@ -105,7 +104,6 @@ __all__ = [
     "sigma_neyman",
     "sigma_sharp",
     "prediction_sd_grid",
-    "zero_tau_limit_sd",
     # inference
     "IMMethod",
     "IntervalEstimate",

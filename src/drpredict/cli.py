@@ -425,12 +425,12 @@ def cmd_simulate(args) -> int:
     _check_count("--n", args.n, _MAX_N)
     _check_count("--replications", args.replications, _MAX_REPLICATIONS)
     _check_count("--grid-points", args.grid_points, _MAX_GRID_POINTS)
-    custom_given = any(getattr(args, name) is not None for name in _DGP_FLAGS) \
+    custom_given = any(getattr(args, name) is not None for name in (*_DGP_FLAGS, "rho", "e")) \
         or args.p_order is not None or args.q_order is not None
     if args.case and custom_given:
         raise ValidationError(
             "--case presets fix the design; drop the DGP flags "
-            "(--mu1/--mu0/--sigma1/--sigma0/--delta/--p/--q)"
+            "(--mu1/--mu0/--sigma1/--sigma0/--rho/--e/--delta/--p/--q)"
         )
     if args.case:
         runs = [(f"case{c}", *case_preset(c, args.n)) for c in args.case]
@@ -442,17 +442,19 @@ def cmd_simulate(args) -> int:
                 "custom designs need --" + ", --".join(missing)
                 + " (or use --case 1..6)"
             )
+        rho = 0.7 if args.rho is None else args.rho
+        e = 0.3 if args.e is None else args.e
         dgp = GaussianDGP(
             mu1=args.mu1, mu0=args.mu0,
             sigma1=args.sigma1, sigma0=args.sigma0,
-            rho=args.rho, e=args.e, n=args.n,
+            rho=rho, e=e, n=args.n,
         )
         config = _config_from_args(args)
         runs = [("custom", dgp, config)]
         dgp_config = {
             "mu1": args.mu1, "mu0": args.mu0,
             "sigma1": args.sigma1, "sigma0": args.sigma0,
-            "rho": args.rho, "e": args.e,
+            "rho": rho, "e": e,
             "delta": config.delta, "q": config.q,
         }
 
@@ -606,9 +608,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--mu0", type=float, help="custom design: control mean")
     sim.add_argument("--sigma1", type=float, help="custom design: treated SD")
     sim.add_argument("--sigma0", type=float, help="custom design: control SD")
-    sim.add_argument("--rho", type=float, default=0.7,
+    sim.add_argument("--rho", type=float,
                      help="custom design: potential-outcome correlation (default: 0.7)")
-    sim.add_argument("--e", type=float, default=0.3,
+    sim.add_argument("--e", type=float,
                      help="custom design: treatment probability (default: 0.3)")
     sim.add_argument("--delta", type=float, default=None, help="custom design: radius")
     _add_order_flags(sim)

@@ -53,7 +53,6 @@ __all__ = [
     "sigma_sharp",
     "sigma_sharp_batch",
     "prediction_sd_grid",
-    "zero_tau_limit_sd",
 ]
 
 U_GRID_SIZE = 400  # u-grid points on the trimmed band of the sharp Sigma
@@ -367,32 +366,6 @@ def sigma_sharp(sample: ExperimentalSample) -> SigmaMatrix:
 # ------------------------------------------------------ delta-method SDs
 
 
-def _check_expansion(tau_star, tau_b, v_b, conditional: bool = False) -> None:
-    """Raise NumericalError unless every prediction tau_b has a smooth
-    expansion: none where v_b = 0 and tau_b = tau_star (the kink) and,
-    unless ``conditional``, none where tau_b is numerically zero
-    (|tau_b| < 1e-10, the zero-effect limit law applies; a conditional SD
-    leaves out the noise of tau_star that this limit is about).
-
-    Entries are checked in C order, each for the zero-effect limit first and
-    then for the kink, so an (R, 2) batch raises what its first failing
-    entry raises on its own.
-    """
-    tau_b = np.asarray(tau_b, dtype=float)
-    gap = tau_star - tau_b
-    zero = np.zeros(tau_b.shape, dtype=bool) if conditional else np.abs(tau_b) < 1e-10
-    kink = v_b + gap * gap == 0.0
-    bad = np.flatnonzero(zero | kink)
-    if bad.size == 0:
-        return
-    if zero.flat[bad[0]]:
-        slot = np.unravel_index(bad[0], tau_b.shape)[-1] if tau_b.ndim else 0
-        raise NumericalError(
-            f"prediction at slot {slot} is numerically zero; use the zero-effect limit"
-        )
-    raise NumericalError("no smooth expansion at v_b = 0 with tau_b = tau_star")
-
-
 def _loading_terms(tau_star, tau_b, v_b, config: RobustConfig, conditional: bool = False):
     """Delta-method pieces of tau_b, the minimizer of M at (tau_star, v_b),
     elementwise over broadcast arrays.
@@ -434,36 +407,25 @@ def prediction_sd_grid(t_grid, tau_b_grid, v_b, sigma_b, config: RobustConfig, c
     giving the SD that treats the source effect as fixed (the two-step
     interval's grid), and S_bt, S_tt are not used.
 
+    A prediction has no smooth expansion where these terms are not finite:
+    the loadings at A = 0, the kink v_b = 0 with tau_b = tau_star, where the
+    map is only directionally differentiable; the curvature at tau_b = 0
+    with q < 2, where B''(0) is infinite. At a zero effect with q >= 2 the
+    terms are finite, and the SD is the zero-effect limit: sigma_tau /
+    (1 + delta sqrt(V_b / 2)) at q = 2 and sigma_tau for q > 2, where
+    B''(0) = 0.
+
     Raises
     ------
     NumericalError
-        As ``_check_expansion``, where a prediction has no smooth
-        expansion; when ``conditional``, only at the kink.
+        For the first entry in C order with no smooth expansion, so a batch
+        raises what its first failing entry raises on its own.
     """
-    _check_expansion(t_grid, tau_b_grid, v_b, conditional)
-    d_v, d_tau, m = _loading_terms(t_grid, tau_b_grid, v_b, config, conditional)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d_v, d_tau, m = _loading_terms(t_grid, tau_b_grid, v_b, config, conditional)
+    kink = ~(np.isfinite(d_v) & np.isfinite(d_tau))
+    for k in np.flatnonzero(kink | ~np.isfinite(m))[:1]:
+        if kink.flat[k]:
+            raise NumericalError("no smooth expansion at v_b = 0 with tau_b = tau_star")
+        raise NumericalError("no smooth expansion at tau_b = 0 for q < 2: the penalty's curvature is not finite")
     return _sd_from_terms(d_v, d_tau, m, *sigma_b)
-
-
-def zero_tau_limit_sd(sigma_tau: float, v_b: float, config: RobustConfig) -> float:
-    """Limiting SD of sqrt(n) * tau_hat_b when the source effect is zero.
-
-    Equals sigma_tau / (1 + delta * sqrt(V_b/2)) for q = 2 and plain
-    sigma_tau for q > 2. Diagnostic only: the two-step procedure never
-    reaches this regime because its first step must reject a zero effect.
-
-    Raises
-    ------
-    ValidationError
-        For q < 2, where the limit law is non-normal, and on nonpositive
-        sigma_tau or negative v_b.
-    """
-    if config.q < 2.0:
-        raise ValidationError("zero-effect limit is non-normal for q < 2")
-    if sigma_tau <= 0.0:
-        raise ValidationError(f"sigma_tau must be positive, got {sigma_tau}")
-    if v_b < 0.0:
-        raise ValidationError(f"variance bound must be nonnegative, got {v_b}")
-    if config.q == 2.0:
-        return sigma_tau / (1.0 + config.delta * math.sqrt(v_b / 2.0))
-    return sigma_tau

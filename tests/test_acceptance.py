@@ -31,7 +31,6 @@ from drpredict import (
     sigma_neyman,
     solve_minimax,
     wasserstein2_1d,
-    zero_tau_limit_sd,
 )
 from drpredict.moments import ArmMoments
 
@@ -250,7 +249,9 @@ def test_criterion_07_zero_effect_shrink_factor():
     config = RobustConfig(delta=1.0, q=2.0)
     v_b = (dgp.sigma1 + dgp.sigma0) ** 2  # pessimistic bound, known here
     sigma_tau = math.sqrt(dgp.sigma1**2 / dgp.e + dgp.sigma0**2 / (1.0 - dgp.e))
-    predicted = zero_tau_limit_sd(sigma_tau, v_b, config)
+    # at tau* = 0 the prediction is 0, and the delta-method SD is the limit's
+    tau_b = solve_minimax(0.0, v_b, config)
+    predicted = float(prediction_sd_grid(0.0, tau_b, v_b, (0.0, 0.0, sigma_tau**2), config))
     assert predicted == pytest.approx(sigma_tau / (1.0 + math.sqrt(v_b / 2.0)), rel=1e-12)
 
     reps = 2000

@@ -128,7 +128,8 @@ def test_one_delta_method_sd_function():
             "sharp_bounds_population", "arm_variances", "sample_batches", "sigma_sharp_many",
             "variance_bounds_many", "_per_sample_stages", "sorted_arms", "arm_moments",
             "SigmaMethod", "DENSITY_FLOOR", "_sorted_percentiles", "_silverman_bandwidths",
-            "_kernel_spectrum", "_kde", "KDE_BINS_PER_BANDWIDTH", "KDE_REACH_BANDWIDTHS"}
+            "_kernel_spectrum", "_kde", "KDE_BINS_PER_BANDWIDTH", "KDE_REACH_BANDWIDTHS",
+            "zero_tau_limit_sd", "_check_expansion"}
     assert gone & set(drpredict.__all__) == set()
     modules = [importlib.import_module(f"drpredict.{m}") for m in MODULES] + [drpredict.ExperimentalSample]
     assert [(mod.__name__, name) for mod in modules for name in gone if hasattr(mod, name)] == []

@@ -492,9 +492,32 @@ def test_two_step_grid_kink_is_numerical_error(tmp_path, capsys):
 
 
 def test_identical_arms_is_numerical_error(tmp_path, capsys):
+    # tau_hat = 0 and the sharp v_o = 0: tau_o = tau_hat sits at the kink
     path = _shifted_arms_file(tmp_path / "same.csv", 0.0)
     assert main(["estimate", "--data", path, "--delta", "0.5"]) == 3
-    assert capsys.readouterr().err.startswith("numerical error: prediction at slot 0 is numerically zero")
+    assert capsys.readouterr().err == "numerical error: no smooth expansion at v_b = 0 with tau_b = tau_star\n"
+
+
+def _zero_mean_file(path):
+    """40 treated rows alternating +-2 and 60 control rows alternating +-1:
+    tau_hat = 0 exactly, v_o = 1 and v_p = 9."""
+    y = np.concatenate((np.tile([2.0, -2.0], 20), np.tile([1.0, -1.0], 30)))
+    return _write_csv(path, y, np.repeat([1, 0], [40, 60]))
+
+
+def test_zero_effect_estimate_reports_the_limit_sds(tmp_path, capsys):
+    path = _zero_mean_file(tmp_path / "zeromean.csv")
+    assert main(["estimate", "--data", path, "--delta", "0.5", "--q", "2", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["tau_star"], doc["tau_p"], doc["tau_o"]) == (0.0, 0.0, 0.0)
+    v = doc["bounds"]["sharp"]
+    assert (v["v_p"], v["v_o"]) == pytest.approx((9.0, 1.0), rel=1e-12)
+    # the zero-effect limit sigma_tau / (1 + delta sqrt(V_b / 2))
+    for sd, v_b in ((doc["sd_p"], v["v_p"]), (doc["sd_o"], v["v_o"])):
+        assert sd == pytest.approx(doc["sd_tau"] / (1.0 + 0.5 * math.sqrt(v_b / 2.0)), rel=1e-14)
+    # q in (1, 2): B''(0) is infinite, so the zero prediction has no smooth expansion
+    assert main(["estimate", "--data", path, "--delta", "0.5", "--q", "1.5", "--json"]) == 3
+    assert capsys.readouterr().err.startswith("numerical error: no smooth expansion at tau_b = 0 for q < 2")
 
 
 _CUSTOM_DGP = ["--mu1", "1", "--mu0", "0", "--delta", "0.1", "--n", "300", "--replications", "100"]
@@ -629,9 +652,16 @@ def test_simulate_too_few_replications_exits_2(tmp_path, capsys):
 
 
 def test_simulate_case_and_dgp_flags_conflict(tmp_path, capsys):
-    code = main(["simulate", "--case", "1", "--mu1", "2.0",
-                 "--out", str(tmp_path / "x")])
-    assert code == 2
+    # a preset fixes rho and e as well; a run that ignored --rho or --e would
+    # report the preset's design under them
+    for flag in (["--mu1", "2.0"], ["--rho", "0.2"], ["--e", "0.5"]):
+        code = main(["simulate", "--case", "1", *flag, "--replications", "100",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --case presets fix the design")
+        assert "/--rho/--e/" in err
+        assert not (tmp_path / "x.json").exists()
 
 
 def test_simulate_custom_dgp_needs_all_flags(tmp_path, capsys):

@@ -13,7 +13,6 @@ from drpredict.covariance import (
     sigma_neyman,
     sigma_sharp,
     sigma_sharp_batch,
-    zero_tau_limit_sd,
 )
 from drpredict import covariance as cov_module
 from drpredict.moments import ArmMoments, estimate_moments
@@ -427,11 +426,12 @@ def test_loadings_structure_and_signs():
 def test_loadings_zero_tau_error():
     cfg = RobustConfig(2.0, 1.0)
     b = VarianceBounds(v_o=1.0, v_p=9.0, method="neyman")
-    # q=1 with a big radius thresholds the prediction to exactly zero
+    # q=1 with a big radius thresholds the prediction to exactly zero, where
+    # the penalty's curvature is not finite
     tau_p = solve_minimax(0.5, b.v_p, cfg)
     assert tau_p == 0.0
     tau = np.array([tau_p, solve_minimax(0.5, b.v_o, cfg)])
-    with pytest.raises(NumericalError, match="slot 0"):
+    with pytest.raises(NumericalError, match="at tau_b = 0 for q < 2"):
         prediction_sd_grid(0.5, tau, np.array([b.v_p, b.v_o]), (1.0, 0.0, 1.0), cfg)
 
 
@@ -486,34 +486,55 @@ def test_prediction_sd_grid_matches_loadings():
 
 
 def test_prediction_sd_grid_raises_as_loadings():
-    cfg = RobustConfig(0.5, 2.0)
+    cfg = RobustConfig(0.5, 1.5)
     sigma_b = (1.0, 0.0, 1.0)
-    with pytest.raises(NumericalError, match="slot 1"):
+    curvature = "no smooth expansion at tau_b = 0 for q < 2"
+    kink = "no smooth expansion at v_b = 0 with tau_b = tau_star"
+    with pytest.raises(NumericalError, match=curvature):
         prediction_sd_grid(np.array([[1.0], [0.5]]), np.array([[0.9, 0.8], [0.4, 0.0]]),
                            np.array([[4.0, 1.0]]), sigma_b, cfg)
-    # the kink (v_b = 0, tau_b = tau*) of an earlier pair comes first
-    with pytest.raises(NumericalError, match="no smooth expansion"):
+    # the first failing entry in C order decides: the kink of an earlier
+    # pair, then a zero prediction before a later kink
+    with pytest.raises(NumericalError, match=kink):
         prediction_sd_grid(np.array([[1.0], [0.5]]), np.array([[0.9, 1.0], [0.4, 0.0]]),
                            np.array([[4.0, 0.0]]), sigma_b, cfg)
-    # the conditional SD on a first-step grid does not check
-    sd = prediction_sd_grid(np.array([0.5, 1.0]), np.array([0.0, 0.9]), 4.0, (1.0, 0.0, 0.0), cfg,
-                            conditional=True)
+    with pytest.raises(NumericalError, match=curvature):
+        prediction_sd_grid(np.array([[0.5], [1.0]]), np.array([[0.4, 0.0], [0.9, 1.0]]),
+                           np.array([[4.0, 0.0]]), sigma_b, cfg)
+    # the conditional SD follows the same rule
+    for t, tau, v, message in ((0.5, 0.0, 4.0, curvature), (1.0, 1.0, 0.0, kink)):
+        with pytest.raises(NumericalError, match=message):
+            prediction_sd_grid(np.array([1.0, t]), np.array([0.9, tau]), v, (1.0, 0.0, 0.0), cfg,
+                               conditional=True)
+    # with q >= 2 a zero prediction has a finite curvature and an SD
+    sd = prediction_sd_grid(np.array([0.5, 1.0]), np.array([0.0, 0.9]), 4.0, (1.0, 0.0, 0.0),
+                            RobustConfig(0.5, 2.0), conditional=True)
     assert np.all(np.isfinite(sd))
 
 
 # ----------------------------------------------------------- zero-effect law
 
 
-def test_zero_tau_limit_sd():
-    assert zero_tau_limit_sd(2.0, 5.0, RobustConfig(1.0, 3.0)) == 2.0
-    assert zero_tau_limit_sd(2.0, 5.0, RobustConfig(0.0, 2.0)) == 2.0
-    assert zero_tau_limit_sd(2.0, 2.0, RobustConfig(1.0, 2.0)) == pytest.approx(1.0)
-    with pytest.raises(ValidationError):
-        zero_tau_limit_sd(2.0, 5.0, RobustConfig(1.0, 1.5))
-    with pytest.raises(ValidationError):
-        zero_tau_limit_sd(0.0, 5.0, RobustConfig(1.0, 2.0))
-    with pytest.raises(ValidationError):
-        zero_tau_limit_sd(1.0, -1.0, RobustConfig(1.0, 2.0))
+def test_zero_effect_sd_is_the_zero_effect_limit():
+    # at tau* = tau_b = 0 the delta-method SD is the limit law's SD:
+    # sigma_tau / (1 + delta sqrt(V_b / 2)) at q = 2, and sigma_tau for
+    # q > 2, where B''(0) = 0
+    rng = np.random.default_rng(71)
+    sigma_tau = rng.uniform(0.1, 10.0, 2000)
+    v_b = rng.uniform(0.01, 50.0, 2000)
+    delta = rng.uniform(0.01, 5.0, 2000)
+    q = np.where(rng.random(2000) < 0.5, 2.0, rng.uniform(2.0, 12.0, 2000))
+    sigma_b = (rng.uniform(0.1, 5.0), rng.uniform(-1.0, 1.0), sigma_tau**2)
+    for k in range(2000):
+        cfg = RobustConfig(float(delta[k]), float(q[k]))
+        assert solve_minimax(0.0, float(v_b[k]), cfg) == 0.0
+        sd = float(prediction_sd_grid(0.0, 0.0, v_b[k], (*sigma_b[:2], sigma_b[2][k]), cfg))
+        limit = sigma_tau[k] / (1.0 + delta[k] * math.sqrt(v_b[k] / 2.0)) if q[k] == 2.0 else sigma_tau[k]
+        assert sd == pytest.approx(limit, rel=4 * np.finfo(float).eps, abs=0.0)
+    # q in (1, 2): the limit law is not normal, and the zero prediction raises
+    for q_low in (1.01, 1.5, 1.99):
+        with pytest.raises(NumericalError, match="for q < 2"):
+            prediction_sd_grid(0.0, 0.0, 4.0, (1.0, 0.0, 1.0), RobustConfig(1.0, q_low))
 
 
 # ----------------------------------------------------------------- bootstrap

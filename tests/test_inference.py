@@ -281,10 +281,12 @@ def test_mixed_batch_raises():
 def test_batch_with_zero_effect_raises_zero_tau():
     rng = np.random.default_rng(23)
     y0 = rng.normal(0.0, 1.0, 60)
-    zero = _sample(y0, y0)  # identical arms: tau_hat is exactly 0
-    with pytest.raises(NumericalError, match="numerically zero"):
+    # identical arms: tau_hat and v_o are exactly 0, so tau_o = tau_hat at the kink
+    zero = _sample(y0, y0)
+    kink = "no smooth expansion at v_b = 0 with tau_b = tau_star"
+    with pytest.raises(NumericalError, match=kink):
         estimate_robust(zero, CFG)
-    with pytest.raises(NumericalError, match="numerically zero"):
+    with pytest.raises(NumericalError, match=kink):
         estimate_robust_many([_case1(rng, 600), zero, _case1(rng, 600)], CFG)
 
 

@@ -341,9 +341,10 @@ def test_study_holds_one_batch_at_a_time():
 
 
 def test_study_raises_the_first_failing_replications_error(monkeypatch):
-    # in one batch, replication 3 has a zero effect (NumericalError, found after
-    # the batch's per-sample stage) and replication 9 a 5-row arm
-    # (ValidationError, found in it); a serial run meets replication 3 first
+    # in one batch, replication 3 has identical arms (NumericalError at the
+    # kink, found after the batch's per-sample stage) and replication 9 a
+    # 5-row arm (ValidationError, found in it); a serial run meets
+    # replication 3 first
     real_draw = simulation.draw_sample
 
     def draw(dgp, child):

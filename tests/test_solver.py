@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drpredict import ValidationError
+from drpredict import NumericalError, ValidationError
 from drpredict import solver as solver_module
 from drpredict.bounds import VarianceBounds
 from drpredict.solver import (
@@ -326,6 +326,15 @@ def test_newton_root_bisects_a_bracket_near_the_largest_double():
 
     root = newton_root(fun, 1.2e308, 1e308, 1.7e308, 1e-12)
     assert float(root) == pytest.approx(1.5e308, rel=1e-14)
+
+
+def test_newton_root_raises_when_it_does_not_converge(monkeypatch):
+    # an interior root that one Newton step does not reach
+    cfg = RobustConfig(0.5, 2.0)
+    assert solve_minimax(1.8, 1.0, cfg) not in (0.0, 1.8)
+    monkeypatch.setattr(solver_module, "_MAX_ITER", 1)
+    with pytest.raises(NumericalError, match="did not converge in 1 steps"):
+        solve_minimax(1.8, 1.0, cfg)
 
 
 def _sweep_with(newton, monkeypatch, *sweep_args):

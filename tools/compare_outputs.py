@@ -175,6 +175,12 @@ INVOCATIONS = [
     # pos.csv in units 10^4 times smaller: the sharp Sigma scales with them
     ("estimate-pos1e4-json", ["estimate", "--data", "pos1e4.csv", "--delta", "0.5", "--json"]),
     ("infer-pos1e4-json", ["infer", "--data", "pos1e4.csv", "--delta", "0.5", "--json"]),
+    # a difference in means of exactly 0 with v_o = 1 and v_p = 9: the
+    # zero-effect SDs at q = 2, no smooth expansion (exit 3) at q = 1.5
+    ("estimate-zeromean-q2-json", ["estimate", "--data", "zeromean.csv", "--delta", "0.5", "--q", "2",
+                                   "--json"]),
+    ("estimate-zeromean-q1.5-json", ["estimate", "--data", "zeromean.csv", "--delta", "0.5",
+                                     "--q", "1.5", "--json"]),
 ]
 
 
@@ -220,6 +226,9 @@ def write_inputs(work: Path) -> None:
     _write_csv(work / "wide.csv", 1e200 * (1.0 + 1e-3 * rng.normal(0.0, 1.0, 1000)), np.repeat([1, 0], 500))
     (work / "notutf8.csv").write_bytes(b"y,t\n1.0,1\n\xff,0\n")
     (work / "datadir").mkdir()
+    # 40 treated rows alternating +-2 and 60 control rows alternating +-1
+    y_zero = np.concatenate((np.tile([2.0, -2.0], 20), np.tile([1.0, -1.0], 30)))
+    _write_csv(work / "zeromean.csv", y_zero, np.repeat([1, 0], [40, 60]))
 
 
 def _snapshot(work: Path) -> dict:
