@@ -172,7 +172,6 @@ def _config_from_args(args) -> RobustConfig:
 # value that a test, the benchmark or the paper's design uses. A count past
 # its cap is an input error (exit 2), raised before anything is allocated.
 _MAX_RADII = 10**6  # 66 times the densest grid in use (15,001 radii)
-_MAX_GRID_POINTS = 100 * 101  # 100 times the two-step grid in use (101, the default)
 _MAX_N = 10 * 10**6  # 10 times the largest sample drawn (10^6 rows)
 _MAX_REPLICATIONS = 100 * 1000  # 100 times the largest study (1,000, the default)
 _MAX_PERMUTATIONS = 100 * 200  # 100 times the largest null (200, the default)
@@ -220,11 +219,6 @@ def _parse_delta_grid(text: str) -> np.ndarray:
 
 def cmd_estimate(args) -> int:
     config = _config_from_args(args)
-    if config.q == 1.0 and not args.allow_q1:
-        raise ValidationError(
-            "q = 1 has no normal limit law; pass --allow-q1 for point estimates "
-            "without standard errors"
-        )
     sample = load_sample(args.data, args.outcome, args.treatment)
     method = BoundsMethod(args.bounds)
     est = estimate_robust(sample, config, method)
@@ -350,14 +344,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    _check_count("--grid-points", args.grid_points, _MAX_GRID_POINTS)
     config = _config_from_args(args)
-    check_two_step_args(config, args.alpha, args.beta, args.grid_points)
+    check_two_step_args(config, args.alpha, args.beta)
     sample = load_sample(args.data, args.outcome, args.treatment)
     method = BoundsMethod(args.bounds)
     est = estimate_robust(sample, config, method)
     im = plain_im_interval(est, args.alpha)
-    union = two_step_interval(est, args.alpha, args.beta, args.grid_points)
+    union = two_step_interval(est, args.alpha, args.beta)
     ok = bool(union.rejected_first_step)
 
     report = {
@@ -367,7 +360,6 @@ def cmd_infer(args) -> int:
             "alpha": args.alpha,
             "beta": args.beta,
             "bounds": method.value,
-            "grid_points": args.grid_points,
             "outcome_column": args.outcome,
             "treatment_column": args.treatment,
         }, args.data),
@@ -397,7 +389,6 @@ def cmd_infer(args) -> int:
             "beta": args.beta,
             "c_min": union.c_values[0],
             "c_max": union.c_values[1],
-            "grid_points": union.grid_points,
         } if ok else None,
     }
     _emit(args, report, [
@@ -424,7 +415,6 @@ _DGP_FLAGS = ("mu1", "mu0", "sigma1", "sigma0", "delta")
 def cmd_simulate(args) -> int:
     _check_count("--n", args.n, _MAX_N)
     _check_count("--replications", args.replications, _MAX_REPLICATIONS)
-    _check_count("--grid-points", args.grid_points, _MAX_GRID_POINTS)
     custom_given = any(getattr(args, name) is not None for name in (*_DGP_FLAGS, "rho", "e")) \
         or args.p_order is not None or args.q_order is not None
     if args.case and custom_given:
@@ -462,8 +452,7 @@ def cmd_simulate(args) -> int:
         run_coverage_study(
             dgp, cfg, args.replications,
             alpha=args.alpha, beta=args.beta, bound_method=args.bounds,
-            seed=args.seed, case=name, grid_points=args.grid_points,
-            workers=args.workers,
+            seed=args.seed, case=name, workers=args.workers,
         )
         for name, dgp, cfg in runs
     ]
@@ -475,7 +464,6 @@ def cmd_simulate(args) -> int:
         "alpha": args.alpha,
         "beta": args.beta,
         "bounds": args.bounds,
-        "grid_points": args.grid_points,
         "seed": args.seed,
     })
     _write_json(args.out + ".json",
@@ -568,8 +556,6 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--delta", type=float, required=True, help="transport radius, >= 0")
     _add_order_flags(est)
     _add_bounds_flag(est)
-    est.add_argument("--allow-q1", action="store_true",
-                     help="allow q = 1 (point estimates only, no SDs)")
     _add_report_flags(est)
     est.set_defaults(func=cmd_estimate)
 
@@ -593,11 +579,10 @@ def _build_parser() -> argparse.ArgumentParser:
     inf.add_argument("--delta", type=float, required=True, help="transport radius, >= 0")
     _add_order_flags(inf)
     _add_bounds_flag(inf)
-    inf.add_argument("--alpha", type=float, default=0.05, help="overall level (default: 0.05)")
+    inf.add_argument("--alpha", type=float, default=0.05,
+                     help="overall level, at most 0.5 (default: 0.05)")
     inf.add_argument("--beta", type=float, default=0.045,
                      help="first-step share of the level (default: 0.045)")
-    inf.add_argument("--grid-points", type=int, default=101, dest="grid_points",
-                     help=f"second-step grid size, 25 to {_MAX_GRID_POINTS} (default: 101)")
     _add_report_flags(inf)
     inf.set_defaults(func=cmd_infer)
 
@@ -621,8 +606,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help=f"100 to {_MAX_REPLICATIONS} (default: 1000)")
     sim.add_argument("--alpha", type=float, default=0.05)
     sim.add_argument("--beta", type=float, default=0.045)
-    sim.add_argument("--grid-points", type=int, default=101, dest="grid_points",
-                     help=f"second-step grid size, 25 to {_MAX_GRID_POINTS} (default: 101)")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--workers", "--threads", type=int, default=1, dest="workers",
                      help="worker processes for replications, at most the CPU "

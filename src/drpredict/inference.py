@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 _C_TOL = 1e-10
+_GRID_POINTS = 101  # the two-step union's grid over the first-step interval
 
 
 class IMMethod(str, enum.Enum):
@@ -76,7 +77,6 @@ class IntervalEstimate:
     method: IMMethod
     c_values: tuple = ()
     first_step: tuple = None
-    grid_points: int = None
     rejected_first_step: bool = None
 
     def __post_init__(self):
@@ -133,10 +133,12 @@ def _im_critical(scaled_width, alpha: float):
 
     The left side increases in c with slope phi(c + w) + phi(c); the root
     lies on [z_{1-alpha}, z_{1-alpha/2}], where the left end is the
-    infinite-width limit and the right end the zero-width limit. The left
-    side is concave there (for alpha < 1/2), so Newton steps from the left
-    end approach the root from below and stay inside the bracket, also when
-    the root sits on the left end itself.
+    infinite-width limit and the right end the zero-width limit. For
+    alpha <= 1/2 the bracket lies in c >= 0, where the left side is concave,
+    so Newton steps from the left end approach the root from below and stay
+    inside the bracket, also when the root sits on the left end itself.
+    (For alpha > 1/2, which ``_im_endpoints`` refuses, c would be negative
+    and the interval would shrink inside the estimates.)
     """
     lo = _z(1.0 - alpha)
 
@@ -155,10 +157,10 @@ def _im_endpoints(lo, hi, sd_lo, sd_hi, n, alpha: float):
 
     Where both SDs are zero the range itself is returned, with the
     zero-width (lo == hi) or infinite-width limit of c_n. ValidationError
-    unless alpha is in (0, 1) with a finite z(1 - alpha/2).
+    unless alpha is in (0, 1/2] with a finite z(1 - alpha/2).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+    if not 0.0 < alpha <= 0.5:
+        raise ValidationError(f"alpha must be in (0, 0.5], got {alpha}")
     if math.isinf(_z(1.0 - alpha / 2.0)):
         raise ValidationError(f"level {alpha!r} is too small: z(1 - level/2) is infinite in double precision")
     lo, hi, sd_lo, sd_hi, root_n = np.broadcast_arrays(lo, hi, sd_lo, sd_hi, np.sqrt(n))
@@ -371,43 +373,41 @@ def plain_im_intervals(ests, alpha: float = 0.05) -> list:
 # -------------------------------------------------------------- two-step CI
 
 
-def check_two_step_args(config, alpha, beta, grid_points):
+def check_two_step_args(config, alpha, beta):
     """Raise unless ``two_step_interval`` accepts these settings."""
     if config.q <= 1.0:
         raise ValidationError(
             "two-step inference requires q > 1 (the q = 1 prediction can sit "
             "exactly at zero, where the limit law is non-normal)"
         )
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+    if not 0.0 < alpha <= 0.5:
+        raise ValidationError(f"alpha must be in (0, 0.5], got {alpha}")
     if not 0.0 <= beta < alpha:
         raise ValidationError(f"beta must be in [0, alpha), got beta={beta}, alpha={alpha}")
-    if grid_points < 25:
-        raise ValidationError(f"grid_points must be >= 25, got {grid_points}")
 
 
 def two_step_interval(
     est: RobustEstimates,
     alpha: float = 0.05,
     beta: float = 0.045,
-    grid_points: int = 101,
 ) -> IntervalEstimate:
     """Bonferroni union interval: test-for-zero first, then a grid union.
 
     Step 1 forms the 1-beta interval for the unrestricted effect; if it
     contains zero the procedure stops (``rejected_first_step`` False, NaN
-    endpoints). Step 2 re-solves the robust predictions at each grid value
-    t of the first-step interval, builds the conditional IM interval at
-    level 1-(alpha-beta) around each, and returns the union.
+    endpoints). Step 2 re-solves the robust predictions at each of 101
+    evenly spaced values t across the first-step interval, builds the
+    conditional IM interval at level 1-(alpha-beta) around each, and returns
+    the union.
     """
-    return two_step_intervals([est], alpha, beta, grid_points)[0]
+    return two_step_intervals([est], alpha, beta)[0]
 
 
-def two_step_intervals(ests, alpha: float = 0.05, beta: float = 0.045, grid_points: int = 101) -> list:
+def two_step_intervals(ests, alpha: float = 0.05, beta: float = 0.045) -> list:
     """``two_step_interval`` for each estimate of a batch.
 
     The second steps of all estimates whose first step rejects zero are one
-    (R, 2, grid_points) solver call, one SD computation and one IM step
+    (R, 2, 101) solver call, one SD computation and one IM step
     (``_im_endpoints`` at level alpha - beta).
 
     Raises
@@ -421,7 +421,7 @@ def two_step_intervals(ests, alpha: float = 0.05, beta: float = 0.045, grid_poin
     if not ests:
         return []
     config = _shared_config(ests)
-    check_two_step_args(config, alpha, beta, grid_points)
+    check_two_step_args(config, alpha, beta)
     tau_star = np.array([e.tau_star for e in ests])
     n = np.array([e.n for e in ests])
     half = _z(1.0 - beta / 2.0) * (np.array([e.sigma.sigma_tau for e in ests]) / np.sqrt(n))
@@ -432,7 +432,7 @@ def two_step_intervals(ests, alpha: float = 0.05, beta: float = 0.045, grid_poin
     if rows.size:
         # np.linspace row by row: the same arithmetic, whatever the other rows
         lo_t, hi_t = first_lo[rows, None], first_hi[rows, None]
-        ts = lo_t + np.arange(grid_points) * ((hi_t - lo_t) / (grid_points - 1))
+        ts = lo_t + np.arange(_GRID_POINTS) * ((hi_t - lo_t) / (_GRID_POINTS - 1))
         ts[:, -1] = hi_t[:, 0]
         ts = ts[:, None, :]
         v = np.array([[[ests[i].bounds.v_p], [ests[i].bounds.v_o]] for i in rows])
@@ -448,7 +448,7 @@ def two_step_intervals(ests, alpha: float = 0.05, beta: float = 0.045, grid_poin
 
     return [
         IntervalEstimate(lo, hi, alpha, IMMethod.IM_BONFERRONI, c_range, first_step=first,
-                         grid_points=grid_points, rejected_first_step=i in union)
+                         rejected_first_step=i in union)
         for i, first in enumerate(zip(first_lo.tolist(), first_hi.tolist()))
         for lo, hi, c_range in [union.get(i, (math.nan, math.nan, ()))]
     ]

@@ -344,21 +344,11 @@ def _load_rows(path, outcome_column: str, treatment_column: str) -> Experimental
     return ExperimentalSample(np.array(outcomes), np.array(treatments))
 
 
-def quantile_at(values_sorted: np.ndarray, u) -> np.ndarray:
-    """Vectorized left-continuous quantile over a pre-sorted value array.
-
-    Used internally by the bound integrals and the influence-function
-    assembly; accepts a level or an array of levels in (0, 1]. Level u
-    maps to ``values_sorted[k - 1]`` with k the least integer such that
-    k/m >= u: the k-th order statistic, inf{ y : F(y) >= u } for the
-    empirical CDF F of the m values.
-    """
-    return values_sorted[order_statistic(values_sorted.shape[0], u)]
-
-
 def order_statistic(m, u) -> np.ndarray:
-    """The 0-based index k - 1 of ``quantile_at``'s order statistic at
-    level u among m values, elementwise over broadcast ``m`` and ``u``."""
+    """The 0-based index k - 1 of the left-continuous empirical quantile at
+    level u in (0, 1] among m sorted values, elementwise over broadcast
+    ``m`` and ``u``: k is the least integer with k/m >= u, so the k-th order
+    statistic is inf{ y : F(y) >= u } for the empirical CDF F."""
     u = np.asarray(u, dtype=float)
     k = np.ceil(u * m).astype(np.int64)
     k -= (k - 1) / m >= u  # u * m rounded up past an integer, as u = 14/25 does

@@ -204,7 +204,7 @@ class SimulationReport:
                 raise ValidationError(f"{name} must be in [0, 1], got {value}")
 
 
-def _replicate_batch(dgp, config, children, alpha, beta, bound_method, grid_points):
+def _replicate_batch(dgp, config, children, alpha, beta, bound_method):
     """Replications of the given child seeds, as records (im_lo, im_hi,
     bonf_lo, bonf_hi, length_ratio, rejected).
 
@@ -217,11 +217,11 @@ def _replicate_batch(dgp, config, children, alpha, beta, bound_method, grid_poin
         samples = [draw_sample(dgp, child) for child in children]
         ests = estimate_robust_many(samples, config, bound_method)
         ims = plain_im_intervals(ests, alpha)
-        unions = two_step_intervals(ests, alpha, beta, grid_points)
+        unions = two_step_intervals(ests, alpha, beta)
     except DrPredictError:
         if len(children) > 1:
             for child in children:
-                _replicate_batch(dgp, config, [child], alpha, beta, bound_method, grid_points)
+                _replicate_batch(dgp, config, [child], alpha, beta, bound_method)
         raise
     return [
         (im.lower, im.upper, union.lower, union.upper, union.length / im.length, True)
@@ -240,7 +240,6 @@ def run_coverage_study(
     bound_method=BoundsMethod.SHARP,
     seed: int = 0,
     case: str = "custom",
-    grid_points: int = 101,
     workers: int = 1,
 ) -> SimulationReport:
     """Coverage of the population prediction by both interval constructions.
@@ -266,7 +265,7 @@ def run_coverage_study(
         raise ValidationError(f"workers must be >= 1, got {workers}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    check_two_step_args(config, alpha, beta, grid_points)
+    check_two_step_args(config, alpha, beta)
     bound_method = BoundsMethod(bound_method)
     truth = population_truth(dgp, config)
     target = truth.tau_dr
@@ -275,8 +274,7 @@ def run_coverage_study(
     size = max(1, BATCH_ROWS // dgp.n)
     batches = [children[lo : lo + size] for lo in range(0, replications, size)]
     replicate = functools.partial(
-        _replicate_batch, dgp, config, alpha=alpha, beta=beta,
-        bound_method=bound_method, grid_points=grid_points,
+        _replicate_batch, dgp, config, alpha=alpha, beta=beta, bound_method=bound_method
     )
     workers = min(workers, len(batches), os.cpu_count() or 1)
     if workers == 1:

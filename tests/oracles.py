@@ -19,8 +19,17 @@ from drpredict.bounds import BoundsMethod, VarianceBounds, neyman_bounds, sharp_
 from drpredict.calibration import _w2_sorted
 from drpredict.covariance import U_GRID_SIZE, SigmaMatrix, _u_trim
 from drpredict.exceptions import NumericalError, ValidationError
-from drpredict.sample import EmpiricalDistribution, ExperimentalSample, quantile_at
+from drpredict.sample import EmpiricalDistribution, ExperimentalSample, order_statistic
 from drpredict.solver import RobustConfig, penalty_derivs, sweep_delta
+
+
+def quantile_at(values_sorted: np.ndarray, u) -> np.ndarray:
+    """Vectorized left-continuous quantile over a pre-sorted value array, at
+    a level or an array of levels in (0, 1]: level u maps to
+    ``values_sorted[k - 1]`` with k the least integer such that k/m >= u,
+    the k-th order statistic (``sample.order_statistic``).
+    """
+    return values_sorted[order_statistic(values_sorted.shape[0], u)]
 
 
 def merged_u_grid(n1: int, n0: int) -> tuple[np.ndarray, np.ndarray]:
@@ -326,7 +335,7 @@ def empirical_quantile(dist: EmpiricalDistribution, u: float) -> float:
 
     For u in ((k-1)/m, k/m] this is the k-th order statistic, i.e.
     ``sorted_values[ceil(u*m) - 1]``, which is inf{ y : F(y) >= u }; the
-    scalar, checked form of ``sample.quantile_at``.
+    scalar, checked form of ``quantile_at``.
 
     Raises
     ------

@@ -14,8 +14,7 @@ from drpredict.bounds import (
     neyman_bounds,
     sharp_bounds_empirical,
 )
-from drpredict.sample import quantile_at
-from oracles import merged_u_grid, sharp_bounds_population
+from oracles import merged_u_grid, quantile_at, sharp_bounds_population
 
 
 def _sample(y1, y0):

@@ -15,8 +15,8 @@ from drpredict.calibration import (
     split_benchmark,
     wasserstein2_1d,
 )
-from drpredict.sample import EmpiricalDistribution, ExperimentalSample, quantile_at
-from oracles import merged_u_grid, split_benchmark_resort
+from drpredict.sample import EmpiricalDistribution, ExperimentalSample
+from oracles import merged_u_grid, quantile_at, split_benchmark_resort
 
 
 def _dist(values):

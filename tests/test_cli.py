@@ -162,13 +162,8 @@ def test_unreadable_data_exits_2(argv, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_estimate_q1_needs_optin(case1_csv, capsys):
-    code = main(["estimate", "--data", case1_csv, "--delta", "0.5", "--q", "1"])
-    assert code == 2
-    assert "--allow-q1" in capsys.readouterr().err
-
-    code = main(["estimate", "--data", case1_csv, "--delta", "0.5", "--q", "1",
-                 "--allow-q1", "--json"])
+def test_estimate_q1_reports_point_estimates_without_sds(case1_csv, capsys):
+    code = main(["estimate", "--data", case1_csv, "--delta", "0.5", "--q", "1", "--json"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     jsonschema.validate(doc, _schema("estimate.schema.json"))
@@ -468,6 +463,36 @@ def test_infer_q1_is_usage_error(case1_csv, capsys):
     assert "q > 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["infer", "--data", "{missing}", "--delta", "0.5", "--alpha", "0.6", "--beta", "0.5"],
+    ["simulate", "--case", "1", "--replications", "100", "--alpha", "0.6", "--beta", "0.5",
+     "--out", "{out}"],
+], ids=["infer", "simulate"])
+def test_im_level_above_one_half_exits_2(argv, tmp_path, capsys):
+    # the level is refused before the data is read or drawn: the missing
+    # file is never opened, and no report is written
+    paths = {"missing": str(tmp_path / "missing.csv"), "out": str(tmp_path / "sim")}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert capsys.readouterr().err == "error: alpha must be in (0, 0.5], got 0.6\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--delta", "0.5", "--q", "1", "--allow-q1"],
+    ["infer", "--delta", "0.5", "--grid-points", "101"],
+    ["simulate", "--case", "1", "--grid-points", "101"],
+], ids=["estimate-allow-q1", "infer-grid-points", "simulate-grid-points"])
+def test_deleted_options_are_unknown(argv, case1_csv, tmp_path, capsys):
+    # the two-step grid is a fixed 101 points, and estimate --q 1 needs no opt-in
+    extra = ["--out", str(tmp_path / "sim")] if argv[0] == "simulate" else ["--data", case1_csv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + extra)
+    assert exc.value.code == 2
+    flag = [arg for arg in argv if arg.startswith("--")][-1]
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["case1.csv"]
+
+
 def _shifted_arms_file(path, shift):
     """80 rows: the treated arm is the control arm plus ``shift``."""
     y0 = np.random.default_rng(5).normal(size=40)
@@ -554,12 +579,12 @@ _CUSTOM_DGP = ["--mu1", "1", "--mu0", "0", "--delta", "0.1", "--n", "300", "--re
      "numerical error: the fourth moments of the treated arm overflow: the outcome scale (arm SD 0, "
      "largest |y| 1e+300) is beyond double precision"),
     # outcomes near 5e307: each arm's sum overflows before its mean is taken
-    (["estimate", "--data", "{vast}", "--delta", "0.5", "--q", "1", "--allow-q1"], 3,
+    (["estimate", "--data", "{vast}", "--delta", "0.5", "--q", "1"], 3,
      "numerical error: the squared quantile gaps of the control arm overflow"),
-    (["estimate", "--data", "{vast}", "--delta", "0.5", "--q", "1", "--allow-q1", "--bounds", "neyman"], 3,
+    (["estimate", "--data", "{vast}", "--delta", "0.5", "--q", "1", "--bounds", "neyman"], 3,
      "numerical error: the second moments of the treated arm overflow"),
     # outcomes near 1e200 with an SD of 1e197: the means are finite, the variances overflow
-    (["estimate", "--data", "{wide}", "--delta", "0.5", "--q", "1", "--allow-q1", "--bounds", "neyman"], 3,
+    (["estimate", "--data", "{wide}", "--delta", "0.5", "--q", "1", "--bounds", "neyman"], 3,
      "numerical error: the second moments of the treated arm overflow"),
     # input errors of a range, a mask, a file and a worker count
     (["sweep", "--deltas", "2:1:0.5", "--true-v", "1", "--tau-star", "1"], 2,
@@ -756,15 +781,12 @@ HUGE = "1000000000000"
 
 
 @pytest.mark.parametrize("args", [
-    ["infer", "--delta", "0.5", "--grid-points", HUGE],
     ["simulate", "--case", "1", "--n", HUGE],
     ["simulate", "--mu1", "1", "--mu0", "0", "--sigma1", "2", "--sigma0", "1", "--delta", "0.2",
      "--n", "1" + "0" * 21],
     ["simulate", "--case", "1", "--n", "100", "--replications", HUGE],
-    ["simulate", "--case", "1", "--grid-points", HUGE],
     ["benchmark", "--permutations", HUGE],
-], ids=["infer-grid-points", "simulate-n", "simulate-custom-n", "simulate-replications",
-        "simulate-grid-points", "benchmark-permutations"])
+], ids=["simulate-n", "simulate-custom-n", "simulate-replications", "benchmark-permutations"])
 def test_huge_count_exits_2_before_allocating(args, case1_csv, tmp_path, capsys):
     # each count has a cap; past it the run is an input error, not a
     # MemoryError traceback or a run that never ends

@@ -23,6 +23,7 @@ from drpredict.inference import (
     two_step_intervals,
 )
 from drpredict.sample import ExperimentalSample, load_sample
+from drpredict.simulation import case_preset, draw_sample
 from drpredict.solver import RobustConfig
 from oracles import newton_root_full
 
@@ -121,6 +122,20 @@ def test_im_domain_errors():
         im_interval(0.0, 1.0, 1.0, 1.0, n=0, alpha=0.05)
     with pytest.raises(ValidationError):
         im_interval(0.0, 1.0, -0.1, 1.0, n=100, alpha=0.05)
+
+
+def test_im_level_is_at_most_one_half():
+    # above 1/2, z(1 - alpha) < 0 and c would pull the ends inside the estimates
+    with pytest.raises(ValidationError, match=r"alpha must be in \(0, 0.5\], got 0.55"):
+        im_interval(0.0, 0.2, 1.0, 1.0, n=100, alpha=0.55)
+    est = im_interval(0.0, 0.2, 1.0, 1.0, n=100, alpha=0.5)
+    assert est.c_values[0] >= 0.0
+    assert est.lower <= 0.0 and est.upper >= 0.2
+    s = _case1(np.random.default_rng(2), 2000)
+    with pytest.raises(ValidationError, match=r"alpha must be in \(0, 0.5\], got 0.6"):
+        two_step_interval(estimate_robust(s, CFG), alpha=0.6, beta=0.5)
+    union = two_step_interval(estimate_robust(s, CFG), alpha=0.5, beta=0.045)
+    assert union.rejected_first_step is True and union.c_values[0] >= 0.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -254,8 +269,8 @@ def test_batch_equals_batches_of_one(method, config):
     singles = [estimate_robust(s, config, method) for s in samples]
     assert [_fields(e) for e in ests] == [_fields(e) for e in singles]
     assert plain_im_intervals(ests) == [plain_im_interval(e) for e in singles]
-    unions = two_step_intervals(ests, grid_points=51)
-    assert unions == [two_step_interval(e, grid_points=51) for e in singles]
+    unions = two_step_intervals(ests)
+    assert unions == [two_step_interval(e) for e in singles]
     assert [u.rejected_first_step for u in unions] == [True, False, True, True]
 
 
@@ -313,7 +328,6 @@ def test_infer_json_equals_the_library_pipeline(tmp_path, capsys):
         "beta": 0.045,
         "c_min": union.c_values[0],
         "c_max": union.c_values[1],
-        "grid_points": union.grid_points,
     }
 
 
@@ -329,8 +343,6 @@ def test_two_step_preconditions():
         two_step_interval(estimate_robust(s, CFG), alpha=0.05, beta=0.05)
     with pytest.raises(ValidationError):
         two_step_interval(estimate_robust(s, CFG), alpha=0.05, beta=-0.01)
-    with pytest.raises(ValidationError):
-        two_step_interval(estimate_robust(s, CFG), grid_points=24)
     with pytest.raises(ValidationError):
         two_step_interval(estimate_robust(s, CFG), alpha=1.0)
 
@@ -356,17 +368,34 @@ def test_two_step_with_zero_beta_stops_at_first_step():
 def test_two_step_diagnostics_and_critical_range():
     rng = np.random.default_rng(4)
     s = _case1(rng, 2000)
-    est = two_step_interval(
-        estimate_robust(s, CFG, "sharp"), alpha=0.05, beta=0.045, grid_points=51
-    )
+    est = two_step_interval(estimate_robust(s, CFG, "sharp"), alpha=0.05, beta=0.045)
     assert est.rejected_first_step is True
     assert est.method is IMMethod.IM_BONFERRONI
-    assert est.grid_points == 51
     assert est.alpha == 0.05
     assert est.first_step[0] > 0.0
     alpha2 = 0.005
     lo_c, hi_c = est.c_values
     assert ndtri(1 - alpha2) - 1e-9 <= lo_c <= hi_c <= ndtri(1 - alpha2 / 2) + 1e-9
+
+
+def test_two_step_union_does_not_depend_on_the_grid_size(monkeypatch):
+    # the union over the fixed 101-point grid is the 25- and the 2,001-point
+    # union, bit for bit, in every built-in design on both bound routes
+    assert inference._GRID_POINTS == 101
+    rejected = 0
+    for case in range(1, 7):
+        dgp, config = case_preset(case, 1000)
+        samples = [draw_sample(dgp, child) for child in np.random.SeedSequence(7).spawn(50)]
+        for method in ("sharp", "neyman"):
+            ests = estimate_robust_many(samples, config, method)
+            unions = {}
+            for points in (25, 101, 2001):
+                monkeypatch.setattr(inference, "_GRID_POINTS", points)
+                unions[points] = [(u.lower, u.upper) for u in two_step_intervals(ests)
+                                  if u.rejected_first_step]
+            assert unions[25] == unions[101] == unions[2001], (case, method)
+            rejected += len(unions[101])
+    assert rejected == 526  # case 4's first step rejects in 13 of its 50 draws
 
 
 def test_two_step_contains_plain_im():

@@ -11,12 +11,13 @@ from drpredict.bounds import merged_grid_blocks, sharp_bounds_empirical
 from drpredict.calibration import SplitRule, split_benchmark
 from drpredict.covariance import sigma_sharp, sigma_sharp_batch
 from drpredict.inference import estimate_robust, estimate_robust_many
-from drpredict.sample import arm_batch, quantile_at
+from drpredict.sample import arm_batch
 from drpredict.simulation import BATCH_ROWS, case_preset, run_coverage_study
 from drpredict.solver import RobustConfig
 from oracles import (
     central_moments,
     merged_u_grid,
+    quantile_at,
     sharp_bounds_per_sample,
     sigma_sharp_per_sample,
     split_benchmark_two_sorts,

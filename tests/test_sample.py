@@ -14,8 +14,8 @@ from drpredict import (
     load_sample,
 )
 from drpredict import sample as sample_module
-from drpredict.sample import _load_rows, quantile_at
-from oracles import empirical_cdf, empirical_quantile
+from drpredict.sample import _load_rows
+from oracles import empirical_cdf, empirical_quantile, quantile_at
 
 
 # ---------------------------------------------------------------- container

@@ -218,7 +218,7 @@ def _blocks(dgp, cfg, edges, seed=7, replications=100):
     return [
         rec
         for lo, hi in zip(edges[:-1], edges[1:])
-        for rec in _replicate_batch(dgp, cfg, children[lo:hi], 0.05, 0.045, "sharp", 101)
+        for rec in _replicate_batch(dgp, cfg, children[lo:hi], 0.05, 0.045, "sharp")
     ]
 
 
@@ -233,7 +233,7 @@ def test_replications_do_not_depend_on_their_batch(case, batch):
     assert _blocks(dgp, cfg, list(range(101))) == whole
 
 
-def _old_replication(dgp, cfg, child, alpha=0.05, beta=0.045, grid_points=101):
+def _old_replication(dgp, cfg, child, alpha=0.05, beta=0.045):
     """One replication as composed before the study was batched: one scalar
     prediction_sd_grid call per prediction, the scalar im_interval, and a
     (2, grid) two-step whose conditional SD is |gap / (2 A^3)| sqrt(S_bb) / M''."""
@@ -257,7 +257,7 @@ def _old_replication(dgp, cfg, child, alpha=0.05, beta=0.045, grid_points=101):
     first = (tau_star - half, tau_star + half)
     if first[0] <= 0.0 <= first[1]:
         return (im.lower, im.upper, math.nan, math.nan, math.nan, False)
-    ts = np.linspace(first[0], first[1], grid_points)
+    ts = np.linspace(first[0], first[1], 101)
     v = np.array([[bounds.v_p], [bounds.v_o]])
     tau = solve_minimax_many(ts, v, cfg)
     gap = ts - tau
@@ -362,8 +362,7 @@ def test_study_raises_the_first_failing_replications_error(monkeypatch):
     with pytest.raises(NumericalError):
         run_coverage_study(dgp, cfg, replications=100, seed=3)
     with pytest.raises(ValidationError):
-        _replicate_batch(dgp, cfg, np.random.SeedSequence(3).spawn(100)[4:20],
-                         0.05, 0.045, "sharp", 101)
+        _replicate_batch(dgp, cfg, np.random.SeedSequence(3).spawn(100)[4:20], 0.05, 0.045, "sharp")
 
 
 def test_report_validation():

@@ -35,24 +35,21 @@ INVOCATIONS = [
     ("estimate-sharp", ["estimate", "--data", "pos.csv", "--delta", "0.5"]),
     ("estimate-neyman", ["estimate", "--data", "pos.csv", "--delta", "0.5", "--bounds", "neyman"]),
     ("estimate-q3", ["estimate", "--data", "pos.csv", "--delta", "0.5", "--q", "3"]),
-    ("estimate-q1-sharp", ["estimate", "--data", "pos.csv", "--delta", "0.5", "--q", "1", "--allow-q1"]),
+    ("estimate-q1-sharp", ["estimate", "--data", "pos.csv", "--delta", "0.5", "--q", "1"]),
     ("estimate-q1-neyman", ["estimate", "--data", "pos.csv", "--delta", "0.5", "--q", "1",
-                            "--allow-q1", "--bounds", "neyman"]),
+                            "--bounds", "neyman"]),
     ("estimate-delta0", ["estimate", "--data", "pos.csv", "--delta", "0"]),
-    ("estimate-q1-refused", ["estimate", "--data", "pos.csv", "--delta", "0.5", "--q", "1"]),
     ("estimate-p3-json", ["estimate", "--data", "pos.csv", "--delta", "0.5", "--p", "3", "--json"]),
     ("estimate-json-out", ["estimate", "--data", "pos.csv", "--delta", "0.5", "--json",
                            "--out", "estimate.json"]),
-    ("estimate-q1-json", ["estimate", "--data", "pos.csv", "--delta", "0.5", "--q", "1",
-                          "--allow-q1", "--json"]),
+    ("estimate-q1-json", ["estimate", "--data", "pos.csv", "--delta", "0.5", "--q", "1", "--json"]),
     ("estimate-neg-neyman", ["estimate", "--data", "neg.csv", "--delta", "0.5", "--bounds", "neyman"]),
     ("estimate-zero", ["estimate", "--data", "zero.csv", "--delta", "0.5"]),
     ("estimate-missing", ["estimate", "--data", "missing.csv", "--delta", "0.5"]),
     ("estimate-not-utf8", ["estimate", "--data", "notutf8.csv", "--delta", "0.5"]),
     ("estimate-directory", ["estimate", "--data", "datadir", "--delta", "0.5"]),
     ("estimate-zero40-sharp", ["estimate", "--data", "zero40.csv", "--delta", "0.5"]),
-    ("estimate-zero40-q1", ["estimate", "--data", "zero40.csv", "--delta", "0.5", "--q", "1",
-                            "--allow-q1"]),
+    ("estimate-zero40-q1", ["estimate", "--data", "zero40.csv", "--delta", "0.5", "--q", "1"]),
     ("estimate-zero40-neyman", ["estimate", "--data", "zero40.csv", "--delta", "0.5",
                                 "--bounds", "neyman"]),
     ("estimate-eqvar-sharp", ["estimate", "--data", "eqvar.csv", "--delta", "0.5"]),
@@ -61,10 +58,12 @@ INVOCATIONS = [
     ("estimate-big-json", ["estimate", "--data", "big.csv", "--delta", "0.5", "--json"]),
     ("infer-json-out", ["infer", "--data", "pos.csv", "--delta", "0.5", "--json", "--out", "infer.json"]),
     ("infer-text", ["infer", "--data", "pos.csv", "--delta", "0.5"]),
-    ("infer-neyman-grid51", ["infer", "--data", "pos.csv", "--delta", "0.5", "--bounds", "neyman",
-                             "--grid-points", "51"]),
+    ("infer-neyman", ["infer", "--data", "pos.csv", "--delta", "0.5", "--bounds", "neyman"]),
     ("infer-q1", ["infer", "--data", "pos.csv", "--delta", "0.5", "--q", "1"]),
     ("infer-beta-too-big", ["infer", "--data", "pos.csv", "--delta", "0.5", "--beta", "0.06"]),
+    # an IM level above 1/2 would give a negative critical value: exit 2
+    ("infer-alpha-above-half", ["infer", "--data", "pos.csv", "--delta", "0.5", "--alpha", "0.6",
+                                "--beta", "0.5"]),
     ("infer-beta0-json", ["infer", "--data", "pos.csv", "--delta", "0.5", "--beta", "0", "--json"]),
     ("infer-delta0", ["infer", "--data", "pos.csv", "--delta", "0"]),
     ("infer-null", ["infer", "--data", "null.csv", "--delta", "0.5"]),
@@ -164,14 +163,13 @@ INVOCATIONS = [
                                     "--bounds", "neyman", "--json"]),
     # outcomes near 5e307, whose arm sums overflow: exit 3 on both routes,
     # with no numpy warning on stderr
-    ("estimate-q1-vast-sharp", ["estimate", "--data", "vast.csv", "--delta", "0.5", "--q", "1",
-                                "--allow-q1"]),
+    ("estimate-q1-vast-sharp", ["estimate", "--data", "vast.csv", "--delta", "0.5", "--q", "1"]),
     ("estimate-q1-vast-neyman", ["estimate", "--data", "vast.csv", "--delta", "0.5", "--q", "1",
-                                 "--allow-q1", "--bounds", "neyman"]),
+                                 "--bounds", "neyman"]),
     # outcomes near 1e200 with an SD of 1e197: finite means, overflowing
     # variances, exit 3
     ("estimate-q1-wide-neyman", ["estimate", "--data", "wide.csv", "--delta", "0.5", "--q", "1",
-                                 "--allow-q1", "--bounds", "neyman"]),
+                                 "--bounds", "neyman"]),
     # pos.csv in units 10^4 times smaller: the sharp Sigma scales with them
     ("estimate-pos1e4-json", ["estimate", "--data", "pos1e4.csv", "--delta", "0.5", "--json"]),
     ("infer-pos1e4-json", ["infer", "--data", "pos1e4.csv", "--delta", "0.5", "--json"]),
