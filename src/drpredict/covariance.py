@@ -44,7 +44,7 @@ import numpy as np
 from .exceptions import NumericalError, ValidationError
 from .moments import ArmMoments
 from .sample import ArmBatch, ExperimentalSample, order_statistic, zero_slotted
-from .solver import RobustConfig, penalty_derivs
+from .solver import RobustConfig, penalty_curvature_range, penalty_derivs
 
 __all__ = [
     "SigmaMatrix",
@@ -55,6 +55,7 @@ __all__ = [
     "prediction_sd_grid",
 ]
 
+_EPS = np.finfo(float).eps
 U_GRID_SIZE = 400  # u-grid points on the trimmed band of the sharp Sigma
 U_TRIM_MAX = 0.01
 U_TRIM_MIN = 2.5e-4
@@ -429,3 +430,62 @@ def prediction_sd_grid(t_grid, tau_b_grid, v_b, sigma_b, config: RobustConfig, c
             raise NumericalError("no smooth expansion at v_b = 0 with tau_b = tau_star")
         raise NumericalError("no smooth expansion at tau_b = 0 for q < 2: the penalty's curvature is not finite")
     return _sd_from_terms(d_v, d_tau, m, *sigma_b)
+
+
+def conditional_sd_bounds(s, tau_b, v_b, s_bb, config: RobustConfig):
+    """Enclosures of a prediction's slope and of its conditional SD over a
+    whole interval of source effects, from the interval's two ends alone.
+
+    ``s`` holds |t| at the two ends of an interval of one sign and
+    ``tau_b`` the predictions there, on a last axis of 2; ``v_b`` and
+    ``s_bb`` (its Sigma entry) broadcast against them, constant along that
+    axis. With gap = |t| - |tau_b|, A^2 = v_b + gap^2 and
+    r = delta B''(tau_b) A^3 / v_b, the minimax condition gives
+    d|tau_b|/d|t| = (v_b / A^3) / K = 1 / (1 + r), K the curvature of
+    ``_loading_terms``, and the conditional SD
+    sqrt(S_bb) gap / (2 A^3 K) = sqrt(S_bb) gap / (2 v_b (1 + r)). The slope
+    lies in (0, 1] where v_b > 0, so |tau_b|, the gap and A all grow with |t|
+    and lie between their values at the ends, and
+    ``solver.penalty_curvature_range`` bounds B'' and |B'''| between those
+    of |tau_b|. Differentiating, with A' <= gap' = r / (1 + r),
+
+        sd' = sqrt(S_bb) (r - gap r') / (2 v_b (1 + r)^2),
+        r'  = delta (B''' tau_b' A^3 + 3 B'' A^2 A') / v_b.
+
+    Returns, one entry per interval, (slope_lo, slope_hi, sd_hi, sd_slope,
+    tau_err, sd_err): the range of the slope d|tau_b|/d|t|, the largest
+    conditional SD, a bound on its slope, and the rounding allowances of a
+    computed prediction and of a computed SD. The allowance on a prediction
+    is 16 ulps of (4A + |t|) A^2 / v_b, the minimax condition's rounding
+    over its slope K >= v_b / A^3; the SD's follows from the gap's relative
+    error. Every enclosure is widened by a relative 1e-4, which covers that
+    error in the ends themselves, and is NaN where the gap's error exceeds
+    1e-6 of it (no shrinkage to speak of), where v_b = 0 or |tau_b| = 0, or
+    where A^3 underflows.
+    """
+    s, tau_b, v_b, s_bb = np.broadcast_arrays(s, np.abs(tau_b), v_b, s_bb)
+    v, root_s = v_b[..., 0], np.sqrt(s_bb[..., 0])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gap = s - tau_b
+        a = np.sqrt(v_b + gap * gap)
+        (tau_lo, gap_lo, a_lo, _), (tau_hi, gap_hi, a_hi, s_hi) = (
+            [f(x, axis=-1) for x in (tau_b, gap, a, s)] for f in (np.min, np.max))
+        b_lo, b_hi, b_ddd = penalty_curvature_range(tau_lo, tau_hi, config.q)
+        k = config.delta / v
+        r_lo, r_hi = k * b_lo * a_lo**3, k * b_hi * a_hi**3
+        slope_hi = 1.0 / (1.0 + r_lo)
+        r_slope = k * (b_ddd * slope_hi * a_hi**3 + 3.0 * b_hi * a_hi**2 * r_hi / (1.0 + r_hi))
+        scale = root_s / (2.0 * v)
+        tau_err = 16.0 * _EPS * (4.0 * a_hi + s_hi) * a_hi**2 / v
+        gap_err = (tau_err + 2.0 * _EPS * s_hi) / gap_lo
+        sd_hi = scale * gap_hi / (1.0 + r_lo)
+        valid = (gap_err <= 1e-6) & (a_lo**3 >= np.finfo(float).tiny) & (tau_lo > 0.0)
+        widen = np.where(valid, 1e-4, np.nan)
+        return (
+            (1.0 - widen) / (1.0 + r_hi),
+            (1.0 + widen) * slope_hi,
+            (1.0 + widen) * sd_hi,
+            (1.0 + widen) * scale * (r_hi + gap_hi * r_slope) / (1.0 + r_lo) ** 2,
+            tau_err,
+            sd_hi * (gap_err + 64.0 * _EPS),
+        )

@@ -16,8 +16,9 @@ Each of these three is a batch of one of ``estimate_robust_many``,
 work (moments, bracket, Sigma) as one array pass per stage over the ragged
 batch of the samples they are given, and everything after it in one array
 call per stage: the prediction pairs, their SDs, the IM critical values and
-the two-step grids of the whole batch. An entry's numbers do not depend on
-the batch it is computed in.
+the two-step unions of the whole batch (from the two ends of each
+first-step interval where a certificate allows, else from its grid). An
+entry's numbers do not depend on the batch it is computed in.
 """
 
 import enum
@@ -30,6 +31,7 @@ import numpy as np
 from .bounds import BoundsMethod, VarianceBounds, sharp_bounds_many, variance_bounds
 from .covariance import (
     SigmaMatrix,
+    conditional_sd_bounds,
     prediction_sd_grid,
     sigma_neyman,
     sigma_sharp_batch,
@@ -386,6 +388,61 @@ def check_two_step_args(config, alpha, beta):
         raise ValidationError(f"beta must be in [0, alpha), got beta={beta}, alpha={alpha}")
 
 
+def _union(ts, tau, v, s_bb, n, config, level):
+    """The union's lower and upper end and the range of c_n for each row of
+    (R, 2, P) predictions ``tau`` at P source effects ``ts``, as
+    (lower, upper, (c_min, c_max)) tuples: the conditional SDs (one
+    ``prediction_sd_grid`` call) and the IM step at ``level`` (one
+    ``_im_endpoints`` call) at every point, and each row's extremes."""
+    sd = prediction_sd_grid(ts, tau, v, (s_bb, 0.0, 0.0), config, conditional=True)
+    lower, upper, c = _im_endpoints(*_ordered(tau[:, 0], tau[:, 1], sd[:, 0], sd[:, 1]), n[:, None], level)
+    return zip(lower.min(axis=1).tolist(), upper.max(axis=1).tolist(),
+               zip(c.min(axis=1).tolist(), c.max(axis=1).tolist()))
+
+
+def _certified(ends, tau, v, s_bb, n, config, level):
+    """The rows whose union over the grid is, bit for bit, their union over
+    the grid's two ends: ``ends`` (R, 1, 2) holds each first-step interval,
+    ``tau`` (R, 2, 2) the predictions there and ``v``, ``s_bb`` (R, 2, 1)
+    the bounds and their Sigma entries.
+
+    A row passes on two conditions, each shown over its whole interval
+    from ``conditional_sd_bounds``' enclosures:
+
+    - c_n is one double at every grid point. It is once the scaled width
+      w = sqrt(n) (|tau_o| - |tau_p|) / max(sd_p, sd_o) gives c + w >= 8.5
+      and w (2c + w) >= 76 for the least c, z(1 - level): then Phi(c + w)
+      rounds to 1 (1 - Phi(8.5) < 2^-56) and phi(c + w) to nothing beside
+      phi(c) (their ratio is below 2^-54) at every c the Newton steps of
+      ``_im_critical`` visit, so those steps do not depend on w.
+    - With that c, all four of |tau_b| +- c sd_b / sqrt(n) grow with |t|,
+      each by more than twice its rounding allowance from one grid point
+      to the next.
+
+    Then each IM end is monotone in t on the grid, so its extreme lies at
+    an end of the interval. A row with v_b = 0, a prediction at 0, a
+    non-finite piece or a bound that is not conclusive fails.
+    """
+    slope_lo, slope_hi, sd_hi, sd_slope, tau_err, sd_err = conditional_sd_bounds(
+        np.abs(ends), tau, v, s_bb, config)
+    width = np.abs(ends[:, 0, 1] - ends[:, 0, 0])
+    c_lo, c_hi = _z(1.0 - level), _z(1.0 - level / 2.0)
+    root_n = np.sqrt(n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the spread |tau_o| - |tau_p| >= 0 (v_o <= v_p) has its slope in
+        # [-fall, climb], so it strays below its ends' least value by at most
+        # width fall climb / (fall + climb): nothing where it is monotone
+        spread_ends = np.abs(tau[:, 1]) - np.abs(tau[:, 0])
+        fall = np.maximum(slope_hi[:, 0] - slope_lo[:, 1], 0.0)
+        climb = np.maximum(slope_hi[:, 1] - slope_lo[:, 0], 0.0)
+        reach = width * fall * climb / (fall + climb) + 2.0 * tau_err.max(axis=1)
+        w_lo = root_n * (spread_ends.min(axis=1) - reach) / sd_hi.max(axis=1)
+        saturated = (c_lo + w_lo >= 8.5) & (w_lo * (2.0 * c_lo + w_lo) >= 76.0)
+        rise = (slope_lo - c_hi * sd_slope / root_n[:, None]) * (width / (_GRID_POINTS - 1))[:, None]
+        err = tau_err + c_hi * sd_err / root_n[:, None]
+        return saturated & (rise > 2.0 * err).all(axis=1)
+
+
 def two_step_interval(
     est: RobustEstimates,
     alpha: float = 0.05,
@@ -395,10 +452,12 @@ def two_step_interval(
 
     Step 1 forms the 1-beta interval for the unrestricted effect; if it
     contains zero the procedure stops (``rejected_first_step`` False, NaN
-    endpoints). Step 2 re-solves the robust predictions at each of 101
-    evenly spaced values t across the first-step interval, builds the
-    conditional IM interval at level 1-(alpha-beta) around each, and returns
-    the union.
+    endpoints). Step 2 is the union, over 101 evenly spaced values t across
+    the first-step interval, of the conditional IM intervals at level
+    1-(alpha-beta) around the robust predictions re-solved at each t, with
+    the range of their critical values. Where a certificate proves each IM
+    end monotone in t and c_n one value on the grid, the union is taken
+    from the two ends alone, bit for bit the same.
     """
     return two_step_intervals([est], alpha, beta)[0]
 
@@ -406,9 +465,17 @@ def two_step_interval(
 def two_step_intervals(ests, alpha: float = 0.05, beta: float = 0.045) -> list:
     """``two_step_interval`` for each estimate of a batch.
 
-    The second steps of all estimates whose first step rejects zero are one
-    (R, 2, 101) solver call, one SD computation and one IM step
-    (``_im_endpoints`` at level alpha - beta).
+    The second steps of all estimates whose first step rejects zero start
+    as one (R, 2, 2) solver call at the ends of their first-step intervals.
+    A row that ``_certified`` passes takes its union from those two points
+    alone, and that is its 101-point union bit for bit, since every step
+    works entry by entry. The other rows run the grid as one (R', 2, 101)
+    solver call. Each group is one SD computation and one IM step
+    (``_im_endpoints`` at level alpha - beta). The ends alone would be
+    wrong where the certificate fails: on ``tools/compare_outputs.py``'s
+    pos.csv with outcomes times 10^4 at delta = 0.5, tau_p stays near 0
+    over half the first-step interval and then rises, so the lower end is
+    -655.1, from an interior point, where the ends would give +2.69.
 
     Raises
     ------
@@ -416,6 +483,9 @@ def two_step_intervals(ests, alpha: float = 0.05, beta: float = 0.045) -> list:
         If the estimates do not share one config and bounds method, as
         ``check_two_step_args``, or, once a first step rejects zero, as
         ``_im_endpoints`` on alpha - beta.
+    NumericalError
+        As ``covariance.prediction_sd_grid``, for the first grid point (in
+        row order) that has no smooth expansion.
     """
     ests = list(ests)
     if not ests:
@@ -430,21 +500,29 @@ def two_step_intervals(ests, alpha: float = 0.05, beta: float = 0.045) -> list:
 
     union = {}
     if rows.size:
-        # np.linspace row by row: the same arithmetic, whatever the other rows
         lo_t, hi_t = first_lo[rows, None], first_hi[rows, None]
-        ts = lo_t + np.arange(_GRID_POINTS) * ((hi_t - lo_t) / (_GRID_POINTS - 1))
-        ts[:, -1] = hi_t[:, 0]
-        ts = ts[:, None, :]
         v = np.array([[[ests[i].bounds.v_p], [ests[i].bounds.v_o]] for i in rows])
         s_bb = np.array([[[ests[i].sigma.entries[0, 0]], [ests[i].sigma.entries[1, 1]]] for i in rows])
-        tau = solve_minimax_many(ts, v, config)
-        sd = prediction_sd_grid(ts, tau, v, (s_bb, 0.0, 0.0), config, conditional=True)
-        ordered = _ordered(tau[:, 0], tau[:, 1], sd[:, 0], sd[:, 1])
-        lower, upper, c = _im_endpoints(*ordered, n[rows, None], alpha - beta)
-        lowers = lower.min(axis=1).tolist()
-        uppers = upper.max(axis=1).tolist()
-        c_values = zip(c.min(axis=1).tolist(), c.max(axis=1).tolist())
-        union = dict(zip(rows.tolist(), zip(lowers, uppers, c_values)))
+        level = alpha - beta
+        ends = np.concatenate((lo_t, hi_t), axis=1)[:, None, :]
+        tau = solve_minimax_many(ends, v, config)
+        certified = _certified(ends, tau, v, s_bb, n[rows], config, level)
+        # the grid first: a grid point with no smooth expansion raises before
+        # the level is checked, as when every row ran the grid
+        grid = ~certified
+        if grid.any():
+            # np.linspace row by row: the same arithmetic, whatever the other rows
+            lo_g, hi_g = lo_t[grid], hi_t[grid]
+            ts = lo_g + np.arange(_GRID_POINTS) * ((hi_g - lo_g) / (_GRID_POINTS - 1))
+            ts[:, -1] = hi_g[:, 0]
+            ts = ts[:, None, :]
+            tau_g = solve_minimax_many(ts, v[grid], config)
+            union.update(zip(rows[grid].tolist(),
+                             _union(ts, tau_g, v[grid], s_bb[grid], n[rows[grid]], config, level)))
+        if certified.any():
+            union.update(zip(rows[certified].tolist(),
+                             _union(ends[certified], tau[certified], v[certified], s_bb[certified],
+                                    n[rows[certified]], config, level)))
 
     return [
         IntervalEstimate(lo, hi, alpha, IMMethod.IM_BONFERRONI, c_range, first_step=first,

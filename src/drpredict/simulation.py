@@ -166,13 +166,16 @@ def case_preset(case: int, n: int = 1000):
 
 # ------------------------------------------------------------ coverage study
 
-# Rows per ragged batch of samples: 16 replications at n = 1000, and a
+# Rows per ragged batch of samples: 32 replications at n = 1000, and a
 # sample of more rows is a batch of its own. A replication holds its share
 # of the batch's arrays until its batch ends, so the peak RSS grows with the
-# batch: the four-design study at n = 1000 peaked at 41.2, 43.9, 48.9 and
-# 54.5 MB with 16, 32, 64 and 100 replications per batch, and the larger
-# batches showed no clear gain in wall time.
-BATCH_ROWS = 1 << 14
+# batch. Since most two-step unions come from their first-step interval's
+# two ends, a batch no longer carries (R, 2, 101) grid arrays. Designs 1, 3,
+# 5 and 6 at n = 1000, 100 replications each, on one CPU (medians of 25
+# alternating in-process runs): 287, 254 and 258 ms with 16, 32 and 64
+# replications per batch; `simulate` of the same study peaked at 40.2, 42.8
+# and 47.1 MB RSS.
+BATCH_ROWS = 1 << 15
 
 
 @dataclass(frozen=True)

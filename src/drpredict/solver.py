@@ -184,6 +184,23 @@ def penalty_derivs(tau, q: float):
     return value, np.sign(tau) * slope, curvature
 
 
+def penalty_curvature_range(tau_lo, tau_hi, q: float):
+    """(least B'', largest B'', a bound on |B'''|) over [tau_lo, tau_hi], for
+    arrays with 0 < tau_lo <= tau_hi elementwise and q > 1.
+
+    For tau > 0, B''' = B'' (2(q-2) - (q+1) tau^q) / (tau (2 + tau^q)).
+    So B'' rises up to tau^q = 2(q-2)/(q+1) (only when q > 2) and falls
+    beyond it: its least value is at an end of the interval, and its
+    largest at that peak clipped into the interval. The fraction's
+    numerator over 2 + tau^q lies in (-(q+1), q-2], so
+    |B'''| <= (q+1) B'' / tau <= (q+1) max B'' / tau_lo.
+    """
+    peak = (2.0 * max(q - 2.0, 0.0) / (q + 1.0)) ** (1.0 / q)
+    _, _, b_dd = penalty_derivs(np.stack((tau_lo, tau_hi, np.clip(peak, tau_lo, tau_hi))), q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.minimum(b_dd[0], b_dd[1]), b_dd[2], (q + 1.0) * b_dd[2] / tau_lo
+
+
 def _threshold(a, q):
     """(2/a^q + 1)^(1 - 1/q) for an array a >= 0; +inf at a = 0."""
     with np.errstate(divide="ignore", over="ignore"):

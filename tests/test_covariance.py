@@ -9,6 +9,7 @@ from drpredict.bounds import BoundsMethod, VarianceBounds, sharp_bounds_empirica
 from drpredict.covariance import (
     NearEqualVariancesWarning,
     SigmaMatrix,
+    conditional_sd_bounds,
     prediction_sd_grid,
     sigma_neyman,
     sigma_sharp,
@@ -17,7 +18,7 @@ from drpredict.covariance import (
 from drpredict import covariance as cov_module
 from drpredict.moments import ArmMoments, estimate_moments
 from drpredict.sample import arm_batch
-from drpredict.solver import RobustConfig, solve_minimax
+from drpredict.solver import RobustConfig, solve_minimax, solve_minimax_many
 from oracles import sigma_bootstrap, sigma_sharp_influence
 
 
@@ -513,6 +514,33 @@ def test_prediction_sd_grid_raises_as_loadings():
 
 
 # ----------------------------------------------------------- zero-effect law
+
+
+def test_conditional_sd_bounds_enclose_a_dense_grid():
+    # over each interval of one sign, the prediction's slope (by differences)
+    # and the conditional SD lie inside the enclosures from the two ends, and
+    # so does the SD's slope
+    rng = np.random.default_rng(26)
+    for q in (1.5, 2.0, 3.0):
+        for _ in range(15):
+            config = RobustConfig(float(np.exp(rng.uniform(-4.0, 1.0))), q)
+            v, s_bb = rng.uniform(0.2, 9.0), rng.uniform(1.0, 100.0)
+            lo = rng.uniform(0.3, 3.0)
+            ts = rng.choice([-1.0, 1.0]) * np.linspace(lo, lo + rng.uniform(0.05, 1.0), 20_001)
+            tau = solve_minimax_many(ts, v, config)
+            sd = prediction_sd_grid(ts, tau, v, (s_bb, 0.0, 0.0), config, conditional=True)
+            slope_lo, slope_hi, sd_hi, sd_slope, tau_err, sd_err = conditional_sd_bounds(
+                np.abs(ts[[0, -1]]), tau[[0, -1]], v, s_bb, config)
+            slope = np.diff(np.abs(tau)) / np.diff(np.abs(ts))
+            assert slope_lo <= slope.min() and slope.max() <= slope_hi, (q, config, v)
+            assert sd.max() <= sd_hi
+            assert np.all(np.abs(np.diff(sd) / np.diff(np.abs(ts))) <= sd_slope)
+            # rounding allowances: of a few hundred ulps, and at most 1e-6 of the SD
+            assert 0.0 < tau_err < 1e-12 and 0.0 < sd_err <= 1e-6 * sd_hi
+    # no enclosure where v_b = 0, or where a prediction is 0
+    for ends, tau, v in (([1.0, 1.5], [1.0, 1.5], 0.0), ([0.0, 0.5], [0.0, 0.4], 1.0)):
+        bounds = conditional_sd_bounds(np.array(ends), np.array(tau), v, 1.0, RobustConfig(0.5, 2.0))
+        assert np.isnan(bounds[:4]).all()
 
 
 def test_zero_effect_sd_is_the_zero_effect_limit():

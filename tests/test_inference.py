@@ -23,7 +23,7 @@ from drpredict.inference import (
     two_step_intervals,
 )
 from drpredict.sample import ExperimentalSample, load_sample
-from drpredict.simulation import case_preset, draw_sample
+from drpredict.simulation import GaussianDGP, case_preset, draw_sample
 from drpredict.solver import RobustConfig
 from oracles import newton_root_full
 
@@ -378,10 +378,16 @@ def test_two_step_diagnostics_and_critical_range():
     assert ndtri(1 - alpha2) - 1e-9 <= lo_c <= hi_c <= ndtri(1 - alpha2 / 2) + 1e-9
 
 
+def _grid_only(monkeypatch):
+    """Turn the certificate off, so every row runs the 101-point grid."""
+    monkeypatch.setattr(inference, "_certified", lambda ends, *args: np.zeros(ends.shape[0], dtype=bool))
+
+
 def test_two_step_union_does_not_depend_on_the_grid_size(monkeypatch):
     # the union over the fixed 101-point grid is the 25- and the 2,001-point
     # union, bit for bit, in every built-in design on both bound routes
     assert inference._GRID_POINTS == 101
+    _grid_only(monkeypatch)
     rejected = 0
     for case in range(1, 7):
         dgp, config = case_preset(case, 1000)
@@ -398,6 +404,101 @@ def test_two_step_union_does_not_depend_on_the_grid_size(monkeypatch):
     assert rejected == 526  # case 4's first step rejects in 13 of its 50 draws
 
 
+def _scaled(sample, scale):
+    return ExperimentalSample(sample.outcomes * scale, sample.treatments)
+
+
+def _eqvar_like():
+    """80 rows like eqvar.csv: the treated arm is the control arm plus 1,
+    and the Neyman v_o is a rounding residue of order 1e-32, not 0."""
+    y0 = np.random.default_rng(0).normal(size=40)
+    return _sample(y0 + 1.0, y0)
+
+
+def _pos():
+    """The outcomes and treatments of ``tools/compare_outputs.py``'s pos.csv."""
+    rng = np.random.default_rng(20250601)
+    t = (rng.random(3000) < 0.3).astype(int)
+    return np.where(t == 1, rng.normal(2.0, 2.0, 3000), rng.normal(0.2, 1.0, 3000)), t
+
+
+def _unions_and_certificate(monkeypatch, ests):
+    """The two-step unions of a batch, the same unions from the 101-point
+    grid alone, and which rejecting rows the certificate passed."""
+    passed = []
+    certified = inference._certified
+    with monkeypatch.context() as m:
+        m.setattr(inference, "_certified", lambda *args: passed.append(certified(*args)) or passed[-1])
+        unions = two_step_intervals(ests)
+    with monkeypatch.context() as m:
+        _grid_only(m)
+        grid = two_step_intervals(ests)
+    return unions, grid, np.concatenate(passed)
+
+
+@pytest.mark.filterwarnings("ignore::drpredict.covariance.NearEqualVariancesWarning")
+def test_certified_union_is_the_grid_union(monkeypatch):
+    # wherever the certificate passes, the union from the two ends is the
+    # 101-point union bit for bit: lower and upper end and the c range
+    passed = {}
+    for case in range(1, 7):
+        dgp, config = case_preset(case, 1000)
+        samples = [draw_sample(dgp, child) for child in np.random.SeedSequence(7).spawn(50)]
+        for method in ("sharp", "neyman"):
+            ests = estimate_robust_many(samples, config, method)
+            unions, grid, passed[case, method] = _unions_and_certificate(monkeypatch, ests)
+            assert unions == grid, (case, method)
+    assert sum(p.size for p in passed.values()) == 526
+    # the coverage benchmark's designs: every first step rejects, and the
+    # certificate passes on at least 99% of the rows
+    study = np.concatenate([passed[case, method] for case in (1, 3, 5, 6) for method in ("sharp", "neyman")])
+    assert study.size == 400 and study.mean() >= 0.99
+
+    # where the ends alone would be wrong (pos-like samples times 10^4) or a
+    # bound sits at v = 0 (the shifted arms), the certificate fails
+    y, t = _pos()
+    pos = [ExperimentalSample(1e4 * y, t), _scaled(_case1(np.random.default_rng(26), 3000), 1e4)]
+    for samples, method in ((pos, "sharp"), (pos, "neyman"), ([_eqvar_like()], "neyman")):
+        ests = estimate_robust_many(samples, RobustConfig(0.5, 2.0), method)
+        unions, grid, certified = _unions_and_certificate(monkeypatch, ests)
+        assert unions == grid and not certified.any(), method
+    assert 0.0 < ests[0].bounds.v_o < 1e-30
+
+    # a narrow bracket at n = 300, where c_n moves with the scaled width: the
+    # ends alone would misreport the c range
+    dgp = GaussianDGP(mu1=2.0, mu0=0.04, sigma1=2.0, sigma0=0.2, rho=0.7, e=0.3, n=300)
+    samples = [draw_sample(dgp, child) for child in np.random.SeedSequence(5).spawn(50)]
+    unions, grid, certified = _unions_and_certificate(monkeypatch, estimate_robust_many(samples, CFG))
+    assert unions == grid and certified.size == 50 and not certified.any()
+    assert all(u.c_values[0] < u.c_values[1] for u in unions)
+
+    # above the no-shrinkage threshold with v_o near 0 (sigma1 = sigma0)
+    for rho in (1.0, 0.7):
+        dgp = GaussianDGP(mu1=1.2, mu0=0.2, sigma1=1.0, sigma0=1.0, rho=rho, e=0.3, n=4000)
+        samples = [draw_sample(dgp, child) for child in np.random.SeedSequence(9).spawn(60)]
+        for method in ("sharp", "neyman"):
+            ests = estimate_robust_many(samples, RobustConfig(2.0, 2.0), method)
+            unions, grid, certified = _unions_and_certificate(monkeypatch, ests)
+            assert unions == grid and certified.size == 60, (rho, method)
+
+
+@pytest.mark.filterwarnings("ignore::drpredict.covariance.NearEqualVariancesWarning")
+def test_batch_mixing_certified_and_grid_rows_equals_batches_of_one(monkeypatch):
+    # Gaussian samples, which pass the certificate, beside a pos-like sample
+    # times 10^4 and a shifted-arm sample, which run the grid: each row is
+    # what it is alone
+    rng = np.random.default_rng(27)
+    y, t = _pos()
+    samples = [_case1(rng, 800), ExperimentalSample(1e4 * y, t), _case1(rng, 1500), _eqvar_like(),
+               _sample(rng.normal(-2.0, 2.0, 400), rng.normal(0.0, 1.0, 600))]
+    config = RobustConfig(0.5, 2.0)
+    ests = estimate_robust_many(samples, config, "neyman")
+    singles = [two_step_interval(estimate_robust(s, config, "neyman")) for s in samples]
+    unions, grid, certified = _unions_and_certificate(monkeypatch, ests)
+    assert certified.tolist() == [True, False, True, False, True]
+    assert unions == singles == grid
+
+
 def test_two_step_contains_plain_im():
     rng = np.random.default_rng(5)
     for n in (500, 2000):
@@ -407,6 +508,19 @@ def test_two_step_contains_plain_im():
             im = plain_im_interval(estimate_robust(s, CFG, method))
             assert union.lower <= im.lower + 1e-12
             assert union.upper >= im.upper - 1e-12
+    # pos.csv times 10^4 and 10^-2 at delta = 0.5, where the radius is small
+    # or large beside the outcomes. Times 10^4, tau_p stays near 0 over half
+    # the first-step interval, and the union's lower end comes from inside
+    # it: the two ends alone give +2.69, above the IM interval's -245.5.
+    # (Containment is no law there: on other pos-like draws the delta
+    # method's SD of tau_p reaches further down than the union does.)
+    y, t = _pos()
+    for scale in (1e4, 1e-2):
+        for method in ("sharp", "neyman"):
+            est = estimate_robust(ExperimentalSample(scale * y, t), RobustConfig(0.5, 2.0), method)
+            union, im = two_step_interval(est), plain_im_interval(est)
+            assert union.rejected_first_step
+            assert union.lower <= im.lower and union.upper >= im.upper, (scale, method)
 
 
 def test_two_step_at_delta_zero_reports_the_zero_width_critical_value():

@@ -12,7 +12,7 @@ from drpredict.calibration import SplitRule, split_benchmark
 from drpredict.covariance import sigma_sharp, sigma_sharp_batch
 from drpredict.inference import estimate_robust, estimate_robust_many
 from drpredict.sample import arm_batch
-from drpredict.simulation import BATCH_ROWS, case_preset, run_coverage_study
+from drpredict.simulation import case_preset, run_coverage_study
 from drpredict.solver import RobustConfig
 from oracles import (
     central_moments,
@@ -52,7 +52,7 @@ def _mixed():
 
 def test_mixed_batch_is_cut_as_the_budget_says(monkeypatch):
     # estimate_robust_many has no row budget of its own: it runs what it is
-    # given as one ragged batch, even past BATCH_ROWS; only the coverage
+    # given as one ragged batch, whatever its rows; only the coverage
     # study cuts samples into batches
     samples = _mixed()
     seen = []
@@ -94,9 +94,12 @@ def test_records_agree_with_the_per_sample_oracles():
 
 
 def test_no_batch_exceeds_the_budget_unless_it_holds_one_sample(monkeypatch):
-    # the coverage study's batches: every replication once, at most BATCH_ROWS
+    # the coverage study's batches: every replication once, at most the budget's
     # rows in a batch unless it holds one sample, and a batch closes only when
-    # the next sample does not fit
+    # the next sample does not fit. The rule is the same at any budget; the
+    # sizes below reach both of its cases at 2^14 rows
+    budget = 1 << 14
+    monkeypatch.setattr(simulation, "BATCH_ROWS", budget)
     seen = []
     real = simulation.estimate_robust_many
     monkeypatch.setattr(simulation, "estimate_robust_many",
@@ -106,13 +109,13 @@ def test_no_batch_exceeds_the_budget_unless_it_holds_one_sample(monkeypatch):
         run_coverage_study(*case_preset(1, n=n), replications=replications)
         assert [size for batch in seen for size in batch] == [n] * replications, n
         for batch, following in zip(seen, seen[1:] + [[None]]):
-            assert sum(batch) <= BATCH_ROWS or len(batch) == 1
+            assert sum(batch) <= budget or len(batch) == 1
             if following[0] is not None:
-                assert sum(batch) + following[0] > BATCH_ROWS
+                assert sum(batch) + following[0] > budget
         if n == 160:
             assert len(seen) == 2 and len(seen[0]) > 1
         if n == 20_000:
-            assert all(sum(batch) > BATCH_ROWS for batch in seen)
+            assert all(sum(batch) > budget for batch in seen)
 
 
 def test_arm_batch_of_one_sample_is_its_cached_arms():

@@ -309,7 +309,7 @@ def test_study_cuts_its_seeds_into_batches_of_rows(monkeypatch):
     real = simulation.estimate_robust_many
     monkeypatch.setattr(simulation, "estimate_robust_many",
                         lambda samples, *args: calls.append(len(samples)) or real(samples, *args))
-    for n, want in ((1_000, [16] * 6 + [4]), (3_000, [5] * 20), (20_000, [1] * 100)):
+    for n, want in ((1_000, [32] * 3 + [4]), (3_000, [10] * 10), (20_000, [1] * 100)):
         calls.clear()
         run_coverage_study(*case_preset(1, n=n), replications=100)
         assert calls == want, n

@@ -12,6 +12,7 @@ from drpredict.solver import (
     RobustConfig,
     homogeneous_threshold,
     newton_root,
+    penalty_curvature_range,
     penalty_derivs,
     proximity_derivs,
     solve_minimax,
@@ -418,6 +419,22 @@ def test_penalty_derivs_match_finite_differences():
             assert d1 == pytest.approx(_central(f, t), rel=1e-6, abs=1e-9)
             g = lambda x: penalty_derivs(x, q)[1]
             assert d2 == pytest.approx(_central(g, t), rel=1e-5, abs=1e-8)
+
+
+def test_penalty_curvature_range_encloses_a_dense_grid():
+    # B'' between the bounds, and the slope of B'' (by differences) below the
+    # bound on |B'''|, everywhere on each interval, on both sides of the
+    # peak of B'' for q > 2
+    rng = np.random.default_rng(26)
+    for q in (1.2, 1.5, 2.0, 3.0, 10.0):
+        for _ in range(20):
+            lo = rng.uniform(0.01, 3.0)
+            hi = lo + rng.uniform(0.0, 2.0)
+            b_lo, b_hi, b_ddd = penalty_curvature_range(np.array([lo]), np.array([hi]), q)
+            tau = np.linspace(lo, hi, 20_001)
+            b_dd = penalty_derivs(tau, q)[2]
+            assert b_lo[0] <= b_dd.min() * (1.0 + 1e-13) and b_dd.max() <= b_hi[0] * (1.0 + 1e-13), (q, lo, hi)
+            assert np.all(np.abs(np.diff(b_dd) / np.diff(tau)) <= b_ddd[0]), (q, lo, hi)
 
 
 def test_penalty_derivs_at_zero():

@@ -108,14 +108,14 @@ INVOCATIONS = [
                                 "--sigma0", "1", "--delta", "0.2", "--bounds", "neyman",
                                 "--replications", "300", "--out", "simcustom"]),
     ("simulate-case3-workers2", ["simulate", "--case", "3", "--workers", "2", "--out", "sim3"]),
-    # nine batches of replications, the last holding two, over two workers
+    # five batches of replications, the last holding two, over two workers
     ("simulate-case1-130-workers2", ["simulate", "--case", "1", "--replications", "130",
                                      "--workers", "2", "--out", "simw"]),
     ("simulate-four-cases", ["simulate", "--case", "1", "--case", "3", "--case", "5", "--case", "6",
                              "--n", "1000", "--replications", "100", "--threads", "1",
                              "--out", "simbench"]),
-    # n = 3000: 5 replications per call, one ragged batch of 15,000 of the
-    # 2^14 rows; 20 calls, the last as full as the rest
+    # n = 3000: 10 replications per call, one ragged batch of 30,000 of the
+    # 2^15 rows; 10 calls, the last as full as the rest
     ("simulate-case2-n3000", ["simulate", "--case", "2", "--n", "3000", "--replications", "100",
                               "--out", "simr"]),
     ("simulate-custom-p3", ["simulate", "--mu1", "1", "--mu0", "0", "--sigma1", "2", "--sigma0", "1",
@@ -179,6 +179,13 @@ INVOCATIONS = [
                                    "--json"]),
     ("estimate-zeromean-q1.5-json", ["estimate", "--data", "zeromean.csv", "--delta", "0.5",
                                      "--q", "1.5", "--json"]),
+    # pos.csv in units 100 times larger: a radius large beside the outcomes
+    ("infer-pos1e-2-json", ["infer", "--data", "pos1e-2.csv", "--delta", "0.5", "--json"]),
+    # the near-homogeneous design above the no-shrinkage threshold: equal arm
+    # SDs and rho = 1, so v_o is near 0 and every two-step union runs its grid
+    ("simulate-homogeneous-delta2", ["simulate", "--mu1", "1.2", "--mu0", "0.2", "--sigma1", "1",
+                                     "--sigma0", "1", "--rho", "1", "--delta", "2", "--n", "4000",
+                                     "--replications", "100", "--out", "simhomog"]),
 ]
 
 
@@ -199,6 +206,7 @@ def write_inputs(work: Path) -> None:
     _write_csv(work / "pos_treated_1e6.csv", y + 1e6 * t, t)
     _write_csv(work / "pos_both_1e6.csv", y + 1e6, t)
     _write_csv(work / "pos1e4.csv", 1e4 * y, t)
+    _write_csv(work / "pos1e-2.csv", 1e-2 * y, t)
     _write_csv(work / "neg.csv", -y, t)
     t_null = (rng.random(800) < 0.5).astype(int)
     _write_csv(work / "null.csv", rng.normal(0.0, 1.0, 800), t_null)
