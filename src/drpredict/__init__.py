@@ -17,14 +17,12 @@ from .calibration import (
     RadiusBenchmark,
     SplitRule,
     split_benchmark,
-    wasserstein2_1d,
 )
 from .covariance import (
     NearEqualVariancesWarning,
     SigmaMatrix,
     prediction_sd_grid,
     sigma_neyman,
-    sigma_sharp,
 )
 from .exceptions import DrPredictError, NumericalError, ParseError, ValidationError
 from .inference import (
@@ -34,18 +32,13 @@ from .inference import (
     check_two_step_args,
     estimate_robust,
     estimate_robust_many,
-    im_interval,
     plain_im_interval,
     plain_im_intervals,
     two_step_interval,
     two_step_intervals,
 )
 from .moments import ArmMoments, estimate_moments
-from .sample import (
-    EmpiricalDistribution,
-    ExperimentalSample,
-    load_sample,
-)
+from .sample import ExperimentalSample, load_sample
 from .simulation import (
     GaussianDGP,
     PopulationTruth,
@@ -59,9 +52,7 @@ from .simulation import (
 from .solver import (
     RobustConfig,
     SweepTable,
-    homogeneous_threshold,
     penalty_derivs,
-    proximity_derivs,
     solve_minimax,
     solve_minimax_many,
     sweep_delta,
@@ -78,7 +69,6 @@ __all__ = [
     "NumericalError",
     # data model
     "ExperimentalSample",
-    "EmpiricalDistribution",
     "load_sample",
     # moments
     "ArmMoments",
@@ -92,9 +82,7 @@ __all__ = [
     # minimax solver
     "RobustConfig",
     "SweepTable",
-    "proximity_derivs",
     "penalty_derivs",
-    "homogeneous_threshold",
     "solve_minimax",
     "solve_minimax_many",
     "sweep_delta",
@@ -102,13 +90,11 @@ __all__ = [
     "SigmaMatrix",
     "NearEqualVariancesWarning",
     "sigma_neyman",
-    "sigma_sharp",
     "prediction_sd_grid",
     # inference
     "IMMethod",
     "IntervalEstimate",
     "RobustEstimates",
-    "im_interval",
     "estimate_robust",
     "estimate_robust_many",
     "check_two_step_args",
@@ -128,6 +114,5 @@ __all__ = [
     # calibration
     "SplitRule",
     "RadiusBenchmark",
-    "wasserstein2_1d",
     "split_benchmark",
 ]

@@ -16,18 +16,18 @@ import numpy as np
 from .bounds import mean_square_gaps
 from .exceptions import ValidationError
 from .moments import scale_error
-from .sample import EmpiricalDistribution, ExperimentalSample
+from .sample import ExperimentalSample
 
 __all__ = [
     "RadiusBenchmark",
     "SplitRule",
     "split_benchmark",
-    "wasserstein2_1d",
 ]
 
 
-def wasserstein2_1d(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float:
-    """Exact 2-Wasserstein distance between two empirical distributions.
+def _w2_sorted(a: np.ndarray, b: np.ndarray) -> float:
+    """Exact 2-Wasserstein distance between the empirical distributions of
+    two sorted, finite, nonempty float arrays, which it does not check.
 
     Both quantile functions are constant on the cells of the merged
     partition {k/m_a} union {k/m_b}, so the coupling integral
@@ -35,12 +35,6 @@ def wasserstein2_1d(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float
     without discretization error, and W2(a, b) == W2(b, a) exactly. It is
     inf when a squared gap overflows.
     """
-    return _w2_sorted(a.sorted_values, b.sorted_values)
-
-
-def _w2_sorted(a: np.ndarray, b: np.ndarray) -> float:
-    """``wasserstein2_1d`` of two sorted, finite, nonempty float arrays,
-    which it does not check again."""
     return math.sqrt(mean_square_gaps(a, b, (0, a.shape[0], 0, b.shape[0]))[0, 0])
 
 

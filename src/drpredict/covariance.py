@@ -29,8 +29,8 @@ quantile spacing, an arm's own order statistics at the cell edges.
 sorted arms in one array, and runs each stage once over the batch: the
 u-grid quantiles and spacings (one gather each), the segment sums
 (``np.add.reduceat``), and the assembly and checks of all 3x3 matrices.
-``sigma_sharp`` is its batch of one, and an entry of a batch is bit for
-bit that of its sample alone.
+A sample alone is its batch of one (``sample.arms``), and an entry of a
+batch is bit for bit that of its sample alone.
 """
 
 from __future__ import annotations
@@ -43,14 +43,13 @@ import numpy as np
 
 from .exceptions import NumericalError, ValidationError
 from .moments import ArmMoments
-from .sample import ArmBatch, ExperimentalSample, order_statistic, zero_slotted
+from .sample import ArmBatch, order_statistic, zero_slotted
 from .solver import RobustConfig, penalty_curvature_range, penalty_derivs
 
 __all__ = [
     "SigmaMatrix",
     "NearEqualVariancesWarning",
     "sigma_neyman",
-    "sigma_sharp",
     "sigma_sharp_batch",
     "prediction_sd_grid",
 ]
@@ -272,17 +271,31 @@ def _run_ends(values: np.ndarray, idx: np.ndarray, end: np.ndarray) -> np.ndarra
 
 
 def sigma_sharp_batch(arms: ArmBatch) -> list:
-    """``sigma_sharp`` for each sample of an ``ArmBatch``: each stage is one
-    array pass over the batch.
+    """Influence-function plug-in covariance for the sharp bounds: one
+    SigmaMatrix per sample of an ``ArmBatch``, each bit for bit that of its
+    batch of one (``sample.arms``).
 
-    The u-grid quantiles of every arm are one gather, the order statistics
-    at the u-grid's cell edges another, and the segment edges one
-    ``_run_ends``. The per-segment counts and sums of d and d^2 are one
-    ``np.add.reduceat`` each over the ragged array; the whole-arm sums are n
-    times the arm moments. ``_arm_grams`` and the SigmaMatrix checks run on
-    all arms at once. Raises what the first failing sample raises in each
-    of these stages: too small an arm, then an arm that is not constant but
-    whose variance underflows to 0 or overflows.
+    Sigma is the empirical covariance of the influence values of (V_hat_p,
+    V_hat_o, tau_hat). Their quantile-process term is taken on a trimmed
+    uniform u-grid of U_GRID_SIZE points on [trim, 1 - trim] (``_u_trim``),
+    in its L-statistic form: a cell's du / f(Q(u)) is the arm's quantile
+    spacing across it, so no density is estimated. The u-grid quantiles cut
+    each sorted arm into U_GRID_SIZE + 1 segments, on each of which the
+    influence is a quadratic in the outcome, so Sigma comes from a few
+    whole-arm and per-segment sums (``_arm_grams``), and no per-observation
+    influence array is formed.
+
+    Each stage is one array pass over the batch: a gather for the u-grid
+    quantiles, one for the order statistics at the cell edges, one
+    ``_run_ends`` for the segment edges (and counts), one
+    ``np.add.reduceat`` for each per-segment sum of d and d^2; the whole-arm
+    sums are n times the arm moments. ``_arm_grams`` and the SigmaMatrix
+    checks run on all arms at once.
+
+    Raises ValidationError if an arm has fewer than 30 observations, then
+    NumericalError if an arm that is not constant has a variance that
+    underflows to 0 or overflows (an outcome scale beyond double
+    precision): what the first failing sample raises, stage by stage.
     """
     values, starts, (mean, var, mu3, mu4) = arms
     lo, end, m = starts[:-1], starts[1:], np.diff(starts)
@@ -333,35 +346,6 @@ def sigma_sharp_batch(arms: ArmBatch) -> list:
     mean_psi = (sums[0::2] + sums[1::2]) / n[:, None]
     entries = (grams[0::2] + grams[1::2]) / n[:, None, None] - mean_psi[:, :, None] * mean_psi[:, None, :]
     return _sigma_matrices(entries)
-
-
-def sigma_sharp(sample: ExperimentalSample) -> SigmaMatrix:
-    """Influence-function plug-in covariance for the sharp bounds.
-
-    Sigma is the empirical covariance of the per-observation influence
-    values of (V_hat_p, V_hat_o, tau_hat), which combine arm-mean,
-    arm-variance and quantile-process contributions. The quantile-process
-    term is taken on a trimmed uniform u-grid of U_GRID_SIZE points on the
-    band [trim, 1 - trim], where trim shrinks from 1% toward 0.025% as the
-    smaller arm grows (see _u_trim), and in its L-statistic form: a cell's
-    du / f(Q(u)) is the arm's quantile spacing across the cell, so no
-    density is estimated. The u-grid quantiles cut each sorted arm
-    (``sample.arms``) into U_GRID_SIZE + 1 segments, and an
-    observation's influence is a quadratic in its outcome plus a constant of
-    its segment. So each arm's sums of psi psi' and psi come from a few
-    whole-arm and per-segment sums (_arm_grams), and Sigma is their total
-    over n less the outer product of the mean: no per-observation influence
-    array is formed. This is the batch of one of ``sigma_sharp_batch``.
-
-    Raises
-    ------
-    ValidationError
-        If either arm has fewer than 30 observations.
-    NumericalError
-        If an arm that is not constant has a variance that underflows to 0
-        or overflows (an outcome scale beyond double precision).
-    """
-    return sigma_sharp_batch(sample.arms)[0]
 
 
 # ------------------------------------------------------ delta-method SDs

@@ -1,15 +1,16 @@
 """Confidence intervals for the robust prediction range.
 
-Two constructions are offered. ``im_interval`` is the classic interval for a
-partially identified scalar: it widens the estimated range ``[lo, hi]`` by a
-critical value ``c_n`` chosen so that coverage holds uniformly across the
-width of the identified set (``c_n`` interpolates between the one-sided and
-two-sided normal quantiles). ``two_step_interval`` is the Bonferroni-corrected
-union construction: a first-step test that the unrestricted effect differs
-from zero, followed by a union of conditional intervals over a grid of
+Two constructions are offered, both built on one IM step
+(``_im_endpoints``), the classic interval for a partially identified
+scalar: it widens an estimated range ``[lo, hi]`` by a critical value
+``c_n`` chosen so that coverage holds uniformly across the width of the
+identified set (``c_n`` interpolates between the one-sided and two-sided
+normal quantiles). ``plain_im_interval`` takes that step once around the
+prediction pair. ``two_step_interval`` is the Bonferroni-corrected union
+construction: a first-step test that the unrestricted effect differs from
+zero, followed by a union of conditional IM intervals over a grid of
 plausible effect values. ``estimate_robust`` turns a sample into the
-``RobustEstimates`` record that ``plain_im_interval`` and
-``two_step_interval`` both take.
+``RobustEstimates`` record that both take.
 
 Each of these three is a batch of one of ``estimate_robust_many``,
 ``plain_im_intervals`` and ``two_step_intervals``. Those do the per-sample
@@ -23,7 +24,6 @@ entry's numbers do not depend on the batch it is computed in.
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +36,7 @@ from .covariance import (
     sigma_neyman,
     sigma_sharp_batch,
 )
-from .exceptions import NumericalError, ValidationError
+from .exceptions import ValidationError
 from .moments import ArmMoments, check_fourth_moments, estimate_moments_many
 from .sample import ExperimentalSample, arm_batch
 from .solver import RobustConfig, newton_root, solve_minimax_many
@@ -48,7 +48,6 @@ __all__ = [
     "check_two_step_args",
     "estimate_robust",
     "estimate_robust_many",
-    "im_interval",
     "plain_im_interval",
     "plain_im_intervals",
     "two_step_interval",
@@ -154,10 +153,13 @@ def _im_critical(scaled_width, alpha: float):
 
 def _im_endpoints(lo, hi, sd_lo, sd_hi, n, alpha: float):
     """IM endpoints and critical values for arrays with lo <= hi, elementwise:
-    the one IM step of ``im_interval``, ``plain_im_intervals`` and the
-    second step of ``two_step_intervals``.
+    the one IM step of ``plain_im_intervals`` and of the second step of
+    ``two_step_intervals``.
 
-    Where both SDs are zero the range itself is returned, with the
+    Returns ``lo - c_n sd_lo / sqrt(n)``, ``hi + c_n sd_hi / sqrt(n)`` and
+    ``c_n``, which solves ``Phi(c_n + sqrt(n) (hi - lo) / max(sd)) -
+    Phi(-c_n) = 1 - alpha`` (``_im_critical``), Phi the standard normal
+    CDF. Where both SDs are zero the range itself is returned, with the
     zero-width (lo == hi) or infinite-width limit of c_n. ValidationError
     unless alpha is in (0, 1/2] with a finite z(1 - alpha/2).
     """
@@ -172,47 +174,6 @@ def _im_endpoints(lo, hi, sd_lo, sd_hi, n, alpha: float):
     if spread.any():
         c[spread] = _im_critical(root_n[spread] * (hi[spread] - lo[spread]) / sd_max[spread], alpha)
     return lo - c * sd_lo / root_n, hi + c * sd_hi / root_n, c
-
-
-def im_interval(
-    lo_hat: float,
-    hi_hat: float,
-    sd_lo: float,
-    sd_hi: float,
-    n: int,
-    alpha: float = 0.05,
-) -> IntervalEstimate:
-    """Uniform-coverage interval for a value only known to lie in a range.
-
-    Returns ``[lo_hat - c_n sd_lo / sqrt(n), hi_hat + c_n sd_hi / sqrt(n)]``
-    with ``c_n`` solving ``Phi(c_n + sqrt(n) (hi - lo) / max(sd)) -
-    Phi(-c_n) = 1 - alpha``, Phi the standard normal CDF.
-
-    Endpoints inverted by less than 1e-10 (estimation noise) are swapped
-    with a warning; larger inversions raise NumericalError.
-    """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    if sd_lo < 0.0 or sd_hi < 0.0:
-        raise ValidationError("standard deviations must be nonnegative")
-    if lo_hat > hi_hat:
-        if lo_hat - hi_hat >= 1e-10:
-            raise NumericalError(
-                f"lower estimate {lo_hat} exceeds upper estimate {hi_hat}"
-            )
-        warnings.warn(
-            "interval endpoints inverted within numerical noise; swapping",
-            UserWarning,
-            stacklevel=2,
-        )
-        lo_hat, hi_hat = hi_hat, lo_hat
-        sd_lo, sd_hi = sd_hi, sd_lo
-    lower, upper, c = _im_endpoints(
-        np.array([lo_hat], dtype=float), hi_hat, sd_lo, sd_hi, n, alpha
-    )
-    return IntervalEstimate(
-        float(lower[0]), float(upper[0]), alpha, IMMethod.IM, c_values=(float(c[0]),)
-    )
 
 
 # ------------------------------------------------------- sample -> estimates

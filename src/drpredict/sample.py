@@ -1,9 +1,9 @@
 """Sample container, CSV ingestion, and each arm's moments and quantiles.
 
 Everything downstream consumes :class:`ExperimentalSample` (outcomes plus a
-binary treatment indicator) or :class:`EmpiricalDistribution` (one arm's
-sorted outcomes). Both are immutable after construction and safe to share
-across workers.
+binary treatment indicator), which is immutable after construction and safe
+to share across workers. An arm's empirical quantiles are its sorted
+outcomes at the indices of ``order_statistic``.
 
 The per-sample stages (moments, sharp bounds, sharp Sigma) take samples as
 an :class:`ArmBatch`: the sorted arms of a list of samples in one ragged
@@ -30,7 +30,6 @@ from .exceptions import ParseError, ValidationError
 __all__ = [
     "ArmBatch",
     "ExperimentalSample",
-    "EmpiricalDistribution",
     "arm_batch",
     "load_sample",
 ]
@@ -203,34 +202,6 @@ def _ragged_moments(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     moments[:, constant] = 0.0
     moments[0, constant] = low[constant]
     return moments
-
-
-@dataclass(frozen=True)
-class EmpiricalDistribution:
-    """One arm's outcomes as a sorted vector defining a step CDF.
-
-    ``sorted_values`` is ascending; ties are kept (no deduplication) so the
-    generalized inverse matches the definition used by the bound integrals.
-    """
-
-    sorted_values: np.ndarray
-    m: int = field(init=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.sorted_values, dtype=float)
-        if v.ndim != 1 or v.shape[0] == 0:
-            raise ValidationError("need a nonempty 1-dimensional value array")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("non-finite value in distribution")
-        if np.any(np.diff(v) < 0):
-            v = np.sort(v)
-        v.setflags(write=False)
-        object.__setattr__(self, "sorted_values", v)
-        object.__setattr__(self, "m", int(v.shape[0]))
-
-    @classmethod
-    def from_values(cls, values) -> "EmpiricalDistribution":
-        return cls(np.sort(np.asarray(values, dtype=float)))
 
 
 def load_sample(path, outcome_column: str, treatment_column: str) -> ExperimentalSample:

@@ -27,9 +27,7 @@ __all__ = [
     "RobustConfig",
     "SweepTable",
     "solve_minimax",
-    "homogeneous_threshold",
     "sweep_delta",
-    "proximity_derivs",
     "penalty_derivs",
 ]
 
@@ -139,26 +137,6 @@ def newton_root(fun, x, lo, hi, tol, *args):
 # --------------------------------------------------------------- objective
 
 
-def proximity_derivs(tau: float, tau_star: float, v: float) -> tuple[float, float, float]:
-    """Value and first two tau-derivatives of sqrt(v + (tau_star-tau)^2).
-
-    Raises
-    ------
-    ValidationError
-        If v < 0, or at the kink (v = 0, tau = tau_star) where the
-        derivatives do not exist.
-    """
-    if v < 0.0:
-        raise ValidationError(f"variance must be nonnegative, got {v}")
-    g = v + (tau_star - tau) ** 2
-    if g == 0.0:
-        raise ValidationError("derivatives undefined at the kink v=0, tau=tau_star")
-    a = math.sqrt(g)
-    d1 = (tau - tau_star) / a
-    d2 = v / (g * a)
-    return a, d1, d2
-
-
 def penalty_derivs(tau, q: float):
     """Value and first two tau-derivatives of (2 + |tau|^q)^(1/q), elementwise.
 
@@ -202,29 +180,11 @@ def penalty_curvature_range(tau_lo, tau_hi, q: float):
 
 
 def _threshold(a, q):
-    """(2/a^q + 1)^(1 - 1/q) for an array a >= 0; +inf at a = 0."""
+    """(2/a^q + 1)^(1 - 1/q) for an array a >= 0; +inf at a = 0. The
+    largest radius with no shrinkage at |tau*| = a when v = 0: decreasing
+    in a, and tending to 1 (the q = 1 cutoff) as q -> 1."""
     with np.errstate(divide="ignore", over="ignore"):
         return (2.0 / a**q + 1.0) ** (1.0 - 1.0 / q)
-
-
-def homogeneous_threshold(tau_star: float, q: float) -> float:
-    """Largest radius with no shrinkage when the effect variance is zero.
-
-    Equals (2/|tau_star|^q + 1)^(1 - 1/q); decreasing in |tau_star|. As
-    q -> 1 the value tends to 1 (the q = 1 cutoff), but q = 1 itself is
-    rejected here.
-
-    Raises
-    ------
-    ValidationError
-        If tau_star = 0 or q <= 1.
-    """
-    if tau_star == 0.0:
-        raise ValidationError("threshold undefined for tau_star = 0")
-    if q <= 1.0:
-        raise ValidationError(f"threshold requires q > 1, got {q}")
-    # same array arithmetic as the solver, so the threshold itself is unshrunk
-    return float(_threshold(np.array([abs(tau_star)]), q)[0])
 
 
 # -------------------------------------------------------------------- solver

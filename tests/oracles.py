@@ -19,7 +19,7 @@ from drpredict.bounds import BoundsMethod, VarianceBounds, neyman_bounds, sharp_
 from drpredict.calibration import _w2_sorted
 from drpredict.covariance import U_GRID_SIZE, SigmaMatrix, _u_trim
 from drpredict.exceptions import NumericalError, ValidationError
-from drpredict.sample import EmpiricalDistribution, ExperimentalSample, order_statistic
+from drpredict.sample import ExperimentalSample, order_statistic
 from drpredict.solver import RobustConfig, penalty_derivs, sweep_delta
 
 
@@ -124,14 +124,14 @@ def _arm_influence(
 
 def _arm_spacing(y_sorted: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """The quantile spacings of a sorted arm across the u-grid cells whose
-    edges are ``cells``, as ``covariance.sigma_sharp`` uses them: the
+    edges are ``cells``, as ``covariance.sigma_sharp_batch`` uses them: the
     differences of its order statistics at the edges, all 0 for a
     zero-spread arm."""
     return np.diff(quantile_at(y_sorted, cells))
 
 
 def _u_grid(n_min: int, grid_size: int):
-    """The midpoints and the cell edges of ``covariance.sigma_sharp``'s
+    """The midpoints and the cell edges of ``covariance.sigma_sharp_batch``'s
     trimmed u-grid."""
     trim = float(_u_trim(n_min))
     du = (1.0 - 2.0 * trim) / grid_size
@@ -139,7 +139,7 @@ def _u_grid(n_min: int, grid_size: int):
 
 
 def sigma_sharp_influence(sample, grid_size: int = 400) -> np.ndarray:
-    """The entries of ``covariance.sigma_sharp`` as the Gram matrix of a
+    """The entries of ``covariance.sigma_sharp_batch`` as the Gram matrix of a
     (3, n) array of per-observation influence values, on the same u-grid
     and quantile spacings; the reference for its segment-sum assembly."""
     y1, y0 = np.sort(sample.treated), np.sort(sample.control)
@@ -186,7 +186,7 @@ def sharp_bounds_per_sample(sample) -> tuple[float, float]:
 
 
 def sigma_sharp_per_sample(sample) -> np.ndarray:
-    """The entries of ``covariance.sigma_sharp`` computed for one sample
+    """The entries of ``covariance.sigma_sharp_batch`` computed for one sample
     and one arm at a time: each arm's moments (``central_moments``), its
     sort, its u-grid quantiles and their ``np.searchsorted`` segment edges,
     its per-segment ``np.add.reduceat`` sums of d and d^2 over the arm with
@@ -325,17 +325,19 @@ def newton_root_full(fun, x, lo, hi, tol, *args):
     raise NumericalError("bracketed Newton did not converge in 200 steps")
 
 
-def empirical_cdf(dist: EmpiricalDistribution, y: float) -> float:
-    """Fraction of observations <= y (right-continuous step function)."""
-    return float(np.searchsorted(dist.sorted_values, y, side="right")) / dist.m
+def empirical_cdf(values_sorted: np.ndarray, y: float) -> float:
+    """Fraction of the sorted values <= y (right-continuous step function)."""
+    return float(np.searchsorted(values_sorted, y, side="right")) / values_sorted.shape[0]
 
 
-def empirical_quantile(dist: EmpiricalDistribution, u: float) -> float:
-    """Left-continuous generalized inverse of the empirical CDF.
+def empirical_quantile(values_sorted: np.ndarray, u: float) -> float:
+    """Left-continuous generalized inverse of the empirical CDF of a sorted
+    array.
 
-    For u in ((k-1)/m, k/m] this is the k-th order statistic, i.e.
-    ``sorted_values[ceil(u*m) - 1]``, which is inf{ y : F(y) >= u }; the
-    scalar, checked form of ``quantile_at``.
+    For u in ((k-1)/m, k/m] this is the k-th order statistic, which is
+    inf{ y : F(y) >= u }: k is found by a search of the breakpoints k/m (as
+    doubles, the ticks of ``merged_u_grid``); the reference for
+    ``sample.order_statistic``, which computes k from ceil(u*m).
 
     Raises
     ------
@@ -344,7 +346,8 @@ def empirical_quantile(dist: EmpiricalDistribution, u: float) -> float:
     """
     if not 0.0 < u <= 1.0:
         raise ValidationError(f"quantile level must lie in (0, 1], got {u}")
-    return float(quantile_at(dist.sorted_values, u))
+    m = values_sorted.shape[0]
+    return float(values_sorted[np.searchsorted(np.arange(1, m + 1) / m, u, side="left")])
 
 
 def dual_objective(tau: float, tau_star: float, v: float, config: RobustConfig) -> float:

@@ -12,27 +12,26 @@ import numpy as np
 import pytest
 
 from drpredict import (
-    EmpiricalDistribution,
     ExperimentalSample,
     GaussianDGP,
     RobustConfig,
     case_preset,
     draw_sample,
     estimate_moments,
-    homogeneous_threshold,
-    im_interval,
     neyman_bounds,
     penalty_derivs,
     population_truth,
     prediction_sd_grid,
-    proximity_derivs,
     run_coverage_study,
     sharp_bounds_empirical,
     sigma_neyman,
     solve_minimax,
-    wasserstein2_1d,
 )
+from drpredict.calibration import _w2_sorted
+from drpredict.covariance import _loading_terms
+from drpredict.inference import _im_endpoints
 from drpredict.moments import ArmMoments
+from drpredict.solver import _threshold
 
 # Reference values for the six built-in designs
 TAU_DR = {1: 1.686, 2: 0.879, 3: 0.018, 4: 0.157, 5: 1.682, 6: 1.680}
@@ -53,9 +52,9 @@ def test_criterion_01_population_predictions_match_reference_values():
 
 
 def test_criterion_02_delayed_shrinkage_thresholds():
-    bar = homogeneous_threshold(2.0, 2.0)
+    bar, bar_1 = _threshold(np.array([2.0, 1.0]), 2.0).tolist()
     assert bar == pytest.approx(math.sqrt(1.5), abs=1e-6)  # 1.224745
-    assert homogeneous_threshold(1.0, 2.0) == pytest.approx(math.sqrt(3.0), abs=1e-6)
+    assert bar_1 == pytest.approx(math.sqrt(3.0), abs=1e-6)
     for delta in (0.0, 0.3, 0.9, bar - 1e-9):
         cfg = RobustConfig(delta=delta, q=2.0)
         assert solve_minimax(2.0, 0.0, cfg) == 2.0, f"delta={delta}"
@@ -271,14 +270,13 @@ def test_criterion_07_zero_effect_shrink_factor():
 
 
 def test_criterion_08_im_critical_value_limits():
-    zero_width = im_interval(1.5, 1.5, 1.0, 1.0, 400)
-    assert zero_width.c_values[0] == pytest.approx(1.959964, abs=1e-5)
-
     n, sd = 400, 1.0
-    wide = im_interval(0.0, 100.0 * sd / math.sqrt(n), sd, sd, n)
-    assert wide.c_values[0] == pytest.approx(1.644854, abs=1e-3)
-    print(f"criterion 8 PASS: c = {zero_width.c_values[0]:.6f} at zero width, "
-          f"{wide.c_values[0]:.6f} at width 100 sd/sqrt(n)")
+    _, _, (zero_width, wide) = _im_endpoints(
+        np.array([1.5, 0.0]), [1.5, 100.0 * sd / math.sqrt(n)], sd, sd, n, 0.05)
+    assert zero_width == pytest.approx(1.959964, abs=1e-5)
+    assert wide == pytest.approx(1.644854, abs=1e-3)
+    print(f"criterion 8 PASS: c = {zero_width:.6f} at zero width, "
+          f"{wide:.6f} at width 100 sd/sqrt(n)")
 
 
 def test_criterion_09_wasserstein_metric_properties():
@@ -286,33 +284,22 @@ def test_criterion_09_wasserstein_metric_properties():
 
     base = rng.normal(size=73)
     for shift in (0.7, -1.3, 2.5e-4):
-        d = wasserstein2_1d(
-            EmpiricalDistribution.from_values(base),
-            EmpiricalDistribution.from_values(base + shift),
-        )
+        d = _w2_sorted(np.sort(base), np.sort(base + shift))
         assert d == pytest.approx(abs(shift), abs=1e-10)
 
     for m in (3, 17, 256):
         a, b = rng.normal(size=m), rng.normal(1.0, 2.0, size=m)
         oracle = math.sqrt(np.mean((np.sort(a) - np.sort(b)) ** 2))
-        d = wasserstein2_1d(
-            EmpiricalDistribution.from_values(a),
-            EmpiricalDistribution.from_values(b),
-        )
+        d = _w2_sorted(np.sort(a), np.sort(b))
         assert d == pytest.approx(oracle, abs=1e-10)
 
     violations = 0
     for _ in range(1000):
         sizes = rng.integers(2, 30, size=3)
-        dists = [
-            EmpiricalDistribution.from_values(
-                rng.normal(rng.normal(), 1.0 + rng.random(), size=s)
-            )
-            for s in sizes
-        ]
-        dab = wasserstein2_1d(dists[0], dists[1])
-        dbc = wasserstein2_1d(dists[1], dists[2])
-        dac = wasserstein2_1d(dists[0], dists[2])
+        dists = [np.sort(rng.normal(rng.normal(), 1.0 + rng.random(), size=s)) for s in sizes]
+        dab = _w2_sorted(dists[0], dists[1])
+        dbc = _w2_sorted(dists[1], dists[2])
+        dac = _w2_sorted(dists[0], dists[2])
         violations += dac > dab + dbc + 1e-10
     assert violations == 0
     print("criterion 9 PASS: shift exact, sorted-pair oracle exact, "
@@ -320,6 +307,13 @@ def test_criterion_09_wasserstein_metric_properties():
 
 
 def test_criterion_10_analytic_derivatives_match_finite_differences():
+    # the proximity term sqrt(v + (tau* - tau)^2): at delta = 0 the
+    # curvature of _loading_terms is its curvature in tau, v/A^3, and the
+    # loadings d_v = gap/(2A^3) and d_tau are the slopes in v and in tau* of
+    # its tau-slope
+    def slope(t, ts, var):
+        return (t - ts) / math.sqrt(var + (ts - t) ** 2)
+
     rng = np.random.default_rng(100)
     h = 1e-5
     worst = 0.0
@@ -329,11 +323,10 @@ def test_criterion_10_analytic_derivatives_match_finite_differences():
         v = float(rng.uniform(0.5, 10.0))
         q = float(rng.choice([1.0, 1.5, 2.0, 3.0, 10.0]))
 
-        a0, a1, a2 = proximity_derivs(tau, tau_star, v)
-        ap = proximity_derivs(tau + h, tau_star, v)
-        am = proximity_derivs(tau - h, tau_star, v)
-        fd_a1 = (ap[0] - am[0]) / (2.0 * h)
-        fd_a2 = (ap[1] - am[1]) / (2.0 * h)
+        d_v, d_tau, a2 = (float(x) for x in _loading_terms(tau_star, tau, v, RobustConfig(0.0, q)))
+        fd_v = (slope(tau, tau_star, v + h) - slope(tau, tau_star, v - h)) / (2.0 * h)
+        fd_tau = (slope(tau, tau_star + h, v) - slope(tau, tau_star - h, v)) / (2.0 * h)
+        fd_a2 = (slope(tau + h, tau_star, v) - slope(tau - h, tau_star, v)) / (2.0 * h)
 
         b0, b1, b2 = penalty_derivs(tau, q)
         bp = penalty_derivs(tau + h, q)
@@ -345,7 +338,8 @@ def test_criterion_10_analytic_derivatives_match_finite_differences():
         # bottom out near 1e-11 absolute, which would swamp a pure ratio
         # whenever the true derivative is itself that small (large q, small tau)
         errs = (
-            abs(a1 - fd_a1) / max(abs(a1), 1.0),
+            abs(d_v - fd_v) / max(abs(d_v), 1.0),
+            abs(d_tau - fd_tau) / max(abs(d_tau), 1.0),
             abs(a2 - fd_a2) / max(abs(a2), 1.0),
             abs(b1 - fd_b1) / max(abs(b1), 1.0),
             abs(b2 - fd_b2) / max(abs(b2), 1.0),

@@ -129,7 +129,9 @@ def test_one_delta_method_sd_function():
             "variance_bounds_many", "_per_sample_stages", "sorted_arms", "arm_moments",
             "SigmaMethod", "DENSITY_FLOOR", "_sorted_percentiles", "_silverman_bandwidths",
             "_kernel_spectrum", "_kde", "KDE_BINS_PER_BANDWIDTH", "KDE_REACH_BANDWIDTHS",
-            "zero_tau_limit_sd", "_check_expansion", "_MAX_GRID_POINTS", "quantile_at"}
+            "zero_tau_limit_sd", "_check_expansion", "_MAX_GRID_POINTS", "quantile_at",
+            "im_interval", "proximity_derivs", "homogeneous_threshold", "EmpiricalDistribution",
+            "wasserstein2_1d", "sigma_sharp"}
     assert gone & set(drpredict.__all__) == set()
     modules = [importlib.import_module(f"drpredict.{m}") for m in MODULES] + [drpredict.ExperimentalSample]
     assert [(mod.__name__, name) for mod in modules for name in gone if hasattr(mod, name)] == []

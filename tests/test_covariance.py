@@ -12,7 +12,6 @@ from drpredict.covariance import (
     conditional_sd_bounds,
     prediction_sd_grid,
     sigma_neyman,
-    sigma_sharp,
     sigma_sharp_batch,
 )
 from drpredict import covariance as cov_module
@@ -178,18 +177,18 @@ def test_neyman_sigma_drops_a_zero_variance_arm(constant, recwarn):
     assert len(recwarn) == 0
 
 
-# --------------------------------------------------------------- sigma_sharp
+# -------------------------------------------------------------- sharp Sigma
 
 
 def test_sharp_sigma_constant_arms_is_zero():
     s = _sample(np.ones(40), np.ones(40))
-    out = sigma_sharp(s)
+    out = sigma_sharp_batch(s.arms)[0]
     np.testing.assert_array_equal(out.entries, 0.0)  # spacings, d and variances all exactly 0
 
 
 def test_sharp_sigma_smoke_gaussian():
     rng = np.random.default_rng(7)
-    out = sigma_sharp(_case1_marginals(rng, 10_000))
+    out = sigma_sharp_batch(_case1_marginals(rng, 10_000).arms)[0]
     assert np.all(np.isfinite(out.entries))
     # tau* slot is exact algebra (no quantile spacings), so it should be close already
     assert out.entries[2, 2] == pytest.approx(CASE1_S22, rel=0.10)
@@ -209,7 +208,7 @@ def test_sharp_sigma_diagonals_match_monte_carlo():
     mc = n * np.var(stats, axis=0)
 
     big = _case1_marginals(np.random.default_rng(12), 100_000)
-    plug = sigma_sharp(big).entries
+    plug = sigma_sharp_batch(big.arms)[0].entries
     assert plug[0, 0] == pytest.approx(mc[0], rel=0.10)
     assert plug[1, 1] == pytest.approx(mc[1], rel=0.10)
     assert plug[2, 2] == pytest.approx(mc[2], rel=0.10)
@@ -219,18 +218,18 @@ def test_sharp_sigma_preconditions():
     rng = np.random.default_rng(0)
     small = _sample(rng.normal(size=29), rng.normal(size=50))
     with pytest.raises(ValidationError):
-        sigma_sharp(small)
+        sigma_sharp_batch(small.arms)[0]
 
 
 def test_sharp_sigma_is_scale_equivariant():
     # Sigma of outcomes scaled by c is Sigma scaled by (c^2, c^2, c) on
     # (V_p, V_o, tau*): whether it exists does not depend on the units
     smp = _case1_marginals(np.random.default_rng(18), 2000)
-    base = sigma_sharp(smp).entries
+    base = sigma_sharp_batch(smp.arms)[0].entries
     bound = 1e-10 * np.sqrt(np.outer(np.diag(base), np.diag(base)))
     for c in (1e-4, 1e4):
         d = np.array([c * c, c * c, c])
-        scaled = sigma_sharp(_sample(c * smp.treated, c * smp.control)).entries
+        scaled = sigma_sharp_batch(_sample(c * smp.treated, c * smp.control).arms)[0].entries
         assert np.all(np.abs(scaled / np.outer(d, d) - base) <= bound), c
 
 
@@ -240,7 +239,7 @@ def test_sharp_sigma_outcome_scale_beyond_double_precision(scale):
     rng = np.random.default_rng(8)
     s = _sample(scale * rng.normal(size=200), scale * rng.normal(size=200))
     with pytest.raises(NumericalError, match="arm variance .* outcome scale"):
-        sigma_sharp(s)
+        sigma_sharp_batch(s.arms)[0]
 
 
 @pytest.mark.parametrize("shift1, shift0", [
@@ -250,8 +249,8 @@ def test_sharp_sigma_invariant_to_shifts_of_either_arm(shift1, shift0):
     # V_p, V_o and tau* do not move when an arm is shifted, so neither may
     # their covariance: each arm enters centred on its own mean
     smp = _case1_marginals(np.random.default_rng(17), 4000)
-    base = sigma_sharp(smp).entries
-    shifted = sigma_sharp(_sample(smp.treated + shift1, smp.control + shift0)).entries
+    base = sigma_sharp_batch(smp.arms)[0].entries
+    shifted = sigma_sharp_batch(_sample(smp.treated + shift1, smp.control + shift0).arms)[0].entries
     scale = np.sqrt(np.outer(np.diag(base), np.diag(base)))
     assert np.all(np.abs(shifted - base) <= 1e-10 * scale)
 
@@ -284,7 +283,7 @@ def test_sharp_sigma_matches_influence_oracle(family, n):
     smp = _sample(y1, 0.5 * _SIGMA_FAMILIES[family](rng, n - n1) + 0.2)
     oracle = sigma_sharp_influence(smp)
     scale = np.sqrt(np.outer(np.diag(oracle), np.diag(oracle)))
-    assert np.all(np.abs(sigma_sharp(smp).entries - oracle) <= 1e-12 * scale)
+    assert np.all(np.abs(sigma_sharp_batch(smp.arms)[0].entries - oracle) <= 1e-12 * scale)
 
 
 def test_sharp_sigma_allocates_no_per_observation_influence_array():
@@ -293,7 +292,7 @@ def test_sharp_sigma_allocates_no_per_observation_influence_array():
     smp.arms  # the sample's own cached sort and moments
     tracemalloc.start()
     try:
-        sigma_sharp(smp)
+        sigma_sharp_batch(smp.arms)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -312,7 +311,7 @@ def test_sharp_sigma_of_a_wide_arm_matches_influence_oracle(draw):
     # few cells carry most of the spacing, and Sigma stays finite
     rng = np.random.default_rng(8)
     smp = _sample(draw(rng, 100_000), rng.normal(size=100_000))
-    out = sigma_sharp(smp).entries
+    out = sigma_sharp_batch(smp.arms)[0].entries
     assert np.all(np.isfinite(out))
     oracle = sigma_sharp_influence(smp)
     scale = np.sqrt(np.outer(np.diag(oracle), np.diag(oracle)))
@@ -326,7 +325,7 @@ def test_sharp_sigma_of_heavily_tied_arms_is_finite_and_quiet():
     smp = _sample(np.round(rng.normal(2.0, 1.0, 900)), np.round(rng.normal(0.2, 0.4, 2100)))
     assert np.unique(smp.control).size <= 5
     with np.errstate(all="raise"):
-        out = sigma_sharp(smp).entries
+        out = sigma_sharp_batch(smp.arms)[0].entries
     assert np.all(np.isfinite(out)) and np.all(np.diag(out) > 0.0)
     oracle = sigma_sharp_influence(smp)
     scale = np.sqrt(np.outer(np.diag(oracle), np.diag(oracle)))
@@ -353,7 +352,7 @@ def _mixed_batch():
 def test_sigma_sharp_many_is_sigma_sharp_bit_for_bit():
     batch = _mixed_batch()
     many = sigma_sharp_batch(arm_batch(batch))
-    singles = [sigma_sharp(s) for s in batch]
+    singles = [sigma_sharp_batch(s.arms)[0] for s in batch]
     assert len(many) == len(batch)
     for got, want in zip(many, singles):
         assert np.array_equal(got.entries, want.entries)
@@ -381,7 +380,7 @@ def test_sigma_sharp_many_raises_what_the_failing_sample_raises(kind, k):
     batch = [_case1_marginals(rng, 1_000) for _ in range(5)]
     batch[k] = _FAILING[kind](rng)
     with pytest.raises((ValidationError, NumericalError)) as alone:
-        sigma_sharp(batch[k])
+        sigma_sharp_batch(batch[k].arms)[0]
     with pytest.raises(alone.type) as batched:
         sigma_sharp_batch(arm_batch(batch))
     assert str(batched.value) == str(alone.value)
@@ -574,7 +573,7 @@ def test_bootstrap_sigma_consistent_with_plugin():
     boot = sigma_bootstrap(smp, method="sharp", draws=300, seed=42)
     # agree with the analytic tau* variance within bootstrap noise
     assert boot[2, 2] == pytest.approx(CASE1_S22, rel=0.25)
-    plug = sigma_sharp(smp)
+    plug = sigma_sharp_batch(smp.arms)[0]
     assert boot[0, 0] == pytest.approx(plug.entries[0, 0], rel=0.3)
 
 

@@ -16,7 +16,6 @@ from drpredict.inference import (
     IntervalEstimate,
     estimate_robust,
     estimate_robust_many,
-    im_interval,
     plain_im_interval,
     plain_im_intervals,
     two_step_interval,
@@ -57,20 +56,23 @@ def test_unknown_bounds_method_is_validation_error(entry):
 CFG = RobustConfig(0.1, 2.0)
 
 
-# --------------------------------------------------------------- im_interval
+# -------------------------------------------------------------- the IM step
+
+
+def _im(lo, hi, sd_lo, sd_hi, n, alpha):
+    """(lower, upper, c_n) of the IM step for one range."""
+    return tuple(float(x) for x in inference._im_endpoints(lo, hi, sd_lo, sd_hi, n, alpha))
 
 
 def test_point_identified_reduces_to_two_sided_z():
-    est = im_interval(1.5, 1.5, 2.0, 2.0, n=400, alpha=0.05)
-    assert est.c_values[0] == pytest.approx(Z_TWO_SIDED, abs=1e-5)
-    assert est.lower == pytest.approx(1.5 - Z_TWO_SIDED * 2.0 / 20.0, abs=1e-6)
-    assert est.upper == pytest.approx(1.5 + Z_TWO_SIDED * 2.0 / 20.0, abs=1e-6)
-    assert est.method is IMMethod.IM
+    lower, upper, c = _im(1.5, 1.5, 2.0, 2.0, n=400, alpha=0.05)
+    assert c == pytest.approx(Z_TWO_SIDED, abs=1e-5)
+    assert lower == pytest.approx(1.5 - Z_TWO_SIDED * 2.0 / 20.0, abs=1e-6)
+    assert upper == pytest.approx(1.5 + Z_TWO_SIDED * 2.0 / 20.0, abs=1e-6)
 
 
 def test_wide_interval_reaches_one_sided_z():
-    est = im_interval(0.0, 50.0, 1.0, 1.0, n=400, alpha=0.05)
-    assert est.c_values[0] == pytest.approx(Z_ONE_SIDED, abs=1e-6)
+    assert _im(0.0, 50.0, 1.0, 1.0, n=400, alpha=0.05)[2] == pytest.approx(Z_ONE_SIDED, abs=1e-6)
 
 
 def test_critical_value_against_independent_root_finder():
@@ -83,54 +85,35 @@ def test_critical_value_against_independent_root_finder():
         )
         n, sd = 2500, 3.0
         width = w * sd / math.sqrt(n)
-        est = im_interval(0.0, width, sd, sd, n=n, alpha=alpha)
-        assert est.c_values[0] == pytest.approx(expected, abs=1e-8), (w, alpha)
-        assert est.lower == pytest.approx(-expected * sd / 50.0, abs=1e-8)
+        lower, _, c = _im(0.0, width, sd, sd, n=n, alpha=alpha)
+        assert c == pytest.approx(expected, abs=1e-8), (w, alpha)
+        assert lower == pytest.approx(-expected * sd / 50.0, abs=1e-8)
 
 
 def test_zero_sd_degenerates_to_estimated_range():
-    est = im_interval(1.0, 2.0, 0.0, 0.0, n=100, alpha=0.05)
-    assert (est.lower, est.upper) == (1.0, 2.0)
+    assert _im(1.0, 2.0, 0.0, 0.0, n=100, alpha=0.05)[:2] == (1.0, 2.0)
 
 
 def test_asymmetric_sds_extend_each_side_separately():
-    est = im_interval(0.0, 1.0, 1.0, 3.0, n=100, alpha=0.05)
-    c = est.c_values[0]
-    assert est.lower == pytest.approx(-c * 0.1)
-    assert est.upper == pytest.approx(1.0 + c * 0.3)
-
-
-def test_tiny_inversion_swaps_with_warning():
-    with pytest.warns(UserWarning, match="swap"):
-        est = im_interval(1.0 + 5e-11, 1.0, 0.5, 2.0, n=100, alpha=0.05)
-    ref = im_interval(1.0, 1.0 + 5e-11, 2.0, 0.5, n=100, alpha=0.05)
-    assert est.lower == pytest.approx(ref.lower)
-    assert est.upper == pytest.approx(ref.upper)
-
-
-def test_material_inversion_raises():
-    with pytest.raises(NumericalError):
-        im_interval(1.0 + 1e-6, 1.0, 0.5, 0.5, n=100, alpha=0.05)
+    lower, upper, c = _im(0.0, 1.0, 1.0, 3.0, n=100, alpha=0.05)
+    assert lower == pytest.approx(-c * 0.1)
+    assert upper == pytest.approx(1.0 + c * 0.3)
 
 
 def test_im_domain_errors():
     with pytest.raises(ValidationError):
-        im_interval(0.0, 1.0, 1.0, 1.0, n=100, alpha=0.0)
+        _im(0.0, 1.0, 1.0, 1.0, n=100, alpha=0.0)
     with pytest.raises(ValidationError):
-        im_interval(0.0, 1.0, 1.0, 1.0, n=100, alpha=1.0)
-    with pytest.raises(ValidationError):
-        im_interval(0.0, 1.0, 1.0, 1.0, n=0, alpha=0.05)
-    with pytest.raises(ValidationError):
-        im_interval(0.0, 1.0, -0.1, 1.0, n=100, alpha=0.05)
+        _im(0.0, 1.0, 1.0, 1.0, n=100, alpha=1.0)
 
 
 def test_im_level_is_at_most_one_half():
     # above 1/2, z(1 - alpha) < 0 and c would pull the ends inside the estimates
     with pytest.raises(ValidationError, match=r"alpha must be in \(0, 0.5\], got 0.55"):
-        im_interval(0.0, 0.2, 1.0, 1.0, n=100, alpha=0.55)
-    est = im_interval(0.0, 0.2, 1.0, 1.0, n=100, alpha=0.5)
-    assert est.c_values[0] >= 0.0
-    assert est.lower <= 0.0 and est.upper >= 0.2
+        _im(0.0, 0.2, 1.0, 1.0, n=100, alpha=0.55)
+    lower, upper, c = _im(0.0, 0.2, 1.0, 1.0, n=100, alpha=0.5)
+    assert c >= 0.0
+    assert lower <= 0.0 and upper >= 0.2
     s = _case1(np.random.default_rng(2), 2000)
     with pytest.raises(ValidationError, match=r"alpha must be in \(0, 0.5\], got 0.6"):
         two_step_interval(estimate_robust(s, CFG), alpha=0.6, beta=0.5)
@@ -145,8 +128,7 @@ def test_im_level_is_at_most_one_half():
 )
 def test_critical_value_stays_in_bracket(w, alpha):
     n, sd = 10_000, 1.0
-    est = im_interval(0.0, w * sd / 100.0, sd, sd, n=n, alpha=alpha)
-    c = est.c_values[0]
+    c = _im(0.0, w * sd / 100.0, sd, sd, n=n, alpha=alpha)[2]
     assert ndtri(1 - alpha) - 1e-9 <= c <= ndtri(1 - alpha / 2) + 1e-9
 
 
@@ -184,10 +166,10 @@ def test_z_matches_ndtri():
 def test_im_monotone_in_alpha():
     prev = None
     for alpha in (0.01, 0.05, 0.10, 0.20):
-        est = im_interval(0.0, 1.0, 2.0, 2.0, n=100, alpha=alpha)
+        est = _im(0.0, 1.0, 2.0, 2.0, n=100, alpha=alpha)
         if prev is not None:
-            assert est.lower >= prev.lower - 1e-12
-            assert est.upper <= prev.upper + 1e-12
+            assert est[0] >= prev[0] - 1e-12
+            assert est[1] <= prev[1] + 1e-12
         prev = est
 
 
@@ -225,6 +207,7 @@ def test_delta_zero_is_classic_ate_inference():
     half = Z_TWO_SIDED * est.sigma.sigma_tau / math.sqrt(3000)
     assert iv.lower == pytest.approx(est.tau_star - half, abs=1e-6)
     assert iv.upper == pytest.approx(est.tau_star + half, abs=1e-6)
+    assert iv.method is IMMethod.IM
 
 
 def test_negative_effect_orders_endpoints():
@@ -548,7 +531,7 @@ def test_levels_with_an_infinite_normal_quantile_are_rejected(alpha, beta):
             two_step_interval(est, alpha, beta)
     if beta == 0.0:
         with pytest.raises(ValidationError, match="infinite"):
-            im_interval(0.0, 1.0, 1.0, 1.0, n=100, alpha=alpha)
+            _im(0.0, 1.0, 1.0, 1.0, n=100, alpha=alpha)
 
 
 def test_two_step_monotone_in_alpha():

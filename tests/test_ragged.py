@@ -9,7 +9,7 @@ from drpredict import ExperimentalSample
 from drpredict import inference, simulation
 from drpredict.bounds import merged_grid_blocks, sharp_bounds_empirical
 from drpredict.calibration import SplitRule, split_benchmark
-from drpredict.covariance import sigma_sharp, sigma_sharp_batch
+from drpredict.covariance import sigma_sharp_batch
 from drpredict.inference import estimate_robust, estimate_robust_many
 from drpredict.sample import arm_batch
 from drpredict.simulation import case_preset, run_coverage_study
@@ -74,7 +74,7 @@ def test_records_equal_batches_of_one(method):
             alone.tau_p, alone.tau_o, alone.sd_p, alone.sd_o, alone.bounds, alone.moments, alone.n)
         assert np.array_equal(est.sigma.entries, alone.sigma.entries)
     many = sigma_sharp_batch(arm_batch(samples))
-    assert all(np.array_equal(got.entries, sigma_sharp(s).entries) for got, s in zip(many, samples))
+    assert all(np.array_equal(got.entries, sigma_sharp_batch(s.arms)[0].entries) for got, s in zip(many, samples))
 
 
 def test_records_agree_with_the_per_sample_oracles():

@@ -6,7 +6,6 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from drpredict import (
-    EmpiricalDistribution,
     ExperimentalSample,
     ParseError,
     ValidationError,
@@ -14,7 +13,7 @@ from drpredict import (
     load_sample,
 )
 from drpredict import sample as sample_module
-from drpredict.sample import _load_rows
+from drpredict.sample import _load_rows, order_statistic
 from oracles import empirical_cdf, empirical_quantile, quantile_at
 
 
@@ -168,58 +167,42 @@ def test_load_sample_nonfinite_outcome(tmp_path):
 
 
 def test_cdf_step_values():
-    d = EmpiricalDistribution.from_values([1.0, 2.0, 2.0, 5.0])
-    assert empirical_cdf(d, 0.0) == 0.0
-    assert empirical_cdf(d, 1.0) == 0.25  # right-continuous: jump included
-    assert empirical_cdf(d, 1.5) == 0.25
-    assert empirical_cdf(d, 2.0) == 0.75
-    assert empirical_cdf(d, 5.0) == 1.0
-    assert empirical_cdf(d, 99.0) == 1.0
+    v = np.array([1.0, 2.0, 2.0, 5.0])
+    assert empirical_cdf(v, 0.0) == 0.0
+    assert empirical_cdf(v, 1.0) == 0.25  # right-continuous: jump included
+    assert empirical_cdf(v, 1.5) == 0.25
+    assert empirical_cdf(v, 2.0) == 0.75
+    assert empirical_cdf(v, 5.0) == 1.0
+    assert empirical_cdf(v, 99.0) == 1.0
+    # the quantile at each step's height is the point of the step
+    assert v[order_statistic(4, [0.25, 0.75, 1.0])].tolist() == [1.0, 2.0, 5.0]
 
 
 def test_quantile_order_statistics():
-    d = EmpiricalDistribution.from_values([10.0, 20.0, 30.0, 40.0])
+    v = np.array([10.0, 20.0, 30.0, 40.0])
     # u in ((k-1)/4, k/4] picks the k-th order statistic
-    assert empirical_quantile(d, 0.25) == 10.0
-    assert empirical_quantile(d, 0.2500001) == 20.0
-    assert empirical_quantile(d, 0.5) == 20.0
-    assert empirical_quantile(d, 0.75) == 30.0
-    assert empirical_quantile(d, 1.0) == 40.0
-    assert empirical_quantile(d, 1e-12) == 10.0
+    u = [0.25, 0.2500001, 0.5, 0.75, 1.0, 1e-12]
+    assert v[order_statistic(4, u)].tolist() == [10.0, 20.0, 20.0, 30.0, 40.0, 10.0]
 
 
 def test_quantile_at_and_empirical_quantile_agree_on_every_breakpoint():
-    # u * m can round up past the integer k at u = k/m (7/25 does); both
-    # functions must still return the k-th order statistic
+    # u * m can round up past the integer k at u = k/m (7/25 does);
+    # order_statistic must still return k - 1, as the breakpoint search of
+    # empirical_quantile does
     for m in range(2, 301):
         values = np.arange(m, dtype=float)
-        d = EmpiricalDistribution(values)
         u = np.arange(1, m + 1) / m
+        np.testing.assert_array_equal(order_statistic(m, u), np.arange(m))
         np.testing.assert_array_equal(quantile_at(values, u), values)
-        assert [empirical_quantile(d, x) for x in u] == values.tolist()
-    assert quantile_at(np.arange(25.0), 7 / 25) == 6.0  # a scalar level
+        assert [int(order_statistic(m, x)) for x in u] == list(range(m))
+        assert [empirical_quantile(values, x) for x in u] == values.tolist()
+    assert order_statistic(25, 7 / 25) == 6  # a scalar level
 
 
 @pytest.mark.parametrize("u", [0.0, -0.2, 1.0000001, 2.0])
 def test_quantile_domain(u):
-    d = EmpiricalDistribution.from_values([1.0, 2.0])
     with pytest.raises(ValidationError):
-        empirical_quantile(d, u)
-
-
-def test_distribution_sorts_unsorted_input():
-    d = EmpiricalDistribution(np.array([3.0, 1.0, 2.0]))
-    np.testing.assert_array_equal(d.sorted_values, [1.0, 2.0, 3.0])
-
-
-def test_distribution_rejects_nan():
-    with pytest.raises(ValidationError):
-        EmpiricalDistribution(np.array([1.0, np.nan]))
-
-
-def test_distribution_rejects_empty():
-    with pytest.raises(ValidationError, match="nonempty"):
-        EmpiricalDistribution([])
+        empirical_quantile(np.array([1.0, 2.0]), u)
 
 
 # ------------------------------------------------------------ property tests
@@ -237,15 +220,16 @@ finite_floats = st.floats(
 @example(values=[0.0] * 14 + [1.0] * 11, u=1.0)  # F(0) = 0.56, and 0.56 * 25 > 14
 def test_galois_pair(values, u):
     """Quantile and CDF form a Galois connection: Q(u) <= y  iff  u <= F(y)."""
-    d = EmpiricalDistribution.from_values(values)
-    q = empirical_quantile(d, u)
+    v = np.sort(values)
+    q = v[order_statistic(v.size, u)]
+    assert q == empirical_quantile(v, u)
     # F(Q(u)) >= u: the CDF at the u-quantile covers u
-    assert empirical_cdf(d, q) >= u - 1e-15
+    assert empirical_cdf(v, q) >= u - 1e-15
     # Q(F(y)) <= y for any observed y with F(y) > 0
     y = values[0]
-    f = empirical_cdf(d, y)
+    f = empirical_cdf(v, y)
     if f > 0:
-        assert empirical_quantile(d, f) <= y + 1e-15
+        assert v[order_statistic(v.size, f)] <= y + 1e-15
 
 
 @settings(max_examples=200, deadline=None)
@@ -255,17 +239,16 @@ def test_galois_pair(values, u):
     u2=st.floats(min_value=1e-9, max_value=1.0),
 )
 def test_quantile_monotone(values, u1, u2):
-    d = EmpiricalDistribution.from_values(values)
     lo, hi = sorted((u1, u2))
-    assert empirical_quantile(d, lo) <= empirical_quantile(d, hi)
+    assert order_statistic(len(values), lo) <= order_statistic(len(values), hi)
 
 
 @settings(max_examples=200, deadline=None)
 @given(values=st.lists(finite_floats, min_size=1, max_size=50))
 def test_quantile_range_is_support(values):
-    d = EmpiricalDistribution.from_values(values)
-    assert empirical_quantile(d, 1e-9) == min(values)
-    assert empirical_quantile(d, 1.0) == max(values)
+    v = np.sort(values)
+    assert v[order_statistic(v.size, 1e-9)] == min(values)
+    assert v[order_statistic(v.size, 1.0)] == max(values)
 
 
 @settings(max_examples=100, deadline=None)
@@ -275,9 +258,9 @@ def test_quantile_range_is_support(values):
     y2=finite_floats,
 )
 def test_cdf_monotone_and_bounded(values, y1, y2):
-    d = EmpiricalDistribution.from_values(values)
+    v = np.sort(values)
     lo, hi = sorted((y1, y2))
-    f_lo, f_hi = empirical_cdf(d, lo), empirical_cdf(d, hi)
+    f_lo, f_hi = empirical_cdf(v, lo), empirical_cdf(v, hi)
     assert 0.0 <= f_lo <= f_hi <= 1.0
 
 
@@ -286,12 +269,11 @@ def test_cdf_quantile_exact_inverse_on_grid():
     # CDF of that order statistic is at least k/m, with equality when the
     # value is unique.
     rng = np.random.default_rng(7)
-    vals = rng.normal(size=23)
-    d = EmpiricalDistribution.from_values(vals)
+    v = np.sort(rng.normal(size=23))
     for k in range(1, 24):
         u = k / 23
-        q = empirical_quantile(d, u)
-        assert empirical_cdf(d, q) >= u - 1e-12
+        q = v[order_statistic(23, u)]
+        assert empirical_cdf(v, q) >= u - 1e-12
 
 
 # ------------------------------------------- CSV fast path against row parser

@@ -13,8 +13,8 @@ from scipy import stats
 from drpredict import ExperimentalSample, NumericalError, ValidationError
 from drpredict import simulation
 from drpredict.bounds import sharp_bounds_empirical
-from drpredict.covariance import prediction_sd_grid, sigma_sharp
-from drpredict.inference import _im_critical, _z, estimate_robust, im_interval
+from drpredict.covariance import prediction_sd_grid, sigma_sharp_batch
+from drpredict.inference import _im_critical, _im_endpoints, _z, estimate_robust
 from drpredict.moments import estimate_moments
 from drpredict.simulation import (
     GaussianDGP,
@@ -235,28 +235,26 @@ def test_replications_do_not_depend_on_their_batch(case, batch):
 
 def _old_replication(dgp, cfg, child, alpha=0.05, beta=0.045):
     """One replication as composed before the study was batched: one scalar
-    prediction_sd_grid call per prediction, the scalar im_interval, and a
+    prediction_sd_grid call per prediction, a one-entry IM step, and a
     (2, grid) two-step whose conditional SD is |gap / (2 A^3)| sqrt(S_bb) / M''."""
     sample = draw_sample(dgp, child)
     tau_star = estimate_moments(sample).ate
     bounds = sharp_bounds_empirical(sample)
-    sigma = sigma_sharp(sample)
+    sigma = sigma_sharp_batch(sample.arms)[0]
     tau_p, tau_o = solve_minimax_many(tau_star, [bounds.v_p, bounds.v_o], cfg).tolist()
     s = sigma.entries
     sd_p, sd_o = (
         float(prediction_sd_grid(tau_star, tau_b, v_b, (s[b, b], s[b, 2], s[2, 2]), cfg))
         for b, (tau_b, v_b) in enumerate(((tau_p, bounds.v_p), (tau_o, bounds.v_o)))
     )
-    if tau_p <= tau_o:
-        im = im_interval(tau_p, tau_o, sd_p, sd_o, sample.n, alpha)
-    else:
-        im = im_interval(tau_o, tau_p, sd_o, sd_p, sample.n, alpha)
+    pair = (tau_p, tau_o, sd_p, sd_o) if tau_p <= tau_o else (tau_o, tau_p, sd_o, sd_p)
+    im_lower, im_upper, _ = (float(x) for x in _im_endpoints(*pair, sample.n, alpha))
 
     root_n = math.sqrt(sample.n)
     half = _z(1.0 - beta / 2.0) * (sigma.sigma_tau / root_n)
     first = (tau_star - half, tau_star + half)
     if first[0] <= 0.0 <= first[1]:
-        return (im.lower, im.upper, math.nan, math.nan, math.nan, False)
+        return (im_lower, im_upper, math.nan, math.nan, math.nan, False)
     ts = np.linspace(first[0], first[1], 101)
     v = np.array([[bounds.v_p], [bounds.v_o]])
     tau = solve_minimax_many(ts, v, cfg)
@@ -274,7 +272,7 @@ def _old_replication(dgp, cfg, child, alpha=0.05, beta=0.045):
     c = _im_critical(scaled, alpha - beta)
     lower = float((lo - c * sd_lo / root_n).min())
     upper = float((hi + c * sd_hi / root_n).max())
-    return (im.lower, im.upper, lower, upper, (upper - lower) / im.length, True)
+    return (im_lower, im_upper, lower, upper, (upper - lower) / (im_upper - im_lower), True)
 
 
 @pytest.mark.parametrize("case", [1, 3, 5, 6])

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from drpredict import NumericalError, ValidationError
 from drpredict import solver as solver_module
 from drpredict.bounds import VarianceBounds
+from drpredict.covariance import _loading_terms
 from drpredict.solver import (
     RobustConfig,
-    homogeneous_threshold,
+    _threshold,
     newton_root,
     penalty_curvature_range,
     penalty_derivs,
-    proximity_derivs,
     solve_minimax,
     solve_minimax_many,
     sweep_delta,
@@ -85,30 +85,27 @@ def test_objective_convex(t1, t2, lam, tau_star, v, delta, q):
 # ----------------------------------------------------------------- threshold
 
 
+def _thr(a, q):
+    """The solver's no-shrinkage radius at |tau*| = a, as it computes it."""
+    return float(_threshold(np.array([a]), q)[0])
+
+
 def test_threshold_values():
-    assert homogeneous_threshold(2.0, 2.0) == pytest.approx(math.sqrt(1.5), abs=1e-12)
-    assert homogeneous_threshold(1.0, 2.0) == pytest.approx(math.sqrt(3.0), abs=1e-12)
-    assert homogeneous_threshold(2.0, 3.0) == pytest.approx(1.25 ** (2.0 / 3.0), abs=1e-12)
-    # sign-symmetric
-    assert homogeneous_threshold(-2.0, 2.0) == homogeneous_threshold(2.0, 2.0)
+    assert _thr(2.0, 2.0) == pytest.approx(math.sqrt(1.5), abs=1e-12)
+    assert _thr(1.0, 2.0) == pytest.approx(math.sqrt(3.0), abs=1e-12)
+    assert _thr(2.0, 3.0) == pytest.approx(1.25 ** (2.0 / 3.0), abs=1e-12)
+    assert _thr(0.0, 2.0) == math.inf  # a zero effect is never shrunk
+    # the solver takes |tau*|: a negative effect has the same plateau
+    assert solve_minimax(-2.0, 0.0, RobustConfig(_thr(2.0, 2.0), 2.0)) == -2.0
 
 
 def test_threshold_decreasing_in_effect_size():
-    vals = [homogeneous_threshold(t, 2.0) for t in (0.5, 1.0, 2.0, 4.0, 8.0)]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-def test_threshold_domain():
-    with pytest.raises(ValidationError):
-        homogeneous_threshold(0.0, 2.0)
-    with pytest.raises(ValidationError):
-        homogeneous_threshold(1.0, 1.0)
-    with pytest.raises(ValidationError):
-        homogeneous_threshold(1.0, 0.5)
+    vals = _threshold(np.array([0.5, 1.0, 2.0, 4.0, 8.0]), 2.0)
+    assert np.all(np.diff(vals) < 0.0)
 
 
 def test_threshold_tends_to_one_as_q_to_one():
-    assert homogeneous_threshold(2.0, 1.0 + 1e-9) == pytest.approx(1.0, abs=1e-6)
+    assert _thr(2.0, 1.0 + 1e-9) == pytest.approx(1.0, abs=1e-6)
 
 
 # -------------------------------------------------------------------- solver
@@ -127,7 +124,7 @@ def test_tau_star_zero_is_fixed_point():
 
 
 def test_homogeneous_no_shrinkage_up_to_threshold():
-    thr = homogeneous_threshold(2.0, 2.0)
+    thr = _thr(2.0, 2.0)
     assert solve_minimax(2.0, 0.0, RobustConfig(1.0, 2.0)) == 2.0
     assert solve_minimax(2.0, 0.0, RobustConfig(thr, 2.0)) == 2.0
     just_past = solve_minimax(2.0, 0.0, RobustConfig(thr + 1e-6, 2.0))
@@ -202,7 +199,7 @@ def test_foc_residual_at_solution():
         t_hat = solve_minimax(ts, v, RobustConfig(d, q))
         if t_hat == 0.0:
             continue
-        _, pd1, _ = proximity_derivs(t_hat, ts, v)
+        pd1 = (t_hat - ts) / math.sqrt(v + (ts - t_hat) ** 2)  # the proximity slope
         _, bd1, _ = penalty_derivs(t_hat, q)
         assert abs(pd1 + d * bd1) <= 1e-8, (ts, v, d, q)
 
@@ -395,17 +392,21 @@ def _central(fun, x, h=1e-6):
 
 
 def test_proximity_derivs_match_finite_differences():
+    # covariance._loading_terms at delta = 0: its curvature is that of the
+    # proximity term sqrt(v + (tau* - t)^2) in t, and its loadings d_v and
+    # d_tau are the slopes in v and in tau* of the proximity slope
+    def slope(t, ts, v):
+        return (t - ts) / math.sqrt(v + (ts - t) ** 2)
+
     rng = np.random.default_rng(3)
     for _ in range(50):
         ts = rng.uniform(-5, 5)
         v = rng.uniform(0.01, 10)
         t = rng.uniform(-5, 5)
-        val, d1, d2 = proximity_derivs(t, ts, v)
-        f = lambda x: math.sqrt(v + (ts - x) ** 2)
-        assert val == pytest.approx(f(t), rel=1e-12)
-        assert d1 == pytest.approx(_central(f, t), rel=1e-6, abs=1e-8)
-        g = lambda x: proximity_derivs(x, ts, v)[1]
-        assert d2 == pytest.approx(_central(g, t), rel=1e-5, abs=1e-7)
+        d_v, d_tau, d2 = _loading_terms(ts, t, v, RobustConfig(0.0, 2.0))
+        assert d2 == pytest.approx(_central(lambda x: slope(x, ts, v), t), rel=1e-5, abs=1e-7)
+        assert d_v == pytest.approx(_central(lambda x: slope(t, ts, x), v), rel=1e-5, abs=1e-7)
+        assert d_tau == pytest.approx(_central(lambda x: slope(t, x, v), ts), rel=1e-5, abs=1e-7)
 
 
 def test_penalty_derivs_match_finite_differences():
@@ -449,13 +450,6 @@ def test_penalty_derivs_at_zero():
     assert penalty_derivs(-1.7, 1.0) == (3.7, -1.0, 0.0)
 
 
-def test_proximity_derivs_kink_rejected():
-    with pytest.raises(ValidationError):
-        proximity_derivs(1.0, 1.0, 0.0)
-    with pytest.raises(ValidationError, match="nonnegative"):
-        proximity_derivs(0.0, 1.0, -1.0)
-
-
 # --------------------------------------------------------------------- sweep
 
 
@@ -467,7 +461,7 @@ def test_sweep_delta_zero_row():
 
 def test_sweep_flat_below_threshold_when_homogeneous():
     b = VarianceBounds(v_o=0.0, v_p=0.0, method="sharp")
-    thr = homogeneous_threshold(2.0, 2.0)
+    thr = _thr(2.0, 2.0)
     table = sweep_delta(2.0, b, 2.0, np.linspace(0, thr, 7))
     assert np.all(table.tau_p == 2.0) and np.all(table.tau_o == 2.0)
 
