@@ -37,7 +37,6 @@ from .inference import (
     two_step_interval,
     two_step_intervals,
 )
-from .moments import ArmMoments, estimate_moments
 from .sample import ExperimentalSample, load_sample
 from .simulation import (
     GaussianDGP,
@@ -70,9 +69,6 @@ __all__ = [
     # data model
     "ExperimentalSample",
     "load_sample",
-    # moments
-    "ArmMoments",
-    "estimate_moments",
     # variance bounds
     "BoundsMethod",
     "VarianceBounds",

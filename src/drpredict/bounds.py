@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
-from .moments import ArmMoments, scale_error
-from .sample import ArmBatch, ExperimentalSample
+from .sample import ArmBatch, ExperimentalSample, scale_error
 
 __all__ = [
     "BoundsMethod",
@@ -25,7 +24,6 @@ __all__ = [
     "neyman_bounds",
     "mean_square_gaps",
     "sharp_bounds_empirical",
-    "sharp_bounds_many",
     "variance_bounds",
 ]
 
@@ -206,54 +204,45 @@ def mean_square_gaps(a: np.ndarray, b: np.ndarray, pairs, shift=None, antitone: 
 
 def sharp_bounds_empirical(sample: ExperimentalSample) -> VarianceBounds:
     """Coupling-based (Frechet-Hoeffding) bounds from an experimental
-    sample: ``sharp_bounds_many`` of its batch of one.
+    sample: the sharp ``variance_bounds`` of its batch of one."""
+    return variance_bounds(sample.arms)[0]
 
-    v_o and v_p are Var(Y1 - Y0) under the comonotone and the antitone
-    coupling of the two empirical marginals: the mean square quantile gap
-    of the treated arm, shifted by the difference in means, against the
-    control arm and against it reversed (``mean_square_gaps``). Neither
-    depends on where the arms sit. A v_o below _ROUNDING * v_p (one arm a
-    shift of the other, up to rounding) is 0.
+
+def variance_bounds(arms: ArmBatch, method=BoundsMethod.SHARP) -> list:
+    """The bracket of ``method`` (a ``BoundsMethod`` or its value) for each
+    sample of an ``ArmBatch``, in order.
+
+    The sharp v_o and v_p are Var(Y1 - Y0) under the comonotone and the
+    antitone coupling of the two empirical marginals: the mean square
+    quantile gap of the treated arm, shifted by the difference in means,
+    against the control arm and against it reversed, one
+    ``mean_square_gaps`` pass over the batch. Neither depends on where the
+    arms sit. A v_o below _ROUNDING * v_p (one arm a shift of the other, up
+    to rounding) is 0. The Neyman bounds are ``neyman_bounds`` of each
+    sample's arm variances (``ArmBatch.moments``).
 
     Raises
     ------
-    ValidationError
-        If either arm has fewer than two observations (``sample.arms``).
     NumericalError
-        If a squared gap overflows (``moments.scale_error``).
+        What the first failing sample raises (``sample.scale_error``): on
+        the sharp route when a squared gap overflows, naming the arm of
+        wider range; on the Neyman route for the first arm, treated before
+        control, whose variance overflows.
     """
-    return sharp_bounds_many(sample.arms)[0]
-
-
-def sharp_bounds_many(arms: ArmBatch) -> list:
-    """``sharp_bounds_empirical`` for each sample of an ``ArmBatch``: one
-    ``mean_square_gaps`` pass over the batch. Raises what the first failing
-    sample raises."""
+    if BoundsMethod(method) is BoundsMethod.NEYMAN:
+        var = arms.moments[1]
+        for k in np.flatnonzero(~np.isfinite(var))[:1].tolist():
+            raise scale_error(("treated", "control")[k % 2], arms.arm(k), "the second moments")
+        return [neyman_bounds(s1_sq, s0_sq) for s1_sq, s0_sq in zip(var[0::2].tolist(), var[1::2].tolist())]
     lo1, lo0, end = arms.starts[0:-1:2], arms.starts[1::2], arms.starts[2::2]
-    means = arms.moments[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in v_p below
-        shift = means[0::2] - means[1::2]
-    gaps = mean_square_gaps(arms.values, arms.values, (lo1, lo0 - lo1, lo0, end - lo0), shift, antitone=True)
+    gaps = mean_square_gaps(arms.values, arms.values, (lo1, lo0 - lo1, lo0, end - lo0), arms.ate, antitone=True)
     out = []
     for r, (v_o, v_p) in enumerate(gaps.tolist()):
         if not math.isfinite(v_p):  # a square past 1.8e308: name the arm of wider range
-            y1, y0 = (arms.values[arms.starts[k] : arms.starts[k + 1]] for k in (2 * r, 2 * r + 1))
-            arm, y = max(("treated", y1), ("control", y0), key=lambda a: float(a[1][-1]) - float(a[1][0]))
+            arm, y = max(("treated", arms.arm(2 * r)), ("control", arms.arm(2 * r + 1)),
+                         key=lambda a: float(a[1][-1]) - float(a[1][0]))
             raise scale_error(arm, y, "the squared quantile gaps")
         if v_o <= _ROUNDING * v_p:
             v_o = 0.0
         out.append(VarianceBounds(v_o=v_o, v_p=v_p, method=BoundsMethod.SHARP))
     return out
-
-
-def variance_bounds(sample: ExperimentalSample, moments: ArmMoments,
-                    method=BoundsMethod.SHARP) -> VarianceBounds:
-    """The bracket of ``method`` (a ``BoundsMethod`` or its value): the sharp
-    bounds of ``sample``, or the Neyman bounds of its ``estimate_moments``,
-    which raise ``moments.scale_error`` for an arm whose variance overflows."""
-    if BoundsMethod(method) is BoundsMethod.SHARP:
-        return sharp_bounds_empirical(sample)
-    for arm, var in (("treated", moments.sigma1_sq), ("control", moments.sigma0_sq)):
-        if not math.isfinite(var):
-            raise scale_error(arm, getattr(sample, arm), "the second moments")
-    return neyman_bounds(moments.sigma1_sq, moments.sigma0_sq)

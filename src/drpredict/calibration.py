@@ -15,8 +15,7 @@ import numpy as np
 
 from .bounds import mean_square_gaps
 from .exceptions import ValidationError
-from .moments import scale_error
-from .sample import ExperimentalSample
+from .sample import ExperimentalSample, scale_error
 
 __all__ = [
     "RadiusBenchmark",

@@ -34,7 +34,6 @@ from .inference import (
     plain_im_interval,
     two_step_interval,
 )
-from .moments import estimate_moments
 from .sample import load_sample
 from .simulation import (
     GaussianDGP,
@@ -223,7 +222,7 @@ def cmd_estimate(args) -> int:
     method = BoundsMethod(args.bounds)
     est = estimate_robust(sample, config, method)
     # the report shows both brackets; compute only the one not selected
-    sharp, neyman = (est.bounds if m is method else variance_bounds(sample, est.moments, m)
+    sharp, neyman = (est.bounds if m is method else variance_bounds(sample.arms, m)[0]
                      for m in (BoundsMethod.SHARP, BoundsMethod.NEYMAN))
     sd_tau = None if est.sigma is None else est.sigma.sigma_tau
 
@@ -314,9 +313,8 @@ def cmd_sweep(args) -> int:
                 "--tau-star is population mode only; with --data the effect is estimated"
             )
         sample = load_sample(args.data, args.outcome, args.treatment)
-        moments = estimate_moments(sample)
-        tau_star = moments.ate
-        bounds = variance_bounds(sample, moments, args.bounds)
+        tau_star = float(sample.arms.ate[0])
+        bounds = variance_bounds(sample.arms, args.bounds)[0]
         header = ["delta", "tau_p", "tau_o"]
         columns = list(sweep_delta(tau_star, bounds, q, deltas))
         if known is not None:
@@ -510,13 +508,14 @@ def _load_mask_column(path, column: str, n_expected: int):
 
 def cmd_benchmark(args) -> int:
     _check_count("--permutations", args.permutations, _MAX_PERMUTATIONS)
-    sample = load_sample(args.data, args.outcome, args.treatment)
     split = SplitRule(args.split)
-    mask = None
-    if split is SplitRule.PROVIDED_MASK:
-        if args.mask_col is None:
-            raise ValidationError("--split provided_mask requires --mask-col")
-        mask = _load_mask_column(args.data, args.mask_col, sample.n)
+    # the two flags go together, checked before the data file is read
+    if split is SplitRule.PROVIDED_MASK and args.mask_col is None:
+        raise ValidationError("--split provided_mask requires --mask-col")
+    if split is not SplitRule.PROVIDED_MASK and args.mask_col is not None:
+        raise ValidationError(f"--mask-col needs --split provided_mask, got --split {split.value}")
+    sample = load_sample(args.data, args.outcome, args.treatment)
+    mask = None if args.mask_col is None else _load_mask_column(args.data, args.mask_col, sample.n)
     bench = split_benchmark(
         sample, split, mask=mask, permutations=args.permutations, seed=args.seed
     )

@@ -5,8 +5,9 @@ robust predictions.
 The joint limit of sqrt(n) * (V_hat_p - V_p, V_hat_o - V_o, tau_hat - tau*)
 is mean-zero normal with covariance Sigma. Two estimation routes are
 provided: a closed form from arm moments (valid for the Neyman bounds) and
-an influence-function plug-in (valid for the sharp bounds). All matrices
-use the row/column order (V_p, V_o, tau*).
+an influence-function plug-in (valid for the sharp bounds), each one pass
+over a batch of samples. All matrices use the row/column order (V_p, V_o,
+tau*).
 
 The plug-in is the empirical covariance of per-observation influence
 values, but it never forms them. An observation's influence is a quadratic
@@ -42,7 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError, ValidationError
-from .moments import ArmMoments
 from .sample import ArmBatch, order_statistic, zero_slotted
 from .solver import RobustConfig, penalty_curvature_range, penalty_derivs
 
@@ -146,8 +146,11 @@ def _sigma_matrices(entries: np.ndarray) -> list:
 # ------------------------------------------------------------- Neyman route
 
 
-def sigma_neyman(moments: ArmMoments) -> SigmaMatrix:
-    """Closed-form plug-in covariance for the Neyman bounds.
+def sigma_neyman(moments: np.ndarray, e: np.ndarray) -> list:
+    """Closed-form plug-in covariance for the Neyman bounds: one SigmaMatrix
+    per sample, from the arm moments of a batch in ``ArmBatch.moments``
+    layout (4, 2R) and the samples' treated shares ``e`` (R,). Each matrix
+    is bit for bit that of its sample alone.
 
     The bounds (sigma1 +- sigma0)^2 are smooth in the two arm variances, so
     the delta method gives loadings (1 +- sigma0/sigma1) and
@@ -160,42 +163,48 @@ def sigma_neyman(moments: ArmMoments) -> SigmaMatrix:
     Raises
     ------
     ValidationError
-        If both arm variances are zero.
+        What the first failing sample raises: both arm variances zero, or a
+        matrix that fails SigmaMatrix's checks.
 
     Warns
     -----
     NearEqualVariancesWarning
-        When sigma1^2/sigma0^2 is within 1e-3 of 1; the lower-bound loading
-        then nearly vanishes and its standard error is unreliable.
+        Once, when sigma1^2/sigma0^2 is within 1e-3 of 1 in any sample
+        before the first that raises; the lower-bound loading then nearly
+        vanishes and its standard error is unreliable.
     """
-    s1_sq, s0_sq = moments.sigma1_sq, moments.sigma0_sq
-    if s1_sq <= 0.0 and s0_sq <= 0.0:
-        raise ValidationError("both arm variances are 0: the Neyman covariance needs one positive")
-    if s1_sq > 0.0 and s0_sq > 0.0 and abs(s1_sq / s0_sq - 1.0) < 1e-3:
+    _, var, mu3, mu4 = moments
+    s1_sq, s0_sq = var[0::2], var[1::2]
+    zero = (s1_sq <= 0.0) & (s0_sq <= 0.0)
+    stop = int(zero.argmax()) if zero.any() else zero.shape[0]  # the first sample of two zero variances
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a non-finite Sigma fails below
+        near = (s1_sq > 0.0) & (s0_sq > 0.0) & (np.abs(s1_sq / s0_sq - 1.0) < 1e-3)
+        sd = np.sqrt(var)
+        ratio = sd[np.arange(sd.shape[0]) ^ 1] / sd  # the other arm's SD over the arm's own
+        plus, minus = np.where(sd > 0.0, 1.0 + ratio, 0.0), np.where(sd > 0.0, 1.0 - ratio, 0.0)
+        share = np.stack((e, 1.0 - e), axis=1).ravel()
+        # variances/covariances of the per-arm influence pieces
+        w = (mu4 - var**2) / share
+        c = mu3 / share
+        (a_plus, b_plus), (a_minus, b_minus), (w1, w0), (c1, c0) = (
+            (x[0::2], x[1::2]) for x in (plus, minus, w, c))
+        s = np.empty((s1_sq.shape[0], 3, 3))
+        s[:, 0, 0] = a_plus**2 * w1 + b_plus**2 * w0
+        s[:, 1, 1] = a_minus**2 * w1 + b_minus**2 * w0
+        s[:, 0, 1] = s[:, 1, 0] = a_plus * a_minus * w1 + b_plus * b_minus * w0
+        s[:, 0, 2] = s[:, 2, 0] = a_plus * c1 - b_plus * c0
+        s[:, 1, 2] = s[:, 2, 1] = a_minus * c1 - b_minus * c0
+        s[:, 2, 2] = s1_sq / e + s0_sq / (1.0 - e)
+    if near[:stop].any():
         warnings.warn(
             "arm variances nearly equal; the lower Neyman bound is weakly identified",
             NearEqualVariancesWarning,
             stacklevel=2,
         )
-    e = moments.e_hat
-    s1, s0 = math.sqrt(s1_sq), math.sqrt(s0_sq)
-    a_plus, a_minus = (1.0 + s0 / s1, 1.0 - s0 / s1) if s1 > 0.0 else (0.0, 0.0)
-    b_plus, b_minus = (1.0 + s1 / s0, 1.0 - s1 / s0) if s0 > 0.0 else (0.0, 0.0)
-    # variances/covariances of the per-arm influence pieces
-    w1 = (moments.mu4_1 - s1_sq**2) / e
-    w0 = (moments.mu4_0 - s0_sq**2) / (1.0 - e)
-    c1 = moments.mu3_1 / e
-    c0 = moments.mu3_0 / (1.0 - e)
-    var_tau = s1_sq / e + s0_sq / (1.0 - e)
-
-    s = np.empty((3, 3))
-    s[0, 0] = a_plus**2 * w1 + b_plus**2 * w0
-    s[1, 1] = a_minus**2 * w1 + b_minus**2 * w0
-    s[0, 1] = s[1, 0] = a_plus * a_minus * w1 + b_plus * b_minus * w0
-    s[0, 2] = s[2, 0] = a_plus * c1 - b_plus * c0
-    s[1, 2] = s[2, 1] = a_minus * c1 - b_minus * c0
-    s[2, 2] = var_tau
-    return SigmaMatrix(s)
+    sigmas = _sigma_matrices(s[:stop])  # a failing matrix before that sample raises first
+    if stop < zero.shape[0]:
+        raise ValidationError("both arm variances are 0: the Neyman covariance needs one positive")
+    return sigmas
 
 
 # -------------------------------------------------------------- sharp route

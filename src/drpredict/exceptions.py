@@ -39,5 +39,5 @@ class NumericalError(DrPredictError):
     """A valid input the computation cannot carry through: a solver past its
     iteration cap, an outcome scale beyond double precision (an arm that is
     not constant whose variance underflows to 0 or overflows, or moments
-    and squared quantile gaps that overflow), inverted interval endpoints,
-    or a prediction with no smooth delta-method expansion."""
+    and squared quantile gaps that overflow), or a prediction with no
+    smooth delta-method expansion."""

@@ -15,11 +15,12 @@ plausible effect values. ``estimate_robust`` turns a sample into the
 Each of these three is a batch of one of ``estimate_robust_many``,
 ``plain_im_intervals`` and ``two_step_intervals``. Those do the per-sample
 work (moments, bracket, Sigma) as one array pass per stage over the ragged
-batch of the samples they are given, and everything after it in one array
-call per stage: the prediction pairs, their SDs, the IM critical values and
-the two-step unions of the whole batch (from the two ends of each
-first-step interval where a certificate allows, else from its grid). An
-entry's numbers do not depend on the batch it is computed in.
+batch of the samples they are given, on either bounds route, and
+everything after it in one array call per stage: the prediction pairs,
+their SDs, the IM critical values and the two-step unions of the whole
+batch (from the two ends of each first-step interval where a certificate
+allows, else from its grid). An entry's numbers do not depend on the batch
+it is computed in.
 """
 
 import enum
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundsMethod, VarianceBounds, sharp_bounds_many, variance_bounds
+from .bounds import BoundsMethod, VarianceBounds, variance_bounds
 from .covariance import (
     SigmaMatrix,
     conditional_sd_bounds,
@@ -37,8 +38,7 @@ from .covariance import (
     sigma_sharp_batch,
 )
 from .exceptions import ValidationError
-from .moments import ArmMoments, check_fourth_moments, estimate_moments_many
-from .sample import ExperimentalSample, arm_batch
+from .sample import ExperimentalSample, arm_batch, check_fourth_moments
 from .solver import RobustConfig, newton_root, solve_minimax_many
 
 __all__ = [
@@ -183,13 +183,13 @@ def _im_endpoints(lo, hi, sd_lo, sd_hi, n, alpha: float):
 class RobustEstimates:
     """Everything both intervals need from one sample.
 
-    The arm moments, the variance bracket, the prediction pair and, for
-    q > 1, the asymptotic covariance and the SDs of the pair. For q = 1 the
-    prediction can sit exactly at zero, where the limit law is not normal,
-    so ``sigma``, ``sd_p`` and ``sd_o`` are None.
+    The difference in means ``tau_star``, the variance bracket, the
+    prediction pair and, for q > 1, the asymptotic covariance and the SDs of
+    the pair. For q = 1 the prediction can sit exactly at zero, where the
+    limit law is not normal, so ``sigma``, ``sd_p`` and ``sd_o`` are None.
     """
 
-    moments: ArmMoments
+    tau_star: float
     bounds: VarianceBounds
     config: RobustConfig
     tau_p: float
@@ -198,10 +198,6 @@ class RobustEstimates:
     sd_p: float | None
     sd_o: float | None
     n: int
-
-    @property
-    def tau_star(self) -> float:
-        return self.moments.ate
 
 
 def estimate_robust(
@@ -220,13 +216,13 @@ def estimate_robust_many(samples, config: RobustConfig, method=BoundsMethod.SHAR
     """``estimate_robust`` for each sample of an iterable, in order.
 
     The samples form one ragged batch (``sample.arm_batch``), so each
-    per-sample stage is one pass over all of them: the moments, then by
-    ``method`` the bracket and the Sigma (``sharp_bounds_many`` and
-    ``sigma_sharp_batch``, or ``variance_bounds`` and ``sigma_neyman``).
-    The batch holds every sample it is given; a caller with more samples
-    than it wants in memory at once cuts them into calls, as
-    ``simulation.run_coverage_study`` does. The prediction pairs of all
-    samples are then one solver call and their SDs one array computation.
+    per-sample stage is one pass over all of them, on either route: the
+    moments, the bracket of ``method`` (``variance_bounds``) and its Sigma
+    (``sigma_sharp_batch`` or ``sigma_neyman``). The batch holds every
+    sample it is given; a caller with more samples than it wants in memory
+    at once cuts them into calls, as ``simulation.run_coverage_study``
+    does. The prediction pairs of all samples are then one solver call and
+    their SDs one array computation.
 
     Raises
     ------
@@ -234,29 +230,23 @@ def estimate_robust_many(samples, config: RobustConfig, method=BoundsMethod.SHAR
         As ``covariance.prediction_sd_grid`` does, for the first prediction
         (in sample order, tau_p before tau_o) that has no smooth expansion;
         when q > 1, for an arm whose fourth moments overflow
-        (``moments.check_fourth_moments``); and on the Neyman route, for an
-        arm whose variance overflows (``bounds.variance_bounds``).
+        (``sample.check_fourth_moments``); and as ``variance_bounds`` does.
     """
     method = BoundsMethod(method)
     samples = list(samples)
     if not samples:
         return []
     arms = arm_batch(samples)
-    moments = estimate_moments_many(arms)
     if config.q > 1.0:
-        for sample, m in zip(samples, moments):
-            check_fourth_moments(sample, m)
+        check_fourth_moments(arms)
+    bounds = variance_bounds(arms, method)
     sigmas = [None] * len(samples)
-    if method is BoundsMethod.SHARP:
-        bounds = sharp_bounds_many(arms)
-        if config.q > 1.0:
-            sigmas = sigma_sharp_batch(arms)
-    else:
-        bounds = [variance_bounds(sample, m, method) for sample, m in zip(samples, moments)]
-        if config.q > 1.0:
-            sigmas = [sigma_neyman(m) for m in moments]
+    if config.q > 1.0:
+        m = np.diff(arms.starts)
+        sigmas = (sigma_sharp_batch(arms) if method is BoundsMethod.SHARP
+                  else sigma_neyman(arms.moments, m[0::2] / (m[0::2] + m[1::2])))
 
-    tau_star = np.array([[m.ate] for m in moments])
+    tau_star = arms.ate[:, None]
     v = np.array([[b.v_p, b.v_o] for b in bounds])
     tau = solve_minimax_many(tau_star, v, config)
     if config.q == 1.0:
@@ -269,10 +259,10 @@ def estimate_robust_many(samples, config: RobustConfig, method=BoundsMethod.SHAR
         sigma_b = (s[:, own, own], s[:, own, 2], s[:, 2:, 2])
         sds = prediction_sd_grid(tau_star, tau, v, sigma_b, config).tolist()
     return [
-        RobustEstimates(moments=m, bounds=b, config=config, tau_p=tau_p, tau_o=tau_o,
+        RobustEstimates(tau_star=t, bounds=b, config=config, tau_p=tau_p, tau_o=tau_o,
                         sigma=sigma, sd_p=sd_p, sd_o=sd_o, n=sample.n)
-        for sample, m, b, sigma, (tau_p, tau_o), (sd_p, sd_o)
-        in zip(samples, moments, bounds, sigmas, tau.tolist(), sds)
+        for sample, t, b, sigma, (tau_p, tau_o), (sd_p, sd_o)
+        in zip(samples, tau_star[:, 0].tolist(), bounds, sigmas, tau.tolist(), sds)
     ]
 
 

@@ -5,13 +5,13 @@ binary treatment indicator), which is immutable after construction and safe
 to share across workers. An arm's empirical quantiles are its sorted
 outcomes at the indices of ``order_statistic``.
 
-The per-sample stages (moments, sharp bounds, sharp Sigma) take samples as
-an :class:`ArmBatch`: the sorted arms of a list of samples in one ragged
-array (``arm_batch``), so that each stage is one array pass over the batch
-instead of one call per sample. The caller decides which samples share a
-batch; the coverage study cuts its replications by rows. A sample's numbers
-never depend on the batch it is in; a sample alone is a batch of one, kept
-as its ``arms``.
+The per-sample stages (moments, bounds, Sigma) take samples as an
+:class:`ArmBatch`: the sorted arms of a list of samples in one ragged array
+(``arm_batch``), with each arm's moments, so that each stage is one array
+pass over the batch instead of one call per sample. The caller decides
+which samples share a batch; the coverage study cuts its replications by
+rows. A sample's numbers never depend on the batch it is in; a sample alone
+is a batch of one, kept as its ``arms``.
 """
 
 from __future__ import annotations
@@ -25,13 +25,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import ParseError, ValidationError
+from .exceptions import NumericalError, ParseError, ValidationError
 
 __all__ = [
     "ArmBatch",
     "ExperimentalSample",
     "arm_batch",
+    "check_fourth_moments",
     "load_sample",
+    "scale_error",
 ]
 
 
@@ -128,6 +130,17 @@ class ArmBatch(NamedTuple):
     starts: np.ndarray
     moments: np.ndarray
 
+    @property
+    def ate(self) -> np.ndarray:
+        """(R,): each sample's difference in means, treated less control;
+        not finite where an arm's sum overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.moments[0, 0::2] - self.moments[0, 1::2]
+
+    def arm(self, k: int) -> np.ndarray:
+        """The sorted outcomes of arm k."""
+        return self.values[self.starts[k] : self.starts[k + 1]]
+
 
 def arm_batch(samples) -> ArmBatch:
     """The ``ArmBatch`` of a list of samples; a batch of one sample is its
@@ -187,7 +200,7 @@ def _ragged_moments(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     sizes = np.diff(starts)
     bounds = starts.tolist()
     sums = starts[:-1] + np.arange(sizes.shape[0])  # each arm's sum from its 0
-    with np.errstate(over="ignore", invalid="ignore"):  # see moments.check_fourth_moments
+    with np.errstate(over="ignore", invalid="ignore"):  # see check_fourth_moments
         mean = np.array([np.add.reduce(values[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]) / sizes
         d = zero_slotted(values, starts, mean)[:-1]  # the last arm's sum stops short of the final 0
         d2 = d * d
@@ -202,6 +215,29 @@ def _ragged_moments(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     moments[:, constant] = 0.0
     moments[0, constant] = low[constant]
     return moments
+
+
+def scale_error(arm: str, y: np.ndarray, what: str) -> NumericalError:
+    """The error for an arm of outcomes ``y`` whose ``what`` overflow. It
+    names the arm's largest magnitude and its SD, taken on y / max|y| so
+    that it does not overflow itself."""
+    peak = float(np.abs(y).max())
+    return NumericalError(
+        f"{what} of the {arm} arm overflow: the outcome scale (arm SD "
+        f"{peak * float(np.std(y / peak)):.3g}, largest |y| {peak:.3g}) is beyond double precision"
+    )
+
+
+def check_fourth_moments(arms: ArmBatch) -> None:
+    """Raise ``scale_error`` for the first arm of a batch, treated before
+    control, whose fourth moments about its mean or about 0 are not finite:
+    every covariance of the bounds needs the former, and the delta-method
+    SDs powers of tau* up to the third."""
+    mean, mu4 = arms.moments[0], arms.moments[3]
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(mu4 + (mean * mean) * (mean * mean))
+    for k in np.flatnonzero(~finite)[:1].tolist():
+        raise scale_error(("treated", "control")[k % 2], arms.arm(k), "the fourth moments")
 
 
 def load_sample(path, outcome_column: str, treatment_column: str) -> ExperimentalSample:

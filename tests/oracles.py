@@ -170,6 +170,27 @@ def central_moments(y: np.ndarray) -> tuple[float, float, float, float]:
         return float(mean), float(d2.mean()), float((d2 * d).mean()), float((d2 * d2).mean())
 
 
+def sigma_neyman_per_sample(sample) -> np.ndarray:
+    """The entries of ``covariance.sigma_neyman`` for one sample in scalar
+    arithmetic, from each arm's ``central_moments``; the reference for the
+    batch stage. A constant arm has loadings 0."""
+    (_, s1_sq, mu3_1, mu4_1), (_, s0_sq, mu3_0, mu4_0) = map(central_moments, (sample.treated, sample.control))
+    e = sample.n1 / sample.n
+    s1, s0 = math.sqrt(s1_sq), math.sqrt(s0_sq)
+    a_plus, a_minus = (1.0 + s0 / s1, 1.0 - s0 / s1) if s1 > 0.0 else (0.0, 0.0)
+    b_plus, b_minus = (1.0 + s1 / s0, 1.0 - s1 / s0) if s0 > 0.0 else (0.0, 0.0)
+    w1, w0 = (mu4_1 - s1_sq * s1_sq) / e, (mu4_0 - s0_sq * s0_sq) / (1.0 - e)
+    c1, c0 = mu3_1 / e, mu3_0 / (1.0 - e)
+    s = np.empty((3, 3))
+    s[0, 0] = a_plus * a_plus * w1 + b_plus * b_plus * w0
+    s[1, 1] = a_minus * a_minus * w1 + b_minus * b_minus * w0
+    s[0, 1] = s[1, 0] = a_plus * a_minus * w1 + b_plus * b_minus * w0
+    s[0, 2] = s[2, 0] = a_plus * c1 - b_plus * c0
+    s[1, 2] = s[2, 1] = a_minus * c1 - b_minus * c0
+    s[2, 2] = s1_sq / e + s0_sq / (1.0 - e)
+    return SigmaMatrix(s).entries
+
+
 def sharp_bounds_per_sample(sample) -> tuple[float, float]:
     """(v_o, v_p) of ``bounds.sharp_bounds_empirical`` as one sum over the
     whole merged grid of one sample (``merged_u_grid``), the treated arm

@@ -17,7 +17,6 @@ from drpredict import (
     RobustConfig,
     case_preset,
     draw_sample,
-    estimate_moments,
     neyman_bounds,
     penalty_derivs,
     population_truth,
@@ -30,7 +29,6 @@ from drpredict import (
 from drpredict.calibration import _w2_sorted
 from drpredict.covariance import _loading_terms
 from drpredict.inference import _im_endpoints
-from drpredict.moments import ArmMoments
 from drpredict.solver import _threshold
 
 # Reference values for the six built-in designs
@@ -145,8 +143,7 @@ def test_criterion_04_gaussian_sharp_bounds_closed_form():
 
     start = time.time()
     sharp = sharp_bounds_empirical(sample)
-    moments = estimate_moments(sample)
-    neyman = neyman_bounds(moments.sigma1_sq, moments.sigma0_sq)
+    neyman = neyman_bounds(*sample.arms.moments[1].tolist())
     elapsed = time.time() - start
 
     assert 0.97 <= sharp.v_o <= 1.03
@@ -210,14 +207,13 @@ def test_criterion_06_sandwich_sd_matches_monte_carlo():
 
     # population sandwich SD at the pessimistic bound, Neyman route
     truth = population_truth(dgp, config)
-    pop_moments = ArmMoments(
-        tau1=dgp.mu1, tau0=dgp.mu0,
-        sigma1_sq=dgp.sigma1**2, sigma0_sq=dgp.sigma0**2,
-        mu3_1=0.0, mu3_0=0.0,
-        mu4_1=3.0 * dgp.sigma1**4, mu4_0=3.0 * dgp.sigma0**4,
-        e_hat=dgp.e,
-    )
-    sigma = sigma_neyman(pop_moments)
+    pop_moments = np.array([  # (mean, variance, mu3, mu4) of each arm, treated first
+        [dgp.mu1, dgp.mu0],
+        [dgp.sigma1**2, dgp.sigma0**2],
+        [0.0, 0.0],
+        [3.0 * dgp.sigma1**4, 3.0 * dgp.sigma0**4],
+    ])
+    sigma = sigma_neyman(pop_moments, np.array([dgp.e]))[0]
     bounds = neyman_bounds(dgp.sigma1**2, dgp.sigma0**2)
     tau_p = solve_minimax(truth.tau_star, bounds.v_p, config)
     s = sigma.entries
@@ -227,10 +223,9 @@ def test_criterion_06_sandwich_sd_matches_monte_carlo():
     reps = 2000
     draws = np.empty(reps)
     for i, child in enumerate(np.random.SeedSequence(61).spawn(reps)):
-        sample = draw_sample(dgp, child)
-        m = estimate_moments(sample)
-        b = neyman_bounds(m.sigma1_sq, m.sigma0_sq)
-        draws[i] = solve_minimax(m.ate, b.v_p, config)
+        arms = draw_sample(dgp, child).arms
+        b = neyman_bounds(*arms.moments[1].tolist())
+        draws[i] = solve_minimax(arms.ate.item(), b.v_p, config)
     elapsed = time.time() - start
     mc_sd = float(np.std(draws, ddof=1)) * math.sqrt(dgp.n)
 
@@ -256,10 +251,9 @@ def test_criterion_07_zero_effect_shrink_factor():
     reps = 2000
     draws = np.empty(reps)
     for i, child in enumerate(np.random.SeedSequence(62).spawn(reps)):
-        sample = draw_sample(dgp, child)
-        m = estimate_moments(sample)
-        b = neyman_bounds(m.sigma1_sq, m.sigma0_sq)
-        draws[i] = solve_minimax(m.ate, b.v_p, config)
+        arms = draw_sample(dgp, child).arms
+        b = neyman_bounds(*arms.moments[1].tolist())
+        draws[i] = solve_minimax(arms.ate.item(), b.v_p, config)
     empirical = float(np.std(draws, ddof=1)) * math.sqrt(dgp.n)
 
     assert empirical == pytest.approx(predicted, rel=0.10), (

@@ -2,7 +2,7 @@
 into the private names of another."""
 
 import ast
-import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -93,7 +93,7 @@ def test_batch_pipeline_is_exported():
     batch = {"estimate_robust_many", "plain_im_intervals", "two_step_intervals"}
     assert batch <= set(drpredict.__all__)
     assert batch <= set(inference.__all__)
-    assert "estimate_ate_diff_means" not in drpredict.__all__  # ArmMoments.ate
+    assert "estimate_ate_diff_means" not in drpredict.__all__  # ArmBatch.ate
 
 
 def test_one_error_class_per_exit_code():
@@ -131,8 +131,11 @@ def test_one_delta_method_sd_function():
             "_kernel_spectrum", "_kde", "KDE_BINS_PER_BANDWIDTH", "KDE_REACH_BANDWIDTHS",
             "zero_tau_limit_sd", "_check_expansion", "_MAX_GRID_POINTS", "quantile_at",
             "im_interval", "proximity_derivs", "homogeneous_threshold", "EmpiricalDistribution",
-            "wasserstein2_1d", "sigma_sharp"}
+            "wasserstein2_1d", "sigma_sharp", "ArmMoments", "estimate_moments",
+            "estimate_moments_many", "sharp_bounds_many"}
     assert gone & set(drpredict.__all__) == set()
+    # the arm moments live in sample.ArmBatch alone
+    assert importlib.util.find_spec("drpredict.moments") is None
     modules = [importlib.import_module(f"drpredict.{m}") for m in MODULES] + [drpredict.ExperimentalSample]
     assert [(mod.__name__, name) for mod in modules for name in gone if hasattr(mod, name)] == []
     # the coverage study alone decides which samples share a ragged batch

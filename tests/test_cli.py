@@ -18,10 +18,9 @@ from drpredict import cli
 from drpredict.bounds import VarianceBounds, neyman_bounds, sharp_bounds_empirical
 from drpredict.cli import _build_parser, _dump_json, _manifest, _parse_delta_grid, _q_from_args, main
 from drpredict.exceptions import ValidationError
-from drpredict.moments import estimate_moments
 from drpredict.sample import load_sample
 from drpredict.simulation import case_preset, draw_sample
-from oracles import dump_json, sweep_csv_rowwise
+from oracles import central_moments, dump_json, sweep_csv_rowwise
 
 SCHEMA_DIR = None  # set in _schema
 
@@ -303,10 +302,9 @@ def _sweep_rowwise(argv):
     if args.data is None:
         return sweep_csv_rowwise(args.tau_star, None, known, q, deltas)
     sample = load_sample(args.data, args.outcome, args.treatment)
-    moments = estimate_moments(sample)
-    bounds = sharp_bounds_empirical(sample) if args.bounds == "sharp" \
-        else neyman_bounds(moments.sigma1_sq, moments.sigma0_sq)
-    return sweep_csv_rowwise(moments.ate, bounds, known, q, deltas)
+    (tau1, s1_sq, _, _), (tau0, s0_sq, _, _) = map(central_moments, (sample.treated, sample.control))
+    bounds = sharp_bounds_empirical(sample) if args.bounds == "sharp" else neyman_bounds(s1_sq, s0_sq)
+    return sweep_csv_rowwise(tau1 - tau0, bounds, known, q, deltas)
 
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
@@ -586,6 +584,10 @@ _CUSTOM_DGP = ["--mu1", "1", "--mu0", "0", "--delta", "0.1", "--n", "300", "--re
     # outcomes near 1e200 with an SD of 1e197: the means are finite, the variances overflow
     (["estimate", "--data", "{wide}", "--delta", "0.5", "--q", "1", "--bounds", "neyman"], 3,
      "numerical error: the second moments of the treated arm overflow"),
+    # a treated arm of scale 1e-160 beside a unit control arm: the Neyman
+    # loading 1 + sigma0/sigma1 squares past double precision
+    (["estimate", "--data", "{subnormal}", "--delta", "0.5", "--bounds", "neyman"], 2,
+     "error: covariance matrix has non-finite entries"),
     # input errors of a range, a mask, a file and a worker count
     (["sweep", "--deltas", "2:1:0.5", "--true-v", "1", "--tau-star", "1"], 2,
      "error: --deltas range '2:1:0.5' is empty"),
@@ -597,7 +599,7 @@ _CUSTOM_DGP = ["--mu1", "1", "--mu0", "0", "--delta", "0.1", "--n", "300", "--re
         "infer-alpha-minus-beta", "infer-alpha", "simulate-alpha", "estimate-huge-scale",
         "estimate-huge-scale-neyman", "benchmark-huge-scale", "simulate-huge-mean",
         "estimate-q1-overflowing-sum", "estimate-q1-overflowing-sum-neyman",
-        "estimate-q1-overflowing-variance-neyman", "sweep-empty-range", "benchmark-mask-entry-2",
+        "estimate-q1-overflowing-variance-neyman", "estimate-subnormal-arm-neyman", "sweep-empty-range", "benchmark-mask-entry-2",
         "estimate-empty-file", "simulate-workers-0"])
 def test_extreme_inputs_end_in_a_documented_exit_code(argv, code, err, case1_csv, tmp_path, capsys):
     rng = np.random.default_rng(6)
@@ -607,9 +609,12 @@ def test_extreme_inputs_end_in_a_documented_exit_code(argv, code, err, case1_csv
                       np.repeat([1, 0], 500))
     wide = _write_csv(tmp_path / "wide.csv", 1e200 * (1.0 + 1e-3 * np.random.default_rng(2).normal(size=1000)),
                       np.repeat([1, 0], 500))
+    subnormal = _write_csv(tmp_path / "subnormal.csv", np.concatenate((1e-160 * rng.normal(size=200),
+                                                                       rng.normal(size=200))),
+                           np.repeat([1, 0], 200))
     masked = _write_csv(tmp_path / "masked.csv", [1.0, 2.0, 3.0, 4.0], [1, 0, 1, 0], {"m": [0, 1, 2, 0]})
     (tmp_path / "empty.csv").write_bytes(b"")
-    paths = {"tiny": tiny, "huge": huge, "vast": vast, "wide": wide, "case1": case1_csv,
+    paths = {"tiny": tiny, "huge": huge, "vast": vast, "wide": wide, "subnormal": subnormal, "case1": case1_csv,
              "masked": masked, "empty": str(tmp_path / "empty.csv"), "out": str(tmp_path / "run")}
     assert main([a.format(**paths) for a in argv]) == code
     captured = capsys.readouterr()
@@ -762,6 +767,21 @@ def test_benchmark_mask_flag_required_with_provided_mask(case1_csv, capsys):
     code = main(["benchmark", "--data", case1_csv, "--split", "provided_mask"])
     assert code == 2
     assert "--mask-col" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("split", [[], ["--split", "halves"], ["--split", "median_outcome"]],
+                         ids=["default", "halves", "median_outcome"])
+def test_benchmark_mask_col_without_provided_mask_exits_2(split, case1_csv, tmp_path, capsys):
+    # the flags are checked before the data file is read: a missing file
+    # gets the same message, and nothing is written
+    chosen = "median_outcome" if not split else split[1]
+    for data in (case1_csv, str(tmp_path / "absent.csv")):
+        out = tmp_path / "bench.json"
+        code = main(["benchmark", "--data", data, *split, "--mask-col", "nosuchcol", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: --mask-col needs --split provided_mask, got --split {chosen}\n"
+        assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("args", [

@@ -15,7 +15,6 @@ from drpredict.covariance import (
     sigma_sharp_batch,
 )
 from drpredict import covariance as cov_module
-from drpredict.moments import ArmMoments, estimate_moments
 from drpredict.sample import arm_batch
 from drpredict.solver import RobustConfig, solve_minimax, solve_minimax_many
 from oracles import sigma_bootstrap, sigma_sharp_influence
@@ -25,6 +24,12 @@ def _sample(y1, y0):
     y = np.concatenate([y1, y0])
     t = np.concatenate([np.ones(len(y1), dtype=int), np.zeros(len(y0), dtype=int)])
     return ExperimentalSample(y, t)
+
+
+def _neyman(tau, var, mu3, mu4, e):
+    """``sigma_neyman`` of one sample from its (treated, control) means,
+    variances, mu3 and mu4 and its treated share ``e``."""
+    return sigma_neyman(np.array([tau, var, mu3, mu4], dtype=float), np.array([e]))[0]
 
 
 def _case1_marginals(rng, n):
@@ -89,23 +94,15 @@ def test_sigma_matrix_keeps_tiny_negative_eigenvalue():
 
 
 def test_neyman_sigma_symmetric_arms():
-    m = ArmMoments(
-        tau1=0.0, tau0=0.0, sigma1_sq=1.0, sigma0_sq=1.0,
-        mu3_1=0.0, mu3_0=0.0, mu4_1=3.0, mu4_0=3.0, e_hat=0.5,
-    )
     with pytest.warns(NearEqualVariancesWarning):
-        s = sigma_neyman(m)
+        s = _neyman((0.0, 0.0), (1.0, 1.0), (0.0, 0.0), (3.0, 3.0), 0.5)
     assert s.entries[2, 2] == pytest.approx(4.0)  # sigma^2/e + sigma^2/(1-e)
     # equal variances: lower-bound loadings vanish entirely
     assert s.entries[1, 1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_neyman_sigma_case1_analytic():
-    m = ArmMoments(
-        tau1=2.0, tau0=0.2, sigma1_sq=4.0, sigma0_sq=1.0,
-        mu3_1=0.0, mu3_0=0.0, mu4_1=48.0, mu4_0=3.0, e_hat=0.3,
-    )
-    s = sigma_neyman(m).entries
+    s = _neyman((2.0, 0.2), (4.0, 1.0), (0.0, 0.0), (48.0, 3.0), 0.3).entries
     assert s[0, 0] == pytest.approx(CASE1_S00, rel=1e-12)
     assert s[1, 1] == pytest.approx(CASE1_S11, rel=1e-12)
     assert s[0, 1] == pytest.approx(CASE1_S01, rel=1e-12)
@@ -116,7 +113,8 @@ def test_neyman_sigma_case1_analytic():
 
 def test_neyman_sigma_matches_large_sample_moments():
     rng = np.random.default_rng(100)
-    s_hat = sigma_neyman(estimate_moments(_case1_marginals(rng, 1_000_000))).entries
+    smp = _case1_marginals(rng, 1_000_000)
+    s_hat = sigma_neyman(smp.arms.moments, np.array([smp.n1 / smp.n]))[0].entries
     for (i, j), target in {
         (0, 0): CASE1_S00, (1, 1): CASE1_S11, (0, 1): CASE1_S01, (2, 2): CASE1_S22,
     }.items():
@@ -148,12 +146,8 @@ def test_neyman_sigma_monte_carlo_validation():
 
 
 def test_neyman_sigma_rejects_zero_variance():
-    m = ArmMoments(
-        tau1=0.0, tau0=1.7, sigma1_sq=0.0, sigma0_sq=0.0,
-        mu3_1=0.0, mu3_0=0.0, mu4_1=0.0, mu4_0=0.0, e_hat=0.5,
-    )
     with pytest.raises(ValidationError, match="both arm variances are 0"):
-        sigma_neyman(m)
+        _neyman((0.0, 1.7), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0), 0.5)
 
 
 @pytest.mark.parametrize("constant", ["treated", "control"])
@@ -164,17 +158,44 @@ def test_neyman_sigma_drops_a_zero_variance_arm(constant, recwarn):
     zero = dict(sigma_sq=0.0, mu3=0.0, mu4=0.0)
     one, other = (zero, arm) if constant == "treated" else (arm, zero)
     e = 0.3
-    m = ArmMoments(
-        tau1=2.0, tau0=1.7, sigma1_sq=one["sigma_sq"], sigma0_sq=other["sigma_sq"],
-        mu3_1=one["mu3"], mu3_0=other["mu3"], mu4_1=one["mu4"], mu4_0=other["mu4"], e_hat=e,
-    )
-    s = sigma_neyman(m).entries
+    s = _neyman((2.0, 1.7), (one["sigma_sq"], other["sigma_sq"]), (one["mu3"], other["mu3"]),
+                (one["mu4"], other["mu4"]), e).entries
     share, sign = (1.0 - e, -1.0) if constant == "treated" else (e, 1.0)
     w = (48.0 - 16.0) / share
     np.testing.assert_array_equal(s[:2, :2], np.full((2, 2), w))
     np.testing.assert_array_equal(s[:2, 2], np.full(2, sign * 0.5 / share))
     assert s[2, 2] == 4.0 / share
     assert len(recwarn) == 0
+
+
+def test_neyman_sigma_batch_raises_and_warns_as_its_first_failing_sample(recwarn):
+    # each sample's (treated, control) variances, mu3 and mu4: near-equal
+    # variances, an ordinary pair, and two constant arms
+    near = ((1.0, 1.0005), (0.5, -0.2), (48.0, 3.1))
+    plain = ((4.0, 1.0), (0.5, -0.2), (48.0, 3.0))
+    zero = ((0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
+
+    def batch(*samples):
+        moments = np.array([[0.0] * 2 * len(samples)]
+                           + [[x for smp in samples for x in smp[i]] for i in range(3)])
+        return sigma_neyman(moments, np.full(len(samples), 0.3))
+
+    alone = {id(smp): _neyman((0.0, 0.0), *smp, 0.3).entries.tolist() for smp in (near, plain)}
+    samples = (plain, near, plain)
+    assert [s.entries.tolist() for s in batch(*samples)] == [alone[id(smp)] for smp in samples]
+    # once for the batch, once for the near-equal sample alone
+    assert [w.category for w in recwarn] == [NearEqualVariancesWarning] * 2
+    recwarn.clear()
+    with pytest.raises(ValidationError, match="both arm variances are 0"):
+        batch(zero, near)
+    assert len(recwarn) == 0
+    with pytest.warns(NearEqualVariancesWarning):
+        with pytest.raises(ValidationError, match="both arm variances are 0"):
+            batch(plain, near, zero)
+    # a matrix that fails its checks before the zero pair raises first
+    nan = ((4.0, 1.0), (0.5, -0.2), (np.nan, 3.0))
+    with pytest.raises(ValidationError, match="non-finite entries"):
+        batch(plain, nan, zero)
 
 
 # -------------------------------------------------------------- sharp Sigma
@@ -436,12 +457,7 @@ def test_loadings_zero_tau_error():
 
 
 def test_conditional_variance_never_larger():
-    sigma = sigma_neyman(
-        ArmMoments(
-            tau1=2.0, tau0=0.2, sigma1_sq=4.0, sigma0_sq=1.0,
-            mu3_1=0.0, mu3_0=0.0, mu4_1=48.0, mu4_0=3.0, e_hat=0.3,
-        )
-    )
+    sigma = _neyman((2.0, 0.2), (4.0, 1.0), (0.0, 0.0), (48.0, 3.0), 0.3)
     for delta in (0.05, 0.1, 0.5, 1.0):
         cfg, b, tau_p, tau_o = _case1_setup(delta)
         tau, v = np.array([tau_p, tau_o]), np.array([b.v_p, b.v_o])
@@ -468,12 +484,7 @@ def test_prediction_sd_grid_matches_loadings():
     # a batch of (tau_p, tau_o) pairs in one call equals, entry for entry,
     # one call per pair
     cfg = RobustConfig(0.4, 3.0)
-    sigma = sigma_neyman(
-        ArmMoments(
-            tau1=2.0, tau0=0.2, sigma1_sq=4.0, sigma0_sq=1.0,
-            mu3_1=0.5, mu3_0=-0.2, mu4_1=48.0, mu4_0=3.0, e_hat=0.3,
-        )
-    )
+    sigma = _neyman((2.0, 0.2), (4.0, 1.0), (0.5, -0.2), (48.0, 3.0), 0.3)
     b = VarianceBounds(v_o=1.0, v_p=9.0, method="neyman")
     tau_star = np.array([[-2.5], [0.8], [1.8], [4.0]])
     v = np.array([[b.v_p, b.v_o]])

@@ -1,5 +1,7 @@
+import contextlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
-from drpredict import NumericalError, ValidationError
+from drpredict import NearEqualVariancesWarning, NumericalError, ValidationError
 from drpredict import inference
 from drpredict.cli import main
 from drpredict.inference import (
@@ -237,7 +239,7 @@ def test_q1_estimates_carry_no_sds(monkeypatch):
 
 
 def _fields(est):
-    return (est.tau_p, est.tau_o, est.sd_p, est.sd_o, est.bounds, est.moments, est.n)
+    return (est.tau_p, est.tau_o, est.sd_p, est.sd_o, est.bounds, est.tau_star, est.n, est.sigma.entries.tolist())
 
 
 @pytest.mark.parametrize("method", ["sharp", "neyman"])
@@ -248,13 +250,27 @@ def test_batch_equals_batches_of_one(method, config):
     y1, y0 = rng.normal(0, 1, 300), rng.normal(0, 1, 300)
     samples = [_case1(rng, 600), _sample(y1 - y1.mean() + y0.mean() + 0.01, y0),
                _case1(rng, 900), _sample(rng.normal(-2, 2, 400), rng.normal(0, 1, 500))]
-    ests = estimate_robust_many(iter(samples), config, method)
-    singles = [estimate_robust(s, config, method) for s in samples]
+    rejected = [True, False, True, True]
+    warns = contextlib.nullcontext()
+    if method == "neyman":
+        # in one ragged batch: a constant arm, arm variances within 1e-3 of
+        # each other, and an ordinary sample
+        y1, y0 = rng.normal(0, 1, 400), rng.normal(0.2, 1, 500)
+        near = _sample(2.0 + (y1 - y1.mean()) * (y0.std() / y1.std() * 1.0002), y0)
+        assert abs(near.arms.moments[1, 0] / near.arms.moments[1, 1] - 1.0) < 1e-3
+        samples += [_sample(rng.normal(2, 2, 400), np.full(300, 0.5)), near, _case1(rng, 700)]
+        rejected += [True, True, True]
+        warns = pytest.warns(NearEqualVariancesWarning)
+    with warns:
+        ests = estimate_robust_many(iter(samples), config, method)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NearEqualVariancesWarning)
+        singles = [estimate_robust(s, config, method) for s in samples]
     assert [_fields(e) for e in ests] == [_fields(e) for e in singles]
     assert plain_im_intervals(ests) == [plain_im_interval(e) for e in singles]
     unions = two_step_intervals(ests)
     assert unions == [two_step_interval(e) for e in singles]
-    assert [u.rejected_first_step for u in unions] == [True, False, True, True]
+    assert [u.rejected_first_step for u in unions] == rejected
 
 
 def test_empty_batches():

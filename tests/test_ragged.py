@@ -7,7 +7,7 @@ import pytest
 
 from drpredict import ExperimentalSample
 from drpredict import inference, simulation
-from drpredict.bounds import merged_grid_blocks, sharp_bounds_empirical
+from drpredict.bounds import merged_grid_blocks, neyman_bounds, sharp_bounds_empirical
 from drpredict.calibration import SplitRule, split_benchmark
 from drpredict.covariance import sigma_sharp_batch
 from drpredict.inference import estimate_robust, estimate_robust_many
@@ -19,6 +19,7 @@ from oracles import (
     merged_u_grid,
     quantile_at,
     sharp_bounds_per_sample,
+    sigma_neyman_per_sample,
     sigma_sharp_per_sample,
     split_benchmark_two_sorts,
 )
@@ -70,8 +71,8 @@ def test_records_equal_batches_of_one(method):
     ests = estimate_robust_many(iter(samples), CFG, method)
     for est, sample in zip(ests, samples):
         alone = estimate_robust(ExperimentalSample(sample.outcomes, sample.treatments), CFG, method)
-        assert (est.tau_p, est.tau_o, est.sd_p, est.sd_o, est.bounds, est.moments, est.n) == (
-            alone.tau_p, alone.tau_o, alone.sd_p, alone.sd_o, alone.bounds, alone.moments, alone.n)
+        assert (est.tau_p, est.tau_o, est.sd_p, est.sd_o, est.bounds, est.tau_star, est.n) == (
+            alone.tau_p, alone.tau_o, alone.sd_p, alone.sd_o, alone.bounds, alone.tau_star, alone.n)
         assert np.array_equal(est.sigma.entries, alone.sigma.entries)
     many = sigma_sharp_batch(arm_batch(samples))
     assert all(np.array_equal(got.entries, sigma_sharp_batch(s.arms)[0].entries) for got, s in zip(many, samples))
@@ -80,17 +81,23 @@ def test_records_equal_batches_of_one(method):
 def test_records_agree_with_the_per_sample_oracles():
     samples = _mixed()
     ests = estimate_robust_many(samples, CFG)
-    for est, sample in zip(ests, samples):
-        m = est.moments
+    moments = arm_batch(samples).moments
+    for r, (est, sample) in enumerate(zip(ests, samples)):
+        treated, control = central_moments(sample.treated), central_moments(sample.control)
         # moments: np.mean on each arm as drawn, bit for bit (exact on the constant arm)
-        assert ((m.tau1, m.sigma1_sq, m.mu3_1, m.mu4_1), (m.tau0, m.sigma0_sq, m.mu3_0, m.mu4_0)) == (
-            central_moments(sample.treated), central_moments(sample.control))
+        assert moments[:, 2 * r : 2 * r + 2].T.tolist() == [list(treated), list(control)]
+        assert est.tau_star == treated[0] - control[0]
         v_o, v_p = sharp_bounds_per_sample(sample)
         assert abs(est.bounds.v_o - v_o) <= 1e-13 * v_p
         assert abs(est.bounds.v_p - v_p) <= 1e-13 * v_p
         oracle = sigma_sharp_per_sample(sample)
         scale = np.sqrt(np.outer(np.diag(oracle), np.diag(oracle)))
         assert np.all(np.abs(est.sigma.entries - oracle) <= 1e-13 * scale)
+    # the Neyman route: bounds and Sigma bit for bit those of scalar arithmetic
+    for est, sample in zip(estimate_robust_many(samples, CFG, "neyman"), samples):
+        (_, s1_sq, _, _), (_, s0_sq, _, _) = central_moments(sample.treated), central_moments(sample.control)
+        assert est.bounds == neyman_bounds(s1_sq, s0_sq)
+        assert est.sigma.entries.tolist() == sigma_neyman_per_sample(sample).tolist()
 
 
 def test_no_batch_exceeds_the_budget_unless_it_holds_one_sample(monkeypatch):

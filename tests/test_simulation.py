@@ -15,7 +15,6 @@ from drpredict import simulation
 from drpredict.bounds import sharp_bounds_empirical
 from drpredict.covariance import prediction_sd_grid, sigma_sharp_batch
 from drpredict.inference import _im_critical, _im_endpoints, _z, estimate_robust
-from drpredict.moments import estimate_moments
 from drpredict.simulation import (
     GaussianDGP,
     SimulationReport,
@@ -238,7 +237,7 @@ def _old_replication(dgp, cfg, child, alpha=0.05, beta=0.045):
     prediction_sd_grid call per prediction, a one-entry IM step, and a
     (2, grid) two-step whose conditional SD is |gap / (2 A^3)| sqrt(S_bb) / M''."""
     sample = draw_sample(dgp, child)
-    tau_star = estimate_moments(sample).ate
+    tau_star = float(sample.arms.ate[0])
     bounds = sharp_bounds_empirical(sample)
     sigma = sigma_sharp_batch(sample.arms)[0]
     tau_p, tau_o = solve_minimax_many(tau_star, [bounds.v_p, bounds.v_o], cfg).tolist()

@@ -186,6 +186,14 @@ INVOCATIONS = [
     ("simulate-homogeneous-delta2", ["simulate", "--mu1", "1.2", "--mu0", "0.2", "--sigma1", "1",
                                      "--sigma0", "1", "--rho", "1", "--delta", "2", "--n", "4000",
                                      "--replications", "100", "--out", "simhomog"]),
+    # equal arm SDs on the Neyman route: batches of near-equal-variance
+    # samples, whose one warning line and numbers pin the batched Neyman stage
+    ("simulate-eqvar-neyman", ["simulate", "--mu1", "1.2", "--mu0", "0.2", "--sigma1", "1",
+                               "--sigma0", "1", "--delta", "0.5", "--bounds", "neyman",
+                               "--replications", "100", "--out", "simeqvar"]),
+    # --mask-col without --split provided_mask is an input error (exit 2)
+    ("benchmark-mask-col-halves", ["benchmark", "--data", "pos.csv", "--split", "halves",
+                                   "--mask-col", "m", "--permutations", "0"]),
 ]
 
 

@@ -64,7 +64,7 @@ def draw(row: int, replication: int):
 
 def child(row: int, replications: int) -> None:
     """Print, as JSON, each replication's (V_hat_p, V_hat_o, S_00, S_11)."""
-    from drpredict.bounds import sharp_bounds_many
+    from drpredict.bounds import variance_bounds
     from drpredict.covariance import sigma_sharp_batch
     from drpredict.sample import ExperimentalSample, arm_batch
 
@@ -72,7 +72,7 @@ def child(row: int, replications: int) -> None:
     for first in range(0, replications, BATCH):
         samples = [ExperimentalSample(*draw(row, r)) for r in range(first, min(first + BATCH, replications))]
         arms = arm_batch(samples)
-        for b, s in zip(sharp_bounds_many(arms), sigma_sharp_batch(arms)):
+        for b, s in zip(variance_bounds(arms), sigma_sharp_batch(arms)):
             out.append([b.v_p, b.v_o, float(s.entries[0, 0]), float(s.entries[1, 1])])
     json.dump(out, sys.stdout)
 
