@@ -138,31 +138,51 @@ def _per_cell(x: np.ndarray, counts: np.ndarray):
 
 def _merged_block(chunks: np.ndarray, n1: np.ndarray, n0: np.ndarray):
     """The merged cells inside the larger arms' ticks (i0/na, i1/na] of each
-    chunk (pair, i0, i1) of a block."""
+    chunk (pair, i0, i1) of a block.
+
+    As nb <= na, a larger-arm cell holds at most one smaller-arm tick inside
+    it, so it is one merged cell or two, and the second of two starts at that
+    tick: the smaller arm's index is ``ia*nb // na``, plus 1 on a cell whose
+    ``ia`` repeats the previous cell's. A chunk's first cell is never such a
+    second one, whatever the chunk before it ends on. When every chunk of
+    the block swaps the same way the index pair is returned as it is, or
+    swapped, without a copy.
+    """
     pairs, i0, i1 = chunks.T
     na, nb = np.maximum(n1[pairs], n0[pairs]), np.minimum(n1[pairs], n0[pairs])
     span = i1 - i0
     ia = np.arange(int(span.sum())) + _per_cell(i0 - (np.cumsum(span) - span), span)
     na_c, nb_c = _per_cell(na, span), _per_cell(nb, span)
     scaled = ia * nb_c
-    b_last = (scaled + nb_c - 1) // na_c
-    counts = b_last - scaled // na_c + 1
+    counts = scaled + (nb_c - 1)
+    counts //= na_c
+    scaled //= na_c
+    counts -= scaled
+    counts += 1
     del scaled, na_c, nb_c
     cells = np.add.reduceat(counts, np.cumsum(span) - span)
     ia = np.repeat(ia, counts)
-    ib = np.repeat(b_last + 1 - np.cumsum(counts), counts)
-    del b_last, counts
-    ib += np.arange(ib.shape[0])
+    del counts
+    na_c, nb_c = _per_cell(na, cells), _per_cell(nb, cells)
+    ib = ia * nb_c
+    ib //= na_c
+    ib[1:] += ia[1:] == ia[:-1]
+    first = np.cumsum(cells) - cells
+    ib[first] = i0 * nb // na
     ticks = ia + 1.0
-    ticks /= _per_cell(na, cells)
+    ticks /= na_c
     widths = ib + 1.0
-    widths /= _per_cell(nb, cells)
+    widths /= nb_c
     np.minimum(ticks, widths, out=ticks)  # in place, to spare a large temporary
     np.subtract(ticks[1:], ticks[:-1], out=widths[1:])
-    first = np.cumsum(cells) - cells
     widths[first] = ticks[first] - i0 / na
     del ticks
-    swap = np.repeat(n1[pairs] < n0[pairs], cells)
+    swap = n1[pairs] < n0[pairs]
+    if swap.all():
+        return ib, ia, widths, pairs, cells
+    if not swap.any():
+        return ia, ib, widths, pairs, cells
+    swap = np.repeat(swap, cells)
     return np.where(swap, ib, ia), np.where(swap, ia, ib), widths, pairs, cells
 
 
@@ -184,21 +204,24 @@ def mean_square_gaps(a: np.ndarray, b: np.ndarray, pairs, shift=None, antitone: 
     totals = np.zeros((n_a.shape[0], 2 if antitone else 1))
     with np.errstate(over="ignore", invalid="ignore"):  # callers check for an infinite total
         for ia, ib, widths, chunk_pairs, cells in merged_grid_blocks(n_a, n_b):
-            ia += _per_cell(lo_a[chunk_pairs], cells)
-            qa = a[ia]
+            for idx, lo in ((ia, lo_a), (ib, lo_b)):
+                lo = _per_cell(lo[chunk_pairs], cells)
+                if np.ndim(lo) or lo != 0:  # no pass for a block of one chunk at offset 0
+                    idx += lo
+            qa = np.take(a, ia)
             if shift is not None:
                 qa -= _per_cell(shift[chunk_pairs], cells)
-            ib += _per_cell(lo_b[chunk_pairs], cells)
             partners = [ib]
             if antitone:  # lo + (n - 1 - idx), with ib already moved by lo
                 partners.append(_per_cell(2 * lo_b[chunk_pairs] + n_b[chunk_pairs] - 1, cells) - ib)
             first = np.cumsum(cells) - cells
             for k, idx in enumerate(partners):
-                diff = qa - b[idx]
+                diff = np.take(b, idx)
+                np.subtract(qa, diff, out=diff)
                 diff *= diff
                 diff *= widths
                 np.add.at(totals[:, k], chunk_pairs, np.add.reduceat(diff, first))
-            del ia, ib, widths, qa, diff, partners  # two blocks alive at once would double the peak
+            del ia, ib, idx, lo, widths, qa, diff, partners  # two blocks alive at once would double the peak
     return totals
 
 

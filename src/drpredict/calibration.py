@@ -77,7 +77,7 @@ def _arm_distance(arm, values, in_cell):
     """W2 between the two cells of one arm's sorted ``values``, which come
     out sorted; ValidationError below 2 per cell, NumericalError when a
     squared gap overflows."""
-    first, second = values[in_cell], values[~in_cell]
+    first, second = np.compress(in_cell, values), np.compress(~in_cell, values)
     if first.size < 2 or second.size < 2:
         raise ValidationError(
             f"split leaves arm {arm} with cell sizes "
@@ -103,12 +103,12 @@ def split_benchmark(
     rest, ``provided_mask`` uses a caller-supplied boolean cell-one mask.
     The permutation null relabels cells within each arm (cell sizes
     preserved), so ``null_p95`` reflects pure sampling noise. Each
-    permutation shuffles an arm's cell labels by ``rng.permutation``;
-    Fisher-Yates draws do not depend on what they shuffle, so a given seed
-    draws the same null as shuffling the arm's row indices does, without an
-    index array as long as the arm. Each arm
-    is sorted once, and each label vector is read in that order, so both
-    cells come out sorted: the numbers of sorting every cell. A negative
+    permutation reads an arm's cell labels at ``rng.permutation(m)``, the
+    arm's row indices shuffled: Fisher-Yates draws do not depend on what
+    they shuffle, so this is the draw of ``rng.permutation(labels)``, and
+    numpy shuffles an index array faster than a boolean one. Each arm is
+    sorted once, and each label vector is read in that order, so both cells
+    come out sorted: the numbers of sorting every cell. A negative
     permutation count or seed raises ValidationError, and outcomes whose
     squared gaps overflow raise NumericalError.
     """
@@ -153,7 +153,7 @@ def split_benchmark(
         stats = np.empty(permutations)
         for k in range(permutations):
             stats[k] = math.hypot(*(
-                _arm_distance(arm, values, rng.permutation(labels)[order])
+                _arm_distance(arm, values, labels[rng.permutation(labels.size)][order])
                 for arm, values, labels, order in arms
             ))
         null_p95 = float(np.quantile(stats, 0.95))

@@ -34,7 +34,7 @@ from .inference import (
     plain_im_interval,
     two_step_interval,
 )
-from .sample import load_sample
+from .sample import load_sample, read_columns
 from .simulation import (
     GaussianDGP,
     case_preset,
@@ -482,7 +482,24 @@ def cmd_simulate(args) -> int:
 
 
 def _load_mask_column(path, column: str, n_expected: int):
-    """Read a 0/1 column aligned with the data rows into a boolean mask."""
+    """Read a 0/1 column aligned with the data rows into a boolean mask.
+
+    The column is parsed by numpy's C reader as strings of up to two
+    characters, and taken when it holds ``n_expected`` entries, each exactly
+    "0" or "1". Otherwise ``_load_mask_rows`` reads the file again, decides
+    the result and names the offending row.
+    """
+    raw = read_columns(path, [column], "<U2")
+    if raw is not None and raw.shape == (n_expected,):
+        mask = raw == "1"
+        if (mask | (raw == "0")).all():
+            return mask
+    return _load_mask_rows(path, column, n_expected)
+
+
+def _load_mask_rows(path, column: str, n_expected: int):
+    """Row-by-row ``_load_mask_column``: the reference parser, which strips
+    each entry before it checks it."""
     values = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)

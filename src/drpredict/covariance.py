@@ -158,7 +158,9 @@ def sigma_neyman(moments: np.ndarray, e: np.ndarray) -> list:
     are independent across arms. Third/fourth central moments enter through
     Var and Cov of the variance estimators. An arm of zero variance (a
     constant arm, whose moments are exactly 0) has no noise and contributes
-    nothing.
+    nothing, and so does an arm whose influence terms w and c are both
+    exactly 0: its loadings are 0, which keeps an infinite loading of a
+    subnormal variance out of the sums.
 
     Raises
     ------
@@ -181,11 +183,14 @@ def sigma_neyman(moments: np.ndarray, e: np.ndarray) -> list:
         near = (s1_sq > 0.0) & (s0_sq > 0.0) & (np.abs(s1_sq / s0_sq - 1.0) < 1e-3)
         sd = np.sqrt(var)
         ratio = sd[np.arange(sd.shape[0]) ^ 1] / sd  # the other arm's SD over the arm's own
-        plus, minus = np.where(sd > 0.0, 1.0 + ratio, 0.0), np.where(sd > 0.0, 1.0 - ratio, 0.0)
         share = np.stack((e, 1.0 - e), axis=1).ravel()
         # variances/covariances of the per-arm influence pieces
         w = (mu4 - var**2) / share
         c = mu3 / share
+        # an arm whose pieces are exactly 0 adds nothing, even where its
+        # loading overflows (a subnormal variance beside a unit one)
+        noisy = (sd > 0.0) & ((w != 0.0) | (c != 0.0))
+        plus, minus = np.where(noisy, 1.0 + ratio, 0.0), np.where(noisy, 1.0 - ratio, 0.0)
         (a_plus, b_plus), (a_minus, b_minus), (w1, w0), (c1, c0) = (
             (x[0::2], x[1::2]) for x in (plus, minus, w, c))
         s = np.empty((s1_sq.shape[0], 3, 3))

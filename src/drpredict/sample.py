@@ -273,34 +273,44 @@ def load_sample(path, outcome_column: str, treatment_column: str) -> Experimenta
         On structurally valid but semantically bad data (treatment not in
         {0,1}, non-finite outcome, an empty arm).
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        header_lines = reader.line_num
-    if header is None or outcome_column not in header or treatment_column not in header:
-        return _load_rows(path, outcome_column, treatment_column)
-    # csv.DictReader keeps the last of duplicated names
-    columns = [len(header) - 1 - header[::-1].index(col) for col in (outcome_column, treatment_column)]
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # e.g. "input contained no data"
-            data = np.loadtxt(
-                path,
-                dtype=[("y", np.float64), ("t", np.int8)],
-                delimiter=",",
-                comments=None,
-                quotechar='"',
-                skiprows=header_lines,
-                usecols=columns,
-                ndmin=1,
-                encoding="utf-8",
-            )
-    except (ValueError, Warning):
+    data = read_columns(path, [outcome_column, treatment_column], [("y", np.float64), ("t", np.int8)])
+    if data is None:
         return _load_rows(path, outcome_column, treatment_column)
     y, t = np.ascontiguousarray(data["y"]), data["t"]
     if not (np.isfinite(y).all() and ((t == 0) | (t == 1)).all()):
         return _load_rows(path, outcome_column, treatment_column)
     return ExperimentalSample(y, t)
+
+
+def read_columns(path, columns: list, dtype):
+    """The named columns of a headered CSV, parsed by numpy's C reader into
+    ``dtype``, or None when the header lacks one of them or the reader
+    fails or warns. A duplicated name reads its last column, as
+    ``csv.DictReader`` does. Callers that get None, or values they do not
+    accept, read the file again with their row-by-row parser."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        header_lines = reader.line_num
+    if header is None or any(col not in header for col in columns):
+        return None
+    usecols = [len(header) - 1 - header[::-1].index(col) for col in columns]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. "input contained no data"
+            return np.loadtxt(
+                path,
+                dtype=dtype,
+                delimiter=",",
+                comments=None,
+                quotechar='"',
+                skiprows=header_lines,
+                usecols=usecols,
+                ndmin=1,
+                encoding="utf-8",
+            )
+    except (ValueError, Warning):
+        return None
 
 
 def _load_rows(path, outcome_column: str, treatment_column: str) -> ExperimentalSample:

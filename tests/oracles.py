@@ -49,6 +49,35 @@ def merged_u_grid(n1: int, n0: int) -> tuple[np.ndarray, np.ndarray]:
     return mids, widths
 
 
+def merged_block_repeats(chunks: np.ndarray, n1: np.ndarray, n0: np.ndarray):
+    """``bounds._merged_block`` as it was before the smaller arm's index was
+    derived from the larger arm's: both indices spread over the cells by
+    ``np.repeat`` and put in order by ``np.where``; the oracle that the
+    kernel must match bit for bit."""
+    pairs, i0, i1 = chunks.T
+    na, nb = np.maximum(n1[pairs], n0[pairs]), np.minimum(n1[pairs], n0[pairs])
+    span = i1 - i0
+    ia = np.arange(int(span.sum())) + np.repeat(i0 - (np.cumsum(span) - span), span)
+    na_c, nb_c = np.repeat(na, span), np.repeat(nb, span)
+    scaled = ia * nb_c
+    b_last = (scaled + nb_c - 1) // na_c
+    counts = b_last - scaled // na_c + 1
+    cells = np.add.reduceat(counts, np.cumsum(span) - span)
+    ia = np.repeat(ia, counts)
+    ib = np.repeat(b_last + 1 - np.cumsum(counts), counts)
+    ib += np.arange(ib.shape[0])
+    ticks = ia + 1.0
+    ticks /= np.repeat(na, cells)
+    widths = ib + 1.0
+    widths /= np.repeat(nb, cells)
+    np.minimum(ticks, widths, out=ticks)
+    np.subtract(ticks[1:], ticks[:-1], out=widths[1:])
+    first = np.cumsum(cells) - cells
+    widths[first] = ticks[first] - i0 / na
+    swap = np.repeat(n1[pairs] < n0[pairs], cells)
+    return np.where(swap, ib, ia), np.where(swap, ia, ib), widths, pairs, cells
+
+
 def w2_merged_grid(a_sorted: np.ndarray, b_sorted: np.ndarray) -> float:
     """1-D W2 between two sorted samples, from the quantile functions at the
     midpoints of the whole merged grid, its cells summed by

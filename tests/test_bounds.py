@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from drpredict import ExperimentalSample, ValidationError
+from drpredict import ExperimentalSample, ValidationError, bounds
 from drpredict.bounds import (
     BoundsMethod,
     VarianceBounds,
@@ -14,7 +14,7 @@ from drpredict.bounds import (
     neyman_bounds,
     sharp_bounds_empirical,
 )
-from oracles import merged_u_grid, quantile_at, sharp_bounds_population
+from oracles import merged_block_repeats, merged_u_grid, quantile_at, sharp_bounds_population
 
 
 def _sample(y1, y0):
@@ -130,6 +130,29 @@ def test_blocks_tile_the_merged_grid(n1, n0):
         for k, want in enumerate(expected):
             assert np.array_equal(np.concatenate([b[k] for b in blocks]), want)
         assert np.array_equal(np.concatenate([b[2] for b in blocks]), widths)
+
+
+@pytest.mark.parametrize("sizes", [
+    [(9, 9)], [(140_000, 140_000)],  # equal
+    [(7, 11)], [(131_071, 65_537)],  # coprime
+    [(2, 70_000)], [(70_000, 2)], [(11, 7)], [(65_537, 131_071)],  # and swapped
+    [(100_003, 99_991)], [(99_991, 100_003)],  # several 2^15-cell chunks
+    # ragged blocks mixing swapped and unswapped pairs; pairs with a
+    # one-value larger arm put a chunk's first cell after a cell of the same
+    # larger-arm index
+    [(7, 11), (300, 700), (9, 9), (11, 7), (700, 300), (1, 1), (1, 2), (2, 1), (1, 1), (3, 1)],
+    [(2, 200_003), (5, 3), (40_000, 1), (1, 1), (3, 5)],
+], ids=["equal", "equal-chunks", "coprime", "coprime-chunks", "2-vs-70000", "70000-vs-2", "swapped",
+        "swapped-chunks", "several-chunks", "several-chunks-swapped", "ragged", "ragged-chunks"])
+def test_merged_blocks_are_the_repeat_oracles_bit_for_bit(sizes, monkeypatch):
+    n1, n0 = (np.array(x) for x in zip(*sizes))
+    got = list(merged_grid_blocks(n1, n0))
+    monkeypatch.setattr(bounds, "_merged_block", merged_block_repeats)
+    want = list(merged_grid_blocks(n1, n0))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for part_g, part_w in zip(g, w):
+            assert part_g.dtype == part_w.dtype and np.array_equal(part_g, part_w)
 
 
 @pytest.mark.parametrize("n1, n0", BLOCKED_SIZES)

@@ -16,7 +16,7 @@ from drpredict.calibration import (
     split_benchmark,
 )
 from drpredict.sample import ExperimentalSample
-from oracles import merged_u_grid, quantile_at, split_benchmark_resort
+from oracles import merged_u_grid, quantile_at, split_benchmark_resort, split_benchmark_two_sorts
 
 
 def _dist(values):
@@ -200,6 +200,9 @@ def test_split_null_matches_resorting_oracle(name, seed, permutations, split):
     assert b.null_p95 == pytest.approx(null_p95, rel=1e-12, abs=0.0)
     if name != "several-blocks":  # one block: the same sums, bit for bit
         assert (b.w2_y1, b.w2_y0, b.null_p95) == (w2_y1, w2_y0, null_p95)
+    # sorting each cell afresh and summing it with the same kernel gives the
+    # same bits, over one block or several
+    assert (b.w2_y1, b.w2_y0, b.null_p95) == split_benchmark_two_sorts(s, in_cell, permutations, seed)
 
 
 @pytest.mark.parametrize("seed", range(6))

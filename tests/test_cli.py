@@ -585,9 +585,9 @@ _CUSTOM_DGP = ["--mu1", "1", "--mu0", "0", "--delta", "0.1", "--n", "300", "--re
     (["estimate", "--data", "{wide}", "--delta", "0.5", "--q", "1", "--bounds", "neyman"], 3,
      "numerical error: the second moments of the treated arm overflow"),
     # a treated arm of scale 1e-160 beside a unit control arm: the Neyman
-    # loading 1 + sigma0/sigma1 squares past double precision
-    (["estimate", "--data", "{subnormal}", "--delta", "0.5", "--bounds", "neyman"], 2,
-     "error: covariance matrix has non-finite entries"),
+    # loading 1 + sigma0/sigma1 squares past double precision, but the arm's
+    # influence terms are exactly 0, so it adds nothing to Sigma
+    (["estimate", "--data", "{subnormal}", "--delta", "0.5", "--bounds", "neyman"], 0, ""),
     # input errors of a range, a mask, a file and a worker count
     (["sweep", "--deltas", "2:1:0.5", "--true-v", "1", "--tau-star", "1"], 2,
      "error: --deltas range '2:1:0.5' is empty"),
@@ -761,6 +761,32 @@ def test_benchmark_missing_mask_column_exits_2(case1_csv, capsys):
                  "--mask-col", "cell"])
     assert code == 2
     assert "'cell'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, want", [
+    ("2.0,0, 1", [False, True, True]),  # stripped, as the row parser does
+    ('2.0,0,"1"', [False, True, True]),
+    ("2.0,0,01", "mask entries must be 0 or 1, got '01' (row 3, column 'm')"),
+    ("2.0,0,+1", "mask entries must be 0 or 1, got '+1' (row 3, column 'm')"),
+    ("2.0,0,1.0", "mask entries must be 0 or 1, got '1.0' (row 3, column 'm')"),
+    ("2.0,0,", "mask entries must be 0 or 1, got '' (row 3, column 'm')"),
+    ("2.0,0", "mask entries must be 0 or 1, got '' (row 3, column 'm')"),  # a short row
+    ("2.0,0,1", [False, True, True]),
+], ids=["space-1", "quoted-1", "01", "plus-1", "1.0", "blank", "short-row", "clean"])
+def test_mask_column_reads_as_the_row_parser(row, want, tmp_path, monkeypatch):
+    path = tmp_path / "m.csv"
+    path.write_text(f"y,t,m\n1.0,1,0\n{row}\n3.0,1,1\n")
+
+    def outcome(read):
+        try:
+            return read(path, "m", 3).tolist()
+        except cli.ParseError as err:
+            return str(err)
+
+    assert outcome(cli._load_mask_column) == outcome(cli._load_mask_rows) == want
+    if row == "2.0,0,1":  # a clean column is the C reader's alone
+        monkeypatch.setattr(cli, "_load_mask_rows", None)
+        assert outcome(cli._load_mask_column) == want
 
 
 def test_benchmark_mask_flag_required_with_provided_mask(case1_csv, capsys):

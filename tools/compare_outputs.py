@@ -194,6 +194,21 @@ INVOCATIONS = [
     # --mask-col without --split provided_mask is an input error (exit 2)
     ("benchmark-mask-col-halves", ["benchmark", "--data", "pos.csv", "--split", "halves",
                                    "--mask-col", "m", "--permutations", "0"]),
+    # unequal cells over several 2^15-cell blocks, at the default count
+    ("benchmark-big-median-200", ["benchmark", "--data", "big.csv", "--split", "median_outcome",
+                                  "--permutations", "200", "--json"]),
+    # a mask column over more than 2^15 rows, read by the C reader
+    ("benchmark-mask-big", ["benchmark", "--data", "masked_big.csv", "--split", "provided_mask",
+                            "--mask-col", "m", "--permutations", "20", "--json"]),
+    # mask entries the C reader leaves to the row parser: " 1" is taken, "01" is exit 2
+    ("benchmark-mask-space", ["benchmark", "--data", "mask_space.csv", "--split", "provided_mask",
+                              "--mask-col", "m", "--json"]),
+    ("benchmark-mask-01", ["benchmark", "--data", "mask_01.csv", "--split", "provided_mask",
+                           "--mask-col", "m"]),
+    # a treated arm of scale 1e-160 beside a unit control arm: its subnormal
+    # variance gives an infinite Neyman loading on influence terms of 0
+    ("estimate-subnormal-neyman", ["estimate", "--data", "subnormal.csv", "--delta", "0.5",
+                                   "--bounds", "neyman", "--json"]),
 ]
 
 
@@ -238,6 +253,17 @@ def write_inputs(work: Path) -> None:
     _write_csv(work / "vast.csv", 1e306 * rng.normal(50.0, 1.0, 1000), np.repeat([1, 0], 500))
     # drawn last, so that the inputs above stay the same
     _write_csv(work / "wide.csv", 1e200 * (1.0 + 1e-3 * rng.normal(0.0, 1.0, 1000)), np.repeat([1, 0], 500))
+    # drawn after wide.csv, so that the inputs above stay the same
+    t_mask = (rng.random(50_000) < 0.4).astype(int)
+    y_mask = np.where(t_mask == 1, rng.normal(1.0, 2.0, 50_000), rng.normal(0.0, 1.0, 50_000))
+    _write_csv(work / "masked_big.csv", y_mask, t_mask, (rng.random(50_000) < 0.5).astype(int))
+    _write_csv(work / "subnormal.csv", np.concatenate((1e-160 * rng.normal(0.0, 1.0, 200),
+                                                       rng.normal(0.0, 1.0, 200))), np.repeat([1, 0], 200))
+    # pos.csv with the mask entry of its second data row written " 1" and "01"
+    lines = (work / "pos.csv").read_text().splitlines()
+    for name, entry in (("mask_space.csv", " 1"), ("mask_01.csv", "01")):
+        row = lines[2].rsplit(",", 1)[0] + "," + entry
+        (work / name).write_text("\n".join(lines[:2] + [row] + lines[3:]) + "\n")
     (work / "notutf8.csv").write_bytes(b"y,t\n1.0,1\n\xff,0\n")
     (work / "datadir").mkdir()
     # 40 treated rows alternating +-2 and 60 control rows alternating +-1
