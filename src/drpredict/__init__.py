@@ -50,7 +50,6 @@ from .simulation import (
 )
 from .solver import (
     RobustConfig,
-    SweepTable,
     penalty_derivs,
     solve_minimax,
     solve_minimax_many,
@@ -77,7 +76,6 @@ __all__ = [
     "variance_bounds",
     # minimax solver
     "RobustConfig",
-    "SweepTable",
     "penalty_derivs",
     "solve_minimax",
     "solve_minimax_many",

@@ -14,7 +14,6 @@ procedure stopped at its first step (``status: no-second-step``).
 """
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -25,16 +24,16 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .bounds import BoundsMethod, VarianceBounds, variance_bounds
+from .bounds import BoundsMethod, variance_bounds
 from .calibration import SplitRule, split_benchmark
-from .exceptions import NumericalError, ParseError, ValidationError
+from .exceptions import NumericalError, ValidationError
 from .inference import (
     check_two_step_args,
     estimate_robust,
     plain_im_interval,
     two_step_interval,
 )
-from .sample import load_sample, read_columns
+from .sample import load_mask, load_sample
 from .simulation import (
     GaussianDGP,
     case_preset,
@@ -128,12 +127,17 @@ def _fmt(x) -> str:
 # -------------------------------------------------------------------- flags
 
 
+# the defaults of the flags about a data file; sweep's parser leaves them
+# None, so that its population mode, which reads no file, can refuse them
+_DATA_DEFAULTS = {"bounds": BoundsMethod.SHARP.value, "outcome": "y", "treatment": "t"}
+
+
 def _add_data_flags(sub, required=True):
     sub.add_argument("--data", required=required, metavar="CSV",
                      help="experiment file, one row per unit")
-    sub.add_argument("--outcome", default="y", metavar="COL",
+    sub.add_argument("--outcome", default=_DATA_DEFAULTS["outcome"], metavar="COL",
                      help="outcome column (default: y)")
-    sub.add_argument("--treatment", default="t", metavar="COL",
+    sub.add_argument("--treatment", default=_DATA_DEFAULTS["treatment"], metavar="COL",
                      help="treatment column, coded 0/1 (default: t)")
 
 
@@ -152,7 +156,7 @@ def _add_report_flags(sub):
 
 def _add_bounds_flag(sub):
     sub.add_argument("--bounds", choices=[m.value for m in BoundsMethod],
-                     default=BoundsMethod.SHARP.value,
+                     default=_DATA_DEFAULTS["bounds"],
                      help="variance-bound method (default: sharp)")
 
 
@@ -291,35 +295,32 @@ def cmd_sweep(args) -> int:
     q = _q_from_args(args)
 
     population = args.data is None
-    known = None
-    if args.true_v is not None:
-        if not (math.isfinite(args.true_v) and args.true_v >= 0.0):
-            raise ValidationError(f"--true-v must be finite and nonnegative, got {args.true_v}")
-        # a known effect variance is a bracket of zero width: its tau_p is tau_dr
-        known = VarianceBounds(v_o=args.true_v, v_p=args.true_v, method=args.bounds)
+    if args.true_v is not None and not (math.isfinite(args.true_v) and args.true_v >= 0.0):
+        raise ValidationError(f"--true-v must be finite and nonnegative, got {args.true_v}")
+    # a known effect variance is a bracket of zero width: its tau_p is tau_dr
+    known = [] if args.true_v is None else [args.true_v]
     if population:
-        if known is None or args.tau_star is None:
-            raise ValidationError(
-                "population mode (no --data) requires both --true-v and --tau-star"
-            )
+        given = [name for name in _DATA_DEFAULTS if getattr(args, name) is not None]
+        if given:
+            raise ValidationError(f"--{given[0]} needs --data; population mode reads no data file")
+        if not known or args.tau_star is None:
+            raise ValidationError("population mode (no --data) requires both --true-v and --tau-star")
         if not math.isfinite(args.tau_star):
             raise ValidationError(f"--tau-star must be finite, got {args.tau_star}")
         header = ["delta", "tau_p", "tau_o", "tau_dr"]
-        table = sweep_delta(args.tau_star, known, q, deltas)
-        columns = [table.delta, table.tau_p, table.tau_p, table.tau_p]
+        tau_star, variances = args.tau_star, known * 3
     else:
         if args.tau_star is not None:
             raise ValidationError(
                 "--tau-star is population mode only; with --data the effect is estimated"
             )
+        vars(args).update((k, v) for k, v in _DATA_DEFAULTS.items() if getattr(args, k) is None)
         sample = load_sample(args.data, args.outcome, args.treatment)
         tau_star = float(sample.arms.ate[0])
         bounds = variance_bounds(sample.arms, args.bounds)[0]
-        header = ["delta", "tau_p", "tau_o"]
-        columns = list(sweep_delta(tau_star, bounds, q, deltas))
-        if known is not None:
-            header.append("tau_dr")
-            columns.append(sweep_delta(tau_star, known, q, deltas).tau_p)
+        header = ["delta", "tau_p", "tau_o"] + ["tau_dr"] * len(known)
+        variances = [bounds.v_p, bounds.v_o, *known]
+    columns = [deltas, *sweep_delta(tau_star, variances, q, deltas)]
 
     if not args.out:
         _write_columns(sys.stdout, header, columns)
@@ -329,11 +330,11 @@ def cmd_sweep(args) -> int:
     _write_json(args.out + ".manifest.json", _manifest("sweep", {
         "deltas": deltas,
         "q": q,
-        "bounds": None if population else args.bounds,
+        "bounds": args.bounds,
         "tau_star": args.tau_star,
         "true_v": args.true_v,
-        "outcome_column": None if population else args.outcome,
-        "treatment_column": None if population else args.treatment,
+        "outcome_column": args.outcome,
+        "treatment_column": args.treatment,
     }, args.data))
     return EXIT_OK
 
@@ -481,48 +482,6 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------- benchmark
 
 
-def _load_mask_column(path, column: str, n_expected: int):
-    """Read a 0/1 column aligned with the data rows into a boolean mask.
-
-    The column is parsed by numpy's C reader as strings of up to two
-    characters, and taken when it holds ``n_expected`` entries, each exactly
-    "0" or "1". Otherwise ``_load_mask_rows`` reads the file again, decides
-    the result and names the offending row.
-    """
-    raw = read_columns(path, [column], "<U2")
-    if raw is not None and raw.shape == (n_expected,):
-        mask = raw == "1"
-        if (mask | (raw == "0")).all():
-            return mask
-    return _load_mask_rows(path, column, n_expected)
-
-
-def _load_mask_rows(path, column: str, n_expected: int):
-    """Row-by-row ``_load_mask_column``: the reference parser, which strips
-    each entry before it checks it."""
-    values = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or column not in reader.fieldnames:
-            raise ParseError(
-                f"missing column; header has {reader.fieldnames}",
-                row=1, column=column,
-            )
-        for rownum, rec in enumerate(reader, start=2):
-            raw = (rec.get(column) or "").strip()
-            if raw not in ("0", "1"):
-                raise ParseError(
-                    f"mask entries must be 0 or 1, got {raw!r}",
-                    row=rownum, column=column,
-                )
-            values.append(raw == "1")
-    if len(values) != n_expected:
-        raise ValidationError(
-            f"mask column has {len(values)} rows but the sample has {n_expected}"
-        )
-    return np.asarray(values, dtype=bool)
-
-
 def cmd_benchmark(args) -> int:
     _check_count("--permutations", args.permutations, _MAX_PERMUTATIONS)
     split = SplitRule(args.split)
@@ -532,7 +491,7 @@ def cmd_benchmark(args) -> int:
     if split is not SplitRule.PROVIDED_MASK and args.mask_col is not None:
         raise ValidationError(f"--mask-col needs --split provided_mask, got --split {split.value}")
     sample = load_sample(args.data, args.outcome, args.treatment)
-    mask = None if args.mask_col is None else _load_mask_column(args.data, args.mask_col, sample.n)
+    mask = None if args.mask_col is None else load_mask(args.data, args.mask_col)
     bench = split_benchmark(
         sample, split, mask=mask, permutations=args.permutations, seed=args.seed
     )
@@ -588,7 +547,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="known unrestricted effect (population mode, no --data)")
     swp.add_argument("--out", metavar="FILE", help="write the CSV here "
                      "(plus FILE.manifest.json)")
-    swp.set_defaults(func=cmd_sweep)
+    swp.set_defaults(func=cmd_sweep, **dict.fromkeys(_DATA_DEFAULTS))
 
     inf = sub.add_parser("infer", help="IM and two-step confidence intervals")
     _add_data_flags(inf)

@@ -32,6 +32,7 @@ __all__ = [
     "ExperimentalSample",
     "arm_batch",
     "check_fourth_moments",
+    "load_mask",
     "load_sample",
     "scale_error",
 ]
@@ -273,7 +274,7 @@ def load_sample(path, outcome_column: str, treatment_column: str) -> Experimenta
         On structurally valid but semantically bad data (treatment not in
         {0,1}, non-finite outcome, an empty arm).
     """
-    data = read_columns(path, [outcome_column, treatment_column], [("y", np.float64), ("t", np.int8)])
+    data = _read_columns(path, [outcome_column, treatment_column], [("y", np.float64), ("t", np.int8)])
     if data is None:
         return _load_rows(path, outcome_column, treatment_column)
     y, t = np.ascontiguousarray(data["y"]), data["t"]
@@ -282,12 +283,35 @@ def load_sample(path, outcome_column: str, treatment_column: str) -> Experimenta
     return ExperimentalSample(y, t)
 
 
-def read_columns(path, columns: list, dtype):
+def load_mask(path, column: str) -> np.ndarray:
+    """Read a 0/1 column of a headered CSV into a boolean mask, one entry
+    per data row.
+
+    The column is parsed by numpy's C reader as strings of up to two
+    characters, and taken when each entry is exactly "0" or "1". Otherwise
+    the file is read again row by row, each entry stripped, and an entry
+    other than "0" or "1" is a ParseError naming its row and column.
+    """
+    raw = _read_columns(path, [column], "<U2")
+    if raw is not None:
+        mask = raw == "1"
+        if (mask | (raw == "0")).all():
+            return mask
+    values = []
+    for rownum, rec in _rows(path, [column]):
+        entry = (rec.get(column) or "").strip()
+        if entry not in ("0", "1"):
+            raise ParseError(f"mask entries must be 0 or 1, got {entry!r}", row=rownum, column=column)
+        values.append(entry == "1")
+    return np.array(values, dtype=bool)
+
+
+def _read_columns(path, columns: list, dtype):
     """The named columns of a headered CSV, parsed by numpy's C reader into
     ``dtype``, or None when the header lacks one of them or the reader
     fails or warns. A duplicated name reads its last column, as
     ``csv.DictReader`` does. Callers that get None, or values they do not
-    accept, read the file again with their row-by-row parser."""
+    accept, read the file again row by row (``_rows``)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -313,49 +337,49 @@ def read_columns(path, columns: list, dtype):
         return None
 
 
+def _rows(path, columns):
+    """(row number, record) for each data row of a headered CSV, read by
+    ``csv.DictReader``: the reference reader, which names the first bad
+    row. ParseError at row 1 for a file without a header or a header
+    without one of ``columns``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ParseError("empty file: no header row", row=1)
+        for col in columns:
+            if col not in reader.fieldnames:
+                raise ParseError(f"missing column; header has {reader.fieldnames}", row=1, column=col)
+        yield from enumerate(reader, start=2)
+
+
 def _load_rows(path, outcome_column: str, treatment_column: str) -> ExperimentalSample:
     """Row-by-row :func:`load_sample`: the reference parser, and the one
     that reports the first bad row."""
     outcomes = []
     treatments = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ParseError("empty file: no header row", row=1)
-        for col in (outcome_column, treatment_column):
-            if col not in reader.fieldnames:
-                raise ParseError(
-                    f"missing column; header has {reader.fieldnames}", row=1, column=col
-                )
-        for rownum, rec in enumerate(reader, start=2):
-            y_raw = rec.get(outcome_column)
-            t_raw = rec.get(treatment_column)
-            if y_raw is None or y_raw.strip() == "":
-                raise ParseError("missing outcome value", row=rownum, column=outcome_column)
-            if t_raw is None or t_raw.strip() == "":
-                raise ParseError("missing treatment value", row=rownum, column=treatment_column)
-            try:
-                y = float(y_raw)
-            except ValueError:
-                raise ParseError(
-                    f"cannot parse outcome {y_raw!r} as a real number",
-                    row=rownum,
-                    column=outcome_column,
-                ) from None
-            try:
-                t = int(t_raw)
-            except ValueError:
-                raise ParseError(
-                    f"cannot parse treatment {t_raw!r} as an integer",
-                    row=rownum,
-                    column=treatment_column,
-                ) from None
-            if not math.isfinite(y):
-                raise ValidationError(f"non-finite outcome at row {rownum}")
-            if t not in (0, 1):
-                raise ValidationError(f"treatment must be 0 or 1, got {t} at row {rownum}")
-            outcomes.append(y)
-            treatments.append(t)
+    for rownum, rec in _rows(path, [outcome_column, treatment_column]):
+        y_raw = rec.get(outcome_column)
+        t_raw = rec.get(treatment_column)
+        if y_raw is None or y_raw.strip() == "":
+            raise ParseError("missing outcome value", row=rownum, column=outcome_column)
+        if t_raw is None or t_raw.strip() == "":
+            raise ParseError("missing treatment value", row=rownum, column=treatment_column)
+        try:
+            y = float(y_raw)
+        except ValueError:
+            raise ParseError(f"cannot parse outcome {y_raw!r} as a real number",
+                             row=rownum, column=outcome_column) from None
+        try:
+            t = int(t_raw)
+        except ValueError:
+            raise ParseError(f"cannot parse treatment {t_raw!r} as an integer",
+                             row=rownum, column=treatment_column) from None
+        if not math.isfinite(y):
+            raise ValidationError(f"non-finite outcome at row {rownum}")
+        if t not in (0, 1):
+            raise ValidationError(f"treatment must be 0 or 1, got {t} at row {rownum}")
+        outcomes.append(y)
+        treatments.append(t)
     if not outcomes:
         raise ValidationError("no data rows in file")
     return ExperimentalSample(np.array(outcomes), np.array(treatments))

@@ -16,16 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import VarianceBounds
 from .exceptions import NumericalError, ValidationError
 
 __all__ = [
     "RobustConfig",
-    "SweepTable",
     "solve_minimax",
     "sweep_delta",
     "penalty_derivs",
@@ -65,14 +62,6 @@ class RobustConfig:
             raise ValidationError(f"norm order p must exceed 1, got {p}")
         q = 1.0 if math.isinf(p) else p / (p - 1.0)
         return cls(delta=delta, q=q)
-
-
-class SweepTable(NamedTuple):
-    """Prediction pairs along a radius grid, one 1-D array per column."""
-
-    delta: np.ndarray
-    tau_p: np.ndarray
-    tau_o: np.ndarray
 
 
 # ------------------------------------------------------------- root finder
@@ -274,25 +263,27 @@ def solve_minimax_many(tau_stars, v, config: RobustConfig) -> np.ndarray:
     return _minimax(tau_stars, v, config.delta, config.q).reshape(shape)
 
 
-def sweep_delta(tau_star: float, bounds: VarianceBounds, q: float, deltas) -> SweepTable:
-    """Prediction pair (tau_p, tau_o) along a grid of radii, for plotting.
+def sweep_delta(tau_star: float, variances, q: float, deltas) -> list:
+    """Predictions along a grid of radii, for plotting: one 1-D array per
+    entry of ``variances``, the minimizer at that variance for each radius.
 
-    Returns the radii and both predictions as columns. A bracket of zero
-    width (v_o = v_p, a known variance) is solved once, and its tau_p and
-    tau_o are the same array.
+    Each distinct variance is solved once, and the entries that repeat it
+    share one array: a known variance, as both ends of a bracket of zero
+    width, gives the same array for tau_p and tau_o.
 
     Raises
     ------
     ValidationError
-        If ``tau_star`` is not finite, a bound is not finite, or ``deltas``
-        is not a nonempty 1-D sequence of finite, nonnegative radii.
+        If ``tau_star`` is not finite, a variance is not finite and
+        nonnegative, or ``deltas`` is not a nonempty 1-D sequence of finite,
+        nonnegative radii.
     """
-    variances = [bounds.v_p] if bounds.v_p == bounds.v_o else [bounds.v_p, bounds.v_o]
     _check_inputs(tau_star, variances)
     deltas = np.array(deltas, dtype=float)
     if deltas.ndim != 1 or deltas.size == 0:
         raise ValidationError(f"deltas must be a nonempty 1-D sequence, got shape {deltas.shape}")
     for d in (deltas.min(), deltas.max()):  # a NaN reaches both
         RobustConfig(delta=float(d), q=q)
-    rows = list(_minimax(tau_star, np.reshape(variances, (-1, 1)), deltas, q))
-    return SweepTable(deltas, rows[0], rows[-1])
+    distinct = list(dict.fromkeys(variances))  # 0.0 and -0.0 are one key
+    rows = dict(zip(distinct, _minimax(tau_star, np.reshape(distinct, (-1, 1)), deltas, q)))
+    return [rows[v] for v in variances]

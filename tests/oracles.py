@@ -301,28 +301,25 @@ def split_benchmark_two_sorts(sample, in_cell, permutations, seed):
     return w2_y1, w2_y0, null_p95
 
 
-def sweep_csv_rowwise(tau_star, bounds, known, q, deltas) -> str:
-    """The CSV text of ``drpredict sweep``: rows assembled one by one from
-    the ``sweep_delta`` columns, each value formatted with ``.10g`` and
-    written by ``csv.writer``; the reference for ``cli._write_columns``.
+def sweep_csv_rowwise(tau_star, bounds, true_v, q, deltas) -> str:
+    """The CSV text of ``drpredict sweep``: rows assembled one by one, each
+    value formatted with ``.10g`` and written by ``csv.writer``; the
+    reference for ``cli._write_columns``. Each prediction is a separate
+    ``sweep_delta`` call on one variance.
 
-    ``bounds`` None is population mode, where the known bracket ``known``
-    fills tau_p, tau_o and tau_dr; otherwise ``known``, if given, adds a
+    ``bounds`` None is population mode, where the known variance ``true_v``
+    fills tau_p, tau_o and tau_dr; otherwise ``true_v``, if given, adds a
     tau_dr column to the (tau_p, tau_o) pair of ``bounds``.
     """
     if bounds is None:
         header = ["delta", "tau_p", "tau_o", "tau_dr"]
-        table = sweep_delta(tau_star, known, q, deltas)
-        rows = [[d, t, t, t] for d, t in zip(table.delta.tolist(), table.tau_p.tolist())]
+        variances = [true_v] * 3
     else:
-        header = ["delta", "tau_p", "tau_o"]
-        rows = [list(row) for row in zip(*(col.tolist() for col in sweep_delta(tau_star, bounds, q, deltas)))]
-        if known is not None:
-            header.append("tau_dr")
-            for row, t in zip(rows, sweep_delta(tau_star, known, q, deltas).tau_p.tolist()):
-                row.append(t)
+        header = ["delta", "tau_p", "tau_o"] + ([] if true_v is None else ["tau_dr"])
+        variances = [bounds.v_p, bounds.v_o] + ([] if true_v is None else [true_v])
+    columns = [np.asarray(deltas).tolist()] + [sweep_delta(tau_star, [v], q, deltas)[0].tolist() for v in variances]
     out = io.StringIO(newline="")
-    csv.writer(out).writerows(chain([header], ([f"{x:.10g}" for x in row] for row in rows)))
+    csv.writer(out).writerows(chain([header], ([f"{x:.10g}" for x in row] for row in zip(*columns))))
     return out.getvalue()
 
 

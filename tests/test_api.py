@@ -132,7 +132,8 @@ def test_one_delta_method_sd_function():
             "zero_tau_limit_sd", "_check_expansion", "_MAX_GRID_POINTS", "quantile_at",
             "im_interval", "proximity_derivs", "homogeneous_threshold", "EmpiricalDistribution",
             "wasserstein2_1d", "sigma_sharp", "ArmMoments", "estimate_moments",
-            "estimate_moments_many", "sharp_bounds_many"}
+            "estimate_moments_many", "sharp_bounds_many", "SweepTable", "read_columns",
+            "_load_mask_column", "_load_mask_rows"}
     assert gone & set(drpredict.__all__) == set()
     # the arm moments live in sample.ArmBatch alone
     assert importlib.util.find_spec("drpredict.moments") is None

@@ -15,10 +15,11 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from drpredict import cli
-from drpredict.bounds import VarianceBounds, neyman_bounds, sharp_bounds_empirical
+from drpredict import sample as sample_module
+from drpredict.bounds import neyman_bounds, sharp_bounds_empirical
 from drpredict.cli import _build_parser, _dump_json, _manifest, _parse_delta_grid, _q_from_args, main
-from drpredict.exceptions import ValidationError
-from drpredict.sample import load_sample
+from drpredict.exceptions import ParseError, ValidationError
+from drpredict.sample import load_mask, load_sample
 from drpredict.simulation import case_preset, draw_sample
 from oracles import central_moments, dump_json, sweep_csv_rowwise
 
@@ -238,6 +239,17 @@ def test_sweep_population_mode_needs_both_flags(capsys):
     assert "--true-v" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--bounds", "neyman"], ["--bounds", "sharp"], ["--outcome", "zz"],
+                                  ["--treatment", "qq"]], ids=["neyman", "sharp", "outcome", "treatment"])
+def test_sweep_population_mode_refuses_data_flags(flag, tmp_path, capsys):
+    # these flags name a data file's columns and bounds; population mode,
+    # which has no file, ignored them and exited 0
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--deltas", "0.5", "--true-v", "1", "--tau-star", "1", *flag, "--out", str(out)])
+    assert (code, capsys.readouterr().err) == (2, f"error: {flag[0]} needs --data; population mode reads no data file\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_data_mode_monotone_and_flat_at_zero(case1_csv, capsys):
     code = main(["sweep", "--data", case1_csv, "--deltas", "0:1:0.25"])
     assert code == 0
@@ -298,13 +310,12 @@ def _sweep_rowwise(argv):
     """The CSV that the row-by-row csv.writer path writes for ``argv``."""
     args = _build_parser().parse_args(argv)
     deltas, q = _parse_delta_grid(args.deltas), _q_from_args(args)
-    known = None if args.true_v is None else VarianceBounds(args.true_v, args.true_v, args.bounds)
     if args.data is None:
-        return sweep_csv_rowwise(args.tau_star, None, known, q, deltas)
-    sample = load_sample(args.data, args.outcome, args.treatment)
+        return sweep_csv_rowwise(args.tau_star, None, args.true_v, q, deltas)
+    sample = load_sample(args.data, args.outcome or "y", args.treatment or "t")
     (tau1, s1_sq, _, _), (tau0, s0_sq, _, _) = map(central_moments, (sample.treated, sample.control))
-    bounds = sharp_bounds_empirical(sample) if args.bounds == "sharp" else neyman_bounds(s1_sq, s0_sq)
-    return sweep_csv_rowwise(tau1 - tau0, bounds, known, q, deltas)
+    bounds = neyman_bounds(s1_sq, s0_sq) if args.bounds == "neyman" else sharp_bounds_empirical(sample)
+    return sweep_csv_rowwise(tau1 - tau0, bounds, args.true_v, q, deltas)
 
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
@@ -777,16 +788,29 @@ def test_mask_column_reads_as_the_row_parser(row, want, tmp_path, monkeypatch):
     path = tmp_path / "m.csv"
     path.write_text(f"y,t,m\n1.0,1,0\n{row}\n3.0,1,1\n")
 
-    def outcome(read):
+    def outcome():
         try:
-            return read(path, "m", 3).tolist()
-        except cli.ParseError as err:
+            return load_mask(path, "m").tolist()
+        except ParseError as err:
             return str(err)
 
-    assert outcome(cli._load_mask_column) == outcome(cli._load_mask_rows) == want
+    assert outcome() == want
+    with monkeypatch.context() as patch:  # the row reading alone
+        patch.setattr(sample_module, "_read_columns", lambda *args: None)
+        assert outcome() == want
     if row == "2.0,0,1":  # a clean column is the C reader's alone
-        monkeypatch.setattr(cli, "_load_mask_rows", None)
-        assert outcome(cli._load_mask_column) == want
+        monkeypatch.setattr(sample_module, "_rows", None)
+        assert outcome() == want
+
+
+def test_benchmark_reports_a_data_error_before_a_mask_error(tmp_path, capsys):
+    # a bad mask entry in row 2 and an unparsable outcome in row 4: the
+    # sample is read, and its error reported, before the mask
+    path = tmp_path / "two_faults.csv"
+    path.write_text("y,t,m\n1.0,1,2\n2.0,0,0\noops,1,1\n3.0,0,1\n")
+    code = main(["benchmark", "--data", str(path), "--split", "provided_mask", "--mask-col", "m"])
+    assert (code, capsys.readouterr().err) == (
+        2, "error: cannot parse outcome 'oops' as a real number (row 4, column 'y')\n")
 
 
 def test_benchmark_mask_flag_required_with_provided_mask(case1_csv, capsys):

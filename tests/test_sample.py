@@ -12,7 +12,7 @@ from drpredict import (
     load_sample,
 )
 from drpredict import sample as sample_module
-from drpredict.sample import _load_rows, order_statistic
+from drpredict.sample import _load_rows, load_mask, order_statistic
 from oracles import central_moments, empirical_cdf, empirical_quantile, quantile_at
 
 
@@ -277,21 +277,22 @@ def test_cdf_quantile_exact_inverse_on_grid():
 
 _Y_ODD = [" 2.5 ", '"3.5"', ".5", "5.", "3e2", "nan", "inf", "-inf", "1_000.5", "1e400", "", "oops", "0x10"]
 _T_ODD = ["1.0", "+1", " 1 ", "01", "1_0", "-1", "2", "300", '"1"', ""]
+_M_ODD = [" 1", "0 ", '"1"', "01", "+1", "1.0", "10", "2", "-0", "", "o"]
 _OTHER_CELLS = ["a", "7", "", '"a,1,0,b"', '"x""y"', '"p\nq"']
 _HEADER_NAMES = ["y", "t", "id", "z", '"i,d"', '"i\nd"']
 _ODD_LINES = ["", " ", "\t", "#note", "#1,0", "# 1.5,1"]
 
 
 @st.composite
-def _csv_texts(draw):
-    """CSV text around columns y and t. Each cell and line is odd with a
+def _csv_texts(draw, columns=("y", "t")):
+    """CSV text around ``columns``, y and t or the mask column m. Each cell and line is odd with a
     small probability, so that numpy's reader accepts many files whole and
     many others differ from one it accepts in one place: extra, reordered
     and duplicated names, blank, whitespace and #-lines, quoted cells,
     ragged rows, unusual numerals and a UTF-8 BOM."""
     names = draw(st.lists(st.sampled_from(_HEADER_NAMES), min_size=1, max_size=5))
     if draw(st.integers(0, 3)):
-        names += ["y", "t"]  # the usual case: both columns present
+        names += columns  # the usual case: every column present
     names = draw(st.permutations(names))
     odd = draw(st.sampled_from([0.0, 0.02, 0.05, 0.15]))
 
@@ -303,6 +304,8 @@ def _csv_texts(draw):
             return draw(st.sampled_from(_Y_ODD)) if is_odd() else repr(draw(st.floats(-1e6, 1e6)))
         if name == "t":
             return draw(st.sampled_from(_T_ODD)) if is_odd() else draw(st.sampled_from(["0", "1"]))
+        if name == "m":
+            return draw(st.sampled_from(_M_ODD)) if is_odd() else draw(st.sampled_from(["0", "1"]))
         return draw(st.sampled_from(_OTHER_CELLS))
 
     lines = []
@@ -356,3 +359,28 @@ def test_load_sample_fast_path_skips_row_parser(tmp_path, monkeypatch):
     assert calls == []
     load_sample(_write(tmp_path, "y,t\n1.5,1.0\n", "bad.csv"), "y", "t")
     assert len(calls) == 1
+
+
+def _mask_outcome(path):
+    try:
+        return load_mask(path, "m").tolist()
+    except ParseError as exc:
+        return exc.row, exc.column, str(exc)
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_csv_texts(columns=("m",)))
+@example(text="m,y\n 1,2\n0,3\n")  # stripped by the row reading
+@example(text="m\n1\n\n0\n")  # a blank line is no row
+@example(text="y,m\n1,0\n \n2,1\n")  # a whitespace line is a row without m
+@example(text="m\n1\n10\n")  # two characters, read whole
+def test_load_mask_agrees_with_its_row_reading(tmp_path, monkeypatch, text):
+    """numpy's reader plus the row reading give what the row reading alone
+    gives: equal masks, or the same error with the same row and column."""
+    p = tmp_path / "mask.csv"
+    p.write_bytes(text.encode("utf-8"))
+    want = _mask_outcome(p)
+    with monkeypatch.context() as patch:
+        patch.setattr(sample_module, "_read_columns", lambda *args: None)
+        assert _mask_outcome(p) == want
+

@@ -288,7 +288,7 @@ def test_solver_rejects_nonfinite_inputs(tau_star, v):
     with pytest.raises(ValidationError):
         solve_minimax_many(np.array([1.0, tau_star]), np.array([v, 1.0]), cfg)
     with pytest.raises(ValidationError):  # sweep_delta returned NaN or 9.09e-13 rows
-        sweep_delta(tau_star, VarianceBounds(v_o=v, v_p=v, method="sharp"), cfg.q, [cfg.delta])
+        sweep_delta(tau_star, [v, v], cfg.q, [cfg.delta])
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -299,8 +299,7 @@ def test_solver_near_the_largest_double(sign):
     # about 1/sqrt(3), which rounds to tau* itself
     tau_star = sign * 1e308
     assert solve_minimax(tau_star, 1.0, RobustConfig(0.5, 2.0)) == pytest.approx(tau_star, rel=1e-15)
-    bounds = VarianceBounds(v_o=1.0, v_p=1.0, method="sharp")
-    _, [tau_p], [tau_o] = sweep_delta(tau_star, bounds, 2.0, [0.5])
+    [tau_p], [tau_o] = sweep_delta(tau_star, [1.0, 1.0], 2.0, [0.5])
     assert tau_p == tau_o == pytest.approx(tau_star, rel=1e-15)
 
 
@@ -312,8 +311,7 @@ def test_solver_bisects_down_from_a_huge_effect(tau_star):
     # -1 + delta tau / sqrt(2 + tau^2) = 0, so tau = sqrt(2/3) at delta = 2.
     want = math.copysign(math.sqrt(2.0 / 3.0), tau_star)
     assert solve_minimax(tau_star, 1.0, RobustConfig(2.0, 2.0)) == pytest.approx(want, rel=1e-12)
-    bounds = VarianceBounds(v_o=1.0, v_p=1.0, method="sharp")
-    _, [tau_p], [tau_o] = sweep_delta(tau_star, bounds, 2.0, [2.0])
+    [tau_p], [tau_o] = sweep_delta(tau_star, [1.0, 1.0], 2.0, [2.0])
     assert tau_p == tau_o == pytest.approx(want, rel=1e-12)
 
 
@@ -351,19 +349,17 @@ DENSE_DELTAS = 0.0 + np.arange(15_001) * 0.0002  # the grid of `sweep --deltas 0
 def test_active_set_newton_matches_full_array_oracle(q, v_o, v_p, sign, monkeypatch):
     # dropping converged entries must not change any entry's iterates
     tau_star = sign * 1.7
-    bounds = VarianceBounds(v_o=v_o, v_p=v_p, method="sharp")
-    want = _sweep_with(newton_root_full, monkeypatch, tau_star, bounds, q, DENSE_DELTAS)
-    got = sweep_delta(tau_star, bounds, q, DENSE_DELTAS)
+    want = _sweep_with(newton_root_full, monkeypatch, tau_star, [v_p, v_o], q, DENSE_DELTAS)
+    got = sweep_delta(tau_star, [v_p, v_o], q, DENSE_DELTAS)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    assert np.count_nonzero(got.tau_o != tau_star) > 5_000  # most radii were solved
+    assert np.count_nonzero(got[1] != tau_star) > 5_000  # most radii were solved
 
 
 @pytest.mark.parametrize("tau_star", [1e308, -1e308, 1.7e308])
 def test_active_set_newton_matches_oracle_near_the_largest_double(tau_star, monkeypatch):
-    bounds = VarianceBounds(v_o=0.25, v_p=1.0, method="sharp")
     deltas = [0.1, 0.5, 0.9]
-    want = _sweep_with(newton_root_full, monkeypatch, tau_star, bounds, 2.0, deltas)
-    got = sweep_delta(tau_star, bounds, 2.0, deltas)
+    want = _sweep_with(newton_root_full, monkeypatch, tau_star, [1.0, 0.25], 2.0, deltas)
+    got = sweep_delta(tau_star, [1.0, 0.25], 2.0, deltas)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
@@ -454,52 +450,66 @@ def test_penalty_derivs_at_zero():
 
 
 def test_sweep_delta_zero_row():
-    b = VarianceBounds(v_o=1.0, v_p=4.0, method="sharp")
-    table = sweep_delta(2.0, b, 2.0, [0.0])
-    assert [col.tolist() for col in table] == [[0.0], [2.0], [2.0]]
+    assert [col.tolist() for col in sweep_delta(2.0, [4.0, 1.0], 2.0, [0.0])] == [[2.0], [2.0]]
 
 
 def test_sweep_flat_below_threshold_when_homogeneous():
-    b = VarianceBounds(v_o=0.0, v_p=0.0, method="sharp")
     thr = _thr(2.0, 2.0)
-    table = sweep_delta(2.0, b, 2.0, np.linspace(0, thr, 7))
-    assert np.all(table.tau_p == 2.0) and np.all(table.tau_o == 2.0)
+    tau_p, tau_o = sweep_delta(2.0, [0.0, 0.0], 2.0, np.linspace(0, thr, 7))
+    assert np.all(tau_p == 2.0) and np.all(tau_o == 2.0)
 
 
 def test_sweep_monotone_in_delta():
-    b = VarianceBounds(v_o=0.5, v_p=3.0, method="sharp")
-    table = sweep_delta(1.7, b, 2.0, np.linspace(0, 3, 31))
-    assert np.all(np.diff(table.tau_p) <= 1e-10)
-    assert np.all(np.diff(table.tau_o) <= 1e-10)
+    tau_p, tau_o = sweep_delta(1.7, [3.0, 0.5], 2.0, np.linspace(0, 3, 31))
+    assert np.all(np.diff(tau_p) <= 1e-10)
+    assert np.all(np.diff(tau_o) <= 1e-10)
 
 
 def test_sweep_validation():
-    b = VarianceBounds(v_o=0.5, v_p=3.0, method="sharp")
+    variances = [3.0, 0.5]
     with pytest.raises(ValidationError):
-        sweep_delta(1.0, b, 2.0, [])
+        sweep_delta(1.0, variances, 2.0, [])
     with pytest.raises(ValidationError):
-        sweep_delta(1.0, b, 2.0, [0.1, -0.2])
+        sweep_delta(1.0, variances, 2.0, [0.1, -0.2])
     with pytest.raises(ValidationError):
-        sweep_delta(1.0, b, 2.0, [[0.1, 0.2]])
+        sweep_delta(1.0, variances, 2.0, [[0.1, 0.2]])
 
 
-@pytest.mark.parametrize("v_o,v_p,rows", [(1.5, 1.5, 1), (0.0, 0.0, 1), (0.5, 3.0, 2)])
-def test_sweep_solves_each_distinct_variance_once(v_o, v_p, rows, monkeypatch):
+def _sweep_counting_points(monkeypatch, variances, deltas):
+    """``sweep_delta(2.0, variances, 2.0, deltas)`` and the number of
+    points that ``newton_root`` received."""
     points = []
 
     def counting(fun, x, lo, hi, tol, *args):
         points.append(np.size(x))
         return newton_root(fun, x, lo, hi, tol, *args)
 
-    monkeypatch.setattr(solver_module, "newton_root", counting)
-    deltas = np.linspace(1.5, 4.0, 6)  # past the v = 0 threshold 1.22, so every radius is solved
-    got = sweep_delta(2.0, VarianceBounds(v_o=v_o, v_p=v_p, method="sharp"), 2.0, deltas)
-    assert sum(points) == rows * deltas.size
-    monkeypatch.undo()
-    assert (got.tau_p is got.tau_o) == (v_o == v_p)
-    for d, tau_p, tau_o in zip(*(col.tolist() for col in got)):
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "newton_root", counting)
+        return sweep_delta(2.0, variances, 2.0, deltas), sum(points)
+
+
+# past the v = 0 threshold 1.22, so every radius is solved
+SOLVED_DELTAS = np.linspace(1.5, 4.0, 6)
+
+
+@pytest.mark.parametrize("v_o,v_p,rows", [(1.5, 1.5, 1), (0.0, 0.0, 1), (0.5, 3.0, 2)])
+def test_sweep_solves_each_distinct_variance_once(v_o, v_p, rows, monkeypatch):
+    got, points = _sweep_counting_points(monkeypatch, [v_p, v_o], SOLVED_DELTAS)
+    assert points == rows * SOLVED_DELTAS.size
+    assert (got[0] is got[1]) == (v_o == v_p)
+    for d, tau_p, tau_o in zip(SOLVED_DELTAS.tolist(), *(col.tolist() for col in got)):
         assert tau_p == solve_minimax(2.0, v_p, RobustConfig(d, 2.0))
         assert tau_o == solve_minimax(2.0, v_o, RobustConfig(d, 2.0))
+
+
+def test_sweep_shares_the_array_of_a_repeated_variance(monkeypatch):
+    # a data sweep whose --true-v equals its v_p asks for one variance twice
+    got, points = _sweep_counting_points(monkeypatch, [4.0, 0.0, 4.0], SOLVED_DELTAS)
+    assert points == 2 * SOLVED_DELTAS.size
+    assert got[0] is got[2] and got[1] is not got[0]
+    for d, *taus in zip(SOLVED_DELTAS.tolist(), *(col.tolist() for col in got)):
+        assert taus == [solve_minimax(2.0, v, RobustConfig(d, 2.0)) for v in (4.0, 0.0, 4.0)]
 
 
 # ------------------------------------------------------------ bound estimates

@@ -209,6 +209,15 @@ INVOCATIONS = [
     # variance gives an infinite Neyman loading on influence terms of 0
     ("estimate-subnormal-neyman", ["estimate", "--data", "subnormal.csv", "--delta", "0.5",
                                    "--bounds", "neyman", "--json"]),
+    # a data sweep whose --true-v equals its v_p (4 on both routes, tau* = 1)
+    ("sweep-pm1-true-v-equals-v-p", ["sweep", "--data", "pm1.csv", "--bounds", "neyman", "--true-v", "4",
+                                     "--deltas", "0:2:0.01"]),
+    # a bad mask entry in row 2 and an unparsable outcome in row 4: the outcome is reported
+    ("benchmark-mask-two-faults", ["benchmark", "--data", "two_faults.csv", "--split", "provided_mask",
+                                   "--mask-col", "m"]),
+    # population mode has no data file, so --bounds is an input error (exit 2)
+    ("sweep-population-bounds", ["sweep", "--deltas", "0.5", "--true-v", "1", "--tau-star", "1",
+                                 "--bounds", "neyman", "--out", "sweep_bounds.csv"]),
 ]
 
 
@@ -269,6 +278,9 @@ def write_inputs(work: Path) -> None:
     # 40 treated rows alternating +-2 and 60 control rows alternating +-1
     y_zero = np.concatenate((np.tile([2.0, -2.0], 20), np.tile([1.0, -1.0], 30)))
     _write_csv(work / "zeromean.csv", y_zero, np.repeat([1, 0], [40, 60]))
+    # fixed literals, no draws: 20 copies each of 0 and 2 treated, 30 each of -1 and 1 control
+    _write_csv(work / "pm1.csv", np.repeat([0.0, 2.0, -1.0, 1.0], [20, 20, 30, 30]), np.repeat([1, 0], [40, 60]))
+    (work / "two_faults.csv").write_text("y,t,m\n1.0,1,2\n2.0,0,0\noops,1,1\n3.0,0,1\n")
 
 
 def _snapshot(work: Path) -> dict:
