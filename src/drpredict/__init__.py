@@ -6,13 +6,7 @@ divergence-ball ambiguity, large-sample inference, and simulation /
 calibration utilities.
 """
 
-from .bounds import (
-    BoundsMethod,
-    VarianceBounds,
-    neyman_bounds,
-    sharp_bounds_empirical,
-    variance_bounds,
-)
+from .bounds import BoundsMethod, variance_bounds
 from .calibration import (
     RadiusBenchmark,
     SplitRule,
@@ -20,21 +14,17 @@ from .calibration import (
 )
 from .covariance import (
     NearEqualVariancesWarning,
-    SigmaMatrix,
+    check_status,
     prediction_sd_grid,
     sigma_neyman,
 )
 from .exceptions import DrPredictError, NumericalError, ParseError, ValidationError
 from .inference import (
-    IMMethod,
-    IntervalEstimate,
-    RobustEstimates,
+    Estimates,
+    TwoStepIntervals,
     check_two_step_args,
-    estimate_robust,
     estimate_robust_many,
-    plain_im_interval,
     plain_im_intervals,
-    two_step_interval,
     two_step_intervals,
 )
 from .sample import ExperimentalSample, load_sample
@@ -70,9 +60,6 @@ __all__ = [
     "load_sample",
     # variance bounds
     "BoundsMethod",
-    "VarianceBounds",
-    "neyman_bounds",
-    "sharp_bounds_empirical",
     "variance_bounds",
     # minimax solver
     "RobustConfig",
@@ -81,20 +68,16 @@ __all__ = [
     "solve_minimax_many",
     "sweep_delta",
     # asymptotic covariance
-    "SigmaMatrix",
     "NearEqualVariancesWarning",
     "sigma_neyman",
     "prediction_sd_grid",
+    "check_status",
     # inference
-    "IMMethod",
-    "IntervalEstimate",
-    "RobustEstimates",
-    "estimate_robust",
+    "Estimates",
+    "TwoStepIntervals",
     "estimate_robust_many",
     "check_two_step_args",
-    "plain_im_interval",
     "plain_im_intervals",
-    "two_step_interval",
     "two_step_intervals",
     # simulation
     "GaussianDGP",

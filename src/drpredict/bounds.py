@@ -10,20 +10,15 @@ bounds, which only need the two arm variances.
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import ValidationError
-from .sample import ArmBatch, ExperimentalSample, scale_error
+from .sample import ArmBatch, scale_error
 
 __all__ = [
     "BoundsMethod",
-    "VarianceBounds",
-    "neyman_bounds",
     "mean_square_gaps",
-    "sharp_bounds_empirical",
     "variance_bounds",
 ]
 
@@ -38,51 +33,7 @@ class BoundsMethod(str, enum.Enum):
         raise ValidationError(f"unknown bounds method {value!r}; expected one of {allowed}")
 
 
-_ROUNDING = 1e-10  # relative size below which a bound violation, or a v_o, is rounding
-
-
-@dataclass(frozen=True)
-class VarianceBounds:
-    """A bracket [v_o, v_p] for Var(Y(1) - Y(0)).
-
-    ``v_o`` is the optimistic (lower) bound, ``v_p`` the pessimistic (upper)
-    bound. Construction enforces 0 <= v_o <= v_p, absorbing sub-roundoff
-    violations by clamping.
-    """
-
-    v_o: float
-    v_p: float
-    method: BoundsMethod
-
-    def __post_init__(self):
-        v_o, v_p = float(self.v_o), float(self.v_p)
-        scale = max(1.0, abs(v_o), abs(v_p))
-        tol = _ROUNDING * scale
-        if v_o < -tol:
-            raise ValidationError(f"v_o must be nonnegative, got {v_o}")
-        if v_o > v_p + tol:
-            raise ValidationError(f"bound ordering violated: v_o={v_o} > v_p={v_p}")
-        v_o = min(max(v_o, 0.0), max(v_p, 0.0))
-        v_p = max(v_p, v_o)
-        object.__setattr__(self, "v_o", v_o)
-        object.__setattr__(self, "v_p", v_p)
-        object.__setattr__(self, "method", BoundsMethod(self.method))
-
-
-def neyman_bounds(sigma1_sq: float, sigma0_sq: float) -> VarianceBounds:
-    """Cauchy-Schwarz bounds (sigma1 -+ sigma0)^2 from the arm variances alone.
-
-    Raises
-    ------
-    ValidationError
-        If either variance is negative.
-    """
-    if sigma1_sq < 0 or sigma0_sq < 0:
-        raise ValidationError(
-            f"variances must be nonnegative, got ({sigma1_sq}, {sigma0_sq})"
-        )
-    s1, s0 = math.sqrt(sigma1_sq), math.sqrt(sigma0_sq)
-    return VarianceBounds(v_o=(s1 - s0) ** 2, v_p=(s1 + s0) ** 2, method=BoundsMethod.NEYMAN)
+_ROUNDING = 1e-10  # relative size, against v_p, below which a sharp v_o is rounding
 
 
 # Larger-arm cells per chunk and per block. A block's arrays hold up to 2^16
@@ -225,15 +176,10 @@ def mean_square_gaps(a: np.ndarray, b: np.ndarray, pairs, shift=None, antitone: 
     return totals
 
 
-def sharp_bounds_empirical(sample: ExperimentalSample) -> VarianceBounds:
-    """Coupling-based (Frechet-Hoeffding) bounds from an experimental
-    sample: the sharp ``variance_bounds`` of its batch of one."""
-    return variance_bounds(sample.arms)[0]
-
-
-def variance_bounds(arms: ArmBatch, method=BoundsMethod.SHARP) -> list:
+def variance_bounds(arms: ArmBatch, method=BoundsMethod.SHARP) -> np.ndarray:
     """The bracket of ``method`` (a ``BoundsMethod`` or its value) for each
-    sample of an ``ArmBatch``, in order.
+    sample of an ``ArmBatch``: an (R, 2) array of (v_p, v_o), the
+    pessimistic (upper) and the optimistic (lower) bound on Var(Y1 - Y0).
 
     The sharp v_o and v_p are Var(Y1 - Y0) under the comonotone and the
     antitone coupling of the two empirical marginals: the mean square
@@ -241,8 +187,9 @@ def variance_bounds(arms: ArmBatch, method=BoundsMethod.SHARP) -> list:
     against the control arm and against it reversed, one
     ``mean_square_gaps`` pass over the batch. Neither depends on where the
     arms sit. A v_o below _ROUNDING * v_p (one arm a shift of the other, up
-    to rounding) is 0. The Neyman bounds are ``neyman_bounds`` of each
-    sample's arm variances (``ArmBatch.moments``).
+    to rounding) is 0, and a v_o above v_p (the two sums rounded apart) is
+    v_p. The Neyman bounds are (sigma1 +- sigma0)^2, the Cauchy-Schwarz
+    bounds from each sample's arm variances (``ArmBatch.moments``) alone.
 
     Raises
     ------
@@ -256,16 +203,17 @@ def variance_bounds(arms: ArmBatch, method=BoundsMethod.SHARP) -> list:
         var = arms.moments[1]
         for k in np.flatnonzero(~np.isfinite(var))[:1].tolist():
             raise scale_error(("treated", "control")[k % 2], arms.arm(k), "the second moments")
-        return [neyman_bounds(s1_sq, s0_sq) for s1_sq, s0_sq in zip(var[0::2].tolist(), var[1::2].tolist())]
+        # squared by Python's ** (the C library's pow), not numpy's x * x:
+        # the two can round a square an ulp apart, and
+        # tools/compare_outputs.py pins the reported bounds at --rtol 0
+        sd = np.sqrt(var).tolist()
+        return np.array([[(s1 + s0) ** 2, (s1 - s0) ** 2] for s1, s0 in zip(sd[0::2], sd[1::2])])
     lo1, lo0, end = arms.starts[0:-1:2], arms.starts[1::2], arms.starts[2::2]
     gaps = mean_square_gaps(arms.values, arms.values, (lo1, lo0 - lo1, lo0, end - lo0), arms.ate, antitone=True)
-    out = []
-    for r, (v_o, v_p) in enumerate(gaps.tolist()):
-        if not math.isfinite(v_p):  # a square past 1.8e308: name the arm of wider range
-            arm, y = max(("treated", arms.arm(2 * r)), ("control", arms.arm(2 * r + 1)),
-                         key=lambda a: float(a[1][-1]) - float(a[1][0]))
-            raise scale_error(arm, y, "the squared quantile gaps")
-        if v_o <= _ROUNDING * v_p:
-            v_o = 0.0
-        out.append(VarianceBounds(v_o=v_o, v_p=v_p, method=BoundsMethod.SHARP))
-    return out
+    for r in np.flatnonzero(~np.isfinite(gaps[:, 1]))[:1].tolist():
+        # a square past 1.8e308: name the arm of wider range
+        arm, y = max(("treated", arms.arm(2 * r)), ("control", arms.arm(2 * r + 1)),
+                     key=lambda a: float(a[1][-1]) - float(a[1][0]))
+        raise scale_error(arm, y, "the squared quantile gaps")
+    v_o, v_p = gaps.T
+    return np.stack((v_p, np.where(v_o <= _ROUNDING * v_p, 0.0, np.minimum(v_o, v_p))), axis=1)

@@ -26,12 +26,13 @@ import numpy as np
 from . import __version__
 from .bounds import BoundsMethod, variance_bounds
 from .calibration import SplitRule, split_benchmark
+from .covariance import check_status
 from .exceptions import NumericalError, ValidationError
 from .inference import (
     check_two_step_args,
-    estimate_robust,
-    plain_im_interval,
-    two_step_interval,
+    estimate_robust_many,
+    plain_im_intervals,
+    two_step_intervals,
 )
 from .sample import load_mask, load_sample
 from .simulation import (
@@ -224,11 +225,14 @@ def cmd_estimate(args) -> int:
     config = _config_from_args(args)
     sample = load_sample(args.data, args.outcome, args.treatment)
     method = BoundsMethod(args.bounds)
-    est = estimate_robust(sample, config, method)
+    est = estimate_robust_many([sample], config, method)
+    check_status(est.status)
     # the report shows both brackets; compute only the one not selected
-    sharp, neyman = (est.bounds if m is method else variance_bounds(sample.arms, m)[0]
-                     for m in (BoundsMethod.SHARP, BoundsMethod.NEYMAN))
-    sd_tau = None if est.sigma is None else est.sigma.sigma_tau
+    (sharp_v_p, sharp_v_o), (neyman_v_p, neyman_v_o) = (
+        (est.v if m is method else variance_bounds(sample.arms, m))[0].tolist()
+        for m in (BoundsMethod.SHARP, BoundsMethod.NEYMAN))
+    tau_star, sd_tau = est.tau_star.item(), est.sd_tau.item()
+    (tau_p, tau_o), (sd_p, sd_o) = est.tau[0].tolist(), est.sd[0].tolist()
 
     report = {
         "manifest": _manifest("estimate", {
@@ -241,27 +245,27 @@ def cmd_estimate(args) -> int:
         "n": sample.n,
         "n1": sample.n1,
         "n0": sample.n0,
-        "tau_star": est.tau_star,
+        "tau_star": tau_star,
         "bounds": {
-            "sharp": {"v_o": sharp.v_o, "v_p": sharp.v_p},
-            "neyman": {"v_o": neyman.v_o, "v_p": neyman.v_p},
+            "sharp": {"v_o": sharp_v_o, "v_p": sharp_v_p},
+            "neyman": {"v_o": neyman_v_o, "v_p": neyman_v_p},
         },
-        "tau_p": est.tau_p,
-        "tau_o": est.tau_o,
+        "tau_p": tau_p,
+        "tau_o": tau_o,
         "sd_tau": sd_tau,
-        "sd_p": est.sd_p,
-        "sd_o": est.sd_o,
+        "sd_p": sd_p,
+        "sd_o": sd_o,
     }
     _emit(args, report, [
         f"n = {sample.n} (treated {sample.n1}, control {sample.n0})",
-        f"tau_star = {_fmt(est.tau_star)}   sd = {_fmt(sd_tau)}",
+        f"tau_star = {_fmt(tau_star)}   sd = {_fmt(sd_tau)}",
         "variance bounds:",
-        f"  sharp  : v_o = {_fmt(sharp.v_o)}, v_p = {_fmt(sharp.v_p)}",
-        f"  neyman : v_o = {_fmt(neyman.v_o)}, v_p = {_fmt(neyman.v_p)}",
+        f"  sharp  : v_o = {_fmt(sharp_v_o)}, v_p = {_fmt(sharp_v_p)}",
+        f"  neyman : v_o = {_fmt(neyman_v_o)}, v_p = {_fmt(neyman_v_p)}",
         f"predictions ({method.value} bounds, delta = {_fmt(config.delta)}, "
         f"q = {_fmt(config.q)}):",
-        f"  tau_p = {_fmt(est.tau_p)}   sd = {_fmt(est.sd_p)}",
-        f"  tau_o = {_fmt(est.tau_o)}   sd = {_fmt(est.sd_o)}",
+        f"  tau_p = {_fmt(tau_p)}   sd = {_fmt(sd_p)}",
+        f"  tau_o = {_fmt(tau_o)}   sd = {_fmt(sd_o)}",
     ])
     return EXIT_OK
 
@@ -317,9 +321,8 @@ def cmd_sweep(args) -> int:
         vars(args).update((k, v) for k, v in _DATA_DEFAULTS.items() if getattr(args, k) is None)
         sample = load_sample(args.data, args.outcome, args.treatment)
         tau_star = float(sample.arms.ate[0])
-        bounds = variance_bounds(sample.arms, args.bounds)[0]
         header = ["delta", "tau_p", "tau_o"] + ["tau_dr"] * len(known)
-        variances = [bounds.v_p, bounds.v_o, *known]
+        variances = [*variance_bounds(sample.arms, args.bounds)[0].tolist(), *known]
     columns = [deltas, *sweep_delta(tau_star, variances, q, deltas)]
 
     if not args.out:
@@ -347,10 +350,16 @@ def cmd_infer(args) -> int:
     check_two_step_args(config, args.alpha, args.beta)
     sample = load_sample(args.data, args.outcome, args.treatment)
     method = BoundsMethod(args.bounds)
-    est = estimate_robust(sample, config, method)
-    im = plain_im_interval(est, args.alpha)
-    union = two_step_interval(est, args.alpha, args.beta)
-    ok = bool(union.rejected_first_step)
+    est = estimate_robust_many([sample], config, method)
+    check_status(est.status)
+    im_lo, im_hi, c = (x.item() for x in plain_im_intervals(est, args.alpha))
+    union = two_step_intervals(est, args.alpha, args.beta)
+    check_status(union.status)
+    ok = bool(union.rejected[0])
+    first_lo, first_hi, lower, upper, c_min, c_max = (
+        x.item() for x in (union.first_lo, union.first_hi, union.lower, union.upper, union.c_min, union.c_max))
+    tau_star, sd_tau = est.tau_star.item(), est.sd_tau.item()
+    (tau_p, tau_o), (sd_p, sd_o) = est.tau[0].tolist(), est.sd[0].tolist()
 
     report = {
         "manifest": _manifest("infer", {
@@ -364,42 +373,42 @@ def cmd_infer(args) -> int:
         }, args.data),
         "status": "ok" if ok else "no-second-step",
         "n": sample.n,
-        "tau_star": est.tau_star,
-        "tau_p": est.tau_p,
-        "tau_o": est.tau_o,
-        "sd_tau": est.sigma.sigma_tau,
-        "sd_p": est.sd_p,
-        "sd_o": est.sd_o,
+        "tau_star": tau_star,
+        "tau_p": tau_p,
+        "tau_o": tau_o,
+        "sd_tau": sd_tau,
+        "sd_p": sd_p,
+        "sd_o": sd_o,
         "first_step": {
-            "lower": union.first_step[0],
-            "upper": union.first_step[1],
+            "lower": first_lo,
+            "upper": first_hi,
             "level": 1.0 - args.beta,
         },
         "im": {
-            "lower": im.lower,
-            "upper": im.upper,
-            "alpha": im.alpha,
-            "c": im.c_values[0],
+            "lower": im_lo,
+            "upper": im_hi,
+            "alpha": args.alpha,
+            "c": c,
         },
         "im_bonferroni": {
-            "lower": union.lower,
-            "upper": union.upper,
-            "alpha": union.alpha,
+            "lower": lower,
+            "upper": upper,
+            "alpha": args.alpha,
             "beta": args.beta,
-            "c_min": union.c_values[0],
-            "c_max": union.c_values[1],
+            "c_min": c_min,
+            "c_max": c_max,
         } if ok else None,
     }
     _emit(args, report, [
-        f"tau_star = {_fmt(est.tau_star)}, tau_p = {_fmt(est.tau_p)}, "
-        f"tau_o = {_fmt(est.tau_o)}",
+        f"tau_star = {_fmt(tau_star)}, tau_p = {_fmt(tau_p)}, "
+        f"tau_o = {_fmt(tau_o)}",
         f"first step ({_fmt(100 * (1 - args.beta))}%): "
-        f"[{_fmt(union.first_step[0])}, {_fmt(union.first_step[1])}]",
-        f"IM {100 * (1 - args.alpha):g}%: [{_fmt(im.lower)}, {_fmt(im.upper)}]"
-        f"   c = {_fmt(im.c_values[0])}",
+        f"[{_fmt(first_lo)}, {_fmt(first_hi)}]",
+        f"IM {100 * (1 - args.alpha):g}%: [{_fmt(im_lo)}, {_fmt(im_hi)}]"
+        f"   c = {_fmt(c)}",
         (f"IM-Bonferroni {100 * (1 - args.alpha):g}%: "
-         f"[{_fmt(union.lower)}, {_fmt(union.upper)}]"
-         f"   c in [{_fmt(union.c_values[0])}, {_fmt(union.c_values[1])}]" if ok
+         f"[{_fmt(lower)}, {_fmt(upper)}]"
+         f"   c in [{_fmt(c_min)}, {_fmt(c_max)}]" if ok
          else "status: no-second-step (first-step interval contains zero)"),
     ])
     return EXIT_OK if ok else EXIT_NO_SECOND_STEP

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,8 +46,13 @@ from .sample import ArmBatch, order_statistic, zero_slotted
 from .solver import RobustConfig, penalty_curvature_range, penalty_derivs
 
 __all__ = [
-    "SigmaMatrix",
+    "CURVATURE",
+    "KINK",
+    "OK",
+    "Q1",
+    "STATUS",
     "NearEqualVariancesWarning",
+    "check_status",
     "sigma_neyman",
     "sigma_sharp_batch",
     "prediction_sd_grid",
@@ -78,36 +82,14 @@ class NearEqualVariancesWarning(UserWarning):
     at the edge of its regular regime and its standard error is fragile."""
 
 
-@dataclass(frozen=True)
-class SigmaMatrix:
-    """3x3 covariance of the joint limit, order (V_p, V_o, tau*).
-
-    Construction symmetrizes, validates nonnegative diagonals, and repairs
-    indefiniteness beyond plug-in noise (smallest eigenvalue below
-    -1e-8 * trace) by clipping negative eigenvalues to zero.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.entries, dtype=float)
-        if s.shape != (3, 3):
-            raise ValidationError(f"expected a 3x3 matrix, got shape {s.shape}")
-        s = _checked(s[None])[0]
-        s.setflags(write=False)
-        object.__setattr__(self, "entries", s)
-
-    @property
-    def sigma_tau(self) -> float:
-        """Asymptotic standard deviation of sqrt(n)(tau_hat - tau*)."""
-        return math.sqrt(max(self.entries[2, 2], 0.0))
-
-
 def _checked(s: np.ndarray) -> np.ndarray:
-    """SigmaMatrix's checks and repair, over an (R, 3, 3) stack at once.
+    """An (R, 3, 3) stack of covariances, order (V_p, V_o, tau*), checked
+    and repaired: each matrix is symmetrized, and one that is indefinite
+    beyond plug-in noise (smallest eigenvalue below -1e-8 * trace) has its
+    negative eigenvalues clipped to zero. The stack is returned read-only.
 
-    Raises what the first invalid matrix raises on its own: non-finite
-    entries, then asymmetry, then a negative diagonal entry.
+    ValidationError for the first invalid matrix: non-finite entries, then
+    asymmetry, then a negative diagonal entry.
     """
     s_t = s.transpose(0, 2, 1)
     with np.errstate(invalid="ignore"):  # a non-finite matrix fails below
@@ -127,30 +109,18 @@ def _checked(s: np.ndarray) -> np.ndarray:
     for k in np.flatnonzero(eigval[:, 0] < floor):
         repaired = (eigvec[k] * np.maximum(eigval[k], 0.0)) @ eigvec[k].T
         s[k] = 0.5 * (repaired + repaired.T)
+    s.setflags(write=False)
     return s
-
-
-def _sigma_matrices(entries: np.ndarray) -> list:
-    """A SigmaMatrix for each matrix of an (R, 3, 3) stack, checked as one
-    array by ``_checked`` instead of one ``__post_init__`` call each."""
-    entries = _checked(entries)
-    entries.setflags(write=False)
-    out = []
-    for s in entries:
-        sigma = object.__new__(SigmaMatrix)
-        object.__setattr__(sigma, "entries", s)
-        out.append(sigma)
-    return out
 
 
 # ------------------------------------------------------------- Neyman route
 
 
-def sigma_neyman(moments: np.ndarray, e: np.ndarray) -> list:
-    """Closed-form plug-in covariance for the Neyman bounds: one SigmaMatrix
-    per sample, from the arm moments of a batch in ``ArmBatch.moments``
-    layout (4, 2R) and the samples' treated shares ``e`` (R,). Each matrix
-    is bit for bit that of its sample alone.
+def sigma_neyman(moments: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Closed-form plug-in covariance for the Neyman bounds: one 3x3 matrix
+    per sample, (R, 3, 3), from the arm moments of a batch in
+    ``ArmBatch.moments`` layout (4, 2R) and the samples' treated shares
+    ``e`` (R,). Each matrix is bit for bit that of its sample alone.
 
     The bounds (sigma1 +- sigma0)^2 are smooth in the two arm variances, so
     the delta method gives loadings (1 +- sigma0/sigma1) and
@@ -166,7 +136,7 @@ def sigma_neyman(moments: np.ndarray, e: np.ndarray) -> list:
     ------
     ValidationError
         What the first failing sample raises: both arm variances zero, or a
-        matrix that fails SigmaMatrix's checks.
+        matrix that fails the checks of ``_checked``.
 
     Warns
     -----
@@ -206,7 +176,7 @@ def sigma_neyman(moments: np.ndarray, e: np.ndarray) -> list:
             NearEqualVariancesWarning,
             stacklevel=2,
         )
-    sigmas = _sigma_matrices(s[:stop])  # a failing matrix before that sample raises first
+    sigmas = _checked(s[:stop])  # a failing matrix before that sample raises first
     if stop < zero.shape[0]:
         raise ValidationError("both arm variances are 0: the Neyman covariance needs one positive")
     return sigmas
@@ -284,10 +254,10 @@ def _run_ends(values: np.ndarray, idx: np.ndarray, end: np.ndarray) -> np.ndarra
     return run_end
 
 
-def sigma_sharp_batch(arms: ArmBatch) -> list:
-    """Influence-function plug-in covariance for the sharp bounds: one
-    SigmaMatrix per sample of an ``ArmBatch``, each bit for bit that of its
-    batch of one (``sample.arms``).
+def sigma_sharp_batch(arms: ArmBatch) -> np.ndarray:
+    """Influence-function plug-in covariance for the sharp bounds: one 3x3
+    matrix per sample of an ``ArmBatch``, (R, 3, 3), each bit for bit that
+    of its batch of one (``sample.arms``).
 
     Sigma is the empirical covariance of the influence values of (V_hat_p,
     V_hat_o, tau_hat). Their quantile-process term is taken on a trimmed
@@ -303,8 +273,8 @@ def sigma_sharp_batch(arms: ArmBatch) -> list:
     quantiles, one for the order statistics at the cell edges, one
     ``_run_ends`` for the segment edges (and counts), one
     ``np.add.reduceat`` for each per-segment sum of d and d^2; the whole-arm
-    sums are n times the arm moments. ``_arm_grams`` and the SigmaMatrix
-    checks run on all arms at once.
+    sums are n times the arm moments. ``_arm_grams`` and the checks of
+    ``_checked`` run on all arms at once.
 
     Raises ValidationError if an arm has fewer than 30 observations, then
     NumericalError if an arm that is not constant has a variance that
@@ -359,7 +329,7 @@ def sigma_sharp_batch(arms: ArmBatch) -> list:
     )
     mean_psi = (sums[0::2] + sums[1::2]) / n[:, None]
     entries = (grams[0::2] + grams[1::2]) / n[:, None, None] - mean_psi[:, :, None] * mean_psi[:, None, :]
-    return _sigma_matrices(entries)
+    return _checked(entries)
 
 
 # ------------------------------------------------------ delta-method SDs
@@ -394,8 +364,19 @@ def _sd_from_terms(d_v, d_tau, curvature, s_bb, s_bt, s_tt):
     return np.sqrt(np.maximum(form, 0.0)) / curvature
 
 
+# An SD's status: "ok", or why the entry has no delta-method SD (q = 1 has
+# none by construction), with the message that names each failure
+OK, KINK, CURVATURE, Q1 = "ok", "no smooth expansion", "infinite curvature", "q = 1"
+STATUS = np.dtype("U19")  # the dtype of a status array, which holds any of the four
+_FAILURES = {
+    KINK: "no smooth expansion at v_b = 0 with tau_b = tau_star",
+    CURVATURE: "no smooth expansion at tau_b = 0 for q < 2: the penalty's curvature is not finite",
+}
+
+
 def prediction_sd_grid(t_grid, tau_b_grid, v_b, sigma_b, config: RobustConfig, conditional: bool = False):
-    """Delta-method SD of sqrt(n)(tau_hat_b - tau_b), elementwise.
+    """Delta-method SD of sqrt(n)(tau_hat_b - tau_b), elementwise, and the
+    status of each entry.
 
     ``t_grid`` (the source effect), ``tau_b_grid`` (the prediction at it),
     ``v_b`` (its variance bound) and the three entries of ``sigma_b`` =
@@ -408,26 +389,28 @@ def prediction_sd_grid(t_grid, tau_b_grid, v_b, sigma_b, config: RobustConfig, c
 
     A prediction has no smooth expansion where these terms are not finite:
     the loadings at A = 0, the kink v_b = 0 with tau_b = tau_star, where the
-    map is only directionally differentiable; the curvature at tau_b = 0
-    with q < 2, where B''(0) is infinite. At a zero effect with q >= 2 the
-    terms are finite, and the SD is the zero-effect limit: sigma_tau /
-    (1 + delta sqrt(V_b / 2)) at q = 2 and sigma_tau for q > 2, where
-    B''(0) = 0.
-
-    Raises
-    ------
-    NumericalError
-        For the first entry in C order with no smooth expansion, so a batch
-        raises what its first failing entry raises on its own.
+    map is only directionally differentiable (status KINK); the curvature
+    at tau_b = 0 with q < 2, where B''(0) is infinite (status CURVATURE).
+    There the SD is NaN; everywhere else the status is OK. At a zero effect
+    with q >= 2 the terms are finite, and the SD is the zero-effect limit:
+    sigma_tau / (1 + delta sqrt(V_b / 2)) at q = 2 and sigma_tau for q > 2,
+    where B''(0) = 0.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d_v, d_tau, m = _loading_terms(t_grid, tau_b_grid, v_b, config, conditional)
+        sd = _sd_from_terms(d_v, d_tau, m, *sigma_b)
     kink = ~(np.isfinite(d_v) & np.isfinite(d_tau))
-    for k in np.flatnonzero(kink | ~np.isfinite(m))[:1]:
-        if kink.flat[k]:
-            raise NumericalError("no smooth expansion at v_b = 0 with tau_b = tau_star")
-        raise NumericalError("no smooth expansion at tau_b = 0 for q < 2: the penalty's curvature is not finite")
-    return _sd_from_terms(d_v, d_tau, m, *sigma_b)
+    status = np.where(kink, KINK, np.where(np.isfinite(m), OK, CURVATURE))
+    return np.where(status == OK, sd, np.nan), status
+
+
+def check_status(status) -> None:
+    """Raise NumericalError for the first entry of a status array, in C
+    order, that has no smooth expansion, with the message naming its
+    cause; entries OK and Q1 pass."""
+    status = np.asarray(status)
+    for k in np.flatnonzero((status == KINK) | (status == CURVATURE))[:1]:
+        raise NumericalError(_FAILURES[status.flat[k]])
 
 
 def conditional_sd_bounds(s, tau_b, v_b, s_bb, config: RobustConfig):

@@ -5,99 +5,57 @@ Two constructions are offered, both built on one IM step
 scalar: it widens an estimated range ``[lo, hi]`` by a critical value
 ``c_n`` chosen so that coverage holds uniformly across the width of the
 identified set (``c_n`` interpolates between the one-sided and two-sided
-normal quantiles). ``plain_im_interval`` takes that step once around the
-prediction pair. ``two_step_interval`` is the Bonferroni-corrected union
+normal quantiles). ``plain_im_intervals`` takes that step once around each
+prediction pair. ``two_step_intervals`` is the Bonferroni-corrected union
 construction: a first-step test that the unrestricted effect differs from
 zero, followed by a union of conditional IM intervals over a grid of
-plausible effect values. ``estimate_robust`` turns a sample into the
-``RobustEstimates`` record that both take.
+plausible effect values.
 
-Each of these three is a batch of one of ``estimate_robust_many``,
-``plain_im_intervals`` and ``two_step_intervals``. Those do the per-sample
-work (moments, bracket, Sigma) as one array pass per stage over the ragged
-batch of the samples they are given, on either bounds route, and
-everything after it in one array call per stage: the prediction pairs,
-their SDs, the IM critical values and the two-step unions of the whole
-batch (from the two ends of each first-step interval where a certificate
-allows, else from its grid). An entry's numbers do not depend on the batch
-it is computed in.
+Both take the one record that ``estimate_robust_many`` makes of a batch of
+samples, ``Estimates``: one array per quantity, a row per sample, and a
+status per prediction that says whether its SD exists. The per-sample work
+(moments, bracket, Sigma) is one array pass per stage over the ragged batch
+of the samples, on either bounds route, and everything after it one array
+call per stage: the prediction pairs, their SDs, the IM critical values and
+the two-step unions of the whole batch (from the two ends of each
+first-step interval where a certificate allows, else from its grid). An
+entry's numbers do not depend on the batch it is computed in. No entry
+raises for a prediction with no smooth expansion: its status names the
+cause, every number derived from it is NaN, and ``covariance.check_status``
+raises for it where a caller wants the error. A sample alone is its batch
+of one.
 """
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundsMethod, VarianceBounds, variance_bounds
+from .bounds import BoundsMethod, variance_bounds
 from .covariance import (
-    SigmaMatrix,
+    OK,
+    Q1,
+    STATUS,
     conditional_sd_bounds,
     prediction_sd_grid,
     sigma_neyman,
     sigma_sharp_batch,
 )
 from .exceptions import ValidationError
-from .sample import ExperimentalSample, arm_batch, check_fourth_moments
+from .sample import arm_batch, check_fourth_moments
 from .solver import RobustConfig, newton_root, solve_minimax_many
 
 __all__ = [
-    "IMMethod",
-    "IntervalEstimate",
-    "RobustEstimates",
+    "Estimates",
+    "TwoStepIntervals",
     "check_two_step_args",
-    "estimate_robust",
     "estimate_robust_many",
-    "plain_im_interval",
     "plain_im_intervals",
-    "two_step_interval",
     "two_step_intervals",
 ]
 
 _C_TOL = 1e-10
 _GRID_POINTS = 101  # the two-step union's grid over the first-step interval
-
-
-class IMMethod(str, enum.Enum):
-    IM = "im"
-    IM_BONFERRONI = "im_bonferroni"
-
-
-@dataclass(frozen=True)
-class IntervalEstimate:
-    """A confidence interval plus the diagnostics needed to audit it.
-
-    ``lower``/``upper`` are NaN when a two-step construction stopped at the
-    first step (``rejected_first_step`` False): there is no interval to
-    report in that case, only the first-step diagnostic.
-    """
-
-    lower: float
-    upper: float
-    alpha: float
-    method: IMMethod
-    c_values: tuple = ()
-    first_step: tuple = None
-    rejected_first_step: bool = None
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError(f"alpha must be in (0, 1), got {self.alpha}")
-        object.__setattr__(self, "method", IMMethod(self.method))
-        if math.isfinite(self.lower) and math.isfinite(self.upper):
-            if self.lower > self.upper:
-                raise ValidationError(
-                    f"inverted interval: [{self.lower}, {self.upper}]"
-                )
-        elif self.rejected_first_step is not False:
-            raise ValidationError("non-finite endpoints require a failed first step")
-
-    @property
-    def length(self) -> float:
-        return self.upper - self.lower
-
-    def contains(self, value: float) -> bool:
-        return bool(self.lower <= value <= self.upper)
 
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
@@ -160,8 +118,9 @@ def _im_endpoints(lo, hi, sd_lo, sd_hi, n, alpha: float):
     ``c_n``, which solves ``Phi(c_n + sqrt(n) (hi - lo) / max(sd)) -
     Phi(-c_n) = 1 - alpha`` (``_im_critical``), Phi the standard normal
     CDF. Where both SDs are zero the range itself is returned, with the
-    zero-width (lo == hi) or infinite-width limit of c_n. ValidationError
-    unless alpha is in (0, 1/2] with a finite z(1 - alpha/2).
+    zero-width (lo == hi) or infinite-width limit of c_n; where an SD is
+    NaN (it does not exist), all three are NaN. ValidationError unless
+    alpha is in (0, 1/2] with a finite z(1 - alpha/2).
     """
     if not 0.0 < alpha <= 0.5:
         raise ValidationError(f"alpha must be in (0, 0.5], got {alpha}")
@@ -169,8 +128,8 @@ def _im_endpoints(lo, hi, sd_lo, sd_hi, n, alpha: float):
         raise ValidationError(f"level {alpha!r} is too small: z(1 - level/2) is infinite in double precision")
     lo, hi, sd_lo, sd_hi, root_n = np.broadcast_arrays(lo, hi, sd_lo, sd_hi, np.sqrt(n))
     sd_max = np.maximum(sd_lo, sd_hi)
-    c = np.where(hi == lo, _z(1.0 - alpha / 2.0), _z(1.0 - alpha))
-    spread = sd_max != 0.0
+    c = np.where(np.isnan(sd_max), np.nan, np.where(hi == lo, _z(1.0 - alpha / 2.0), _z(1.0 - alpha)))
+    spread = sd_max > 0.0
     if spread.any():
         c[spread] = _im_critical(root_n[spread] * (hi[spread] - lo[spread]) / sd_max[spread], alpha)
     return lo - c * sd_lo / root_n, hi + c * sd_hi / root_n, c
@@ -179,100 +138,96 @@ def _im_endpoints(lo, hi, sd_lo, sd_hi, n, alpha: float):
 # ------------------------------------------------------- sample -> estimates
 
 
+def _sd_tau(sigma: np.ndarray) -> np.ndarray:
+    """sqrt(max(S_tt, 0)) of each matrix of an (R, 3, 3) stack, as
+    Python's ``max`` takes it (a -0.0 stays -0.0)."""
+    s_tt = sigma[:, 2, 2]
+    return np.sqrt(np.where(s_tt < 0.0, 0.0, s_tt))
+
+
 @dataclass(frozen=True)
-class RobustEstimates:
-    """Everything both intervals need from one sample.
+class Estimates:
+    """Everything both intervals need from a batch of R samples, as arrays.
 
-    The difference in means ``tau_star``, the variance bracket, the
-    prediction pair and, for q > 1, the asymptotic covariance and the SDs of
-    the pair. For q = 1 the prediction can sit exactly at zero, where the
-    limit law is not normal, so ``sigma``, ``sd_p`` and ``sd_o`` are None.
+    ``tau_star`` (R,) holds the differences in means, ``v`` (R, 2) the
+    variance brackets as (v_p, v_o), ``tau`` (R, 2) the prediction pairs
+    (tau_p, tau_o), ``sigma`` (R, 3, 3) the asymptotic covariances of
+    (V_p, V_o, tau*), ``sd`` (R, 2) the SDs of the pairs and ``n`` (R,) the
+    sample sizes. ``status`` (R, 2) holds, per prediction, ``covariance.OK``
+    or why it has no SD: ``covariance.KINK`` or ``covariance.CURVATURE``
+    (no smooth expansion, see ``covariance.prediction_sd_grid``), or
+    ``covariance.Q1``: for q = 1 a prediction can sit exactly at zero,
+    where the limit law is not normal, so ``sigma`` is None. ``sd`` is NaN
+    wherever the status is not OK.
     """
 
-    tau_star: float
-    bounds: VarianceBounds
+    tau_star: np.ndarray
+    v: np.ndarray
+    tau: np.ndarray
+    sigma: np.ndarray | None
+    sd: np.ndarray
+    n: np.ndarray
+    status: np.ndarray
     config: RobustConfig
-    tau_p: float
-    tau_o: float
-    sigma: SigmaMatrix | None
-    sd_p: float | None
-    sd_o: float | None
-    n: int
+    method: BoundsMethod
+
+    @property
+    def sd_tau(self) -> np.ndarray:
+        """(R,): the asymptotic SD of sqrt(n)(tau_hat - tau*); NaN for q = 1."""
+        return np.full(self.n.shape, np.nan) if self.sigma is None else _sd_tau(self.sigma)
 
 
-def estimate_robust(
-    sample: ExperimentalSample,
-    config: RobustConfig,
-    method=BoundsMethod.SHARP,
-) -> RobustEstimates:
-    """Point estimates, variance bounds, and asymptotic SDs for one sample.
-
-    For q = 1 the SDs are None and the covariance is not estimated.
-    """
-    return estimate_robust_many([sample], config, method)[0]
-
-
-def estimate_robust_many(samples, config: RobustConfig, method=BoundsMethod.SHARP) -> list:
-    """``estimate_robust`` for each sample of an iterable, in order.
+def estimate_robust_many(samples, config: RobustConfig, method=BoundsMethod.SHARP) -> Estimates:
+    """Point estimates, variance bounds and asymptotic SDs of each sample of
+    a nonempty iterable, in order, as one ``Estimates`` record.
 
     The samples form one ragged batch (``sample.arm_batch``), so each
     per-sample stage is one pass over all of them, on either route: the
-    moments, the bracket of ``method`` (``variance_bounds``) and its Sigma
-    (``sigma_sharp_batch`` or ``sigma_neyman``). The batch holds every
-    sample it is given; a caller with more samples than it wants in memory
-    at once cuts them into calls, as ``simulation.run_coverage_study``
-    does. The prediction pairs of all samples are then one solver call and
-    their SDs one array computation.
+    moments, the bracket of ``method`` (``variance_bounds``) and, for
+    q > 1, its Sigma (``sigma_sharp_batch`` or ``sigma_neyman``). The batch
+    holds every sample it is given; a caller with more samples than it
+    wants in memory at once cuts them into calls, as
+    ``simulation.run_coverage_study`` does. The prediction pairs of all
+    samples are then one solver call and their SDs one
+    ``prediction_sd_grid`` call, whose statuses the record keeps; at
+    delta = 0 both SDs are ``sd_tau``.
 
     Raises
     ------
+    ValidationError
+        For no samples, and as ``sample.arm_batch`` and the Sigma stage do.
     NumericalError
-        As ``covariance.prediction_sd_grid`` does, for the first prediction
-        (in sample order, tau_p before tau_o) that has no smooth expansion;
-        when q > 1, for an arm whose fourth moments overflow
-        (``sample.check_fourth_moments``); and as ``variance_bounds`` does.
+        When q > 1, for an arm whose fourth moments overflow
+        (``sample.check_fourth_moments``); and as ``variance_bounds`` and
+        the Sigma stage do. A prediction with no smooth expansion raises
+        nothing here (``covariance.check_status`` raises for its status).
     """
     method = BoundsMethod(method)
     samples = list(samples)
     if not samples:
-        return []
+        raise ValidationError("a batch needs at least one sample")
     arms = arm_batch(samples)
     if config.q > 1.0:
         check_fourth_moments(arms)
-    bounds = variance_bounds(arms, method)
-    sigmas = [None] * len(samples)
+    v = variance_bounds(arms, method)
+    m = np.diff(arms.starts)
+    n = m[0::2] + m[1::2]
+    sigma = None
     if config.q > 1.0:
-        m = np.diff(arms.starts)
-        sigmas = (sigma_sharp_batch(arms) if method is BoundsMethod.SHARP
-                  else sigma_neyman(arms.moments, m[0::2] / (m[0::2] + m[1::2])))
+        sigma = (sigma_sharp_batch(arms) if method is BoundsMethod.SHARP
+                 else sigma_neyman(arms.moments, m[0::2] / n))
 
-    tau_star = arms.ate[:, None]
-    v = np.array([[b.v_p, b.v_o] for b in bounds])
-    tau = solve_minimax_many(tau_star, v, config)
+    tau_star = arms.ate
+    tau = solve_minimax_many(tau_star[:, None], v, config)
     if config.q == 1.0:
-        sds = [(None, None)] * len(samples)
+        sd, status = np.full(tau.shape, np.nan), np.full(tau.shape, Q1, dtype=STATUS)
     elif config.delta == 0.0:
-        sds = [(sigma.sigma_tau,) * 2 for sigma in sigmas]
+        sd, status = np.repeat(_sd_tau(sigma)[:, None], 2, axis=1), np.full(tau.shape, OK, dtype=STATUS)
     else:
-        s = np.array([sigma.entries for sigma in sigmas])
         own = [0, 1]
-        sigma_b = (s[:, own, own], s[:, own, 2], s[:, 2:, 2])
-        sds = prediction_sd_grid(tau_star, tau, v, sigma_b, config).tolist()
-    return [
-        RobustEstimates(tau_star=t, bounds=b, config=config, tau_p=tau_p, tau_o=tau_o,
-                        sigma=sigma, sd_p=sd_p, sd_o=sd_o, n=sample.n)
-        for sample, t, b, sigma, (tau_p, tau_o), (sd_p, sd_o)
-        in zip(samples, tau_star[:, 0].tolist(), bounds, sigmas, tau.tolist(), sds)
-    ]
-
-
-def _shared_config(ests) -> RobustConfig:
-    """The config of a nonempty batch of estimates, which must share one
-    config and one bounds method."""
-    config, method = ests[0].config, ests[0].bounds.method
-    if any(e.config != config or e.bounds.method is not method for e in ests):
-        raise ValidationError("a batch of estimates must share one config and one bounds method")
-    return config
+        sigma_b = (sigma[:, own, own], sigma[:, own, 2], sigma[:, 2:, 2])
+        sd, status = prediction_sd_grid(tau_star[:, None], tau, v, sigma_b, config)
+    return Estimates(tau_star, v, tau, sigma, sd, n, status, config, method)
 
 
 def _ordered(tau_p, tau_o, sd_p, sd_o):
@@ -287,47 +242,32 @@ def _ordered(tau_p, tau_o, sd_p, sd_o):
     )
 
 
-def plain_im_interval(est: RobustEstimates, alpha: float = 0.05) -> IntervalEstimate:
-    """IM interval for the robust prediction range of one sample.
+def plain_im_intervals(est: Estimates, alpha: float = 0.05):
+    """IM interval for the robust prediction range of each sample of a
+    record, with one critical-value solve for the whole batch: (R,) arrays
+    (lower, upper, c), NaN in a row with a prediction that has no SD.
 
     Endpoints are ordered numerically (the two predictions swap roles when
     the unrestricted effect is negative) before the IM step.
-    """
-    return plain_im_intervals([est], alpha)[0]
-
-
-def plain_im_intervals(ests, alpha: float = 0.05) -> list:
-    """``plain_im_interval`` for each estimate of a batch, with one
-    critical-value solve for the whole batch.
 
     Raises
     ------
     ValidationError
-        If the estimates do not share one config and bounds method, for
-        q = 1, whose estimates carry no SDs, or as ``_im_endpoints`` on
+        For q = 1, whose estimates carry no SDs, or as ``_im_endpoints`` on
         alpha.
     """
-    ests = list(ests)
-    if not ests:
-        return []
-    if _shared_config(ests).q == 1.0:
+    if est.config.q == 1.0:
         raise ValidationError(
             "the IM interval requires q > 1 (estimates for q = 1 carry no SDs)"
         )
-    pairs = np.array([[e.tau_p, e.tau_o, e.sd_p, e.sd_o] for e in ests]).T
-    n = np.array([e.n for e in ests])
-    lower, upper, c = _im_endpoints(*_ordered(*pairs), n, alpha)
-    return [
-        IntervalEstimate(lo, hi, alpha, IMMethod.IM, c_values=(c_i,))
-        for lo, hi, c_i in zip(lower.tolist(), upper.tolist(), c.tolist())
-    ]
+    return _im_endpoints(*_ordered(*est.tau.T, *est.sd.T), est.n, alpha)
 
 
 # -------------------------------------------------------------- two-step CI
 
 
 def check_two_step_args(config, alpha, beta):
-    """Raise unless ``two_step_interval`` accepts these settings."""
+    """Raise unless ``two_step_intervals`` accepts these settings."""
     if config.q <= 1.0:
         raise ValidationError(
             "two-step inference requires q > 1 (the q = 1 prediction can sit "
@@ -340,15 +280,18 @@ def check_two_step_args(config, alpha, beta):
 
 
 def _union(ts, tau, v, s_bb, n, config, level):
-    """The union's lower and upper end and the range of c_n for each row of
-    (R, 2, P) predictions ``tau`` at P source effects ``ts``, as
-    (lower, upper, (c_min, c_max)) tuples: the conditional SDs (one
-    ``prediction_sd_grid`` call) and the IM step at ``level`` (one
-    ``_im_endpoints`` call) at every point, and each row's extremes."""
-    sd = prediction_sd_grid(ts, tau, v, (s_bb, 0.0, 0.0), config, conditional=True)
+    """For each row of (R, 2, P) predictions ``tau`` at P source effects
+    ``ts``: the union's lower and upper end, the least and the largest c_n,
+    and (R, 2) the status of the first point of each prediction with no
+    smooth expansion (else OK). The conditional SDs are one
+    ``prediction_sd_grid`` call and the IM step at ``level`` one
+    ``_im_endpoints`` call at every point; a row with a point of no smooth
+    expansion has NaN ends and c range."""
+    sd, status = prediction_sd_grid(ts, tau, v, (s_bb, 0.0, 0.0), config, conditional=True)
     lower, upper, c = _im_endpoints(*_ordered(tau[:, 0], tau[:, 1], sd[:, 0], sd[:, 1]), n[:, None], level)
-    return zip(lower.min(axis=1).tolist(), upper.max(axis=1).tolist(),
-               zip(c.min(axis=1).tolist(), c.max(axis=1).tolist()))
+    first = np.argmax(status != OK, axis=2)[..., None]
+    return (lower.min(axis=1), upper.max(axis=1), c.min(axis=1), c.max(axis=1),
+            np.take_along_axis(status, first, axis=2)[..., 0])
 
 
 def _certified(ends, tau, v, s_bb, n, config, level):
@@ -394,34 +337,43 @@ def _certified(ends, tau, v, s_bb, n, config, level):
         return saturated & (rise > 2.0 * err).all(axis=1)
 
 
-def two_step_interval(
-    est: RobustEstimates,
-    alpha: float = 0.05,
-    beta: float = 0.045,
-) -> IntervalEstimate:
-    """Bonferroni union interval: test-for-zero first, then a grid union.
+@dataclass(frozen=True)
+class TwoStepIntervals:
+    """The two-step construction of each sample of a record, as (R,)
+    arrays: the first-step interval ``[first_lo, first_hi]``, whether it
+    ``rejected`` a zero effect, and where it did, the union ``[lower,
+    upper]`` and the range ``[c_min, c_max]`` of its critical values, NaN
+    in a row that stopped at the first step or has a grid point with no
+    smooth expansion. ``status`` (R, 2) holds, per prediction, the status
+    of its first such grid point, else ``covariance.OK``."""
+
+    first_lo: np.ndarray
+    first_hi: np.ndarray
+    rejected: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    c_min: np.ndarray
+    c_max: np.ndarray
+    status: np.ndarray
+
+
+def two_step_intervals(est: Estimates, alpha: float = 0.05, beta: float = 0.045) -> TwoStepIntervals:
+    """Bonferroni union interval of each sample of a record: test-for-zero
+    first, then a grid union.
 
     Step 1 forms the 1-beta interval for the unrestricted effect; if it
-    contains zero the procedure stops (``rejected_first_step`` False, NaN
-    endpoints). Step 2 is the union, over 101 evenly spaced values t across
-    the first-step interval, of the conditional IM intervals at level
+    contains zero the procedure stops (``rejected`` False, NaN union).
+    Step 2 is the union, over 101 evenly spaced values t across the
+    first-step interval, of the conditional IM intervals at level
     1-(alpha-beta) around the robust predictions re-solved at each t, with
-    the range of their critical values. Where a certificate proves each IM
-    end monotone in t and c_n one value on the grid, the union is taken
-    from the two ends alone, bit for bit the same.
-    """
-    return two_step_intervals([est], alpha, beta)[0]
+    the range of their critical values.
 
-
-def two_step_intervals(ests, alpha: float = 0.05, beta: float = 0.045) -> list:
-    """``two_step_interval`` for each estimate of a batch.
-
-    The second steps of all estimates whose first step rejects zero start
-    as one (R, 2, 2) solver call at the ends of their first-step intervals.
-    A row that ``_certified`` passes takes its union from those two points
-    alone, and that is its 101-point union bit for bit, since every step
-    works entry by entry. The other rows run the grid as one (R', 2, 101)
-    solver call. Each group is one SD computation and one IM step
+    The second steps of all rows whose first step rejects zero start as one
+    (R, 2, 2) solver call at the ends of their first-step intervals. A row
+    that ``_certified`` passes takes its union from those two points alone,
+    and that is its 101-point union bit for bit, since every step works
+    entry by entry. The other rows run the grid as one (R', 2, 101) solver
+    call. Each group is one SD computation and one IM step
     (``_im_endpoints`` at level alpha - beta). The ends alone would be
     wrong where the certificate fails: on ``tools/compare_outputs.py``'s
     pos.csv with outcomes times 10^4 at delta = 0.5, tau_p stays near 0
@@ -431,35 +383,25 @@ def two_step_intervals(ests, alpha: float = 0.05, beta: float = 0.045) -> list:
     Raises
     ------
     ValidationError
-        If the estimates do not share one config and bounds method, as
-        ``check_two_step_args``, or, once a first step rejects zero, as
+        As ``check_two_step_args``, or, once a first step rejects zero, as
         ``_im_endpoints`` on alpha - beta.
-    NumericalError
-        As ``covariance.prediction_sd_grid``, for the first grid point (in
-        row order) that has no smooth expansion.
     """
-    ests = list(ests)
-    if not ests:
-        return []
-    config = _shared_config(ests)
+    config, n = est.config, est.n
     check_two_step_args(config, alpha, beta)
-    tau_star = np.array([e.tau_star for e in ests])
-    n = np.array([e.n for e in ests])
-    half = _z(1.0 - beta / 2.0) * (np.array([e.sigma.sigma_tau for e in ests]) / np.sqrt(n))
-    first_lo, first_hi = tau_star - half, tau_star + half
-    rows = np.flatnonzero(~((first_lo <= 0.0) & (0.0 <= first_hi)))
-
-    union = {}
+    half = _z(1.0 - beta / 2.0) * (est.sd_tau / np.sqrt(n))
+    first_lo, first_hi = est.tau_star - half, est.tau_star + half
+    rejected = ~((first_lo <= 0.0) & (0.0 <= first_hi))
+    rows = np.flatnonzero(rejected)
+    lower, upper, c_min, c_max = np.full((4, n.shape[0]), np.nan)
+    status = np.full((n.shape[0], 2), OK, dtype=STATUS)
     if rows.size:
         lo_t, hi_t = first_lo[rows, None], first_hi[rows, None]
-        v = np.array([[[ests[i].bounds.v_p], [ests[i].bounds.v_o]] for i in rows])
-        s_bb = np.array([[[ests[i].sigma.entries[0, 0]], [ests[i].sigma.entries[1, 1]]] for i in rows])
+        v = est.v[rows, :, None]
+        s_bb = np.diagonal(est.sigma[rows], axis1=1, axis2=2)[:, :2, None]
         level = alpha - beta
         ends = np.concatenate((lo_t, hi_t), axis=1)[:, None, :]
         tau = solve_minimax_many(ends, v, config)
         certified = _certified(ends, tau, v, s_bb, n[rows], config, level)
-        # the grid first: a grid point with no smooth expansion raises before
-        # the level is checked, as when every row ran the grid
         grid = ~certified
         if grid.any():
             # np.linspace row by row: the same arithmetic, whatever the other rows
@@ -468,16 +410,11 @@ def two_step_intervals(ests, alpha: float = 0.05, beta: float = 0.045) -> list:
             ts[:, -1] = hi_g[:, 0]
             ts = ts[:, None, :]
             tau_g = solve_minimax_many(ts, v[grid], config)
-            union.update(zip(rows[grid].tolist(),
-                             _union(ts, tau_g, v[grid], s_bb[grid], n[rows[grid]], config, level)))
+            r = rows[grid]
+            lower[r], upper[r], c_min[r], c_max[r], status[r] = _union(
+                ts, tau_g, v[grid], s_bb[grid], n[r], config, level)
         if certified.any():
-            union.update(zip(rows[certified].tolist(),
-                             _union(ends[certified], tau[certified], v[certified], s_bb[certified],
-                                    n[rows[certified]], config, level)))
-
-    return [
-        IntervalEstimate(lo, hi, alpha, IMMethod.IM_BONFERRONI, c_range, first_step=first,
-                         rejected_first_step=i in union)
-        for i, first in enumerate(zip(first_lo.tolist(), first_hi.tolist()))
-        for lo, hi, c_range in [union.get(i, (math.nan, math.nan, ()))]
-    ]
+            r = rows[certified]
+            lower[r], upper[r], c_min[r], c_max[r], status[r] = _union(
+                ends[certified], tau[certified], v[certified], s_bb[certified], n[r], config, level)
+    return TwoStepIntervals(first_lo, first_hi, rejected, lower, upper, c_min, c_max, status)

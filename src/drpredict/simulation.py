@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundsMethod
+from .covariance import check_status
 from .exceptions import DrPredictError, ValidationError
 from .inference import (
     check_two_step_args,
@@ -208,30 +209,30 @@ class SimulationReport:
 
 
 def _replicate_batch(dgp, config, children, alpha, beta, bound_method):
-    """Replications of the given child seeds, as records (im_lo, im_hi,
-    bonf_lo, bonf_hi, length_ratio, rejected).
+    """Replications of the given child seeds, as an (R, 6) array of records
+    (im_lo, im_hi, bonf_lo, bonf_hi, length_ratio, rejected as 0 or 1).
 
     The batch's samples are drawn and estimated as one ragged batch
-    (``estimate_robust_many``). If the batch raises, its replications are
-    rerun one by one, so that the exception is the first failing
-    replication's, as in a serial run.
+    (``estimate_robust_many``). A prediction with no smooth expansion, on
+    the estimates or on a two-step grid, raises its ``check_status`` error.
+    If the batch raises, its replications are rerun one by one, so that the
+    exception is the first failing replication's, as in a serial run.
     """
     try:
         samples = [draw_sample(dgp, child) for child in children]
-        ests = estimate_robust_many(samples, config, bound_method)
-        ims = plain_im_intervals(ests, alpha)
-        unions = two_step_intervals(ests, alpha, beta)
+        est = estimate_robust_many(samples, config, bound_method)
+        check_status(est.status)
+        im_lo, im_hi, _ = plain_im_intervals(est, alpha)
+        union = two_step_intervals(est, alpha, beta)
+        check_status(union.status)
     except DrPredictError:
         if len(children) > 1:
             for child in children:
                 _replicate_batch(dgp, config, [child], alpha, beta, bound_method)
         raise
-    return [
-        (im.lower, im.upper, union.lower, union.upper, union.length / im.length, True)
-        if union.rejected_first_step
-        else (im.lower, im.upper, math.nan, math.nan, math.nan, False)
-        for im, union in zip(ims, unions)
-    ]
+    # NaN union ends, and so a NaN length ratio, where the first step kept zero
+    ratio = (union.upper - union.lower) / (im_hi - im_lo)
+    return np.stack((im_lo, im_hi, union.lower, union.upper, ratio, union.rejected), axis=1)
 
 
 def run_coverage_study(
@@ -288,8 +289,7 @@ def run_coverage_study(
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_batch = list(pool.map(replicate, batches))
 
-    # (R, 6): im_lo, im_hi, bonf_lo, bonf_hi, length_ratio, rejected as 0 or 1
-    records = np.array([rec for batch in per_batch for rec in batch])
+    records = np.concatenate(per_batch)
     rejected = records[records[:, 5] == 1.0]
     covered_im = np.count_nonzero((records[:, 0] <= target) & (target <= records[:, 1]))
     covered_bonf = np.count_nonzero((rejected[:, 2] <= target) & (target <= rejected[:, 3]))

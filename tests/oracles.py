@@ -12,15 +12,35 @@ import io
 import json
 import math
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
-from drpredict.bounds import BoundsMethod, VarianceBounds, neyman_bounds, sharp_bounds_empirical
+from drpredict.bounds import BoundsMethod, variance_bounds
 from drpredict.calibration import _w2_sorted
-from drpredict.covariance import U_GRID_SIZE, SigmaMatrix, _u_trim
+from drpredict.covariance import U_GRID_SIZE, _checked, _u_trim
 from drpredict.exceptions import NumericalError, ValidationError
 from drpredict.sample import ExperimentalSample, order_statistic
 from drpredict.solver import RobustConfig, penalty_derivs, sweep_delta
+
+
+class Bracket(NamedTuple):
+    """A variance bracket: the pessimistic (upper) and optimistic (lower) bound."""
+
+    v_p: float
+    v_o: float
+
+
+def bounds_of(sample, method=BoundsMethod.SHARP) -> Bracket:
+    """The bracket of one sample: ``bounds.variance_bounds`` of its batch of one."""
+    return Bracket(*variance_bounds(sample.arms, method)[0].tolist())
+
+
+def neyman_bracket(s1_sq: float, s0_sq: float) -> Bracket:
+    """(sigma1 +- sigma0)^2, the Neyman bracket of two arm variances, in
+    scalar arithmetic."""
+    s1, s0 = math.sqrt(s1_sq), math.sqrt(s0_sq)
+    return Bracket((s1 + s0) ** 2, (s1 - s0) ** 2)
 
 
 def quantile_at(values_sorted: np.ndarray, u) -> np.ndarray:
@@ -217,11 +237,11 @@ def sigma_neyman_per_sample(sample) -> np.ndarray:
     s[0, 2] = s[2, 0] = a_plus * c1 - b_plus * c0
     s[1, 2] = s[2, 1] = a_minus * c1 - b_minus * c0
     s[2, 2] = s1_sq / e + s0_sq / (1.0 - e)
-    return SigmaMatrix(s).entries
+    return _checked(s[None])[0]
 
 
 def sharp_bounds_per_sample(sample) -> tuple[float, float]:
-    """(v_o, v_p) of ``bounds.sharp_bounds_empirical`` as one sum over the
+    """(v_o, v_p) of the sharp ``bounds.variance_bounds`` as one sum over the
     whole merged grid of one sample (``merged_u_grid``), the treated arm
     shifted by the difference of ``central_moments`` means. The cells are
     summed by ``np.add.reduceat``, as the package sums each chunk."""
@@ -274,7 +294,7 @@ def sigma_sharp_per_sample(sample) -> np.ndarray:
         gram += b @ second @ b.T + cross + cross.T + (g * counts) @ g.T
         total += b @ np.array([0.0, m * var]) + g @ counts
     mean_psi = total / sample.n
-    return SigmaMatrix(gram / sample.n - np.outer(mean_psi, mean_psi)).entries
+    return _checked((gram / sample.n - np.outer(mean_psi, mean_psi))[None])[0]
 
 
 def split_benchmark_two_sorts(sample, in_cell, permutations, seed):
@@ -412,7 +432,7 @@ def dual_objective(tau: float, tau_star: float, v: float, config: RobustConfig) 
     return math.sqrt(v + (tau_star - tau) ** 2) + config.delta * float(value)
 
 
-def sharp_bounds_population(q1, q0, grid_size: int = 10_000) -> VarianceBounds:
+def sharp_bounds_population(q1, q0, grid_size: int = 10_000) -> Bracket:
     """Coupling-based bounds from known quantile functions.
 
     The variances of Q1(U) - Q0(U) and Q1(U) - Q0(1 - U) are evaluated with
@@ -437,8 +457,7 @@ def sharp_bounds_population(q1, q0, grid_size: int = 10_000) -> VarianceBounds:
     v1 = np.asarray(q1(u), dtype=float)
     v0 = np.asarray(q0(u), dtype=float)
     # The grid is symmetric under u -> 1-u, so the antitonic pairing is a flip.
-    return VarianceBounds(v_o=float((v1 - v0).var()), v_p=float((v1 - v0[::-1]).var()),
-                          method=BoundsMethod.SHARP)
+    return Bracket(v_p=float((v1 - v0[::-1]).var()), v_o=float((v1 - v0).var()))
 
 
 def sigma_bootstrap(sample, method=BoundsMethod.SHARP, draws: int = 500, seed=None) -> np.ndarray:
@@ -461,8 +480,8 @@ def sigma_bootstrap(sample, method=BoundsMethod.SHARP, draws: int = 500, seed=No
                 np.concatenate((r1, r0)),
                 np.concatenate((np.ones(r1.shape[0], dtype=np.int8), np.zeros(r0.shape[0], dtype=np.int8))),
             )
-            vb = sharp_bounds_empirical(res)
+            vb = bounds_of(res)
         else:
-            vb = neyman_bounds(float(r1.var()), float(r0.var()))
+            vb = neyman_bracket(float(r1.var()), float(r0.var()))
         stats[b] = (vb.v_p, vb.v_o, float(r1.mean() - r0.mean()))
     return sample.n * np.cov(stats, rowvar=False, ddof=1)

@@ -17,19 +17,19 @@ from drpredict import (
     RobustConfig,
     case_preset,
     draw_sample,
-    neyman_bounds,
     penalty_derivs,
     population_truth,
     prediction_sd_grid,
     run_coverage_study,
-    sharp_bounds_empirical,
     sigma_neyman,
     solve_minimax,
+    variance_bounds,
 )
 from drpredict.calibration import _w2_sorted
 from drpredict.covariance import _loading_terms
 from drpredict.inference import _im_endpoints
 from drpredict.solver import _threshold
+from oracles import bounds_of, neyman_bracket
 
 # Reference values for the six built-in designs
 TAU_DR = {1: 1.686, 2: 0.879, 3: 0.018, 4: 0.157, 5: 1.682, 6: 1.680}
@@ -142,8 +142,7 @@ def test_criterion_04_gaussian_sharp_bounds_closed_form():
     sample = ExperimentalSample(y, t)
 
     start = time.time()
-    sharp = sharp_bounds_empirical(sample)
-    neyman = neyman_bounds(*sample.arms.moments[1].tolist())
+    sharp, neyman = (bounds_of(sample, method) for method in ("sharp", "neyman"))
     elapsed = time.time() - start
 
     assert 0.97 <= sharp.v_o <= 1.03
@@ -213,19 +212,18 @@ def test_criterion_06_sandwich_sd_matches_monte_carlo():
         [0.0, 0.0],
         [3.0 * dgp.sigma1**4, 3.0 * dgp.sigma0**4],
     ])
-    sigma = sigma_neyman(pop_moments, np.array([dgp.e]))[0]
-    bounds = neyman_bounds(dgp.sigma1**2, dgp.sigma0**2)
+    s = sigma_neyman(pop_moments, np.array([dgp.e]))[0]
+    bounds = neyman_bracket(dgp.sigma1**2, dgp.sigma0**2)
     tau_p = solve_minimax(truth.tau_star, bounds.v_p, config)
-    s = sigma.entries
-    sd_p = float(prediction_sd_grid(truth.tau_star, tau_p, bounds.v_p, (s[0, 0], s[0, 2], s[2, 2]), config))
+    sd_p = float(prediction_sd_grid(truth.tau_star, tau_p, bounds.v_p, (s[0, 0], s[0, 2], s[2, 2]), config)[0])
 
     start = time.time()
     reps = 2000
     draws = np.empty(reps)
     for i, child in enumerate(np.random.SeedSequence(61).spawn(reps)):
         arms = draw_sample(dgp, child).arms
-        b = neyman_bounds(*arms.moments[1].tolist())
-        draws[i] = solve_minimax(arms.ate.item(), b.v_p, config)
+        v_p = variance_bounds(arms, "neyman")[0, 0]
+        draws[i] = solve_minimax(arms.ate.item(), v_p, config)
     elapsed = time.time() - start
     mc_sd = float(np.std(draws, ddof=1)) * math.sqrt(dgp.n)
 
@@ -245,15 +243,15 @@ def test_criterion_07_zero_effect_shrink_factor():
     sigma_tau = math.sqrt(dgp.sigma1**2 / dgp.e + dgp.sigma0**2 / (1.0 - dgp.e))
     # at tau* = 0 the prediction is 0, and the delta-method SD is the limit's
     tau_b = solve_minimax(0.0, v_b, config)
-    predicted = float(prediction_sd_grid(0.0, tau_b, v_b, (0.0, 0.0, sigma_tau**2), config))
+    predicted = float(prediction_sd_grid(0.0, tau_b, v_b, (0.0, 0.0, sigma_tau**2), config)[0])
     assert predicted == pytest.approx(sigma_tau / (1.0 + math.sqrt(v_b / 2.0)), rel=1e-12)
 
     reps = 2000
     draws = np.empty(reps)
     for i, child in enumerate(np.random.SeedSequence(62).spawn(reps)):
         arms = draw_sample(dgp, child).arms
-        b = neyman_bounds(*arms.moments[1].tolist())
-        draws[i] = solve_minimax(arms.ate.item(), b.v_p, config)
+        v_p = variance_bounds(arms, "neyman")[0, 0]
+        draws[i] = solve_minimax(arms.ate.item(), v_p, config)
     empirical = float(np.std(draws, ddof=1)) * math.sqrt(dgp.n)
 
     assert empirical == pytest.approx(predicted, rel=0.10), (

@@ -133,7 +133,9 @@ def test_one_delta_method_sd_function():
             "im_interval", "proximity_derivs", "homogeneous_threshold", "EmpiricalDistribution",
             "wasserstein2_1d", "sigma_sharp", "ArmMoments", "estimate_moments",
             "estimate_moments_many", "sharp_bounds_many", "SweepTable", "read_columns",
-            "_load_mask_column", "_load_mask_rows"}
+            "_load_mask_column", "_load_mask_rows", "RobustEstimates", "IntervalEstimate", "IMMethod",
+            "SigmaMatrix", "VarianceBounds", "_shared_config", "_sigma_matrices", "estimate_robust",
+            "plain_im_interval", "two_step_interval", "sharp_bounds_empirical", "neyman_bounds"}
     assert gone & set(drpredict.__all__) == set()
     # the arm moments live in sample.ArmBatch alone
     assert importlib.util.find_spec("drpredict.moments") is None

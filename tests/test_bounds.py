@@ -7,14 +7,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from drpredict import ExperimentalSample, ValidationError, bounds
-from drpredict.bounds import (
-    BoundsMethod,
-    VarianceBounds,
-    merged_grid_blocks,
-    neyman_bounds,
-    sharp_bounds_empirical,
-)
-from oracles import merged_block_repeats, merged_u_grid, quantile_at, sharp_bounds_population
+from drpredict.bounds import mean_square_gaps, merged_grid_blocks, variance_bounds
+from drpredict.sample import arm_batch
+from oracles import bounds_of, merged_block_repeats, merged_u_grid, quantile_at, sharp_bounds_population
 
 
 def _sample(y1, y0):
@@ -23,45 +18,41 @@ def _sample(y1, y0):
     return ExperimentalSample(y, t)
 
 
-# ----------------------------------------------------------------- container
+# ----------------------------------------------------------------- the array
 
 
 def test_bounds_container_validation():
-    b = VarianceBounds(v_o=1.0, v_p=4.0, method="sharp")
-    assert b.method is BoundsMethod.SHARP
-    with pytest.raises(ValidationError, match="nonnegative"):
-        VarianceBounds(v_o=-0.5, v_p=1.0, method="sharp")
-    with pytest.raises(ValidationError, match="ordering"):
-        VarianceBounds(v_o=2.0, v_p=1.0, method="neyman")
-    # sub-roundoff violations are absorbed
-    b = VarianceBounds(v_o=-1e-14, v_p=1.0, method="sharp")
-    assert b.v_o == 0.0
-    b = VarianceBounds(v_o=1.0 + 1e-14, v_p=1.0, method="sharp")
-    assert b.v_o <= b.v_p
+    # a constant treated arm pairs with the control arm and with it reversed
+    # on the same cells, so the two sums differ by rounding alone; where the
+    # comonotone one comes out above the antitone one, v_o is clamped to v_p
+    rng = np.random.default_rng(31)
+    samples = [_sample(np.full(int(n1), 2.5), rng.normal(0.0, 1.0, 40 - int(n1)) ** 3)
+               for n1 in rng.integers(3, 37, 200)]
+    arms = arm_batch(samples)
+    lo1, lo0, end = arms.starts[0:-1:2], arms.starts[1::2], arms.starts[2::2]
+    raw_o, raw_p = mean_square_gaps(arms.values, arms.values, (lo1, lo0 - lo1, lo0, end - lo0), arms.ate,
+                                    antitone=True).T
+    v = variance_bounds(arms)
+    assert v.shape == (200, 2) and v.dtype == np.float64
+    assert np.array_equal(v[:, 0], raw_p)
+    above = raw_o > raw_p
+    assert above.any()
+    assert np.array_equal(v[:, 1], np.where(above, raw_p, raw_o))
 
 
 # -------------------------------------------------------------------- neyman
 
 
 def test_neyman_hand_values():
-    b = neyman_bounds(4.0, 1.0)
-    assert b.v_o == pytest.approx(1.0)
-    assert b.v_p == pytest.approx(9.0)
-    assert b.method is BoundsMethod.NEYMAN
+    # arm variances 4 and 1 (1/n): v_o = (2 - 1)^2, v_p = (2 + 1)^2
+    v_p, v_o = variance_bounds(_sample([-1.0, 3.0], [4.0, 6.0]).arms, "neyman")[0].tolist()
+    assert (v_o, v_p) == (1.0, 9.0)
 
 
 def test_neyman_degenerate():
-    b = neyman_bounds(0.0, 0.0)
-    assert b.v_o == 0.0 and b.v_p == 0.0
-    b = neyman_bounds(0.0, 1.0)
-    assert b.v_o == pytest.approx(1.0) and b.v_p == pytest.approx(1.0)
-
-
-def test_neyman_rejects_negative():
-    with pytest.raises(ValidationError):
-        neyman_bounds(-1.0, 1.0)
-    with pytest.raises(ValidationError):
-        neyman_bounds(1.0, -1e-9)
+    v = variance_bounds(arm_batch([_sample([1.0, 1.0], [3.0, 3.0]), _sample([0.5, 0.5], [-1.0, 1.0])]),
+                        "neyman")
+    assert v.tolist() == [[0.0, 0.0], [1.0, 1.0]]
 
 
 # ------------------------------------------------------------ empirical sharp
@@ -69,15 +60,14 @@ def test_neyman_rejects_negative():
 
 def test_sharp_identical_marginals():
     s = _sample([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-    b = sharp_bounds_empirical(s)
+    b = bounds_of(s)
     assert b.v_o == pytest.approx(0.0, abs=1e-12)
     assert b.v_p == pytest.approx(4.0 * (2.0 / 3.0))
-    assert b.method is BoundsMethod.SHARP
 
 
 def test_sharp_two_point():
     s = _sample([0.0, 2.0], [0.0, 2.0])
-    b = sharp_bounds_empirical(s)
+    b = bounds_of(s)
     assert b.v_o == pytest.approx(0.0, abs=1e-12)
     assert b.v_p == pytest.approx(4.0)
 
@@ -86,7 +76,7 @@ def test_sharp_equal_sizes_match_sorted_pairing():
     rng = np.random.default_rng(42)
     y1 = rng.normal(1.0, 2.0, 250)
     y0 = rng.gamma(2.0, 1.5, 250)
-    b = sharp_bounds_empirical(_sample(y1, y0))
+    b = bounds_of(_sample(y1, y0))
     s1, s0 = np.sort(y1), np.sort(y0)
     d_co = s1 - s0
     d_anti = s1 - s0[::-1]
@@ -98,7 +88,7 @@ def test_sharp_unequal_sizes_match_fine_grid_quadrature():
     rng = np.random.default_rng(3)
     y1 = np.sort(rng.normal(0.0, 1.0, 7))
     y0 = np.sort(rng.normal(1.0, 3.0, 11))
-    b = sharp_bounds_empirical(_sample(y1, y0))
+    b = bounds_of(_sample(y1, y0))
     # brute-force the integrals on a very fine midpoint grid
     G = 7 * 11 * 2000
     u = (np.arange(G) + 0.5) / G
@@ -165,7 +155,7 @@ def test_sharp_blocked_match_merged_grid(n1, n0):
     m1, m0 = np.dot(widths, q1), np.dot(widths, q0)
     cov_u = np.dot(widths, q1 * q0) - m1 * m0
     cov_l = np.dot(widths, q1 * q0_rev) - m1 * m0
-    b = sharp_bounds_empirical(_sample(y1, y0))
+    b = bounds_of(_sample(y1, y0))
     assert b.v_o == pytest.approx(y1.var() + y0.var() - 2.0 * cov_u, rel=1e-12)
     assert b.v_p == pytest.approx(y1.var() + y0.var() - 2.0 * cov_l, rel=1e-12)
 
@@ -174,7 +164,7 @@ def test_sharp_insufficient_data():
     # constructor allows 1-vs-many; bounds need two per arm
     s = _sample([1.0], [2.0, 3.0])
     with pytest.raises(ValidationError):
-        sharp_bounds_empirical(s)
+        bounds_of(s)
 
 
 def test_sharp_gaussian_agrees_with_neyman():
@@ -184,7 +174,7 @@ def test_sharp_gaussian_agrees_with_neyman():
     n = 20_000
     y1 = rng.normal(2.0, 2.0, n)
     y0 = rng.normal(0.2, 1.0, n)
-    b = sharp_bounds_empirical(_sample(y1, y0))
+    b = bounds_of(_sample(y1, y0))
     assert b.v_o == pytest.approx(1.0, abs=0.08)
     assert b.v_p == pytest.approx(9.0, rel=0.03)
 
@@ -227,7 +217,7 @@ def test_any_coupling_lies_inside_bounds(rho):
     cov = [[4.0, rho * 2.0 * 1.0], [rho * 2.0 * 1.0, 1.0]]
     draws = rng.multivariate_normal([1.0, 0.0], cov, size=n)
     true_var = float((draws[:, 0] - draws[:, 1]).var())
-    b = sharp_bounds_empirical(_sample(draws[:, 0], draws[:, 1]))
+    b = bounds_of(_sample(draws[:, 0], draws[:, 1]))
     # bounds from the same sample's marginals must bracket the realized
     # variance up to Monte Carlo error (3 SEs of a variance estimate)
     se = true_var * math.sqrt(2.0 / n) * 3.0
@@ -240,8 +230,8 @@ def test_sharp_inside_neyman_population_scale():
     y1 = rng.gamma(2.0, 2.0, 30_000)
     y0 = rng.lognormal(0.0, 0.7, 30_000)
     s = _sample(y1, y0)
-    sharp = sharp_bounds_empirical(s)
-    ney = neyman_bounds(float(y1.var()), float(y0.var()))
+    sharp = bounds_of(s)
+    ney = bounds_of(s, "neyman")
     assert ney.v_o <= sharp.v_o + 1e-9
     assert sharp.v_p <= ney.v_p + 1e-9
 
@@ -255,7 +245,7 @@ finite = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinit
     y0=st.lists(finite, min_size=2, max_size=25),
 )
 def test_sharp_bounds_always_ordered(y1, y0):
-    b = sharp_bounds_empirical(_sample(y1, y0))
+    b = bounds_of(_sample(y1, y0))
     assert 0.0 <= b.v_o <= b.v_p
 
 
@@ -280,8 +270,8 @@ def test_sharp_bounds_affine_equivariance(y1, y0, c, shift):
     the normal range each operation rounds by up to 2^-1074 instead: a few
     of those per outcome cover the sums of squares.
     """
-    base = sharp_bounds_empirical(_sample(y1, y0))
-    scaled = sharp_bounds_empirical(
+    base = bounds_of(_sample(y1, y0))
+    scaled = bounds_of(
         _sample([c * v + shift for v in y1], [c * v + shift for v in y0])
     )
     r = 16.0 * np.finfo(float).eps * (c * max(abs(v) for v in y1 + y0) + abs(shift))
@@ -296,8 +286,8 @@ def test_sharp_bounds_invariant_to_shifts_of_either_arm(shift1, shift0):
     # mean difference by as much again: the bounds move by no more
     rng = np.random.default_rng(10)
     y1, y0 = rng.normal(2.0, 2.0, 3000), rng.normal(0.2, 1.0, 7000)
-    base = sharp_bounds_empirical(_sample(y1, y0))
-    shifted = sharp_bounds_empirical(_sample(y1 + shift1, y0 + shift0))
+    base = bounds_of(_sample(y1, y0))
+    shifted = bounds_of(_sample(y1 + shift1, y0 + shift0))
     r = 4.0 * np.finfo(float).eps * (abs(shift1) + abs(shift0) + 10.0)
     tol = r * (2.0 * math.sqrt(base.v_p) + r)
     assert shifted.v_o == pytest.approx(base.v_o, abs=tol)
@@ -312,7 +302,7 @@ def test_sharp_bounds_invariant_to_shifts_of_either_arm(shift1, shift0):
 def test_neyman_contains_sharp_empirical(y1, y0):
     # with 1/n variances on both routes the containment is exact algebraically
     s = _sample(y1, y0)
-    sharp = sharp_bounds_empirical(s)
-    ney = neyman_bounds(float(np.var(y1)), float(np.var(y0)))
+    sharp = bounds_of(s)
+    ney = bounds_of(s, "neyman")
     assert ney.v_o <= sharp.v_o + 1e-8
     assert sharp.v_p <= ney.v_p + 1e-8

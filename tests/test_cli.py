@@ -16,12 +16,11 @@ from scipy.optimize import minimize_scalar
 
 from drpredict import cli
 from drpredict import sample as sample_module
-from drpredict.bounds import neyman_bounds, sharp_bounds_empirical
 from drpredict.cli import _build_parser, _dump_json, _manifest, _parse_delta_grid, _q_from_args, main
 from drpredict.exceptions import ParseError, ValidationError
 from drpredict.sample import load_mask, load_sample
 from drpredict.simulation import case_preset, draw_sample
-from oracles import central_moments, dump_json, sweep_csv_rowwise
+from oracles import bounds_of, central_moments, dump_json, neyman_bracket, sweep_csv_rowwise
 
 SCHEMA_DIR = None  # set in _schema
 
@@ -314,7 +313,7 @@ def _sweep_rowwise(argv):
         return sweep_csv_rowwise(args.tau_star, None, args.true_v, q, deltas)
     sample = load_sample(args.data, args.outcome or "y", args.treatment or "t")
     (tau1, s1_sq, _, _), (tau0, s0_sq, _, _) = map(central_moments, (sample.treated, sample.control))
-    bounds = neyman_bounds(s1_sq, s0_sq) if args.bounds == "neyman" else sharp_bounds_empirical(sample)
+    bounds = neyman_bracket(s1_sq, s0_sq) if args.bounds == "neyman" else bounds_of(sample)
     return sweep_csv_rowwise(tau1 - tau0, bounds, args.true_v, q, deltas)
 
 

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from drpredict import ExperimentalSample, NumericalError, ValidationError
-from drpredict.bounds import BoundsMethod, VarianceBounds, sharp_bounds_empirical
+from drpredict.bounds import BoundsMethod
 from drpredict.covariance import (
+    CURVATURE,
+    KINK,
+    OK,
     NearEqualVariancesWarning,
-    SigmaMatrix,
+    check_status,
     conditional_sd_bounds,
     prediction_sd_grid,
     sigma_neyman,
@@ -17,7 +20,7 @@ from drpredict.covariance import (
 from drpredict import covariance as cov_module
 from drpredict.sample import arm_batch
 from drpredict.solver import RobustConfig, solve_minimax, solve_minimax_many
-from oracles import sigma_bootstrap, sigma_sharp_influence
+from oracles import Bracket, bounds_of, sigma_bootstrap, sigma_sharp_influence
 
 
 def _sample(y1, y0):
@@ -50,35 +53,35 @@ CASE1_S01 = 0.75 * (32.0 / 0.3) - 3.0 * (2.0 / 0.7)  # 71.428...
 CASE1_S22 = 4.0 / 0.3 + 1.0 / 0.7  # 14.761...
 
 
-# --------------------------------------------------------------- SigmaMatrix
+# ------------------------------------------------------- the checks of Sigma
 
 
 def test_sigma_matrix_validation():
-    s = SigmaMatrix(np.eye(3))
-    assert s.sigma_tau == 1.0
-    with pytest.raises(ValidationError, match="3x3"):
-        SigmaMatrix(np.eye(2))
-    with pytest.raises(ValidationError, match="symmetric"):
-        SigmaMatrix(np.array([[1.0, 0.5, 0], [0.2, 1, 0], [0, 0, 1]]))
+    # the checks of an (R, 3, 3) stack: a valid one comes back read-only, and
+    # the first invalid matrix raises what it raises alone
+    ok = cov_module._checked(np.stack((np.eye(3), 2.0 * np.eye(3))))
+    assert ok.tolist() == [np.eye(3).tolist(), (2.0 * np.eye(3)).tolist()]
+    assert not ok.flags.writeable
+    skewed = np.array([[1.0, 0.5, 0], [0.2, 1, 0], [0, 0, 1]])
     bad_diag = np.eye(3)
     bad_diag[1, 1] = -0.5
-    with pytest.raises(ValidationError, match="negative variance"):
-        SigmaMatrix(bad_diag)
     not_finite = np.eye(3)
     not_finite[2, 2] = math.nan
-    with pytest.raises(ValidationError, match="non-finite"):
-        SigmaMatrix(not_finite)
+    for bad, message in ((skewed, "not symmetric"), (bad_diag, "negative variance"),
+                         (not_finite, "non-finite")):
+        with pytest.raises(ValidationError, match=message):
+            cov_module._checked(np.stack((np.eye(3), bad, not_finite)))
 
 
 def test_sigma_matrix_psd_repair():
     # strongly indefinite matrix gets clipped to its PSD part
     s = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    fixed = SigmaMatrix(s)
-    eigs = np.linalg.eigvalsh(fixed.entries)
+    fixed = cov_module._checked(s[None])[0]
+    eigs = np.linalg.eigvalsh(fixed)
     assert eigs[0] >= -1e-12
     # the PSD part of [[1,2],[2,1]] is 1.5 on the diagonal, 1.5 off
-    assert fixed.entries[0, 0] == pytest.approx(1.5)
-    assert fixed.entries[0, 1] == pytest.approx(1.5)
+    assert fixed[0, 0] == pytest.approx(1.5)
+    assert fixed[0, 1] == pytest.approx(1.5)
 
 
 def test_sigma_matrix_keeps_tiny_negative_eigenvalue():
@@ -86,8 +89,8 @@ def test_sigma_matrix_keeps_tiny_negative_eigenvalue():
     eps = 1e-10
     s = np.diag([1.0, 1.0, 1.0])
     s[0, 1] = s[1, 0] = 1.0 + eps  # smallest eigenvalue ~ -eps
-    out = SigmaMatrix(s)
-    assert out.entries[0, 1] == pytest.approx(1.0 + eps)
+    out = cov_module._checked(s[None])[0]
+    assert out[0, 1] == pytest.approx(1.0 + eps)
 
 
 # -------------------------------------------------------------- sigma_neyman
@@ -96,13 +99,13 @@ def test_sigma_matrix_keeps_tiny_negative_eigenvalue():
 def test_neyman_sigma_symmetric_arms():
     with pytest.warns(NearEqualVariancesWarning):
         s = _neyman((0.0, 0.0), (1.0, 1.0), (0.0, 0.0), (3.0, 3.0), 0.5)
-    assert s.entries[2, 2] == pytest.approx(4.0)  # sigma^2/e + sigma^2/(1-e)
+    assert s[2, 2] == pytest.approx(4.0)  # sigma^2/e + sigma^2/(1-e)
     # equal variances: lower-bound loadings vanish entirely
-    assert s.entries[1, 1] == pytest.approx(0.0, abs=1e-12)
+    assert s[1, 1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_neyman_sigma_case1_analytic():
-    s = _neyman((2.0, 0.2), (4.0, 1.0), (0.0, 0.0), (48.0, 3.0), 0.3).entries
+    s = _neyman((2.0, 0.2), (4.0, 1.0), (0.0, 0.0), (48.0, 3.0), 0.3)
     assert s[0, 0] == pytest.approx(CASE1_S00, rel=1e-12)
     assert s[1, 1] == pytest.approx(CASE1_S11, rel=1e-12)
     assert s[0, 1] == pytest.approx(CASE1_S01, rel=1e-12)
@@ -114,7 +117,7 @@ def test_neyman_sigma_case1_analytic():
 def test_neyman_sigma_matches_large_sample_moments():
     rng = np.random.default_rng(100)
     smp = _case1_marginals(rng, 1_000_000)
-    s_hat = sigma_neyman(smp.arms.moments, np.array([smp.n1 / smp.n]))[0].entries
+    s_hat = sigma_neyman(smp.arms.moments, np.array([smp.n1 / smp.n]))[0]
     for (i, j), target in {
         (0, 0): CASE1_S00, (1, 1): CASE1_S11, (0, 1): CASE1_S01, (2, 2): CASE1_S22,
     }.items():
@@ -159,7 +162,7 @@ def test_neyman_sigma_drops_a_zero_variance_arm(constant, recwarn):
     one, other = (zero, arm) if constant == "treated" else (arm, zero)
     e = 0.3
     s = _neyman((2.0, 1.7), (one["sigma_sq"], other["sigma_sq"]), (one["mu3"], other["mu3"]),
-                (one["mu4"], other["mu4"]), e).entries
+                (one["mu4"], other["mu4"]), e)
     share, sign = (1.0 - e, -1.0) if constant == "treated" else (e, 1.0)
     w = (48.0 - 16.0) / share
     np.testing.assert_array_equal(s[:2, :2], np.full((2, 2), w))
@@ -180,9 +183,9 @@ def test_neyman_sigma_batch_raises_and_warns_as_its_first_failing_sample(recwarn
                            + [[x for smp in samples for x in smp[i]] for i in range(3)])
         return sigma_neyman(moments, np.full(len(samples), 0.3))
 
-    alone = {id(smp): _neyman((0.0, 0.0), *smp, 0.3).entries.tolist() for smp in (near, plain)}
+    alone = {id(smp): _neyman((0.0, 0.0), *smp, 0.3).tolist() for smp in (near, plain)}
     samples = (plain, near, plain)
-    assert [s.entries.tolist() for s in batch(*samples)] == [alone[id(smp)] for smp in samples]
+    assert [s.tolist() for s in batch(*samples)] == [alone[id(smp)] for smp in samples]
     # once for the batch, once for the near-equal sample alone
     assert [w.category for w in recwarn] == [NearEqualVariancesWarning] * 2
     recwarn.clear()
@@ -204,15 +207,15 @@ def test_neyman_sigma_batch_raises_and_warns_as_its_first_failing_sample(recwarn
 def test_sharp_sigma_constant_arms_is_zero():
     s = _sample(np.ones(40), np.ones(40))
     out = sigma_sharp_batch(s.arms)[0]
-    np.testing.assert_array_equal(out.entries, 0.0)  # spacings, d and variances all exactly 0
+    np.testing.assert_array_equal(out, 0.0)  # spacings, d and variances all exactly 0
 
 
 def test_sharp_sigma_smoke_gaussian():
     rng = np.random.default_rng(7)
     out = sigma_sharp_batch(_case1_marginals(rng, 10_000).arms)[0]
-    assert np.all(np.isfinite(out.entries))
+    assert np.all(np.isfinite(out))
     # tau* slot is exact algebra (no quantile spacings), so it should be close already
-    assert out.entries[2, 2] == pytest.approx(CASE1_S22, rel=0.10)
+    assert out[2, 2] == pytest.approx(CASE1_S22, rel=0.10)
 
 
 def test_sharp_sigma_diagonals_match_monte_carlo():
@@ -224,12 +227,12 @@ def test_sharp_sigma_diagonals_match_monte_carlo():
     stats = np.empty((reps, 3))
     for r in range(reps):
         smp = _case1_marginals(rng, n)
-        vb = sharp_bounds_empirical(smp)
+        vb = bounds_of(smp)
         stats[r] = (vb.v_p, vb.v_o, float(smp.treated.mean() - smp.control.mean()))
     mc = n * np.var(stats, axis=0)
 
     big = _case1_marginals(np.random.default_rng(12), 100_000)
-    plug = sigma_sharp_batch(big.arms)[0].entries
+    plug = sigma_sharp_batch(big.arms)[0]
     assert plug[0, 0] == pytest.approx(mc[0], rel=0.10)
     assert plug[1, 1] == pytest.approx(mc[1], rel=0.10)
     assert plug[2, 2] == pytest.approx(mc[2], rel=0.10)
@@ -246,11 +249,11 @@ def test_sharp_sigma_is_scale_equivariant():
     # Sigma of outcomes scaled by c is Sigma scaled by (c^2, c^2, c) on
     # (V_p, V_o, tau*): whether it exists does not depend on the units
     smp = _case1_marginals(np.random.default_rng(18), 2000)
-    base = sigma_sharp_batch(smp.arms)[0].entries
+    base = sigma_sharp_batch(smp.arms)[0]
     bound = 1e-10 * np.sqrt(np.outer(np.diag(base), np.diag(base)))
     for c in (1e-4, 1e4):
         d = np.array([c * c, c * c, c])
-        scaled = sigma_sharp_batch(_sample(c * smp.treated, c * smp.control).arms)[0].entries
+        scaled = sigma_sharp_batch(_sample(c * smp.treated, c * smp.control).arms)[0]
         assert np.all(np.abs(scaled / np.outer(d, d) - base) <= bound), c
 
 
@@ -270,8 +273,8 @@ def test_sharp_sigma_invariant_to_shifts_of_either_arm(shift1, shift0):
     # V_p, V_o and tau* do not move when an arm is shifted, so neither may
     # their covariance: each arm enters centred on its own mean
     smp = _case1_marginals(np.random.default_rng(17), 4000)
-    base = sigma_sharp_batch(smp.arms)[0].entries
-    shifted = sigma_sharp_batch(_sample(smp.treated + shift1, smp.control + shift0).arms)[0].entries
+    base = sigma_sharp_batch(smp.arms)[0]
+    shifted = sigma_sharp_batch(_sample(smp.treated + shift1, smp.control + shift0).arms)[0]
     scale = np.sqrt(np.outer(np.diag(base), np.diag(base)))
     assert np.all(np.abs(shifted - base) <= 1e-10 * scale)
 
@@ -304,7 +307,7 @@ def test_sharp_sigma_matches_influence_oracle(family, n):
     smp = _sample(y1, 0.5 * _SIGMA_FAMILIES[family](rng, n - n1) + 0.2)
     oracle = sigma_sharp_influence(smp)
     scale = np.sqrt(np.outer(np.diag(oracle), np.diag(oracle)))
-    assert np.all(np.abs(sigma_sharp_batch(smp.arms)[0].entries - oracle) <= 1e-12 * scale)
+    assert np.all(np.abs(sigma_sharp_batch(smp.arms)[0] - oracle) <= 1e-12 * scale)
 
 
 def test_sharp_sigma_allocates_no_per_observation_influence_array():
@@ -332,7 +335,7 @@ def test_sharp_sigma_of_a_wide_arm_matches_influence_oracle(draw):
     # few cells carry most of the spacing, and Sigma stays finite
     rng = np.random.default_rng(8)
     smp = _sample(draw(rng, 100_000), rng.normal(size=100_000))
-    out = sigma_sharp_batch(smp.arms)[0].entries
+    out = sigma_sharp_batch(smp.arms)[0]
     assert np.all(np.isfinite(out))
     oracle = sigma_sharp_influence(smp)
     scale = np.sqrt(np.outer(np.diag(oracle), np.diag(oracle)))
@@ -346,7 +349,7 @@ def test_sharp_sigma_of_heavily_tied_arms_is_finite_and_quiet():
     smp = _sample(np.round(rng.normal(2.0, 1.0, 900)), np.round(rng.normal(0.2, 0.4, 2100)))
     assert np.unique(smp.control).size <= 5
     with np.errstate(all="raise"):
-        out = sigma_sharp_batch(smp.arms)[0].entries
+        out = sigma_sharp_batch(smp.arms)[0]
     assert np.all(np.isfinite(out)) and np.all(np.diag(out) > 0.0)
     oracle = sigma_sharp_influence(smp)
     scale = np.sqrt(np.outer(np.diag(oracle), np.diag(oracle)))
@@ -376,8 +379,8 @@ def test_sigma_sharp_many_is_sigma_sharp_bit_for_bit():
     singles = [sigma_sharp_batch(s.arms)[0] for s in batch]
     assert len(many) == len(batch)
     for got, want in zip(many, singles):
-        assert np.array_equal(got.entries, want.entries)
-        assert not got.entries.flags.writeable
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
 
 
 def _diffuse(rng, n):
@@ -412,7 +415,7 @@ def test_sigma_sharp_many_raises_what_the_failing_sample_raises(kind, k):
 
 def _case1_setup(delta=0.1, q=2.0):
     cfg = RobustConfig(delta, q)
-    b = VarianceBounds(v_o=1.0, v_p=9.0, method="neyman")
+    b = Bracket(v_p=9.0, v_o=1.0)
     tau_p = solve_minimax(1.8, b.v_p, cfg)
     tau_o = solve_minimax(1.8, b.v_o, cfg)
     return cfg, b, tau_p, tau_o
@@ -420,7 +423,7 @@ def _case1_setup(delta=0.1, q=2.0):
 
 def _sigma_b(sigma):
     """(S_bb, S_bt, S_tt) of both bounds, in the order (V_p, V_o)."""
-    s = sigma.entries
+    s = sigma
     own = [0, 1]
     return s[own, own], s[own, 2], s[2, 2]
 
@@ -432,8 +435,8 @@ def test_loadings_delta_zero_recovers_ate_variance():
     np.testing.assert_allclose(d_v, [0.0, 0.0])
     np.testing.assert_allclose(d_tau, [-1.0 / 3.0, -1.0])
     np.testing.assert_allclose(m, [1.0 / 3.0, 1.0])
-    sigma = SigmaMatrix(np.diag([5.0, 5.0, CASE1_S22]))
-    sd = prediction_sd_grid(1.8, np.array([1.8, 1.8]), v, _sigma_b(sigma), cfg)
+    sigma = np.diag([5.0, 5.0, CASE1_S22])
+    sd, _ = prediction_sd_grid(1.8, np.array([1.8, 1.8]), v, _sigma_b(sigma), cfg)
     np.testing.assert_allclose(sd, math.sqrt(CASE1_S22))
 
 
@@ -446,14 +449,17 @@ def test_loadings_structure_and_signs():
 
 def test_loadings_zero_tau_error():
     cfg = RobustConfig(2.0, 1.0)
-    b = VarianceBounds(v_o=1.0, v_p=9.0, method="neyman")
+    b = Bracket(v_p=9.0, v_o=1.0)
     # q=1 with a big radius thresholds the prediction to exactly zero, where
     # the penalty's curvature is not finite
     tau_p = solve_minimax(0.5, b.v_p, cfg)
     assert tau_p == 0.0
     tau = np.array([tau_p, solve_minimax(0.5, b.v_o, cfg)])
+    sd, status = prediction_sd_grid(0.5, tau, np.array([b.v_p, b.v_o]), (1.0, 0.0, 1.0), cfg)
+    assert tau[1] == 0.0 and status.tolist() == [CURVATURE, CURVATURE]
+    assert np.isnan(sd).all()
     with pytest.raises(NumericalError, match="at tau_b = 0 for q < 2"):
-        prediction_sd_grid(0.5, tau, np.array([b.v_p, b.v_o]), (1.0, 0.0, 1.0), cfg)
+        check_status(status)
 
 
 def test_conditional_variance_never_larger():
@@ -461,8 +467,8 @@ def test_conditional_variance_never_larger():
     for delta in (0.05, 0.1, 0.5, 1.0):
         cfg, b, tau_p, tau_o = _case1_setup(delta)
         tau, v = np.array([tau_p, tau_o]), np.array([b.v_p, b.v_o])
-        un = prediction_sd_grid(1.8, tau, v, _sigma_b(sigma), cfg)
-        cond = prediction_sd_grid(1.8, tau, v, _sigma_b(sigma), cfg, conditional=True)
+        un = prediction_sd_grid(1.8, tau, v, _sigma_b(sigma), cfg)[0]
+        cond = prediction_sd_grid(1.8, tau, v, _sigma_b(sigma), cfg, conditional=True)[0]
         assert np.all(cond <= un + 1e-12)
 
 
@@ -470,13 +476,12 @@ def test_conditional_sd_grid_matches_loadings():
     # the conditional SD along a grid of source effects, with S_bt and S_tt
     # left out, equals one call per grid point with the full Sigma entries
     cfg, b, _, _ = _case1_setup(0.4)
-    sigma = SigmaMatrix(np.diag([CASE1_S00, CASE1_S11, CASE1_S22]))
-    s = sigma.entries
+    s = np.diag([CASE1_S00, CASE1_S11, CASE1_S22])
     ts = np.array([0.8, 1.2, 1.8, 2.5])
     tau_ps = np.array([solve_minimax(t, b.v_p, cfg) for t in ts])
-    grid_sd = prediction_sd_grid(ts, tau_ps, b.v_p, (s[0, 0], 0.0, 0.0), cfg, conditional=True)
+    grid_sd = prediction_sd_grid(ts, tau_ps, b.v_p, (s[0, 0], 0.0, 0.0), cfg, conditional=True)[0]
     for i, t in enumerate(ts):
-        sd_p = prediction_sd_grid(t, tau_ps[i], b.v_p, (s[0, 0], s[0, 2], s[2, 2]), cfg, conditional=True)
+        sd_p = prediction_sd_grid(t, tau_ps[i], b.v_p, (s[0, 0], s[0, 2], s[2, 2]), cfg, conditional=True)[0]
         assert grid_sd[i] == pytest.approx(float(sd_p), rel=1e-12)
 
 
@@ -485,42 +490,49 @@ def test_prediction_sd_grid_matches_loadings():
     # one call per pair
     cfg = RobustConfig(0.4, 3.0)
     sigma = _neyman((2.0, 0.2), (4.0, 1.0), (0.5, -0.2), (48.0, 3.0), 0.3)
-    b = VarianceBounds(v_o=1.0, v_p=9.0, method="neyman")
+    b = Bracket(v_p=9.0, v_o=1.0)
     tau_star = np.array([[-2.5], [0.8], [1.8], [4.0]])
     v = np.array([[b.v_p, b.v_o]])
     tau = np.array([[solve_minimax(t, vb, cfg) for vb in v[0]] for t in tau_star[:, 0]])
     for conditional in (False, True):
-        grid = prediction_sd_grid(tau_star, tau, v, _sigma_b(sigma), cfg, conditional)
+        grid, status = prediction_sd_grid(tau_star, tau, v, _sigma_b(sigma), cfg, conditional)
+        assert (status == OK).all()
         for i, t in enumerate(tau_star[:, 0]):
-            pair = prediction_sd_grid(t, tau[i], v[0], _sigma_b(sigma), cfg, conditional)
+            pair = prediction_sd_grid(t, tau[i], v[0], _sigma_b(sigma), cfg, conditional)[0]
             assert grid[i].tolist() == pair.tolist()
 
 
 def test_prediction_sd_grid_raises_as_loadings():
+    # each entry's status names why it has no SD, its SD is NaN, and
+    # check_status raises for the first such entry in C order
     cfg = RobustConfig(0.5, 1.5)
     sigma_b = (1.0, 0.0, 1.0)
     curvature = "no smooth expansion at tau_b = 0 for q < 2"
     kink = "no smooth expansion at v_b = 0 with tau_b = tau_star"
-    with pytest.raises(NumericalError, match=curvature):
-        prediction_sd_grid(np.array([[1.0], [0.5]]), np.array([[0.9, 0.8], [0.4, 0.0]]),
-                           np.array([[4.0, 1.0]]), sigma_b, cfg)
+
+    def check(t, tau, v, statuses, message, conditional=False):
+        sd, status = prediction_sd_grid(t, tau, v, sigma_b, cfg, conditional)
+        assert status.tolist() == statuses
+        assert (np.isnan(sd) == (status != OK)).all()
+        with pytest.raises(NumericalError, match=message):
+            check_status(status)
+
+    check(np.array([[1.0], [0.5]]), np.array([[0.9, 0.8], [0.4, 0.0]]), np.array([[4.0, 1.0]]),
+          [[OK, OK], [OK, CURVATURE]], curvature)
     # the first failing entry in C order decides: the kink of an earlier
     # pair, then a zero prediction before a later kink
-    with pytest.raises(NumericalError, match=kink):
-        prediction_sd_grid(np.array([[1.0], [0.5]]), np.array([[0.9, 1.0], [0.4, 0.0]]),
-                           np.array([[4.0, 0.0]]), sigma_b, cfg)
-    with pytest.raises(NumericalError, match=curvature):
-        prediction_sd_grid(np.array([[0.5], [1.0]]), np.array([[0.4, 0.0], [0.9, 1.0]]),
-                           np.array([[4.0, 0.0]]), sigma_b, cfg)
+    check(np.array([[1.0], [0.5]]), np.array([[0.9, 1.0], [0.4, 0.0]]), np.array([[4.0, 0.0]]),
+          [[OK, KINK], [OK, CURVATURE]], kink)
+    check(np.array([[0.5], [1.0]]), np.array([[0.4, 0.0], [0.9, 1.0]]), np.array([[4.0, 0.0]]),
+          [[OK, CURVATURE], [OK, KINK]], curvature)
     # the conditional SD follows the same rule
-    for t, tau, v, message in ((0.5, 0.0, 4.0, curvature), (1.0, 1.0, 0.0, kink)):
-        with pytest.raises(NumericalError, match=message):
-            prediction_sd_grid(np.array([1.0, t]), np.array([0.9, tau]), v, (1.0, 0.0, 0.0), cfg,
-                               conditional=True)
+    for t, tau, v, status, message in ((0.5, 0.0, 4.0, CURVATURE, curvature), (1.0, 1.0, 0.0, KINK, kink)):
+        check(np.array([1.0, t]), np.array([0.9, tau]), v, [OK, status], message, conditional=True)
     # with q >= 2 a zero prediction has a finite curvature and an SD
-    sd = prediction_sd_grid(np.array([0.5, 1.0]), np.array([0.0, 0.9]), 4.0, (1.0, 0.0, 0.0),
-                            RobustConfig(0.5, 2.0), conditional=True)
-    assert np.all(np.isfinite(sd))
+    sd, status = prediction_sd_grid(np.array([0.5, 1.0]), np.array([0.0, 0.9]), 4.0, (1.0, 0.0, 0.0),
+                                    RobustConfig(0.5, 2.0), conditional=True)
+    assert np.all(np.isfinite(sd)) and status.tolist() == [OK, OK]
+    check_status(status)
 
 
 # ----------------------------------------------------------- zero-effect law
@@ -538,7 +550,7 @@ def test_conditional_sd_bounds_enclose_a_dense_grid():
             lo = rng.uniform(0.3, 3.0)
             ts = rng.choice([-1.0, 1.0]) * np.linspace(lo, lo + rng.uniform(0.05, 1.0), 20_001)
             tau = solve_minimax_many(ts, v, config)
-            sd = prediction_sd_grid(ts, tau, v, (s_bb, 0.0, 0.0), config, conditional=True)
+            sd = prediction_sd_grid(ts, tau, v, (s_bb, 0.0, 0.0), config, conditional=True)[0]
             slope_lo, slope_hi, sd_hi, sd_slope, tau_err, sd_err = conditional_sd_bounds(
                 np.abs(ts[[0, -1]]), tau[[0, -1]], v, s_bb, config)
             slope = np.diff(np.abs(tau)) / np.diff(np.abs(ts))
@@ -566,13 +578,13 @@ def test_zero_effect_sd_is_the_zero_effect_limit():
     for k in range(2000):
         cfg = RobustConfig(float(delta[k]), float(q[k]))
         assert solve_minimax(0.0, float(v_b[k]), cfg) == 0.0
-        sd = float(prediction_sd_grid(0.0, 0.0, v_b[k], (*sigma_b[:2], sigma_b[2][k]), cfg))
+        sd = float(prediction_sd_grid(0.0, 0.0, v_b[k], (*sigma_b[:2], sigma_b[2][k]), cfg)[0])
         limit = sigma_tau[k] / (1.0 + delta[k] * math.sqrt(v_b[k] / 2.0)) if q[k] == 2.0 else sigma_tau[k]
         assert sd == pytest.approx(limit, rel=4 * np.finfo(float).eps, abs=0.0)
-    # q in (1, 2): the limit law is not normal, and the zero prediction raises
+    # q in (1, 2): the limit law is not normal, and the zero prediction has no SD
     for q_low in (1.01, 1.5, 1.99):
-        with pytest.raises(NumericalError, match="for q < 2"):
-            prediction_sd_grid(0.0, 0.0, 4.0, (1.0, 0.0, 1.0), RobustConfig(1.0, q_low))
+        sd, status = prediction_sd_grid(0.0, 0.0, 4.0, (1.0, 0.0, 1.0), RobustConfig(1.0, q_low))
+        assert np.isnan(sd) and status == CURVATURE
 
 
 # ----------------------------------------------------------------- bootstrap
@@ -585,7 +597,7 @@ def test_bootstrap_sigma_consistent_with_plugin():
     # agree with the analytic tau* variance within bootstrap noise
     assert boot[2, 2] == pytest.approx(CASE1_S22, rel=0.25)
     plug = sigma_sharp_batch(smp.arms)[0]
-    assert boot[0, 0] == pytest.approx(plug.entries[0, 0], rel=0.3)
+    assert boot[0, 0] == pytest.approx(plug[0, 0], rel=0.3)
 
 
 def test_bootstrap_requires_draws():

@@ -2,6 +2,7 @@ import contextlib
 import json
 import math
 import warnings
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -13,14 +14,10 @@ from scipy.special import ndtr, ndtri
 from drpredict import NearEqualVariancesWarning, NumericalError, ValidationError
 from drpredict import inference
 from drpredict.cli import main
+from drpredict.covariance import KINK, OK, check_status, conditional_sd_bounds
 from drpredict.inference import (
-    IMMethod,
-    IntervalEstimate,
-    estimate_robust,
     estimate_robust_many,
-    plain_im_interval,
     plain_im_intervals,
-    two_step_interval,
     two_step_intervals,
 )
 from drpredict.sample import ExperimentalSample, load_sample
@@ -41,6 +38,29 @@ def _sample(y1, y0):
 def _case1(rng, n):
     n1 = rng.binomial(n, 0.3)
     return _sample(rng.normal(2.0, 2.0, n1), rng.normal(0.2, 1.0, n - n1))
+
+
+def _one(sample, config, method="sharp"):
+    """The record of a sample's batch of one."""
+    return estimate_robust_many([sample], config, method)
+
+
+def _arrays(result):
+    """The fields of a record, or the arrays of a tuple, in order."""
+    return [getattr(result, f.name) for f in fields(result)] if is_dataclass(result) else list(result)
+
+
+def _equal(a, b):
+    """Whether two results hold the same arrays bit for bit, a NaN matching a NaN."""
+    return all(np.array_equal(x, y, equal_nan=x.dtype.kind == "f") if isinstance(x, np.ndarray) else x == y
+               for x, y in zip(_arrays(a), _arrays(b), strict=True))
+
+
+def _assert_rows_equal(batch, singles):
+    """Each row of a batch's result is, bit for bit, its sample's result alone."""
+    for k, one in enumerate(singles):
+        rows = [x[k:k + 1] if isinstance(x, np.ndarray) else x for x in _arrays(batch)]
+        assert _equal(rows, one), k
 
 
 @pytest.mark.parametrize(
@@ -116,11 +136,11 @@ def test_im_level_is_at_most_one_half():
     lower, upper, c = _im(0.0, 0.2, 1.0, 1.0, n=100, alpha=0.5)
     assert c >= 0.0
     assert lower <= 0.0 and upper >= 0.2
-    s = _case1(np.random.default_rng(2), 2000)
+    est = _one(_case1(np.random.default_rng(2), 2000), CFG)
     with pytest.raises(ValidationError, match=r"alpha must be in \(0, 0.5\], got 0.6"):
-        two_step_interval(estimate_robust(s, CFG), alpha=0.6, beta=0.5)
-    union = two_step_interval(estimate_robust(s, CFG), alpha=0.5, beta=0.045)
-    assert union.rejected_first_step is True and union.c_values[0] >= 0.0
+        two_step_intervals(est, alpha=0.6, beta=0.5)
+    union = two_step_intervals(est, alpha=0.5, beta=0.045)
+    assert union.rejected[0] and union.c_min[0] >= 0.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -175,52 +195,31 @@ def test_im_monotone_in_alpha():
         prev = est
 
 
-# --------------------------------------------------------- IntervalEstimate
-
-
-def test_interval_estimate_validation():
-    with pytest.raises(ValidationError):
-        IntervalEstimate(2.0, 1.0, 0.05, IMMethod.IM)
-    with pytest.raises(ValidationError):
-        IntervalEstimate(0.0, 1.0, 1.5, IMMethod.IM)
-    with pytest.raises(ValidationError):
-        IntervalEstimate(math.nan, math.nan, 0.05, IMMethod.IM)  # no failed first step
-    ok = IntervalEstimate(0.0, 2.0, 0.05, "im")
-    assert ok.length == 2.0
-    assert ok.contains(1.3) and not ok.contains(2.1)
-    stopped = IntervalEstimate(
-        math.nan, math.nan, 0.05, IMMethod.IM_BONFERRONI,
-        first_step=(-0.1, 0.2), rejected_first_step=False,
-    )
-    assert not stopped.contains(0.0)
-    assert math.isnan(stopped.length)
-
-
-# ----------------------------------------------------------- estimate_robust
+# ------------------------------------------------------ estimate_robust_many
 
 
 def test_delta_zero_is_classic_ate_inference():
     rng = np.random.default_rng(1)
     s = _case1(rng, 3000)
-    est = estimate_robust(s, RobustConfig(0.0, 2.0), "sharp")
-    assert est.tau_p == est.tau_star == est.tau_o
-    assert est.sd_p == est.sd_o == est.sigma.sigma_tau
-    iv = plain_im_interval(estimate_robust(s, RobustConfig(0.0, 2.0), "sharp"), alpha=0.05)
-    half = Z_TWO_SIDED * est.sigma.sigma_tau / math.sqrt(3000)
-    assert iv.lower == pytest.approx(est.tau_star - half, abs=1e-6)
-    assert iv.upper == pytest.approx(est.tau_star + half, abs=1e-6)
-    assert iv.method is IMMethod.IM
+    est = _one(s, RobustConfig(0.0, 2.0), "sharp")
+    assert est.tau[0, 0] == est.tau_star[0] == est.tau[0, 1]
+    assert est.sd[0, 0] == est.sd[0, 1] == est.sd_tau[0]
+    assert est.status.tolist() == [[OK, OK]]
+    lower, upper, _ = plain_im_intervals(est, alpha=0.05)
+    half = Z_TWO_SIDED * est.sd_tau[0] / math.sqrt(3000)
+    assert lower[0] == pytest.approx(est.tau_star[0] - half, abs=1e-6)
+    assert upper[0] == pytest.approx(est.tau_star[0] + half, abs=1e-6)
 
 
 def test_negative_effect_orders_endpoints():
     rng = np.random.default_rng(8)
     n1 = 900
     s = _sample(rng.normal(-2.0, 2.0, n1), rng.normal(-0.2, 1.0, 2100))
-    est = estimate_robust(s, CFG, "neyman")
+    est = _one(s, CFG, "neyman")
     # negative tau*: shrinkage moves the estimates up, so tau_p >= tau_o
-    assert est.tau_p >= est.tau_o
-    iv = plain_im_interval(estimate_robust(s, CFG, "neyman"))
-    assert iv.lower < iv.upper < 0.0
+    assert est.tau[0, 0] >= est.tau[0, 1]
+    lower, upper, _ = plain_im_intervals(est)
+    assert lower[0] < upper[0] < 0.0
 
 
 def test_q1_estimates_carry_no_sds(monkeypatch):
@@ -229,17 +228,15 @@ def test_q1_estimates_carry_no_sds(monkeypatch):
 
     monkeypatch.setattr(inference, "sigma_sharp_batch", no_sigma)
     rng = np.random.default_rng(9)
-    est = estimate_robust(_case1(rng, 1000), RobustConfig(0.5, 1.0), "sharp")
-    assert est.sigma is None and est.sd_p is None and est.sd_o is None
-    assert abs(est.tau_p) <= abs(est.tau_o) <= abs(est.tau_star)
+    est = _one(_case1(rng, 1000), RobustConfig(0.5, 1.0), "sharp")
+    assert est.sigma is None and np.isnan(est.sd_tau).all() and np.isnan(est.sd).all()
+    assert est.status.tolist() == [["q = 1", "q = 1"]]
+    check_status(est.status)  # q = 1 is no failure
+    assert abs(est.tau[0, 0]) <= abs(est.tau[0, 1]) <= abs(est.tau_star[0])
     with pytest.raises(ValidationError):
-        plain_im_interval(est)
+        plain_im_intervals(est)
     with pytest.raises(ValidationError):
-        two_step_interval(est)
-
-
-def _fields(est):
-    return (est.tau_p, est.tau_o, est.sd_p, est.sd_o, est.bounds, est.tau_star, est.n, est.sigma.entries.tolist())
+        two_step_intervals(est)
 
 
 @pytest.mark.parametrize("method", ["sharp", "neyman"])
@@ -265,43 +262,67 @@ def test_batch_equals_batches_of_one(method, config):
         ests = estimate_robust_many(iter(samples), config, method)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NearEqualVariancesWarning)
-        singles = [estimate_robust(s, config, method) for s in samples]
-    assert [_fields(e) for e in ests] == [_fields(e) for e in singles]
-    assert plain_im_intervals(ests) == [plain_im_interval(e) for e in singles]
+        singles = [_one(s, config, method) for s in samples]
+    assert ests.tau.shape == ests.sd.shape == ests.status.shape == (len(samples), 2)
+    _assert_rows_equal(ests, singles)
+    _assert_rows_equal(plain_im_intervals(ests), [plain_im_intervals(e) for e in singles])
     unions = two_step_intervals(ests)
-    assert unions == [two_step_interval(e) for e in singles]
-    assert [u.rejected_first_step for u in unions] == rejected
+    _assert_rows_equal(unions, [two_step_intervals(e) for e in singles])
+    assert unions.rejected.tolist() == rejected
 
 
 def test_empty_batches():
-    assert estimate_robust_many(iter(()), CFG) == []
-    assert plain_im_intervals([]) == []
-    assert two_step_intervals([]) == []
+    # a record has a row per sample, so a batch of none is an input error
+    with pytest.raises(ValidationError, match="at least one sample"):
+        estimate_robust_many(iter(()), CFG)
 
 
-def test_mixed_batch_raises():
-    rng = np.random.default_rng(22)
-    s = _case1(rng, 600)
-    est = estimate_robust(s, CFG, "sharp")
-    for other in (estimate_robust(s, RobustConfig(0.2, 2.0), "sharp"),
-                  estimate_robust(s, CFG, "neyman")):
-        for batch in ([est, other], [other, est]):
-            with pytest.raises(ValidationError, match="share one config"):
-                plain_im_intervals(batch)
-            with pytest.raises(ValidationError, match="share one config"):
-                two_step_intervals(batch)
+def _eqvar_like():
+    """80 rows like eqvar.csv: the treated arm is the control arm plus 1,
+    and the Neyman v_o is a rounding residue of order 1e-32, not 0."""
+    y0 = np.random.default_rng(0).normal(size=40)
+    return _sample(y0 + 1.0, y0)
+
+
+def test_kink_sample_leaves_the_rows_beside_it_as_they_are_alone():
+    # a sharp-route batch with a shifted-arm sample (v_o = 0 and tau_o =
+    # tau*, the kink) between two Gaussian samples: nothing raises, the kink
+    # row says why it has no sd_o, and the Gaussian rows are what they are
+    # alone in every array, the intervals' too
+    rng = np.random.default_rng(24)
+    samples = [_case1(rng, 600), _eqvar_like(), _case1(rng, 900)]
+    config = RobustConfig(0.5, 2.0)
+    est = estimate_robust_many(samples, config)
+    assert est.v[1, 1] == 0.0 and est.tau[1, 1] == est.tau_star[1]
+    assert est.status.tolist() == [[OK, OK], [OK, KINK], [OK, OK]]
+    assert np.isnan(est.sd[1, 1]) and np.isfinite(est.sd[1, 0])
+    assert np.isfinite(np.delete(est.sd, 1, axis=0)).all()
+    im, union = plain_im_intervals(est), two_step_intervals(est)
+    assert all(np.isnan(x[1]) for x in im)
+    assert union.rejected[1] and np.isnan([union.lower[1], union.upper[1], union.c_min[1]]).all()
+    assert union.status[1].tolist() == [OK, KINK]
+    gaussian = [0, 2]
+    alone = [_one(samples[k], config) for k in gaussian]
+    for result, singles in ((est, alone), (im, [plain_im_intervals(e) for e in alone]),
+                            (union, [two_step_intervals(e) for e in alone])):
+        _assert_rows_equal([x[gaussian] if isinstance(x, np.ndarray) else x for x in _arrays(result)], singles)
+    kink = "no smooth expansion at v_b = 0 with tau_b = tau_star"
+    for status in (est.status, union.status):
+        with pytest.raises(NumericalError, match=kink):
+            check_status(status)
 
 
 def test_batch_with_zero_effect_raises_zero_tau():
     rng = np.random.default_rng(23)
     y0 = rng.normal(0.0, 1.0, 60)
-    # identical arms: tau_hat and v_o are exactly 0, so tau_o = tau_hat at the kink
+    # identical arms: tau_hat and v_o are exactly 0, so tau_o = tau_hat at
+    # the kink; the status raises it, for the sample alone and in a batch
     zero = _sample(y0, y0)
     kink = "no smooth expansion at v_b = 0 with tau_b = tau_star"
-    with pytest.raises(NumericalError, match=kink):
-        estimate_robust(zero, CFG)
-    with pytest.raises(NumericalError, match=kink):
-        estimate_robust_many([_case1(rng, 600), zero, _case1(rng, 600)], CFG)
+    for samples in ([zero], [_case1(rng, 600), zero, _case1(rng, 600)]):
+        est = estimate_robust_many(samples, CFG)
+        with pytest.raises(NumericalError, match=kink):
+            check_status(est.status)
 
 
 def test_infer_json_equals_the_library_pipeline(tmp_path, capsys):
@@ -313,20 +334,19 @@ def test_infer_json_equals_the_library_pipeline(tmp_path, capsys):
     assert main(["infer", "--data", str(path), "--delta", "0.1", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
 
-    est = estimate_robust(load_sample(path, "y", "t"), CFG, "sharp")
-    im = plain_im_interval(est)
-    union = two_step_interval(est)
-    assert (doc["tau_p"], doc["sd_p"]) == (est.tau_p, est.sd_p)
-    assert doc["im"] == {
-        "lower": im.lower, "upper": im.upper, "alpha": im.alpha, "c": im.c_values[0],
-    }
+    est = _one(load_sample(path, "y", "t"), CFG, "sharp")
+    lower, upper, c = plain_im_intervals(est)
+    union = two_step_intervals(est)
+    assert (doc["tau_p"], doc["sd_p"], doc["sd_tau"]) == (est.tau[0, 0], est.sd[0, 0], est.sd_tau[0])
+    assert doc["im"] == {"lower": lower[0], "upper": upper[0], "alpha": 0.05, "c": c[0]}
+    assert doc["first_step"] == {"lower": union.first_lo[0], "upper": union.first_hi[0], "level": 0.955}
     assert doc["im_bonferroni"] == {
-        "lower": union.lower,
-        "upper": union.upper,
-        "alpha": union.alpha,
+        "lower": union.lower[0],
+        "upper": union.upper[0],
+        "alpha": 0.05,
         "beta": 0.045,
-        "c_min": union.c_values[0],
-        "c_max": union.c_values[1],
+        "c_min": union.c_min[0],
+        "c_max": union.c_max[0],
     }
 
 
@@ -337,44 +357,42 @@ def test_two_step_preconditions():
     rng = np.random.default_rng(2)
     s = _case1(rng, 600)
     with pytest.raises(ValidationError):
-        two_step_interval(estimate_robust(s, RobustConfig(0.5, 1.0)))
+        two_step_intervals(_one(s, RobustConfig(0.5, 1.0)))
+    est = _one(s, CFG)
     with pytest.raises(ValidationError):
-        two_step_interval(estimate_robust(s, CFG), alpha=0.05, beta=0.05)
+        two_step_intervals(est, alpha=0.05, beta=0.05)
     with pytest.raises(ValidationError):
-        two_step_interval(estimate_robust(s, CFG), alpha=0.05, beta=-0.01)
+        two_step_intervals(est, alpha=0.05, beta=-0.01)
     with pytest.raises(ValidationError):
-        two_step_interval(estimate_robust(s, CFG), alpha=1.0)
+        two_step_intervals(est, alpha=1.0)
 
 
 def test_two_step_stops_when_zero_not_rejected():
     rng = np.random.default_rng(3)
     s = _sample(rng.normal(0.0, 1.0, 500), rng.normal(0.0, 1.0, 500))
-    est = two_step_interval(estimate_robust(s, CFG, "neyman"))
-    assert est.rejected_first_step is False
-    assert math.isnan(est.lower) and math.isnan(est.upper)
-    assert est.first_step[0] < 0.0 < est.first_step[1]
-    assert not est.contains(0.0)
+    union = two_step_intervals(_one(s, CFG, "neyman"))
+    assert not union.rejected[0]
+    assert np.isnan([union.lower[0], union.upper[0], union.c_min[0], union.c_max[0]]).all()
+    assert union.first_lo[0] < 0.0 < union.first_hi[0]
+    assert union.status.tolist() == [[OK, OK]]
 
 
 def test_two_step_with_zero_beta_stops_at_first_step():
     # beta = 0 asks for the quantile at level 1, an infinite first step
     s = _case1(np.random.default_rng(17), 400)
-    est = two_step_interval(estimate_robust(s, CFG), alpha=0.05, beta=0.0)
-    assert est.rejected_first_step is False
-    assert est.first_step == (-math.inf, math.inf)
+    union = two_step_intervals(_one(s, CFG), alpha=0.05, beta=0.0)
+    assert not union.rejected[0]
+    assert (union.first_lo[0], union.first_hi[0]) == (-math.inf, math.inf)
 
 
 def test_two_step_diagnostics_and_critical_range():
     rng = np.random.default_rng(4)
     s = _case1(rng, 2000)
-    est = two_step_interval(estimate_robust(s, CFG, "sharp"), alpha=0.05, beta=0.045)
-    assert est.rejected_first_step is True
-    assert est.method is IMMethod.IM_BONFERRONI
-    assert est.alpha == 0.05
-    assert est.first_step[0] > 0.0
+    union = two_step_intervals(_one(s, CFG, "sharp"), alpha=0.05, beta=0.045)
+    assert union.rejected[0]
+    assert union.first_lo[0] > 0.0
     alpha2 = 0.005
-    lo_c, hi_c = est.c_values
-    assert ndtri(1 - alpha2) - 1e-9 <= lo_c <= hi_c <= ndtri(1 - alpha2 / 2) + 1e-9
+    assert ndtri(1 - alpha2) - 1e-9 <= union.c_min[0] <= union.c_max[0] <= ndtri(1 - alpha2 / 2) + 1e-9
 
 
 def _grid_only(monkeypatch):
@@ -396,22 +414,15 @@ def test_two_step_union_does_not_depend_on_the_grid_size(monkeypatch):
             unions = {}
             for points in (25, 101, 2001):
                 monkeypatch.setattr(inference, "_GRID_POINTS", points)
-                unions[points] = [(u.lower, u.upper) for u in two_step_intervals(ests)
-                                  if u.rejected_first_step]
+                u = two_step_intervals(ests)
+                unions[points] = (u.lower[u.rejected].tolist(), u.upper[u.rejected].tolist())
             assert unions[25] == unions[101] == unions[2001], (case, method)
-            rejected += len(unions[101])
+            rejected += len(unions[101][0])
     assert rejected == 526  # case 4's first step rejects in 13 of its 50 draws
 
 
 def _scaled(sample, scale):
     return ExperimentalSample(sample.outcomes * scale, sample.treatments)
-
-
-def _eqvar_like():
-    """80 rows like eqvar.csv: the treated arm is the control arm plus 1,
-    and the Neyman v_o is a rounding residue of order 1e-32, not 0."""
-    y0 = np.random.default_rng(0).normal(size=40)
-    return _sample(y0 + 1.0, y0)
 
 
 def _pos():
@@ -446,7 +457,7 @@ def test_certified_union_is_the_grid_union(monkeypatch):
         for method in ("sharp", "neyman"):
             ests = estimate_robust_many(samples, config, method)
             unions, grid, passed[case, method] = _unions_and_certificate(monkeypatch, ests)
-            assert unions == grid, (case, method)
+            assert _equal(unions, grid), (case, method)
     assert sum(p.size for p in passed.values()) == 526
     # the coverage benchmark's designs: every first step rejects, and the
     # certificate passes on at least 99% of the rows
@@ -460,16 +471,16 @@ def test_certified_union_is_the_grid_union(monkeypatch):
     for samples, method in ((pos, "sharp"), (pos, "neyman"), ([_eqvar_like()], "neyman")):
         ests = estimate_robust_many(samples, RobustConfig(0.5, 2.0), method)
         unions, grid, certified = _unions_and_certificate(monkeypatch, ests)
-        assert unions == grid and not certified.any(), method
-    assert 0.0 < ests[0].bounds.v_o < 1e-30
+        assert _equal(unions, grid) and not certified.any(), method
+    assert 0.0 < ests.v[0, 1] < 1e-30
 
     # a narrow bracket at n = 300, where c_n moves with the scaled width: the
     # ends alone would misreport the c range
     dgp = GaussianDGP(mu1=2.0, mu0=0.04, sigma1=2.0, sigma0=0.2, rho=0.7, e=0.3, n=300)
     samples = [draw_sample(dgp, child) for child in np.random.SeedSequence(5).spawn(50)]
     unions, grid, certified = _unions_and_certificate(monkeypatch, estimate_robust_many(samples, CFG))
-    assert unions == grid and certified.size == 50 and not certified.any()
-    assert all(u.c_values[0] < u.c_values[1] for u in unions)
+    assert _equal(unions, grid) and certified.size == 50 and not certified.any()
+    assert (unions.c_min < unions.c_max).all()
 
     # above the no-shrinkage threshold with v_o near 0 (sigma1 = sigma0)
     for rho in (1.0, 0.7):
@@ -478,7 +489,35 @@ def test_certified_union_is_the_grid_union(monkeypatch):
         for method in ("sharp", "neyman"):
             ests = estimate_robust_many(samples, RobustConfig(2.0, 2.0), method)
             unions, grid, certified = _unions_and_certificate(monkeypatch, ests)
-            assert unions == grid and certified.size == 60, (rho, method)
+            assert _equal(unions, grid) and certified.size == 60, (rho, method)
+
+
+def test_certificate_refuses_a_row_whose_critical_value_is_not_saturated(monkeypatch):
+    # a row the certificate passes at n = 1,000 (case 1, sharp), given to it
+    # again with n shrunk until the least c + w lies in (6, 8.5), and then
+    # in (8.5, sqrt(76 + c^2)), where c + w >= 8.5 holds but w (2c + w) >= 76
+    # does not: there c_n still moves with the scaled width w across the
+    # grid, and the row must fail
+    dgp, config = case_preset(1, 1000)
+    sample = draw_sample(dgp, np.random.SeedSequence(7).spawn(50)[0])
+    calls = []
+    certified = inference._certified
+    monkeypatch.setattr(inference, "_certified", lambda *args: calls.append(args) or certified(*args))
+    two_step_intervals(_one(sample, config))
+    (ends, tau, v, s_bb, n, config, level), = calls
+    assert certified(ends, tau, v, s_bb, n, config, level).tolist() == [True]
+    # the least w over the interval, over sqrt(n): the spread |tau_o| - |tau_p|
+    # at the ends, less how far it can stray between them, over the largest SD
+    slope_lo, slope_hi, sd_hi, _, tau_err, _ = conditional_sd_bounds(np.abs(ends), tau, v, s_bb, config)
+    fall, climb = max(slope_hi[0, 0] - slope_lo[0, 1], 0.0), max(slope_hi[0, 1] - slope_lo[0, 0], 0.0)
+    reach = abs(ends[0, 0, 1] - ends[0, 0, 0]) * fall * climb / (fall + climb) + 2.0 * tau_err.max()
+    per_root_n = ((np.abs(tau[0, 1]) - np.abs(tau[0, 0])).min() - reach) / sd_hi.max()
+    c = inference._z(1.0 - level)
+    assert c + math.sqrt(n[0]) * per_root_n > 20.0
+    for lo, hi in ((6.0, 8.5), (8.5, math.sqrt(76.0 + c * c))):
+        small = round(((0.5 * (lo + hi) - c) / per_root_n) ** 2)
+        assert lo < c + math.sqrt(small) * per_root_n < hi
+        assert certified(ends, tau, v, s_bb, np.array([small]), config, level).tolist() == [False], lo
 
 
 @pytest.mark.filterwarnings("ignore::drpredict.covariance.NearEqualVariancesWarning")
@@ -492,21 +531,21 @@ def test_batch_mixing_certified_and_grid_rows_equals_batches_of_one(monkeypatch)
                _sample(rng.normal(-2.0, 2.0, 400), rng.normal(0.0, 1.0, 600))]
     config = RobustConfig(0.5, 2.0)
     ests = estimate_robust_many(samples, config, "neyman")
-    singles = [two_step_interval(estimate_robust(s, config, "neyman")) for s in samples]
+    singles = [two_step_intervals(_one(s, config, "neyman")) for s in samples]
     unions, grid, certified = _unions_and_certificate(monkeypatch, ests)
     assert certified.tolist() == [True, False, True, False, True]
-    assert unions == singles == grid
+    _assert_rows_equal(unions, singles)
+    assert _equal(unions, grid)
 
 
 def test_two_step_contains_plain_im():
     rng = np.random.default_rng(5)
     for n in (500, 2000):
         for method in ("sharp", "neyman"):
-            s = _case1(rng, n)
-            union = two_step_interval(estimate_robust(s, CFG, method))
-            im = plain_im_interval(estimate_robust(s, CFG, method))
-            assert union.lower <= im.lower + 1e-12
-            assert union.upper >= im.upper - 1e-12
+            est = _one(_case1(rng, n), CFG, method)
+            union, (im_lo, im_hi, _) = two_step_intervals(est), plain_im_intervals(est)
+            assert union.lower[0] <= im_lo[0] + 1e-12
+            assert union.upper[0] >= im_hi[0] - 1e-12
     # pos.csv times 10^4 and 10^-2 at delta = 0.5, where the radius is small
     # or large beside the outcomes. Times 10^4, tau_p stays near 0 over half
     # the first-step interval, and the union's lower end comes from inside
@@ -516,10 +555,10 @@ def test_two_step_contains_plain_im():
     y, t = _pos()
     for scale in (1e4, 1e-2):
         for method in ("sharp", "neyman"):
-            est = estimate_robust(ExperimentalSample(scale * y, t), RobustConfig(0.5, 2.0), method)
-            union, im = two_step_interval(est), plain_im_interval(est)
-            assert union.rejected_first_step
-            assert union.lower <= im.lower and union.upper >= im.upper, (scale, method)
+            est = _one(ExperimentalSample(scale * y, t), RobustConfig(0.5, 2.0), method)
+            union, (im_lo, im_hi, _) = two_step_intervals(est), plain_im_intervals(est)
+            assert union.rejected[0]
+            assert union.lower[0] <= im_lo[0] and union.upper[0] >= im_hi[0], (scale, method)
 
 
 def test_two_step_at_delta_zero_reports_the_zero_width_critical_value():
@@ -528,23 +567,23 @@ def test_two_step_at_delta_zero_reports_the_zero_width_critical_value():
     # is the zero-width limit z(1 - (alpha - beta)/2), as in the plain IM step
     s = _case1(np.random.default_rng(9), 2000)
     alpha, beta = 0.05, 0.045
-    est = two_step_interval(estimate_robust(s, RobustConfig(0.0, 2.0)), alpha, beta)
-    assert est.rejected_first_step is True
-    assert (est.lower, est.upper) == est.first_step
+    union = two_step_intervals(_one(s, RobustConfig(0.0, 2.0)), alpha, beta)
+    assert union.rejected[0]
+    assert (union.lower[0], union.upper[0]) == (union.first_lo[0], union.first_hi[0])
     z = float(ndtri(1.0 - (alpha - beta) / 2.0))
-    assert est.c_values[0] == est.c_values[1] == pytest.approx(z, rel=1e-14)
+    assert union.c_min[0] == union.c_max[0] == pytest.approx(z, rel=1e-14)
 
 
 @pytest.mark.parametrize("alpha, beta", [(1e-17, 0.0), (1e-300, 0.0), (0.05, 0.04999999999999999)])
 def test_levels_with_an_infinite_normal_quantile_are_rejected(alpha, beta):
     # z(1 - level/2) is infinite for alpha and for alpha - beta here; beta = 0
     # alone stays legal (test_two_step_with_zero_beta_stops_at_first_step)
-    est = estimate_robust(_case1(np.random.default_rng(10), 2000), CFG)
+    est = _one(_case1(np.random.default_rng(10), 2000), CFG)
     with pytest.raises(ValidationError, match="infinite"):
         if beta == 0.0:
-            plain_im_interval(est, alpha)
+            plain_im_intervals(est, alpha)
         else:
-            two_step_interval(est, alpha, beta)
+            two_step_intervals(est, alpha, beta)
     if beta == 0.0:
         with pytest.raises(ValidationError, match="infinite"):
             _im(0.0, 1.0, 1.0, 1.0, n=100, alpha=alpha)
@@ -552,19 +591,19 @@ def test_levels_with_an_infinite_normal_quantile_are_rejected(alpha, beta):
 
 def test_two_step_monotone_in_alpha():
     rng = np.random.default_rng(6)
-    s = _case1(rng, 2000)
-    wide = two_step_interval(estimate_robust(s, CFG, "sharp"), alpha=0.01, beta=0.005)
-    narrow = two_step_interval(estimate_robust(s, CFG, "sharp"), alpha=0.10, beta=0.045)
-    assert wide.lower <= narrow.lower and wide.upper >= narrow.upper
+    est = _one(_case1(rng, 2000), CFG, "sharp")
+    wide = two_step_intervals(est, alpha=0.01, beta=0.005)
+    narrow = two_step_intervals(est, alpha=0.10, beta=0.045)
+    assert wide.lower[0] <= narrow.lower[0] and wide.upper[0] >= narrow.upper[0]
 
 
 def test_two_step_methods_agree_closely():
     rng = np.random.default_rng(7)
     s = _case1(rng, 4000)
-    a = two_step_interval(estimate_robust(s, CFG, "sharp"))
-    b = two_step_interval(estimate_robust(s, CFG, "neyman"))
-    assert a.lower == pytest.approx(b.lower, abs=0.06)
-    assert a.upper == pytest.approx(b.upper, abs=0.06)
+    a = two_step_intervals(_one(s, CFG, "sharp"))
+    b = two_step_intervals(_one(s, CFG, "neyman"))
+    assert a.lower[0] == pytest.approx(b.lower[0], abs=0.06)
+    assert a.upper[0] == pytest.approx(b.upper[0], abs=0.06)
 
 
 def test_case1_reproduces_reference_averages():
@@ -573,20 +612,12 @@ def test_case1_reproduces_reference_averages():
     # population range [1.576, 1.722]
     rng = np.random.default_rng(99)
     reps, n = 300, 500
-    lo_ts, hi_ts, lo_im, hi_im, ratios = [], [], [], [], []
-    for _ in range(reps):
-        s = _case1(rng, n)
-        union = two_step_interval(estimate_robust(s, CFG, "sharp"))
-        im = plain_im_interval(estimate_robust(s, CFG, "sharp"))
-        lo_im.append(im.lower)
-        hi_im.append(im.upper)
-        if union.rejected_first_step:
-            lo_ts.append(union.lower)
-            hi_ts.append(union.upper)
-            ratios.append(union.length / im.length)
-    assert len(lo_ts) == reps  # tau* = 1.8 is far from 0 at n=500
-    assert np.mean(lo_ts) == pytest.approx(1.235, abs=0.05)
-    assert np.mean(hi_ts) == pytest.approx(2.080, abs=0.05)
-    assert np.mean(lo_im) == pytest.approx(1.299, abs=0.05)
-    assert np.mean(hi_im) == pytest.approx(2.000, abs=0.05)
+    est = estimate_robust_many([_case1(rng, n) for _ in range(reps)], CFG, "sharp")
+    union, (im_lo, im_hi, _) = two_step_intervals(est), plain_im_intervals(est)
+    assert union.rejected.all()  # tau* = 1.8 is far from 0 at n=500
+    assert np.mean(union.lower) == pytest.approx(1.235, abs=0.05)
+    assert np.mean(union.upper) == pytest.approx(2.080, abs=0.05)
+    assert np.mean(im_lo) == pytest.approx(1.299, abs=0.05)
+    assert np.mean(im_hi) == pytest.approx(2.000, abs=0.05)
+    ratios = (union.upper - union.lower) / (im_hi - im_lo)
     assert np.mean(ratios) == pytest.approx(1.207, abs=0.1)

@@ -7,16 +7,18 @@ import pytest
 
 from drpredict import ExperimentalSample
 from drpredict import inference, simulation
-from drpredict.bounds import merged_grid_blocks, neyman_bounds, sharp_bounds_empirical
+from drpredict.bounds import merged_grid_blocks
 from drpredict.calibration import SplitRule, split_benchmark
 from drpredict.covariance import sigma_sharp_batch
-from drpredict.inference import estimate_robust, estimate_robust_many
+from drpredict.inference import estimate_robust_many
 from drpredict.sample import arm_batch
 from drpredict.simulation import case_preset, run_coverage_study
 from drpredict.solver import RobustConfig
 from oracles import (
+    bounds_of,
     central_moments,
     merged_u_grid,
+    neyman_bracket,
     quantile_at,
     sharp_bounds_per_sample,
     sigma_neyman_per_sample,
@@ -69,35 +71,33 @@ def test_records_equal_batches_of_one(method):
     if method == "neyman":
         samples = [s for s in samples if s.arms.moments[1].min() > 0]
     ests = estimate_robust_many(iter(samples), CFG, method)
-    for est, sample in zip(ests, samples):
-        alone = estimate_robust(ExperimentalSample(sample.outcomes, sample.treatments), CFG, method)
-        assert (est.tau_p, est.tau_o, est.sd_p, est.sd_o, est.bounds, est.tau_star, est.n) == (
-            alone.tau_p, alone.tau_o, alone.sd_p, alone.sd_o, alone.bounds, alone.tau_star, alone.n)
-        assert np.array_equal(est.sigma.entries, alone.sigma.entries)
+    for r, sample in enumerate(samples):
+        alone = estimate_robust_many([ExperimentalSample(sample.outcomes, sample.treatments)], CFG, method)
+        for name in ("tau_star", "v", "tau", "sigma", "sd", "n", "status"):
+            assert np.array_equal(getattr(ests, name)[r:r + 1], getattr(alone, name)), (r, name)
     many = sigma_sharp_batch(arm_batch(samples))
-    assert all(np.array_equal(got.entries, sigma_sharp_batch(s.arms)[0].entries) for got, s in zip(many, samples))
+    assert all(np.array_equal(got, sigma_sharp_batch(s.arms)[0]) for got, s in zip(many, samples))
 
 
 def test_records_agree_with_the_per_sample_oracles():
     samples = _mixed()
     ests = estimate_robust_many(samples, CFG)
     moments = arm_batch(samples).moments
-    for r, (est, sample) in enumerate(zip(ests, samples)):
+    neyman = estimate_robust_many(samples, CFG, "neyman")
+    for r, sample in enumerate(samples):
         treated, control = central_moments(sample.treated), central_moments(sample.control)
         # moments: np.mean on each arm as drawn, bit for bit (exact on the constant arm)
         assert moments[:, 2 * r : 2 * r + 2].T.tolist() == [list(treated), list(control)]
-        assert est.tau_star == treated[0] - control[0]
+        assert ests.tau_star[r] == treated[0] - control[0]
         v_o, v_p = sharp_bounds_per_sample(sample)
-        assert abs(est.bounds.v_o - v_o) <= 1e-13 * v_p
-        assert abs(est.bounds.v_p - v_p) <= 1e-13 * v_p
+        assert abs(ests.v[r, 1] - v_o) <= 1e-13 * v_p
+        assert abs(ests.v[r, 0] - v_p) <= 1e-13 * v_p
         oracle = sigma_sharp_per_sample(sample)
         scale = np.sqrt(np.outer(np.diag(oracle), np.diag(oracle)))
-        assert np.all(np.abs(est.sigma.entries - oracle) <= 1e-13 * scale)
-    # the Neyman route: bounds and Sigma bit for bit those of scalar arithmetic
-    for est, sample in zip(estimate_robust_many(samples, CFG, "neyman"), samples):
-        (_, s1_sq, _, _), (_, s0_sq, _, _) = central_moments(sample.treated), central_moments(sample.control)
-        assert est.bounds == neyman_bounds(s1_sq, s0_sq)
-        assert est.sigma.entries.tolist() == sigma_neyman_per_sample(sample).tolist()
+        assert np.all(np.abs(ests.sigma[r] - oracle) <= 1e-13 * scale)
+        # the Neyman route: bounds and Sigma bit for bit those of scalar arithmetic
+        assert tuple(neyman.v[r].tolist()) == neyman_bracket(treated[1], control[1])
+        assert neyman.sigma[r].tolist() == sigma_neyman_per_sample(sample).tolist()
 
 
 def test_no_batch_exceeds_the_budget_unless_it_holds_one_sample(monkeypatch):
@@ -185,8 +185,8 @@ def test_sharp_bounds_of_a_sample_over_the_budget_are_blocked_alone():
     rng = np.random.default_rng(43)
     big = _sample(rng.normal(1.0, 2.0, 140_000), rng.lognormal(0.0, 1.0, 140_000))
     small = _sample(rng.normal(size=50), rng.normal(size=70))
-    alone = sharp_bounds_empirical(big)
+    alone = bounds_of(big)
     ests = estimate_robust_many([small, big], CFG)
-    assert ests[1].bounds == alone
+    assert tuple(ests.v[1].tolist()) == alone
     v_o, v_p = sharp_bounds_per_sample(big)
     assert abs(alone.v_p - v_p) <= 1e-12 * v_p and abs(alone.v_o - v_o) <= 1e-12 * v_p

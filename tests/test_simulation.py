@@ -12,9 +12,8 @@ from scipy import stats
 
 from drpredict import ExperimentalSample, NumericalError, ValidationError
 from drpredict import simulation
-from drpredict.bounds import sharp_bounds_empirical
 from drpredict.covariance import prediction_sd_grid, sigma_sharp_batch
-from drpredict.inference import _im_critical, _im_endpoints, _z, estimate_robust
+from drpredict.inference import _im_critical, _im_endpoints, _z, estimate_robust_many
 from drpredict.simulation import (
     GaussianDGP,
     SimulationReport,
@@ -27,7 +26,7 @@ from drpredict.simulation import (
     write_reports_csv,
 )
 from drpredict.solver import RobustConfig, penalty_derivs, solve_minimax_many
-from oracles import sharp_bounds_population
+from oracles import bounds_of, sharp_bounds_population
 
 
 # ------------------------------------------------------------------ designs
@@ -214,11 +213,10 @@ def test_coverage_study_delta_zero_reduces_to_ate():
 
 def _blocks(dgp, cfg, edges, seed=7, replications=100):
     children = np.random.SeedSequence(seed).spawn(replications)
-    return [
-        rec
+    return np.concatenate([
+        _replicate_batch(dgp, cfg, children[lo:hi], 0.05, 0.045, "sharp")
         for lo, hi in zip(edges[:-1], edges[1:])
-        for rec in _replicate_batch(dgp, cfg, children[lo:hi], 0.05, 0.045, "sharp")
-    ]
+    ])
 
 
 @pytest.mark.parametrize("batch", [16, 100])  # 16: a study batch at n = 1000
@@ -226,10 +224,9 @@ def _blocks(dgp, cfg, edges, seed=7, replications=100):
 def test_replications_do_not_depend_on_their_batch(case, batch):
     dgp, cfg = case_preset(case, n=400)
     whole = _blocks(dgp, cfg, [0, 100])
-    assert len(whole) == 100
-    assert _blocks(dgp, cfg, [*range(0, 100, batch), 100]) == whole
-    assert _blocks(dgp, cfg, [0, 37, 100]) == whole
-    assert _blocks(dgp, cfg, list(range(101))) == whole
+    assert whole.shape == (100, 6)
+    for edges in ([*range(0, 100, batch), 100], [0, 37, 100], list(range(101))):
+        assert np.array_equal(_blocks(dgp, cfg, edges), whole, equal_nan=True)
 
 
 def _old_replication(dgp, cfg, child, alpha=0.05, beta=0.045):
@@ -238,19 +235,18 @@ def _old_replication(dgp, cfg, child, alpha=0.05, beta=0.045):
     (2, grid) two-step whose conditional SD is |gap / (2 A^3)| sqrt(S_bb) / M''."""
     sample = draw_sample(dgp, child)
     tau_star = float(sample.arms.ate[0])
-    bounds = sharp_bounds_empirical(sample)
-    sigma = sigma_sharp_batch(sample.arms)[0]
+    bounds = bounds_of(sample)
+    s = sigma_sharp_batch(sample.arms)[0]
     tau_p, tau_o = solve_minimax_many(tau_star, [bounds.v_p, bounds.v_o], cfg).tolist()
-    s = sigma.entries
     sd_p, sd_o = (
-        float(prediction_sd_grid(tau_star, tau_b, v_b, (s[b, b], s[b, 2], s[2, 2]), cfg))
+        float(prediction_sd_grid(tau_star, tau_b, v_b, (s[b, b], s[b, 2], s[2, 2]), cfg)[0])
         for b, (tau_b, v_b) in enumerate(((tau_p, bounds.v_p), (tau_o, bounds.v_o)))
     )
     pair = (tau_p, tau_o, sd_p, sd_o) if tau_p <= tau_o else (tau_o, tau_p, sd_o, sd_p)
     im_lower, im_upper, _ = (float(x) for x in _im_endpoints(*pair, sample.n, alpha))
 
     root_n = math.sqrt(sample.n)
-    half = _z(1.0 - beta / 2.0) * (sigma.sigma_tau / root_n)
+    half = _z(1.0 - beta / 2.0) * (math.sqrt(max(s[2, 2], 0.0)) / root_n)
     first = (tau_star - half, tau_star + half)
     if first[0] <= 0.0 <= first[1]:
         return (im_lower, im_upper, math.nan, math.nan, math.nan, False)
@@ -261,7 +257,7 @@ def _old_replication(dgp, cfg, child, alpha=0.05, beta=0.045):
     a_sq = v + gap * gap
     a = np.sqrt(a_sq)
     curvature = v / (a_sq * a) + cfg.delta * penalty_derivs(tau, cfg.q)[2]
-    s_bb = np.array([[sigma.entries[0, 0]], [sigma.entries[1, 1]]])
+    s_bb = np.array([[s[0, 0]], [s[1, 1]]])
     sd = np.abs(gap / (2.0 * a_sq * a)) * np.sqrt(s_bb) / curvature
     order = np.argsort(tau, axis=0, kind="stable")  # tau_p first on ties
     lo, hi = np.take_along_axis(tau, order, 0)
@@ -293,10 +289,22 @@ def test_batched_study_matches_per_replication_composition(case):
         assert got == pytest.approx(sum(r[column] for r in rows) / len(rows), rel=1e-13, abs=0)
 
 
-def test_coverage_study_two_workers_equal_serial():
-    dgp, cfg = case_preset(1, n=200)
+def test_coverage_study_two_workers_equal_serial(monkeypatch):
+    # n = 1,000 and 100 replications make 4 batches of BATCH_ROWS rows, so
+    # two workers open a pool of two processes wherever 2 CPUs are reported
+    dgp, cfg = case_preset(1, n=1000)
     serial = run_coverage_study(dgp, cfg, replications=100, seed=5)
+    opened = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     assert run_coverage_study(dgp, cfg, replications=100, seed=5, workers=2) == serial
+    assert opened == [{"max_workers": 2}]
 
 
 def test_study_cuts_its_seeds_into_batches_of_rows(monkeypatch):
@@ -319,7 +327,7 @@ def test_study_holds_one_batch_at_a_time():
     sample = draw_sample(dgp, 0)
 
     def single():
-        estimate_robust(ExperimentalSample(sample.outcomes, sample.treatments), cfg)
+        estimate_robust_many([ExperimentalSample(sample.outcomes, sample.treatments)], cfg)
 
     def study():
         run_coverage_study(dgp, cfg, replications=100)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from drpredict import NumericalError, ValidationError
 from drpredict import solver as solver_module
-from drpredict.bounds import VarianceBounds
 from drpredict.covariance import _loading_terms
 from drpredict.solver import (
     RobustConfig,
@@ -516,11 +515,11 @@ def test_sweep_shares_the_array_of_a_repeated_variance(monkeypatch):
 
 
 def test_predict_bounds_ordering():
-    b = VarianceBounds(v_o=1.0, v_p=4.0, method="sharp")
+    v = [4.0, 1.0]  # (v_p, v_o)
     cfg = RobustConfig(0.5, 2.0)
-    tau_p, tau_o = solve_minimax_many(2.0, [b.v_p, b.v_o], cfg).tolist()
+    tau_p, tau_o = solve_minimax_many(2.0, v, cfg).tolist()
     assert 0.0 < tau_p < tau_o < 2.0
-    neg_p, neg_o = solve_minimax_many(-2.0, [b.v_p, b.v_o], cfg).tolist()
+    neg_p, neg_o = solve_minimax_many(-2.0, v, cfg).tolist()
     assert neg_p == pytest.approx(-tau_p)
     assert -2.0 < neg_o < neg_p < 0.0
 

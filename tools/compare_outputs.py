@@ -218,6 +218,13 @@ INVOCATIONS = [
     # population mode has no data file, so --bounds is an input error (exit 2)
     ("sweep-population-bounds", ["sweep", "--deltas", "0.5", "--true-v", "1", "--tau-star", "1",
                                  "--bounds", "neyman", "--out", "sweep_bounds.csv"]),
+    # each status an SD can have besides ok and q = 1, and the order of a
+    # warning and an error: the kink in JSON mode (exit 3); tau_b = 0 with
+    # q < 2, the infinite curvature (exit 3); and the Neyman route on equal
+    # arms, which warns of near-equal variances before the kink (exit 3)
+    ("estimate-eqvar-json", ["estimate", "--data", "eqvar.csv", "--delta", "0.5", "--json"]),
+    ("estimate-zero40-q1.5", ["estimate", "--data", "zero40.csv", "--delta", "0.5", "--q", "1.5"]),
+    ("infer-zero40-neyman", ["infer", "--data", "zero40.csv", "--delta", "0.5", "--bounds", "neyman"]),
 ]
 
 

@@ -73,7 +73,10 @@ def child(row: int, replications: int) -> None:
         samples = [ExperimentalSample(*draw(row, r)) for r in range(first, min(first + BATCH, replications))]
         arms = arm_batch(samples)
         for b, s in zip(variance_bounds(arms), sigma_sharp_batch(arms)):
-            out.append([b.v_p, b.v_o, float(s.entries[0, 0]), float(s.entries[1, 1])])
+            # a checkout older than the array record gives objects per sample
+            v_p, v_o = (b.v_p, b.v_o) if hasattr(b, "v_p") else b.tolist()
+            s = getattr(s, "entries", s)
+            out.append([v_p, v_o, float(s[0, 0]), float(s[1, 1])])
     json.dump(out, sys.stdout)
 
 
