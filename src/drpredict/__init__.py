@@ -13,7 +13,6 @@ from .calibration import (
     split_benchmark,
 )
 from .covariance import (
-    NearEqualVariancesWarning,
     check_status,
     prediction_sd_grid,
     sigma_neyman,
@@ -68,7 +67,6 @@ __all__ = [
     "solve_minimax_many",
     "sweep_delta",
     # asymptotic covariance
-    "NearEqualVariancesWarning",
     "sigma_neyman",
     "prediction_sd_grid",
     "check_status",

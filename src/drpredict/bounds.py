@@ -34,6 +34,7 @@ class BoundsMethod(str, enum.Enum):
 
 
 _ROUNDING = 1e-10  # relative size, against v_p, below which a sharp v_o is rounding
+_SD_ULPS = 8  # ulps of the largest |y| within which two arm SDs are equal up to rounding
 
 
 # Larger-arm cells per chunk and per block. A block's arrays hold up to 2^16
@@ -186,10 +187,14 @@ def variance_bounds(arms: ArmBatch, method=BoundsMethod.SHARP) -> np.ndarray:
     quantile gap of the treated arm, shifted by the difference in means,
     against the control arm and against it reversed, one
     ``mean_square_gaps`` pass over the batch. Neither depends on where the
-    arms sit. A v_o below _ROUNDING * v_p (one arm a shift of the other, up
-    to rounding) is 0, and a v_o above v_p (the two sums rounded apart) is
-    v_p. The Neyman bounds are (sigma1 +- sigma0)^2, the Cauchy-Schwarz
-    bounds from each sample's arm variances (``ArmBatch.moments``) alone.
+    arms sit. The Neyman bounds are (sigma1 +- sigma0)^2, the
+    Cauchy-Schwarz bounds from each sample's arm variances
+    (``ArmBatch.moments``) alone. On either route one rule decides the
+    homogeneous end: a v_o that is rounding is 0, and a v_o above v_p (the
+    two rounded apart) is v_p. A sharp v_o is rounding below _ROUNDING *
+    v_p (one arm a shift of the other); a Neyman v_o where the two SDs
+    agree within _SD_ULPS ulps of the sample's largest |y| (two equal arm
+    variances): rounding the outcomes moves an SD by less than one.
 
     Raises
     ------
@@ -206,14 +211,19 @@ def variance_bounds(arms: ArmBatch, method=BoundsMethod.SHARP) -> np.ndarray:
         # squared by Python's ** (the C library's pow), not numpy's x * x:
         # the two can round a square an ulp apart, and
         # tools/compare_outputs.py pins the reported bounds at --rtol 0
-        sd = np.sqrt(var).tolist()
-        return np.array([[(s1 + s0) ** 2, (s1 - s0) ** 2] for s1, s0 in zip(sd[0::2], sd[1::2])])
-    lo1, lo0, end = arms.starts[0:-1:2], arms.starts[1::2], arms.starts[2::2]
-    gaps = mean_square_gaps(arms.values, arms.values, (lo1, lo0 - lo1, lo0, end - lo0), arms.ate, antitone=True)
-    for r in np.flatnonzero(~np.isfinite(gaps[:, 1]))[:1].tolist():
-        # a square past 1.8e308: name the arm of wider range
-        arm, y = max(("treated", arms.arm(2 * r)), ("control", arms.arm(2 * r + 1)),
-                     key=lambda a: float(a[1][-1]) - float(a[1][0]))
-        raise scale_error(arm, y, "the squared quantile gaps")
-    v_o, v_p = gaps.T
-    return np.stack((v_p, np.where(v_o <= _ROUNDING * v_p, 0.0, np.minimum(v_o, v_p))), axis=1)
+        sd = np.sqrt(var)
+        v_p, v_o = np.array([((s1 + s0) ** 2, (s1 - s0) ** 2)
+                             for s1, s0 in zip(sd[0::2].tolist(), sd[1::2].tolist())]).T
+        peak = np.maximum.reduceat(np.abs(arms.values), arms.starts[0:-1:2])  # over both arms
+        rounding = np.abs(sd[0::2] - sd[1::2]) <= _SD_ULPS * np.finfo(float).eps * peak
+    else:
+        lo1, lo0, end = arms.starts[0:-1:2], arms.starts[1::2], arms.starts[2::2]
+        gaps = mean_square_gaps(arms.values, arms.values, (lo1, lo0 - lo1, lo0, end - lo0), arms.ate, antitone=True)
+        for r in np.flatnonzero(~np.isfinite(gaps[:, 1]))[:1].tolist():
+            # a square past 1.8e308: name the arm of wider range
+            arm, y = max(("treated", arms.arm(2 * r)), ("control", arms.arm(2 * r + 1)),
+                         key=lambda a: float(a[1][-1]) - float(a[1][0]))
+            raise scale_error(arm, y, "the squared quantile gaps")
+        v_o, v_p = gaps.T
+        rounding = v_o <= _ROUNDING * v_p
+    return np.stack((v_p, np.where(rounding, 0.0, np.minimum(v_o, v_p))), axis=1)

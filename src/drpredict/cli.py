@@ -17,7 +17,6 @@ import argparse
 import math
 import os
 import sys
-import warnings
 from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 
@@ -222,11 +221,13 @@ def _parse_delta_grid(text: str) -> np.ndarray:
 
 
 def cmd_estimate(args) -> int:
+    """Print the estimates of one CSV. A prediction with no SD (its status
+    is not OK: q = 1, or no smooth expansion, as at the homogeneous kink)
+    still has its estimate printed, with its SD "n/a" (null in JSON)."""
     config = _config_from_args(args)
     sample = load_sample(args.data, args.outcome, args.treatment)
     method = BoundsMethod(args.bounds)
     est = estimate_robust_many([sample], config, method)
-    check_status(est.status)
     # the report shows both brackets; compute only the one not selected
     (sharp_v_p, sharp_v_o), (neyman_v_p, neyman_v_o) = (
         (est.v if m is method else variance_bounds(sample.arms, m))[0].tolist()
@@ -616,30 +617,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _show_warning(message, category, filename, lineno, file=None, line=None):
-    # one line, free of source paths, so stderr does not depend on the install
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    with warnings.catch_warnings():
-        warnings.showwarning = _show_warning
-        try:
-            code = args.func(args)
-            sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
-            return code
-        except BrokenPipeError:
-            # the reader of stdout has gone (say, `| head`): end quietly, and
-            # send what is still buffered to devnull, so the flush at exit cannot fail
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return EXIT_OK
-        except (ValidationError, OSError, UnicodeDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-        except NumericalError as exc:
-            print(f"numerical error: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone (say, `| head`): end quietly, and
+        # send what is still buffered to devnull, so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
+    except (ValidationError, OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except NumericalError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

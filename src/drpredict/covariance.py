@@ -37,7 +37,6 @@ batch is bit for bit that of its sample alone.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -51,7 +50,6 @@ __all__ = [
     "OK",
     "Q1",
     "STATUS",
-    "NearEqualVariancesWarning",
     "check_status",
     "sigma_neyman",
     "sigma_sharp_batch",
@@ -75,11 +73,6 @@ def _u_trim(n_min):
     narrower than 0.025%.
     """
     return np.minimum(U_TRIM_MAX, np.maximum(1.0 / n_min, U_TRIM_MIN))
-
-
-class NearEqualVariancesWarning(UserWarning):
-    """The two arm variances are nearly equal, so the lower Neyman bound sits
-    at the edge of its regular regime and its standard error is fragile."""
 
 
 def _checked(s: np.ndarray) -> np.ndarray:
@@ -130,27 +123,17 @@ def sigma_neyman(moments: np.ndarray, e: np.ndarray) -> np.ndarray:
     constant arm, whose moments are exactly 0) has no noise and contributes
     nothing, and so does an arm whose influence terms w and c are both
     exactly 0: its loadings are 0, which keeps an infinite loading of a
-    subnormal variance out of the sums.
+    subnormal variance out of the sums, and two constant arms give the
+    all-zero Sigma, as on the sharp route. At equal arm variances, up to
+    rounding, v_o is 0 (``bounds.variance_bounds``), and a prediction there
+    gets a status instead of an SD (``prediction_sd_grid``).
 
-    Raises
-    ------
-    ValidationError
-        What the first failing sample raises: both arm variances zero, or a
-        matrix that fails the checks of ``_checked``.
-
-    Warns
-    -----
-    NearEqualVariancesWarning
-        Once, when sigma1^2/sigma0^2 is within 1e-3 of 1 in any sample
-        before the first that raises; the lower-bound loading then nearly
-        vanishes and its standard error is unreliable.
+    Raises ValidationError for the first matrix that fails the checks of
+    ``_checked``.
     """
     _, var, mu3, mu4 = moments
     s1_sq, s0_sq = var[0::2], var[1::2]
-    zero = (s1_sq <= 0.0) & (s0_sq <= 0.0)
-    stop = int(zero.argmax()) if zero.any() else zero.shape[0]  # the first sample of two zero variances
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a non-finite Sigma fails below
-        near = (s1_sq > 0.0) & (s0_sq > 0.0) & (np.abs(s1_sq / s0_sq - 1.0) < 1e-3)
         sd = np.sqrt(var)
         ratio = sd[np.arange(sd.shape[0]) ^ 1] / sd  # the other arm's SD over the arm's own
         share = np.stack((e, 1.0 - e), axis=1).ravel()
@@ -170,16 +153,7 @@ def sigma_neyman(moments: np.ndarray, e: np.ndarray) -> np.ndarray:
         s[:, 0, 2] = s[:, 2, 0] = a_plus * c1 - b_plus * c0
         s[:, 1, 2] = s[:, 2, 1] = a_minus * c1 - b_minus * c0
         s[:, 2, 2] = s1_sq / e + s0_sq / (1.0 - e)
-    if near[:stop].any():
-        warnings.warn(
-            "arm variances nearly equal; the lower Neyman bound is weakly identified",
-            NearEqualVariancesWarning,
-            stacklevel=2,
-        )
-    sigmas = _checked(s[:stop])  # a failing matrix before that sample raises first
-    if stop < zero.shape[0]:
-        raise ValidationError("both arm variances are 0: the Neyman covariance needs one positive")
-    return sigmas
+    return _checked(s)
 
 
 # -------------------------------------------------------------- sharp route

@@ -107,18 +107,6 @@ def test_estimate_json_validates_and_collapses_at_zero_radius(case1_csv, capsys)
     assert doc["manifest"]["config"]["q"] == 2.0
 
 
-def test_warning_prints_one_line_without_source_location(tmp_path, capsys):
-    base = np.random.default_rng(8).normal(size=40)
-    path = _write_csv(tmp_path / "equal.csv", np.r_[base + 1.0, base],
-                      np.r_[np.ones(40), np.zeros(40)])
-    code = main(["estimate", "--data", path, "--delta", "0.5", "--bounds", "neyman"])
-    assert code == 0
-    err = capsys.readouterr().err
-    assert err == ("warning: arm variances nearly equal; "
-                   "the lower Neyman bound is weakly identified\n")
-    assert ".py:" not in err
-
-
 def test_estimate_p_maps_to_q(case1_csv, capsys):
     code = main(["estimate", "--data", case1_csv, "--delta", "0.1", "--p", "3", "--json"])
     assert code == 0
@@ -501,19 +489,34 @@ def test_deleted_options_are_unknown(argv, case1_csv, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["case1.csv"]
 
 
-def _shifted_arms_file(path, shift):
-    """80 rows: the treated arm is the control arm plus ``shift``."""
-    y0 = np.random.default_rng(5).normal(size=40)
-    return _write_csv(path, np.concatenate((y0 + shift, y0)), np.repeat([1, 0], 40))
+def _shifted_arms_file(path, shift, scale=1.0):
+    """80 rows: the treated arm is the control arm times ``scale`` plus
+    ``shift``. The control arm has six decimals, so that the file's ten
+    digits hold a shift of it exactly and the two arm SDs agree to rounding."""
+    y0 = np.random.default_rng(5).normal(size=40).round(6)
+    return _write_csv(path, np.concatenate((scale * y0 + shift, y0)), np.repeat([1, 0], 40))
 
 
-@pytest.mark.parametrize("command", ["estimate", "infer"])
-def test_homogeneous_effect_kink_is_numerical_error(command, tmp_path, capsys):
-    # the sharp lower bound is exactly 0 and tau_o = tau*: the kink, where
-    # the delta-method expansion does not exist
+_KINK_ERROR = "numerical error: no smooth expansion at v_b = 0 with tau_b = tau_star\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bounds", ["sharp", "neyman"])
+def test_homogeneous_effect_kink_prints_the_estimates_and_infer_exits_3(bounds, tmp_path, capsys):
+    # v_o is 0 on either route and tau_o = tau*: the kink, where the
+    # delta-method expansion does not exist. estimate prints both
+    # predictions with a null sd_o; infer, which needs the SD, exits 3
     path = _shifted_arms_file(tmp_path / "shift.csv", 1.0)
-    assert main([command, "--data", path, "--delta", "0.5"]) == 3
-    assert capsys.readouterr().err.startswith("numerical error: no smooth expansion")
+    argv = ["--data", path, "--delta", "0.5", "--bounds", bounds]
+    assert main(["estimate", *argv, "--json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["bounds"][bounds]["v_o"] == 0.0
+    assert doc["tau_o"] == doc["tau_star"] and 0.0 < doc["tau_p"] < doc["tau_o"]
+    assert doc["sd_o"] is None and doc["sd_p"] > 0.0
+    assert main(["infer", *argv]) == 3
+    assert capsys.readouterr().err == _KINK_ERROR
 
 
 def test_two_step_grid_kink_is_numerical_error(tmp_path, capsys):
@@ -524,11 +527,51 @@ def test_two_step_grid_kink_is_numerical_error(tmp_path, capsys):
     assert capsys.readouterr().err == "numerical error: no smooth expansion at v_b = 0 with tau_b = tau_star\n"
 
 
-def test_identical_arms_is_numerical_error(tmp_path, capsys):
-    # tau_hat = 0 and the sharp v_o = 0: tau_o = tau_hat sits at the kink
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bounds", ["sharp", "neyman"])
+def test_identical_arms_print_the_estimates_and_infer_exits_3(bounds, tmp_path, capsys):
+    # tau_hat = 0 and v_o = 0: tau_o = tau_hat sits at the kink
     path = _shifted_arms_file(tmp_path / "same.csv", 0.0)
-    assert main(["estimate", "--data", path, "--delta", "0.5"]) == 3
-    assert capsys.readouterr().err == "numerical error: no smooth expansion at v_b = 0 with tau_b = tau_star\n"
+    assert main(["estimate", "--data", path, "--delta", "0.5", "--bounds", bounds]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[1].startswith("tau_star = 0   sd = ")
+    assert lines[-2].startswith("  tau_p = 0   sd = ") and lines[-2] != "  tau_p = 0   sd = n/a"
+    assert lines[-1] == "  tau_o = 0   sd = n/a"
+    assert main(["infer", "--data", path, "--delta", "0.5", "--bounds", bounds]) == 3
+    assert capsys.readouterr().err == _KINK_ERROR
+
+
+@pytest.mark.filterwarnings("error")
+def test_two_constant_arms_estimate_alike_on_both_routes(tmp_path, capsys):
+    # both routes give the bracket (0, 0) and the all-zero Sigma: the same
+    # predictions, no SD at the kink, and no warning of any kind
+    path = _write_csv(tmp_path / "twoconst.csv", np.repeat([2.5, 1.0], 40), np.repeat([1, 0], 40))
+    docs = {}
+    for bounds in ("sharp", "neyman"):
+        assert main(["estimate", "--data", path, "--delta", "0.5", "--bounds", bounds, "--json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        docs[bounds] = json.loads(captured.out)
+    sharp, neyman = docs["sharp"], docs["neyman"]
+    keys = ["tau_star", "tau_p", "tau_o", "sd_tau", "sd_p", "sd_o"]
+    assert [sharp[k] for k in keys] == [neyman[k] for k in keys] == [1.5, 1.5, 1.5, 0.0, None, None]
+    assert sharp["bounds"] == neyman["bounds"] == {"sharp": {"v_o": 0.0, "v_p": 0.0},
+                                                    "neyman": {"v_o": 0.0, "v_p": 0.0}}
+
+
+def test_neyman_arm_sds_a_millionth_apart_are_not_the_kink(tmp_path, capsys):
+    # (s1 - s0) / (s1 + s0) = 5e-7 is far past rounding: the Neyman v_o is
+    # small but not 0, so infer gives an interval
+    path = _shifted_arms_file(tmp_path / "near.csv", 1.0, scale=1.0 + 1e-6)
+    assert main(["estimate", "--data", path, "--delta", "0.5", "--bounds", "neyman", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert 0.0 < doc["bounds"]["neyman"]["v_o"] < 1e-10 * doc["bounds"]["neyman"]["v_p"]
+    assert doc["sd_o"] > 0.0
+    assert main(["infer", "--data", path, "--delta", "0.5", "--bounds", "neyman", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert math.isfinite(doc["im"]["lower"]) and math.isfinite(doc["im"]["upper"])
 
 
 def _zero_mean_file(path):
@@ -548,9 +591,17 @@ def test_zero_effect_estimate_reports_the_limit_sds(tmp_path, capsys):
     # the zero-effect limit sigma_tau / (1 + delta sqrt(V_b / 2))
     for sd, v_b in ((doc["sd_p"], v["v_p"]), (doc["sd_o"], v["v_o"])):
         assert sd == pytest.approx(doc["sd_tau"] / (1.0 + 0.5 * math.sqrt(v_b / 2.0)), rel=1e-14)
-    # q in (1, 2): B''(0) is infinite, so the zero prediction has no smooth expansion
-    assert main(["estimate", "--data", path, "--delta", "0.5", "--q", "1.5", "--json"]) == 3
-    assert capsys.readouterr().err.startswith("numerical error: no smooth expansion at tau_b = 0 for q < 2")
+    # q in (1, 2): B''(0) is infinite, so the zero predictions have no smooth
+    # expansion: estimate prints them with null SDs, and infer exits 3
+    assert main(["estimate", "--data", path, "--delta", "0.5", "--q", "1.5", "--json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert (doc["tau_star"], doc["tau_p"], doc["tau_o"]) == (0.0, 0.0, 0.0)
+    assert doc["sd_p"] is None and doc["sd_o"] is None and doc["sd_tau"] > 0.0
+    assert main(["infer", "--data", path, "--delta", "0.5", "--q", "1.5"]) == 3
+    assert capsys.readouterr().err == ("numerical error: no smooth expansion at tau_b = 0 for q < 2: "
+                                       "the penalty's curvature is not finite\n")
 
 
 _CUSTOM_DGP = ["--mu1", "1", "--mu0", "0", "--delta", "0.1", "--n", "300", "--replications", "100"]

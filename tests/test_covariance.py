@@ -10,7 +10,6 @@ from drpredict.covariance import (
     CURVATURE,
     KINK,
     OK,
-    NearEqualVariancesWarning,
     check_status,
     conditional_sd_bounds,
     prediction_sd_grid,
@@ -97,8 +96,7 @@ def test_sigma_matrix_keeps_tiny_negative_eigenvalue():
 
 
 def test_neyman_sigma_symmetric_arms():
-    with pytest.warns(NearEqualVariancesWarning):
-        s = _neyman((0.0, 0.0), (1.0, 1.0), (0.0, 0.0), (3.0, 3.0), 0.5)
+    s = _neyman((0.0, 0.0), (1.0, 1.0), (0.0, 0.0), (3.0, 3.0), 0.5)
     assert s[2, 2] == pytest.approx(4.0)  # sigma^2/e + sigma^2/(1-e)
     # equal variances: lower-bound loadings vanish entirely
     assert s[1, 1] == pytest.approx(0.0, abs=1e-12)
@@ -148,15 +146,18 @@ def test_neyman_sigma_monte_carlo_validation():
     assert mc_cov[0, 1] == pytest.approx(CASE1_S01, rel=0.08)
 
 
-def test_neyman_sigma_rejects_zero_variance():
-    with pytest.raises(ValidationError, match="both arm variances are 0"):
-        _neyman((0.0, 1.7), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0), 0.5)
+def test_neyman_sigma_of_two_constant_arms_is_zero():
+    # neither arm has noise: the all-zero Sigma, as on the sharp route
+    smp = _sample(np.full(40, 2.5), np.full(40, 1.0))
+    np.testing.assert_array_equal(sigma_neyman(smp.arms.moments, np.array([0.5])), np.zeros((1, 3, 3)))
+    np.testing.assert_array_equal(sigma_sharp_batch(smp.arms), np.zeros((1, 3, 3)))
+    np.testing.assert_array_equal(_neyman((0.0, 1.7), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0), 0.5), np.zeros((3, 3)))
 
 
 @pytest.mark.parametrize("constant", ["treated", "control"])
 def test_neyman_sigma_drops_a_zero_variance_arm(constant, recwarn):
     # a constant arm has no noise: Sigma is the other arm's part alone, with
-    # loadings 1 on both bounds, (sigma +- 0)^2, and no near-equality warning
+    # loadings 1 on both bounds, (sigma +- 0)^2, and no warning
     arm = dict(sigma_sq=4.0, mu3=0.5, mu4=48.0)
     zero = dict(sigma_sq=0.0, mu3=0.0, mu4=0.0)
     one, other = (zero, arm) if constant == "treated" else (arm, zero)
@@ -171,9 +172,9 @@ def test_neyman_sigma_drops_a_zero_variance_arm(constant, recwarn):
     assert len(recwarn) == 0
 
 
-def test_neyman_sigma_batch_raises_and_warns_as_its_first_failing_sample(recwarn):
+def test_neyman_sigma_batch_entries_and_errors_are_its_samples_alone(recwarn):
     # each sample's (treated, control) variances, mu3 and mu4: near-equal
-    # variances, an ordinary pair, and two constant arms
+    # variances, an ordinary pair, and two constant arms, whose Sigma is 0
     near = ((1.0, 1.0005), (0.5, -0.2), (48.0, 3.1))
     plain = ((4.0, 1.0), (0.5, -0.2), (48.0, 3.0))
     zero = ((0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
@@ -183,19 +184,12 @@ def test_neyman_sigma_batch_raises_and_warns_as_its_first_failing_sample(recwarn
                            + [[x for smp in samples for x in smp[i]] for i in range(3)])
         return sigma_neyman(moments, np.full(len(samples), 0.3))
 
-    alone = {id(smp): _neyman((0.0, 0.0), *smp, 0.3).tolist() for smp in (near, plain)}
-    samples = (plain, near, plain)
-    assert [s.tolist() for s in batch(*samples)] == [alone[id(smp)] for smp in samples]
-    # once for the batch, once for the near-equal sample alone
-    assert [w.category for w in recwarn] == [NearEqualVariancesWarning] * 2
-    recwarn.clear()
-    with pytest.raises(ValidationError, match="both arm variances are 0"):
-        batch(zero, near)
+    alone = {id(smp): _neyman((0.0, 0.0), *smp, 0.3).tolist() for smp in (near, plain, zero)}
+    assert alone[id(zero)] == np.zeros((3, 3)).tolist()
+    for samples in ((plain, near, plain), (zero, near), (plain, near, zero)):
+        assert [s.tolist() for s in batch(*samples)] == [alone[id(smp)] for smp in samples]
     assert len(recwarn) == 0
-    with pytest.warns(NearEqualVariancesWarning):
-        with pytest.raises(ValidationError, match="both arm variances are 0"):
-            batch(plain, near, zero)
-    # a matrix that fails its checks before the zero pair raises first
+    # a matrix that fails its checks raises, wherever it sits
     nan = ((4.0, 1.0), (0.5, -0.2), (np.nan, 3.0))
     with pytest.raises(ValidationError, match="non-finite entries"):
         batch(plain, nan, zero)

@@ -1,4 +1,3 @@
-import contextlib
 import json
 import math
 import warnings
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
-from drpredict import NearEqualVariancesWarning, NumericalError, ValidationError
+from drpredict import NumericalError, ValidationError
 from drpredict import inference
 from drpredict.cli import main
 from drpredict.covariance import KINK, OK, check_status, conditional_sd_bounds
@@ -245,10 +244,11 @@ def test_batch_equals_batches_of_one(method, config):
     rng = np.random.default_rng(21)
     # a near-null sample, whose first step keeps zero, among rejecting ones
     y1, y0 = rng.normal(0, 1, 300), rng.normal(0, 1, 300)
+    # two constant arms: the all-zero Sigma on either route
     samples = [_case1(rng, 600), _sample(y1 - y1.mean() + y0.mean() + 0.01, y0),
-               _case1(rng, 900), _sample(rng.normal(-2, 2, 400), rng.normal(0, 1, 500))]
-    rejected = [True, False, True, True]
-    warns = contextlib.nullcontext()
+               _case1(rng, 900), _sample(rng.normal(-2, 2, 400), rng.normal(0, 1, 500)),
+               _sample(np.full(40, 2.5), np.full(40, 1.0))]
+    rejected = [True, False, True, True, True]
     if method == "neyman":
         # in one ragged batch: a constant arm, arm variances within 1e-3 of
         # each other, and an ordinary sample
@@ -257,12 +257,11 @@ def test_batch_equals_batches_of_one(method, config):
         assert abs(near.arms.moments[1, 0] / near.arms.moments[1, 1] - 1.0) < 1e-3
         samples += [_sample(rng.normal(2, 2, 400), np.full(300, 0.5)), near, _case1(rng, 700)]
         rejected += [True, True, True]
-        warns = pytest.warns(NearEqualVariancesWarning)
-    with warns:
-        ests = estimate_robust_many(iter(samples), config, method)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NearEqualVariancesWarning)
+        warnings.simplefilter("error")
+        ests = estimate_robust_many(iter(samples), config, method)
         singles = [_one(s, config, method) for s in samples]
+    np.testing.assert_array_equal(ests.sigma[4], np.zeros((3, 3)))
     assert ests.tau.shape == ests.sd.shape == ests.status.shape == (len(samples), 2)
     _assert_rows_equal(ests, singles)
     _assert_rows_equal(plain_im_intervals(ests), [plain_im_intervals(e) for e in singles])
@@ -279,7 +278,8 @@ def test_empty_batches():
 
 def _eqvar_like():
     """80 rows like eqvar.csv: the treated arm is the control arm plus 1,
-    and the Neyman v_o is a rounding residue of order 1e-32, not 0."""
+    so on either route v_o is 0 (the Neyman one a rounding residue of order
+    1e-32 before the floor)."""
     y0 = np.random.default_rng(0).normal(size=40)
     return _sample(y0 + 1.0, y0)
 
@@ -446,7 +446,6 @@ def _unions_and_certificate(monkeypatch, ests):
     return unions, grid, np.concatenate(passed)
 
 
-@pytest.mark.filterwarnings("ignore::drpredict.covariance.NearEqualVariancesWarning")
 def test_certified_union_is_the_grid_union(monkeypatch):
     # wherever the certificate passes, the union from the two ends is the
     # 101-point union bit for bit: lower and upper end and the c range
@@ -472,7 +471,7 @@ def test_certified_union_is_the_grid_union(monkeypatch):
         ests = estimate_robust_many(samples, RobustConfig(0.5, 2.0), method)
         unions, grid, certified = _unions_and_certificate(monkeypatch, ests)
         assert _equal(unions, grid) and not certified.any(), method
-    assert 0.0 < ests.v[0, 1] < 1e-30
+    assert ests.v[0, 1] == 0.0  # the Neyman v_o of the shifted arms, floored from order 1e-32
 
     # a narrow bracket at n = 300, where c_n moves with the scaled width: the
     # ends alone would misreport the c range
@@ -520,7 +519,6 @@ def test_certificate_refuses_a_row_whose_critical_value_is_not_saturated(monkeyp
         assert certified(ends, tau, v, s_bb, np.array([small]), config, level).tolist() == [False], lo
 
 
-@pytest.mark.filterwarnings("ignore::drpredict.covariance.NearEqualVariancesWarning")
 def test_batch_mixing_certified_and_grid_rows_equals_batches_of_one(monkeypatch):
     # Gaussian samples, which pass the certificate, beside a pos-like sample
     # times 10^4 and a shifted-arm sample, which run the grid: each row is

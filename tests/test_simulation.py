@@ -370,6 +370,25 @@ def test_study_raises_the_first_failing_replications_error(monkeypatch):
         _replicate_batch(dgp, cfg, np.random.SeedSequence(3).spawn(100)[4:20], 0.05, 0.045, "sharp")
 
 
+def test_neyman_study_runs_over_arm_sds_a_millionth_apart(monkeypatch):
+    # replication 3's treated arm is its control arm scaled by 1 + 1e-6 and
+    # shifted: SDs far past rounding apart, so a small Neyman v_o, not the kink
+    real_draw = simulation.draw_sample
+
+    def draw(dgp, child):
+        sample = real_draw(dgp, child)
+        if child.spawn_key == (3,):
+            y0 = sample.control
+            return ExperimentalSample(np.concatenate(((1.0 + 1e-6) * y0 + 1.0, y0)),
+                                      np.repeat([1, 0], y0.shape[0]))
+        return sample
+
+    monkeypatch.setattr(simulation, "draw_sample", draw)
+    dgp, cfg = case_preset(1, n=200)
+    report = run_coverage_study(dgp, cfg, replications=100, seed=3, bound_method="neyman")
+    assert 0.0 <= report.coverage_im <= 1.0
+
+
 def test_report_validation():
     dgp, cfg = case_preset(1, n=300)
     rep = run_coverage_study(dgp, cfg, replications=100, seed=1)

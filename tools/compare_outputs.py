@@ -174,7 +174,7 @@ INVOCATIONS = [
     ("estimate-pos1e4-json", ["estimate", "--data", "pos1e4.csv", "--delta", "0.5", "--json"]),
     ("infer-pos1e4-json", ["infer", "--data", "pos1e4.csv", "--delta", "0.5", "--json"]),
     # a difference in means of exactly 0 with v_o = 1 and v_p = 9: the
-    # zero-effect SDs at q = 2, no smooth expansion (exit 3) at q = 1.5
+    # zero-effect SDs at q = 2, no smooth expansion (null SDs) at q = 1.5
     ("estimate-zeromean-q2-json", ["estimate", "--data", "zeromean.csv", "--delta", "0.5", "--q", "2",
                                    "--json"]),
     ("estimate-zeromean-q1.5-json", ["estimate", "--data", "zeromean.csv", "--delta", "0.5",
@@ -186,8 +186,8 @@ INVOCATIONS = [
     ("simulate-homogeneous-delta2", ["simulate", "--mu1", "1.2", "--mu0", "0.2", "--sigma1", "1",
                                      "--sigma0", "1", "--rho", "1", "--delta", "2", "--n", "4000",
                                      "--replications", "100", "--out", "simhomog"]),
-    # equal arm SDs on the Neyman route: batches of near-equal-variance
-    # samples, whose one warning line and numbers pin the batched Neyman stage
+    # equal arm SDs on the Neyman route: batches of samples whose arm
+    # variances are near equal, whose numbers pin the batched Neyman stage
     ("simulate-eqvar-neyman", ["simulate", "--mu1", "1.2", "--mu0", "0.2", "--sigma1", "1",
                                "--sigma0", "1", "--delta", "0.5", "--bounds", "neyman",
                                "--replications", "100", "--out", "simeqvar"]),
@@ -218,13 +218,19 @@ INVOCATIONS = [
     # population mode has no data file, so --bounds is an input error (exit 2)
     ("sweep-population-bounds", ["sweep", "--deltas", "0.5", "--true-v", "1", "--tau-star", "1",
                                  "--bounds", "neyman", "--out", "sweep_bounds.csv"]),
-    # each status an SD can have besides ok and q = 1, and the order of a
-    # warning and an error: the kink in JSON mode (exit 3); tau_b = 0 with
-    # q < 2, the infinite curvature (exit 3); and the Neyman route on equal
-    # arms, which warns of near-equal variances before the kink (exit 3)
+    # each status an SD can have besides ok and q = 1: the kink in JSON mode
+    # (exit 0, sd_o null); tau_b = 0 with q < 2, the infinite curvature
+    # (exit 0, both SDs n/a); and infer on the Neyman route on equal arms,
+    # whose equal SDs floor v_o to 0 as a shift does on the sharp route,
+    # at the kink (exit 3)
     ("estimate-eqvar-json", ["estimate", "--data", "eqvar.csv", "--delta", "0.5", "--json"]),
     ("estimate-zero40-q1.5", ["estimate", "--data", "zero40.csv", "--delta", "0.5", "--q", "1.5"]),
     ("infer-zero40-neyman", ["infer", "--data", "zero40.csv", "--delta", "0.5", "--bounds", "neyman"]),
+    # two constant arms: the bracket (0, 0) and the all-zero Sigma on both
+    # routes, the same predictions with no SDs
+    ("estimate-twoconst-sharp", ["estimate", "--data", "twoconst.csv", "--delta", "0.5"]),
+    ("estimate-twoconst-neyman", ["estimate", "--data", "twoconst.csv", "--delta", "0.5",
+                                  "--bounds", "neyman"]),
 ]
 
 
@@ -288,6 +294,8 @@ def write_inputs(work: Path) -> None:
     # fixed literals, no draws: 20 copies each of 0 and 2 treated, 30 each of -1 and 1 control
     _write_csv(work / "pm1.csv", np.repeat([0.0, 2.0, -1.0, 1.0], [20, 20, 30, 30]), np.repeat([1, 0], [40, 60]))
     (work / "two_faults.csv").write_text("y,t,m\n1.0,1,2\n2.0,0,0\noops,1,1\n3.0,0,1\n")
+    # fixed literals, no draws, written last: 40 treated rows of 2.5, 40 control rows of 1.0
+    _write_csv(work / "twoconst.csv", np.repeat([2.5, 1.0], 40), np.repeat([1, 0], 40))
 
 
 def _snapshot(work: Path) -> dict:
