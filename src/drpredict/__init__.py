@@ -41,8 +41,6 @@ from .solver import (
     RobustConfig,
     penalty_derivs,
     solve_minimax,
-    solve_minimax_many,
-    sweep_delta,
 )
 
 __version__ = "0.1.0"
@@ -64,8 +62,6 @@ __all__ = [
     "RobustConfig",
     "penalty_derivs",
     "solve_minimax",
-    "solve_minimax_many",
-    "sweep_delta",
     # asymptotic covariance
     "sigma_neyman",
     "prediction_sd_grid",

@@ -33,8 +33,7 @@ class BoundsMethod(str, enum.Enum):
         raise ValidationError(f"unknown bounds method {value!r}; expected one of {allowed}")
 
 
-_ROUNDING = 1e-10  # relative size, against v_p, below which a sharp v_o is rounding
-_SD_ULPS = 8  # ulps of the largest |y| within which two arm SDs are equal up to rounding
+_SD_ULPS = 8  # ulps of the largest |y| within which sqrt(v_o) is rounding
 
 
 # Larger-arm cells per chunk and per block. A block's arrays hold up to 2^16
@@ -189,12 +188,14 @@ def variance_bounds(arms: ArmBatch, method=BoundsMethod.SHARP) -> np.ndarray:
     ``mean_square_gaps`` pass over the batch. Neither depends on where the
     arms sit. The Neyman bounds are (sigma1 +- sigma0)^2, the
     Cauchy-Schwarz bounds from each sample's arm variances
-    (``ArmBatch.moments``) alone. On either route one rule decides the
-    homogeneous end: a v_o that is rounding is 0, and a v_o above v_p (the
-    two rounded apart) is v_p. A sharp v_o is rounding below _ROUNDING *
-    v_p (one arm a shift of the other); a Neyman v_o where the two SDs
-    agree within _SD_ULPS ulps of the sample's largest |y| (two equal arm
-    variances): rounding the outcomes moves an SD by less than one.
+    (``ArmBatch.moments``) alone. On both routes one rule decides the
+    homogeneous end: a v_o whose square root is within _SD_ULPS ulps of
+    the sample's largest |y| is rounding and is 0, and a v_o above v_p (the
+    two rounded apart) is v_p. The sharp sqrt(v_o) is the quantile gap of
+    one arm against the other shifted, and rounding the outcomes of an arm
+    that is a shift of the other moves it by about an ulp of the largest
+    |y|; the Neyman sqrt(v_o) is |s1 - s0|, and rounding moves an SD by
+    less than one such ulp.
 
     Raises
     ------
@@ -214,8 +215,6 @@ def variance_bounds(arms: ArmBatch, method=BoundsMethod.SHARP) -> np.ndarray:
         sd = np.sqrt(var)
         v_p, v_o = np.array([((s1 + s0) ** 2, (s1 - s0) ** 2)
                              for s1, s0 in zip(sd[0::2].tolist(), sd[1::2].tolist())]).T
-        peak = np.maximum.reduceat(np.abs(arms.values), arms.starts[0:-1:2])  # over both arms
-        rounding = np.abs(sd[0::2] - sd[1::2]) <= _SD_ULPS * np.finfo(float).eps * peak
     else:
         lo1, lo0, end = arms.starts[0:-1:2], arms.starts[1::2], arms.starts[2::2]
         gaps = mean_square_gaps(arms.values, arms.values, (lo1, lo0 - lo1, lo0, end - lo0), arms.ate, antitone=True)
@@ -225,5 +224,8 @@ def variance_bounds(arms: ArmBatch, method=BoundsMethod.SHARP) -> np.ndarray:
                          key=lambda a: float(a[1][-1]) - float(a[1][0]))
             raise scale_error(arm, y, "the squared quantile gaps")
         v_o, v_p = gaps.T
-        rounding = v_o <= _ROUNDING * v_p
+    # each arm is sorted, so a sample's largest |y| is at an end of an arm
+    ends = np.abs(arms.values[np.stack((arms.starts[:-1], arms.starts[1:] - 1))])
+    peak = ends.reshape(2, -1, 2).max(axis=(0, 2))
+    rounding = np.sqrt(v_o) <= _SD_ULPS * np.finfo(float).eps * peak
     return np.stack((v_p, np.where(rounding, 0.0, np.minimum(v_o, v_p))), axis=1)

@@ -40,7 +40,7 @@ from .simulation import (
     run_coverage_study,
     write_reports_csv,
 )
-from .solver import RobustConfig, sweep_delta
+from .solver import RobustConfig, solve_minimax
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -324,7 +324,11 @@ def cmd_sweep(args) -> int:
         tau_star = float(sample.arms.ate[0])
         header = ["delta", "tau_p", "tau_o"] + ["tau_dr"] * len(known)
         variances = [*variance_bounds(sample.arms, args.bounds)[0].tolist(), *known]
-    columns = [deltas, *sweep_delta(tau_star, variances, q, deltas)]
+    # each distinct variance is one row of a single solve; entries that
+    # repeat it share that row, which _write_columns then formats once
+    distinct = list(dict.fromkeys(variances))  # 0.0 and -0.0 are one key
+    rows = dict(zip(distinct, solve_minimax(tau_star, np.reshape(distinct, (-1, 1)), deltas, q)))
+    columns = [deltas, *(rows[v] for v in variances)]
 
     if not args.out:
         _write_columns(sys.stdout, header, columns)

@@ -43,7 +43,7 @@ from .covariance import (
 )
 from .exceptions import ValidationError
 from .sample import arm_batch, check_fourth_moments
-from .solver import RobustConfig, newton_root, solve_minimax_many
+from .solver import RobustConfig, newton_root, solve_minimax
 
 __all__ = [
     "Estimates",
@@ -218,7 +218,7 @@ def estimate_robust_many(samples, config: RobustConfig, method=BoundsMethod.SHAR
                  else sigma_neyman(arms.moments, m[0::2] / n))
 
     tau_star = arms.ate
-    tau = solve_minimax_many(tau_star[:, None], v, config)
+    tau = solve_minimax(tau_star[:, None], v, config.delta, config.q)
     if config.q == 1.0:
         sd, status = np.full(tau.shape, np.nan), np.full(tau.shape, Q1, dtype=STATUS)
     elif config.delta == 0.0:
@@ -400,7 +400,7 @@ def two_step_intervals(est: Estimates, alpha: float = 0.05, beta: float = 0.045)
         s_bb = np.diagonal(est.sigma[rows], axis1=1, axis2=2)[:, :2, None]
         level = alpha - beta
         ends = np.concatenate((lo_t, hi_t), axis=1)[:, None, :]
-        tau = solve_minimax_many(ends, v, config)
+        tau = solve_minimax(ends, v, config.delta, config.q)
         certified = _certified(ends, tau, v, s_bb, n[rows], config, level)
         grid = ~certified
         if grid.any():
@@ -409,7 +409,7 @@ def two_step_intervals(est: Estimates, alpha: float = 0.05, beta: float = 0.045)
             ts = lo_g + np.arange(_GRID_POINTS) * ((hi_g - lo_g) / (_GRID_POINTS - 1))
             ts[:, -1] = hi_g[:, 0]
             ts = ts[:, None, :]
-            tau_g = solve_minimax_many(ts, v[grid], config)
+            tau_g = solve_minimax(ts, v[grid], config.delta, config.q)
             r = rows[grid]
             lower[r], upper[r], c_min[r], c_max[r], status[r] = _union(
                 ts, tau_g, v[grid], s_bb[grid], n[r], config, level)

@@ -28,7 +28,7 @@ from .inference import (
     two_step_intervals,
 )
 from .sample import ExperimentalSample
-from .solver import RobustConfig, solve_minimax_many
+from .solver import RobustConfig, solve_minimax
 
 __all__ = [
     "GaussianDGP",
@@ -90,7 +90,7 @@ def population_truth(dgp: GaussianDGP, config: RobustConfig) -> PopulationTruth:
     v_joint = s1 * s1 + s0 * s0 - 2.0 * dgp.rho * s1 * s0
     v_o = (s1 - s0) * (s1 - s0)
     v_p = (s1 + s0) * (s1 + s0)
-    tau_dr, tau_p, tau_o = solve_minimax_many(tau_star, [v_joint, v_p, v_o], config).tolist()
+    tau_dr, tau_p, tau_o = solve_minimax(tau_star, [v_joint, v_p, v_o], config.delta, config.q).tolist()
     return PopulationTruth(
         tau_star=tau_star,
         v_joint=v_joint,

@@ -24,7 +24,6 @@ from .exceptions import NumericalError, ValidationError
 __all__ = [
     "RobustConfig",
     "solve_minimax",
-    "sweep_delta",
     "penalty_derivs",
 ]
 
@@ -179,19 +178,38 @@ def _threshold(a, q):
 # -------------------------------------------------------------------- solver
 
 
-def _minimax(tau_star, v, delta, q: float) -> np.ndarray:
-    """Minimizer of M for arrays tau_star, v >= 0 and delta >= 0 (broadcast).
+def solve_minimax(tau_star, v, delta, q: float) -> np.ndarray:
+    """Global minimizers of the robust objective (the shrunken predictions)
+    for arrays of source effects, variances and radii, broadcast against
+    each other, at one order q >= 1: an ndarray of the broadcast shape.
 
+    Each minimizer lies between 0 and its ``tau_star`` and shares its sign.
     q = 1 has the closed form max(0, |tau*| - delta sqrt(v/(1-delta^2))),
-    and 0 for delta >= 1. For q > 1 the solution is tau* itself when
-    delta = 0, or when v = 0 and delta is at or below the no-shrinkage
-    threshold; otherwise it is the root of the first-order condition
-    M'(t) = 0 on (0, |tau*|), where M' is increasing. With v = 0 the
-    proximity slope is exactly -1 there, so one condition covers both.
+    and 0 for delta >= 1 (hard thresholding). For q > 1 the solution is
+    tau* itself when delta = 0, or when v = 0 and delta is at or below the
+    no-shrinkage threshold; otherwise it is the root of the first-order
+    condition M'(t) = 0 on (0, |tau*|), where M' is increasing. With v = 0
+    the proximity slope is exactly -1 there, so one condition covers both.
+    tau_star = 0 returns 0.
+
+    Raises
+    ------
+    ValidationError
+        If a source effect is not finite, a variance is negative or not
+        finite, or the first bad radius or q fails ``RobustConfig``.
+    NumericalError
+        If the bracketed search fails to converge (indicates a bug, not a
+        data condition).
     """
-    tau_star, v, delta = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (tau_star, v, delta))
-    )
+    tau_star, v, delta = (np.asarray(x, dtype=float) for x in (tau_star, v, delta))
+    if not np.all(np.isfinite(tau_star)):
+        raise ValidationError(f"source effect must be finite, got {tau_star}")
+    if not (np.all(v >= 0.0) and np.all(np.isfinite(v))):
+        raise ValidationError(f"variance must be finite and nonnegative, got {v}")
+    bad = delta[~(np.isfinite(delta) & (delta >= 0.0))]
+    RobustConfig(delta=float(bad[0]) if bad.size else 0.0, q=q)  # its messages, radius first
+    shape = np.broadcast_shapes(tau_star.shape, v.shape, delta.shape)
+    tau_star, v, delta = np.broadcast_arrays(*(np.atleast_1d(x) for x in (tau_star, v, delta)))
     a = np.abs(tau_star)
     if q == 1.0:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -213,77 +231,4 @@ def _minimax(tau_star, v, delta, q: float) -> np.ndarray:
 
             mag[solve] = newton_root(foc, 0.5 * a_s, 0.0, a_s, _BRACKET_TOL, a_s, d_s, sd_s)
     # adding 0.0 turns the -0.0 of a zeroed negative effect into +0.0
-    return np.copysign(mag, tau_star) + 0.0
-
-
-def _check_inputs(tau_star, v) -> None:
-    """Raise ValidationError unless every tau_star is finite and every v is
-    finite and nonnegative."""
-    if not np.all(np.isfinite(tau_star)):
-        raise ValidationError(f"source effect must be finite, got {tau_star}")
-    v = np.asarray(v, dtype=float)
-    if not (np.all(v >= 0.0) and np.all(np.isfinite(v))):
-        raise ValidationError(f"variance must be finite and nonnegative, got {v}")
-
-
-def solve_minimax(tau_star: float, v: float, config: RobustConfig) -> float:
-    """Global minimizer of the robust objective (the shrunken prediction).
-
-    The minimizer lies between 0 and ``tau_star`` and shares its sign.
-    Exact special cases: delta = 0 or v = 0 with delta at or below the
-    no-shrinkage threshold return ``tau_star`` unchanged; tau_star = 0
-    returns 0. With q = 1 the penalty kink can make the minimizer exactly 0
-    (hard thresholding); q > 1 always leaves a strictly interior value when
-    v > 0.
-
-    Raises
-    ------
-    ValidationError
-        If tau_star is not finite, or v is negative or not finite.
-    NumericalError
-        If the bracketed search fails to converge (indicates a bug, not a
-        data condition).
-    """
-    _check_inputs(tau_star, v)
-    return float(_minimax(tau_star, v, config.delta, config.q)[0])
-
-
-def solve_minimax_many(tau_stars, v, config: RobustConfig) -> np.ndarray:
-    """Vectorized :func:`solve_minimax` over arrays of source effects and
-    variances, broadcast against each other (any q >= 1).
-
-    Raises
-    ------
-    ValidationError
-        If any source effect is not finite, or any variance is negative or
-        not finite.
-    """
-    _check_inputs(tau_stars, v)
-    shape = np.broadcast_shapes(np.shape(tau_stars), np.shape(v))
-    return _minimax(tau_stars, v, config.delta, config.q).reshape(shape)
-
-
-def sweep_delta(tau_star: float, variances, q: float, deltas) -> list:
-    """Predictions along a grid of radii, for plotting: one 1-D array per
-    entry of ``variances``, the minimizer at that variance for each radius.
-
-    Each distinct variance is solved once, and the entries that repeat it
-    share one array: a known variance, as both ends of a bracket of zero
-    width, gives the same array for tau_p and tau_o.
-
-    Raises
-    ------
-    ValidationError
-        If ``tau_star`` is not finite, a variance is not finite and
-        nonnegative, or ``deltas`` is not a nonempty 1-D sequence of finite,
-        nonnegative radii.
-    """
-    _check_inputs(tau_star, variances)
-    deltas = np.array(deltas, dtype=float)
-    if deltas.ndim != 1 or deltas.size == 0:
-        raise ValidationError(f"deltas must be a nonempty 1-D sequence, got shape {deltas.shape}")
-    for d in (deltas.min(), deltas.max()):  # a NaN reaches both
-        RobustConfig(delta=float(d), q=q)
-    distinct = list(dict.fromkeys(variances))  # 0.0 and -0.0 are one key
-    rows = dict(zip(distinct, _minimax(tau_star, np.reshape(distinct, (-1, 1)), deltas, q)))
-    return [rows[v] for v in variances]
+    return (np.copysign(mag, tau_star) + 0.0).reshape(shape)

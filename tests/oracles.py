@@ -21,7 +21,7 @@ from drpredict.calibration import _w2_sorted
 from drpredict.covariance import U_GRID_SIZE, _checked, _u_trim
 from drpredict.exceptions import NumericalError, ValidationError
 from drpredict.sample import ExperimentalSample, order_statistic
-from drpredict.solver import RobustConfig, penalty_derivs, sweep_delta
+from drpredict.solver import RobustConfig, penalty_derivs, solve_minimax
 
 
 class Bracket(NamedTuple):
@@ -325,7 +325,7 @@ def sweep_csv_rowwise(tau_star, bounds, true_v, q, deltas) -> str:
     """The CSV text of ``drpredict sweep``: rows assembled one by one, each
     value formatted with ``.10g`` and written by ``csv.writer``; the
     reference for ``cli._write_columns``. Each prediction is a separate
-    ``sweep_delta`` call on one variance.
+    ``solve_minimax`` call on one variance.
 
     ``bounds`` None is population mode, where the known variance ``true_v``
     fills tau_p, tau_o and tau_dr; otherwise ``true_v``, if given, adds a
@@ -337,7 +337,7 @@ def sweep_csv_rowwise(tau_star, bounds, true_v, q, deltas) -> str:
     else:
         header = ["delta", "tau_p", "tau_o"] + ([] if true_v is None else ["tau_dr"])
         variances = [bounds.v_p, bounds.v_o] + ([] if true_v is None else [true_v])
-    columns = [np.asarray(deltas).tolist()] + [sweep_delta(tau_star, [v], q, deltas)[0].tolist() for v in variances]
+    columns = [np.asarray(deltas).tolist()] + [solve_minimax(tau_star, v, deltas, q).tolist() for v in variances]
     out = io.StringIO(newline="")
     csv.writer(out).writerows(chain([header], ([f"{x:.10g}" for x in row] for row in zip(*columns))))
     return out.getvalue()

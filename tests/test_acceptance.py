@@ -54,9 +54,8 @@ def test_criterion_02_delayed_shrinkage_thresholds():
     assert bar == pytest.approx(math.sqrt(1.5), abs=1e-6)  # 1.224745
     assert bar_1 == pytest.approx(math.sqrt(3.0), abs=1e-6)
     for delta in (0.0, 0.3, 0.9, bar - 1e-9):
-        cfg = RobustConfig(delta=delta, q=2.0)
-        assert solve_minimax(2.0, 0.0, cfg) == 2.0, f"delta={delta}"
-    past = solve_minimax(2.0, 0.0, RobustConfig(delta=bar + 1e-6, q=2.0))
+        assert solve_minimax(2.0, 0.0, delta, 2.0) == 2.0, f"delta={delta}"
+    past = solve_minimax(2.0, 0.0, bar + 1e-6, 2.0)
     assert past < 2.0
     print(f"criterion 2 PASS: thresholds 1.224745/1.732051, exact plateau up to "
           f"{bar:.6f}, shrinkage at {bar + 1e-6:.6f} -> {past:.8f}")
@@ -120,7 +119,7 @@ def test_criterion_03_solver_matches_ten_million_point_grid():
         v = float(rng.uniform(0.0, 10.0))
         delta = float(rng.uniform(0.0, 3.0))
         q = float(rng.choice(qs))
-        solved = solve_minimax(tau_star, v, RobustConfig(delta=delta, q=q))
+        solved = solve_minimax(tau_star, v, delta, q)
         gridded = _grid_minimizer(tau_star, v, delta, q)
         err = abs(solved - gridded)
         worst = max(worst, err)
@@ -214,7 +213,7 @@ def test_criterion_06_sandwich_sd_matches_monte_carlo():
     ])
     s = sigma_neyman(pop_moments, np.array([dgp.e]))[0]
     bounds = neyman_bracket(dgp.sigma1**2, dgp.sigma0**2)
-    tau_p = solve_minimax(truth.tau_star, bounds.v_p, config)
+    tau_p = solve_minimax(truth.tau_star, bounds.v_p, config.delta, config.q)
     sd_p = float(prediction_sd_grid(truth.tau_star, tau_p, bounds.v_p, (s[0, 0], s[0, 2], s[2, 2]), config)[0])
 
     start = time.time()
@@ -223,7 +222,7 @@ def test_criterion_06_sandwich_sd_matches_monte_carlo():
     for i, child in enumerate(np.random.SeedSequence(61).spawn(reps)):
         arms = draw_sample(dgp, child).arms
         v_p = variance_bounds(arms, "neyman")[0, 0]
-        draws[i] = solve_minimax(arms.ate.item(), v_p, config)
+        draws[i] = solve_minimax(arms.ate.item(), v_p, config.delta, config.q)
     elapsed = time.time() - start
     mc_sd = float(np.std(draws, ddof=1)) * math.sqrt(dgp.n)
 
@@ -242,7 +241,7 @@ def test_criterion_07_zero_effect_shrink_factor():
     v_b = (dgp.sigma1 + dgp.sigma0) ** 2  # pessimistic bound, known here
     sigma_tau = math.sqrt(dgp.sigma1**2 / dgp.e + dgp.sigma0**2 / (1.0 - dgp.e))
     # at tau* = 0 the prediction is 0, and the delta-method SD is the limit's
-    tau_b = solve_minimax(0.0, v_b, config)
+    tau_b = solve_minimax(0.0, v_b, config.delta, config.q)
     predicted = float(prediction_sd_grid(0.0, tau_b, v_b, (0.0, 0.0, sigma_tau**2), config)[0])
     assert predicted == pytest.approx(sigma_tau / (1.0 + math.sqrt(v_b / 2.0)), rel=1e-12)
 
@@ -251,7 +250,7 @@ def test_criterion_07_zero_effect_shrink_factor():
     for i, child in enumerate(np.random.SeedSequence(62).spawn(reps)):
         arms = draw_sample(dgp, child).arms
         v_p = variance_bounds(arms, "neyman")[0, 0]
-        draws[i] = solve_minimax(arms.ate.item(), v_p, config)
+        draws[i] = solve_minimax(arms.ate.item(), v_p, config.delta, config.q)
     empirical = float(np.std(draws, ddof=1)) * math.sqrt(dgp.n)
 
     assert empirical == pytest.approx(predicted, rel=0.10), (

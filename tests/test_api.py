@@ -118,7 +118,7 @@ def test_one_error_class_per_exit_code():
 
 
 def test_one_delta_method_sd_function():
-    from drpredict import covariance
+    from drpredict import covariance, solver
 
     gone = {"Loadings", "loadings", "prediction_sds", "conditional_sd_grid", "merged_u_grid",
             "merged_u_blocks", "DomainError", "InsufficientData", "ConvergenceError",
@@ -136,7 +136,8 @@ def test_one_delta_method_sd_function():
             "_load_mask_column", "_load_mask_rows", "RobustEstimates", "IntervalEstimate", "IMMethod",
             "SigmaMatrix", "VarianceBounds", "_shared_config", "_sigma_matrices", "estimate_robust",
             "plain_im_interval", "two_step_interval", "sharp_bounds_empirical", "neyman_bounds",
-            "NearEqualVariancesWarning", "_show_warning"}
+            "NearEqualVariancesWarning", "_show_warning", "solve_minimax_many", "sweep_delta",
+            "_check_inputs", "_minimax", "_ROUNDING"}
     assert gone & set(drpredict.__all__) == set()
     # the arm moments live in sample.ArmBatch alone
     assert importlib.util.find_spec("drpredict.moments") is None
@@ -145,3 +146,5 @@ def test_one_delta_method_sd_function():
     # the coverage study alone decides which samples share a ragged batch
     assert [mod.__name__ for mod in modules if hasattr(mod, "BATCH_ROWS")] == ["drpredict.simulation"]
     assert "prediction_sd_grid" in covariance.__all__
+    # one entry point solves the minimax problem
+    assert [name for name in solver.__all__ if "minimax" in name] == ["solve_minimax"]

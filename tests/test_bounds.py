@@ -299,13 +299,34 @@ def test_sharp_bounds_invariant_to_shifts_of_either_arm(shift1, shift0):
     y1=st.lists(finite, min_size=2, max_size=15),
     y0=st.lists(finite, min_size=2, max_size=15),
 )
-# the Neyman v_o is 1.9e-8, the sharp one below _ROUNDING * v_p and so 0
+# the Neyman v_o is 1.9e-8: a sharp v_o floored by a ratio to v_p, and not
+# by the rounding of sqrt(v_o), once came out 0 beside it
 @example(y1=[0, 0, 0, 20, 60], y0=[0, 0, 20, 60, 0.001])
 def test_neyman_contains_sharp_empirical(y1, y0):
     # with 1/n variances on both routes the containment is exact
-    # algebraically; a sharp v_o of 0 stands for one below _ROUNDING * v_p
+    # algebraically; and as the sharp sqrt(v_o), the W2 distance of the
+    # centred arms, is at least |s1 - s0|, the one rule that floors a
+    # sharp v_o floors the Neyman one too
     s = _sample(y1, y0)
     sharp = bounds_of(s)
     ney = bounds_of(s, "neyman")
-    assert ney.v_o <= max(sharp.v_o, bounds._ROUNDING * sharp.v_p) + 1e-8
+    assert ney.v_o <= sharp.v_o + 1e-8
     assert sharp.v_p <= ney.v_p + 1e-8
+
+
+@pytest.mark.parametrize("method", ["sharp", "neyman"])
+def test_exactly_shifted_arms_of_unequal_sizes_floor_v_o(method):
+    # 10^5 rows at location 1e6: the treated arm is the control arm's
+    # values plus 123.456, each 3 times where the control arm has them 7
+    # times. Rounding the shifted values, the means and the SDs leaves a raw
+    # v_o whose square root is under an ulp of the largest |y|: it is 0
+    base = np.random.default_rng(12).normal(1e6, 1e3, 10_000)
+    arms = _sample(np.repeat(base + 123.456, 3), np.repeat(base, 7)).arms
+    if method == "sharp":
+        lo1, lo0, end = arms.starts[0:-1:2], arms.starts[1::2], arms.starts[2::2]
+        raw = mean_square_gaps(arms.values, arms.values, (lo1, lo0 - lo1, lo0, end - lo0), arms.ate)[0, 0]
+    else:
+        raw = np.diff(np.sqrt(arms.moments[1])).item() ** 2
+    assert 0.0 < math.sqrt(raw) < np.finfo(float).eps * arms.values.max()
+    v_p, v_o = variance_bounds(arms, method)[0].tolist()
+    assert v_o == 0.0 and v_p == pytest.approx(4e6, rel=0.05)

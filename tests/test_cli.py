@@ -16,6 +16,7 @@ from scipy.optimize import minimize_scalar
 
 from drpredict import cli
 from drpredict import sample as sample_module
+from drpredict import solver as solver_module
 from drpredict.cli import _build_parser, _dump_json, _manifest, _parse_delta_grid, _q_from_args, main
 from drpredict.exceptions import ParseError, ValidationError
 from drpredict.sample import load_mask, load_sample
@@ -323,6 +324,37 @@ def test_sweep_writer_matches_rowwise_csv_writer(flags, to_file, case1_csv, tmp_
         assert capsys.readouterr().out.encode("ascii") == want
 
 
+def test_sweep_shares_the_array_of_a_repeated_variance(tmp_path, monkeypatch, capsys):
+    # a population sweep asks for one variance three times, and a data sweep
+    # whose --true-v equals its v_p (4 on pm1's Neyman route, with v_o = 0)
+    # asks for one twice: each distinct variance is one row of radii in one
+    # solve, and the columns that repeat it are one array
+    points, written = [], []
+    newton, write = solver_module.newton_root, cli._write_columns
+
+    def counting(fun, x, *args):
+        points.append(np.size(x))
+        return newton(fun, x, *args)
+
+    def keeping(fh, header, columns):
+        written.append(columns)
+        return write(fh, header, columns)
+
+    monkeypatch.setattr(solver_module, "newton_root", counting)
+    monkeypatch.setattr(cli, "_write_columns", keeping)
+    pm1 = _write_csv(tmp_path / "pm1.csv", np.repeat([0.0, 2.0, -1.0, 1.0], [20, 20, 30, 30]),
+                     np.repeat([1, 0], [40, 60]))
+    deltas = ["--deltas", "2:4:0.5"]  # 5 radii, past both v = 0 thresholds, so every one is solved
+    assert main(["sweep", *deltas, "--true-v", "1.5", "--tau-star", "2"]) == 0
+    assert main(["sweep", "--data", pm1, *deltas, "--bounds", "neyman", "--true-v", "4"]) == 0
+    capsys.readouterr()
+    assert points == [5, 10]
+    (_, *population), (_, tau_p, tau_o, tau_dr) = written
+    assert population[0] is population[1] is population[2]
+    assert tau_p is tau_dr and tau_o is not tau_p
+    assert tau_o.tolist() != tau_p.tolist()
+
+
 def test_sweep_into_a_closed_pipe_ends_quietly():
     # `sweep ... | head -1` used to print "error: [Errno 32] Broken pipe" and exit 2
     env = dict(os.environ)
@@ -561,15 +593,16 @@ def test_two_constant_arms_estimate_alike_on_both_routes(tmp_path, capsys):
                                                     "neyman": {"v_o": 0.0, "v_p": 0.0}}
 
 
-def test_neyman_arm_sds_a_millionth_apart_are_not_the_kink(tmp_path, capsys):
-    # (s1 - s0) / (s1 + s0) = 5e-7 is far past rounding: the Neyman v_o is
-    # small but not 0, so infer gives an interval
+@pytest.mark.parametrize("bounds", ["sharp", "neyman"])
+def test_arm_sds_a_millionth_apart_are_not_the_kink(bounds, tmp_path, capsys):
+    # (s1 - s0) / (s1 + s0) = 5e-7 is far past rounding: on either route
+    # v_o is small, under 1e-10 v_p, but not 0, so infer gives an interval
     path = _shifted_arms_file(tmp_path / "near.csv", 1.0, scale=1.0 + 1e-6)
-    assert main(["estimate", "--data", path, "--delta", "0.5", "--bounds", "neyman", "--json"]) == 0
+    assert main(["estimate", "--data", path, "--delta", "0.5", "--bounds", bounds, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert 0.0 < doc["bounds"]["neyman"]["v_o"] < 1e-10 * doc["bounds"]["neyman"]["v_p"]
+    assert 0.0 < doc["bounds"][bounds]["v_o"] < 1e-10 * doc["bounds"][bounds]["v_p"]
     assert doc["sd_o"] > 0.0
-    assert main(["infer", "--data", path, "--delta", "0.5", "--bounds", "neyman", "--json"]) == 0
+    assert main(["infer", "--data", path, "--delta", "0.5", "--bounds", bounds, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert math.isfinite(doc["im"]["lower"]) and math.isfinite(doc["im"]["upper"])
 

@@ -18,7 +18,7 @@ from drpredict.covariance import (
 )
 from drpredict import covariance as cov_module
 from drpredict.sample import arm_batch
-from drpredict.solver import RobustConfig, solve_minimax, solve_minimax_many
+from drpredict.solver import RobustConfig, solve_minimax
 from oracles import Bracket, bounds_of, sigma_bootstrap, sigma_sharp_influence
 
 
@@ -410,8 +410,8 @@ def test_sigma_sharp_many_raises_what_the_failing_sample_raises(kind, k):
 def _case1_setup(delta=0.1, q=2.0):
     cfg = RobustConfig(delta, q)
     b = Bracket(v_p=9.0, v_o=1.0)
-    tau_p = solve_minimax(1.8, b.v_p, cfg)
-    tau_o = solve_minimax(1.8, b.v_o, cfg)
+    tau_p = solve_minimax(1.8, b.v_p, cfg.delta, cfg.q)
+    tau_o = solve_minimax(1.8, b.v_o, cfg.delta, cfg.q)
     return cfg, b, tau_p, tau_o
 
 
@@ -446,9 +446,9 @@ def test_loadings_zero_tau_error():
     b = Bracket(v_p=9.0, v_o=1.0)
     # q=1 with a big radius thresholds the prediction to exactly zero, where
     # the penalty's curvature is not finite
-    tau_p = solve_minimax(0.5, b.v_p, cfg)
+    tau_p = solve_minimax(0.5, b.v_p, cfg.delta, cfg.q)
     assert tau_p == 0.0
-    tau = np.array([tau_p, solve_minimax(0.5, b.v_o, cfg)])
+    tau = np.array([tau_p, solve_minimax(0.5, b.v_o, cfg.delta, cfg.q)])
     sd, status = prediction_sd_grid(0.5, tau, np.array([b.v_p, b.v_o]), (1.0, 0.0, 1.0), cfg)
     assert tau[1] == 0.0 and status.tolist() == [CURVATURE, CURVATURE]
     assert np.isnan(sd).all()
@@ -472,7 +472,7 @@ def test_conditional_sd_grid_matches_loadings():
     cfg, b, _, _ = _case1_setup(0.4)
     s = np.diag([CASE1_S00, CASE1_S11, CASE1_S22])
     ts = np.array([0.8, 1.2, 1.8, 2.5])
-    tau_ps = np.array([solve_minimax(t, b.v_p, cfg) for t in ts])
+    tau_ps = np.array([solve_minimax(t, b.v_p, cfg.delta, cfg.q) for t in ts])
     grid_sd = prediction_sd_grid(ts, tau_ps, b.v_p, (s[0, 0], 0.0, 0.0), cfg, conditional=True)[0]
     for i, t in enumerate(ts):
         sd_p = prediction_sd_grid(t, tau_ps[i], b.v_p, (s[0, 0], s[0, 2], s[2, 2]), cfg, conditional=True)[0]
@@ -487,7 +487,7 @@ def test_prediction_sd_grid_matches_loadings():
     b = Bracket(v_p=9.0, v_o=1.0)
     tau_star = np.array([[-2.5], [0.8], [1.8], [4.0]])
     v = np.array([[b.v_p, b.v_o]])
-    tau = np.array([[solve_minimax(t, vb, cfg) for vb in v[0]] for t in tau_star[:, 0]])
+    tau = np.array([[solve_minimax(t, vb, cfg.delta, cfg.q) for vb in v[0]] for t in tau_star[:, 0]])
     for conditional in (False, True):
         grid, status = prediction_sd_grid(tau_star, tau, v, _sigma_b(sigma), cfg, conditional)
         assert (status == OK).all()
@@ -543,7 +543,7 @@ def test_conditional_sd_bounds_enclose_a_dense_grid():
             v, s_bb = rng.uniform(0.2, 9.0), rng.uniform(1.0, 100.0)
             lo = rng.uniform(0.3, 3.0)
             ts = rng.choice([-1.0, 1.0]) * np.linspace(lo, lo + rng.uniform(0.05, 1.0), 20_001)
-            tau = solve_minimax_many(ts, v, config)
+            tau = solve_minimax(ts, v, config.delta, config.q)
             sd = prediction_sd_grid(ts, tau, v, (s_bb, 0.0, 0.0), config, conditional=True)[0]
             slope_lo, slope_hi, sd_hi, sd_slope, tau_err, sd_err = conditional_sd_bounds(
                 np.abs(ts[[0, -1]]), tau[[0, -1]], v, s_bb, config)
@@ -571,7 +571,7 @@ def test_zero_effect_sd_is_the_zero_effect_limit():
     sigma_b = (rng.uniform(0.1, 5.0), rng.uniform(-1.0, 1.0), sigma_tau**2)
     for k in range(2000):
         cfg = RobustConfig(float(delta[k]), float(q[k]))
-        assert solve_minimax(0.0, float(v_b[k]), cfg) == 0.0
+        assert solve_minimax(0.0, float(v_b[k]), cfg.delta, cfg.q) == 0.0
         sd = float(prediction_sd_grid(0.0, 0.0, v_b[k], (*sigma_b[:2], sigma_b[2][k]), cfg)[0])
         limit = sigma_tau[k] / (1.0 + delta[k] * math.sqrt(v_b[k] / 2.0)) if q[k] == 2.0 else sigma_tau[k]
         assert sd == pytest.approx(limit, rel=4 * np.finfo(float).eps, abs=0.0)

@@ -25,7 +25,7 @@ from drpredict.simulation import (
     run_coverage_study,
     write_reports_csv,
 )
-from drpredict.solver import RobustConfig, penalty_derivs, solve_minimax_many
+from drpredict.solver import RobustConfig, penalty_derivs, solve_minimax
 from oracles import bounds_of, sharp_bounds_population
 
 
@@ -237,7 +237,7 @@ def _old_replication(dgp, cfg, child, alpha=0.05, beta=0.045):
     tau_star = float(sample.arms.ate[0])
     bounds = bounds_of(sample)
     s = sigma_sharp_batch(sample.arms)[0]
-    tau_p, tau_o = solve_minimax_many(tau_star, [bounds.v_p, bounds.v_o], cfg).tolist()
+    tau_p, tau_o = solve_minimax(tau_star, [bounds.v_p, bounds.v_o], cfg.delta, cfg.q).tolist()
     sd_p, sd_o = (
         float(prediction_sd_grid(tau_star, tau_b, v_b, (s[b, b], s[b, 2], s[2, 2]), cfg)[0])
         for b, (tau_b, v_b) in enumerate(((tau_p, bounds.v_p), (tau_o, bounds.v_o)))
@@ -252,7 +252,7 @@ def _old_replication(dgp, cfg, child, alpha=0.05, beta=0.045):
         return (im_lower, im_upper, math.nan, math.nan, math.nan, False)
     ts = np.linspace(first[0], first[1], 101)
     v = np.array([[bounds.v_p], [bounds.v_o]])
-    tau = solve_minimax_many(ts, v, cfg)
+    tau = solve_minimax(ts, v, cfg.delta, cfg.q)
     gap = ts - tau
     a_sq = v + gap * gap
     a = np.sqrt(a_sq)
@@ -370,9 +370,10 @@ def test_study_raises_the_first_failing_replications_error(monkeypatch):
         _replicate_batch(dgp, cfg, np.random.SeedSequence(3).spawn(100)[4:20], 0.05, 0.045, "sharp")
 
 
-def test_neyman_study_runs_over_arm_sds_a_millionth_apart(monkeypatch):
+@pytest.mark.parametrize("bound_method", ["sharp", "neyman"])
+def test_study_runs_over_arm_sds_a_millionth_apart(bound_method, monkeypatch):
     # replication 3's treated arm is its control arm scaled by 1 + 1e-6 and
-    # shifted: SDs far past rounding apart, so a small Neyman v_o, not the kink
+    # shifted: SDs far past rounding apart, so a small v_o, not the kink
     real_draw = simulation.draw_sample
 
     def draw(dgp, child):
@@ -385,7 +386,7 @@ def test_neyman_study_runs_over_arm_sds_a_millionth_apart(monkeypatch):
 
     monkeypatch.setattr(simulation, "draw_sample", draw)
     dgp, cfg = case_preset(1, n=200)
-    report = run_coverage_study(dgp, cfg, replications=100, seed=3, bound_method="neyman")
+    report = run_coverage_study(dgp, cfg, replications=100, seed=3, bound_method=bound_method)
     assert 0.0 <= report.coverage_im <= 1.0
 
 

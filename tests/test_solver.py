@@ -15,8 +15,6 @@ from drpredict.solver import (
     penalty_curvature_range,
     penalty_derivs,
     solve_minimax,
-    solve_minimax_many,
-    sweep_delta,
 )
 from oracles import dual_objective, newton_root_full
 
@@ -95,7 +93,7 @@ def test_threshold_values():
     assert _thr(2.0, 3.0) == pytest.approx(1.25 ** (2.0 / 3.0), abs=1e-12)
     assert _thr(0.0, 2.0) == math.inf  # a zero effect is never shrunk
     # the solver takes |tau*|: a negative effect has the same plateau
-    assert solve_minimax(-2.0, 0.0, RobustConfig(_thr(2.0, 2.0), 2.0)) == -2.0
+    assert solve_minimax(-2.0, 0.0, _thr(2.0, 2.0), 2.0) == -2.0
 
 
 def test_threshold_decreasing_in_effect_size():
@@ -111,30 +109,29 @@ def test_threshold_tends_to_one_as_q_to_one():
 
 
 def test_delta_zero_returns_tau_star_exactly():
-    cfg = RobustConfig(0.0, 2.0)
     for ts, v in [(2.0, 0.0), (-3.5, 1.0), (0.17, 10.0)]:
-        assert solve_minimax(ts, v, cfg) == ts
+        assert solve_minimax(ts, v, 0.0, 2.0) == ts
 
 
 def test_tau_star_zero_is_fixed_point():
     for q in (1.0, 1.5, 2.0, 3.0):
         for d in (0.0, 0.5, 2.0):
-            assert solve_minimax(0.0, 3.0, RobustConfig(d, q)) == 0.0
+            assert solve_minimax(0.0, 3.0, d, q) == 0.0
 
 
 def test_homogeneous_no_shrinkage_up_to_threshold():
     thr = _thr(2.0, 2.0)
-    assert solve_minimax(2.0, 0.0, RobustConfig(1.0, 2.0)) == 2.0
-    assert solve_minimax(2.0, 0.0, RobustConfig(thr, 2.0)) == 2.0
-    just_past = solve_minimax(2.0, 0.0, RobustConfig(thr + 1e-6, 2.0))
+    assert solve_minimax(2.0, 0.0, 1.0, 2.0) == 2.0
+    assert solve_minimax(2.0, 0.0, thr, 2.0) == 2.0
+    just_past = solve_minimax(2.0, 0.0, thr + 1e-6, 2.0)
     assert just_past < 2.0
-    well_past = solve_minimax(2.0, 0.0, RobustConfig(2.0, 2.0))
+    well_past = solve_minimax(2.0, 0.0, 2.0, 2.0)
     assert 0.0 < well_past < just_past
 
 
 def test_table_values_case1_case2():
-    assert solve_minimax(1.8, 2.2, RobustConfig(0.1, 2.0)) == pytest.approx(1.686, abs=1e-3)
-    assert solve_minimax(1.8, 2.2, RobustConfig(1.0, 2.0)) == pytest.approx(0.879, abs=1e-3)
+    assert solve_minimax(1.8, 2.2, 0.1, 2.0) == pytest.approx(1.686, abs=1e-3)
+    assert solve_minimax(1.8, 2.2, 1.0, 2.0) == pytest.approx(0.879, abs=1e-3)
 
 
 def test_q1_closed_form_oracle():
@@ -145,7 +142,7 @@ def test_q1_closed_form_oracle():
         a = rng.uniform(0.05, 5.0) * rng.choice([-1.0, 1.0])
         v = rng.uniform(1e-3, 10.0)
         d = rng.uniform(0.0, 2.0)
-        got = solve_minimax(a, v, RobustConfig(d, 1.0))
+        got = solve_minimax(a, v, d, 1.0)
         if d >= 1.0:
             want = 0.0
         else:
@@ -155,8 +152,8 @@ def test_q1_closed_form_oracle():
 
 def test_q1_homogeneous_keeps_tau_star():
     # v = 0 with q = 1 and delta < 1: the closed form leaves tau* unshrunk
-    assert solve_minimax(2.0, 0.0, RobustConfig(0.5, 1.0)) == 2.0
-    assert solve_minimax(-2.0, 0.0, RobustConfig(0.5, 1.0)) == -2.0
+    assert solve_minimax(2.0, 0.0, 0.5, 1.0) == 2.0
+    assert solve_minimax(-2.0, 0.0, 0.5, 1.0) == -2.0
 
 
 def _q1_closed_form(tau_star, v, delta):
@@ -174,7 +171,7 @@ def _q1_closed_form(tau_star, v, delta):
     q=st.sampled_from([1.0, 1.5, 2.0, 3.0, 10.0]),
 )
 def test_solution_properties_with_exact_zero_variance(tau_star, v, delta, q):
-    got = solve_minimax(tau_star, v, RobustConfig(delta, q))
+    got = solve_minimax(tau_star, v, delta, q)
     assert math.isfinite(got)
     assert got == 0.0 or math.copysign(1.0, got) == math.copysign(1.0, tau_star)
     assert abs(got) <= abs(tau_star)
@@ -184,8 +181,8 @@ def test_solution_properties_with_exact_zero_variance(tau_star, v, delta, q):
 
 def test_q1_hard_threshold_snaps_to_zero():
     # strong radius with q=1 kills the effect exactly
-    assert solve_minimax(1.0, 4.0, RobustConfig(1.5, 1.0)) == 0.0
-    assert solve_minimax(-1.0, 4.0, RobustConfig(1.5, 1.0)) == 0.0
+    assert solve_minimax(1.0, 4.0, 1.5, 1.0) == 0.0
+    assert solve_minimax(-1.0, 4.0, 1.5, 1.0) == 0.0
 
 
 def test_foc_residual_at_solution():
@@ -195,7 +192,7 @@ def test_foc_residual_at_solution():
         v = rng.uniform(1e-4, 10.0)
         d = rng.uniform(1e-3, 3.0)
         q = rng.choice([1.5, 2.0, 3.0, 10.0])
-        t_hat = solve_minimax(ts, v, RobustConfig(d, q))
+        t_hat = solve_minimax(ts, v, d, q)
         if t_hat == 0.0:
             continue
         pd1 = (t_hat - ts) / math.sqrt(v + (ts - t_hat) ** 2)  # the proximity slope
@@ -204,11 +201,10 @@ def test_foc_residual_at_solution():
 
 
 def test_monotone_in_variance():
-    cfg = RobustConfig(0.7, 2.0)
-    vals = [solve_minimax(2.5, v, cfg) for v in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0)]
+    vals = [solve_minimax(2.5, v, 0.7, 2.0) for v in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0)]
     assert all(x >= y - 1e-12 for x, y in zip(vals, vals[1:]))
     # mirrored for negative effects
-    vals_neg = [solve_minimax(-2.5, v, cfg) for v in (0.0, 1.0, 5.0)]
+    vals_neg = [solve_minimax(-2.5, v, 0.7, 2.0) for v in (0.0, 1.0, 5.0)]
     assert all(x <= y + 1e-12 for x, y in zip(vals_neg, vals_neg[1:]))
 
 
@@ -219,15 +215,15 @@ def test_sign_mirror_symmetry():
         v = rng.uniform(0.0, 10.0)
         d = rng.uniform(0.0, 3.0)
         q = rng.choice([1.0, 1.5, 2.0, 3.0])
-        plus = solve_minimax(ts, v, RobustConfig(d, q))
-        minus = solve_minimax(-ts, v, RobustConfig(d, q))
+        plus = solve_minimax(ts, v, d, q)
+        minus = solve_minimax(-ts, v, d, q)
         assert minus == pytest.approx(-plus, abs=1e-12)
 
 
 def test_immediate_shrinkage_with_positive_variance():
     for q in (1.5, 2.0, 3.0):
         for d in (1e-3, 0.1, 1.0):
-            t_hat = solve_minimax(2.0, 1.0, RobustConfig(d, q))
+            t_hat = solve_minimax(2.0, 1.0, d, q)
             assert 0.0 < t_hat < 2.0
 
 
@@ -237,16 +233,15 @@ def test_q_ordering_at_large_delta():
     # cross, so the ordering is only asserted in the large-delta regime.)
     for d in (2.0, 3.0):
         for v in (0.0, 1.5, 5.0):
-            vals = [solve_minimax(2.0, v, RobustConfig(d, q)) for q in (1.0, 1.5, 2.0, 3.0, 10.0)]
+            vals = [solve_minimax(2.0, v, d, q) for q in (1.0, 1.5, 2.0, 3.0, 10.0)]
             assert all(x <= y + 1e-9 for x, y in zip(vals, vals[1:])), (d, v, vals)
 
 
 def test_q1_reaches_zero_but_q_above_one_never_does():
     # hard-thresholding happens only at q = 1
-    big = RobustConfig(3.0, 1.0)
-    assert solve_minimax(2.0, 5.0, big) == 0.0
+    assert solve_minimax(2.0, 5.0, 3.0, 1.0) == 0.0
     for q in (1.5, 2.0, 3.0, 10.0):
-        assert solve_minimax(2.0, 5.0, RobustConfig(3.0, q)) > 0.0
+        assert solve_minimax(2.0, 5.0, 3.0, q) > 0.0
 
 
 def test_solution_beats_grid():
@@ -258,7 +253,7 @@ def test_solution_beats_grid():
         d = rng.uniform(0, 2.5)
         q = rng.choice([1.0, 1.5, 2.0, 3.0])
         cfg = RobustConfig(d, q)
-        t_hat = solve_minimax(ts, v, cfg)
+        t_hat = solve_minimax(ts, v, cfg.delta, cfg.q)
         m_hat = dual_objective(t_hat, ts, v, cfg)
         grid = np.linspace(min(0.0, ts), max(0.0, ts), 4001)
         m_grid = min(dual_objective(t, ts, v, cfg) for t in grid)
@@ -267,7 +262,7 @@ def test_solution_beats_grid():
 
 def test_solver_rejects_negative_variance():
     with pytest.raises(ValidationError):
-        solve_minimax(1.0, -0.5, RobustConfig(1.0, 2.0))
+        solve_minimax(1.0, -0.5, 1.0, 2.0)
 
 
 @pytest.mark.parametrize(
@@ -281,13 +276,13 @@ def test_solver_rejects_negative_variance():
     ],
 )
 def test_solver_rejects_nonfinite_inputs(tau_star, v):
-    cfg = RobustConfig(0.5, 2.0)
-    with pytest.raises(ValidationError):
-        solve_minimax(tau_star, v, cfg)
-    with pytest.raises(ValidationError):
-        solve_minimax_many(np.array([1.0, tau_star]), np.array([v, 1.0]), cfg)
-    with pytest.raises(ValidationError):  # sweep_delta returned NaN or 9.09e-13 rows
-        sweep_delta(tau_star, [v, v], cfg.q, [cfg.delta])
+    message = "source effect must be finite" if v == 1.0 else "variance must be finite and nonnegative"
+    with pytest.raises(ValidationError, match=message):
+        solve_minimax(tau_star, v, 0.5, 2.0)
+    with pytest.raises(ValidationError, match=message):
+        solve_minimax(np.array([1.0, tau_star]), np.array([v, 1.0]), 0.5, 2.0)
+    with pytest.raises(ValidationError, match=message):  # a sweep's grid once returned NaN or 9.09e-13 rows
+        solve_minimax(tau_star, [[v], [v]], [0.5], 2.0)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -297,8 +292,8 @@ def test_solver_near_the_largest_double(sign):
     # raised "did not converge in 200 steps"; the minimiser is tau* less
     # about 1/sqrt(3), which rounds to tau* itself
     tau_star = sign * 1e308
-    assert solve_minimax(tau_star, 1.0, RobustConfig(0.5, 2.0)) == pytest.approx(tau_star, rel=1e-15)
-    [tau_p], [tau_o] = sweep_delta(tau_star, [1.0, 1.0], 2.0, [0.5])
+    assert solve_minimax(tau_star, 1.0, 0.5, 2.0) == pytest.approx(tau_star, rel=1e-15)
+    [tau_p], [tau_o] = solve_minimax(tau_star, [[1.0], [1.0]], [0.5], 2.0)
     assert tau_p == tau_o == pytest.approx(tau_star, rel=1e-15)
 
 
@@ -309,8 +304,8 @@ def test_solver_bisects_down_from_a_huge_effect(tau_star):
     # halvings at 1e308. The first-order condition is then
     # -1 + delta tau / sqrt(2 + tau^2) = 0, so tau = sqrt(2/3) at delta = 2.
     want = math.copysign(math.sqrt(2.0 / 3.0), tau_star)
-    assert solve_minimax(tau_star, 1.0, RobustConfig(2.0, 2.0)) == pytest.approx(want, rel=1e-12)
-    [tau_p], [tau_o] = sweep_delta(tau_star, [1.0, 1.0], 2.0, [2.0])
+    assert solve_minimax(tau_star, 1.0, 2.0, 2.0) == pytest.approx(want, rel=1e-12)
+    [tau_p], [tau_o] = solve_minimax(tau_star, [[1.0], [1.0]], [2.0], 2.0)
     assert tau_p == tau_o == pytest.approx(want, rel=1e-12)
 
 
@@ -325,18 +320,17 @@ def test_newton_root_bisects_a_bracket_near_the_largest_double():
 
 def test_newton_root_raises_when_it_does_not_converge(monkeypatch):
     # an interior root that one Newton step does not reach
-    cfg = RobustConfig(0.5, 2.0)
-    assert solve_minimax(1.8, 1.0, cfg) not in (0.0, 1.8)
+    assert solve_minimax(1.8, 1.0, 0.5, 2.0) not in (0.0, 1.8)
     monkeypatch.setattr(solver_module, "_MAX_ITER", 1)
     with pytest.raises(NumericalError, match="did not converge in 1 steps"):
-        solve_minimax(1.8, 1.0, cfg)
+        solve_minimax(1.8, 1.0, 0.5, 2.0)
 
 
-def _sweep_with(newton, monkeypatch, *sweep_args):
-    """``sweep_delta(*sweep_args)`` with ``newton`` as the solver's root finder."""
+def _solve_with(newton, monkeypatch, *args):
+    """``solve_minimax(*args)`` with ``newton`` as the solver's root finder."""
     with monkeypatch.context() as patch:
         patch.setattr(solver_module, "newton_root", newton)
-        return sweep_delta(*sweep_args)
+        return solve_minimax(*args)
 
 
 DENSE_DELTAS = 0.0 + np.arange(15_001) * 0.0002  # the grid of `sweep --deltas 0:3:0.0002`
@@ -348,18 +342,18 @@ DENSE_DELTAS = 0.0 + np.arange(15_001) * 0.0002  # the grid of `sweep --deltas 0
 def test_active_set_newton_matches_full_array_oracle(q, v_o, v_p, sign, monkeypatch):
     # dropping converged entries must not change any entry's iterates
     tau_star = sign * 1.7
-    want = _sweep_with(newton_root_full, monkeypatch, tau_star, [v_p, v_o], q, DENSE_DELTAS)
-    got = sweep_delta(tau_star, [v_p, v_o], q, DENSE_DELTAS)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    want = _solve_with(newton_root_full, monkeypatch, tau_star, [[v_p], [v_o]], DENSE_DELTAS, q)
+    got = solve_minimax(tau_star, [[v_p], [v_o]], DENSE_DELTAS, q)
+    assert np.array_equal(got, want)
     assert np.count_nonzero(got[1] != tau_star) > 5_000  # most radii were solved
 
 
 @pytest.mark.parametrize("tau_star", [1e308, -1e308, 1.7e308])
 def test_active_set_newton_matches_oracle_near_the_largest_double(tau_star, monkeypatch):
     deltas = [0.1, 0.5, 0.9]
-    want = _sweep_with(newton_root_full, monkeypatch, tau_star, [1.0, 0.25], 2.0, deltas)
-    got = sweep_delta(tau_star, [1.0, 0.25], 2.0, deltas)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    want = _solve_with(newton_root_full, monkeypatch, tau_star, [[1.0], [0.25]], deltas, 2.0)
+    got = solve_minimax(tau_star, [[1.0], [0.25]], deltas, 2.0)
+    assert np.array_equal(got, want)
 
 
 def test_newton_root_slices_its_arguments_to_the_unconverged_entries():
@@ -449,34 +443,38 @@ def test_penalty_derivs_at_zero():
 
 
 def test_sweep_delta_zero_row():
-    assert [col.tolist() for col in sweep_delta(2.0, [4.0, 1.0], 2.0, [0.0])] == [[2.0], [2.0]]
+    assert solve_minimax(2.0, [[4.0], [1.0]], [0.0], 2.0).tolist() == [[2.0], [2.0]]
 
 
 def test_sweep_flat_below_threshold_when_homogeneous():
     thr = _thr(2.0, 2.0)
-    tau_p, tau_o = sweep_delta(2.0, [0.0, 0.0], 2.0, np.linspace(0, thr, 7))
+    tau_p, tau_o = solve_minimax(2.0, [[0.0], [0.0]], np.linspace(0, thr, 7), 2.0)
     assert np.all(tau_p == 2.0) and np.all(tau_o == 2.0)
 
 
 def test_sweep_monotone_in_delta():
-    tau_p, tau_o = sweep_delta(1.7, [3.0, 0.5], 2.0, np.linspace(0, 3, 31))
+    tau_p, tau_o = solve_minimax(1.7, [[3.0], [0.5]], np.linspace(0, 3, 31), 2.0)
     assert np.all(np.diff(tau_p) <= 1e-10)
     assert np.all(np.diff(tau_o) <= 1e-10)
 
 
 def test_sweep_validation():
-    variances = [3.0, 0.5]
-    with pytest.raises(ValidationError):
-        sweep_delta(1.0, variances, 2.0, [])
-    with pytest.raises(ValidationError):
-        sweep_delta(1.0, variances, 2.0, [0.1, -0.2])
-    with pytest.raises(ValidationError):
-        sweep_delta(1.0, variances, 2.0, [[0.1, 0.2]])
+    # RobustConfig's messages, for the first bad radius in the caller's
+    # order, then for q
+    variances = [[3.0], [0.5]]
+    for deltas, bad in (([0.1, -0.2], "-0.2"), ([0.1, math.inf, -0.2], "inf"), ([[0.1], [math.nan]], "nan")):
+        with pytest.raises(ValidationError, match=f"^delta must be finite and >= 0, got {bad}$"):
+            solve_minimax(1.0, variances, deltas, 0.5)
+    with pytest.raises(ValidationError, match="^q must be finite and >= 1, got 0.5$"):
+        solve_minimax(1.0, variances, [0.1, 0.2], 0.5)
+    with pytest.raises(ValidationError, match="^q must be finite and >= 1, got nan$"):
+        solve_minimax(1.0, variances, [], math.nan)
+    assert solve_minimax(1.0, variances, [], 2.0).shape == (2, 0)
 
 
-def _sweep_counting_points(monkeypatch, variances, deltas):
-    """``sweep_delta(2.0, variances, 2.0, deltas)`` and the number of
-    points that ``newton_root`` received."""
+def _solve_counting_points(monkeypatch, *args):
+    """``solve_minimax(*args)`` and the number of points that
+    ``newton_root`` received."""
     points = []
 
     def counting(fun, x, lo, hi, tol, *args):
@@ -485,7 +483,7 @@ def _sweep_counting_points(monkeypatch, variances, deltas):
 
     with monkeypatch.context() as patch:
         patch.setattr(solver_module, "newton_root", counting)
-        return sweep_delta(2.0, variances, 2.0, deltas), sum(points)
+        return solve_minimax(*args), sum(points)
 
 
 # past the v = 0 threshold 1.22, so every radius is solved
@@ -494,21 +492,14 @@ SOLVED_DELTAS = np.linspace(1.5, 4.0, 6)
 
 @pytest.mark.parametrize("v_o,v_p,rows", [(1.5, 1.5, 1), (0.0, 0.0, 1), (0.5, 3.0, 2)])
 def test_sweep_solves_each_distinct_variance_once(v_o, v_p, rows, monkeypatch):
-    got, points = _sweep_counting_points(monkeypatch, [v_p, v_o], SOLVED_DELTAS)
-    assert points == rows * SOLVED_DELTAS.size
-    assert (got[0] is got[1]) == (v_o == v_p)
-    for d, tau_p, tau_o in zip(SOLVED_DELTAS.tolist(), *(col.tolist() for col in got)):
-        assert tau_p == solve_minimax(2.0, v_p, RobustConfig(d, 2.0))
-        assert tau_o == solve_minimax(2.0, v_o, RobustConfig(d, 2.0))
-
-
-def test_sweep_shares_the_array_of_a_repeated_variance(monkeypatch):
-    # a data sweep whose --true-v equals its v_p asks for one variance twice
-    got, points = _sweep_counting_points(monkeypatch, [4.0, 0.0, 4.0], SOLVED_DELTAS)
-    assert points == 2 * SOLVED_DELTAS.size
-    assert got[0] is got[2] and got[1] is not got[0]
-    for d, *taus in zip(SOLVED_DELTAS.tolist(), *(col.tolist() for col in got)):
-        assert taus == [solve_minimax(2.0, v, RobustConfig(d, 2.0)) for v in (4.0, 0.0, 4.0)]
+    # a sweep passes each distinct variance once, as one row of a column:
+    # one call solves rows x radii points, each its own scalar solve
+    column = np.reshape([v_p, v_o][:rows], (-1, 1))
+    got, points = _solve_counting_points(monkeypatch, 2.0, column, SOLVED_DELTAS, 2.0)
+    assert points == rows * SOLVED_DELTAS.size and got.shape == (rows, SOLVED_DELTAS.size)
+    for d, tau_p, tau_o in zip(SOLVED_DELTAS.tolist(), got[0].tolist(), got[-1].tolist()):
+        assert tau_p == solve_minimax(2.0, v_p, d, 2.0)
+        assert tau_o == solve_minimax(2.0, v_o, d, 2.0)
 
 
 # ------------------------------------------------------------ bound estimates
@@ -516,10 +507,9 @@ def test_sweep_shares_the_array_of_a_repeated_variance(monkeypatch):
 
 def test_predict_bounds_ordering():
     v = [4.0, 1.0]  # (v_p, v_o)
-    cfg = RobustConfig(0.5, 2.0)
-    tau_p, tau_o = solve_minimax_many(2.0, v, cfg).tolist()
+    tau_p, tau_o = solve_minimax(2.0, v, 0.5, 2.0).tolist()
     assert 0.0 < tau_p < tau_o < 2.0
-    neg_p, neg_o = solve_minimax_many(-2.0, v, cfg).tolist()
+    neg_p, neg_o = solve_minimax(-2.0, v, 0.5, 2.0).tolist()
     assert neg_p == pytest.approx(-tau_p)
     assert -2.0 < neg_o < neg_p < 0.0
 
@@ -533,15 +523,26 @@ def test_vectorized_matches_scalar():
         ts = rng.uniform(-5, 5, size=40)
         v = float(rng.uniform(0.0, 8.0))
         d = float(rng.uniform(1e-3, 3.0))
-        cfg = RobustConfig(d, q)
-        got = solve_minimax_many(ts, v, cfg)
-        want = np.array([solve_minimax(t, v, cfg) for t in ts])
+        got = solve_minimax(ts, v, d, q)
+        want = np.array([solve_minimax(t, v, d, q) for t in ts])
         np.testing.assert_allclose(got, want, atol=1e-10)
 
 
+def test_broadcasts_effects_variances_and_radii():
+    # (3, 1, 1) effects, (1, 2, 1) variances and (4,) radii: a (3, 2, 4)
+    # array, each entry its scalar solve bit for bit; scalars give 0-d
+    ts, v, d = np.reshape([-2.0, 0.5, 3.0], (3, 1, 1)), np.reshape([0.0, 1.5], (1, 2, 1)), [0.0, 0.4, 1.3, 2.5]
+    for q in (1.0, 1.5, 2.0):
+        got = solve_minimax(ts, v, d, q)
+        assert got.shape == (3, 2, 4)
+        want = [[[solve_minimax(t, vb, db, q).item() for db in d] for vb in v.ravel()] for t in ts.ravel()]
+        assert got.tolist() == want
+    assert solve_minimax(2.0, 1.0, 0.5, 2.0).shape == ()
+
+
 def test_vectorized_homogeneous_exact():
-    cfg = RobustConfig(1.0, 2.0)  # below threshold for |tau*|=2
-    out = solve_minimax_many(np.array([2.0, -2.0, 0.0]), 0.0, cfg)
+    # delta = 1 is below the threshold for |tau*| = 2
+    out = solve_minimax(np.array([2.0, -2.0, 0.0]), 0.0, 1.0, 2.0)
     np.testing.assert_array_equal(out, [2.0, -2.0, 0.0])
 
 
@@ -550,16 +551,16 @@ def test_vectorized_q1_closed_form():
     ts = rng.uniform(-5, 5, size=200)
     vs = np.where(rng.random(200) < 0.25, 0.0, rng.uniform(0.0, 10.0, size=200))
     for d in (0.0, 0.3, 0.9, 1.0, 2.0):
-        got = solve_minimax_many(ts, vs, RobustConfig(d, 1.0))
+        got = solve_minimax(ts, vs, d, 1.0)
         want = [_q1_closed_form(t, v, d) for t, v in zip(ts, vs)]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    zeroed = solve_minimax_many(np.array([-1.0, 1.0]), 4.0, RobustConfig(1.5, 1.0))
+    zeroed = solve_minimax(np.array([-1.0, 1.0]), 4.0, 1.5, 1.0)
     assert [math.copysign(1.0, x) for x in zeroed] == [1.0, 1.0]  # +0.0, never -0.0
 
 
 def test_vectorized_rejects_negative_variance():
-    with pytest.raises(ValidationError):
-        solve_minimax_many(np.array([1.0, 2.0]), [1.0, -0.5], RobustConfig(0.5, 2.0))
+    with pytest.raises(ValidationError, match="variance must be finite and nonnegative"):
+        solve_minimax(np.array([1.0, 2.0]), [1.0, -0.5], 0.5, 2.0)
 
 
 # ------------------------------------------------- reference kernel (oracle)
@@ -602,6 +603,6 @@ def test_core_matches_reference_bisection():
             ts = float(rng.uniform(-5, 5))
             v = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 10.0))
             d = float(rng.uniform(0.0, 3.0))
-            got = solve_minimax(ts, v, RobustConfig(d, q))
+            got = solve_minimax(ts, v, d, q)
             want = _reference_solve(ts, v, d, q)
             assert abs(got - want) <= 1e-10, (ts, v, d, q, got, want)

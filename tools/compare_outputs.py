@@ -231,6 +231,11 @@ INVOCATIONS = [
     ("estimate-twoconst-sharp", ["estimate", "--data", "twoconst.csv", "--delta", "0.5"]),
     ("estimate-twoconst-neyman", ["estimate", "--data", "twoconst.csv", "--delta", "0.5",
                                   "--bounds", "neyman"]),
+    # a treated arm that is the control arm times 1 + 1e-6 plus 1: on both
+    # routes sqrt(v_o) is far past rounding, so a small v_o and no kink
+    ("infer-millionth-sharp", ["infer", "--data", "millionth.csv", "--delta", "0.5"]),
+    ("infer-millionth-neyman", ["infer", "--data", "millionth.csv", "--delta", "0.5",
+                                "--bounds", "neyman"]),
 ]
 
 
@@ -296,6 +301,10 @@ def write_inputs(work: Path) -> None:
     (work / "two_faults.csv").write_text("y,t,m\n1.0,1,2\n2.0,0,0\noops,1,1\n3.0,0,1\n")
     # fixed literals, no draws, written last: 40 treated rows of 2.5, 40 control rows of 1.0
     _write_csv(work / "twoconst.csv", np.repeat([2.5, 1.0], 40), np.repeat([1, 0], 40))
+    # written after the rest, from its own generator: 40 control rows of six
+    # decimals, and 40 treated rows of them times 1 + 1e-6 plus 1
+    y_m = np.random.default_rng(5).normal(size=40).round(6)
+    _write_csv(work / "millionth.csv", np.concatenate(((1.0 + 1e-6) * y_m + 1.0, y_m)), np.repeat([1, 0], 40))
 
 
 def _snapshot(work: Path) -> dict:
