@@ -14,11 +14,11 @@ procedure stopped at its first step (``status: no-second-step``).
 """
 
 import argparse
+import json
 import math
 import os
 import sys
 from dataclasses import asdict
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -52,7 +52,8 @@ EXIT_NO_SECOND_STEP = 4
 
 
 def _manifest(command: str, config: dict, data=None) -> dict:
-    """What produced an output: command, resolved flags, version, and the
+    """What produced an output: command, resolved flags (sweep's radius grid
+    is recorded as given, whose text fixes the radii), version, and the
     SHA-256 of the input file ``data``, if any. Two runs with equal
     manifests produce identical output bytes."""
     sha = None
@@ -67,43 +68,21 @@ def _manifest(command: str, config: dict, data=None) -> dict:
             "input_sha256": None if sha is None else sha.hexdigest()}
 
 
-def _dump_json(obj, indent: str = "\n") -> str:
-    """The text of ``json.dumps(obj, indent=2, allow_nan=False)``, with each
-    non-finite float written as null and a numpy array written as its list.
-
-    A list of floats, such as a sweep's radii, is written in one join of
-    ``float.__repr__``, which is how json writes each float.
-    """
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
+def _finite(obj):
+    """``obj`` with each non-finite float in it, also inside dicts, lists and
+    tuples, replaced by None."""
     if isinstance(obj, float):
-        return float.__repr__(obj) if math.isfinite(obj) else "null"
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    inner = indent + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        # a sum of floats is finite only if every term is
-        if set(map(type, obj)) == {float} and math.isfinite(sum(obj)):
-            items = map(float.__repr__, obj)
-        else:
-            items = (_dump_json(x, inner) for x in obj)
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
+        return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = (f"{encode_basestring_ascii(k)}: {_dump_json(v, inner)}" for k, v in obj.items())
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
+def _dump_json(report) -> str:
+    """The report as indented strict JSON, each non-finite float written as null."""
+    return json.dumps(_finite(report), indent=2, allow_nan=False)
 
 
 def _write_json(path, report: dict) -> None:
@@ -336,7 +315,7 @@ def cmd_sweep(args) -> int:
     with open(args.out, "w", newline="") as fh:
         _write_columns(fh, header, columns)
     _write_json(args.out + ".manifest.json", _manifest("sweep", {
-        "deltas": deltas,
+        "deltas": args.deltas,
         "q": q,
         "bounds": args.bounds,
         "tau_star": args.tau_star,

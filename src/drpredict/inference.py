@@ -54,7 +54,6 @@ __all__ = [
     "two_step_intervals",
 ]
 
-_C_TOL = 1e-10
 _GRID_POINTS = 101  # the two-step union's grid over the first-step interval
 
 
@@ -106,7 +105,7 @@ def _im_critical(scaled_width, alpha: float):
         slope = np.exp(-0.5 * (c + w) ** 2) + np.exp(-0.5 * c * c)
         return value, slope / math.sqrt(2.0 * math.pi)
 
-    return newton_root(residual, lo, lo, _z(1.0 - alpha / 2.0), _C_TOL, scaled_width)
+    return newton_root(residual, lo, lo, _z(1.0 - alpha / 2.0), scaled_width)
 
 
 def _im_endpoints(lo, hi, sd_lo, sd_hi, n, alpha: float):

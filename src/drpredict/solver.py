@@ -27,10 +27,9 @@ __all__ = [
     "penalty_derivs",
 ]
 
-_BRACKET_TOL = 1e-12
-# enough to bisect any finite bracket down to _BRACKET_TOL:
-# log2(1.8e308 / 1e-12) is about 1,064 halvings
-_MAX_ITER = 1100
+# enough to bisect any finite bracket down to two adjacent doubles, as a
+# subnormal root needs: log2(1.8e308 / 5e-324) is about 2,098 halvings
+_MAX_ITER = 2200
 _EPS = np.finfo(float).eps
 
 
@@ -66,7 +65,7 @@ class RobustConfig:
 # ------------------------------------------------------------- root finder
 
 
-def newton_root(fun, x, lo, hi, tol, *args):
+def newton_root(fun, x, lo, hi, *args):
     """Elementwise root of an increasing function by bracketed Newton steps.
 
     ``fun(x, *args)`` returns ``(f(x), f'(x))`` for an array ``x``, and
@@ -78,8 +77,8 @@ def newton_root(fun, x, lo, hi, tol, *args):
     root on an end is reached at Newton speed) and is at most half the step
     before the last one; otherwise the bracket is bisected, so no entry
     converges much slower than bisection. An entry stops once its step is
-    within ``tol`` (or within a few ulps, where ``tol`` is below double
-    precision) and keeps that value. The bisection midpoint is formed as
+    within 4 ulps of the iterate (4 eps |x|, so at every scale alike) and
+    keeps that value. The bisection midpoint is formed as
     ``0.5 * lo + 0.5 * hi``, which cannot overflow on a bracket near the
     largest double.
 
@@ -103,7 +102,7 @@ def newton_root(fun, x, lo, hi, tol, *args):
             f, df = fun(x, *args)
             lo = np.where(f <= 0.0, x, lo)
             hi = np.where(f >= 0.0, x, hi)  # f = 0 closes the bracket on x
-            near = tol + 4.0 * _EPS * np.abs(x)
+            near = 4.0 * _EPS * np.abs(x)
             newton = x - f / df
             step = np.abs(newton - x)
             inside = (lo <= newton) & (newton <= hi)
@@ -229,6 +228,6 @@ def solve_minimax(tau_star, v, delta, q: float) -> np.ndarray:
                 _, slope, curvature = penalty_derivs(t, q)
                 return gap / r + d * slope, (sd / r) ** 2 / r + d * curvature
 
-            mag[solve] = newton_root(foc, 0.5 * a_s, 0.0, a_s, _BRACKET_TOL, a_s, d_s, sd_s)
+            mag[solve] = newton_root(foc, 0.5 * a_s, 0.0, a_s, a_s, d_s, sd_s)
     # adding 0.0 turns the -0.0 of a zeroed negative effect into +0.0
     return (np.copysign(mag, tau_star) + 0.0).reshape(shape)

@@ -344,12 +344,10 @@ def sweep_csv_rowwise(tau_star, bounds, true_v, q, deltas) -> str:
 
 
 def jsonify(obj):
-    """Replace non-finite floats with null and numpy arrays with lists, so
-    that ``json.dumps`` writes strict JSON."""
+    """Replace non-finite floats with null, so that ``json.dumps`` writes
+    strict JSON."""
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
-    if isinstance(obj, np.ndarray):
-        return jsonify(obj.tolist())
     if isinstance(obj, dict):
         return {k: jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -363,7 +361,7 @@ def dump_json(obj) -> str:
     return json.dumps(jsonify(obj), indent=2, allow_nan=False)
 
 
-def newton_root_full(fun, x, lo, hi, tol, *args):
+def newton_root_full(fun, x, lo, hi, *args):
     """``solver.newton_root`` as it was before it dropped converged entries:
     every step evaluates ``fun`` on every entry, and a converged entry only
     stops moving. The reference for the active-set iteration, whose every
@@ -377,7 +375,7 @@ def newton_root_full(fun, x, lo, hi, tol, *args):
             f, df = fun(x, *args)
             lo = np.where(f <= 0.0, x, lo)
             hi = np.where(f >= 0.0, x, hi)
-            near = tol + 4.0 * eps * np.abs(x)
+            near = 4.0 * eps * np.abs(x)
             newton = x - f / df
             step = np.abs(newton - x)
             inside = (lo <= newton) & (newton <= hi)
@@ -390,6 +388,31 @@ def newton_root_full(fun, x, lo, hi, tol, *args):
             if done.all():
                 return x
     raise NumericalError("bracketed Newton did not converge in 200 steps")
+
+
+def minimax_bisect(tau_star: float, v: float, delta: float, q: float) -> float:
+    """Scalar solver for q > 1 by bisection of the first-order condition on
+    (0, |tau_star|) down to two adjacent doubles, with no absolute
+    tolerance: the kernel the bracketed Newton core replaced, kept as its
+    oracle at every scale of tau_star."""
+    if delta == 0.0:
+        return tau_star
+    if tau_star == 0.0:
+        return 0.0
+    a = abs(tau_star)
+    if v == 0.0 and delta <= (2.0 / a**q + 1.0) ** (1.0 - 1.0 / q):
+        return tau_star
+    lo, hi = 0.0, a
+    for _ in range(300):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # double-precision floor reached
+            break
+        prox = (mid - a) / math.sqrt(v + (a - mid) ** 2)
+        if prox + delta * mid ** (q - 1.0) * (2.0 + mid**q) ** (1.0 / q - 1.0) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return math.copysign(0.5 * (lo + hi), tau_star)
 
 
 def empirical_cdf(values_sorted: np.ndarray, y: float) -> float:

@@ -21,7 +21,7 @@ from drpredict.cli import _build_parser, _dump_json, _manifest, _parse_delta_gri
 from drpredict.exceptions import ParseError, ValidationError
 from drpredict.sample import load_mask, load_sample
 from drpredict.simulation import case_preset, draw_sample
-from oracles import bounds_of, central_moments, dump_json, neyman_bracket, sweep_csv_rowwise
+from oracles import bounds_of, central_moments, dump_json, minimax_bisect, neyman_bracket, sweep_csv_rowwise
 
 SCHEMA_DIR = None  # set in _schema
 
@@ -106,6 +106,20 @@ def test_estimate_json_validates_and_collapses_at_zero_radius(case1_csv, capsys)
     assert doc["sd_p"] == doc["sd_tau"]
     assert doc["manifest"]["command"] == "estimate"
     assert doc["manifest"]["config"]["q"] == 2.0
+
+
+def test_estimate_solves_outcomes_of_scale_1e_13(tmp_path, capsys):
+    # tau* near 1e-13: both predictions are interior roots, solved to the
+    # precision of bisection rather than left at the Newton start tau*/2
+    rng = np.random.default_rng(13)
+    t = np.repeat([1, 0], 200)
+    path = _write_csv(tmp_path / "tiny.csv", 1e-13 * (rng.normal(size=400) + t), t)
+    assert main(["estimate", "--data", path, "--delta", "0.5", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    tau_star, sharp = doc["tau_star"], doc["bounds"]["sharp"]
+    assert 0.0 < doc["tau_p"] <= doc["tau_o"] < tau_star < 1e-12
+    for tau, v in ((doc["tau_p"], sharp["v_p"]), (doc["tau_o"], sharp["v_o"])):
+        assert tau == pytest.approx(minimax_bisect(tau_star, v, 0.5, 2.0), rel=1e-9, abs=0.0)
 
 
 def test_estimate_p_maps_to_q(case1_csv, capsys):
@@ -276,8 +290,20 @@ def test_sweep_out_writes_csv_with_manifest_sidecar(case1_csv, tmp_path):
     assert set(rows[0]) == {"delta", "tau_p", "tau_o", "tau_dr"}
     manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
     jsonschema.validate(manifest, _schema("manifest.schema.json"))
-    assert manifest["config"]["deltas"] == [0.1, 0.2]
+    assert manifest["config"]["deltas"] == "0.1,0.2"
     assert manifest["input_sha256"] is not None
+
+
+def test_sweep_manifest_records_a_dense_grid_as_given(tmp_path):
+    # the grid's text and the version fix the 15,001 radii, which the CSV's
+    # delta column holds: the sidecar does not copy them
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--deltas", "0:3:0.0002", "--true-v", "1.5", "--tau-star", "2",
+                 "--out", str(out)]) == 0
+    sidecar = tmp_path / "sweep.csv.manifest.json"
+    assert json.loads(sidecar.read_text())["config"]["deltas"] == "0:3:0.0002"
+    assert sidecar.stat().st_size < 1024
+    assert len(out.read_text().splitlines()) == 1 + 15_001
 
 
 # flags after "sweep"; DATA stands for the case-1 file
@@ -439,7 +465,7 @@ def test_dump_json_matches_the_standard_encoder_on_edge_values():
         "tiny": 5e-324, "huge": 1e308, "nan": math.nan, "infs": [math.inf, -math.inf],
         "floats": [1.0, math.nan, -0.0], "overflowing sum": [1e308, 1e308],
         "empty": [], "empty dict": {}, "nested": [[], [[1.5, -0.0], ()], {"k": (1, 2.5)}],
-        "array": np.array([[0.25, np.inf], [-0.0, 5e-324]]), "text": 'caf\u00e9 "q"\n',
+        "text": 'caf\u00e9 "q"\n',
     }
     for obj in (value, [], {}, 1.5, math.nan, [value, [value]]):
         assert _dump_json(obj) == dump_json(obj)

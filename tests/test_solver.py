@@ -16,7 +16,7 @@ from drpredict.solver import (
     penalty_derivs,
     solve_minimax,
 )
-from oracles import dual_objective, newton_root_full
+from oracles import dual_objective, minimax_bisect, newton_root_full
 
 
 # -------------------------------------------------------------------- config
@@ -314,8 +314,34 @@ def test_newton_root_bisects_a_bracket_near_the_largest_double():
     def fun(x):
         return x - 1.5e308, np.full(x.shape, 1e-300)
 
-    root = newton_root(fun, 1.2e308, 1e308, 1.7e308, 1e-12)
+    root = newton_root(fun, 1.2e308, 1e308, 1.7e308)
     assert float(root) == pytest.approx(1.5e308, rel=1e-14)
+
+
+def test_newton_root_bisects_down_to_a_subnormal_root():
+    # a NaN slope refuses every Newton step: over 2,000 halvings of
+    # [0, 1.7e308] reach a root of 1e-310, which no absolute tolerance
+    # above the subnormals would wait for
+    steps = []
+
+    def fun(x):
+        steps.append(x.size)
+        return x - 1e-310, np.full(x.shape, math.nan)
+
+    root = newton_root(fun, 0.85e308, 0.0, 1.7e308)
+    assert float(root) == pytest.approx(1e-310, rel=0.0, abs=1e-323)
+    assert 2_000 < len(steps) <= solver_module._MAX_ITER
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-11, 1e-13, 1e-15])
+def test_solver_matches_bisection_at_every_scale(scale, q):
+    # the stopping rule is relative to the iterate, so an effect of 1e-13
+    # is solved as precisely as one of 1; an absolute 1e-12 stopped at the
+    # Newton start |tau*| / 2 there
+    tau_star, v = 2.0 * scale, (1.5 * scale) ** 2
+    got = float(solve_minimax(tau_star, v, 0.5, q))
+    assert got == pytest.approx(minimax_bisect(tau_star, v, 0.5, q), rel=1e-12, abs=0.0)
 
 
 def test_newton_root_raises_when_it_does_not_converge(monkeypatch):
@@ -366,11 +392,11 @@ def test_newton_root_slices_its_arguments_to_the_unconverged_entries():
         sizes.append(x.size)
         return x - a, np.where(a > 0.5, 1.0, 1e-300)  # a tiny slope forces bisection
 
-    root = newton_root(fun, 0.5, 0.0, 1.0, 1e-12, a)
+    root = newton_root(fun, 0.5, 0.0, 1.0, a)
     assert root.shape == a.shape
     assert root == pytest.approx(a, abs=1e-11)
     assert sizes[0] == a.size and sizes[-1] < a.size
-    assert newton_root(fun, np.empty(0), 0.0, 1.0, 1e-12, np.empty(0)).shape == (0,)
+    assert newton_root(fun, np.empty(0), 0.0, 1.0, np.empty(0)).shape == (0,)
 
 
 # --------------------------------------------------------------- derivatives
@@ -477,9 +503,9 @@ def _solve_counting_points(monkeypatch, *args):
     ``newton_root`` received."""
     points = []
 
-    def counting(fun, x, lo, hi, tol, *args):
+    def counting(fun, x, *args):
         points.append(np.size(x))
-        return newton_root(fun, x, lo, hi, tol, *args)
+        return newton_root(fun, x, *args)
 
     with monkeypatch.context() as patch:
         patch.setattr(solver_module, "newton_root", counting)
@@ -566,36 +592,6 @@ def test_vectorized_rejects_negative_variance():
 # ------------------------------------------------- reference kernel (oracle)
 
 
-def _reference_foc(tau, a, v, delta, q):
-    """First-order condition on (0, a) for a = |tau_star| > 0, tau > 0."""
-    prox = (tau - a) / math.sqrt(v + (a - tau) ** 2)
-    return prox + delta * tau ** (q - 1.0) * (2.0 + tau**q) ** (1.0 / q - 1.0)
-
-
-def _reference_solve(tau_star, v, delta, q):
-    """Scalar solver for q > 1 by FOC bisection: the kernel the bracketed
-    Newton core replaced, kept as its oracle."""
-    if delta == 0.0:
-        return tau_star
-    if tau_star == 0.0:
-        return 0.0
-    a = abs(tau_star)
-    if v == 0.0 and delta <= (2.0 / a**q + 1.0) ** (1.0 - 1.0 / q):
-        return tau_star
-    lo, hi = 0.0, a
-    for _ in range(200):
-        if hi - lo <= 1e-12:
-            break
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # double-precision floor reached
-            break
-        if _reference_foc(mid, a, v, delta, q) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return math.copysign(0.5 * (lo + hi), tau_star)
-
-
 def test_core_matches_reference_bisection():
     rng = np.random.default_rng(2025)
     for q in (1.5, 2.0, 3.0, 7.3, 10.0):
@@ -604,5 +600,5 @@ def test_core_matches_reference_bisection():
             v = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 10.0))
             d = float(rng.uniform(0.0, 3.0))
             got = solve_minimax(ts, v, d, q)
-            want = _reference_solve(ts, v, d, q)
+            want = minimax_bisect(ts, v, d, q)
             assert abs(got - want) <= 1e-10, (ts, v, d, q, got, want)

@@ -236,6 +236,10 @@ INVOCATIONS = [
     ("infer-millionth-sharp", ["infer", "--data", "millionth.csv", "--delta", "0.5"]),
     ("infer-millionth-neyman", ["infer", "--data", "millionth.csv", "--delta", "0.5",
                                 "--bounds", "neyman"]),
+    # pos.csv in units 10^13 times smaller: tau* near 1.8e-13, whose
+    # predictions are roots far below any absolute solver tolerance
+    ("estimate-tiny-json", ["estimate", "--data", "pos1e-13.csv", "--delta", "0.5", "--json"]),
+    ("infer-tiny-json", ["infer", "--data", "pos1e-13.csv", "--delta", "0.5", "--json"]),
 ]
 
 
@@ -305,6 +309,8 @@ def write_inputs(work: Path) -> None:
     # decimals, and 40 treated rows of them times 1 + 1e-6 plus 1
     y_m = np.random.default_rng(5).normal(size=40).round(6)
     _write_csv(work / "millionth.csv", np.concatenate(((1.0 + 1e-6) * y_m + 1.0, y_m)), np.repeat([1, 0], 40))
+    # written last, no draws: pos.csv's outcomes times 1e-13
+    _write_csv(work / "pos1e-13.csv", 1e-13 * y, t)
 
 
 def _snapshot(work: Path) -> dict:
